@@ -33,7 +33,6 @@ from .deployment import Deployment, deploy_paper_hierarchy
 from .federation import (
     ChurnPlan,
     FederatedClient,
-    FederatedGrid,
     Federation,
     FederationConfig,
     build_federation,
@@ -121,7 +120,6 @@ __all__ = [
     "FastestNodePolicy",
     "FaultInjectionInterceptor",
     "FederatedClient",
-    "FederatedGrid",
     "Federation",
     "FederationConfig",
     "FileRef",

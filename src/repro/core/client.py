@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, Iterable, Optional
+from typing import Any, Dict, Generator, Iterable, Optional, Tuple
 
 from ..sim.engine import Engine, Event, Process
 from ..sim.network import Host
+from .data import DataHandle
 from .exceptions import (
     CommunicationError,
     DataError,
@@ -37,7 +38,8 @@ from .requests import MemoHit, SolveRequest, SubmitRequest
 from .statistics import Tracer
 from .transport import Endpoint, TransportFabric
 
-__all__ = ["FunctionHandle", "AsyncRequest", "DietClient", "absorb_memo_hit"]
+__all__ = ["FunctionHandle", "AsyncRequest", "DietClient", "absorb_memo_hit",
+           "submit_and_solve"]
 
 
 def absorb_memo_hit(endpoint: Endpoint, profile: Profile, hit: MemoHit
@@ -63,6 +65,87 @@ def absorb_memo_hit(endpoint: Endpoint, profile: Profile, hit: MemoHit
             arg.set(handle)
 
 
+def submit_and_solve(client: Any, profile: Profile,
+                     handle: Optional["FunctionHandle"] = None
+                     ) -> Generator[Event, Any, Tuple[int, str, float]]:
+    """The one client request path: submit, then solve (process helper).
+
+    ``client`` (a :class:`DietClient` or a
+    :class:`~repro.core.federation.FederatedClient`) supplies its endpoint,
+    the MAs to try in order (``_ma_order()``) and what to account when one
+    declines (``_note_rejection(ma, redirected)``) with
+    :class:`ServerNotFoundError` or :class:`CommunicationError`; the last
+    MA's error is raised once every one declined.  Each attempt draws a
+    fresh fabric-scoped request id, so identical campaigns get identical
+    ids regardless of what ran before them.
+
+    Returns ``(status, sed_name, found_at)``, ``found_at`` being the instant
+    the winning submit reply arrived; OUT/INOUT values are written back into
+    ``profile``.  ``handle`` is bound to the chosen SeD as soon as it is
+    known and keeps the request id and the SeD-side error string.  Lifecycle
+    stamps are not taken here: an endpoint's :class:`TracingInterceptor`
+    records them as the messages pass through the pipeline.
+    """
+    profile.validate_for_submit()
+    endpoint: Endpoint = client.endpoint
+    if handle is None:
+        handle = FunctionHandle(profile.path)
+    # Data Location Manager view: persistent inputs already on SeDs.
+    handles = tuple(arg.value for arg in profile.arguments
+                    if isinstance(arg.value, DataHandle))
+    resident: Dict[str, int] = {}
+    for data in handles:
+        resident[data.sed_name] = resident.get(data.sed_name, 0) + data.nbytes
+    memo_key = None
+    if client.memo_enabled:
+        # Lazy: repro.data depends on repro.core at module level.
+        from ..data.memo import descriptor_digest
+
+        memo_key = descriptor_digest(profile)
+    while True:
+        order = client._ma_order()
+        for i, ma_name in enumerate(order):
+            request_id = client.fabric.new_request_id()
+            sub = SubmitRequest(request_id=request_id,
+                                service_desc=profile.desc,
+                                client_host=client.host.name,
+                                client_endpoint=endpoint.name,
+                                request_nbytes=profile.request_nbytes(),
+                                resident_bytes=resident,
+                                data_handles=handles,
+                                memo_key=memo_key)
+            try:
+                sed_name, est = yield from endpoint.rpc(ma_name, "submit", sub)
+            except (ServerNotFoundError, CommunicationError) as exc:
+                last_error = exc
+                client._note_rejection(ma_name, i + 1 < len(order))
+                continue
+            found_at = client.engine.now
+            handle.server, handle.request_id = sed_name, request_id
+            handle.error = None
+            if isinstance(est, MemoHit):
+                try:
+                    yield from absorb_memo_hit(endpoint, profile, est)
+                except (CommunicationError, DataError):
+                    # Stale hit: redo the whole round without the memo.
+                    client.memo_fallbacks += 1
+                    memo_key = None
+                    break
+                return 0, sed_name, found_at
+            reply = yield from endpoint.rpc(
+                sed_name, "solve",
+                SolveRequest(request_id=request_id, profile=profile,
+                             client_endpoint=endpoint.name,
+                             memo_key=memo_key),
+                nbytes=profile.request_nbytes())
+            for index, value in reply.out_values.items():
+                profile.parameter(index).set(value)
+            handle.error = reply.error
+            return reply.status, sed_name, found_at
+        else:  # no break: every MA declined
+            raise last_error
+
+
 @dataclass
 class FunctionHandle:
     """Associates a service name with the server that (last) solved it."""
@@ -70,6 +153,11 @@ class FunctionHandle:
     service_name: str
     server: Optional[str] = None
     bound: bool = True
+    #: Grid-wide id of the (last) request made through this handle and the
+    #: SeD-side error string of its solve — what a non-zero status alone
+    #: cannot say (None when the solve succeeded).
+    request_id: Optional[int] = None
+    error: Optional[str] = None
 
     def __post_init__(self):
         if not self.service_name:
@@ -84,6 +172,10 @@ class AsyncRequest:
     profile: Profile
     process: Process
     _client: "DietClient" = field(repr=False, default=None)
+    #: The call's function handle: once a SeD is found it names the server
+    #: and the grid-wide request id, and after a failed solve the SeD-side
+    #: ``error`` string behind the non-zero status.
+    handle: Optional[FunctionHandle] = None
 
     @property
     def done(self) -> bool:
@@ -193,71 +285,21 @@ class DietClient:
              ) -> Generator[Event, Any, int]:
         """diet_call(): synchronous solve.  Process helper.
 
-        Returns the service's integer status; OUT/INOUT values are written
-        back into ``profile`` (freshly allocated on the client side, as the
-        C API does for OUT arguments).
+        The one-MA case of :func:`submit_and_solve`.  Returns the service's
+        integer status; OUT/INOUT values are written back into ``profile``
+        (freshly allocated on the client side, as the C API does for OUT
+        arguments).
         """
         self._check_session()
-        profile.validate_for_submit()
-        use_memo = self.memo_enabled
-        while True:
-            # Fabric-scoped (not process-global): identical campaigns get
-            # identical request ids regardless of what ran before them.
-            request_id = self.fabric.new_request_id()
-            memo_key = None
-            if use_memo:
-                from ..data.memo import descriptor_digest
+        status, _sed, _found_at = yield from submit_and_solve(
+            self, profile, handle)
+        return status
 
-                memo_key = descriptor_digest(profile)
+    def _ma_order(self) -> list:
+        return [self.ma_name]
 
-            # Data Location Manager view: persistent inputs already on SeDs.
-            from .data import DataHandle
-
-            resident: Dict[str, int] = {}
-            for arg in profile.arguments:
-                if isinstance(arg.value, DataHandle):
-                    resident[arg.value.sed_name] = (
-                        resident.get(arg.value.sed_name, 0) + arg.value.nbytes)
-
-            sub = SubmitRequest(request_id=request_id,
-                                service_desc=profile.desc,
-                                client_host=self.host.name,
-                                client_endpoint=self.endpoint.name,
-                                request_nbytes=profile.request_nbytes(),
-                                resident_bytes=resident,
-                                data_handles=tuple(
-                                    arg.value for arg in profile.arguments
-                                    if isinstance(arg.value, DataHandle)),
-                                memo_key=memo_key)
-            # Lifecycle stamps (submitted_at/found_at/data_sent_at/
-            # completed_at) are recorded by the endpoint's
-            # TracingInterceptor as the messages pass through the pipeline.
-            sed_name, est = yield from self.endpoint.rpc(
-                self.ma_name, "submit", sub)
-            if isinstance(est, MemoHit):
-                try:
-                    yield from absorb_memo_hit(self.endpoint, profile, est)
-                except (CommunicationError, DataError):
-                    # The owner died (or evicted the result) between the
-                    # MA's lookup and our pull: fall back to a re-solve.
-                    self.memo_fallbacks += 1
-                    use_memo = False
-                    continue
-                if handle is not None:
-                    handle.server = sed_name
-                return 0
-            if handle is not None:
-                handle.server = sed_name
-
-            solve_req = SolveRequest(request_id=request_id, profile=profile,
-                                     client_endpoint=self.endpoint.name,
-                                     memo_key=memo_key)
-            reply = yield from self.endpoint.rpc(
-                sed_name, "solve", solve_req, nbytes=profile.request_nbytes())
-
-            for index, value in reply.out_values.items():
-                profile.parameter(index).set(value)
-            return reply.status
+    def _note_rejection(self, ma_name: str, redirected: bool) -> None:
+        """A single-MA client has nowhere to redirect and nothing to rank."""
 
     def call_retry(self, profile: Profile,
                    handle: Optional[FunctionHandle] = None,
@@ -301,14 +343,10 @@ class DietClient:
         from ..sim.engine import Interrupt
 
         try:
-            if max_attempts > 1:
-                status = yield from self.call_retry(
-                    profile, handle, max_attempts=max_attempts, backoff=backoff)
-            else:
-                status = yield from self.call(profile, handle)
+            return (yield from self.call_retry(
+                profile, handle, max_attempts=max_attempts, backoff=backoff))
         except Interrupt:
             return self.STATUS_CANCELLED
-        return status
 
     def call_async(self, profile: Profile,
                    handle: Optional[FunctionHandle] = None,
@@ -320,11 +358,13 @@ class DietClient:
         failure with :meth:`call_retry` semantics.
         """
         self._check_session()
+        if handle is None:
+            handle = FunctionHandle(profile.path)
         proc = self.engine.process(
             self._cancellable_call(profile, handle, max_attempts, backoff),
             name=f"call:{profile.path}")
         req = AsyncRequest(request_id=0, profile=profile, process=proc,
-                           _client=self)
+                           _client=self, handle=handle)
         # The request id is only known once the call process starts; expose
         # the process itself for waiting, and a session id for bookkeeping.
         req.request_id = next(self._session_ids)

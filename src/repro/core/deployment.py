@@ -1,16 +1,18 @@
 """GoDIET-like deployment: instantiate a DIET hierarchy on a platform.
 
-§5.1's deployment — 1 MA (+ client) on a Lyon node, one LA per cluster, two
-SeDs per cluster (one for sagittaire) — becomes :func:`deploy_paper_hierarchy`.
-The generic :class:`Deployment` builder supports arbitrary hierarchies for
-tests and examples, enforcing the §4.1 constraint that a SeD must mount its
-cluster's NFS volume.
+:mod:`repro.core.godiet` *describes* a hierarchy (a
+:class:`~repro.core.godiet.HierarchySpec`); :func:`build_hierarchy` here is
+the one function that *instantiates* one, enforcing the §4.1 constraint that
+a SeD must mount its cluster's NFS volume.  §5.1's deployment — 1 MA (+
+client) on a Lyon node, one LA per cluster, two SeDs per cluster (one for
+sagittaire) — is :func:`deploy_paper_hierarchy`: the paper spec through that
+builder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from ..obs import Observability
 from ..platform.grid5000 import Grid5000Platform
@@ -23,10 +25,11 @@ from .sed import SeD, SeDParams
 from .statistics import Tracer
 from .transport import TransportFabric, TransportParams
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle (repro.data needs core)
+if TYPE_CHECKING:  # pragma: no cover - import cycles (data needs core; godiet needs this)
     from ..data.manager import DataGrid, DataManagerConfig
+    from .godiet import AgentSpec, HierarchySpec
 
-__all__ = ["Deployment", "deploy_paper_hierarchy"]
+__all__ = ["Deployment", "build_hierarchy", "deploy_paper_hierarchy"]
 
 
 @dataclass
@@ -77,6 +80,89 @@ class Deployment:
         return self.tracer.obs
 
 
+def build_hierarchy(spec: "HierarchySpec", platform: Grid5000Platform,
+                    fabric: TransportFabric, tracer: Tracer,
+                    policy: Optional[SchedulerPolicy] = None,
+                    sed_params: Optional[SeDParams] = None,
+                    agent_params: Optional[AgentParams] = None,
+                    with_log_central: bool = False,
+                    routing: str = "pull",
+                    data_grid: Optional["DataGrid"] = None,
+                    data: Optional["DataManagerConfig"] = None,
+                    memo: Optional[Any] = None) -> Deployment:
+    """Instantiate ``spec``'s MA→LA→SeD tree on a built platform.
+
+    The one place components are constructed and wired, whatever described
+    the tree (the §5.1 layout, a GoDIET XML file, one grid of a federation):
+    every agent and SeD shares ``fabric``/``tracer``, runs ``routing``,
+    carries ``memo`` and knows its ``parent`` (so a restarted SeD can
+    re-register); the MA owns ``policy`` and hosts the LogCentral collector;
+    ``data_grid`` threads the replica catalog through the tree (MA = root,
+    one node per LA) and upgrades every SeD's data manager with ``data``.
+    A SeD on a cluster host must mount that cluster's NFS volume (§4.1).
+    """
+    spec.validate()
+    network = platform.network
+    ma_host = network.host(spec.master.host)
+    log_central = None
+    log_name: Optional[str] = None
+    if with_log_central:
+        from .logservice import LogCentral
+
+        log_central = LogCentral(fabric, ma_host)
+        log_name = log_central.name
+    ma = MasterAgent(fabric, ma_host, name=spec.master.name, policy=policy,
+                     params=agent_params, tracer=tracer,
+                     log_central=log_name, routing=routing)
+    ma.memo = memo
+    if data_grid is not None:
+        ma.data_catalog = data_grid.root
+        ma.data_cost_fn = data_grid.transfer_cost
+    deployment = Deployment(engine=fabric.engine, fabric=fabric,
+                            tracer=tracer, ma=ma, platform=platform,
+                            log_central=log_central, data_grid=data_grid,
+                            routing=routing)
+
+    def build(agent_spec: "AgentSpec", agent: LocalAgent) -> None:
+        for child_spec in agent_spec.children:
+            la = LocalAgent(fabric, network.host(child_spec.host),
+                            name=child_spec.name, parent=agent.name,
+                            params=agent_params, tracer=tracer,
+                            routing=routing)
+            la.memo = memo
+            if data_grid is not None:
+                la.data_catalog = data_grid.node(la.name)
+            agent.add_child(la.name)
+            deployment.local_agents.append(la)
+            build(child_spec, la)
+        for sed_spec in agent_spec.seds:
+            host = network.host(sed_spec.host)
+            cluster = platform.cluster_of_host(host.name)
+            nfs = cluster.nfs if cluster is not None else None
+            if nfs is not None and not nfs.is_mounted_on(host.name):
+                raise DietError(
+                    f"SeD host {host.name} does not mount {nfs.name} "
+                    f"(§4.1 requires an NFS working directory)")
+            sed = SeD(fabric, host, name=sed_spec.name, ma_name=ma.name,
+                      params=sed_params, tracer=tracer, nfs=nfs,
+                      log_central=log_name, parent=agent.name,
+                      routing=routing)
+            sed.data_manager.memo = memo
+            if data_grid is not None:
+                if nfs is not None:
+                    data_grid.volumes[nfs.name] = nfs
+                data_grid.attach(sed, agent.data_catalog, data)
+            agent.add_child(sed.name)
+            deployment.seds.append(sed)
+
+    build(spec.master, ma)
+    if spec.client_host:
+        deployment.client = DietClient(
+            fabric, network.host(spec.client_host), name="client",
+            tracer=tracer)
+    return deployment
+
+
 def deploy_paper_hierarchy(platform: Grid5000Platform,
                            policy: Optional[SchedulerPolicy] = None,
                            transport_params: Optional[TransportParams] = None,
@@ -89,12 +175,12 @@ def deploy_paper_hierarchy(platform: Grid5000Platform,
                            routing: str = "pull") -> Deployment:
     """Deploy the exact §5.1 hierarchy on a built Grid'5000 platform.
 
-    * MA on the Lyon service node (with the client and, when
-      ``with_log_central``, the monitoring collector — "along with omniORB,
-      the monitoring tools, and the client", §5.1);
-    * one LA per cluster, on the cluster frontend;
-    * one SeD per reserved 16-node block (11 in the paper layout), each
-      mounting its cluster's NFS volume.
+    :func:`~repro.core.godiet.paper_hierarchy_spec` describes it — MA on the
+    Lyon service node (with the client and, when ``with_log_central``, the
+    monitoring collector: "along with omniORB, the monitoring tools, and
+    the client", §5.1), one LA per cluster on the cluster frontend, one SeD
+    per reserved 16-node block (11 in the paper layout) — and
+    :func:`build_hierarchy` instantiates it.
 
     ``data`` opts into the DAGDA data grid: every SeD's data manager joins
     a shared replica catalog threaded through the MA/LA tree with the given
@@ -106,64 +192,23 @@ def deploy_paper_hierarchy(platform: Grid5000Platform,
     ``"push"`` (SeDs push deltas, agents materialize top-k tables, the MA
     admits from its table in batches; see DESIGN.md).
     """
+    # Lazy: godiet imports this module for Deployment/build_hierarchy.
+    from .godiet import paper_hierarchy_spec
+
     engine = platform.engine
     fabric = TransportFabric(engine, platform.network, transport_params)
     tracer = Tracer(obs)
     # The engine reads obs directly (run-level spans, transfer metrics).
     engine.obs = tracer.obs
-
-    log_central = None
-    log_name: Optional[str] = None
-    if with_log_central:
-        from .logservice import LogCentral
-
-        log_central = LogCentral(fabric, platform.ma_host)
-        log_name = log_central.name
-
-    ma = MasterAgent(fabric, platform.ma_host, name="MA", policy=policy,
-                     params=agent_params, tracer=tracer,
-                     log_central=log_name, routing=routing)
-
-    data_grid: Optional["DataGrid"] = None
+    spec = paper_hierarchy_spec(platform)
+    if not with_client:
+        spec.client_host = None
+    data_grid = None
     if data is not None:
         from ..data.manager import DataGrid
 
         data_grid = DataGrid(platform.network)
-        ma.data_catalog = data_grid.root
-        ma.data_cost_fn = data_grid.transfer_cost
-
-    local_agents: List[LocalAgent] = []
-    seds: List[SeD] = []
-    for full_name, cluster in platform.clusters.items():
-        la = LocalAgent(fabric, cluster.frontend, name=f"LA-{full_name}",
-                        parent=ma.name, params=agent_params, tracer=tracer,
-                        routing=routing)
-        ma.add_child(la.name)
-        local_agents.append(la)
-        la_node = None
-        if data_grid is not None:
-            la_node = data_grid.node(la.name)
-            la.data_catalog = la_node
-            data_grid.volumes[cluster.nfs.name] = cluster.nfs
-        for host in cluster.sed_hosts:
-            if not cluster.nfs.is_mounted_on(host.name):
-                raise DietError(
-                    f"SeD host {host.name} does not mount {cluster.nfs.name} "
-                    f"(§4.1 requires an NFS working directory)")
-            sed = SeD(fabric, host, name=f"SeD-{host.name}", ma_name=ma.name,
-                      params=sed_params, tracer=tracer, nfs=cluster.nfs,
-                      log_central=log_name, parent=la.name, routing=routing)
-            la.add_child(sed.name)
-            seds.append(sed)
-            if data_grid is not None:
-                data_grid.attach(sed, la_node, data)
-
-    client = None
-    if with_client:
-        client = DietClient(fabric, platform.client_host, name="client",
-                            tracer=tracer)
-
-    return Deployment(engine=engine, fabric=fabric, tracer=tracer, ma=ma,
-                      local_agents=local_agents, seds=seds, client=client,
-                      platform=platform, log_central=log_central,
-                      data_grid=data_grid, routing=routing)
+    return build_hierarchy(spec, platform, fabric, tracer, policy=policy,
+                           sed_params=sed_params, agent_params=agent_params,
+                           with_log_central=with_log_central, routing=routing,
+                           data_grid=data_grid, data=data)

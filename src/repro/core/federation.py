@@ -46,18 +46,18 @@ from ..sim.engine import Engine, Event
 from ..sim.failures import FailureInjector, Outage
 from ..sim.network import Host, Link
 from ..sim.rng import RandomStreams
-from .agent import AgentParams, LocalAgent, MasterAgent
-from .client import absorb_memo_hit
-from .data import DataHandle
-from .exceptions import (CommunicationError, DataError, DietError,
-                         ServerNotFoundError)
+from .agent import AgentParams
+from .client import submit_and_solve
+from .deployment import Deployment, build_hierarchy
+from .exceptions import DietError
+from .godiet import cluster_hierarchy_spec
 from .profile import Profile
-from .requests import MemoHit, SolveRequest, SubmitRequest
+from .scheduling import make_policy
 from .sed import SeD, SeDParams
 from .statistics import Tracer
 from .transport import TransportFabric
 
-__all__ = ["FederationConfig", "FederatedGrid", "Federation",
+__all__ = ["FederationConfig", "Federation",
            "FederatedClient", "ChurnPlan", "federation_cluster_specs",
            "build_federation", "schedule_churn"]
 
@@ -131,26 +131,6 @@ def federation_cluster_specs(n_grids: int,
 
 
 @dataclass
-class FederatedGrid:
-    """One grid's hierarchy: its MA, LAs and SeDs."""
-
-    index: int
-    ma: MasterAgent
-    local_agents: List[LocalAgent] = field(default_factory=list)
-    seds: List[SeD] = field(default_factory=list)
-    #: This grid's dedicated client host ("per-grid" placement); None
-    #: under the legacy "core" placement.
-    client_host: Optional[Host] = None
-
-    def launch(self) -> None:
-        self.ma.launch()
-        for la in self.local_agents:
-            la.launch()
-        for sed in self.seds:
-            sed.launch()
-
-
-@dataclass
 class Federation:
     """A built federation: shared fabric + one hierarchy per grid."""
 
@@ -159,7 +139,9 @@ class Federation:
     tracer: Tracer
     platform: Grid5000Platform
     config: FederationConfig
-    grids: List[FederatedGrid] = field(default_factory=list)
+    #: One :class:`~repro.core.deployment.Deployment` per grid (no client
+    #: of its own: federated clients attach to the shared fabric).
+    grids: List[Deployment] = field(default_factory=list)
     #: The shared :class:`repro.data.memo.MemoIndex` when
     #: ``config.memo`` is set; None otherwise.
     memo: Optional[Any] = None
@@ -187,14 +169,14 @@ class Federation:
         """Where a client homed on ``grid_index`` runs: the grid's own
         client host under "per-grid" placement, else the shared core node.
         """
-        grid = self.grids[grid_index % len(self.grids)]
-        if grid.client_host is not None:
-            return grid.client_host
+        if self.config.client_placement == "per-grid":
+            return self.platform.network.host(
+                f"g{grid_index % len(self.grids)}-client")
         return self.platform.client_host
 
     def launch_all(self) -> None:
         for grid in self.grids:
-            grid.launch()
+            grid.launch_all()
 
     def add_service_everywhere(self, make_desc, solve_func) -> None:
         """Register ``make_desc()`` with ``solve_func`` on every SeD."""
@@ -240,58 +222,25 @@ def build_federation(engine: Engine, config: FederationConfig,
                     if cluster.spec.site.startswith(prefix)]
         if not clusters:
             raise DietError(f"grid {g} built no clusters")
-        ma_host = platform.network.add_host(
-            Host(engine, f"{prefix}ma", speed=2.4))
         site_router = platform.sites[clusters[0].spec.site].router
-        platform.network.connect(
-            ma_host.name, site_router.name,
-            Link(engine, f"lan-{prefix}ma", _LAN_LATENCY, _LAN_BW))
+        per_grid_client = config.client_placement == "per-grid"
+        for role in ("ma", "client") if per_grid_client else ("ma",):
+            host = platform.network.add_host(
+                Host(engine, f"{prefix}{role}", speed=2.4))
+            platform.network.connect(
+                host.name, site_router.name,
+                Link(engine, f"lan-{prefix}{role}", _LAN_LATENCY, _LAN_BW))
         policy = None
         if config.policy is not None:
             # A fresh instance per MA: policies keep per-hierarchy state
             # (round-robin counters, history means).
-            from .scheduling import make_policy
-
             policy = make_policy(config.policy)
-        ma = MasterAgent(fabric, ma_host, name=f"MA{g}",
-                         params=config.agent_params, tracer=tracer,
-                         routing=config.routing, policy=policy)
-        ma.memo = memo
-        if data_grid is not None:
-            ma.data_catalog = data_grid.root
-            ma.data_cost_fn = data_grid.transfer_cost
-        grid = FederatedGrid(index=g, ma=ma)
-        if config.client_placement == "per-grid":
-            client_host = platform.network.add_host(
-                Host(engine, f"{prefix}client", speed=2.4))
-            platform.network.connect(
-                client_host.name, site_router.name,
-                Link(engine, f"lan-{prefix}client", _LAN_LATENCY, _LAN_BW))
-            grid.client_host = client_host
-        for cluster in clusters:
-            la = LocalAgent(fabric, cluster.frontend,
-                            name=f"LA-{cluster.full_name}", parent=ma.name,
-                            params=config.agent_params, tracer=tracer,
-                            routing=config.routing)
-            la.memo = memo
-            la_node = None
-            if data_grid is not None:
-                la_node = data_grid.node(la.name)
-                la.data_catalog = la_node
-                data_grid.volumes[cluster.nfs.name] = cluster.nfs
-            ma.add_child(la.name)
-            grid.local_agents.append(la)
-            for host in cluster.sed_hosts:
-                sed = SeD(fabric, host, name=f"SeD-{host.name}",
-                          ma_name=ma.name, params=config.sed_params,
-                          tracer=tracer, nfs=cluster.nfs, parent=la.name,
-                          routing=config.routing)
-                sed.data_manager.memo = memo
-                if data_grid is not None:
-                    data_grid.attach(sed, la_node, config.data)
-                la.add_child(sed.name)
-                grid.seds.append(sed)
-        federation.grids.append(grid)
+        federation.grids.append(build_hierarchy(
+            cluster_hierarchy_spec(clusters, f"MA{g}", f"{prefix}ma"),
+            platform, fabric, tracer, policy=policy,
+            sed_params=config.sed_params, agent_params=config.agent_params,
+            routing=config.routing, data_grid=data_grid, data=config.data,
+            memo=memo))
     return federation
 
 
@@ -363,93 +312,33 @@ class FederatedClient:
             order = order[:self.max_redirects + 1]
         return order
 
-    def _note_rejection(self, ma_name: str) -> None:
+    def _note_rejection(self, ma_name: str, redirected: bool) -> None:
+        now = self.engine.now
+        obs = self.tracer.obs
         self.rejections += 1
         self.rejections_by_ma[ma_name] = \
             self.rejections_by_ma.get(ma_name, 0) + 1
-        self._last_rejected[ma_name] = self.engine.now
+        self._last_rejected[ma_name] = now
+        if obs.enabled:
+            obs.metrics.counter("federation.rejections",
+                                ma=ma_name).inc(1, now)
+        if redirected:
+            self.redirects += 1
+            if obs.enabled:
+                obs.metrics.counter("federation.redirects").inc(1, now)
 
     def call(self, profile: Profile
              ) -> Generator[Event, Any, Tuple[int, str, float]]:
         """Submit through the federation, then solve; a process helper.
 
+        :func:`~repro.core.client.submit_and_solve` over :meth:`_ma_order`.
         Returns ``(status, sed_name, found_at)`` where ``found_at`` is the
         simulated instant the winning submit reply arrived (finding time =
         ``found_at - submit start``, redirects included).  Raises the last
         MA's error when every MA declined; a SeD crash mid-solve raises
         ``CommunicationError`` exactly like the single-MA client.
         """
-        profile.validate_for_submit()
-        obs = self.tracer.obs
-        use_memo = self.memo_enabled
-        while True:
-            memo_key = None
-            if use_memo:
-                # Lazy: repro.data depends on repro.core at module level.
-                from ..data.memo import descriptor_digest
-
-                memo_key = descriptor_digest(profile)
-            last_error: Optional[Exception] = None
-            fell_back = False
-            order = self._ma_order()
-            resident: dict = {}
-            handles = []
-            for arg in profile.arguments:
-                if isinstance(arg.value, DataHandle):
-                    handles.append(arg.value)
-                    resident[arg.value.sed_name] = \
-                        resident.get(arg.value.sed_name, 0) + arg.value.nbytes
-            for i, ma_name in enumerate(order):
-                request_id = self.fabric.new_request_id()
-                sub = SubmitRequest(request_id=request_id,
-                                    service_desc=profile.desc,
-                                    client_host=self.host.name,
-                                    client_endpoint=self.endpoint.name,
-                                    request_nbytes=profile.request_nbytes(),
-                                    resident_bytes=resident,
-                                    data_handles=tuple(handles),
-                                    memo_key=memo_key)
-                try:
-                    sed_name, est = yield from self.endpoint.rpc(
-                        ma_name, "submit", sub)
-                except (ServerNotFoundError, CommunicationError) as exc:
-                    last_error = exc
-                    self._note_rejection(ma_name)
-                    if obs.enabled:
-                        obs.metrics.counter("federation.rejections",
-                                            ma=ma_name).inc(1, self.engine.now)
-                    if i + 1 < len(order):
-                        self.redirects += 1
-                        if obs.enabled:
-                            obs.metrics.counter("federation.redirects").inc(
-                                1, self.engine.now)
-                    continue
-                found_at = self.engine.now
-                if isinstance(est, MemoHit):
-                    try:
-                        yield from absorb_memo_hit(self.endpoint, profile,
-                                                   est)
-                    except (CommunicationError, DataError):
-                        # Owner died between lookup and pull: retry the
-                        # whole submit round without the stale hit.
-                        self.memo_fallbacks += 1
-                        fell_back = True
-                        break
-                    return 0, est.owner, found_at
-                reply = yield from self.endpoint.rpc(
-                    sed_name, "solve",
-                    SolveRequest(request_id=request_id, profile=profile,
-                                 client_endpoint=self.endpoint.name,
-                                 memo_key=memo_key),
-                    nbytes=profile.request_nbytes())
-                for index, value in reply.out_values.items():
-                    profile.parameter(index).set(value)
-                return reply.status, sed_name, found_at
-            if fell_back:
-                use_memo = False
-                continue
-            raise (last_error if last_error is not None
-                   else ServerNotFoundError("no MA accepted the request"))
+        return (yield from submit_and_solve(self, profile))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 DIET deployments on Grid'5000 were driven by GoDIET, which reads an XML
 description of the agent hierarchy and launches the components.  This
-module implements the equivalent: parse an XML hierarchy description,
-validate it against a built platform, and instantiate the MA/LA/SeD tree.
+module implements the description half: parse an XML hierarchy description
+into a :class:`HierarchySpec` and validate it; instantiating the MA/LA/SeD
+tree is :func:`repro.core.deployment.build_hierarchy`'s job, whatever wrote
+the spec.
 
 The dialect (close to GoDIET's, trimmed to what the reproduction needs)::
 
@@ -25,20 +27,20 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
-from ..platform.grid5000 import Grid5000Platform
-from .agent import AgentParams, LocalAgent, MasterAgent
-from .client import DietClient
-from .deployment import Deployment
+from ..platform.grid5000 import Cluster, Grid5000Platform
+from .agent import AgentParams
+from .deployment import Deployment, build_hierarchy
 from .exceptions import DietError
 from .scheduling import SchedulerPolicy
-from .sed import SeD, SeDParams
+from .sed import SeDParams
 from .statistics import Tracer
 from .transport import TransportFabric, TransportParams
 
 __all__ = ["SedSpec", "AgentSpec", "HierarchySpec", "parse_godiet_xml",
-           "render_godiet_xml", "deploy_from_spec", "paper_hierarchy_spec"]
+           "render_godiet_xml", "deploy_from_spec", "cluster_hierarchy_spec",
+           "paper_hierarchy_spec"]
 
 
 @dataclass
@@ -142,16 +144,26 @@ def render_godiet_xml(spec: HierarchySpec) -> str:
     return "\n".join(lines)
 
 
-def paper_hierarchy_spec(platform: Grid5000Platform) -> HierarchySpec:
-    """The §5.1 deployment as a spec (what GoDIET would have been fed)."""
-    master = AgentSpec(name="MA", host=platform.ma_host.name)
-    for full_name, cluster in platform.clusters.items():
-        la = AgentSpec(name=f"LA-{full_name}", host=cluster.frontend.name)
+def cluster_hierarchy_spec(clusters: Iterable[Cluster], ma_name: str,
+                           ma_host: str,
+                           client_host: Optional[str] = None) -> HierarchySpec:
+    """The §5.1 shape over ``clusters``: one MA, one LA per cluster on its
+    frontend, one SeD per reserved node block."""
+    master = AgentSpec(name=ma_name, host=ma_host)
+    for cluster in clusters:
+        la = AgentSpec(name=f"LA-{cluster.full_name}",
+                       host=cluster.frontend.name)
         for host in cluster.sed_hosts:
             la.seds.append(SedSpec(name=f"SeD-{host.name}", host=host.name))
         master.children.append(la)
-    return HierarchySpec(master=master,
-                         client_host=platform.client_host.name)
+    return HierarchySpec(master=master, client_host=client_host)
+
+
+def paper_hierarchy_spec(platform: Grid5000Platform) -> HierarchySpec:
+    """The §5.1 deployment as a spec (what GoDIET would have been fed)."""
+    return cluster_hierarchy_spec(platform.clusters.values(), "MA",
+                                  platform.ma_host.name,
+                                  platform.client_host.name)
 
 
 def deploy_from_spec(platform: Grid5000Platform, spec: HierarchySpec,
@@ -161,48 +173,12 @@ def deploy_from_spec(platform: Grid5000Platform, spec: HierarchySpec,
                      agent_params: Optional[AgentParams] = None) -> Deployment:
     """Instantiate the described hierarchy on a built platform.
 
-    Host names are validated against the platform's network; SeD hosts must
-    mount their cluster's NFS volume (§4.1) when they belong to a cluster.
+    :func:`~repro.core.deployment.build_hierarchy` on a fresh fabric: the
+    spec is validated, host names are resolved against the platform's network;
+    SeD hosts must mount their cluster's NFS volume (§4.1) when they belong
+    to a cluster.
     """
-    spec.validate()
-    engine = platform.engine
-    fabric = TransportFabric(engine, platform.network, transport_params)
-    tracer = Tracer()
-
-    ma_host = platform.network.host(spec.master.host)
-    ma = MasterAgent(fabric, ma_host, name=spec.master.name, policy=policy,
-                     params=agent_params, tracer=tracer)
-
-    local_agents: List[LocalAgent] = []
-    seds: List[SeD] = []
-
-    def build(agent_spec: AgentSpec, parent) -> None:
-        for child_spec in agent_spec.children:
-            host = platform.network.host(child_spec.host)
-            la = LocalAgent(fabric, host, name=child_spec.name,
-                            parent=parent.name, params=agent_params)
-            parent.add_child(la.name)
-            local_agents.append(la)
-            build(child_spec, la)
-        for sed_spec in agent_spec.seds:
-            host = platform.network.host(sed_spec.host)
-            cluster = platform.cluster_of_host(host.name)
-            nfs = cluster.nfs if cluster is not None else None
-            if nfs is not None and not nfs.is_mounted_on(host.name):
-                raise DietError(
-                    f"SeD host {host.name} does not mount {nfs.name}")
-            sed = SeD(fabric, host, name=sed_spec.name, ma_name=ma.name,
-                      params=sed_params, tracer=tracer, nfs=nfs)
-            parent.add_child(sed.name)
-            seds.append(sed)
-
-    build(spec.master, ma)
-
-    client = None
-    if spec.client_host:
-        client_host = platform.network.host(spec.client_host)
-        client = DietClient(fabric, client_host, name="client", tracer=tracer)
-
-    return Deployment(engine=engine, fabric=fabric, tracer=tracer, ma=ma,
-                      local_agents=local_agents, seds=seds, client=client,
-                      platform=platform)
+    fabric = TransportFabric(platform.engine, platform.network,
+                             transport_params)
+    return build_hierarchy(spec, platform, fabric, Tracer(), policy=policy,
+                           sed_params=sed_params, agent_params=agent_params)

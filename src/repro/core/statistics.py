@@ -88,23 +88,6 @@ class RequestTrace:
             return None
         return self.completed_at - self.submitted_at
 
-    @property
-    def overhead(self) -> Optional[float]:
-        """Middleware overhead: total minus pure solve and queue-wait time.
-
-        The paper counts finding time + service initiation (it excludes the
-        inter-simulation wait, which is workload, not middleware)."""
-        if self.finding_time is None:
-            return None
-        if self.initiation_time is not None:
-            # Queue wait measured exactly at the SeD: exclude it.
-            return self.finding_time + self.initiation_time
-        if self.solve_duration is None:
-            return None
-        if self.completed_at is None or self.data_sent_at is None:
-            return None
-        return self.finding_time + (self.solve_started_at - self.data_sent_at)
-
 
 class Tracer:
     """Collects :class:`RequestTrace` records plus free-form middleware events."""
@@ -152,18 +135,6 @@ class Tracer:
     def finding_times(self, service: Optional[str] = None) -> List[float]:
         return [t.finding_time for t in self.all_traces(service)
                 if t.finding_time is not None]
-
-    def latencies(self, service: Optional[str] = None) -> List[float]:
-        return [t.latency for t in self.all_traces(service)
-                if t.latency is not None]
-
-    def initiation_times(self, service: Optional[str] = None) -> List[float]:
-        return [t.initiation_time for t in self.all_traces(service)
-                if t.initiation_time is not None]
-
-    def queue_waits(self, service: Optional[str] = None) -> List[float]:
-        return [t.queue_wait for t in self.all_traces(service)
-                if t.queue_wait is not None]
 
     def gantt(self, service: Optional[str] = None) -> Dict[str, List[tuple]]:
         """Per-SeD list of (start, end, request_id) solve spans, sorted."""

@@ -61,28 +61,10 @@ class Figure5Result:
 
         Selected by the measured queue wait (slot granted as soon as the
         data arrived), not by assuming the n_seds smallest latencies were
-        the unqueued ones.  Span-store derivation when available: the queue
-        span's duration *is* the queue wait, the finding-end → solve-start
-        gap *is* the latency; otherwise the same selection runs over the
-        trace buffer."""
-        store = self.campaign.span_store()
-        if store is not None:
-            zoom2 = CampaignResult._ZOOM2
-            queued = {s.attrs.get("request_id"): s.duration
-                      for s in store.find(name="queue", status="ok",
-                                          service=zoom2)}
-            solve_start = {s.attrs.get("request_id"): s.start
-                           for s in store.find(name="solve", service=zoom2)}
-            lat = []
-            for f in store.find(name="finding", status="ok", service=zoom2):
-                rid = f.attrs.get("request_id")
-                wait, start = queued.get(rid), solve_start.get(rid)
-                if wait is not None and wait < 1e-3 and start is not None:
-                    lat.append(start - f.end)
-        else:
-            lat = [t.latency for t in self.campaign.part2_traces
-                   if t.latency is not None
-                   and t.queue_wait is not None and t.queue_wait < 1e-3]
+        the unqueued ones."""
+        lat = [t.latency for t in self.campaign.part2_traces
+               if t.latency is not None
+               and t.queue_wait is not None and t.queue_wait < 1e-3]
         if not lat:  # traces without SeD-side stamps: fall back to smallest
             lat = sorted(self.latencies)[:len(self.campaign.deployment.seds)]
         return float(np.mean(lat)) * 1e3

@@ -31,26 +31,12 @@ class OverheadResult:
     def init_time_ms(self) -> float:
         """Service-initiation time, measured like the paper: on the first 12
         executions (part 1 plus the 11-SeD first wave — the runs with no
-        queue wait).  Span-store derivation when available: an ``init``
-        span covers exactly the job-slot-grant → solve-start interval the
-        trace stamps bracket; its end *is* the solve start, so ordering by
-        it reproduces the paper's "first 12" selection."""
-        store = self.campaign.span_store()
-        if store is not None:
-            part1_rid = self.campaign.part1_trace.request_id
-            zoom2 = CampaignResult._ZOOM2
-            spans = sorted(
-                (s for s in store.find(name="init", status="ok")
-                 if s.attrs.get("service") == zoom2
-                 or s.attrs.get("request_id") == part1_rid),
-                key=lambda s: s.end)
-            inits = [s.duration for s in spans[:12]]
-        else:
-            traces = sorted(
-                (t for t in [self.campaign.part1_trace] + self.campaign.part2_traces
-                 if t.initiation_time is not None and t.solve_started_at is not None),
-                key=lambda t: t.solve_started_at)
-            inits = [t.initiation_time for t in traces[:12]]
+        queue wait): the initiated requests with the earliest solve start."""
+        traces = sorted(
+            (t for t in [self.campaign.part1_trace] + self.campaign.part2_traces
+             if t.initiation_time is not None and t.solve_started_at is not None),
+            key=lambda t: t.solve_started_at)
+        inits = [t.initiation_time for t in traces[:12]]
         return float(np.mean(inits)) * 1e3
 
     @property

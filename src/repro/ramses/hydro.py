@@ -52,6 +52,8 @@ class HydroState:
     @classmethod
     def from_primitive(cls, rho: np.ndarray, velocity: np.ndarray,
                        pressure: np.ndarray, gamma: float = 1.4) -> "HydroState":
+        if gamma <= 1.0:  # before the division below, not after it
+            raise ValueError("gamma must exceed 1")
         rho = np.asarray(rho, dtype=np.float64)
         velocity = np.asarray(velocity, dtype=np.float64)
         pressure = np.asarray(pressure, dtype=np.float64)

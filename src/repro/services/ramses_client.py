@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from ..core.data import FileRef, PersistenceMode, file_desc
+from ..core.exceptions import DietError
 from ..core.profile import Profile
 from ..ramses.namelist import format_namelist
 from .ramses_service import (
@@ -119,7 +120,11 @@ def decode_zoom1(profile: Profile) -> Tuple[int, Optional[FileRef]]:
 def decode_zoom2(profile: Profile) -> Zoom2Result:
     """Mirror of the paper's result handling: read the 9th parameter (error
     code), and only fetch the 8th (the file) when the code is 0."""
-    error = int(profile.parameter(8).get())
+    error = profile.parameter(8).get()
+    if error is None:
+        raise DietError(f"{profile.path!r} result has no error code: the "
+                        "solve never set its OUT arguments")
+    error = int(error)
     tarball = None
     if error == 0:
         tarball = profile.parameter(7).get()

@@ -33,6 +33,7 @@ Both modes execute the same DIET code path end to end.
 from __future__ import annotations
 
 import enum
+import gzip
 import math
 import os
 import tarfile
@@ -421,11 +422,21 @@ class RamsesService:
         write_snapshot(os.path.join(job_dir, "output_00001"), header,
                        snap.particles)
         tar_path = os.path.join(job_dir, "results.tar.gz")
-        with tarfile.open(tar_path, "w:gz") as tar:
-            tar.add(catalog_path, arcname="halo_catalog.dat")
+        # No clock or account in the archive: its size prices the simulated
+        # transfer, so identical runs must produce identical bytes.
+        with gzip.GzipFile(tar_path, "wb", mtime=0) as gz, \
+                tarfile.open(fileobj=gz, mode="w") as tar:
+            tar.add(catalog_path, arcname="halo_catalog.dat",
+                    filter=_without_host_metadata)
             tar.add(os.path.join(job_dir, "output_00001"),
-                    arcname="output_00001")
+                    arcname="output_00001", filter=_without_host_metadata)
         return tar_path
+
+
+def _without_host_metadata(info: tarfile.TarInfo) -> tarfile.TarInfo:
+    info.mtime = info.uid = info.gid = 0
+    info.uname = info.gname = ""
+    return info
 
 
 #: Default box size (Mpc/h) used by REAL-mode runs (the paper's 100).

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.agent import AgentParams
-from ..core.client import AsyncRequest
+from ..core.client import AsyncRequest, FunctionHandle
 from ..core.data import PersistenceMode
 from ..core.deployment import Deployment, deploy_paper_hierarchy
 from ..core.scheduling import SchedulerPolicy, make_policy
@@ -259,13 +259,9 @@ class CampaignResult:
 
     # -- figure series --------------------------------------------------------------------
     #
-    # Primary source: the span store (requests leave finding/init/solve
-    # spans stamped with the *same* ``engine.now`` reads as the trace
-    # fields, so the two derivations agree to the bit — an equality test
-    # pins this).  Campaigns run with ``observe=False`` fall back to the
-    # original trace-buffer derivation.
-
-    _ZOOM2 = "ramsesZoom2"
+    # One source: the always-on :class:`RequestTrace` records.  Spans (when
+    # ``observe`` is on) are an export view of the same ``engine.now`` reads
+    # — a test pins the stamp correspondence — not a second derivation.
 
     @property
     def obs(self) -> Optional[Observability]:
@@ -273,56 +269,24 @@ class CampaignResult:
         return getattr(self.tracer, "obs", None)
 
     def span_store(self) -> Optional[SpanStore]:
-        """The campaign's span store, or None when tracing was disabled."""
+        """The campaign's span store for the ``--trace``/``--gantt-svg``/
+        ``--profile`` exporters, or None when tracing was disabled."""
         obs = self.obs
         if obs is not None and obs.enabled and obs.spans.spans:
             return obs.spans
         return None
 
-    def _finding_spans(self, store: SpanStore):
-        """Finding spans of the evaluation's requests, in submission order:
-        every part-2 attempt that got a SeD, plus the completed part-1 run."""
-        part1_rid = self.part1_trace.request_id
-        for span in store.find(name="finding", status="ok"):
-            if (span.attrs.get("service") == self._ZOOM2
-                    or span.attrs.get("request_id") == part1_rid):
-                yield span
-
     def finding_times(self) -> List[float]:
-        store = self.span_store()
-        if store is not None:
-            return [s.duration for s in self._finding_spans(store)]
-        out = []
-        for t in [self.part1_trace] + self.part2_traces:
-            if t.finding_time is not None:
-                out.append(t.finding_time)
-        return out
+        """Every part-2 attempt that got a SeD, plus the completed part-1
+        run, in submission order."""
+        return [t.finding_time for t in [self.part1_trace] + self.part2_traces
+                if t.finding_time is not None]
 
     def latencies(self) -> List[float]:
-        store = self.span_store()
-        if store is not None:
-            solve_start = {s.attrs.get("request_id"): s.start
-                           for s in store.find(name="solve",
-                                               service=self._ZOOM2)}
-            out = []
-            for f in store.find(name="finding", status="ok",
-                                service=self._ZOOM2):
-                start = solve_start.get(f.attrs.get("request_id"))
-                if start is not None:
-                    out.append(start - f.end)
-            return out
         return [t.latency for t in self.part2_traces if t.latency is not None]
 
     def requests_per_sed(self) -> Dict[str, int]:
-        store = self.span_store()
         counts: Dict[str, int] = {}
-        if store is not None:
-            for f in store.find(name="finding", status="ok",
-                                service=self._ZOOM2):
-                sed = f.attrs.get("sed")
-                if sed:
-                    counts[sed] = counts.get(sed, 0) + 1
-            return counts
         for t in self.part2_traces:
             if t.sed_name:
                 counts[t.sed_name] = counts.get(t.sed_name, 0) + 1
@@ -330,29 +294,12 @@ class CampaignResult:
 
     def busy_time_per_sed(self) -> Dict[str, float]:
         busy: Dict[str, float] = {}
-        store = self.span_store()
-        if store is not None:
-            # Accumulate in request-id order — the same order the trace
-            # derivation sums in, so the floating-point totals are
-            # bit-identical, not merely close.
-            entries = sorted(
-                (s.attrs.get("request_id"), s.attrs.get("sed"), s.duration)
-                for s in store.find(name="solve", status="ok",
-                                    service=self._ZOOM2))
-            for _rid, sed, duration in entries:
-                if sed:
-                    busy[sed] = busy.get(sed, 0.0) + duration
-            return busy
         for t in self.part2_traces:
             if t.sed_name and t.solve_duration is not None:
                 busy[t.sed_name] = busy.get(t.sed_name, 0.0) + t.solve_duration
         return busy
 
     def gantt(self) -> Dict[str, List[Tuple[float, float, int]]]:
-        store = self.span_store()
-        if store is not None:
-            return store.gantt(category="solve", group_by="sed",
-                               service=self._ZOOM2)
         chart: Dict[str, List[Tuple[float, float, int]]] = {}
         for t in self.part2_traces:
             if t.sed_name and t.solve_started_at is not None:
@@ -366,27 +313,11 @@ class CampaignResult:
     def overhead_per_request(self) -> List[float]:
         """Finding time + service initiation, §5.2's ~70.6 ms figure.
 
-        Span-store derivation: the finding span's duration plus the init
-        span's (the SeD's job-slot-grant → solve-start interval, queue wait
-        excluded, as the paper does); attempts whose initiation never
-        finished fall back to the configured ``service_init_time`` — the
-        same semantics the trace fields encode.
+        Initiation is the SeD's job-slot-grant → solve-start interval (queue
+        wait excluded, as the paper does); attempts whose initiation never
+        finished count the configured ``service_init_time``.
         """
         default_init = self.deployment.seds[0].params.service_init_time
-        store = self.span_store()
-        if store is not None:
-            init_by_rid = {s.attrs.get("request_id"): s
-                           for s in store.find(name="init",
-                                               service=self._ZOOM2)}
-            out = []
-            for f in store.find(name="finding", status="ok",
-                                service=self._ZOOM2):
-                init_span = init_by_rid.get(f.attrs.get("request_id"))
-                init = (init_span.duration
-                        if init_span is not None and init_span.ok
-                        else default_init)
-                out.append(f.duration + init)
-            return out
         out = []
         for t in self.part2_traces:
             if t.finding_time is None:
@@ -419,6 +350,15 @@ def synthetic_zoom_centers(n: int, seed: int) -> List[Tuple[float, float, float]
     rng = RandomStreams(seed).get("halo-centers")
     pts = rng.random((n, 3))
     return [tuple(p) for p in pts]
+
+
+def _check_solved(what: str, handle: FunctionHandle, status: int) -> None:
+    """Raise on a non-zero solve status, saying which request failed where
+    and why — before any result decoding trips over the unset OUT values."""
+    if status != 0:
+        raise RuntimeError(
+            f"{what} failed: request {handle.request_id} on {handle.server} "
+            f"returned status {status}: {handle.error}")
 
 
 def run_campaign(config: Optional[CampaignConfig] = None) -> CampaignResult:
@@ -501,6 +441,9 @@ def run_campaign(config: Optional[CampaignConfig] = None) -> CampaignResult:
                                         config.boxsize_mpc_h)
     part2_profiles = []
     outcome: Dict[str, object] = {}
+    #: Client-side resubmission budget: a single attempt on the happy path.
+    retry = ({"max_attempts": plan.max_solve_attempts,
+              "backoff": plan.retry_backoff} if plan is not None else {})
 
     def campaign():
         client.initialize({"MA_name": deployment.ma.name})
@@ -513,14 +456,11 @@ def run_campaign(config: Optional[CampaignConfig] = None) -> CampaignResult:
             part_span = obs.spans.begin("campaign", "part1", engine.now,
                                         "part")
         # ---- part 1: the low-resolution full box --------------------------------
-        if plan is not None:
-            status1 = yield from client.call_retry(
-                part1_profile, max_attempts=plan.max_solve_attempts,
-                backoff=plan.retry_backoff)
-        else:
-            status1 = yield from client.call(part1_profile)
+        handle1 = client.function_handle(part1_profile.path)
+        status1 = yield from client.call_retry(part1_profile, handle1, **retry)
+        _check_solved("part 1", handle1, status1)
         error1, catalog_ref = decode_zoom1(part1_profile)
-        if status1 != 0 or error1 != 0:
+        if error1 != 0:
             raise RuntimeError(f"part 1 failed: status={status1} error={error1}")
         if obs.enabled:
             obs.spans.end(part_span, engine.now)
@@ -552,14 +492,12 @@ def run_campaign(config: Optional[CampaignConfig] = None) -> CampaignResult:
                 result_persistence=(PersistenceMode.PERSISTENT
                                     if keep_results else None))
             part2_profiles.append(profile)
-            if plan is not None:
-                requests.append(client.call_async(
-                    profile, max_attempts=plan.max_solve_attempts,
-                    backoff=plan.retry_backoff))
-            else:
-                requests.append(client.call_async(profile))
+            requests.append(client.call_async(profile, **retry))
         yield from client.wait_all()
         outcome["statuses"] = [r.process.value for r in requests]
+        for request in requests:
+            _check_solved("sub-simulation", request.handle,
+                          request.process.value)
         if obs.enabled:
             obs.spans.end(part_span, engine.now)
             obs.spans.end(camp_span, engine.now)

@@ -9,7 +9,7 @@ requests (ROADMAP item 4, the LensTools pipeline shape).
   density slabs);
 * :mod:`~repro.survey.dag` — :class:`~repro.survey.dag.SurveyDAG` +
   :class:`~repro.survey.dag.DagExecutor`: a client-side executor that
-  submits ready nodes through ``DietClient``/``FederatedClient`` with
+  submits ready nodes through a ``FederatedClient`` with
   bounded in-flight width, dead-letter retry, and dependency-aware
   upstream refresh when a persistent input died with its SeD;
 * :mod:`~repro.survey.pipeline` — the IC→run→lensing chain per cosmology

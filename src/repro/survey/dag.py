@@ -8,8 +8,9 @@ an upstream result died with its SeD and had to be recomputed, the next
 attempt reads the *new* handles.
 
 :class:`DagExecutor` runs the DAG through an existing
-:class:`~repro.core.client.DietClient` or
-:class:`~repro.core.federation.FederatedClient`:
+:class:`~repro.core.federation.FederatedClient` (a single-MA deployment is
+its one-MA case) — any client whose ``call(profile)`` returns
+``(status, sed_name, found_at)``:
 
 * ready nodes are submitted in insertion order with a bounded in-flight
   width (``max_in_flight``) — the client-side DAG engine the follow-up
@@ -45,7 +46,6 @@ from typing import (
     Tuple,
 )
 
-from ..core.client import DietClient, FunctionHandle
 from ..core.data import DataHandle, Direction
 from ..core.exceptions import CommunicationError, DietError, ServerNotFoundError
 from ..core.profile import Profile
@@ -287,7 +287,7 @@ class DagExecutor:
                     attempt=attempts,
                 )
             try:
-                status, sed_name, found_at = yield from self._submit(profile)
+                status, sed_name, found_at = yield from self.client.call(profile)
             except (ServerNotFoundError, CommunicationError) as exc:
                 if span is not None:
                     self.obs.spans.end(
@@ -356,11 +356,3 @@ class DagExecutor:
         """Recompute one upstream node whose persistent data went stale."""
         result = yield from self._execute(self.dag.nodes[dep_id])
         self.results[dep_id] = result
-
-    def _submit(self, profile: Profile) -> Generator[Any, Any, Tuple[int, str, float]]:
-        """Uniform (status, sed_name, found_at) over both client kinds."""
-        if isinstance(self.client, DietClient):
-            handle = FunctionHandle(profile.path)
-            status = yield from self.client.call(profile, handle)
-            return status, handle.server or "", self.engine.now
-        return (yield from self.client.call(profile))

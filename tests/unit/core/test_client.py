@@ -111,6 +111,45 @@ class TestSyncCall:
         server = engine.run_process(run())
         assert server in {s.name for s in deployment.seds}
 
+    def test_failed_solve_reports_the_sed_side_error(self, deployment):
+        """A raising solve function is a status-1 *result*; the handle says
+        which request failed where and why instead of dropping the reason."""
+
+        def solve_boom(profile, ctx):
+            raise ValueError("scratch volume full")
+            yield  # pragma: no cover - generator marker
+
+        desc = ProfileDesc("boom", 0, 0, 1)
+        desc.set_arg(0, scalar_desc(BaseType.INT))
+        desc.set_arg(1, scalar_desc(BaseType.INT))
+        engine = Engine()
+        dep = deploy_paper_hierarchy(build_grid5000(engine))
+        for sed in dep.seds:
+            sed.add_service(desc, solve_boom)
+        dep.launch_all()
+        client = dep.client
+
+        def profile():
+            p = desc.instantiate()
+            p.parameter(0).set(1)
+            p.parameter(1).set(None)
+            return p
+
+        def run():
+            client.initialize({"MA_name": "MA"})
+            handle = client.function_handle("boom")
+            status = yield from client.call(profile(), handle)
+            request = client.call_async(profile())
+            yield from request.wait()
+            return status, handle, request
+
+        status, handle, request = engine.run_process(run())
+        assert status == 1 and request.status() == 1
+        for h in (handle, request.handle):
+            assert h.error == "ValueError: scratch volume full"
+            assert h.server in dep.sed_names
+        assert (handle.request_id, request.handle.request_id) == (1, 2)
+
     def test_unset_in_arg_rejected_before_submit(self, deployment):
         client, engine = deployment.client, deployment.engine
         profile = toy_desc().instantiate()   # nothing set

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.agent import ROUTING_MODES, AgentParams
+from repro.core.client import DietClient
 from repro.core.data import BaseType, scalar_desc
 from repro.core.exceptions import ServerNotFoundError
 from repro.core.federation import (
@@ -17,6 +18,7 @@ from repro.core.profile import ProfileDesc
 from repro.platform.grid5000 import PAPER_CLUSTERS
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStreams
+from tests.property import kernel_reference
 
 
 def _desc(name="echo"):
@@ -228,7 +230,6 @@ class TestClientPlacement:
         engine = Engine()
         federation = build_federation(
             engine, FederationConfig(n_grids=2, clusters_per_grid=1))
-        assert federation.grids[0].client_host is not None
         assert federation.client_host_for(0).name == "g0-client"
         assert federation.client_host_for(1).name == "g1-client"
         # The shared core-attached host still exists for legacy callers.
@@ -241,7 +242,8 @@ class TestClientPlacement:
         federation = build_federation(
             engine, FederationConfig(n_grids=2, clusters_per_grid=1,
                                      client_placement="core"))
-        assert all(grid.client_host is None for grid in federation.grids)
+        assert not any(host.name.endswith("-client")
+                       for host in federation.platform.network.hosts)
         assert federation.client_host_for(0) is federation.platform.client_host
         assert federation.client_host_for(1) is federation.platform.client_host
 
@@ -280,9 +282,10 @@ class TestLeastRecentRejectionOrder:
 
     def test_note_rejection_feeds_counts_and_stamps(self):
         client = self._client()
-        client._note_rejection("MA2")
-        client._note_rejection("MA2")
+        client._note_rejection("MA2", True)
+        client._note_rejection("MA2", False)
         assert client.rejections == 2
+        assert client.redirects == 1
         assert client.rejections_by_ma == {"MA2": 2}
         assert "MA2" in client._last_rejected
 
@@ -290,3 +293,52 @@ class TestLeastRecentRejectionOrder:
         client = self._client()
         client.max_redirects = 1
         assert client._ma_order() == ["MA1", "MA2"]
+
+
+class TestOneCallRoutine:
+    """``DietClient.call`` is the one-MA case of the routine
+    ``FederatedClient.call`` runs: same request ids, same event stream."""
+
+    def _record(self, kind):
+        log = []
+        Engine.default_event_log = log      # picked up by the new Engine
+        try:
+            engine = Engine()
+        finally:
+            Engine.default_event_log = None
+        federation = build_federation(
+            engine, FederationConfig(n_grids=1, clusters_per_grid=2))
+        federation.add_service_everywhere(_desc, _solve)
+        federation.launch_all()
+        if kind == "federated":
+            client = FederatedClient(federation.fabric,
+                                     federation.client_host, name="cli",
+                                     ma_names=federation.ma_names)
+            call = client.call
+        else:
+            client = DietClient(federation.fabric, federation.client_host,
+                                name="cli")
+            client.initialize({"MA_name": federation.ma_names[0]})
+
+            def call(profile):
+                handle = client.function_handle(profile.path)
+                status = yield from client.call(profile, handle)
+                return status, handle.server, None
+
+        served = []
+
+        def drive():
+            for _ in range(3):
+                status, sed, _found = yield from call(_instantiate(_desc()))
+                served.append((status, sed))
+            with pytest.raises(ServerNotFoundError):
+                yield from call(_instantiate(_desc("nobody-serves-this")))
+
+        engine.run_process(drive())
+        return (served, federation.fabric.new_request_id(),
+                kernel_reference.digest(log, engine.now))
+
+    def test_same_request_ids_and_event_stream(self):
+        diet, federated = self._record("diet"), self._record("federated")
+        assert diet == federated
+        assert diet[1] == 5 and diet[2]["n_events"] > 100

@@ -2,7 +2,18 @@
 
 import pytest
 
-from repro.core import BaseType, DietError, ProfileDesc, scalar_desc
+from repro.core import (
+    AgentParams,
+    BaseType,
+    DietError,
+    ProfileDesc,
+    ServerNotFoundError,
+    Tracer,
+    TransportFabric,
+    deploy_paper_hierarchy,
+    scalar_desc,
+)
+from repro.core.deployment import build_hierarchy
 from repro.core.godiet import (
     AgentSpec,
     HierarchySpec,
@@ -12,8 +23,9 @@ from repro.core.godiet import (
     parse_godiet_xml,
     render_godiet_xml,
 )
+from repro.data import DataGrid, DataManagerConfig
 from repro.platform import build_grid5000
-from repro.sim import Engine
+from repro.sim import Engine, FailureInjector, Outage
 
 
 SAMPLE = """
@@ -79,12 +91,102 @@ class TestParse:
             spec.validate()
 
 
+def _wiring(dep):
+    """Everything the builder decides, as plain comparable data."""
+    def catalog(node):
+        return node.name if node is not None else None
+
+    agents = [(a.name, a.host.name, a.parent, a.routing, list(a.children),
+               catalog(a.data_catalog))
+              for a in [dep.ma] + dep.local_agents]
+    seds = [(s.name, s.host.name, s.parent, s.ma_name, s.routing,
+             s.nfs.name, s.tracer is dep.tracer,
+             catalog(s.data_manager.catalog), s.data_manager.parent)
+            for s in dep.seds]
+    return {"agents": agents, "seds": seds, "routing": dep.routing,
+            "la_tracers_shared": all(a.tracer is dep.tracer
+                                     for a in dep.local_agents),
+            "client": (dep.client.name, dep.client.host.name),
+            "volumes": sorted(dep.data_grid.volumes) if dep.data_grid else None,
+            "endpoints": [c.endpoint.name for c in
+                          [dep.ma, *dep.local_agents, *dep.seds, dep.client]]}
+
+
 class TestDeploy:
     def test_paper_spec_matches_builtin_deployment(self):
-        platform = build_grid5000(Engine())
-        spec = paper_hierarchy_spec(platform)
+        """The built-in §5.1 entry point and a GoDIET-described tree are the
+        same deployment: same endpoints, parents, routing and data-catalog
+        wiring, in both routing modes."""
+        spec = paper_hierarchy_spec(build_grid5000(Engine()))
         assert len(spec.master.children) == 6
         assert len(spec.master.all_seds()) == 11
+        for routing in ("pull", "push"):
+            builtin = deploy_paper_hierarchy(
+                build_grid5000(Engine()), routing=routing,
+                data=DataManagerConfig())
+            platform = build_grid5000(Engine())
+            described = build_hierarchy(
+                parse_godiet_xml(render_godiet_xml(spec)), platform,
+                TransportFabric(platform.engine, platform.network), Tracer(),
+                routing=routing, data_grid=DataGrid(platform.network),
+                data=DataManagerConfig())
+            assert _wiring(described) == _wiring(builtin)
+        # ... and what deploy_from_spec itself can express (pull, no data)
+        assert (_wiring(deploy_from_spec(build_grid5000(Engine()), spec))
+                == _wiring(deploy_paper_hierarchy(build_grid5000(Engine()))))
+
+    def test_spec_deployed_sed_rejoins_after_crash(self):
+        """Crash -> heartbeat deregistration -> restart -> re-registration
+        -> rescheduled, on a GoDIET-deployed tree: its SeDs know their
+        parent LA, so a restarted one is schedulable again."""
+        engine = Engine()
+        spec = HierarchySpec(
+            master=AgentSpec(name="MA", host="lyon-ma", children=[AgentSpec(
+                name="LA", host="nancy-grillon-frontend",
+                seds=[SedSpec("SeD-only", "nancy-grillon-sed0")])]),
+            client_host="lyon-ma")
+        dep = deploy_from_spec(
+            build_grid5000(engine), spec,
+            agent_params=AgentParams(heartbeat_interval=5.0,
+                                     heartbeat_timeout=1.0,
+                                     heartbeat_miss_threshold=2))
+        desc = ProfileDesc("svc", 0, 0, 1)
+        desc.set_arg(0, scalar_desc(BaseType.INT))
+        desc.set_arg(1, scalar_desc(BaseType.INT))
+
+        def solve(profile, ctx):
+            yield from ctx.execute(0.1)
+            profile.parameter(1).set(1)
+            return 0
+
+        (victim,), (la,) = dep.seds, dep.local_agents
+        victim.add_service(desc, solve)
+        dep.launch_all()
+        FailureInjector(engine).schedule(victim,
+                                         [Outage(at=2.0, duration=40.0)])
+        client = dep.client
+
+        def fresh():
+            profile = desc.instantiate()
+            profile.parameter(0).set(0)
+            profile.parameter(1).set(None)
+            return profile
+
+        def run():
+            client.initialize({"MA_name": "MA"})
+            yield engine.timeout(30.0)          # down and deregistered
+            with pytest.raises(ServerNotFoundError):
+                yield from client.call(fresh())
+            deregistered = list(la.children)
+            yield engine.timeout(60.0)          # back since t=42
+            handle = client.function_handle("svc")
+            status = yield from client.call(fresh(), handle)
+            return deregistered, status, handle.server
+
+        deregistered, status, server = engine.run_until_complete(run())
+        assert deregistered == [] and la.deregistrations == ["SeD-only"]
+        assert la.children == ["SeD-only"]
+        assert (status, server) == (0, "SeD-only")
 
     def test_deploy_from_xml_end_to_end(self):
         engine = Engine()

@@ -1,4 +1,5 @@
-"""Grid-wide memoization on the scheduling path, in both routing modes.
+"""Grid-wide memoization on the scheduling path, in both routing modes and
+through both client kinds (one call routine serves them).
 
 The MA consults the shared MemoIndex before scheduling (pull submit path
 and push admission loop alike); SeDs populate it on successful solves
@@ -13,6 +14,7 @@ import pytest
 
 from repro.core import (
     BaseType,
+    DietClient,
     PersistenceMode,
     ProfileDesc,
     scalar_desc,
@@ -47,24 +49,45 @@ def _solve(profile, ctx):
     return 0
 
 
-def _build(routing, out_mode=PersistenceMode.PERSISTENT_RETURN):
-    """2 grids x 1 cluster, memoization on, fast heartbeats so a crashed
-    SeD is deregistered (and stops being scheduled) within ~5 sim-seconds.
+CLIENT_KINDS = ("federated", "diet")
+
+
+def _build(routing, kind, out_mode=PersistenceMode.PERSISTENT_RETURN):
+    """Memoization on, fast heartbeats so a crashed SeD is deregistered
+    (and stops being scheduled) within ~5 sim-seconds.
+
+    ``"federated"``: 2 grids x 1 cluster behind a :class:`FederatedClient`;
+    ``"diet"``: the same wiring on one single-MA tree (1 grid x 2 clusters)
+    behind a plain ``DietClient(memo_enabled=True)``.  Returns a uniform
+    ``call(profile) -> (status, sed_name, found_at)`` beside the client.
     """
     engine = Engine()
+    n_grids, clusters_per_grid = (2, 1) if kind == "federated" else (1, 2)
     federation = build_federation(
         engine,
-        FederationConfig(n_grids=2, clusters_per_grid=1, routing=routing,
-                         memo=True,
+        FederationConfig(n_grids=n_grids,
+                         clusters_per_grid=clusters_per_grid,
+                         routing=routing, memo=True,
                          agent_params=AgentParams(
                              heartbeat_interval=1.0, heartbeat_timeout=1.0,
                              heartbeat_miss_threshold=2)))
     federation.add_service_everywhere(lambda: _desc(out_mode), _solve)
     federation.launch_all()
-    client = FederatedClient(federation.fabric, federation.client_host,
-                             name="cli", ma_names=federation.ma_names,
-                             memo_enabled=True)
-    return engine, federation, client
+    if kind == "federated":
+        client = FederatedClient(federation.fabric, federation.client_host,
+                                 name="cli", ma_names=federation.ma_names,
+                                 memo_enabled=True)
+        return engine, federation, client, client.call
+    client = DietClient(federation.fabric, federation.client_host,
+                        name="cli", memo_enabled=True)
+    client.initialize({"MA_name": federation.ma_names[0]})
+
+    def call(profile):
+        handle = client.function_handle(profile.path)
+        status = yield from client.call(profile, handle)
+        return status, handle.server, None
+
+    return engine, federation, client, call
 
 
 def _sed_by_name(federation, name):
@@ -72,14 +95,15 @@ def _sed_by_name(federation, name):
 
 
 class TestMemoOnSchedulingPath:
+    @pytest.mark.parametrize("kind", CLIENT_KINDS)
     @pytest.mark.parametrize("routing", ROUTING_MODES)
-    def test_repeat_request_hits_and_returns_same_result(self, routing):
-        engine, federation, client = _build(routing)
+    def test_repeat_request_hits_and_returns_same_result(self, routing, kind):
+        engine, federation, client, submit = _build(routing, kind)
         results = []
 
         def call(value):
             profile = _profile(value)
-            status, sed, _found = yield from client.call(profile)
+            status, sed, _found = yield from submit(profile)
             results.append((status, profile.parameter(1).get(), sed))
 
         def drive():
@@ -97,15 +121,16 @@ class TestMemoOnSchedulingPath:
         assert federation.memo.stats.misses == 2
         assert federation.memo.stats.populated == 2
 
+    @pytest.mark.parametrize("kind", CLIENT_KINDS)
     @pytest.mark.parametrize("routing", ROUTING_MODES)
-    def test_crash_invalidates_then_resolve_repopulates(self, routing):
-        engine, federation, client = _build(routing)
+    def test_crash_invalidates_then_resolve_repopulates(self, routing, kind):
+        engine, federation, client, submit = _build(routing, kind)
         key = descriptor_digest(_profile(7))
         results = []
 
         def call():
             profile = _profile(7)
-            status, sed, _found = yield from client.call(profile)
+            status, sed, _found = yield from submit(profile)
             results.append((status, profile.parameter(1).get(), sed))
 
         def drive():
@@ -131,17 +156,18 @@ class TestMemoOnSchedulingPath:
         assert federation.memo.stats.misses == 2
         assert federation.memo.stats.populated == 2
 
+    @pytest.mark.parametrize("kind", CLIENT_KINDS)
     @pytest.mark.parametrize("routing", ROUTING_MODES)
-    def test_stale_hit_falls_back_to_resolve(self, routing):
+    def test_stale_hit_falls_back_to_resolve(self, routing, kind):
         """A hit pointing at a dead SeD (the client raced the crash) must
         degrade to a plain re-solve, not an error."""
-        engine, federation, client = _build(routing)
+        engine, federation, client, submit = _build(routing, kind)
         key = descriptor_digest(_profile(7))
         results = []
 
         def call():
             profile = _profile(7)
-            status, sed, _found = yield from client.call(profile)
+            status, sed, _found = yield from submit(profile)
             results.append((status, profile.parameter(1).get(), sed))
 
         def drive():
@@ -161,16 +187,17 @@ class TestMemoOnSchedulingPath:
         assert client.memo_fallbacks == 1
         assert federation.memo.stats.hits == 1
 
+    @pytest.mark.parametrize("kind", CLIENT_KINDS)
     @pytest.mark.parametrize("routing", ROUTING_MODES)
-    def test_volatile_output_never_memoized(self, routing):
-        engine, federation, client = _build(
-            routing, out_mode=PersistenceMode.VOLATILE)
+    def test_volatile_output_never_memoized(self, routing, kind):
+        engine, federation, client, submit = _build(
+            routing, kind, out_mode=PersistenceMode.VOLATILE)
         results = []
 
         def drive():
             for _ in range(2):
                 profile = _profile(7, out_mode=PersistenceMode.VOLATILE)
-                status, _sed, _found = yield from client.call(profile)
+                status, _sed, _found = yield from submit(profile)
                 results.append((status, profile.parameter(1).get()))
 
         engine.run_until_complete(drive())

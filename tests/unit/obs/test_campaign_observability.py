@@ -1,9 +1,10 @@
 """Observability wired through a real campaign.
 
-The contract the tentpole rests on: figure-level numbers derived from the
-span store are bit-identical to the trace-derived ones, failure paths never
-leak open spans, and span stores survive detach/pickle so parallel sweeps
-can aggregate them.
+The contract: the figures read the always-on request trace, so they are the
+same with observability on or off; the request-track spans are an export
+view whose bounds *are* the trace stamps; failure paths never leak open
+spans; and span stores survive detach/pickle so parallel sweeps can
+aggregate them.
 """
 
 import pickle
@@ -33,6 +34,25 @@ def test_figures_identical_with_and_without_spans(observed, blind):
     assert observed.busy_time_per_sed() == blind.busy_time_per_sed()
     assert observed.gantt() == blind.gantt()
     assert list(observed.overhead_per_request) == list(blind.overhead_per_request)
+
+
+def test_request_spans_are_a_view_of_the_trace_stamps(observed):
+    """Every request's finding/queue/init/solve span starts and ends on the
+    very floats its RequestTrace record carries."""
+    store = observed.span_store()
+    bounds = {
+        (s.attrs["request_id"], s.name): (s.start, s.end)
+        for s in store.spans
+        if s.name in ("finding", "queue", "init", "solve")
+    }
+    traces = [observed.part1_trace] + observed.part2_traces
+    assert len(traces) == 9 and len(bounds) == 4 * len(traces)
+    for t in traces:
+        rid = t.request_id
+        assert bounds[rid, "finding"] == (t.submitted_at, t.found_at)
+        assert bounds[rid, "queue"] == (t.data_arrived_at, t.init_started_at)
+        assert bounds[rid, "init"] == (t.init_started_at, t.solve_started_at)
+        assert bounds[rid, "solve"] == (t.solve_started_at, t.solve_ended_at)
 
 
 def test_span_store_present_only_when_observing(observed, blind):

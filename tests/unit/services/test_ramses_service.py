@@ -5,7 +5,7 @@ import tarfile
 
 import pytest
 
-from repro.core import Direction, FileRef
+from repro.core import DietError, Direction, FileRef
 from repro.platform import build_grid5000
 from repro.core.deployment import deploy_paper_hierarchy
 from repro.services import (
@@ -74,6 +74,14 @@ class TestClientHelpers:
         result = decode_zoom2(profile)
         assert not result.succeeded
         assert result.tarball is None
+
+    def test_decode_zoom2_unset_error_code_is_a_diet_error(self):
+        """A solve that never ran leaves the OUT error code unset: that is a
+        middleware-level fact to report, not an int() TypeError."""
+        profile = build_zoom2_profile(default_namelist_text(), 64, 100,
+                                      (0.5, 0.5, 0.5), 1)
+        with pytest.raises(DietError, match="no error code"):
+            decode_zoom2(profile)
 
 
 @pytest.fixture
@@ -162,6 +170,33 @@ class TestRealService:
             names = tar.getnames()
         assert "halo_catalog.dat" in names
         assert any("output_00001" in n for n in names)
+
+    def test_zoom2_real_tarball_is_reproducible(self, tmp_path):
+        """Same seed, different directories and instants: byte-identical
+        tarballs, hence equal transfer bytes and equal simulated makespan."""
+        tarballs, makespans = [], []
+        for run_dir in ("a", "b"):
+            workdir = tmp_path / run_dir
+            workdir.mkdir()
+            dep = deploy_paper_hierarchy(build_grid5000(Engine()))
+            register_ramses_services(dep, RamsesServiceConfig(
+                mode=ExecutionMode.REAL, workdir=str(workdir),
+                real_n_steps=6, real_a_end=0.4))
+            dep.launch_all()
+            profile = build_zoom2_profile(default_namelist_text(), 8, 50,
+                                          (0.5, 0.5, 0.5), 1)
+
+            def run(client=dep.client, profile=profile):
+                client.initialize({"MA_name": "MA"})
+                return (yield from client.call(profile))
+
+            assert dep.engine.run_process(run()) == 0
+            with open(decode_zoom2(profile).tarball.local_path, "rb") as fh:
+                tarballs.append(fh.read())
+            makespans.append(dep.tracer.makespan())
+        assert tarballs[0] == tarballs[1]
+        assert makespans[0] == makespans[1]
+        assert tarballs[0][4:8] == b"\0\0\0\0"   # gzip header mtime
 
     def test_real_mode_requires_workdir(self):
         with pytest.raises(ValueError):

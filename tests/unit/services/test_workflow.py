@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.platform import ClusterSpec
+from repro.platform import ClusterSpec, build_grid5000
 from repro.services import (
     CampaignConfig,
     run_campaign,
@@ -48,6 +48,33 @@ class TestSmallCampaigns:
         slow = [b for s, b in busy.items() if "slow" in s]
         fast = [b for s, b in busy.items() if "fast" in s]
         assert min(slow) > max(fast) * 1.1
+
+    def test_failed_sub_simulation_names_request_sed_and_cause(
+            self, monkeypatch):
+        """A full NFS volume fails solves with status 1 (the 4000-zoom run's
+        failure at toy scale): the campaign must say so — request, SeD and
+        the SeD-side error — not die decoding an unset OUT argument."""
+        from repro.services import workflow
+        from repro.services.perfmodel import RamsesPerfModel
+
+        perf = RamsesPerfModel()
+        per_job = perf.snapshot_bytes(128, 1) + perf.snapshot_bytes(128)
+
+        def tight_platform(engine, cluster_specs=None):
+            platform = build_grid5000(engine, cluster_specs=cluster_specs)
+            for cluster in platform.clusters.values():
+                # room for part 1 and one zoom, not for the second zoom
+                cluster.nfs.capacity_bytes = 2.5 * per_job
+            return platform
+
+        monkeypatch.setattr(workflow, "build_grid5000", tight_platform)
+        specs = (ClusterSpec("s1", "only", "opteron-252", 16, n_seds=1),)
+        with pytest.raises(RuntimeError) as excinfo:
+            run_campaign(CampaignConfig(n_sub_simulations=2,
+                                        cluster_specs=specs))
+        message = str(excinfo.value)
+        assert "request 3 on SeD-s1-only-sed0" in message
+        assert "status 1: NfsError: volume 'nfs-s1-only' full" in message
 
     def test_policy_switch_changes_distribution(self):
         default = run_campaign(CampaignConfig(n_sub_simulations=40))
