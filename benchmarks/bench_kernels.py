@@ -1,9 +1,10 @@
 """Micro-benchmarks of the numerical kernels (throughput tracking).
 
 Not paper figures — these guard the REAL-mode hot paths (CIC scatter and
-gather, FFT Poisson, the full PM force evaluation, Hilbert keys, FoF)
-against performance regressions, per the hpc-parallel guide's "no
-optimization without measuring".
+gather, FFT Poisson, the full PM force evaluation, two KDK steps, the AMR
+level build, Hilbert keys, FoF and the halo catalog build) against
+performance regressions, per the hpc-parallel guide's "no optimization
+without measuring".
 
 Each compiled-kernel shape also times the pure-numpy mirror in-process
 (with ``phys_c`` temporarily nulled) and records the ratio in
@@ -29,10 +30,13 @@ import pytest
 
 import repro.galics.halomaker as halomaker
 import repro.ramses.mesh as mesh
-from repro.galics import friends_of_friends
+from repro.galics import find_halos, friends_of_friends
 from repro.ramses import (
     EDS,
     GravitySolver,
+    Leapfrog,
+    ParticleSet,
+    build_amr,
     cic_deposit,
     cic_interpolate,
     hilbert_encode,
@@ -45,6 +49,7 @@ N_GRID = 32 if QUICK else 64
 N_PART = (64 ** 3 // 16) if QUICK else (64 ** 3 // 4)   # 16k / 65k particles
 N_FOF = 5_000 if QUICK else 20_000
 N_HILBERT = 20_000 if QUICK else 100_000
+N_ZOOM = 5_000 if QUICK else 40_000      # zoom_real holds ~43k particles
 
 #: Floor asserted on the gather and FoF shapes when the C kernels loaded.
 SPEEDUP_FLOOR = 3.0
@@ -56,6 +61,32 @@ def cloud():
     x = rng.random((N_PART, 3))
     mass = np.full(len(x), 1.0 / len(x))
     return x, mass
+
+
+def _at_rest(x, mass):
+    n = len(x)
+    return ParticleSet(x=x, p=np.zeros((n, 3)), mass=mass,
+                       ids=np.arange(n), level=np.zeros(n))
+
+
+@pytest.fixture(scope="module")
+def zoom_cloud():
+    """A zoom-like set: a coarse background plus a fine species of 1/8 the
+    mass filling a 0.3-wide region, half of it smooth and half in clumps,
+    as ``make_multi_level_ic`` evolves to (most FoF groups are singletons)."""
+    rng = np.random.default_rng(5)
+    n_coarse = N_ZOOM // 4
+    n_smooth = (N_ZOOM - n_coarse) // 2
+    n_clumped = N_ZOOM - n_coarse - n_smooth
+    blobs = rng.random((40, 3)) * 0.3 + 0.35
+    fine = np.vstack([
+        rng.random((n_smooth, 3)) * 0.3 + 0.35,
+        blobs[rng.integers(0, len(blobs), n_clumped)]
+        + 0.004 * rng.standard_normal((n_clumped, 3))])
+    x = np.mod(np.vstack([rng.random((n_coarse, 3)), fine]), 1.0)
+    mass = np.concatenate([np.full(n_coarse, 8.0),
+                           np.full(N_ZOOM - n_coarse, 1.0)])
+    return _at_rest(x, mass / mass.sum())
 
 
 def _pure_py_min(fn, repeats=3):
@@ -115,6 +146,38 @@ def test_bench_full_force_evaluation(benchmark, cloud):
     result = benchmark(solver.accelerations, x, mass, 0.5)
     assert result.acc.shape == (len(x), 3)
     _record_speedup(benchmark, lambda: solver.accelerations(x, mass, 0.5))
+
+
+def test_bench_kdk_step(benchmark, cloud):
+    """Two consecutive steps: three force evaluations, not four, because
+    the second step's opening kick reuses the first's closing one."""
+    x, mass = cloud
+    solver = GravitySolver(EDS, N_GRID)
+    start = _at_rest(x, mass)
+
+    def two_steps():
+        parts = start.copy()
+        leap = Leapfrog(EDS, solver)
+        leap.step(parts, 0.05, 0.06)
+        leap.step(parts, 0.06, 0.07)
+        return parts
+
+    before = solver.force_evaluations
+    two_steps().validate()
+    assert solver.force_evaluations - before == 3
+    benchmark(two_steps)
+
+
+def test_bench_build_amr(benchmark, zoom_cloud):
+    """Levels 5-8, as a 32^3 one-level zoom asks for."""
+    amr = benchmark(build_amr, zoom_cloud.x, zoom_cloud.mass, 5, 8)
+    assert amr.deepest_refined_level > 5
+
+
+def test_bench_find_halos(benchmark, zoom_cloud):
+    """Catalog build on a set whose groups are mostly singletons."""
+    catalog = benchmark(find_halos, zoom_cloud, 1.0, min_particles=8)
+    assert len(catalog) > 0
 
 
 def test_bench_hilbert_encode(benchmark):

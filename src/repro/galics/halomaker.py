@@ -103,14 +103,16 @@ def find_halos(parts: ParticleSet, aexp: float, b: float = 0.2,
 
     order = np.argsort(labels, kind="stable")
     sorted_labels = labels[order]
-    boundaries = np.flatnonzero(np.diff(sorted_labels)) + 1
-    groups = np.split(order, boundaries)
+    # Groups are runs of equal labels in ``order``.  Nearly all are
+    # singletons, so size them from the run boundaries and slice out only
+    # those that make a halo.
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_labels)) + 1))
+    ends = np.append(starts[1:], len(order))
 
     halos = []
     halo_id = 0
-    for members in groups:
-        if len(members) < min_particles:
-            continue
+    for g in np.flatnonzero(ends - starts >= min_particles):
+        members = order[starts[g]:ends[g]]
         sub_x = parts.x[members]
         sub_m = parts.mass[members]
         center = periodic_center(sub_x, weights=sub_m)

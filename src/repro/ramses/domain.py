@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import hilbert_decode, positions_to_keys
+from .hilbert import check_level, hilbert_decode, positions_to_keys
 
 __all__ = ["DomainDecomposition", "decompose", "slab_ranks", "exchange_matrix"]
 
@@ -45,6 +45,9 @@ class DomainDecomposition:
         return np.clip(ranks, 0, self.ncpu - 1)
 
     def rank_of_positions(self, x: np.ndarray) -> np.ndarray:
+        if self.ncpu == 1:
+            # One rank owns the whole curve: no keys to compute.
+            return np.zeros(len(_as_positions(x)), dtype=np.int64)
         return self.rank_of_keys(positions_to_keys(x, self.level))
 
     def counts(self, x: np.ndarray) -> np.ndarray:
@@ -65,6 +68,13 @@ class DomainDecomposition:
         return float(work.max() / mean)
 
 
+def _as_positions(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != 3:
+        raise ValueError("x must be (N, 3)")
+    return x
+
+
 def decompose(x: np.ndarray, ncpu: int, level: int = 7,
               weights: Optional[np.ndarray] = None) -> DomainDecomposition:
     """Equal-work cut of the Hilbert curve for the given particle set.
@@ -73,34 +83,43 @@ def decompose(x: np.ndarray, ncpu: int, level: int = 7,
     passes per-particle work estimates so the refined region, which costs
     more per particle, is spread over more ranks.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_positions(x)
     if ncpu < 1:
         raise ValueError("ncpu must be >= 1")
+    check_level(level)
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if np.any(weights < 0):
+            raise ValueError("weights must be non-negative")
+    bound = np.empty(ncpu + 1, dtype=np.int64)
+    bound[0] = 0
+    bound[ncpu] = np.int64(1) << np.int64(3 * level)
+    if ncpu > 1:
+        # One rank has no interior cut, so only here are the keys needed.
+        bound[1:ncpu] = _interior_cuts(x, ncpu, level, weights)
+    return DomainDecomposition(ncpu=ncpu, level=level, bound_key=bound)
+
+
+def _interior_cuts(x: np.ndarray, ncpu: int, level: int,
+                   weights: Optional[np.ndarray]) -> np.ndarray:
+    """The ``ncpu - 1`` keys at which the sorted curve is cut."""
     keys = positions_to_keys(x, level)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    if weights is None:
-        w = np.ones(len(x))
-    else:
-        w = np.asarray(weights, dtype=np.float64)[order]
-        if np.any(w < 0):
-            raise ValueError("weights must be non-negative")
+    w = np.ones(len(x)) if weights is None else weights[order]
     cum = np.cumsum(w)
     total = cum[-1] if len(cum) else 0.0
     n_keys = np.int64(1) << np.int64(3 * level)
-    bound = np.empty(ncpu + 1, dtype=np.int64)
-    bound[0] = 0
-    bound[ncpu] = n_keys
+    cuts = np.empty(ncpu - 1, dtype=np.int64)
     for r in range(1, ncpu):
         target = total * r / ncpu
         idx = int(np.searchsorted(cum, target))
         if idx >= len(sorted_keys):
-            bound[r] = n_keys
+            cuts[r - 1] = n_keys
         else:
             # cut *after* the current key block to keep cells atomic
-            bound[r] = sorted_keys[idx] + 1
-    bound[1:ncpu] = np.maximum.accumulate(bound[1:ncpu])
-    return DomainDecomposition(ncpu=ncpu, level=level, bound_key=bound)
+            cuts[r - 1] = sorted_keys[idx] + 1
+    return np.maximum.accumulate(cuts)
 
 
 def slab_ranks(x: np.ndarray, ncpu: int) -> np.ndarray:

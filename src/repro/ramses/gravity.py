@@ -19,7 +19,7 @@ import numpy as np
 
 from .cosmology import Cosmology
 from .mesh import cic_interpolate, cic_weights, density_contrast
-from .poisson import acceleration_from_source
+from .poisson import SpectralOperators, acceleration_from_source
 
 __all__ = ["GravitySolver", "PMForceResult"]
 
@@ -53,6 +53,10 @@ class GravitySolver:
         self.n_grid = int(n_grid)
         self.kernel = kernel
         self.deconvolve_cic = bool(deconvolve_cic)
+        self._ops = SpectralOperators.build(self.n_grid, kernel)
+        #: Calls of :meth:`accelerations` so far (a run records its share
+        #: in ``SimulationResult.force_evaluations``).
+        self.force_evaluations = 0
 
     def density(self, x: np.ndarray, mass: np.ndarray) -> np.ndarray:
         """Density contrast of the particle distribution on the PM grid."""
@@ -66,13 +70,15 @@ class GravitySolver:
         """
         if a <= 0:
             raise ValueError("expansion factor must be positive")
+        self.force_evaluations += 1
         # The deposit and the gather happen at the same positions on the
         # same grid: price the CIC weights once for both directions.
         weights = cic_weights(x, self.n_grid)
         delta = density_contrast(x, mass, self.n_grid, weights=weights)
         source = (1.5 * self.cosmology.omega_m / a) * delta
         phi, acc_grid = acceleration_from_source(
-            source, kernel=self.kernel, deconvolve_cic=self.deconvolve_cic)
+            source, kernel=self.kernel, deconvolve_cic=self.deconvolve_cic,
+            ops=self._ops)
         acc = cic_interpolate(acc_grid, x, weights=weights)
         if return_fields:
             return PMForceResult(delta=delta, phi=phi, acc=acc, a=a)
@@ -85,6 +91,7 @@ class GravitySolver:
         delta = density_contrast(x, mass, self.n_grid, weights=weights)
         source = (1.5 * self.cosmology.omega_m / a) * delta
         phi, _ = acceleration_from_source(
-            source, kernel=self.kernel, deconvolve_cic=self.deconvolve_cic)
+            source, kernel=self.kernel, deconvolve_cic=self.deconvolve_cic,
+            ops=self._ops)
         phi_p = cic_interpolate(phi, x, weights=weights)
         return float(0.5 * np.sum(mass * phi_p))

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["hilbert_encode", "hilbert_decode", "positions_to_keys"]
+__all__ = ["hilbert_encode", "hilbert_decode", "positions_to_keys",
+           "check_level"]
 
 _MAX_LEVEL = 20  # 3*20 = 60 key bits < 63
 
 
-def _check_level(level: int) -> None:
+def check_level(level: int) -> None:
     if not 1 <= level <= _MAX_LEVEL:
         raise ValueError(f"level must be in [1, {_MAX_LEVEL}], got {level}")
 
@@ -34,7 +35,7 @@ def hilbert_encode(ix: np.ndarray, iy: np.ndarray, iz: np.ndarray,
 
     Keys enumerate the 2**(3*level) cells along the Hilbert curve.
     """
-    _check_level(level)
+    check_level(level)
     X = [np.asarray(c).astype(np.int64).copy() for c in (ix, iy, iz)]
     n_side = np.int64(1) << level
     for c in X:
@@ -76,7 +77,7 @@ def hilbert_encode(ix: np.ndarray, iy: np.ndarray, iz: np.ndarray,
 
 def hilbert_decode(key: np.ndarray, level: int):
     """Hilbert keys -> cell indices (ix, iy, iz); inverse of encode."""
-    _check_level(level)
+    check_level(level)
     key = np.asarray(key).astype(np.int64)
     n_keys = np.int64(1) << (3 * level)
     if np.any((key < 0) | (key >= n_keys)):

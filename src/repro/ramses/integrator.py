@@ -19,7 +19,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .cosmology import Cosmology
-from .gravity import GravitySolver
+from .gravity import GravitySolver, PMForceResult
 from .particles import ParticleSet
 from .physcore import phys_c
 
@@ -44,12 +44,43 @@ class Leapfrog:
         self.cosmology = cosmology
         self.solver = solver
         self.stats: List[StepStats] = []
+        # The last force evaluation and private copies of its x and mass.
+        self._force: Optional[PMForceResult] = None
+        self._force_x: Optional[np.ndarray] = None
+        self._force_mass: Optional[np.ndarray] = None
 
     # -- operators ---------------------------------------------------------------
 
-    def kick(self, parts: ParticleSet, a: float, da: float) -> None:
-        """p <- p + dp/da * da at fixed positions (in place)."""
+    def force(self, parts: ParticleSet, a: float) -> PMForceResult:
+        """The PM force on ``parts`` at expansion factor ``a``.
+
+        A KDK step closes with a kick at ``a_next`` and the next one opens
+        with a kick at the same ``a`` and the same positions (a kick moves
+        ``p`` only), and a snapshot wants the density at that state too.
+        The previous evaluation is returned iff ``a``, ``parts.x`` and
+        ``parts.mass`` compare equal, element for element, with the copies
+        kept of what it was computed from: the force is a pure function of
+        those three, so reuse is exact whatever happened in between
+        (in-place edits, a restart, another particle set).  Callers must
+        not write to the returned arrays.
+        """
+        last = self._force
+        if (last is not None and last.a == a
+                and np.array_equal(self._force_x, parts.x)
+                and np.array_equal(self._force_mass, parts.mass)):
+            return last
         result = self.solver.accelerations(parts.x, parts.mass, a)
+        self._force = result
+        self._force_x = parts.x.copy()
+        self._force_mass = parts.mass.copy()
+        return result
+
+    def kick(self, parts: ParticleSet, a: float, da: float) -> PMForceResult:
+        """p <- p + dp/da * da at fixed positions (in place).
+
+        Returns the force evaluation it applied.
+        """
+        result = self.force(parts, a)
         h = float(self.cosmology.hubble(a))
         coef = da / (a * h)
         if phys_c is not None:
@@ -57,7 +88,7 @@ class Leapfrog:
                         coef, parts.p.size)
         else:
             parts.p += result.acc * coef
-        self._last_force = result
+        return result
 
     def drift(self, parts: ParticleSet, a: float, da: float) -> float:
         """x <- x + dx/da * da at fixed momenta (in place, wrapped).
@@ -86,8 +117,7 @@ class Leapfrog:
         da = a_next - a
         self.kick(parts, a, 0.5 * da)
         max_disp = self.drift(parts, 0.5 * (a + a_next), da)
-        self.kick(parts, a_next, 0.5 * da)
-        force = self._last_force
+        force = self.kick(parts, a_next, 0.5 * da)
         stats = StepStats(a_before=a, a_after=a_next,
                           max_delta=float(force.delta.max()),
                           rms_delta=float(np.sqrt(np.mean(force.delta ** 2))),

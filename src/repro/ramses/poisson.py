@@ -18,12 +18,14 @@ Everything is rfftn-based and allocation-conscious (views, in-place ops).
 
 from __future__ import annotations
 
-from typing import Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
 __all__ = ["poisson_solve", "gradient_spectral", "laplacian_eigenvalues",
-           "acceleration_from_source", "cic_window"]
+           "acceleration_from_source", "cic_window", "derivative_vectors",
+           "SpectralOperators"]
 
 
 def cic_window(n: int) -> np.ndarray:
@@ -81,46 +83,85 @@ def poisson_solve(source: np.ndarray, kernel: str = "spectral") -> np.ndarray:
     return np.fft.irfftn(phi_hat, s=source.shape, axes=(0, 1, 2))
 
 
-def gradient_spectral(field: np.ndarray) -> np.ndarray:
-    """Spectral gradient of a periodic scalar field -> (n, n, n, 3)."""
-    field = np.asarray(field, dtype=np.float64)
-    n = field.shape[0]
-    f_hat = np.fft.rfftn(field)
+def derivative_vectors(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(1j * kx, 1j * kz)``: the spectral d/dx multipliers along a full
+    axis and along the rfft axis of an n^3 grid."""
     kx = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n)
     kz = 2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
-    out = np.empty(field.shape + (3,), dtype=np.float64)
     # Zero the pure-Nyquist derivative modes (ik at Nyquist is ambiguous in
     # sign; dropping it keeps the gradient real and symmetric).
-    kx_d = kx.copy()
     if n % 2 == 0:
-        kx_d[n // 2] = 0.0
-    out[..., 0] = np.fft.irfftn(1j * kx_d[:, None, None] * f_hat, s=field.shape, axes=(0, 1, 2))
-    out[..., 1] = np.fft.irfftn(1j * kx_d[None, :, None] * f_hat, s=field.shape, axes=(0, 1, 2))
-    out[..., 2] = np.fft.irfftn(1j * kz[None, None, :] * f_hat, s=field.shape, axes=(0, 1, 2))
+        kx[n // 2] = 0.0
+    return 1j * kx, 1j * kz
+
+
+def gradient_spectral(field: np.ndarray,
+                      ik: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                      ) -> np.ndarray:
+    """Spectral gradient of a periodic scalar field -> (n, n, n, 3).
+
+    ``ik`` are the field's :func:`derivative_vectors`, built here when
+    omitted.
+    """
+    field = np.asarray(field, dtype=np.float64)
+    ikx, ikz = derivative_vectors(field.shape[0]) if ik is None else ik
+    f_hat = np.fft.rfftn(field)
+    out = np.empty(field.shape + (3,), dtype=np.float64)
+    out[..., 0] = np.fft.irfftn(ikx[:, None, None] * f_hat, s=field.shape, axes=(0, 1, 2))
+    out[..., 1] = np.fft.irfftn(ikx[None, :, None] * f_hat, s=field.shape, axes=(0, 1, 2))
+    out[..., 2] = np.fft.irfftn(ikz[None, None, :] * f_hat, s=field.shape, axes=(0, 1, 2))
     return out
 
 
+@dataclass(frozen=True)
+class SpectralOperators:
+    """What :func:`acceleration_from_source` needs in k-space for one
+    (grid size, kernel) pair.
+
+    A solver that evaluates the force many times on one grid builds these
+    once and passes them in.  They are the arrays the function otherwise
+    builds on every call, so results are bit-identical either way.
+    """
+
+    n: int
+    kernel: str
+    eig: np.ndarray                       # laplacian_eigenvalues(n, kernel)
+    window: np.ndarray                    # cic_window(n)
+    ik: Tuple[np.ndarray, np.ndarray]     # derivative_vectors(n)
+
+    @classmethod
+    def build(cls, n: int, kernel: str = "spectral") -> "SpectralOperators":
+        return cls(n=n, kernel=kernel, eig=laplacian_eigenvalues(n, kernel),
+                   window=cic_window(n), ik=derivative_vectors(n))
+
+
 def acceleration_from_source(source: np.ndarray, kernel: str = "spectral",
-                             deconvolve_cic: bool = False
+                             deconvolve_cic: bool = False,
+                             ops: Optional[SpectralOperators] = None
                              ) -> Tuple[np.ndarray, np.ndarray]:
     """Convenience: solve Poisson and return (phi, acc = -grad(phi)).
 
     ``deconvolve_cic=True`` divides the potential by the CIC window once,
     compensating the deposit smoothing; use it when the source came from
     :func:`~repro.ramses.mesh.cic_deposit` (see :func:`cic_window`).
+    ``ops`` are the prebuilt :class:`SpectralOperators` of this grid size
+    and ``kernel``; what is needed of them is built here when omitted.
     """
     source = np.asarray(source, dtype=np.float64)
     if source.ndim != 3 or len(set(source.shape)) != 1:
         raise ValueError("source must be a cubic 3-d array")
     n = source.shape[0]
+    if ops is not None and (ops.n, ops.kernel) != (n, kernel):
+        raise ValueError(f"operators built for n={ops.n}, {ops.kernel!r}; "
+                         f"called with n={n}, {kernel!r}")
     s_hat = np.fft.rfftn(source)
-    eig = laplacian_eigenvalues(n, kernel)
+    eig = laplacian_eigenvalues(n, kernel) if ops is None else ops.eig
     with np.errstate(divide="ignore", invalid="ignore"):
         phi_hat = s_hat / eig
     phi_hat[0, 0, 0] = 0.0
     if deconvolve_cic:
-        phi_hat /= cic_window(n)
+        phi_hat /= cic_window(n) if ops is None else ops.window
     phi = np.fft.irfftn(phi_hat, s=source.shape, axes=(0, 1, 2))
-    acc = gradient_spectral(phi)
+    acc = gradient_spectral(phi, None if ops is None else ops.ik)
     np.negative(acc, out=acc)
     return phi, acc

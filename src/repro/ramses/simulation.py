@@ -94,6 +94,10 @@ class SimulationResult:
     #: load imbalance (max/mean work) per re-decomposition
     imbalance_history: List[float] = field(default_factory=list)
     total_work_units: float = 0.0
+    #: PM force evaluations the run made: one per step plus the opening
+    #: one (each step's closing kick also serves the next step's opening
+    #: kick and any snapshot taken in between).
+    force_evaluations: int = 0
 
     def snapshot_at(self, aexp: float, tol: float = 1e-6) -> Snapshot:
         for snap in self.snapshots:
@@ -153,6 +157,7 @@ class RamsesRun:
         levelmin = self.ic.levelmin
         levelmax = self.ic.levelmax + cfg.n_extra_levels
         work_weights = parts.mass.min() / parts.mass  # fine particles cost more
+        evaluations_before = self.solver.force_evaluations
 
         decomp = decompose(parts.x, cfg.ncpu, weights=work_weights)
         result.imbalance_history.append(
@@ -162,7 +167,7 @@ class RamsesRun:
             nonlocal out_idx
             amr = build_amr(parts.x, parts.mass, levelmin, levelmax,
                             m_refine=cfg.m_refine)
-            force = self.solver.accelerations(parts.x, parts.mass, aexp)
+            force = self.integrator.force(parts, aexp)
             snap = Snapshot(output_number=out_idx + 1, aexp=aexp,
                             particles=parts.copy(), amr=amr,
                             rms_delta=float(np.sqrt(np.mean(force.delta ** 2))),
@@ -199,6 +204,8 @@ class RamsesRun:
 
         if not result.snapshots:
             take_snapshot(float(schedule[-1]))
+        result.force_evaluations = (self.solver.force_evaluations
+                                    - evaluations_before)
         return result
 
 

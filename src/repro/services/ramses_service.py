@@ -424,13 +424,19 @@ class RamsesService:
         tar_path = os.path.join(job_dir, "results.tar.gz")
         # No clock or account in the archive: its size prices the simulated
         # transfer, so identical runs must produce identical bytes.
-        with gzip.GzipFile(tar_path, "wb", mtime=0) as gz, \
+        with gzip.GzipFile(tar_path, "wb", compresslevel=_GZIP_LEVEL,
+                           mtime=0) as gz, \
                 tarfile.open(fileobj=gz, mode="w") as tar:
             tar.add(catalog_path, arcname="halo_catalog.dat",
                     filter=_without_host_metadata)
             tar.add(os.path.join(job_dir, "output_00001"),
                     arcname="output_00001", filter=_without_host_metadata)
         return tar_path
+
+
+#: zlib's own default (gzip(1)'s too).  GzipFile's default of 9 took 4x the
+#: time on the float64 snapshot payload for an archive 0.013 % smaller.
+_GZIP_LEVEL = 6
 
 
 def _without_host_metadata(info: tarfile.TarInfo) -> tarfile.TarInfo:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ramses import ParticleSet, build_amr
+from repro.ramses.amr import parent_cell_ids
 
 
 def clustered_particles(n_uniform=512, n_cluster=512, seed=0):
@@ -33,12 +34,11 @@ class TestBuild:
         """Every active cell at level L+1 lies inside a refined L cell."""
         x, mass = clustered_particles()
         amr = build_amr(x, mass, levelmin=3, levelmax=6)
+        assert amr.levels[1].n_cells > 0
         for parent, child in zip(amr.levels[:-1], amr.levels[1:]):
-            if child.occupied.size == 1:   # empty placeholder level
-                continue
-            up = np.repeat(np.repeat(np.repeat(
-                parent.refined, 2, axis=0), 2, axis=1), 2, axis=2)
-            assert not np.any(child.occupied & ~up)
+            assert np.isin(parent.refined_ids, parent.cell_ids).all()
+            assert np.isin(parent_cell_ids(child.cell_ids, child.level),
+                           parent.refined_ids).all()
 
     def test_leaves_partition_cells(self):
         x, mass = clustered_particles()

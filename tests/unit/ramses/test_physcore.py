@@ -6,7 +6,7 @@ kernel (CIC scatter/gather, leapfrog kick/drift, FoF) must produce
 bincount scatter mirror must itself stay bit-identical to the historical
 8x ``np.add.at`` implementation.  Edge cases (empty sets, particles
 exactly on cell boundaries and at ``1 - eps``, mixed-mass zoom sets)
-run under *both* implementations via the ``impl`` fixture; the
+run under *both* implementations via the ``impl`` fixture (conftest); the
 bit-compat tests skip on boxes without a C toolchain — in CI the C
 matrix leg asserts the compiled kernels actually loaded.
 """
@@ -34,19 +34,6 @@ from repro.ramses.physcore import phys_c
 
 needs_c = pytest.mark.skipif(phys_c is None,
                              reason="no C toolchain / REPRO_PURE_PY=1")
-
-IMPLS = ["python"] + (["c"] if phys_c is not None else [])
-
-
-@pytest.fixture(params=IMPLS)
-def impl(request, monkeypatch):
-    """Run a test under the numpy mirror and (when built) the C kernels."""
-    if request.param == "python":
-        monkeypatch.setattr(mesh, "phys_c", None)
-        monkeypatch.setattr(integrator, "phys_c", None)
-        monkeypatch.setattr(halomaker, "phys_c", None)
-    return request.param
-
 
 def edge_positions(n):
     """Positions probing every CIC edge case on an n-grid."""

@@ -9,7 +9,7 @@ from repro.ramses import (
     laplacian_eigenvalues,
     poisson_solve,
 )
-from repro.ramses.poisson import cic_window
+from repro.ramses.poisson import SpectralOperators, cic_window
 
 
 def grid_coords(n):
@@ -132,6 +132,50 @@ class TestAcceleration:
         _, plain = acceleration_from_source(src)
         _, boosted = acceleration_from_source(src, deconvolve_cic=True)
         assert np.abs(boosted).max() > np.abs(plain).max()
+
+
+def reference_gradient(field):
+    """The gradient with its k vectors built inline, per call."""
+    n = field.shape[0]
+    f_hat = np.fft.rfftn(field)
+    kx = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n)
+    kz = 2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
+    if n % 2 == 0:
+        kx[n // 2] = 0.0
+    parts = (1j * kx[:, None, None] * f_hat, 1j * kx[None, :, None] * f_hat,
+             1j * kz[None, None, :] * f_hat)
+    return np.stack([np.fft.irfftn(p, s=field.shape, axes=(0, 1, 2))
+                     for p in parts], axis=-1)
+
+
+class TestPrebuiltOperators:
+    """Operators built once give the bits that building per call gives."""
+
+    @pytest.mark.parametrize("n", [8, 9, 16])
+    def test_gradient_matches_inline_k_vectors(self, n):
+        field = np.random.default_rng(n).standard_normal((n, n, n))
+        ops = SpectralOperators.build(n)
+        assert np.array_equal(gradient_spectral(field), reference_gradient(field))
+        assert np.array_equal(gradient_spectral(field, ops.ik),
+                              reference_gradient(field))
+
+    @pytest.mark.parametrize("kernel", ["spectral", "discrete"])
+    @pytest.mark.parametrize("deconvolve", [False, True])
+    def test_acceleration_bit_identical(self, kernel, deconvolve):
+        src = np.random.default_rng(6).standard_normal((16, 16, 16))
+        ops = SpectralOperators.build(16, kernel)
+        phi0, acc0 = acceleration_from_source(src, kernel, deconvolve)
+        phi1, acc1 = acceleration_from_source(src, kernel, deconvolve, ops=ops)
+        assert np.array_equal(phi0, phi1)
+        assert np.array_equal(acc0, acc1)
+
+    def test_mismatched_operators_rejected(self):
+        src = np.zeros((8, 8, 8))
+        with pytest.raises(ValueError):
+            acceleration_from_source(src, ops=SpectralOperators.build(16))
+        with pytest.raises(ValueError):
+            acceleration_from_source(
+                src, "spectral", ops=SpectralOperators.build(8, "discrete"))
 
 
 class TestCicWindow:
