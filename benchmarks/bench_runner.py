@@ -56,7 +56,7 @@ def _stage(replicate):
                               node_speed_ghz=2.0)
     scaling_nodes._POOL_MODEL = model
     return [Task(key=f"ranks={p}", func=scaling_nodes._breakdown_task,
-                 args=(p,), seed=seed) for p in RANKS]
+                 args=(p,)) for p in RANKS]
 
 
 def test_bench_runner_efficiency(benchmark, show_report):

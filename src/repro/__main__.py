@@ -21,8 +21,9 @@ the detached results).
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .experiments import (
     ablation_scheduler,
@@ -39,173 +40,61 @@ from .experiments import (
     survey_campaign,
     table_timings,
 )
-
-#: name -> (description, run(args) -> result, render(result) -> str).
-#: Runners take the parsed args namespace; the sweep experiments read
-#: ``args.jobs`` (see ``repro.experiments.runner``), the rest ignore it.
-#: Keeping run and render separate lets :func:`main` hold on to the result
-#: object for the observability exports after printing the report.
-_EXPERIMENTS: Dict[str, Tuple[str, Callable[..., Any], Callable[[Any], str]]] = {
-    "architecture": ("Figure 1: the deployed DIET hierarchy",
-                     lambda args: figure1_architecture.run(),
-                     figure1_architecture.render),
-    "timings": ("E1: §5.2 campaign timings vs the paper",
-                lambda args: table_timings.run(), table_timings.render),
-    "figure4": ("E2/E3: request distribution + per-SeD execution time",
-                lambda args: figure4.run(), figure4.render),
-    "figure5": ("E4/E5: finding time + latency",
-                lambda args: figure5.run(), figure5.render),
-    "overhead": ("E6: middleware overhead",
-                 lambda args: overhead.run(), overhead.render),
-    "ablation": ("E7: plug-in scheduler ablation",
-                 lambda args: ablation_scheduler.run(jobs=args.jobs),
-                 ablation_scheduler.render),
-    "routing": ("E7b: pull vs push estimate routing at growing widths",
-                lambda args: ablation_scheduler.run_routing(jobs=args.jobs),
-                ablation_scheduler.render_routing),
-    "figure2": ("E8: projected density through cosmic time (real run)",
-                lambda args: figure2_density.run(), figure2_density.render),
-    "figure3": ("E9: zoom re-simulation of a halo (real run)",
-                lambda args: figure3_zoom.run(), figure3_zoom.render),
-    "scaling": ("E10: nodes-per-SeD scaling ablation",
-                lambda args: scaling_nodes.run(jobs=args.jobs),
-                scaling_nodes.render),
-    "degraded": ("E11: the campaign under injected SeD failures",
-                 lambda args: degraded_campaign.run(jobs=args.jobs),
-                 degraded_campaign.render),
-    "data-locality": ("E12: data-locality ablation "
-                      "(volatile vs persistent vs replicated)",
-                      lambda args: data_locality.run(
-                          n_sub_simulations=args.n_sub, jobs=args.jobs),
-                      data_locality.render),
-    "load": ("E13: federated load sweep (multi-MA, open-loop traffic, "
-             "SeD churn; pull vs push)",
-             lambda args: load_federation.run(
-                 loads=tuple(float(x) for x in args.loads.split(",")),
-                 duration=args.duration, n_clients=args.clients,
-                 n_grids=args.grids,
-                 clusters_per_grid=args.clusters_per_grid,
-                 churn=args.churn, seed=args.seed, jobs=args.jobs,
-                 observe=bool(args.trace or args.gantt_svg or args.profile),
-                 zipf=tuple(float(x) for x in args.zipf.split(",")),
-                 memo=args.memo),
-             load_federation.render),
-    "survey": ("E14: survey campaign (cosmology-grid DAGs + zoom mix; "
-               "scheduler and data-policy ablations)",
-               lambda args: survey_campaign.run(
-                   routings=tuple(args.routings.split(",")),
-                   policies=tuple(args.policies.split(",")),
-                   data_policies=tuple(args.data_policies.split(",")),
-                   shape=tuple(int(x) for x in args.points.split("x")),
-                   resolution=args.resolution, n_planes=args.planes,
-                   z_source=args.z_source, zooms=args.zooms,
-                   n_grids=args.grids,
-                   clusters_per_grid=args.clusters_per_grid,
-                   seed=args.seed, jobs=args.jobs,
-                   observe=bool(args.trace or args.gantt_svg
-                                or args.profile)),
-               survey_campaign.render),
-}
-
-#: Experiments that sweep independent runs and accept ``--jobs``.
-_PARALLEL = ("ablation", "routing", "scaling", "degraded", "data-locality",
-             "load", "survey")
+from .experiments.report import hms, mib
+from .experiments.runner import collect_span_stores
+from .services import CampaignConfig, CampaignResult, run_campaign
 
 
-def _campaigns_of(result: Any) -> List[Any]:
-    """Every campaign result reachable from an experiment result.
+class Opt(NamedTuple):
+    """``flag`` feeds ``run``'s ``keyword`` through ``convert``; the default
+    is ``run``'s own, read from its signature, so it is written once."""
 
-    Walks the known wrapper shapes — ``.campaign`` (figure4/figure5/
-    overhead/timings), ``.campaigns`` dict (ablation), ``.baseline`` +
-    ``.runs[].result`` (degraded) — plus bare campaign results, so the
-    observability exports work uniformly across every subcommand.
-    """
-    found: List[Any] = []
-
-    def visit(obj: Any) -> None:
-        if obj is None:
-            return
-        if hasattr(obj, "span_store"):  # a CampaignResult (live or detached)
-            found.append(obj)
-            return
-        for attr in ("campaign", "baseline"):
-            visit(getattr(obj, attr, None))
-        campaigns = getattr(obj, "campaigns", None)
-        if isinstance(campaigns, dict):
-            for sub in campaigns.values():
-                visit(sub)
-        runs = getattr(obj, "runs", None)
-        if isinstance(runs, (list, tuple)):
-            for run in runs:
-                visit(getattr(run, "result", run))
-
-    visit(result)
-    return found
+    flag: str
+    keyword: str
+    convert: Callable[[str], Any]
+    help: str
+    choices: Optional[Tuple[str, ...]] = None
 
 
-def _export_observability(args, result: Any) -> List[str]:
-    """Handle ``--trace`` / ``--gantt-svg`` / ``--profile``; returns the
-    status lines to print after the experiment report."""
-    want_trace = getattr(args, "trace", None)
-    want_gantt = getattr(args, "gantt_svg", None)
-    want_profile = getattr(args, "profile", False)
-    if not (want_trace or want_gantt or want_profile):
-        return []
+class Experiment(NamedTuple):
+    """One subcommand.  ``--jobs`` is offered iff ``run`` accepts ``jobs``,
+    the observability flags iff ``spans`` says the result can carry span
+    stores; ``export`` is ``(flag, help, write(result, path) -> lines)`` for
+    a ``--flag PATH`` that files the finished result somewhere."""
 
-    from .experiments.runner import collect_span_stores
-    from .obs import profile_report, svg_gantt, write_chrome_trace
-
-    campaigns = _campaigns_of(result)
-    stores = collect_span_stores(campaigns)
-    if not stores:
-        return ["observability: no span stores recorded "
-                "(campaign ran with observe=False?)"]
-
-    lines: List[str] = []
-    if want_trace:
-        if len(stores) == 1:
-            merged = stores[0]
-        else:
-            # Multi-campaign sweeps share track names (req:1 exists in every
-            # campaign); a merged store is still a valid Chrome trace — the
-            # viewer groups by thread name, and all spans are closed.
-            from .obs import SpanStore
-            merged = SpanStore()
-            for store in stores:
-                merged.spans.extend(store.spans)
-                merged.marks.extend(store.marks)
-        write_chrome_trace(merged, want_trace)
-        n = sum(len(s.spans) for s in stores)
-        lines.append(f"trace: {n} spans from {len(stores)} campaign(s) "
-                     f"written to {want_trace}")
-    if want_gantt:
-        chart = stores[0].gantt(category="solve", group_by="sed")
-        with open(want_gantt, "w", encoding="utf-8") as fh:
-            fh.write(svg_gantt(chart))
-        lines.append(f"gantt: {sum(len(v) for v in chart.values())} solves "
-                     f"across {len(chart)} SeDs written to {want_gantt}")
-    if want_profile:
-        lines.append("")
-        lines.append(profile_report(
-            stores, title=f"profile: {args.command} "
-                          f"({len(stores)} campaign(s))"))
-    return lines
+    description: str
+    run: Callable[..., Any]
+    render: Callable[[Any], str]
+    options: Tuple[Opt, ...] = ()
+    spans: bool = False
+    export: Optional[Tuple[str, str, Callable[[Any, str], List[str]]]] = None
 
 
-def _run_campaign(args) -> Tuple[str, Any]:
-    from .experiments.report import hms
-    from .services import CampaignConfig, run_campaign
+def _seq(item: Callable[[str], Any], sep: str = ",") -> Callable[[str], Tuple]:
+    """Converter for ``sep``-separated values, e.g. ``2,4,8`` or ``3x3``."""
+    def parse(text: str) -> Tuple:
+        return tuple(item(part) for part in text.split(sep))
+    parse.sep = sep
+    parse.__name__ = f"{sep}-separated {item.__name__} list"
+    return parse
 
-    config = CampaignConfig(n_sub_simulations=args.n_sub, policy=args.policy,
-                            with_predictor=args.policy == "mct",
-                            seed=args.seed, data_policy=args.data_policy,
-                            routing=args.routing)
-    result = run_campaign(config)
+
+def _custom_campaign(n_sub_simulations: int = 100, policy: str = "default",
+                     seed: int = 2007, routing: str = "pull",
+                     data_policy: Optional[str] = None) -> CampaignResult:
+    return run_campaign(CampaignConfig(
+        n_sub_simulations=n_sub_simulations, policy=policy,
+        with_predictor=policy == "mct", seed=seed, routing=routing,
+        data_policy=data_policy))
+
+
+def _render_campaign(result: CampaignResult) -> str:
+    cfg = result.config
     lines = [
-        f"campaign: {args.n_sub} zoom requests, policy={args.policy}, "
-        f"seed={args.seed}"
-        + (f", routing={args.routing}" if args.routing != "pull" else "")
-        + (f", data-policy={args.data_policy}" if args.data_policy else ""),
+        f"campaign: {cfg.n_sub_simulations} zoom requests, "
+        f"policy={cfg.policy}, seed={cfg.seed}"
+        + (f", routing={cfg.routing}" if cfg.routing != "pull" else "")
+        + (f", data-policy={cfg.data_policy}" if cfg.data_policy else ""),
         f"  part 1:          {hms(result.part1_duration)}",
         f"  part 2 mean:     {hms(result.part2_mean_duration)}",
         f"  total elapsed:   {hms(result.total_elapsed)}",
@@ -213,25 +102,193 @@ def _run_campaign(args) -> Tuple[str, Any]:
         f"  speedup:         {result.speedup:.2f}x",
         f"  requests/SeD:    {sorted(result.requests_per_sed().values())}",
     ]
-    if args.data_policy is not None:
-        mib = 2 ** 20
+    if cfg.data_policy is not None:
         lines.append(f"  network bytes:   "
-                     f"{result.net_bytes_total / mib:.1f} MiB total, "
-                     f"{result.net_bytes_wan / mib:.1f} MiB over WAN")
-    if args.trace_csv:
-        result.tracer.write_csv(args.trace_csv)
-        lines.append(f"  trace written to {args.trace_csv}")
-    return "\n".join(lines), result
+                     f"{mib(result.net_bytes_total, 1)} MiB total, "
+                     f"{mib(result.net_bytes_wan, 1)} MiB over WAN")
+    return "\n".join(lines)
 
 
-def _add_obs_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trace", metavar="PATH", default=None,
-                   help="write the span store as Chrome-trace/Perfetto JSON")
-    p.add_argument("--gantt-svg", metavar="PATH", default=None,
-                   help="render the per-SeD solve timeline as an SVG")
-    p.add_argument("--profile", action="store_true",
-                   help="print a flat self-time profile aggregated over "
-                        "all campaigns (including parallel workers)")
+def _write_trace_csv(result: CampaignResult, path: str) -> List[str]:
+    result.tracer.write_csv(path)
+    return [f"  trace written to {path}"]
+
+
+def _write_batches(result, path: str) -> List[str]:
+    return [f"batch manifest: {manifest}"
+            for manifest in survey_campaign.write_batches(result, path)]
+
+
+_GRIDS = Opt("--grids", "n_grids", int, "MA hierarchies in the federation")
+_SEED = Opt("--seed", "seed", int, "base seed shared by every sweep point")
+
+#: The one table behind ``list``, the parser and :func:`main`.
+_EXPERIMENTS: Dict[str, Experiment] = {
+    "architecture": Experiment(
+        "Figure 1: the deployed DIET hierarchy",
+        figure1_architecture.run, figure1_architecture.render),
+    "timings": Experiment(
+        "E1: §5.2 campaign timings vs the paper",
+        table_timings.run, table_timings.render, spans=True),
+    "figure4": Experiment(
+        "E2/E3: request distribution + per-SeD execution time",
+        figure4.run, figure4.render, spans=True),
+    "figure5": Experiment(
+        "E4/E5: finding time + latency",
+        figure5.run, figure5.render, spans=True),
+    "overhead": Experiment(
+        "E6: middleware overhead", overhead.run, overhead.render, spans=True),
+    "ablation": Experiment(
+        "E7: plug-in scheduler ablation",
+        ablation_scheduler.run, ablation_scheduler.render, spans=True),
+    "routing": Experiment(
+        "E7b: pull vs push estimate routing at growing widths",
+        ablation_scheduler.run_routing, ablation_scheduler.render_routing,
+        spans=True),
+    "figure2": Experiment(
+        "E8: projected density through cosmic time (real run)",
+        figure2_density.run, figure2_density.render),
+    "figure3": Experiment(
+        "E9: zoom re-simulation of a halo (real run)",
+        figure3_zoom.run, figure3_zoom.render),
+    "scaling": Experiment(
+        "E10: nodes-per-SeD scaling ablation",
+        scaling_nodes.run, scaling_nodes.render),
+    "degraded": Experiment(
+        "E11: the campaign under injected SeD failures",
+        degraded_campaign.run, degraded_campaign.render, spans=True),
+    "data-locality": Experiment(
+        "E12: data-locality ablation (volatile vs persistent vs replicated)",
+        data_locality.run, data_locality.render, spans=True, options=(
+            Opt("--n-sub", "n_sub_simulations", int,
+                "zoom sub-simulations per arm"),)),
+    "load": Experiment(
+        "E13: federated load sweep (multi-MA, open-loop traffic, "
+        "SeD churn; pull vs push)",
+        load_federation.run, load_federation.render, spans=True, options=(
+            Opt("--loads", "loads", _seq(float),
+                "comma-separated offered loads in requests/s"),
+            Opt("--duration", "duration", float,
+                "seconds of open-loop arrivals per point"),
+            Opt("--clients", "n_clients", int,
+                "Zipf-ranked logical client population (scales to 10^6)"),
+            _GRIDS,
+            Opt("--clusters-per-grid", "clusters_per_grid", int,
+                "clusters per grid from the paper catalogue"),
+            Opt("--churn", "churn", int,
+                "SeD outages injected per point (0 disables churn)"),
+            _SEED,
+            Opt("--zipf", "zipf", _seq(float),
+                "comma-separated Zipf skew values for the client "
+                "population"),
+            Opt("--memo", "memo", str,
+                "grid-wide result memoization keyed on canonical request "
+                "descriptors", choices=("on", "off")))),
+    "survey": Experiment(
+        "E14: survey campaign (cosmology-grid DAGs + zoom mix; "
+        "scheduler and data-policy ablations)",
+        survey_campaign.run, survey_campaign.render, spans=True, options=(
+            Opt("--points", "shape", _seq(int, "x"),
+                "cosmology grid shape as NXxNY over the (omega_m, sigma8) "
+                "plane"),
+            Opt("--resolution", "resolution", int,
+                "survey box resolution per dimension"),
+            Opt("--planes", "n_planes", int,
+                "lens planes per convergence map"),
+            Opt("--z-source", "z_source", float,
+                "source redshift of the lensing stage"),
+            Opt("--zooms", "zooms", int,
+                "background ramsesZoom2 requests sharing the SeDs "
+                "(0 disables)"),
+            Opt("--routings", "routings", _seq(str),
+                "comma-separated routing modes"),
+            Opt("--policies", "policies", _seq(str),
+                "comma-separated scheduler policies"),
+            Opt("--data-policies", "data_policies", _seq(str),
+                "comma-separated data policies"),
+            _GRIDS,
+            Opt("--clusters-per-grid", "clusters_per_grid", int,
+                "clusters per grid from the paper catalogue (Lyon x2 + "
+                "Lille by default, so survey traffic crosses priced WAN "
+                "uplinks)"),
+            _SEED),
+        export=("--batch-dir", "materialize each arm's products as a "
+                "LensTools-style home/storage batch tree", _write_batches)),
+    "campaign": Experiment(
+        "custom campaign (--n-sub, --policy, --seed, --routing, "
+        "--data-policy, --trace-csv)",
+        _custom_campaign, _render_campaign, spans=True, options=(
+            Opt("--n-sub", "n_sub_simulations", int,
+                "number of zoom sub-simulations"),
+            Opt("--policy", "policy", str, "scheduler policy",
+                choices=("default", "mct", "min-queue", "fastest")),
+            Opt("--seed", "seed", int, "campaign seed"),
+            Opt("--routing", "routing", str,
+                "estimate flow: per-request pull fan-out (the paper's "
+                "protocol) or push deltas into materialized top-k tables",
+                choices=("pull", "push")),
+            Opt("--data-policy", "data_policy", str,
+                "DAGDA-style data management policy (default: no data grid)",
+                choices=("volatile", "persistent", "replicated",
+                         "broadcast"))),
+        export=("--trace-csv", "dump the request trace table as CSV",
+                _write_trace_csv)),
+}
+
+
+def _dest(flag: str) -> str:
+    """The attribute argparse files ``flag``'s value under."""
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _show(value: Any, sep: str = ",") -> str:
+    """A default as the user would type it (``2,4,8,16``, ``3x3``)."""
+    if isinstance(value, tuple):
+        return sep.join(_show(item) for item in value)
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
+def _export_observability(args, result: Any) -> List[str]:
+    """Handle ``--trace`` / ``--gantt-svg`` / ``--profile``; returns the
+    status lines to print after the experiment report."""
+    if not (args.trace or args.gantt_svg or args.profile):
+        return []
+
+    from .obs import SpanStore, profile_report, svg_gantt, write_chrome_trace
+
+    stores = collect_span_stores(result)
+    if not stores:
+        return ["observability: no span stores recorded "
+                "(campaign ran with observe=False?)"]
+
+    lines: List[str] = []
+    if args.trace:
+        if len(stores) == 1:
+            merged = stores[0]
+        else:
+            # Multi-campaign sweeps share track names (req:1 exists in every
+            # campaign); a merged store is still a valid Chrome trace — the
+            # viewer groups by thread name, and all spans are closed.
+            merged = SpanStore()
+            for store in stores:
+                merged.spans.extend(store.spans)
+                merged.marks.extend(store.marks)
+        write_chrome_trace(merged, args.trace)
+        n = sum(len(s.spans) for s in stores)
+        lines.append(f"trace: {n} spans from {len(stores)} campaign(s) "
+                     f"written to {args.trace}")
+    if args.gantt_svg:
+        chart = stores[0].gantt(category="solve", group_by="sed")
+        with open(args.gantt_svg, "w", encoding="utf-8") as fh:
+            fh.write(svg_gantt(chart))
+        lines.append(f"gantt: {sum(len(v) for v in chart.values())} solves "
+                     f"across {len(chart)} SeDs written to {args.gantt_svg}")
+    if args.profile:
+        lines.append("")
+        lines.append(profile_report(
+            stores, title=f"profile: {args.command} "
+                          f"({len(stores)} campaign(s))"))
+    return lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,127 +299,64 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     sub.add_parser("list", help="list available experiments")
-    for name, (desc, _, _) in _EXPERIMENTS.items():
-        p = sub.add_parser(name, help=desc)
-        if name in _PARALLEL:
+    for name, row in _EXPERIMENTS.items():
+        p = sub.add_parser(name, help=row.description)
+        params = inspect.signature(row.run).parameters
+        if "jobs" in params:
             p.add_argument(
-                "--jobs", "-j", type=int, default=None,
+                "--jobs", "-j", type=int, default=params["jobs"].default,
                 help="worker processes for the sweep (default: serial; "
                      "0 = one per CPU core)")
-        if name == "data-locality":
-            p.add_argument("--n-sub", type=int, default=100,
-                           help="zoom sub-simulations per arm (default 100)")
-        if name == "load":
-            p.add_argument("--loads", default="2,4,8,16",
-                           help="comma-separated offered loads in requests/s "
-                                "(default 2,4,8,16)")
-            p.add_argument("--duration", type=float, default=60.0,
-                           help="seconds of open-loop arrivals per point "
-                                "(default 60)")
-            p.add_argument("--clients", type=int, default=1000,
-                           help="Zipf-ranked logical client population "
-                                "(default 1000; scales to 10^6)")
-            p.add_argument("--grids", type=int, default=2,
-                           help="MA hierarchies in the federation (default 2)")
-            p.add_argument("--clusters-per-grid", type=int, default=2,
-                           help="clusters per grid from the paper catalogue "
-                                "(default 2)")
-            p.add_argument("--churn", type=int, default=2,
-                           help="SeD outages injected per point (default 2; "
-                                "0 disables churn)")
-            p.add_argument("--seed", type=int, default=2007)
-            p.add_argument("--zipf", default="1.1",
-                           help="comma-separated Zipf skew values for the "
-                                "client population (default 1.1)")
-            p.add_argument("--memo", choices=["on", "off"], default="off",
-                           help="grid-wide result memoization keyed on "
-                                "canonical request descriptors (default off)")
-        if name == "survey":
-            p.add_argument("--points", default="3x3",
-                           help="cosmology grid shape as NXxNY over the "
-                                "(omega_m, sigma8) plane (default 3x3)")
-            p.add_argument("--resolution", type=int, default=64,
-                           help="survey box resolution per dimension "
-                                "(default 64)")
-            p.add_argument("--planes", type=int, default=8,
-                           help="lens planes per convergence map (default 8)")
-            p.add_argument("--z-source", type=float, default=1.0,
-                           help="source redshift of the lensing stage "
-                                "(default 1.0)")
-            p.add_argument("--zooms", type=int, default=4,
-                           help="background ramsesZoom2 requests sharing "
-                                "the SeDs (default 4; 0 disables)")
-            p.add_argument("--routings", default="pull,push",
-                           help="comma-separated routing modes "
-                                "(default pull,push)")
-            p.add_argument("--policies", default="default,mct",
-                           help="comma-separated scheduler policies "
-                                "(default default,mct)")
-            p.add_argument("--data-policies",
-                           default="volatile,persistent,replicated",
-                           help="comma-separated data policies "
-                                "(default volatile,persistent,replicated)")
-            p.add_argument("--grids", type=int, default=2,
-                           help="MA hierarchies in the federation (default 2)")
-            p.add_argument("--clusters-per-grid", type=int, default=3,
-                           help="clusters per grid from the paper catalogue "
-                                "(default 3: Lyon x2 + Lille, so survey "
-                                "traffic crosses priced WAN uplinks)")
-            p.add_argument("--seed", type=int, default=2007)
-            p.add_argument("--batch-dir", metavar="PATH", default=None,
-                           help="materialize each arm's products as a "
-                                "LensTools-style home/storage batch tree")
-        _add_obs_flags(p)
-
-    campaign = sub.add_parser("campaign",
-                              help="run a custom campaign configuration")
-    campaign.add_argument("--n-sub", type=int, default=100,
-                          help="number of zoom sub-simulations (default 100)")
-    campaign.add_argument("--policy", default="default",
-                          choices=["default", "mct", "min-queue", "fastest"],
-                          help="scheduler policy")
-    campaign.add_argument("--seed", type=int, default=2007)
-    campaign.add_argument("--routing", default="pull",
-                          choices=["pull", "push"],
-                          help="estimate flow: per-request pull fan-out "
-                               "(the paper's protocol, default) or push "
-                               "deltas into materialized top-k tables")
-    campaign.add_argument("--data-policy", default=None,
-                          choices=["volatile", "persistent", "replicated",
-                                   "broadcast"],
-                          help="DAGDA-style data management policy "
-                               "(default: no data grid)")
-    campaign.add_argument("--trace-csv", default=None,
-                          help="dump the request trace table as CSV")
-    _add_obs_flags(campaign)
+        for opt in row.options:
+            default = params[opt.keyword].default
+            shown = _show(default, getattr(opt.convert, "sep", ","))
+            p.add_argument(
+                opt.flag, type=opt.convert, default=default,
+                choices=opt.choices,
+                help=opt.help + ("" if default is None
+                                 else f" (default {shown})"))
+        if row.export is not None:
+            p.add_argument(row.export[0], metavar="PATH", default=None,
+                           help=row.export[1])
+        if row.spans:
+            p.add_argument("--trace", metavar="PATH", default=None,
+                           help="write the span store as Chrome-trace/"
+                                "Perfetto JSON")
+            p.add_argument("--gantt-svg", metavar="PATH", default=None,
+                           help="render the per-SeD solve timeline as an SVG")
+            p.add_argument("--profile", action="store_true",
+                           help="print a flat self-time profile aggregated "
+                                "over all campaigns (including parallel "
+                                "workers)")
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command in (None, "list"):
         print("available experiments:")
         width = max(len(n) for n in _EXPERIMENTS) + 2
-        for name, (desc, _, _) in _EXPERIMENTS.items():
-            print(f"  {name.ljust(width)} {desc}")
-        print(f"  {'campaign'.ljust(width)} custom campaign "
-              "(--n-sub, --policy, --seed, --routing, --data-policy, "
-              "--trace-csv)")
+        for name, row in _EXPERIMENTS.items():
+            print(f"  {name.ljust(width)} {row.description}")
         return 0
-    if args.command == "campaign":
-        text, result = _run_campaign(args)
-        print(text)
-    else:
-        _desc, run, render = _EXPERIMENTS[args.command]
-        result = run(args)
-        print(render(result))
-        if getattr(args, "batch_dir", None):
-            for path in survey_campaign.write_batches(result,
-                                                      args.batch_dir):
-                print(f"batch manifest: {path}")
-    for line in _export_observability(args, result):
-        print(line)
+    row = _EXPERIMENTS[args.command]
+    params = inspect.signature(row.run).parameters
+    kwargs = {opt.keyword: getattr(args, _dest(opt.flag))
+              for opt in row.options}
+    if "jobs" in params:
+        kwargs["jobs"] = args.jobs
+    if "observe" in params:
+        kwargs["observe"] = bool(args.trace or args.gantt_svg or args.profile)
+    result = row.run(**kwargs)
+    print(row.render(result))
+    if row.export is not None:
+        flag, _help, write = row.export
+        path = getattr(args, _dest(flag))
+        for line in write(result, path) if path else ():
+            print(line)
+    if row.spans:
+        for line in _export_observability(args, result):
+            print(line)
     return 0
 
 

@@ -216,10 +216,6 @@ class AggregationTable:
         tbl = self.services.get(service)
         return tbl.top(self.top_k) if tbl is not None else []
 
-    @property
-    def n_rows(self) -> int:
-        return sum(len(tbl) for tbl in self.services.values())
-
     # -- upward propagation -------------------------------------------------------
 
     def export_diff(self) -> Tuple[List[Tuple], List[Tuple]]:

@@ -25,14 +25,11 @@ __all__ = [
     "ServiceNotFoundError",
     "InvalidHandleError",
     "InvalidSessionError",
-    "RpcRefusedError",
     "CommunicationError",
     "DeadlineExceededError",
-    "SessionFailedError",
     "NotCompletedError",
     "ProfileError",
     "DataError",
-    "error_code_of",
 ]
 
 GRPC_NO_ERROR = 0
@@ -80,10 +77,6 @@ class InvalidSessionError(DietError):
     code = GRPC_INVALID_SESSION_ID
 
 
-class RpcRefusedError(DietError):
-    code = GRPC_RPC_REFUSED
-
-
 class CommunicationError(DietError):
     code = GRPC_COMMUNICATION_FAILED
 
@@ -91,10 +84,6 @@ class CommunicationError(DietError):
 class DeadlineExceededError(CommunicationError):
     """An RPC outlived its :class:`~repro.core.pipeline.DeadlineInterceptor`
     policy (deadline expired on every attempt, retries exhausted)."""
-
-
-class SessionFailedError(DietError):
-    code = GRPC_SESSION_FAILED
 
 
 class NotCompletedError(DietError):
@@ -109,10 +98,3 @@ class ProfileError(DietError):
 
 class DataError(DietError):
     """Illegal data access (reading an OUT before solve, freeing twice...)."""
-
-
-def error_code_of(exc: BaseException) -> int:
-    """Map an exception to its GridRPC numeric code."""
-    if isinstance(exc, DietError):
-        return exc.code
-    return GRPC_OTHER_ERROR_CODE

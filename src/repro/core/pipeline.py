@@ -139,10 +139,6 @@ class MessageContext:
         return self.message.dst
 
     @property
-    def is_request(self) -> bool:
-        return self.message.reply_to is not None
-
-    @property
     def request_id(self) -> Optional[int]:
         """Request id carried by the payload, when the payload is one of the
         DIET request descriptors (see :mod:`repro.core.requests`)."""
@@ -271,24 +267,6 @@ class InterceptorPipeline:
                 break
         self._policies[op] = policy
         return policy
-
-
-def run_chains(phase: str, endpoint_pipeline: InterceptorPipeline,
-               fabric_pipeline: InterceptorPipeline,
-               ctx: MessageContext) -> Generator[Event, Any, None]:
-    """Run the layered chain for one phase (see module docstring).
-
-    The transport's :meth:`~repro.core.transport.Endpoint.run_chain` is the
-    fast path (combined pre-bound chain per endpoint); this function is the
-    composable equivalent for callers holding two bare pipelines.
-    """
-    ctx.phase = phase
-    if phase in OUTBOUND_PHASES:
-        order = (endpoint_pipeline, fabric_pipeline)
-    else:
-        order = (fabric_pipeline, endpoint_pipeline)
-    for pipeline in order:
-        yield from pipeline.run(phase, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -87,10 +87,6 @@ class Message:
     sent_at: float = 0.0
     delivered_at: float = 0.0
 
-    @property
-    def is_request(self) -> bool:
-        return self.reply_to is not None
-
 
 class Endpoint:
     """A named communication endpoint bound to a host.
@@ -134,7 +130,7 @@ class Endpoint:
     def chain_hooks(self, phase: str) -> tuple:
         """The combined pre-bound hook chain for ``phase``.
 
-        Layering matches :func:`~repro.core.pipeline.run_chains`: endpoint
+        Layering as in :mod:`repro.core.pipeline`'s module docstring: endpoint
         hooks wrap fabric hooks on outbound phases, the reverse inbound.
         Cached against both pipelines' versions so per-message work is two
         dict probes instead of rebuilding the layering and re-fetching every

@@ -15,15 +15,9 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..platform.grid5000 import PAPER_CLUSTERS, ClusterSpec
-from ..services.ramses_service import ExecutionMode
-from ..services.workflow import (
-    CampaignConfig,
-    CampaignResult,
-    run_campaign,
-    run_campaign_detached,
-)
+from ..services.workflow import CampaignConfig, CampaignResult
 from .report import ascii_table, hms
-from .runner import Task, run_tasks
+from .runner import run_campaigns
 
 __all__ = [
     "AblationResult",
@@ -55,12 +49,7 @@ class AblationResult:
 
     def part2_makespans(self) -> Dict[str, float]:
         """Makespan of the parallel section only (fairer comparison)."""
-        out = {}
-        for name, c in self.campaigns.items():
-            ends = [t.completed_at for t in c.part2_traces if t.completed_at]
-            starts = [t.submitted_at for t in c.part2_traces if t.submitted_at]
-            out[name] = max(ends) - min(starts)
-        return out
+        return {name: c.part2_makespan for name, c in self.campaigns.items()}
 
     def improvement_over_default(self, policy: str = "mct") -> float:
         spans = self.part2_makespans()
@@ -74,32 +63,13 @@ class AblationResult:
 def run(base_config: Optional[CampaignConfig] = None,
         policies=DEFAULT_POLICIES,
         jobs: Optional[int] = None) -> AblationResult:
-    """One campaign per policy; ``jobs`` runs the policies in worker
-    processes (each campaign is seeded and independent, so the parallel
-    sweep returns the same campaigns — detached — as the serial one)."""
+    """One campaign per policy, each ``base_config`` with only ``policy``
+    and ``with_predictor`` replaced.  ``jobs`` runs the policies in worker
+    processes; serial or not, the campaigns come back detached."""
     base = base_config or CampaignConfig()
-    configs = []
-    for policy, with_predictor in policies:
-        configs.append(CampaignConfig(
-            n_sub_simulations=base.n_sub_simulations,
-            resolution=base.resolution,
-            boxsize_mpc_h=base.boxsize_mpc_h,
-            n_zoom_levels=base.n_zoom_levels,
-            mode=base.mode, policy=policy,
-            with_predictor=with_predictor, seed=base.seed,
-            workdir=base.workdir, real_n_steps=base.real_n_steps,
-            real_a_end=base.real_a_end, cluster_specs=base.cluster_specs))
-    result = AblationResult()
-    if jobs is not None and jobs != 1:
-        campaigns = run_tasks(
-            [Task(key=f"policy={cfg.policy}", func=run_campaign_detached,
-                  args=(cfg,), seed=cfg.seed) for cfg in configs], jobs=jobs)
-        for cfg, campaign in zip(configs, campaigns):
-            result.campaigns[cfg.policy] = campaign
-    else:
-        for cfg in configs:
-            result.campaigns[cfg.policy] = run_campaign(cfg)
-    return result
+    return AblationResult(campaigns=run_campaigns(
+        {policy: replace(base, policy=policy, with_predictor=with_predictor)
+         for policy, with_predictor in policies}, jobs))
 
 
 def render(result: AblationResult) -> str:
@@ -153,10 +123,7 @@ class RoutingAblationResult:
         return sum(times) / len(times)
 
     def part2_makespan(self, mode: str, width: int) -> float:
-        c = self.campaign(mode, width)
-        ends = [t.completed_at for t in c.part2_traces if t.completed_at]
-        starts = [t.submitted_at for t in c.part2_traces if t.submitted_at]
-        return max(ends) - min(starts)
+        return self.campaign(mode, width).part2_makespan
 
     def finding_speedup(self, width: int) -> float:
         """How much faster push finds a SeD than pull at this width."""
@@ -170,23 +137,10 @@ def run_routing(base_config: Optional[CampaignConfig] = None,
     """One campaign per (routing mode, hierarchy width); ``jobs`` fans the
     (independent, seeded) campaigns out to worker processes."""
     base = base_config or CampaignConfig()
-    keyed_configs = []
-    for width in widths:
-        specs = routing_cluster_specs(width)
-        for mode in modes:
-            keyed_configs.append((f"{mode}@{width}",
-                                  replace(base, cluster_specs=specs,
-                                          routing=mode)))
-    result = RoutingAblationResult(widths=list(widths))
-    if jobs is not None and jobs != 1:
-        campaigns = run_tasks(
-            [Task(key=key, func=run_campaign_detached, args=(cfg,),
-                  seed=cfg.seed) for key, cfg in keyed_configs], jobs=jobs)
-    else:
-        campaigns = [run_campaign(cfg) for _, cfg in keyed_configs]
-    for (key, _), campaign in zip(keyed_configs, campaigns):
-        result.campaigns[key] = campaign
-    return result
+    return RoutingAblationResult(widths=list(widths), campaigns=run_campaigns(
+        {f"{mode}@{width}": replace(
+            base, cluster_specs=routing_cluster_specs(width), routing=mode)
+         for width in widths for mode in modes}, jobs))
 
 
 def render_routing(result: RoutingAblationResult) -> str:

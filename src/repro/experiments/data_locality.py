@@ -19,16 +19,11 @@ says so.  Only the reply leg changes: tarball bytes vs a fixed-size handle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from ..services import (
-    CampaignConfig,
-    CampaignResult,
-    run_campaign,
-    run_campaign_detached,
-)
-from .report import ascii_table, hms
-from .runner import Task, run_tasks
+from ..services import CampaignConfig, CampaignResult
+from .report import ascii_table, hms, mib
+from .runner import run_campaigns
 
 __all__ = ["DataLocalityResult", "run", "render", "DEFAULT_POLICIES"]
 
@@ -78,25 +73,17 @@ def run(policies: Sequence[str] = DEFAULT_POLICIES,
         jobs: Optional[int] = None) -> DataLocalityResult:
     """One campaign per policy, sharing seed and workload.
 
-    ``jobs`` runs the arms in worker processes; they never communicate, so
-    parallel results (detached) match the serial sweep byte for byte.
+    ``jobs`` runs the arms in worker processes; they never communicate,
+    and serial or not the campaigns come back detached.
     """
-    configs = [CampaignConfig(n_sub_simulations=n_sub_simulations, seed=seed,
-                              data_policy=policy)
-               for policy in policies]
-    if jobs is not None and jobs != 1:
-        results = run_tasks(
-            [Task(key=cfg.data_policy, func=run_campaign_detached,
-                  args=(cfg,), seed=seed)
-             for cfg in configs], jobs=jobs)
-    else:
-        results = [run_campaign(cfg) for cfg in configs]
-    return DataLocalityResult(
-        campaigns=dict(zip(policies, results)))
+    return DataLocalityResult(campaigns=run_campaigns(
+        {policy: CampaignConfig(n_sub_simulations=n_sub_simulations,
+                                seed=seed, data_policy=policy)
+         for policy in policies}, jobs))
 
 
 def _mib(n: int) -> str:
-    return f"{n / 2 ** 20:.1f} MiB"
+    return f"{mib(n, 1)} MiB"
 
 
 def render(result: DataLocalityResult) -> str:

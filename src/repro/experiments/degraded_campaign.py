@@ -17,18 +17,12 @@ SeDs' share of the 100 zooms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..services import (
-    CampaignConfig,
-    CampaignResult,
-    FailurePlan,
-    run_campaign,
-    run_campaign_detached,
-)
+from ..services import CampaignConfig, CampaignResult, FailurePlan
 from .report import ascii_table, hms
-from .runner import Task, run_tasks
+from .runner import run_campaigns
 
 __all__ = ["DegradedRun", "DegradedResult", "run", "render", "DEFAULT_CRASH_COUNTS"]
 
@@ -84,35 +78,19 @@ def run(crash_counts: Sequence[int] = DEFAULT_CRASH_COUNTS,
     Every campaign shares the seed, so the workload and the non-crashing
     machinery are identical run to run; only the injected failures differ.
     ``jobs`` runs the baseline and the degraded campaigns in worker
-    processes — they never communicate, so parallel results (detached)
-    match the serial sweep exactly.
+    processes — they never communicate, and serial or not the campaigns
+    come back detached.
     """
     base_plan = plan or FailurePlan()
-    configs = [CampaignConfig(n_sub_simulations=n_sub_simulations, seed=seed)]
+    baseline = CampaignConfig(n_sub_simulations=n_sub_simulations, seed=seed)
+    configs = {"baseline": baseline}
     for k in crash_counts:
-        configs.append(CampaignConfig(
-            n_sub_simulations=n_sub_simulations, seed=seed,
-            failures=FailurePlan(
-                n_crashes=k,
-                crash_window=base_plan.crash_window,
-                mean_downtime=base_plan.mean_downtime,
-                heartbeat_interval=base_plan.heartbeat_interval,
-                heartbeat_timeout=base_plan.heartbeat_timeout,
-                heartbeat_miss_threshold=base_plan.heartbeat_miss_threshold,
-                checkpoint_interval_work=base_plan.checkpoint_interval_work,
-                max_solve_attempts=base_plan.max_solve_attempts,
-                retry_backoff=base_plan.retry_backoff)))
-    if jobs is not None and jobs != 1:
-        results = run_tasks(
-            [Task(key=("baseline" if cfg.failures is None
-                       else f"crashes={cfg.failures.n_crashes}"),
-                  func=run_campaign_detached, args=(cfg,), seed=seed)
-             for cfg in configs], jobs=jobs)
-    else:
-        results = [run_campaign(cfg) for cfg in configs]
-    runs = [DegradedRun(n_crashes=k, result=result)
-            for k, result in zip(crash_counts, results[1:])]
-    return DegradedResult(baseline=results[0], runs=runs)
+        configs[f"crashes={k}"] = replace(
+            baseline, failures=replace(base_plan, n_crashes=k))
+    results = run_campaigns(configs, jobs)
+    runs = [DegradedRun(n_crashes=k, result=results[f"crashes={k}"])
+            for k in crash_counts]
+    return DegradedResult(baseline=results["baseline"], runs=runs)
 
 
 def render(result: DegradedResult) -> str:

@@ -29,7 +29,6 @@ bit-identically with observability on or off.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -48,8 +47,8 @@ from ..obs import Observability
 from ..sim.engine import Engine
 from ..sim.rng import RandomStreams
 from ..sim.traffic import DEFAULT_MIX, TrafficConfig, generate_arrivals, percentile
-from .report import ascii_table, ms
-from .runner import Task, derive_seed, run_tasks
+from .report import ascii_table, ms, sec
+from .runner import Task, run_tasks
 
 __all__ = ["LoadPoint", "LoadResult", "DEFAULT_LOADS", "run", "render"]
 
@@ -283,35 +282,22 @@ def run(loads: Sequence[float] = DEFAULT_LOADS,
     """
     if memo not in ("on", "off"):
         raise ValueError(f"memo must be 'on' or 'off', got {memo!r}")
-    tasks = [Task(key=(f"{routing}@{load:g}" if len(zipf) == 1
-                       else f"{routing}@{load:g}@s{z:g}"),
-                  func=_run_point,
-                  args=(routing, float(load), float(duration), n_clients,
-                        n_grids, clusters_per_grid, churn, seed, observe,
-                        float(z), memo),
-                  seed=derive_seed(seed, i))
-             for i, (routing, z, load) in enumerate(
-                 (r, z, l) for r in routings for z in zipf for l in loads)]
-    # Detach each point through a pickle round trip: worker results arrive
-    # detached (their strings/floats share nothing with this process), so
-    # serial points must shed their shared references too or the two sweeps
-    # pickle to different bytes despite equal values.
-    points = [pickle.loads(pickle.dumps(point))
-              for point in run_tasks(tasks, jobs=jobs)]
+    # Every point gets the same seed on purpose: the arms are compared on
+    # common random numbers.
+    points = run_tasks(
+        [Task(key=(f"{routing}@{load:g}" if len(zipf) == 1
+                   else f"{routing}@{load:g}@s{z:g}"),
+              func=_run_point,
+              args=(routing, float(load), float(duration), n_clients,
+                    n_grids, clusters_per_grid, churn, seed, observe,
+                    float(z), memo))
+         for routing in routings for z in zipf for load in loads], jobs=jobs)
     return LoadResult(loads=tuple(float(l) for l in loads),
                       routings=tuple(routings), duration=float(duration),
                       n_clients=n_clients, n_grids=n_grids,
                       clusters_per_grid=clusters_per_grid, churn=churn,
                       zipf=tuple(float(z) for z in zipf), memo=memo,
-                      runs=list(points))
-
-
-def _sec(v: float) -> str:
-    return f"{v:.2f}s" if v == v else "-"  # NaN-safe
-
-
-def _ms(v: float) -> str:
-    return ms(v) if v == v else "-"  # NaN-safe
+                      runs=points)
 
 
 def render(result: LoadResult) -> str:
@@ -339,8 +325,8 @@ def render(result: LoadResult) -> str:
             row = [f"{p.offered:g}", p.n_arrivals, p.completed,
                    p.rejected, p.failed, p.redirects,
                    f"{p.throughput:.2f}",
-                   _ms(p.find_p50), _ms(p.find_p99),
-                   _sec(p.latency_p50), _sec(p.latency_p99),
+                   ms(p.find_p50), ms(p.find_p99),
+                   sec(p.latency_p50), sec(p.latency_p99),
                    p.peak_heap]
             if multi_z:
                 row.insert(1, f"{p.zipf_s:g}")

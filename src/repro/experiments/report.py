@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-__all__ = ["hms", "ms", "ascii_table", "ascii_gantt", "ascii_series"]
+__all__ = ["hms", "ms", "sec", "mib", "ascii_table", "ascii_gantt",
+           "ascii_series"]
 
 
 def hms(seconds: float) -> str:
@@ -17,7 +18,18 @@ def hms(seconds: float) -> str:
 
 
 def ms(seconds: float) -> str:
-    return f"{seconds * 1e3:.1f}ms"
+    """0.0498 -> '49.8ms'; NaN (no sample) -> '-'."""
+    return f"{seconds * 1e3:.1f}ms" if seconds == seconds else "-"
+
+
+def sec(seconds: float) -> str:
+    """1.234 -> '1.23s'; NaN (no sample) -> '-'."""
+    return f"{seconds:.2f}s" if seconds == seconds else "-"
+
+
+def mib(nbytes: int, digits: int) -> str:
+    """Bytes as a MiB figure (no unit suffix; callers word their own)."""
+    return f"{nbytes / 2 ** 20:.{digits}f}"
 
 
 def ascii_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:

@@ -28,16 +28,30 @@ boundary.
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import os
+import pickle
 import traceback
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..services.workflow import (
+    CampaignConfig,
+    CampaignResult,
+    run_campaign_detached,
+)
+
 __all__ = ["Task", "WorkerCrash", "WorkerError", "canonical_pickle",
-           "collect_span_stores", "derive_seed", "resolve_jobs", "run_tasks"]
+           "collect_span_stores", "resolve_jobs", "run_campaigns",
+           "run_tasks"]
+
+
+def _ship(obj: Any) -> Any:
+    """What crossing a process boundary does to ``obj``: one pickle round
+    trip.  The copy shares no object (interned strings included) with this
+    process, which is the form every worker result arrives in."""
+    return pickle.loads(pickle.dumps(obj))
 
 
 def canonical_pickle(obj: Any) -> bytes:
@@ -52,9 +66,7 @@ def canonical_pickle(obj: Any) -> bytes:
     round trip reproduces, making byte equality a sound way to compare a
     result computed in-process with one shipped back from a worker.
     """
-    import pickle
-
-    return pickle.dumps(pickle.loads(pickle.dumps(obj)))
+    return pickle.dumps(_ship(obj))
 
 
 class WorkerError(RuntimeError):
@@ -85,60 +97,51 @@ class WorkerCrash(RuntimeError):
 class Task:
     """One unit of a sweep: a picklable module-level callable + its inputs.
 
-    ``key`` labels the task in error messages and progress accounting.
-    ``seed`` is informational — record the task's seed here *and* pass it
-    through ``args``/``kwargs``; the runner never injects seeds itself.
+    ``key`` labels the task in error messages.  Every input — seeds
+    included — travels in ``args``; the runner injects nothing.  Sweeps
+    that compare arms pass each arm the *same* seed on purpose (common
+    random numbers), so there is no per-task seed derivation here.
     """
 
     key: str
     func: Callable[..., Any]
     args: Tuple = ()
-    kwargs: Dict[str, Any] = field(default_factory=dict)
-    seed: Optional[int] = None
 
 
-def derive_seed(base: int, index: int) -> int:
-    """Stable per-task seed: hash, don't offset.
+#: Where experiment results keep campaigns or sweep points: ``.campaign``
+#: (figure4/5, overhead, timings), ``.baseline`` + ``.runs[].result``
+#: (degraded), ``.campaigns`` (the ablations), ``.runs`` (E13/E14).
+_WRAPPER_ATTRS = ("campaign", "baseline", "campaigns", "runs", "result")
 
-    ``base + index`` collides across sweeps that already use consecutive
-    base seeds; a hash keeps every (base, index) stream disjoint and is
-    identical across platforms and Python versions (unlike ``hash()``).
+
+def collect_span_stores(result: Any) -> List[Any]:
+    """Every non-empty span store reachable from an experiment result, in
+    visiting order, each once — the one walker behind ``--trace``/
+    ``--gantt-svg``/``--profile``.
+
+    A leaf is anything with a ``span_store``: campaign results (live or
+    detached — the store travels home inside the pickled tracer) expose it
+    as a method, sweep points (``LoadPoint``, ``SurveyArm``) as an
+    attribute.  Lists, dicts and ``_WRAPPER_ATTRS`` are walked; results
+    that recorded nothing (``observe=False``, ``None``) contribute none.
     """
-    digest = hashlib.sha256(f"{base}:{index}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") % (2 ** 63)
-
-
-def collect_span_stores(results: Sequence[Any]) -> List[Any]:
-    """Span stores of many (possibly detached) campaign results, in order.
-
-    The cross-worker aggregation half of ``--profile``: detached results
-    carry their :class:`~repro.obs.Observability` home inside the pickled
-    tracer, so a parallel sweep's worth of span stores can be fed to
-    :func:`repro.obs.profile_report` exactly like a serial run's.  Results
-    without an enabled, non-empty store are skipped.
-
-    Two result shapes are understood: campaign results reach their store
-    through ``tracer.obs`` (``span_store`` is a *method* there), while
-    per-point sweep results (E13's ``LoadPoint``) carry the detached store
-    directly in a ``span_store`` attribute.
-    """
-    stores: List[Any] = []
-    for result in results:
-        if result is None:
-            continue
-        store = getattr(result, "span_store", None)
-        if store is not None and not callable(store):
-            if getattr(store, "spans", None):
-                stores.append(store)
-            continue
-        tracer = getattr(result, "tracer", None)
-        if tracer is None:
-            tracer = getattr(getattr(result, "deployment", None), "tracer",
-                             None)
-        obs = getattr(tracer, "obs", None)
-        if obs is not None and obs.enabled and obs.spans.spans:
-            stores.append(obs.spans)
-    return stores
+    if hasattr(result, "span_store"):
+        store = result.span_store
+        if callable(store):
+            store = store()
+        return [store] if store is not None and store.spans else []
+    if isinstance(result, dict):
+        children = list(result.values())
+    elif isinstance(result, (list, tuple)):
+        children = result
+    else:
+        children = [getattr(result, attr) for attr in _WRAPPER_ATTRS
+                    if hasattr(result, attr)]
+    # By identity: E12 exposes one campaign as ``baseline`` *and* in
+    # ``campaigns``.
+    stores = {id(store): store for child in children
+              for store in collect_span_stores(child)}
+    return list(stores.values())
 
 
 def resolve_jobs(jobs: Optional[int], n_tasks: int) -> int:
@@ -165,7 +168,7 @@ def _invoke(task: Task) -> Tuple[bool, Any]:
     """Worker-side shim: run the task, shipping failures back as data
     (raising out of a pool worker would lose the traceback text)."""
     try:
-        return (True, task.func(*task.args, **task.kwargs))
+        return (True, task.func(*task.args))
     except Exception as exc:
         return (False, (type(exc).__name__, str(exc),
                         traceback.format_exc()))
@@ -181,18 +184,20 @@ def _unwrap(task: Task, ok: bool, payload: Any) -> Any:
 def run_tasks(tasks: Sequence[Task], jobs: Optional[int] = None) -> List[Any]:
     """Run every task; return their results in task order.
 
-    ``jobs=None`` or ``1`` runs serially in-process (no pool, no fork) —
-    the same code path shape, so serial and parallel sweeps differ only in
-    *where* each task runs, never in what it computes.  The first failing
-    task raises; with a pool, tasks already submitted keep running to
-    completion in the background, but their results are discarded.
+    ``jobs=None`` or ``1`` runs serially in-process (no pool, no fork) and
+    does to each task what a pool does — the task ships in, ``_invoke``
+    runs it, the outcome ships out — so a serial sweep returns the same
+    detached objects as a parallel one, down to the pickle bytes.  The
+    first failing task raises; with a pool, tasks already submitted keep
+    running to completion in the background, but their results are
+    discarded.
     """
     tasks = list(tasks)
     if not tasks:
         return []
     n_jobs = resolve_jobs(jobs, len(tasks))
     if n_jobs == 1:
-        return [_unwrap(task, *_invoke(task)) for task in tasks]
+        return [_unwrap(task, *_ship(_invoke(_ship(task)))) for task in tasks]
 
     results: List[Any] = []
     with ProcessPoolExecutor(max_workers=n_jobs,
@@ -205,3 +210,12 @@ def run_tasks(tasks: Sequence[Task], jobs: Optional[int] = None) -> List[Any]:
                 raise WorkerCrash(task.key, str(exc)) from exc
             results.append(_unwrap(task, ok, payload))
     return results
+
+
+def run_campaigns(configs: Dict[str, CampaignConfig],
+                  jobs: Optional[int] = None) -> Dict[str, CampaignResult]:
+    """One detached campaign per keyed config, in the configs' order — how
+    every campaign sweep (E7, E7b, E11, E12) runs its arms."""
+    results = run_tasks([Task(key=key, func=run_campaign_detached, args=(cfg,))
+                         for key, cfg in configs.items()], jobs=jobs)
+    return dict(zip(configs, results))

@@ -33,15 +33,15 @@ __all__ = ["ScalingResult", "run", "render", "DEFAULT_RANKS"]
 
 DEFAULT_RANKS = (1, 2, 4, 8, 16, 32, 64, 128)
 
-#: Staged model for pool workers.  ``run`` places the built model here
-#: *before* creating the pool; with the ``fork`` start method workers
-#: inherit the ~50 MB particle array copy-on-write instead of having it
-#: pickled into every task.
+#: Staged model for the sweep's tasks.  ``run`` places the built model
+#: here *before* ``run_tasks`` creates any pool; with the ``fork`` start
+#: method workers inherit the ~50 MB particle array copy-on-write instead
+#: of having it pickled into every task (a serial sweep reads it in place).
 _POOL_MODEL: Optional[ParallelStepModel] = None
 
 
 def _breakdown_task(ncpu: int) -> StepBreakdown:
-    assert _POOL_MODEL is not None, "model not staged before pool creation"
+    assert _POOL_MODEL is not None, "model not staged before run_tasks"
     return _POOL_MODEL.breakdown(ncpu)
 
 
@@ -98,17 +98,14 @@ def run(rank_counts: Sequence[int] = DEFAULT_RANKS,
                    (len(snap.particles) * replicate, 3)), 1.0)
     n_grid = int(round((len(x)) ** (1 / 3)))
     model = ParallelStepModel(x, n_grid, cost=cost, node_speed_ghz=2.0)
-    if jobs is not None and jobs != 1:
-        global _POOL_MODEL
-        _POOL_MODEL = model
-        try:
-            breakdowns = run_tasks(
-                [Task(key=f"ranks={p}", func=_breakdown_task, args=(p,),
-                      seed=seed) for p in rank_counts], jobs=jobs)
-        finally:
-            _POOL_MODEL = None
-    else:
-        breakdowns = [model.breakdown(p) for p in rank_counts]
+    global _POOL_MODEL
+    _POOL_MODEL = model
+    try:
+        breakdowns = run_tasks(
+            [Task(key=f"ranks={p}", func=_breakdown_task, args=(p,))
+             for p in rank_counts], jobs=jobs)
+    finally:
+        _POOL_MODEL = None
     return ScalingResult(breakdowns=breakdowns,
                          n_particles=len(x), n_grid=n_grid)
 

@@ -31,7 +31,6 @@ executor accounting.  Every arm is a pure function of its arguments:
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -48,8 +47,8 @@ from ..survey.batch import SurveyBatch
 from ..survey.dag import DagExecutor
 from ..survey.grid import ParameterGrid
 from ..survey.pipeline import build_survey_dag
-from .report import ascii_table
-from .runner import Task, derive_seed, run_tasks
+from .report import ascii_table, mib, sec
+from .runner import Task, run_tasks
 
 __all__ = [
     "DEFAULT_DATA_POLICIES",
@@ -76,6 +75,8 @@ _ZOOM_BOXSIZE = 100
 _ZOOM_LEVELS = 2
 #: Seconds between zoom submissions (each runs concurrently).
 _ZOOM_INTERVAL = 20.0
+#: DAG nodes each survey client keeps in flight.
+_MAX_IN_FLIGHT = 4
 
 #: The swept axes: matter density and clustering amplitude, the classic
 #: lensing-degeneracy plane; the other four parameters stay at the base.
@@ -181,8 +182,8 @@ def _node_product(result) -> Any:
 def _run_arm(routing: str, policy: str, data_policy: str,
              shape: Tuple[int, int], resolution: int, n_planes: int,
              z_source: float, zooms: int, n_grids: int,
-             clusters_per_grid: int, seed: int, observe: bool = False,
-             max_in_flight: int = 4) -> SurveyArm:
+             clusters_per_grid: int, seed: int,
+             observe: bool = False) -> SurveyArm:
     """One campaign arm, a pure function of its arguments (worker-safe)."""
     engine = Engine()
     obs = Observability() if observe else None
@@ -224,7 +225,7 @@ def _run_arm(routing: str, policy: str, data_policy: str,
                                      data_policy=data_policy,
                                      realization_seed=seed,
                                      name=f"survey-c{g}"),
-                    max_in_flight=max_in_flight)
+                    max_in_flight=_MAX_IN_FLIGHT)
         for g, client in enumerate(clients)]
 
     zoom_client = FederatedClient(federation.fabric,
@@ -322,8 +323,7 @@ def run(routings: Sequence[str] = DEFAULT_ROUTINGS,
         shape: Tuple[int, int] = (3, 3), resolution: int = 64,
         n_planes: int = 8, z_source: float = 1.0, zooms: int = 4,
         n_grids: int = 2, clusters_per_grid: int = 3, seed: int = 2007,
-        jobs: Optional[int] = None, observe: bool = False,
-        max_in_flight: int = 4) -> SurveyResult:
+        jobs: Optional[int] = None, observe: bool = False) -> SurveyResult:
     """Run every (routing, policy, data policy) arm; parallel == serial.
 
     ``jobs`` fans the arms over worker processes; each arm is a pure
@@ -336,23 +336,16 @@ def run(routings: Sequence[str] = DEFAULT_ROUTINGS,
     for data_policy in data_policies:
         # Fail fast on typos before any worker spins up.
         campaign_data_config(data_policy)
-    tasks = [Task(key=f"{routing}/{policy}/{data_policy}",
-                  func=_run_arm,
-                  args=(routing, policy, data_policy,
-                        (int(shape[0]), int(shape[1])), int(resolution),
-                        int(n_planes), float(z_source), int(zooms),
-                        int(n_grids), int(clusters_per_grid), int(seed),
-                        observe, int(max_in_flight)),
-                  seed=derive_seed(seed, i))
-             for i, (routing, policy, data_policy) in enumerate(
-                 (r, p, d) for r in routings for p in policies
-                 for d in data_policies)]
-    # Detach each arm through a pickle round trip: worker results arrive
-    # detached (their strings/floats share nothing with this process), so
-    # serial arms must shed their shared references too or the two runs
-    # pickle to different bytes despite equal values.
-    arms = [pickle.loads(pickle.dumps(arm)) for arm in run_tasks(tasks,
-                                                                 jobs=jobs)]
+    # Every arm gets the same seed on purpose: the ablations are compared
+    # on common random numbers.
+    arms = run_tasks(
+        [Task(key=f"{routing}/{policy}/{data_policy}", func=_run_arm,
+              args=(routing, policy, data_policy,
+                    (int(shape[0]), int(shape[1])), int(resolution),
+                    int(n_planes), float(z_source), int(zooms),
+                    int(n_grids), int(clusters_per_grid), int(seed), observe))
+         for routing in routings for policy in policies
+         for data_policy in data_policies], jobs=jobs)
     return SurveyResult(routings=tuple(routings), policies=tuple(policies),
                         data_policies=tuple(data_policies),
                         shape=(int(shape[0]), int(shape[1])),
@@ -360,7 +353,7 @@ def run(routings: Sequence[str] = DEFAULT_ROUTINGS,
                         z_source=float(z_source), zooms=int(zooms),
                         n_grids=int(n_grids),
                         clusters_per_grid=int(clusters_per_grid),
-                        seed=int(seed), runs=list(arms))
+                        seed=int(seed), runs=arms)
 
 
 def write_batches(result: SurveyResult, root: str) -> List[str]:
@@ -382,19 +375,11 @@ def write_batches(result: SurveyResult, root: str) -> List[str]:
     return manifests
 
 
-def _mib(nbytes: int) -> str:
-    return f"{nbytes / (1 << 20):.2f}"
-
-
 def _stage(arm: SurveyArm, stage: str) -> Tuple[float, float]:
     for name, _count, p50, p99 in arm.stage_stats:
         if name == stage:
             return p50, p99
     return float("nan"), float("nan")
-
-
-def _sec(v: float) -> str:
-    return f"{v:.2f}s" if v == v else "-"  # NaN-safe
 
 
 def render(result: SurveyResult) -> str:
@@ -417,9 +402,9 @@ def render(result: SurveyResult) -> str:
             arm.routing, arm.policy, arm.data,
             f"{arm.completed}/{arm.nodes}", str(arm.retries),
             f"{arm.zooms_done}/{result.zooms}",
-            f"{arm.hit_rate * 100:.1f}%", _sec(arm.makespan),
-            _sec(run_p50), _sec(lens_p99), _mib(arm.bytes_wan),
-            _mib(arm.data_moved),
+            f"{arm.hit_rate * 100:.1f}%", sec(arm.makespan),
+            sec(run_p50), sec(lens_p99), mib(arm.bytes_wan, 2),
+            mib(arm.data_moved, 2),
         ])
     lines.append(ascii_table(headers, rows))
 
@@ -439,6 +424,6 @@ def render(result: SurveyResult) -> str:
                 saved = 1.0 - per.bytes_wan / vol.bytes_wan
                 lines.append(
                     f"wan {routing}/{policy}: volatile "
-                    f"{_mib(vol.bytes_wan)} MiB -> persistent "
-                    f"{_mib(per.bytes_wan)} MiB ({saved * 100:.1f}% less)")
+                    f"{mib(vol.bytes_wan, 2)} MiB -> persistent "
+                    f"{mib(per.bytes_wan, 2)} MiB ({saved * 100:.1f}% less)")
     return "\n".join(lines)

@@ -18,7 +18,7 @@ disabled.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from .export import chrome_trace, svg_gantt, write_chrome_trace
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -38,7 +38,6 @@ __all__ = [
     "SpanStore",
     "aggregate_self_times",
     "chrome_trace",
-    "merge_observability",
     "profile_report",
     "svg_gantt",
     "write_chrome_trace",
@@ -111,35 +110,3 @@ class Observability:
 #: The shared disabled instance every component defaults to.  Emission
 #: sites guard on ``obs.enabled``, so nothing is ever recorded into it.
 NULL_OBS = Observability(enabled=False)
-
-
-def merge_observability(results: Any) -> Optional[Observability]:
-    """Fold the Observability of many campaign results into one.
-
-    ``results`` may be campaign results (anything with a reachable
-    ``.tracer.obs``), Observability instances, or None entries (skipped).
-    Returns None when nothing observable was found.
-    """
-    merged: Optional[Observability] = None
-    for item in results:
-        obs = _extract_obs(item)
-        if obs is None or not obs.enabled:
-            continue
-        if merged is None:
-            merged = Observability()
-        merged.spans.spans.extend(obs.spans.spans)
-        merged.spans.marks.extend(obs.spans.marks)
-        merged.metrics.merge(obs.metrics)
-    return merged
-
-
-def _extract_obs(item: Any) -> Optional[Observability]:
-    if item is None:
-        return None
-    if isinstance(item, Observability):
-        return item
-    tracer = getattr(item, "tracer", None)
-    if tracer is None:
-        deployment = getattr(item, "deployment", None)
-        tracer = getattr(deployment, "tracer", None)
-    return getattr(tracer, "obs", None)

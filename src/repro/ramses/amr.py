@@ -78,10 +78,6 @@ class AmrHierarchy:
         return sum(lv.n_cells for lv in self.levels)
 
     @property
-    def total_leaves(self) -> int:
-        return sum(lv.n_leaves for lv in self.levels)
-
-    @property
     def deepest_refined_level(self) -> int:
         for lv in reversed(self.levels):
             if lv.n_cells > 0:

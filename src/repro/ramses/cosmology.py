@@ -60,10 +60,6 @@ class Cosmology:
         a = np.asarray(a, dtype=float)
         return self.omega_m / (a ** 3 * self.hubble(a) ** 2)
 
-    def critical_density_a(self, a) -> np.ndarray:
-        """rho_crit(a) / rho_crit(0) = H(a)^2."""
-        return self.hubble(a) ** 2
-
     # -- times -------------------------------------------------------------------------
 
     def age(self, a: float) -> float:

@@ -93,10 +93,6 @@ class LayzerIrvineMonitor:
     def kinetic_history(self) -> np.ndarray:
         return np.array([s.kinetic for s in self.samples])
 
-    @property
-    def potential_history(self) -> np.ndarray:
-        return np.array([s.potential for s in self.samples])
-
     def energy_scale(self) -> float:
         """|T| + |U| at the latest sample (the drift normalization)."""
         if not self.samples:

@@ -33,14 +33,6 @@ class PMForceResult:
     acc: np.ndarray            # (N, 3) particle accelerations
     a: float                   # expansion factor of the evaluation
 
-    @property
-    def max_density_contrast(self) -> float:
-        return float(self.delta.max())
-
-    @property
-    def rms_density_contrast(self) -> float:
-        return float(np.sqrt(np.mean(self.delta ** 2)))
-
 
 class GravitySolver:
     """Particle-mesh gravity at a fixed grid resolution."""

@@ -248,6 +248,14 @@ class CampaignResult:
         return (max(ends) - start) if ends else self.part1_duration
 
     @property
+    def part2_makespan(self) -> float:
+        """Makespan of the parallel section only (first zoom submit to last
+        zoom completion) — the fair scheduler-comparison figure."""
+        ends = [t.completed_at for t in self.part2_traces if t.completed_at]
+        starts = [t.submitted_at for t in self.part2_traces if t.submitted_at]
+        return max(ends) - min(starts)
+
+    @property
     def sequential_estimate(self) -> float:
         """What the 101 simulations would cost run back to back (>141 h)."""
         part1 = self.part1_trace.solve_duration or 0.0

@@ -147,13 +147,6 @@ class Event:
         self._scheduled = True
         self.engine._queue.pushnow(priority, self)
 
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        if callbacks is None:
-            raise SimulationError(f"{self!r} dispatched twice")
-        for cb in callbacks:
-            cb(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "processed" if self.processed else ("triggered" if self._scheduled else "pending")
         return f"<{type(self).__name__} {state} at {hex(id(self))}>"
@@ -437,10 +430,6 @@ class Engine:
         self._queue.now = value
 
     @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
-
-    @property
     def events_scheduled(self) -> int:
         """Total events ever pushed onto the queue (the seq counter)."""
         return self._queue.count
@@ -464,9 +453,6 @@ class Engine:
         return AllOf(self, events)
 
     # -- scheduling -----------------------------------------------------------
-
-    def _schedule(self, event: Event, delay: float, priority: int) -> None:
-        self._queue.pushdelay(delay, priority, event)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""

@@ -68,9 +68,6 @@ class SurveyBatch:
     def point_home(self, point: CosmologyPoint) -> str:
         return os.path.join(self.home, point.label)
 
-    def point_storage(self, point: CosmologyPoint, stage: str) -> str:
-        return os.path.join(self.storage, point.label, stage)
-
     def init_point(self, point: CosmologyPoint) -> str:
         """Create the point's home dir with its parameter file + digest."""
         directory = self.point_home(point)

@@ -56,7 +56,7 @@ class TestPushCampaign:
         serial = [run_campaign_detached(cfg) for cfg in configs]
         parallel = run_tasks(
             [Task(key=f"seed={cfg.seed}", func=run_campaign_detached,
-                  args=(cfg,), seed=cfg.seed) for cfg in configs], jobs=2)
+                  args=(cfg,)) for cfg in configs], jobs=2)
         for s, p in zip(serial, parallel):
             assert canonical_pickle(s) == canonical_pickle(p)
 

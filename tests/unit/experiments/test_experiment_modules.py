@@ -62,6 +62,22 @@ class TestMiddlewareExperiments:
         assert spans["mct"] <= spans["default"] * 1.02
         assert "makespan" in ablation_scheduler.render(result)
 
+    def test_ablation_honours_the_whole_base_config(self):
+        """Only ``policy``/``with_predictor`` vary per arm; the hand field
+        copy this replaced dropped routing, data policy, failures, observe."""
+        base = CampaignConfig(n_sub_simulations=4, routing="push",
+                              observe=False, data_policy="persistent")
+        result = ablation_scheduler.run(base, policies=(("default", False),
+                                                        ("mct", True)))
+        for policy, campaign in result.campaigns.items():
+            cfg = campaign.config
+            assert (cfg.routing, cfg.observe, cfg.data_policy) == (
+                "push", False, "persistent")
+            assert cfg.policy == policy
+            assert cfg.with_predictor == (policy == "mct")
+            assert campaign.data_report is not None
+            assert campaign.span_store() is None
+
     def test_routing_ablation_small(self):
         result = ablation_scheduler.run_routing(
             CampaignConfig(n_sub_simulations=6), widths=(2, 4))

@@ -9,7 +9,6 @@ from repro.experiments.runner import (
     Task,
     WorkerError,
     canonical_pickle,
-    derive_seed,
     resolve_jobs,
     run_tasks,
 )
@@ -33,6 +32,14 @@ def _seeded(seed):
     return float(np.random.default_rng(seed).random())
 
 
+def _labelled(label):
+    # In-process, ``label`` and the literal below are one interned object
+    # and "request_id" is shared by every dict of every task; a worker's
+    # copy shares neither with the caller.
+    return [{"request_id": i, "routing": label, "name": "request_id"}
+            for i in range(3)] + ["pull"]
+
+
 class TestResolveJobs:
     def test_none_and_one_are_serial(self):
         assert resolve_jobs(None, 10) == 1
@@ -45,19 +52,6 @@ class TestResolveJobs:
 
     def test_clamped_to_task_count(self):
         assert resolve_jobs(16, 3) == 3
-
-
-class TestDeriveSeed:
-    def test_stable(self):
-        assert derive_seed(2007, 0) == derive_seed(2007, 0)
-
-    def test_disjoint_across_base_and_index(self):
-        seeds = {derive_seed(b, i) for b in (1, 2, 3) for i in range(10)}
-        assert len(seeds) == 30
-
-    def test_no_collision_with_consecutive_bases(self):
-        # base 1/index 1 vs base 2/index 0 collide under base+index.
-        assert derive_seed(1, 1) != derive_seed(2, 0)
 
 
 class TestRunTasks:
@@ -74,9 +68,20 @@ class TestRunTasks:
         assert run_tasks(self._tasks(), jobs=3) == [0, 1, 4, 9, 16]
 
     def test_parallel_matches_serial(self):
-        tasks = [Task(key=f"s{i}", func=_seeded, args=(derive_seed(7, i),),
-                      seed=derive_seed(7, i)) for i in range(6)]
+        tasks = [Task(key=f"s{i}", func=_seeded, args=(7 + i,))
+                 for i in range(6)]
         assert run_tasks(tasks) == run_tasks(tasks, jobs=2)
+
+    def test_serial_is_raw_pickle_identical_to_parallel(self):
+        """Not ``canonical_pickle``: the serial leg ships each task in and
+        its outcome out exactly as a pool does, so even the sharing of
+        interned strings (across tasks, and between a result and the
+        argument it echoes) is the same."""
+        tasks = [Task(key=f"l{i}", func=_labelled, args=("pull",))
+                 for i in range(3)]
+        serial = run_tasks(tasks)
+        assert serial == run_tasks(tasks, jobs=2)
+        assert pickle.dumps(serial) == pickle.dumps(run_tasks(tasks, jobs=2))
 
     def test_serial_error_is_worker_error(self):
         with pytest.raises(WorkerError, match="boom"):

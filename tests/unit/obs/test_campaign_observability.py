@@ -7,12 +7,22 @@ spans; and span stores survive detach/pickle so parallel sweeps can
 aggregate them.
 """
 
+import dataclasses
 import pickle
 
 import pytest
 
 from repro.__main__ import main
+from repro.experiments.ablation_scheduler import (
+    AblationResult,
+    RoutingAblationResult,
+)
+from repro.experiments.data_locality import DataLocalityResult
+from repro.experiments.degraded_campaign import DegradedResult, DegradedRun
+from repro.experiments.figure4 import Figure4Result
+from repro.experiments.load_federation import LoadPoint, LoadResult
 from repro.experiments.runner import collect_span_stores
+from repro.experiments.survey_campaign import SurveyArm, SurveyResult
 from repro.obs import NULL_OBS
 from repro.services import CampaignConfig, FailurePlan, run_campaign
 
@@ -110,9 +120,69 @@ def test_detached_result_carries_spans_across_pickle(observed):
     assert len(stores[0].spans) == len(observed.span_store().spans)
 
 
-def test_collect_span_stores_skips_blind_results(observed, blind):
-    assert collect_span_stores([blind, None]) == []
-    assert len(collect_span_stores([observed, blind])) == 1
+def _blank(cls, **fields):
+    """``cls`` with every required field zeroed: the walker reads shapes,
+    not values."""
+    missing = dataclasses.MISSING
+    required = {
+        f.name: 0
+        for f in dataclasses.fields(cls)
+        if f.default is missing and f.default_factory is missing
+    }
+    return cls(**{**required, **fields})
+
+
+def _result_shapes(seen, other, blind):
+    """Every experiment-result shape -> (result, span stores it carries)."""
+    point = _blank(LoadPoint, span_store=seen.span_store())
+    arms = [
+        _blank(SurveyArm, span_store=seen.span_store()),
+        _blank(SurveyArm, span_store=other.span_store()),
+    ]
+    locality = DataLocalityResult({"volatile": seen, "persistent": other})
+    degraded_runs = [DegradedRun(1, other), DegradedRun(2, blind)]
+    return {
+        "none": (None, 0),
+        "blind": (blind, 0),
+        "bare": (seen, 1),
+        "list": ([seen, blind, None], 1),
+        "figure4": (Figure4Result(campaign=seen), 1),
+        "ablation": (AblationResult({"default": seen, "mct": other, "x": blind}), 2),
+        "routing": (RoutingAblationResult([6], {"pull@6": seen, "push@6": other}), 2),
+        # ``baseline`` is the volatile arm again: counted once, not twice.
+        "data-locality": (locality, 2),
+        "degraded": (DegradedResult(seen, degraded_runs), 2),
+        "load": (_blank(LoadResult, runs=[point, _blank(LoadPoint)]), 1),
+        "survey": (_blank(SurveyResult, runs=arms), 2),
+    }
+
+
+SHAPES = (
+    "none",
+    "blind",
+    "bare",
+    "list",
+    "figure4",
+    "ablation",
+    "routing",
+    "data-locality",
+    "degraded",
+    "load",
+    "survey",
+)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_collect_span_stores_walks_every_result_shape(shape, observed, blind):
+    other = pickle.loads(pickle.dumps(observed.detach()))
+    shapes = _result_shapes(observed, other, blind)
+    assert set(shapes) == set(SHAPES)
+    result, expected = shapes[shape]
+    stores = collect_span_stores(result)
+    assert len(stores) == expected
+    assert all(store.spans for store in stores)
+    if expected:
+        assert stores[0] is observed.span_store()
 
 
 def test_cli_trace_gantt_profile_outputs(tmp_path, capsys):
