@@ -4,7 +4,12 @@
   fan-out): the agent tree collects estimates in parallel, so finding time
   should grow sub-linearly;
 * Hilbert vs slab decomposition communication volume (the §3 partitioning
-  choice), as an ablation bench.
+  choice), as an ablation bench;
+* RPC round trips over a two-endpoint fabric: the whole per-message path
+  (four interceptor phases, two wire transfers, a handler and a reply
+  process per call) with nothing else around it.  ``benchmarks/export.py
+  --bench engine`` folds this case into ``BENCH_engine.json`` beside the
+  kernel shapes, with what the cyclic collector did during its rounds.
 """
 
 import os
@@ -13,11 +18,16 @@ import statistics
 import numpy as np
 import pytest
 
-from repro.core import ProfileDesc, deploy_paper_hierarchy, scalar_desc
+from repro.core import (
+    ProfileDesc,
+    TransportFabric,
+    deploy_paper_hierarchy,
+    scalar_desc,
+)
 from repro.core.data import BaseType
 from repro.platform import ClusterSpec, build_grid5000
 from repro.ramses import decompose, exchange_matrix, slab_ranks
-from repro.sim import Engine
+from repro.sim import Engine, Host, Link, Network
 
 #: REPRO_BENCH_QUICK=1 shrinks every workload so the whole module runs in
 #: seconds — CI uses it as a smoke test that the benchmarks still execute;
@@ -26,6 +36,9 @@ QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 FANOUTS = (1, 2) if QUICK else (1, 2, 4, 8)
 N_PROBE_CALLS = 3 if QUICK else 10
 N_PARTICLES = (2000, 800) if QUICK else (9000, 3000)
+N_RPC = 2_000 if QUICK else 20_000
+RPC_WINDOW = 50
+RPC_ROUNDS = 3 if QUICK else 5
 
 
 def _measure_finding_time(n_seds_per_cluster: int) -> float:
@@ -97,3 +110,40 @@ def test_bench_decomposition_ablation(benchmark, show_report):
         f"  slab:          {comm_slab}\n"
         f"  ratio:         {comm_slab / comm_hilbert:.2f}x in favour of Hilbert")
     assert comm_hilbert < comm_slab
+
+
+def _run_rpc_roundtrips() -> int:
+    engine = Engine()
+    net = Network(engine)
+    for name in ("alpha", "beta"):
+        net.add_host(Host(engine, name))
+    net.connect("alpha", "beta", Link(engine, "wire", 0.010, 1e6))
+    fabric = TransportFabric(engine, net)
+    server = fabric.endpoint("server", "beta")
+
+    def echo(msg):
+        yield engine.timeout(0.001)
+        return (msg.payload, 64)
+
+    server.on("echo", echo)
+    server.start()
+    client = fabric.endpoint("client", "alpha")
+
+    def one(i):
+        return (yield from client.rpc("server", "echo", i))
+
+    def caller():
+        # Waves of concurrent calls, like one estimate fan-out after another.
+        for start in range(0, N_RPC, RPC_WINDOW):
+            yield engine.all_of([engine.process(one(i))
+                                 for i in range(start, start + RPC_WINDOW)])
+
+    engine.run_process(caller())
+    assert fabric.messages_sent == 2 * N_RPC
+    return engine.events_scheduled
+
+
+def test_bench_rpc_roundtrip(measure_events):
+    """The per-message path on its own: send, deliver, reply, complete."""
+    measure_events(f"rpc round trip x{N_RPC} (window {RPC_WINDOW})",
+                   _run_rpc_roundtrips, RPC_ROUNDS)

@@ -6,12 +6,19 @@ Two roles, one file format:
   ``pytest benchmarks/bench_engine.py --benchmark-only`` and folds the
   pytest-benchmark report into ``BENCH_engine.json`` at the repo root —
   per benchmark ``min``/``mean`` seconds, ``rounds``, plus any
-  ``extra_info`` the benchmark recorded (events/sec, efficiency, ...),
-  tagged with the heap implementation that produced it.
+  ``extra_info`` the benchmark recorded (events/sec, efficiency, what the
+  cyclic collector did, ...), tagged with the heap implementation that
+  produced it.  The engine document also carries the RPC round-trip case
+  of ``bench_middleware.py``: the kernel shapes and the message path they
+  serve are gated together.
 * ``--check`` additionally compares the fresh ``min`` times against the
   committed baseline of the same name and exits non-zero when any
-  benchmark ran more than ``--threshold`` (default 2.0) times slower —
-  the CI regression gate.
+  benchmark ran more than ``--threshold`` (default 2.0) times slower, or
+  left the cyclic collector more than ``GC_SLACK`` objects beyond the
+  baseline's count (``extra_info.gc_collected``) — the CI regression gate.
+  The object count repeats exactly from run to run, so a reference cycle
+  reintroduced into a per-message object fails the gate as a count even
+  on a runner too noisy to resolve its cost in time.
 
 CI runs both in quick mode (``REPRO_BENCH_QUICK=1``), comparing against a
 committed quick-mode baseline so the gate compares like with like.
@@ -30,6 +37,14 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Fields copied per benchmark from the pytest-benchmark report.
 _STATS_FIELDS = ("min", "mean", "rounds")
 
+#: Cases of other modules recorded in a bench's document (pytest node ids
+#: relative to ``benchmarks/``).
+_EXTRA_CASES = {"engine": ("bench_middleware.py::test_bench_rpc_roundtrip",)}
+
+#: Objects the cyclic collector may free beyond the baseline's count before
+#: the gate fails (set-up closures; a per-message cycle costs thousands).
+GC_SLACK = 500
+
 
 def run_bench(name: str) -> dict:
     """Run one benchmark module; return the folded results document."""
@@ -41,8 +56,10 @@ def run_bench(name: str) -> dict:
         env = dict(os.environ)
         env["PYTHONPATH"] = (str(REPO_ROOT / "src")
                              + os.pathsep + env.get("PYTHONPATH", ""))
+        extra = [str(REPO_ROOT / "benchmarks" / case)
+                 for case in _EXTRA_CASES.get(name, ())]
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", str(bench_file),
+            [sys.executable, "-m", "pytest", str(bench_file), *extra,
              "--benchmark-only", f"--benchmark-json={report_path}", "-q"],
             cwd=REPO_ROOT, env=env)
         if proc.returncode != 0:
@@ -109,14 +126,24 @@ def check_regression(doc: dict, baseline_path: Path, threshold: float) -> int:
             rows.append((name, None, entry["min"], None, "NEW (not in baseline)"))
             continue
         ratio = entry["min"] / base["min"]
-        status = "OK" if ratio <= threshold else "REGRESSION"
-        rows.append((name, base["min"], entry["min"], ratio, status))
+        freed = entry.get("extra_info", {}).get("gc_collected")
+        base_freed = base.get("extra_info", {}).get("gc_collected")
         if ratio > threshold:
+            status = "REGRESSION"
+        elif (freed is not None and base_freed is not None
+                and freed > base_freed + GC_SLACK):
+            status = f"GC REGRESSION ({base_freed} -> {freed} objects)"
+        else:
+            status = "OK"
+        rows.append((name, base["min"], entry["min"], ratio, status))
+        if status != "OK":
             failures.append(name)
     print(_delta_table(rows))
     if failures:
         print(f"FAILED: {len(failures)} benchmark(s) more than "
-              f"{threshold:.1f}x slower than baseline: {', '.join(failures)}")
+              f"{threshold:.1f}x slower than baseline, or leaving the cyclic "
+              f"collector more than {GC_SLACK} objects beyond it: "
+              f"{', '.join(failures)}")
         return 1
     print("regression check passed")
     return 0

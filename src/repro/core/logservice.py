@@ -67,7 +67,7 @@ class LogCentral:
             kind=str(payload.get("kind", "unknown")),
             info=dict(payload.get("info", {}))))
         return
-        yield  # pragma: no cover - generator marker
+        yield  # pragma: no cover - make this a generator function
 
     # -- journal queries -----------------------------------------------------------
 

@@ -32,22 +32,23 @@ A message passes four phases:
 ``complete``
     back in the caller's process, once the RPC reply has arrived.
 
-Interceptor hooks are generator functions so they can charge simulated
-time (``yield engine.timeout(...)``).  Chains are layered like a protocol
-stack: on *outbound* phases (``send``, ``reply``) the local endpoint's
-interceptors run before the fabric-wide ones (application → wire); on
-*inbound* phases (``deliver``, ``complete``) the fabric chain runs first
-(wire → application).
+A hook is a plain callable ``hook(ctx) -> Optional[float]``: it does its
+bookkeeping and returns the simulated seconds to charge (or ``None``); the
+transport yields the one ``engine.timeout(delay)`` for it, in the process
+the phase runs in, before calling the next hook.  Chains are layered like a
+protocol stack: on *outbound* phases (``send``, ``reply``) the local
+endpoint's interceptors run before the fabric-wide ones (application →
+wire); on *inbound* phases (``deliver``, ``complete``) the fabric chain
+runs first (wire → application).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
-    Generator,
     Iterable,
     List,
     Optional,
@@ -55,7 +56,7 @@ from typing import (
     Tuple,
 )
 
-from ..sim.engine import Engine, Event
+from ..sim.engine import Engine
 from .exceptions import ServerNotFoundError
 from .logservice import post_event
 
@@ -95,28 +96,40 @@ class MessageDropped(Exception):
     """
 
 
-@dataclass
 class MessageContext:
     """The envelope an in-flight message travels in through one phase.
 
     ``nbytes`` is the size of the *current leg* — the request payload on
     ``send``/``deliver``, the reply payload on ``reply``/``complete`` — and
     is mutable so compression-style interceptors can rewrite it before the
-    wire cost is charged.
+    wire cost is charged.  ``reply_status`` is "ok" / "error" on the
+    reply/complete legs and None on the request legs; ``attempt`` is the
+    retry attempt the message belongs to (0 = first try).
     """
 
-    fabric: "TransportFabric"
-    message: "Message"
-    endpoint: "Endpoint"
-    nbytes: int
-    phase: str = "send"
-    #: "ok" / "error" on the reply/complete legs, None on the request legs.
-    reply_status: Optional[str] = None
-    reply_value: Any = None
-    #: Retry attempt this message belongs to (0 = first try).
-    attempt: int = 0
-    #: Free-form annotations interceptors leave for each other.
-    meta: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("fabric", "message", "endpoint", "nbytes", "phase",
+                 "reply_status", "reply_value", "attempt", "_meta")
+
+    def __init__(self, fabric: "TransportFabric", message: "Message",
+                 endpoint: "Endpoint", nbytes: int, phase: str = "send",
+                 reply_status: Optional[str] = None, reply_value: Any = None,
+                 attempt: int = 0):
+        self.fabric = fabric
+        self.message = message
+        self.endpoint = endpoint
+        self.nbytes = nbytes
+        self.phase = phase
+        self.reply_status = reply_status
+        self.reply_value = reply_value
+        self.attempt = attempt
+        self._meta: Optional[Dict[str, Any]] = None  # made on first use
+
+    @property
+    def meta(self) -> Dict[str, Any]:
+        """Free-form annotations interceptors leave for each other."""
+        if self._meta is None:
+            self._meta = {}
+        return self._meta
 
     @property
     def engine(self) -> Engine:
@@ -164,27 +177,17 @@ class RpcPolicy:
 
 
 class Interceptor:
-    """Base class: every hook is a generator that may charge simulated time.
+    """Base class: every hook returns the simulated delay to charge, or None.
 
-    Subclasses override only the phases they care about; the defaults are
-    zero-cost pass-throughs.
+    Subclasses override only the phases they care about; the default is a
+    zero-cost pass-through (and never called: :meth:`InterceptorPipeline.hooks`
+    filters it out).
     """
 
-    def intercept_send(self, ctx: MessageContext) -> Generator[Event, Any, None]:
-        return
-        yield  # pragma: no cover - generator marker
+    def intercept_send(self, ctx: MessageContext) -> Optional[float]:
+        return None
 
-    def intercept_deliver(self, ctx: MessageContext) -> Generator[Event, Any, None]:
-        return
-        yield  # pragma: no cover - generator marker
-
-    def intercept_reply(self, ctx: MessageContext) -> Generator[Event, Any, None]:
-        return
-        yield  # pragma: no cover - generator marker
-
-    def intercept_complete(self, ctx: MessageContext) -> Generator[Event, Any, None]:
-        return
-        yield  # pragma: no cover - generator marker
+    intercept_deliver = intercept_reply = intercept_complete = intercept_send
 
     def rpc_policy(self, op: str) -> Optional[RpcPolicy]:
         """Deadline/retry policy this interceptor grants RPCs of ``op``."""
@@ -209,12 +212,10 @@ class InterceptorPipeline:
         #: Bumped on every add/remove; consumers key their caches on it.
         self.version = 0
         self._hooks: Dict[str, tuple] = {}
-        self._policies: Dict[str, Optional[RpcPolicy]] = {}
 
     def _invalidate(self) -> None:
         self.version += 1
         self._hooks.clear()
-        self._policies.clear()
 
     def add(self, interceptor: Interceptor, index: Optional[int] = None) -> Interceptor:
         """Append (or insert at ``index``) an interceptor; returns it."""
@@ -247,26 +248,15 @@ class InterceptorPipeline:
             self._hooks[phase] = chain
         return chain
 
-    def run(self, phase: str, ctx: MessageContext) -> Generator[Event, Any, None]:
-        """Run this chain's hooks for ``phase``, in installation order."""
-        for hook in self.hooks(phase):
-            yield from hook(ctx)
-
     def rpc_policy(self, op: str) -> Optional[RpcPolicy]:
-        """First non-None policy granted for ``op`` (cached per op until
-        the chain is mutated — policies are expected to be stable for a
-        given chain, as :class:`DeadlineInterceptor`'s are)."""
-        try:
-            return self._policies[op]
-        except KeyError:
-            pass
-        policy = None
+        """First non-None policy granted for ``op``.  Endpoints cache the
+        answer per op until a chain is mutated: policies are expected to be
+        stable for a given chain, as :class:`DeadlineInterceptor`'s are."""
         for icpt in self.interceptors:
             policy = icpt.rpc_policy(op)
             if policy is not None:
-                break
-        self._policies[op] = policy
-        return policy
+                return policy
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +277,14 @@ class MarshallingInterceptor(Interceptor):
     def __init__(self, params: "TransportParams"):
         self.params = params
 
-    def intercept_send(self, ctx: MessageContext) -> Generator[Event, Any, None]:
-        yield ctx.engine.timeout(
-            self.params.marshal_fixed + self.params.marshal_per_byte * ctx.nbytes)
+    def intercept_send(self, ctx: MessageContext) -> float:
+        params = self.params
+        return params.marshal_fixed + params.marshal_per_byte * ctx.nbytes
 
-    def intercept_deliver(self, ctx: MessageContext) -> Generator[Event, Any, None]:
-        yield ctx.engine.timeout(self.params.dispatch_fixed)
+    def intercept_deliver(self, ctx: MessageContext) -> float:
+        return self.params.dispatch_fixed
 
-    def intercept_reply(self, ctx: MessageContext) -> Generator[Event, Any, None]:
-        yield ctx.engine.timeout(
-            self.params.marshal_fixed + self.params.marshal_per_byte * ctx.nbytes)
+    intercept_reply = intercept_send
 
 
 class AccountingInterceptor(Interceptor):
@@ -336,20 +324,12 @@ class AccountingInterceptor(Interceptor):
                 by_op[op] = by_op.get(op, 0) + 1
         return self._by_op
 
-    def _count(self, ctx: MessageContext) -> None:
+    def intercept_send(self, ctx: MessageContext) -> None:
         self.messages_sent += 1
         self.bytes_sent += ctx.nbytes
-        self._ops.append(ctx.op)
+        self._ops.append(ctx.message.op)
 
-    def intercept_send(self, ctx: MessageContext) -> Generator[Event, Any, None]:
-        self._count(ctx)
-        return
-        yield  # pragma: no cover - generator marker
-
-    def intercept_reply(self, ctx: MessageContext) -> Generator[Event, Any, None]:
-        self._count(ctx)
-        return
-        yield  # pragma: no cover - generator marker
+    intercept_reply = intercept_send
 
     # -- exceptional outcomes (reported by the transport) -----------------------
 
@@ -404,11 +384,13 @@ class TracingInterceptor(Interceptor):
 
     # -- message-path stamps -------------------------------------------------------
 
-    def intercept_send(self, ctx: MessageContext) -> Generator[Event, Any, None]:
-        rid = ctx.request_id
+    def intercept_send(self, ctx: MessageContext) -> None:
+        message = ctx.message
+        rid = getattr(message.payload, "request_id", None)
         if rid is not None:
-            now = ctx.engine.now
-            if ctx.op == self.SUBMIT_OP:
+            op = message.op
+            now = ctx.fabric.engine.now
+            if op == self.SUBMIT_OP:
                 self.tracer.trace(rid, ctx.service).submitted_at = now
                 obs = self.tracer.obs
                 if obs.enabled:
@@ -422,20 +404,19 @@ class TracingInterceptor(Interceptor):
                                 request_id=rid, service=ctx.service)
                     spans.begin(track, "finding", now, "finding",
                                 request_id=rid, service=ctx.service)
-            elif ctx.op == self.SOLVE_OP:
+            elif op == self.SOLVE_OP:
                 self.tracer.trace(rid, ctx.service).data_sent_at = now
                 obs = self.tracer.obs
                 if obs.enabled:
                     obs.spans.begin(f"req:{rid}", "transfer", now, "transfer",
                                     request_id=rid, service=ctx.service,
                                     nbytes=ctx.nbytes)
-        return
-        yield  # pragma: no cover - generator marker
 
-    def intercept_deliver(self, ctx: MessageContext) -> Generator[Event, Any, None]:
-        rid = ctx.request_id
-        if rid is not None and ctx.op == self.SOLVE_OP:
-            now = ctx.engine.now
+    def intercept_deliver(self, ctx: MessageContext) -> None:
+        message = ctx.message
+        rid = getattr(message.payload, "request_id", None)
+        if rid is not None and message.op == self.SOLVE_OP:
+            now = ctx.fabric.engine.now
             trace = self.tracer.trace(rid, ctx.service)
             trace.data_arrived_at = now
             obs = self.tracer.obs
@@ -449,13 +430,13 @@ class TracingInterceptor(Interceptor):
                             service=ctx.service, sed=ctx.endpoint.name)
             self.tracer.log(now, "data-arrived",
                             sed=ctx.endpoint.name, request_id=rid)
-        return
-        yield  # pragma: no cover - generator marker
 
-    def intercept_complete(self, ctx: MessageContext) -> Generator[Event, Any, None]:
-        rid = ctx.request_id
+    def intercept_complete(self, ctx: MessageContext) -> None:
+        message = ctx.message
+        rid = getattr(message.payload, "request_id", None)
         if rid is None:
             return
+        op = message.op
         if ctx.reply_status != "ok":
             # Submit/solve RPC failed (dead letter, crashed SeD, no server
             # found): unwind the whole request track so the failure path
@@ -463,16 +444,16 @@ class TracingInterceptor(Interceptor):
             # without killing the request.  An MA admission rejection is
             # distinguishable from transport loss so saturation experiments
             # can separate rejected from failed requests.
-            if ctx.op in (self.SUBMIT_OP, self.SOLVE_OP):
+            if op in (self.SUBMIT_OP, self.SOLVE_OP):
                 obs = self.tracer.obs
                 if obs.enabled:
                     status = ("rejected"
                               if isinstance(ctx.reply_value, ServerNotFoundError)
                               else "error")
-                    obs.spans.unwind(f"req:{rid}", ctx.engine.now, status)
+                    obs.spans.unwind(f"req:{rid}", ctx.fabric.engine.now, status)
             return
-        now = ctx.engine.now
-        if ctx.op == self.SUBMIT_OP:
+        now = ctx.fabric.engine.now
+        if op == self.SUBMIT_OP:
             trace = self.tracer.trace(rid, ctx.service)
             trace.found_at = now
             if isinstance(ctx.reply_value, tuple) and ctx.reply_value:
@@ -486,7 +467,7 @@ class TracingInterceptor(Interceptor):
                         obs.metrics.histogram(
                             "request.finding_seconds").observe(
                                 finding.duration, now)
-        elif ctx.op == self.SOLVE_OP:
+        elif op == self.SOLVE_OP:
             trace = self.tracer.trace(rid, ctx.service)
             trace.completed_at = now
             reply = ctx.reply_value
@@ -503,8 +484,6 @@ class TracingInterceptor(Interceptor):
                 request = obs.spans.open_span(f"req:{rid}", "request")
                 if request is not None:
                     obs.spans.end(request, now, status_code=trace.status)
-        return
-        yield  # pragma: no cover - generator marker
 
 
 class DeadlineInterceptor(Interceptor):
@@ -580,26 +559,30 @@ class FaultInjectionInterceptor(Interceptor):
     def _matches(self, ctx: MessageContext) -> bool:
         if ctx.phase not in self.phases:
             return False
-        return self.ops is None or ctx.op in self.ops
+        return self.ops is None or ctx.message.op in self.ops
 
     def _chance(self, p: float) -> bool:
         return p > 0 and self.rng is not None and float(self.rng.random()) < p
 
-    def _apply(self, ctx: MessageContext) -> Generator[Event, Any, None]:
+    def _apply(self, ctx: MessageContext) -> Optional[float]:
+        """Drop, duplicate or delay ``ctx``; returns the delay to charge.
+        All draws happen here, in drop / delay / duplicate order: a duplicate
+        is decided when the delay starts, not when it ends."""
         if not self._matches(ctx):
-            return
+            return None
         if self._drop_next > 0 or self._chance(self.drop):
             if self._drop_next > 0:
                 self._drop_next -= 1
             self.dropped += 1
-            ctx.drop(f"fault injection dropped {ctx.op!r}#{ctx.message.msg_id}")
+            ctx.drop(f"fault injection dropped {ctx.message.op!r}"
+                     f"#{ctx.message.msg_id}")
+        delay = None
         if self.delay > 0 and (self.delay_prob >= 1.0 or self._chance(self.delay_prob)):
             self.delayed += 1
-            yield ctx.engine.timeout(self.delay)
+            delay = self.delay
         if ctx.phase == "send" and self._chance(self.duplicate):
             self.duplicated += 1
             ctx.meta["duplicates"] = ctx.meta.get("duplicates", 0) + 1
+        return delay
 
-    intercept_send = _apply
-    intercept_deliver = _apply
-    intercept_reply = _apply
+    intercept_send = intercept_deliver = intercept_reply = intercept_complete = _apply

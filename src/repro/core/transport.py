@@ -42,12 +42,14 @@ from ..sim.resources import Store
 from .exceptions import CommunicationError, DeadlineExceededError
 from .pipeline import (
     OUTBOUND_PHASES,
+    PHASES,
     AccountingInterceptor,
     Interceptor,
     InterceptorPipeline,
     MarshallingInterceptor,
     MessageContext,
     MessageDropped,
+    RpcPolicy,
 )
 
 __all__ = ["TransportParams", "Message", "Endpoint", "TransportFabric"]
@@ -73,7 +75,7 @@ class TransportParams:
     control_payload: int = 256
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One transported message."""
 
@@ -108,9 +110,10 @@ class Endpoint:
         self.host_name = host_name
         self.mailbox: Store = Store(fabric.engine)
         self.pipeline = InterceptorPipeline(interceptors)
-        #: Combined (endpoint + fabric) pre-bound hook chains, one tuple per
-        #: phase, rebuilt lazily whenever either pipeline's version moves.
+        #: Combined (endpoint + fabric) pre-bound hook chains per phase and the
+        #: RPC deadline policy per op, as of the pipeline versions in the key.
         self._chains: Dict[str, tuple] = {}
+        self._policies: Dict[str, Optional[RpcPolicy]] = {}
         self._chains_key: Tuple[int, int] = (-1, -1)
         self._handlers: Dict[str, Callable] = {}
         #: Requests currently being handled: msg_id -> (message, process).
@@ -127,35 +130,36 @@ class Endpoint:
 
     # -- interceptor chain fast path -------------------------------------------
 
-    def chain_hooks(self, phase: str) -> tuple:
-        """The combined pre-bound hook chain for ``phase``.
-
-        Layering as in :mod:`repro.core.pipeline`'s module docstring: endpoint
-        hooks wrap fabric hooks on outbound phases, the reverse inbound.
-        Cached against both pipelines' versions so per-message work is two
-        dict probes instead of rebuilding the layering and re-fetching every
-        hook.
-        """
+    def _refresh(self) -> None:
+        """Rebuild the combined chains and forget the RPC policies when either
+        pipeline's version moved.  Layering as in :mod:`repro.core.pipeline`'s
+        docstring: endpoint hooks wrap fabric hooks on outbound phases, the
+        reverse inbound."""
         ep, fab = self.pipeline, self.fabric.pipeline
         key = (ep.version, fab.version)
         if key != self._chains_key:
-            self._chains.clear()
             self._chains_key = key
-        hooks = self._chains.get(phase)
-        if hooks is None:
-            if phase in OUTBOUND_PHASES:
-                hooks = ep.hooks(phase) + fab.hooks(phase)
-            else:
-                hooks = fab.hooks(phase) + ep.hooks(phase)
-            self._chains[phase] = hooks
-        return hooks
+            self._policies = {}
+            self._chains = {
+                phase: (ep.hooks(phase) + fab.hooks(phase)
+                        if phase in OUTBOUND_PHASES
+                        else fab.hooks(phase) + ep.hooks(phase))
+                for phase in PHASES}
 
-    def run_chain(self, phase: str,
-                  ctx: MessageContext) -> Generator[Event, Any, None]:
-        """Run the combined chain for one phase of ``ctx`` (fast path)."""
-        ctx.phase = phase
-        for hook in self.chain_hooks(phase):
-            yield from hook(ctx)
+    def chain_hooks(self, phase: str) -> tuple:
+        """The combined pre-bound hook chain for ``phase``: per message, one
+        version check and a dict probe.  The caller calls each hook in order
+        and yields ``engine.timeout(delay)`` for every delay one returns."""
+        self._refresh()
+        return self._chains[phase]
+
+    def rpc_policy(self, op: str) -> Optional[RpcPolicy]:
+        """Deadline policy for RPCs of ``op``: endpoint chain, then fabric."""
+        self._refresh()
+        if op not in self._policies:
+            self._policies[op] = (self.pipeline.rpc_policy(op)
+                                  or self.fabric.pipeline.rpc_policy(op))
+        return self._policies[op]
 
     # -- handler registration --------------------------------------------------
 
@@ -187,17 +191,22 @@ class Endpoint:
                     err = CommunicationError(
                         f"endpoint {self.name!r} has no handler for {msg.op!r}")
                     self.fabric._deliver_reply(msg, self, "error", err, 128)
+                else:
+                    # One-way message nobody will ever process.
+                    self.fabric.accounting.note_dead_letter()
                 continue
             proc = engine.process(self._handle(handler, msg),
                                   name=f"{self.name}:{msg.op}#{msg.msg_id}")
             self._inflight[msg.msg_id] = (msg, proc)
 
     def _handle(self, handler: Callable, msg: Message) -> Generator[Event, Any, None]:
-        ctx = MessageContext(self.fabric, msg, self, msg.nbytes)
+        ctx = MessageContext(self.fabric, msg, self, msg.nbytes, "deliver")
         try:
             try:
                 # Server-side dispatch cost + any deliver-side interceptors.
-                yield from self.run_chain("deliver", ctx)
+                for hook in self.chain_hooks("deliver"):
+                    if (delay := hook(ctx)) is not None:
+                        yield self.fabric.engine.timeout(delay)
             except MessageDropped:
                 self.fabric.accounting.note_dropped()
                 return
@@ -261,7 +270,7 @@ class Endpoint:
     def send(self, dst: str, op: str, payload: Any = None,
              nbytes: Optional[int] = None) -> Generator[Event, Any, None]:
         """One-way message (no reply expected)."""
-        yield from self.fabric._transmit(self, dst, op, payload, nbytes, reply_to=None)
+        yield from self.fabric._transmit(self, dst, op, payload, nbytes)
 
     def try_send(self, dst: str, op: str, payload: Any = None,
                  nbytes: Optional[int] = None) -> Generator[Event, Any, bool]:
@@ -273,8 +282,7 @@ class Endpoint:
         must keep running, not unwind.
         """
         try:
-            yield from self.fabric._transmit(self, dst, op, payload, nbytes,
-                                             reply_to=None)
+            yield from self.fabric._transmit(self, dst, op, payload, nbytes)
         except CommunicationError:
             return False
         return True
@@ -290,12 +298,12 @@ class Endpoint:
         attempt`` between tries) before :class:`DeadlineExceededError`.
         """
         engine = self.fabric.engine
-        policy = self.pipeline.rpc_policy(op) or self.fabric.pipeline.rpc_policy(op)
+        policy = self.rpc_policy(op)
         attempt = 0
         while True:
             reply = Event(engine)
             msg = yield from self.fabric._transmit(
-                self, dst, op, payload, nbytes, reply_to=reply, attempt=attempt)
+                self, dst, op, payload, nbytes, reply, attempt)
             if policy is None:
                 result = yield reply
             else:
@@ -312,9 +320,10 @@ class Endpoint:
                 result = reply.value
             status, value, reply_nbytes = result
             ctx = MessageContext(self.fabric, msg, self, reply_nbytes,
-                                 reply_status=status, reply_value=value,
-                                 attempt=attempt)
-            yield from self.run_chain("complete", ctx)
+                                 "complete", status, value, attempt)
+            for hook in self.chain_hooks("complete"):
+                if (delay := hook(ctx)) is not None:
+                    yield engine.timeout(delay)
             if status == "error":
                 raise value
             return value
@@ -393,7 +402,7 @@ class TransportFabric:
             msg.reply_to.succeed(("error", CommunicationError(reason), 0))
 
     def _transmit(self, src: Endpoint, dst_name: str, op: str, payload: Any,
-                  nbytes: Optional[int], reply_to: Optional[Event],
+                  nbytes: Optional[int], reply_to: Optional[Event] = None,
                   attempt: int = 0) -> Generator[Event, Any, Message]:
         dst = self.resolve(dst_name)
         if dst.closed:
@@ -401,10 +410,12 @@ class TransportFabric:
         size = self.params.control_payload if nbytes is None else int(nbytes)
         msg = Message(next(self._msg_ids), src.name, dst_name, op, payload,
                       size, reply_to, sent_at=self.engine.now)
-        ctx = MessageContext(self, msg, src, size, attempt=attempt)
+        ctx = MessageContext(self, msg, src, size, "send", attempt=attempt)
         try:
             # Sender-side chain: marshalling cost, accounting, tracing, faults.
-            yield from src.run_chain("send", ctx)
+            for hook in src.chain_hooks("send"):
+                if (delay := hook(ctx)) is not None:
+                    yield self.engine.timeout(delay)
         except MessageDropped:
             self.accounting.note_dropped()
             return msg
@@ -418,8 +429,9 @@ class TransportFabric:
                 f"endpoint {dst_name!r} vanished while {op!r} was in flight")
         msg.delivered_at = self.engine.now
         dst.mailbox.put(msg)
-        for _ in range(ctx.meta.get("duplicates", 0)):
-            dst.mailbox.put(msg)
+        if ctx._meta is not None:
+            for _ in range(ctx._meta.get("duplicates", 0)):
+                dst.mailbox.put(msg)
         return msg
 
     def _deliver_reply(self, request: Message, replier: Endpoint, status: str,
@@ -432,35 +444,40 @@ class TransportFabric:
         resumed with :class:`CommunicationError` — never crash the engine on
         a name that no longer resolves.
         """
-        def _reply_proc() -> Generator[Event, Any, None]:
-            reply_to = request.reply_to
-            assert reply_to is not None
-            if reply_to.triggered:
-                self.accounting.note_suppressed_reply()
-                return
-            ctx = MessageContext(self, request, replier, nbytes,
-                                 reply_status=status, reply_value=value)
-            try:
-                yield from replier.run_chain("reply", ctx)
-            except MessageDropped:
-                self.accounting.note_dropped()
-                return
-            caller = self._endpoints.get(request.src)
-            if replier.closed or self._endpoints.get(request.dst) is not replier:
-                self._dead_letter(
-                    request, f"endpoint {request.dst!r} stopped before its "
-                             f"{request.op!r} reply was sent")
-                return
-            if caller is None or caller.closed:
-                self._dead_letter(
-                    request, f"caller {request.src!r} unbound before its "
-                             f"{request.op!r} reply arrived")
-                return
-            yield from self.network.transfer(replier.host_name, caller.host_name,
-                                             ctx.nbytes)
-            if not reply_to.triggered:
-                reply_to.succeed((status, value, ctx.nbytes))
-            else:
-                self.accounting.note_suppressed_reply()
+        Process(self.engine,
+                self._reply_proc(request, replier, status, value, nbytes),
+                f"reply:{request.op}#{request.msg_id}")
 
-        self.engine.process(_reply_proc(), name=f"reply:{request.op}#{request.msg_id}")
+    def _reply_proc(self, request: Message, replier: Endpoint, status: str,
+                    value: Any, nbytes: int) -> Generator[Event, Any, None]:
+        reply_to = request.reply_to
+        assert reply_to is not None
+        if reply_to.triggered:
+            self.accounting.note_suppressed_reply()
+            return
+        ctx = MessageContext(self, request, replier, nbytes, "reply",
+                             status, value)
+        try:
+            for hook in replier.chain_hooks("reply"):
+                if (delay := hook(ctx)) is not None:
+                    yield self.engine.timeout(delay)
+        except MessageDropped:
+            self.accounting.note_dropped()
+            return
+        caller = self._endpoints.get(request.src)
+        if replier.closed or self._endpoints.get(request.dst) is not replier:
+            self._dead_letter(
+                request, f"endpoint {request.dst!r} stopped before its "
+                         f"{request.op!r} reply was sent")
+            return
+        if caller is None or caller.closed:
+            self._dead_letter(
+                request, f"caller {request.src!r} unbound before its "
+                         f"{request.op!r} reply arrived")
+            return
+        yield from self.network.transfer(replier.host_name, caller.host_name,
+                                         ctx.nbytes)
+        if not reply_to.triggered:
+            reply_to.succeed((status, value, ctx.nbytes))
+        else:
+            self.accounting.note_suppressed_reply()

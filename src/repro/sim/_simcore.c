@@ -649,7 +649,7 @@ static int
 c_resume(PyObject *engine, PyObject *process, PyObject *event)
 {
     int result = -1;
-    PyObject *gen = NULL, *interrupts = NULL, *next = NULL;
+    PyObject *gen = NULL, *interrupts = NULL, *next = NULL, *stopval = NULL;
     Py_INCREF(event); /* we re-bind `event` while chaining */
 
     if (PyObject_SetAttr(engine, str__active_process, process) < 0)
@@ -657,13 +657,13 @@ c_resume(PyObject *engine, PyObject *process, PyObject *event)
     gen = PyObject_GetAttr(process, str_generator);
     if (gen == NULL)
         goto reset;
-    interrupts = PyObject_GetAttr(process, str__interrupts);
-    if (interrupts == NULL || !PyList_Check(interrupts))
-        goto reset;
 
     for (;;) {
         /* -- advance the generator ---------------------------------- */
-        if (PyList_GET_SIZE(interrupts) > 0) {
+        Py_XSETREF(interrupts, PyObject_GetAttr(process, str__interrupts));
+        if (interrupts == NULL)
+            goto reset;
+        if (PyList_Check(interrupts) && PyList_GET_SIZE(interrupts) > 0) {
             PyObject *intr = PyList_GetItem(interrupts, 0); /* borrowed */
             Py_XINCREF(intr);
             if (intr == NULL || PySequence_DelItem(interrupts, 0) < 0) {
@@ -692,15 +692,24 @@ c_resume(PyObject *engine, PyObject *process, PyObject *event)
                 if (value == NULL)
                     goto reset;
             }
-            next = PyObject_CallMethodOneArg(gen, ok ? str_send : str_throw,
-                                             value);
+            if (ok) {
+                /* generator.send(value); a plain return arrives as
+                 * PYGEN_RETURN, with no StopIteration object made. */
+                PySendResult sr = PyIter_Send(gen, value, &next);
+                if (sr == PYGEN_RETURN) {
+                    stopval = next;
+                    next = NULL;
+                }
+            } else {
+                next = PyObject_CallMethodOneArg(gen, str_throw, value);
+            }
             Py_DECREF(value);
         }
 
         if (next == NULL) {
             /* -- generator finished or raised ------------------------ */
-            if (PyErr_ExceptionMatches(PyExc_StopIteration)) {
-                PyObject *etype, *evalue, *etb, *stopval, *r;
+            if (stopval == NULL && PyErr_ExceptionMatches(PyExc_StopIteration)) {
+                PyObject *etype, *evalue, *etb;
                 PyErr_Fetch(&etype, &evalue, &etb);
                 PyErr_NormalizeException(&etype, &evalue, &etb);
                 stopval = evalue ? PyObject_GetAttrString(evalue, "value")
@@ -710,8 +719,14 @@ c_resume(PyObject *engine, PyObject *process, PyObject *event)
                 Py_XDECREF(etb);
                 if (stopval == NULL)
                     goto reset;
+            }
+            if (stopval != NULL) {
+                PyObject *r;
+                /* self._resume_cb = None: a finished process must not
+                 * keep itself alive through its own bound method. */
+                if (PyObject_SetAttr(process, str__resume_cb, Py_None) < 0)
+                    goto reset;
                 r = PyObject_CallMethodOneArg(process, str_succeed, stopval);
-                Py_DECREF(stopval);
                 if (r == NULL)
                     goto reset;
                 Py_DECREF(r);
@@ -733,6 +748,10 @@ c_resume(PyObject *engine, PyObject *process, PyObject *event)
                 Py_XDECREF(etb);
                 if (evalue == NULL)
                     goto reset;
+                if (PyObject_SetAttr(process, str__resume_cb, Py_None) < 0) {
+                    Py_DECREF(evalue);
+                    goto reset;
+                }
                 r = PyObject_CallMethodOneArg(process, str_fail, evalue);
                 Py_DECREF(evalue);
                 if (r == NULL)
@@ -824,6 +843,7 @@ reset:
         }
     }
 done:
+    Py_XDECREF(stopval);
     Py_XDECREF(next);
     Py_XDECREF(interrupts);
     Py_XDECREF(gen);

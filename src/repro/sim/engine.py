@@ -80,7 +80,10 @@ class Event:
     time.  Processes subscribe by yielding the event.
     """
 
-    __slots__ = ("engine", "callbacks", "_value", "_ok", "_scheduled")
+    #: ``__weakref__`` lets diagnostics and the cycle-freedom tests watch an
+    #: event die without keeping it alive.
+    __slots__ = ("engine", "callbacks", "_value", "_ok", "_scheduled",
+                 "__weakref__")
 
     def __init__(self, engine: "Engine"):
         self.engine = engine
@@ -298,21 +301,29 @@ class Process(Event):
 
     def __init__(self, engine: "Engine", generator: ProcessGenerator,
                  name: Optional[str] = None):
-        super().__init__(engine)
+        # Event.__init__ inlined: a campaign spawns one process per
+        # handler, reply and fan-out leg.
+        self.engine = engine
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._scheduled = False
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Optional[Event] = None
-        self._interrupts: List[Interrupt] = []
+        #: Pending interrupts; no list until the first :meth:`interrupt`.
+        self._interrupts: Optional[List[Interrupt]] = None
         self._defused = False
         #: The bound resume method, created once.  Every subscription uses
         #: this same object: no bound-method allocation per wake-up, and the
         #: C dispatch loop recognises it by its ``__func__`` to run the
-        #: resume fully in C.
-        self._resume_cb = self._resume
+        #: resume fully in C.  It is the process's one reference to itself
+        #: (process -> method -> process); ``_resume`` drops it when the
+        #: generator finishes so a finished process dies by reference count.
+        self._resume_cb = resume = self._resume
         # Bootstrap: resume once at the current time.
-        boot = Timeout(engine, 0.0, priority=PRIORITY_URGENT)
-        boot.callbacks.append(self._resume_cb)
-        self._target = boot
+        boot = Timeout(engine, 0.0, None, PRIORITY_URGENT)
+        boot.callbacks.append(resume)
+        self._target: Optional[Event] = boot
 
     @property
     def is_alive(self) -> bool:
@@ -322,6 +333,8 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if self._scheduled:
             raise SimulationError(f"cannot interrupt finished process {self.name}")
+        if self._interrupts is None:
+            self._interrupts = []
         self._interrupts.append(Interrupt(cause))
         # Detach from the current target and resume immediately.
         target, self._target = self._target, None
@@ -336,30 +349,35 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         # The kernel's hottest frame: runs once per process wake-up.  The
-        # generator, interrupt queue and engine are pinned in locals; the
-        # "already fired" shortcut reads ``callbacks is None`` directly
-        # instead of the ``processed`` property.
+        # generator and engine are pinned in locals; the "already fired"
+        # shortcut reads ``callbacks is None`` directly instead of the
+        # ``processed`` property.
         engine = self.engine
         engine._active_process = self
         generator = self.generator
-        interrupts = self._interrupts
         try:
             while True:
                 try:
-                    if interrupts:
-                        next_event = generator.throw(interrupts.pop(0))
+                    if self._interrupts:
+                        next_event = generator.throw(self._interrupts.pop(0))
                     elif event._ok:
                         next_event = generator.send(event._value)
                     else:
                         next_event = generator.throw(event._value)
                 except StopIteration as stop:
+                    self._resume_cb = None
                     self.succeed(stop.value)
                     return
                 except BaseException as exc:
                     if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                         raise
                     # Unhandled in-process exception: fail the process event;
-                    # if nobody is watching, escalate at dispatch time.
+                    # if nobody is watching, escalate at dispatch time.  The
+                    # traceback's head entry is this frame, which pins
+                    # ``self`` (process -> exception -> frame -> process):
+                    # drop it, as the C resume has no frame to record.
+                    exc.__traceback__ = exc.__traceback__.tb_next
+                    self._resume_cb = None
                     self.fail(exc)
                     return
                 try:

@@ -23,7 +23,11 @@ __all__ = ["Resource", "Request", "Store", "Container"]
 class Request(Event):
     """A pending claim on a :class:`Resource`; fires when granted.
 
-    Use as a context manager inside a process::
+    The grant carries no value (``yield req`` resumes with ``None``): the
+    claim is the request object the caller already holds, and an event
+    whose value is itself would be a reference cycle per claim.
+
+    Use inside a process::
 
         req = resource.request()
         yield req
@@ -68,7 +72,7 @@ class Resource:
         req = Request(self)
         if len(self._users) < self.capacity:
             self._users.append(req)
-            req.succeed(req)
+            req.succeed()
         else:
             self._waiting.append(req)
         return req
@@ -87,7 +91,7 @@ class Resource:
         while self._waiting and len(self._users) < self.capacity:
             nxt = self._waiting.popleft()
             self._users.append(nxt)
-            nxt.succeed(nxt)
+            nxt.succeed()
 
     def acquire(self) -> Generator[Event, Any, Request]:
         """Process helper: ``req = yield from resource.acquire()``.

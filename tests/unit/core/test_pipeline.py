@@ -59,8 +59,6 @@ class Recorder(Interceptor):
 
     def _note(self, ctx):
         self.journal.append((self.tag, ctx.phase, ctx.op))
-        return
-        yield  # pragma: no cover
 
     intercept_send = _note
     intercept_deliver = _note
@@ -252,6 +250,7 @@ class TestCounters:
             return ("ok", 10)
 
         server.on("op", ack)
+        server.on("other", ack)
         server.start()
 
         def call():
@@ -322,6 +321,52 @@ class TestChainOrdering:
             ("fabric", "reply", "op"),
             ("fabric", "complete", "op"),   # inbound again, caller side
             ("client", "complete", "op"),
+        ]
+
+    def test_hook_delay_is_one_timeout_where_the_generator_hook_yielded(self, stack):
+        """A hook returning a delay costs exactly one ``Timeout``, yielded by
+        the transport in the process and at the position the hook's own
+        ``yield engine.timeout(delay)`` used to occupy.  The expected log was
+        recorded with generator hooks before the protocol changed."""
+        delays = {"send": 0.002, "deliver": 0.003, "reply": 0.004,
+                  "complete": 0.005}
+
+        class Delay(Interceptor):
+            def _charge(self, ctx):
+                return delays[ctx.phase]
+
+            intercept_send = intercept_deliver = _charge
+            intercept_reply = intercept_complete = _charge
+
+        engine, _, fabric = stack
+        engine.event_log = []
+        echo_server(engine, fabric).pipeline.add(Delay())
+        client = fabric.endpoint("client", "alpha", interceptors=[Delay()])
+
+        def call():
+            return (yield from client.rpc("server", "echo", "hi"))
+
+        assert engine.run_process(call()) == "hi"
+        assert engine.event_log == [
+            (0.0, 0, 0, "Timeout", None),             # boot serve:server
+            (0.0, 0, 1, "Timeout", None),             # boot call
+            (0.002, 1, 2, "Timeout", None),           # client send hook
+            (0.003, 1, 3, "Timeout", None),           # fabric marshalling
+            (0.013256, 1, 4, "Timeout", None),        # wire
+            (0.013256, 1, 5, "Event", None),          # mailbox get
+            (0.013256, 0, 6, "Timeout", None),        # boot server:echo#1
+            (0.014256000000000001, 1, 7, "Timeout", None),  # fabric dispatch
+            (0.017256, 1, 8, "Timeout", None),        # server deliver hook
+            (0.017256, 1, 9, "Timeout", None),        # handler's timeout(0)
+            (0.017256, 0, 10, "Timeout", None),       # boot reply:echo#1
+            (0.017256, 1, 11, "Process", "server:echo#1"),
+            (0.021256, 1, 12, "Timeout", None),       # server reply hook
+            (0.022256, 1, 13, "Timeout", None),       # fabric marshalling
+            (0.03232, 1, 14, "Timeout", None),        # wire
+            (0.03232, 1, 15, "Event", None),          # reply event
+            (0.03232, 1, 16, "Process", "reply:echo#1"),
+            (0.03732, 1, 17, "Timeout", None),        # client complete hook
+            (0.03732, 1, 18, "Process", "call"),
         ]
 
     def test_installation_order_within_a_chain(self, stack):
@@ -454,6 +499,30 @@ class TestFaultInjection:
         value, elapsed = engine.run_process(call())
         assert value == 7
         assert elapsed > 5.0
+
+    def test_complete_phase_delay_is_charged_in_the_caller(self, stack):
+        """``phases=("complete",)`` is a real phase: the delay is charged in
+        the calling process, after the reply has arrived."""
+        engine, _, fabric = stack
+        echo_server(engine, fabric)
+        arrived = []
+
+        class Arrival(Interceptor):
+            def intercept_complete(self, ctx):
+                arrived.append(engine.now)
+
+        fault = FaultInjectionInterceptor(delay=5.0, phases=("complete",))
+        # inbound chain runs in install order: Arrival sees the reply first
+        client = fabric.endpoint("client", "alpha",
+                                 interceptors=[Arrival(), fault])
+
+        def call():
+            value = yield from client.rpc("server", "echo", 7)
+            return value, engine.now
+
+        value, returned_at = engine.run_process(call())
+        assert value == 7 and fault.delayed == 1
+        assert returned_at == pytest.approx(arrived[0] + 5.0)
 
     def test_duplicate_reply_suppressed(self, stack):
         """A duplicated request produces two replies; at-most-once delivery

@@ -126,6 +126,21 @@ class TestRpc:
         engine.run()
         assert seen == ["fire-and-forget"]
 
+    def test_one_way_send_to_unknown_operation_is_a_dead_letter(self, stack):
+        """Nobody can be told, so the loss is at least counted."""
+        engine, _, fabric = stack
+        server = fabric.endpoint("server", "beta")
+        server.start()
+        client = fabric.endpoint("client", "alpha")
+
+        def caller():
+            yield from client.send("server", "nosuch", "lost")
+
+        engine.run_process(caller())
+        engine.run()
+        assert fabric.accounting.dead_letters == 1
+        assert fabric.messages_sent == 1      # it did cross the wire
+
     def test_payload_size_charges_transfer_time(self, stack):
         engine, _, fabric = stack
         server = fabric.endpoint("server", "beta")
