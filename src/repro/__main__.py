@@ -81,7 +81,7 @@ def _seq(item: Callable[[str], Any], sep: str = ",") -> Callable[[str], Tuple]:
 
 def _custom_campaign(n_sub_simulations: int = 100, policy: str = "default",
                      seed: int = 2007, routing: str = "pull",
-                     data_policy: Optional[str] = None) -> CampaignResult:
+                     data_policy: str = "volatile") -> CampaignResult:
     return run_campaign(CampaignConfig(
         n_sub_simulations=n_sub_simulations, policy=policy,
         with_predictor=policy == "mct", seed=seed, routing=routing,
@@ -94,7 +94,8 @@ def _render_campaign(result: CampaignResult) -> str:
         f"campaign: {cfg.n_sub_simulations} zoom requests, "
         f"policy={cfg.policy}, seed={cfg.seed}"
         + (f", routing={cfg.routing}" if cfg.routing != "pull" else "")
-        + (f", data-policy={cfg.data_policy}" if cfg.data_policy else ""),
+        + (f", data-policy={cfg.data_policy}"
+           if cfg.data_policy != "volatile" else ""),
         f"  part 1:          {hms(result.part1_duration)}",
         f"  part 2 mean:     {hms(result.part2_mean_duration)}",
         f"  total elapsed:   {hms(result.total_elapsed)}",
@@ -102,7 +103,7 @@ def _render_campaign(result: CampaignResult) -> str:
         f"  speedup:         {result.speedup:.2f}x",
         f"  requests/SeD:    {sorted(result.requests_per_sed().values())}",
     ]
-    if cfg.data_policy is not None:
+    if cfg.data_policy != "volatile":
         lines.append(f"  network bytes:   "
                      f"{mib(result.net_bytes_total, 1)} MiB total, "
                      f"{mib(result.net_bytes_wan, 1)} MiB over WAN")
@@ -228,7 +229,8 @@ _EXPERIMENTS: Dict[str, Experiment] = {
                 "protocol) or push deltas into materialized top-k tables",
                 choices=("pull", "push")),
             Opt("--data-policy", "data_policy", str,
-                "DAGDA-style data management policy (default: no data grid)",
+                "DAGDA-style data management policy: what persists on the "
+                "SeDs and whether replicas are pushed",
                 choices=("volatile", "persistent", "replicated",
                          "broadcast"))),
         export=("--trace-csv", "dump the request trace table as CSV",

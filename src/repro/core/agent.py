@@ -29,7 +29,7 @@ consumed by history-based plug-in schedulers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
 
 from ..sim.engine import Engine, Event, Interrupt
 from ..sim.network import Host
@@ -49,6 +49,9 @@ from .scheduling import (
 )
 from .statistics import Tracer
 from .transport import Endpoint, TransportFabric
+
+if TYPE_CHECKING:  # pragma: no cover - repro.data imports repro.core
+    from ..data.manager import DataGrid
 
 __all__ = ["AgentParams", "LocalAgent", "MasterAgent", "ROUTING_MODES"]
 
@@ -103,7 +106,8 @@ class LocalAgent:
                  parent: Optional[str] = None,
                  params: Optional[AgentParams] = None,
                  tracer: Optional[Tracer] = None,
-                 routing: str = "pull"):
+                 routing: str = "pull",
+                 data_grid: Optional["DataGrid"] = None):
         if routing not in ROUTING_MODES:
             raise ValueError(f"routing must be one of {ROUTING_MODES}, "
                              f"got {routing!r}")
@@ -140,14 +144,17 @@ class LocalAgent:
                 miss_threshold=self.params.heartbeat_miss_threshold))
         #: Children deregistered by the heartbeat monitor, in event order.
         self.deregistrations: List[str] = []
-        #: Replica catalog node of this agent (set by the deployment when a
-        #: data grid is wired; None keeps the agent data-unaware).
-        self.data_catalog = None
-        #: Grid-wide result memo (:class:`repro.data.memo.MemoIndex`), set
-        #: by deployments that opt into memoization.  The MA consults it
-        #: before scheduling; every agent invalidates a deregistered
-        #: child's entries so a crashed SeD's results stop being served.
-        self.memo = None
+        #: The stack's data grid; an agent built on its own gets a private
+        #: one.  (Imported here: repro.data imports repro.core.)
+        from ..data.manager import DataGrid
+
+        self.data_grid: "DataGrid" = data_grid or DataGrid(fabric.network)
+        #: This agent's replica catalog node (the root for an MA).
+        self.data_catalog = self.data_grid.node(name, root=parent is None)
+        #: Grid-wide result memo.  The MA consults it before scheduling;
+        #: every agent invalidates a deregistered child's entries so a
+        #: crashed SeD's results stop being served.
+        self.memo = self.data_grid.memo
         self.endpoint.on("dm_locate", self._handle_dm_locate)
         #: Monitoring counters ("the information stored on an agent is the
         #: list of requests, the number of servers that can solve a given
@@ -178,11 +185,10 @@ class LocalAgent:
         except ValueError:
             return False
         self.deregistrations.append(endpoint_name)
-        if self.memo is not None:
-            # A dead child's memoized results are unreachable: drop them
-            # (the cascade reaches the leaf agents, whose children are the
-            # SeD owners the memo is keyed by).
-            self.memo.invalidate_owner(endpoint_name, self.engine.now)
+        # A dead child's memoized results are unreachable: drop them (the
+        # cascade reaches the leaf agents, whose children are the SeD
+        # owners the memo is keyed by).
+        self.memo.invalidate_owner(endpoint_name, self.engine.now)
         if self.table is not None and self.table.drop_via(endpoint_name):
             # Pure removals: rows only disappeared, no service gained a
             # candidate — interior agents still cascade the shrink upward,
@@ -223,7 +229,7 @@ class LocalAgent:
         else forward one level up (LA miss -> MA)."""
         data_id: str = msg.payload
         replicas = []
-        if self.data_catalog is not None and data_id in self.data_catalog:
+        if data_id in self.data_catalog:
             replicas = self.data_catalog.locate(data_id)
         elif self.parent is not None:
             replicas = yield from self.endpoint.rpc(
@@ -343,9 +349,10 @@ class MasterAgent(LocalAgent):
                  params: Optional[AgentParams] = None,
                  tracer: Optional[Tracer] = None,
                  log_central: Optional[str] = None,
-                 routing: str = "pull"):
+                 routing: str = "pull",
+                 data_grid: Optional["DataGrid"] = None):
         super().__init__(fabric, host, name, parent=None, params=params,
-                         tracer=tracer, routing=routing)
+                         tracer=tracer, routing=routing, data_grid=data_grid)
         self.log_central = log_central
         self.policy = policy or DefaultPolicy()
         self.ctx = SchedulingContext()
@@ -365,11 +372,6 @@ class MasterAgent(LocalAgent):
         self._sweep_target = float("inf")
         if self.routing == "push":
             self._admission = Store(self.engine)
-        #: Data-locality pricing hook: ``fn(handles, candidate_names) ->
-        #: {sed_name: seconds}`` (the deployment wires
-        #: :meth:`repro.data.DataGrid.transfer_cost` here).  None when no
-        #: data grid is deployed.
-        self.data_cost_fn = None
         #: One call site for monitoring: journals to the tracer and posts
         #: the same event to LogCentral (when deployed).
         self.tracing = self.endpoint.pipeline.add(
@@ -454,9 +456,9 @@ class MasterAgent(LocalAgent):
         return ((chosen.sed_name, chosen), 512)
 
     def _memo_lookup(self, sub: SubmitRequest) -> Optional[MemoHit]:
-        """Consult the grid memo for one submit; None when the memo is off,
-        the client sent no key, or the key misses."""
-        if self.memo is None or sub.memo_key is None:
+        """Consult the grid memo for one submit; None when the client sent
+        no key or the key misses."""
+        if sub.memo_key is None:
             return None
         return self.memo.lookup(sub.memo_key, self.engine.now)
 
@@ -474,8 +476,10 @@ class MasterAgent(LocalAgent):
         ctx.now = self.engine.now
         ctx.service = sub.service_desc.path
         ctx.resident_bytes = sub.resident_bytes
-        if self.data_cost_fn is not None and sub.data_handles:
-            ctx.data_transfer_cost = self.data_cost_fn(
+        if sub.data_handles:
+            # Data-locality pricing: seconds each candidate would spend
+            # pulling the non-resident handles.
+            ctx.data_transfer_cost = self.data_grid.transfer_cost(
                 sub.data_handles, [c.sed_name for c in candidates])
         else:
             ctx.data_transfer_cost = {}

@@ -2,17 +2,18 @@
 
 :mod:`repro.core.godiet` *describes* a hierarchy (a
 :class:`~repro.core.godiet.HierarchySpec`); :func:`build_hierarchy` here is
-the one function that *instantiates* one, enforcing the §4.1 constraint that
-a SeD must mount its cluster's NFS volume.  §5.1's deployment — 1 MA (+
-client) on a Lyon node, one LA per cluster, two SeDs per cluster (one for
-sagittaire) — is :func:`deploy_paper_hierarchy`: the paper spec through that
-builder.
+the one function that *instantiates* one — every component on one fabric,
+one tracer and one :class:`~repro.data.manager.DataGrid` — enforcing the
+§4.1 constraint that a SeD must mount its cluster's NFS volume.  §5.1's
+deployment — 1 MA (+ client) on a Lyon node, one LA per cluster, two SeDs
+per cluster (one for sagittaire) — is :func:`deploy_paper_hierarchy`: the
+paper spec through that builder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from ..obs import Observability
 from ..platform.grid5000 import Grid5000Platform
@@ -40,13 +41,13 @@ class Deployment:
     fabric: TransportFabric
     tracer: Tracer
     ma: MasterAgent
+    #: The stack's data fabric (a federation's grids share one).
+    data_grid: "DataGrid"
     local_agents: List[LocalAgent] = field(default_factory=list)
     seds: List[SeD] = field(default_factory=list)
     client: Optional[DietClient] = None
     platform: Optional[Grid5000Platform] = None
     log_central: Optional["LogCentral"] = None
-    #: DAGDA data fabric (None unless the deployment wired one).
-    data_grid: Optional["DataGrid"] = None
     #: Estimate-flow mode the hierarchy was built with ("pull" or "push").
     routing: str = "pull"
 
@@ -82,24 +83,22 @@ class Deployment:
 
 def build_hierarchy(spec: "HierarchySpec", platform: Grid5000Platform,
                     fabric: TransportFabric, tracer: Tracer,
+                    data_grid: "DataGrid",
                     policy: Optional[SchedulerPolicy] = None,
                     sed_params: Optional[SeDParams] = None,
                     agent_params: Optional[AgentParams] = None,
                     with_log_central: bool = False,
-                    routing: str = "pull",
-                    data_grid: Optional["DataGrid"] = None,
-                    data: Optional["DataManagerConfig"] = None,
-                    memo: Optional[Any] = None) -> Deployment:
+                    routing: str = "pull") -> Deployment:
     """Instantiate ``spec``'s MA→LA→SeD tree on a built platform.
 
     The one place components are constructed and wired, whatever described
     the tree (the §5.1 layout, a GoDIET XML file, one grid of a federation):
-    every agent and SeD shares ``fabric``/``tracer``, runs ``routing``,
-    carries ``memo`` and knows its ``parent`` (so a restarted SeD can
-    re-register); the MA owns ``policy`` and hosts the LogCentral collector;
-    ``data_grid`` threads the replica catalog through the tree (MA = root,
-    one node per LA) and upgrades every SeD's data manager with ``data``.
-    A SeD on a cluster host must mount that cluster's NFS volume (§4.1).
+    every agent and SeD is built on ``fabric``/``tracer``/``data_grid``
+    (replica catalog with the MA at the root and one node per LA, result
+    memo, per-SeD data manager), runs ``routing`` and knows its ``parent``
+    (so a restarted SeD can re-register); the MA owns ``policy`` and hosts
+    the LogCentral collector.  A SeD on a cluster host must mount that
+    cluster's NFS volume (§4.1).
     """
     spec.validate()
     network = platform.network
@@ -113,11 +112,8 @@ def build_hierarchy(spec: "HierarchySpec", platform: Grid5000Platform,
         log_name = log_central.name
     ma = MasterAgent(fabric, ma_host, name=spec.master.name, policy=policy,
                      params=agent_params, tracer=tracer,
-                     log_central=log_name, routing=routing)
-    ma.memo = memo
-    if data_grid is not None:
-        ma.data_catalog = data_grid.root
-        ma.data_cost_fn = data_grid.transfer_cost
+                     log_central=log_name, routing=routing,
+                     data_grid=data_grid)
     deployment = Deployment(engine=fabric.engine, fabric=fabric,
                             tracer=tracer, ma=ma, platform=platform,
                             log_central=log_central, data_grid=data_grid,
@@ -128,10 +124,7 @@ def build_hierarchy(spec: "HierarchySpec", platform: Grid5000Platform,
             la = LocalAgent(fabric, network.host(child_spec.host),
                             name=child_spec.name, parent=agent.name,
                             params=agent_params, tracer=tracer,
-                            routing=routing)
-            la.memo = memo
-            if data_grid is not None:
-                la.data_catalog = data_grid.node(la.name)
+                            routing=routing, data_grid=data_grid)
             agent.add_child(la.name)
             deployment.local_agents.append(la)
             build(child_spec, la)
@@ -146,12 +139,7 @@ def build_hierarchy(spec: "HierarchySpec", platform: Grid5000Platform,
             sed = SeD(fabric, host, name=sed_spec.name, ma_name=ma.name,
                       params=sed_params, tracer=tracer, nfs=nfs,
                       log_central=log_name, parent=agent.name,
-                      routing=routing)
-            sed.data_manager.memo = memo
-            if data_grid is not None:
-                if nfs is not None:
-                    data_grid.volumes[nfs.name] = nfs
-                data_grid.attach(sed, agent.data_catalog, data)
+                      routing=routing, data_grid=data_grid)
             agent.add_child(sed.name)
             deployment.seds.append(sed)
 
@@ -182,10 +170,10 @@ def deploy_paper_hierarchy(platform: Grid5000Platform,
     per reserved 16-node block (11 in the paper layout) — and
     :func:`build_hierarchy` instantiates it.
 
-    ``data`` opts into the DAGDA data grid: every SeD's data manager joins
-    a shared replica catalog threaded through the MA/LA tree with the given
-    per-SeD configuration.  None (the default) leaves the deployment
-    byte-for-byte as before the data subsystem existed.
+    ``data`` is the per-SeD data-manager configuration of the stack's
+    data grid (store capacity, eviction, replication); None is the default
+    :class:`~repro.data.manager.DataManagerConfig` — unbounded stores, no
+    proactive replication.
 
     ``routing`` selects the estimate flow: ``"pull"`` (the default, the
     paper's per-request fan-out — kept byte-identical for every figure) or
@@ -203,12 +191,11 @@ def deploy_paper_hierarchy(platform: Grid5000Platform,
     spec = paper_hierarchy_spec(platform)
     if not with_client:
         spec.client_host = None
-    data_grid = None
-    if data is not None:
-        from ..data.manager import DataGrid
+    # Lazy: repro.data depends on repro.core at module level.
+    from ..data.manager import DataGrid
 
-        data_grid = DataGrid(platform.network)
-    return build_hierarchy(spec, platform, fabric, tracer, policy=policy,
-                           sed_params=sed_params, agent_params=agent_params,
-                           with_log_central=with_log_central, routing=routing,
-                           data_grid=data_grid, data=data)
+    return build_hierarchy(spec, platform, fabric, tracer,
+                           DataGrid(platform.network, data, tracer.obs),
+                           policy=policy, sed_params=sed_params,
+                           agent_params=agent_params,
+                           with_log_central=with_log_central, routing=routing)

@@ -9,7 +9,9 @@ platform (ROADMAP item 1):
   across ``n_grids`` grids (sites prefixed ``g0-``, ``g1-``, ...), all
   star-attached to one shared RENATER-style core, and
   :func:`build_federation` stands up one MA→LA→SeD hierarchy per grid on
-  a single shared :class:`~repro.core.transport.TransportFabric`;
+  a single shared :class:`~repro.core.transport.TransportFabric` and a
+  single shared :class:`~repro.data.manager.DataGrid` (one replica
+  catalog, one result memo: handles and memo hits resolve across grids);
 * :class:`FederatedClient` implements the inter-MA redirection policy: a
   client is homed on one MA and, when that MA rejects the request
   (:class:`~repro.core.exceptions.ServerNotFoundError`) or is unreachable
@@ -29,7 +31,7 @@ fabric-scoped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,6 +59,10 @@ from .sed import SeD, SeDParams
 from .statistics import Tracer
 from .transport import TransportFabric
 
+if TYPE_CHECKING:  # pragma: no cover - repro.data imports repro.core
+    from ..data.manager import DataGrid, DataManagerConfig
+    from ..data.memo import MemoIndex
+
 __all__ = ["FederationConfig", "Federation",
            "FederatedClient", "ChurnPlan", "federation_cluster_specs",
            "build_federation", "schedule_churn"]
@@ -78,19 +84,13 @@ class FederationConfig:
     agent_params: Optional[AgentParams] = None
     #: SeD knobs shared by every SeD (None = defaults).
     sed_params: Optional[SeDParams] = None
-    #: Deploy a federation-wide result memo
-    #: (:class:`repro.data.memo.MemoIndex`) consulted by every MA and
-    #: populated by every SeD.  Off by default — a memo-less federation is
-    #: byte-identical to one built before the memo existed.
-    memo: bool = False
     #: Scheduling policy name (:data:`repro.core.scheduling.POLICIES`) each
     #: MA runs; None keeps the DefaultPolicy (the paper's baseline).
     policy: Optional[str] = None
-    #: Attach a federation-wide :class:`~repro.data.manager.DataGrid` with
-    #: this :class:`~repro.data.manager.DataManagerConfig` (replica catalog
-    #: on every agent, per-SeD stores, MCT data-locality hook).  None — the
-    #: default — wires nothing, byte-identical to before the data layer.
-    data: Optional[Any] = None
+    #: Per-SeD :class:`~repro.data.manager.DataManagerConfig` of the
+    #: federation-wide data grid (None = defaults: unbounded stores, no
+    #: proactive replication).
+    data: Optional["DataManagerConfig"] = None
     #: Where :class:`FederatedClient`\s run.  ``"per-grid"`` attaches one
     #: client host per grid to that grid's first site router, so client→MA
     #: latency is priced by the network model; ``"core"`` is the legacy
@@ -132,22 +132,25 @@ def federation_cluster_specs(n_grids: int,
 
 @dataclass
 class Federation:
-    """A built federation: shared fabric + one hierarchy per grid."""
+    """A built federation: shared fabric and data grid + one hierarchy per
+    grid."""
 
     engine: Engine
     fabric: TransportFabric
     tracer: Tracer
     platform: Grid5000Platform
     config: FederationConfig
+    #: The one federation-wide data grid: handles and memo hits resolve
+    #: across grids.
+    data_grid: "DataGrid"
     #: One :class:`~repro.core.deployment.Deployment` per grid (no client
     #: of its own: federated clients attach to the shared fabric).
     grids: List[Deployment] = field(default_factory=list)
-    #: The shared :class:`repro.data.memo.MemoIndex` when
-    #: ``config.memo`` is set; None otherwise.
-    memo: Optional[Any] = None
-    #: The federation-wide :class:`~repro.data.manager.DataGrid` when
-    #: ``config.data`` is set; None otherwise.
-    data_grid: Optional[Any] = None
+
+    @property
+    def memo(self) -> "MemoIndex":
+        """The federation-wide result memo (``data_grid.memo``)."""
+        return self.data_grid.memo
 
     @property
     def ma_names(self) -> List[str]:
@@ -199,23 +202,13 @@ def build_federation(engine: Engine, config: FederationConfig,
     tracer = Tracer(obs)
     engine.obs = tracer.obs
 
+    # Lazy: repro.data depends on repro.core at module level.
+    from ..data.manager import DataGrid
+
+    data_grid = DataGrid(platform.network, config.data, tracer.obs)
     federation = Federation(engine=engine, fabric=fabric, tracer=tracer,
-                            platform=platform, config=config)
-    memo = None
-    if config.memo:
-        # Imported lazily: repro.data depends on repro.core at module level.
-        from ..data.memo import MemoIndex
-
-        memo = MemoIndex(obs=tracer.obs)
-        federation.memo = memo
-    data_grid = None
-    if config.data is not None:
-        # One federation-wide replica catalog: handles resolve across
-        # grids, matching the federation-wide memo.
-        from ..data.manager import DataGrid
-
-        data_grid = DataGrid(platform.network)
-        federation.data_grid = data_grid
+                            platform=platform, config=config,
+                            data_grid=data_grid)
     for g in range(config.n_grids):
         prefix = f"g{g}-"
         clusters = [cluster for name, cluster in platform.clusters.items()
@@ -237,10 +230,9 @@ def build_federation(engine: Engine, config: FederationConfig,
             policy = make_policy(config.policy)
         federation.grids.append(build_hierarchy(
             cluster_hierarchy_spec(clusters, f"MA{g}", f"{prefix}ma"),
-            platform, fabric, tracer, policy=policy,
+            platform, fabric, tracer, data_grid, policy=policy,
             sed_params=config.sed_params, agent_params=config.agent_params,
-            routing=config.routing, data_grid=data_grid, data=config.data,
-            memo=memo))
+            routing=config.routing))
     return federation
 
 

@@ -173,12 +173,16 @@ def deploy_from_spec(platform: Grid5000Platform, spec: HierarchySpec,
                      agent_params: Optional[AgentParams] = None) -> Deployment:
     """Instantiate the described hierarchy on a built platform.
 
-    :func:`~repro.core.deployment.build_hierarchy` on a fresh fabric: the
-    spec is validated, host names are resolved against the platform's network;
-    SeD hosts must mount their cluster's NFS volume (§4.1) when they belong
-    to a cluster.
+    :func:`~repro.core.deployment.build_hierarchy` on a fresh fabric and a
+    fresh default data grid: the spec is validated, host names are resolved
+    against the platform's network; SeD hosts must mount their cluster's NFS
+    volume (§4.1) when they belong to a cluster.
     """
+    # Lazy: repro.data depends on repro.core at module level.
+    from ..data.manager import DataGrid
+
     fabric = TransportFabric(platform.engine, platform.network,
                              transport_params)
-    return build_hierarchy(spec, platform, fabric, Tracer(), policy=policy,
+    return build_hierarchy(spec, platform, fabric, Tracer(),
+                           DataGrid(platform.network), policy=policy,
                            sed_params=sed_params, agent_params=agent_params)

@@ -56,7 +56,6 @@ from typing import (
     Tuple,
 )
 
-from ..sim.engine import Engine
 from .exceptions import ServerNotFoundError
 from .logservice import post_event
 
@@ -130,32 +129,6 @@ class MessageContext:
         if self._meta is None:
             self._meta = {}
         return self._meta
-
-    @property
-    def engine(self) -> Engine:
-        return self.fabric.engine
-
-    @property
-    def op(self) -> str:
-        return self.message.op
-
-    @property
-    def payload(self) -> Any:
-        return self.message.payload
-
-    @property
-    def src(self) -> str:
-        return self.message.src
-
-    @property
-    def dst(self) -> str:
-        return self.message.dst
-
-    @property
-    def request_id(self) -> Optional[int]:
-        """Request id carried by the payload, when the payload is one of the
-        DIET request descriptors (see :mod:`repro.core.requests`)."""
-        return getattr(self.message.payload, "request_id", None)
 
     @property
     def service(self) -> str:

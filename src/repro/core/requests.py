@@ -81,8 +81,8 @@ class SubmitRequest:
     data_handles: Tuple = ()
     #: Canonical request-descriptor digest
     #: (:func:`repro.data.memo.descriptor_digest`); None when the client
-    #: did not opt into memoization — the MA then never consults the memo,
-    #: keeping memo-off deployments byte-identical.
+    #: sends no key (``memo_enabled`` off) — the MA then never consults the
+    #: memo.
     memo_key: Optional[str] = None
 
     @property
@@ -99,7 +99,7 @@ class SolveRequest:
     profile: Profile
     client_endpoint: str
     #: Same digest as the submit carried; the SeD uses it to populate the
-    #: memo on solve completion (None when memoization is off).
+    #: memo on solve completion (None when the client sent no key).
     memo_key: Optional[str] = None
 
     @property

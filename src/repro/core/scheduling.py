@@ -106,7 +106,7 @@ class SchedulingContext:
     resident_bytes: Dict[str, int] = field(default_factory=dict)
     #: Estimated seconds each candidate SeD would spend pulling the
     #: request's non-resident persistent inputs (set by the MA from the
-    #: replica catalog; empty when no data grid is deployed).
+    #: replica catalog; empty for requests without persistent inputs).
     data_transfer_cost: Dict[str, float] = field(default_factory=dict)
     #: Predicted client->SeD transfer seconds per candidate for the request
     #: being scheduled.  Pull mode leaves this empty (CoRI stamps

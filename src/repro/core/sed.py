@@ -10,12 +10,17 @@ property that produces the queueing visible in Figure 5's latency curve.
 Solve functions are generator functions ``solve(profile, ctx)`` so they can
 charge simulated time (``yield ctx.host.execute(work)``), touch the
 cluster's NFS volume, and run the real Python RAMSES pipeline in REAL mode.
+
+Every SeD carries a :class:`~repro.data.manager.DataManager` on its stack's
+:class:`~repro.data.manager.DataGrid` (§4.3.2): it keeps the server copies
+the persistence modes ask for, materializes handle-valued inputs (peer
+fetches are ``dm_fetch``) and populates the grid's result memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional
 
 from ..sim.engine import Engine, Event, Interrupt
 from ..sim.network import Host
@@ -31,6 +36,9 @@ from .requests import (EstimateDelta, EstimateRequest, MemoHit, SolveReply,
                        SolveRequest)
 from .statistics import Tracer
 from .transport import Endpoint, TransportFabric
+
+if TYPE_CHECKING:  # pragma: no cover - repro.data imports repro.core
+    from ..data.manager import DataGrid
 
 __all__ = ["SeDParams", "SolveContext", "SeD"]
 
@@ -85,7 +93,8 @@ class SeD:
                  table_size: int = 64,
                  log_central: Optional[str] = None,
                  parent: Optional[str] = None,
-                 routing: str = "pull"):
+                 routing: str = "pull",
+                 data_grid: Optional["DataGrid"] = None):
         if routing not in ROUTING_MODES:
             raise ValueError(f"routing must be one of {ROUTING_MODES}, "
                              f"got {routing!r}")
@@ -113,13 +122,13 @@ class SeD:
         self.tracing = self.endpoint.pipeline.add(
             TracingInterceptor(self.tracer, log_central))
         self._bind_handlers()
-        #: DTM/DAGDA data agent.  Standalone by default (legacy persistent-
-        #: data behaviour); ``DataGrid.attach`` upgrades it in place with a
-        #: capacity-bounded store, replica catalog and transfer machinery.
-        #: (Imported here: repro.data depends on repro.core at module level.)
-        from ..data.manager import DataManager
+        #: DTM/DAGDA data agent on the stack's data grid; a SeD built on its
+        #: own gets a private grid.  (Imported here: repro.data depends on
+        #: repro.core at module level.)
+        from ..data.manager import DataGrid, DataManager
 
-        self.data_manager = DataManager(self)
+        self.data_manager = DataManager(
+            self, data_grid or DataGrid(fabric.network))
         self.solve_count = 0
         self.solve_durations: List[float] = []
         self.crash_count = 0
@@ -136,8 +145,7 @@ class SeD:
         creates a fresh endpoint, so this runs once per incarnation)."""
         self.endpoint.on("estimate", self._handle_estimate)
         self.endpoint.on("solve", self._handle_solve)
-        self.endpoint.on("fetch_data", self._handle_fetch_data)
-        self.endpoint.on("dm_fetch", self._handle_fetch_data)
+        self.endpoint.on("dm_fetch", self._handle_dm_fetch)
         self.endpoint.on("memo_fetch", self._handle_memo_fetch)
         self.endpoint.on("ping", self._handle_ping)
 
@@ -169,11 +177,6 @@ class SeD:
     def cluster(self) -> str:
         """Cluster this SeD's host belongs to (metric/span label)."""
         return str(self.host.properties.get("cluster", self.host.name))
-
-    @property
-    def data_store(self):
-        """The data manager's store (kept for the legacy attribute name)."""
-        return self.data_manager.store
 
     # -- crash / restart (failure model) -------------------------------------------
 
@@ -325,12 +328,9 @@ class SeD:
 
     # -- persistent data (DTM) ---------------------------------------------------------
 
-    def _handle_fetch_data(self, msg) -> Generator[Event, Any, tuple]:
-        """Serve a persisted datum to a peer SeD (or back to a client).
-
-        Bound as both the legacy ``fetch_data`` op and the data manager's
-        ``dm_fetch`` — one lookup, charged at the datum's true size.
-        """
+    def _handle_dm_fetch(self, msg) -> Generator[Event, Any, tuple]:
+        """Serve a persisted datum to a peer SeD, charged at the datum's
+        true size."""
         data_id = msg.payload
         value, nbytes = self.data_manager.serve(data_id)
         yield self.engine.timeout(0.0)
@@ -339,7 +339,7 @@ class SeD:
     def _handle_memo_fetch(self, msg) -> Generator[Event, Any, tuple]:
         """Serve a memoized result back to a client absorbing a memo hit.
 
-        Unlike peer ``fetch_data``, STICKY pins do not refuse: stickiness
+        Unlike peer ``dm_fetch``, STICKY pins do not refuse: stickiness
         constrains SeD-to-SeD movement, not the *_RETURN contract that the
         client gets its bytes back.
         """
@@ -407,7 +407,6 @@ class SeD:
         memoized (the DIET persistence contract: volatile data is freed
         after the call).
         """
-        memo = self.data_manager.memo
         out_handles: Dict[int, DataHandle] = {}
         for i, arg in enumerate(profile.arguments):
             if arg.direction is Direction.IN:
@@ -420,8 +419,9 @@ class SeD:
             if handle is None:
                 return  # nothing produced / not server-resident
             out_handles[i] = handle
-        memo.put(MemoHit(key=key, owner=self.name, out_values=out_handles),
-                 self.engine.now)
+        self.data_manager.grid.memo.put(
+            MemoHit(key=key, owner=self.name, out_values=out_handles),
+            self.engine.now)
 
     # -- solving --------------------------------------------------------------------
 
@@ -522,8 +522,7 @@ class SeD:
             if arg.direction in (Direction.OUT, Direction.INOUT) and arg.is_set
         }
         handles = self._persist_outputs(req, profile, out_values)
-        if (self.data_manager.memo is not None and req.memo_key is not None
-                and status == 0):
+        if req.memo_key is not None and status == 0:
             self._memo_populate(req.memo_key, profile, handles)
         reply = SolveReply(request_id=req.request_id, status=status,
                            out_values=out_values, solve_started_at=started,

@@ -2,7 +2,10 @@
 
 The paper's campaign ships the same initial conditions and restart dumps
 over and over because nothing honoured DIET's persistence modes.  This
-package is the DTM/DAGDA substitute that does:
+package is the DTM/DAGDA substitute that does, and it is part of every
+stack: one :class:`~repro.data.manager.DataGrid` per deployment (or per
+federation, or per component built on its own), one
+:class:`~repro.data.manager.DataManager` per SeD on it.
 
 * :mod:`~repro.data.store` — per-SeD content-addressed stores with byte
   capacity, STICKY pinning, and pluggable eviction;
@@ -12,16 +15,15 @@ package is the DTM/DAGDA substitute that does:
   cluster-local NFS fast paths;
 * :mod:`~repro.data.policy` — replication policies (none, per-cluster,
   eager-broadcast);
-* :mod:`~repro.data.manager` — the per-SeD manager + deployment-wide
-  :class:`~repro.data.manager.DataGrid`, including the transfer-cost hook
-  MCT scheduling uses for data locality;
-* :mod:`~repro.data.memo` — the grid-wide result memo keyed on canonical
-  request descriptors, short-circuiting a submit to a replica hit.
+* :mod:`~repro.data.manager` — the per-SeD manager + the stack-wide
+  :class:`~repro.data.manager.DataGrid`, including the transfer-cost
+  estimate MCT scheduling uses for data locality;
+* :mod:`~repro.data.memo` — the grid-wide result memo (``grid.memo``)
+  keyed on canonical request descriptors, short-circuiting a submit to a
+  replica hit.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .catalog import CatalogNode, Replica
 from .manager import DataGrid, DataGridStats, DataManager, DataManagerConfig
@@ -75,20 +77,13 @@ __all__ = [
 ]
 
 #: Campaign-level ``--data-policy`` values and the manager configuration
-#: each one deploys.  ``None``/missing means "no data grid at all" — the
-#: deployment is wired exactly as before this subsystem existed.
+#: each one deploys.  ``"volatile"`` is the default: every argument
+#: travels by value and nothing persists.
 DATA_POLICIES = ("volatile", "persistent", "replicated", "broadcast")
 
 
-def campaign_data_config(policy: Optional[str]) -> Optional[DataManagerConfig]:
-    """Map a campaign ``--data-policy`` name to a manager config.
-
-    ``"volatile"`` wires the grid but keeps every argument volatile — the
-    determinism control arm: all bookkeeping attached, zero behaviour
-    change.
-    """
-    if policy is None:
-        return None
+def campaign_data_config(policy: str) -> DataManagerConfig:
+    """Map a campaign ``--data-policy`` name to a manager config."""
     if policy in ("volatile", "persistent"):
         return DataManagerConfig()
     if policy == "replicated":
@@ -98,6 +93,6 @@ def campaign_data_config(policy: Optional[str]) -> Optional[DataManagerConfig]:
     raise ValueError(f"unknown data policy {policy!r}; known: {DATA_POLICIES}")
 
 
-def policy_keeps_results(policy: Optional[str]) -> bool:
+def policy_keeps_results(policy: str) -> bool:
     """Does this campaign policy persist zoom2 result tarballs on SeDs?"""
     return policy in ("persistent", "replicated", "broadcast")

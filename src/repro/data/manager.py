@@ -1,17 +1,18 @@
 """Per-SeD data managers and the grid-wide DataGrid that connects them.
 
-This is the DTM/DAGDA substitute: every SeD owns a :class:`DataManager`
-(standalone by default — byte-for-byte the legacy ``data_store`` dict
-behaviour).  Deployments that opt in build one :class:`DataGrid` and
-``attach()`` each manager to it, which upgrades the manager in place with
-a capacity-bounded store, the hierarchical replica catalog, pull
-transfers, and a replication policy.
+This is the DTM/DAGDA substitute.  Every stack has exactly one
+:class:`DataGrid` — the replica catalog, the result memo, the per-SeD
+configuration and the traffic counters — and every SeD owns a
+:class:`DataManager` built on it: a capacity-bounded store, its LA's
+catalog node, pull transfers and a replication policy.  A SeD or agent
+constructed on its own gets a private grid, so "standalone" is a grid of
+one: a handle it cannot find in any catalog is fetched from the SeD the
+handle names.
 
 Everything here that is not an explicit transfer is synchronous
-bookkeeping: attaching the grid, registering replicas, and counting stats
-schedule **zero** events, so a campaign whose arguments are all volatile
-replays the exact recorded kernel event stream of a grid-less deployment
-(pinned by the determinism suite).
+bookkeeping: registering replicas and counting stats schedule **zero**
+events, so a campaign whose arguments are all volatile runs the recorded
+kernel event streams (``tests/data/ref_events_*.json``) unchanged.
 """
 
 from __future__ import annotations
@@ -21,14 +22,18 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, Iterable, List, Optional
 
 from ..core.data import DataHandle, HANDLE_WIRE_BYTES, PersistenceMode
 from ..core.exceptions import CommunicationError, DataError
+from ..platform.nfs import NfsError
 from ..sim.engine import Event
+from ..sim.network import NetworkError
 from .catalog import CatalogNode, Replica
-from .policy import NoReplication, ReplicationPolicy, make_replication_policy
+from .memo import MemoIndex
+from .policy import make_replication_policy
 from .store import DataStore, StoreFullError, content_digest, make_eviction
 from .transfer import TransferManager
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from ..core.sed import SeD
+    from ..obs import Observability
     from ..platform.nfs import NfsVolume
     from ..sim.network import Network
 
@@ -39,7 +44,7 @@ _PINNED_MODES = (PersistenceMode.STICKY, PersistenceMode.STICKY_RETURN)
 
 @dataclass(frozen=True)
 class DataManagerConfig:
-    """Per-SeD data-manager knobs, applied by :meth:`DataGrid.attach`."""
+    """Per-SeD data-manager knobs, one set per :class:`DataGrid`."""
 
     #: Store capacity in bytes (None = unbounded, the DAGDA default when
     #: no memory limit is configured).
@@ -77,43 +82,15 @@ class DataGridStats:
 
 
 class DataManager:
-    """The DAGDA agent of one SeD.
+    """The DAGDA agent of one SeD, built complete on its stack's grid."""
 
-    Standalone (no grid) it reproduces the legacy DTM behaviour exactly:
-    unbounded store, owner-or-origin handle resolution over ``fetch_data``.
-    :meth:`join_grid` upgrades it in place.
-    """
-
-    def __init__(self, sed: "SeD"):
+    def __init__(self, sed: "SeD", grid: "DataGrid"):
         self.sed = sed
         self.engine = sed.engine
-        self.store = DataStore()
-        self.grid: Optional["DataGrid"] = None
-        self.catalog: Optional[CatalogNode] = None
-        #: Endpoint name of the parent LA's catalog ("dm_locate" target).
-        self.parent: Optional[str] = None
-        self.replication: ReplicationPolicy = NoReplication()
-        self.nfs_fastpath = True
-        self.stats = DataGridStats()
-        self.transfers = TransferManager(self)
-        #: Grid-wide result memo (:class:`repro.data.memo.MemoIndex`), set
-        #: by deployments that opt into memoization; this manager drops its
-        #: SeD's entries on crash and per-datum entries on eviction.
-        self.memo = None
-        #: Checkpoint registrations survive a crash of this SeD: the bytes
-        #: live on the cluster NFS volume, not in the SeD process.
-        self._checkpoints: Dict[str, Replica] = {}
-
-    @property
-    def obs(self):
-        return self.sed.tracer.obs
-
-    def join_grid(
-        self, grid: "DataGrid", catalog: CatalogNode, config: DataManagerConfig
-    ) -> None:
         self.grid = grid
-        self.catalog = catalog
-        self.parent = self.sed.parent
+        #: The parent LA's catalog node (the root for a parentless SeD).
+        self.catalog = grid.node(sed.parent)
+        config = grid.config
         self.store = DataStore(
             capacity_bytes=config.capacity_bytes,
             eviction=make_eviction(config.eviction),
@@ -121,6 +98,17 @@ class DataManager:
         self.replication = make_replication_policy(config.replication)
         self.nfs_fastpath = config.nfs_fastpath
         self.stats = grid.stats
+        self.transfers = TransferManager(self)
+        #: Checkpoint registrations survive a crash of this SeD: the bytes
+        #: live on the cluster NFS volume, not in the SeD process.
+        self._checkpoints: Dict[str, Replica] = {}
+        grid.managers[sed.name] = self
+        if sed.nfs is not None:
+            grid.volumes[sed.nfs.name] = sed.nfs
+
+    @property
+    def obs(self):
+        return self.sed.tracer.obs
 
     # -- store side ---------------------------------------------------------------
 
@@ -188,24 +176,22 @@ class DataManager:
         return True
 
     def _register(self, data_id: str, nbytes: int) -> None:
-        if self.catalog is not None:
-            # Advertise the cluster volume the bytes live on (§4.1: solves
-            # write their outputs to the cluster NFS working directory), so
-            # same-volume consumers can take the NFS fast path.
-            volume = self.sed.nfs.name if self.sed.nfs is not None else ""
-            self.catalog.register(
-                Replica(
-                    data_id=data_id,
-                    sed_name=self.sed.name,
-                    host_name=self.sed.host.name,
-                    nbytes=nbytes,
-                    volume=volume,
-                )
+        # Advertise the cluster volume the bytes live on (§4.1: solves
+        # write their outputs to the cluster NFS working directory), so
+        # same-volume consumers can take the NFS fast path.
+        volume = self.sed.nfs.name if self.sed.nfs is not None else ""
+        self.catalog.register(
+            Replica(
+                data_id=data_id,
+                sed_name=self.sed.name,
+                host_name=self.sed.host.name,
+                nbytes=nbytes,
+                volume=volume,
             )
+        )
 
     def _unregister(self, data_id: str) -> None:
-        if self.catalog is not None:
-            self.catalog.unregister(data_id, self.sed.name)
+        self.catalog.unregister(data_id, self.sed.name)
 
     def _memo_evict(self, data_id: str) -> None:
         """Eviction made a memoized result unservable: drop its entries.
@@ -213,8 +199,7 @@ class DataManager:
         STICKY pins are never evicted, so sticky memo entries survive by
         construction — only unpinned persistent data reaches this.
         """
-        if self.memo is not None:
-            self.memo.invalidate_data(data_id, self.engine.now)
+        self.grid.memo.invalidate_data(data_id, self.engine.now)
 
     def note_reply_handle(self, nbytes: int) -> None:
         """A reply shipped a 64-byte handle instead of ``nbytes`` of data."""
@@ -247,15 +232,6 @@ class DataManager:
             self.stats.bytes_saved += entry.nbytes
             return entry.value
         self.stats.misses += 1
-        if self.grid is None:
-            # Legacy DTM path: the handle names its owner; anything else is
-            # one origin fetch away.
-            if handle.sed_name == self.sed.name:
-                raise DataError(f"stale handle {handle.data_id!r}")
-            value = yield from self.sed.endpoint.rpc(
-                handle.sed_name, "fetch_data", handle.data_id
-            )
-            return value
         value = yield from self.transfers.pull(handle)
         return value
 
@@ -273,12 +249,11 @@ class DataManager:
             volume=volume.name,
         )
         self._checkpoints[path] = replica
-        if self.catalog is not None:
-            self.catalog.register(replica)
+        self.catalog.register(replica)
 
     def unregister_checkpoint(self, path: str) -> None:
         replica = self._checkpoints.pop(path, None)
-        if replica is not None and self.catalog is not None:
+        if replica is not None:
             self.catalog.unregister(replica.data_id, self.sed.name)
 
     def pull_checkpoint(self, path: str) -> Generator[Event, Any, bool]:
@@ -289,11 +264,13 @@ class DataManager:
         written, stream it volume-to-volume, and resume.  Returns True when
         ``path`` now exists locally.
         """
-        if self.grid is None or self.parent is None or self.sed.nfs is None:
+        if self.sed.parent is None or self.sed.nfs is None:
             return False
         data_id = f"ckpt:{path}"
         try:
-            raw = yield from self.sed.endpoint.rpc(self.parent, "dm_locate", data_id)
+            raw = yield from self.sed.endpoint.rpc(
+                self.sed.parent, "dm_locate", data_id
+            )
         except CommunicationError:
             return False
         remote = [r for r in raw if r.volume and r.volume != self.sed.nfs.name]
@@ -313,7 +290,9 @@ class DataManager:
                 src_host, self.sed.host.name, nbytes
             )
             yield from self.sed.nfs.write(self.sed.host.name, path, nbytes)
-        except Exception:
+        except (NfsError, NetworkError):
+            # Dump unlinked or volume full meanwhile: restart from scratch.
+            # (An Interrupt — this SeD crashing mid-pull — must unwind.)
             return False
         self.stats.checkpoint_pulls += 1
         self.stats.bytes_moved += nbytes
@@ -324,41 +303,52 @@ class DataManager:
 
     def on_crash(self) -> None:
         """Volatile state dies with the process; NFS checkpoints survive."""
-        if self.catalog is not None:
-            for data_id in self.store.data_ids():
-                self.catalog.unregister(data_id, self.sed.name)
-        if self.memo is not None:
-            # Memoized results owned by this SeD died with its store; a
-            # client already holding a hit falls back to a re-solve.
-            self.memo.invalidate_owner(self.sed.name, self.engine.now)
+        for data_id in self.store.data_ids():
+            self.catalog.unregister(data_id, self.sed.name)
+        # Memoized results owned by this SeD died with its store; a client
+        # already holding a hit falls back to a re-solve.
+        self.grid.memo.invalidate_owner(self.sed.name, self.engine.now)
         self.store.clear()
 
 
 class DataGrid:
-    """The deployment-wide data fabric: catalog root + all managers."""
+    """One stack's data fabric: catalog tree, result memo, per-SeD manager
+    configuration, traffic counters — and the managers built on it.
 
-    def __init__(self, network: "Network"):
+    A federation shares one grid across its hierarchies, so handles and
+    memo hits resolve across grids.
+    """
+
+    def __init__(
+        self,
+        network: "Network",
+        config: Optional[DataManagerConfig] = None,
+        obs: Optional["Observability"] = None,
+    ):
         self.network = network
         self.engine = network.engine
+        self.config = config or DataManagerConfig()
         self.root = CatalogNode("MA")
         self._nodes: Dict[str, CatalogNode] = {}
+        #: Request→result index consulted by every MA, populated by every
+        #: SeD; counts nothing until a client sends memo keys.
+        self.memo = MemoIndex(obs=obs)
         self.managers: Dict[str, DataManager] = {}
         self.volumes: Dict[str, "NfsVolume"] = {}
         self.stats = DataGridStats()
 
-    def node(self, name: str) -> CatalogNode:
-        """The catalog node of one LA (created on first use)."""
+    def node(self, name: Optional[str], root: bool = False) -> CatalogNode:
+        """The catalog node of agent ``name`` (created on first use): the
+        root for a parentless agent (``root``) or a parentless SeD (``name``
+        None), else a child of the root."""
+        if name is None:
+            return self.root
         existing = self._nodes.get(name)
         if existing is None:
-            existing = self._nodes[name] = CatalogNode(name, parent=self.root)
+            existing = self._nodes[name] = (
+                self.root if root else CatalogNode(name, parent=self.root)
+            )
         return existing
-
-    def attach(
-        self, sed: "SeD", node: CatalogNode, config: DataManagerConfig
-    ) -> DataManager:
-        sed.data_manager.join_grid(self, node, config)
-        self.managers[sed.name] = sed.data_manager
-        return sed.data_manager
 
     # -- scheduling hook ----------------------------------------------------------
 
@@ -428,7 +418,7 @@ class DataGrid:
                 value = yield from target.sed.endpoint.rpc(
                     owner.sed.name, "dm_fetch", data_id
                 )
-            except Exception:
+            except (DataError, CommunicationError):
                 return  # owner gone or data evicted meanwhile: never fatal
             self.stats.bytes_moved += nbytes
             target.admit_replica(data_id, value, nbytes)

@@ -27,8 +27,11 @@ the solve (ROADMAP item 5):
   the index.
 
 Everything here is synchronous bookkeeping — lookups and population
-schedule **zero** events — so a deployment with memoization disabled is
-byte-identical to one where this module does not exist.
+schedule **zero** events.  Every stack carries one index
+(:attr:`repro.data.manager.DataGrid.memo`); whether a request is memoized
+is decided by the request: the client sends a key (``memo_enabled``) and
+every OUT argument keeps a server copy.  An index nobody sends keys to
+counts nothing.
 """
 
 from __future__ import annotations

@@ -50,8 +50,6 @@ class PerClusterReplication(ReplicationPolicy):
 
     def on_store(self, manager: "DataManager", data_id: str, nbytes: int) -> None:
         grid = manager.grid
-        if grid is None:
-            return
         for target in grid.sibling_targets(manager):
             grid.spawn_replication(manager, target, data_id, nbytes)
 
@@ -63,8 +61,6 @@ class EagerBroadcast(ReplicationPolicy):
 
     def on_store(self, manager: "DataManager", data_id: str, nbytes: int) -> None:
         grid = manager.grid
-        if grid is None:
-            return
         for target in grid.broadcast_targets(manager):
             grid.spawn_replication(manager, target, data_id, nbytes)
 

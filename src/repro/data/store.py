@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..core.exceptions import DataError
 
@@ -130,15 +130,7 @@ def make_eviction(name: str) -> EvictionPolicy:
 
 
 class DataStore:
-    """A capacity-bounded, content-addressed entry map.
-
-    Also implements the minimal mapping surface (``len``, ``in``, ``get``
-    returning ``(value, nbytes)`` tuples, ``clear``) the pre-DAGDA SeD
-    exposed as its raw ``data_store`` dict, so existing consumers keep
-    working unchanged.
-    """
-
-    _seqs = itertools.count()
+    """A capacity-bounded, content-addressed entry map."""
 
     def __init__(
         self,
@@ -151,19 +143,16 @@ class DataStore:
         self.eviction = eviction or LRUEviction()
         self._entries: Dict[str, StoreEntry] = {}
         self._by_digest: Dict[str, str] = {}
+        #: Insertion counter behind ``StoreEntry.seq``; only ever compared
+        #: within this store.
+        self._seqs = itertools.count()
         self.used_bytes = 0
-
-    # -- legacy dict surface -----------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, data_id: str) -> bool:
         return data_id in self._entries
-
-    def get(self, data_id: str) -> Optional[Tuple[Any, int]]:
-        entry = self._entries.get(data_id)
-        return None if entry is None else (entry.value, entry.nbytes)
 
     def clear(self) -> None:
         self._entries.clear()
@@ -239,7 +228,7 @@ class DataStore:
             cost=cost,
             created=now,
             last_used=now,
-            seq=next(DataStore._seqs),
+            seq=next(self._seqs),
             digest=digest,
         )
         self._entries[data_id] = entry

@@ -100,21 +100,20 @@ class TransferManager:
         the catalog side of service ``find``'s hop accounting)."""
         mgr = self.manager
         replicas: List[Replica] = []
-        if mgr.parent is not None:
+        if mgr.sed.parent is not None:
             raw = yield from mgr.sed.endpoint.rpc(
-                mgr.parent, "dm_locate", handle.data_id
+                mgr.sed.parent, "dm_locate", handle.data_id
             )
             replicas = [r for r in raw if r.sed_name != mgr.sed.name]
         if not replicas:
-            # Catalog knows nothing (e.g. legacy handle minted before the
-            # grid was wired): trust the handle's origin SeD.
-            origin = mgr.grid.managers.get(handle.sed_name) if mgr.grid else None
-            host = origin.sed.host.name if origin else handle.sed_name
+            # Catalog knows nothing (a parentless SeD, or a handle minted
+            # outside this grid): trust the handle's origin SeD.  Its host
+            # is not needed — a lone candidate is never ranked.
             replicas = [
                 Replica(
                     data_id=handle.data_id,
                     sed_name=handle.sed_name,
-                    host_name=host,
+                    host_name="",
                     nbytes=handle.nbytes,
                 )
             ]
@@ -135,7 +134,7 @@ class TransferManager:
             )
             return cost, r.sed_name
 
-        ranked = sorted(replicas, key=_rank)
+        ranked = sorted(replicas, key=_rank) if len(replicas) > 1 else replicas
         last_error: Exception = DataError(f"no replica of {handle.data_id!r} reachable")
         for rep in ranked:
             try:
@@ -165,7 +164,7 @@ class TransferManager:
         """Value for an NFS fast-path read: from the peer's local store if
         this process can see it, else a zero-cost control RPC."""
         mgr = self.manager
-        peer = mgr.grid.managers.get(rep.sed_name) if mgr.grid else None
+        peer = mgr.grid.managers.get(rep.sed_name)
         if peer is not None:
             entry = peer.store.entry(handle.data_id)
             if entry is not None and not entry.pinned:  # sticky never moves

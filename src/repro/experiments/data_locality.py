@@ -27,9 +27,9 @@ from .runner import run_campaigns
 
 __all__ = ["DataLocalityResult", "run", "render", "DEFAULT_POLICIES"]
 
-#: The ablation arms, in reporting order.  "volatile" is the baseline (the
-#: data grid is wired but every argument travels by value, exactly like the
-#: paper's campaign); the others keep zoom2 tarballs SeD-side.
+#: The ablation arms, in reporting order.  "volatile" is the baseline
+#: (every argument travels by value, exactly like the paper's campaign);
+#: the others keep zoom2 tarballs SeD-side.
 DEFAULT_POLICIES = ("volatile", "persistent", "broadcast")
 
 
@@ -89,7 +89,7 @@ def _mib(n: int) -> str:
 def render(result: DataLocalityResult) -> str:
     rows = []
     for policy, campaign in result.campaigns.items():
-        report = campaign.data_report or {}
+        report = campaign.data_report
         rows.append((policy,
                      hms(campaign.total_elapsed),
                      _mib(campaign.net_bytes_total),

@@ -19,8 +19,8 @@ solved results stay on the owning SeD, and repeated requests from the
 Zipf-skewed population short-circuit to catalog hits instead of solves.
 Each point then also reports hit/miss/invalidation counts, so the report
 shows hit rate rising with Zipf skew ``s`` and finding time falling at
-high skew.  The memo-off arm is byte-identical to the sweep before
-memoization existed.
+high skew.  With ``memo="off"`` the clients send no key and every OUT is
+VOLATILE, so the federation's memo index is never consulted.
 
 Every point is a pure function of its arguments, so the sweep runs under
 ``--jobs`` with byte-identical results, and the same seed reruns
@@ -158,7 +158,6 @@ def _run_point(routing: str, offered: float, duration: float,
         FederationConfig(n_grids=n_grids,
                          clusters_per_grid=clusters_per_grid,
                          routing=routing, agent_params=agent_params,
-                         memo=memo_on,
                          # E13's published numbers predate per-grid client
                          # hosts: pin the legacy shared-core placement so
                          # the sweep stays byte-identical (E14 exercises
@@ -242,8 +241,7 @@ def _run_point(routing: str, offered: float, duration: float,
     engine.run_until_complete(drive())
     makespan = engine.now
 
-    memo_stats = (federation.memo.stats if federation.memo is not None
-                  else None)
+    memo_stats = federation.memo.stats
     return LoadPoint(
         routing=routing, offered=offered, duration=duration,
         n_arrivals=len(arrivals), completed=stats["completed"],
@@ -257,11 +255,9 @@ def _run_point(routing: str, offered: float, duration: float,
         latency_p99=percentile(latencies, 99.0) if latencies else float("nan"),
         peak_heap=peak["heap"], events=engine.events_scheduled,
         zipf_s=zipf_s, memo=memo,
-        memo_hits=memo_stats.hits if memo_stats else 0,
-        memo_misses=memo_stats.misses if memo_stats else 0,
-        memo_invalidations=memo_stats.invalidations if memo_stats else 0,
-        memo_fallbacks=(sum(c.memo_fallbacks for c in clients)
-                        if memo_on else 0),
+        memo_hits=memo_stats.hits, memo_misses=memo_stats.misses,
+        memo_invalidations=memo_stats.invalidations,
+        memo_fallbacks=sum(c.memo_fallbacks for c in clients),
         span_store=obs.spans if obs is not None else None)
 
 
@@ -276,9 +272,9 @@ def run(loads: Sequence[float] = DEFAULT_LOADS,
 
     ``jobs`` fans the points over worker processes; each point is a pure
     function of its arguments, so results are identical in task order.
-    ``memo="on"`` enables grid-wide result memoization; ``zipf`` sweeps
-    the client-population skew (keys stay unchanged for a single skew so
-    memo-off output is byte-identical to the pre-memo sweep).
+    ``memo="on"`` makes the clients send memo keys and the results
+    persist; ``zipf`` sweeps the client-population skew (task keys gain
+    the skew only when several are swept).
     """
     if memo not in ("on", "off"):
         raise ValueError(f"memo must be 'on' or 'off', got {memo!r}")

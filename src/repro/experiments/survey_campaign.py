@@ -193,7 +193,6 @@ def _run_arm(routing: str, policy: str, data_policy: str,
                          clusters_per_grid=clusters_per_grid,
                          routing=routing,
                          policy=None if policy == "default" else policy,
-                         memo=True,
                          data=campaign_data_config(data_policy),
                          client_placement="per-grid"),
         obs=obs)
@@ -288,9 +287,8 @@ def _run_arm(routing: str, policy: str, data_policy: str,
          _node_product(executors[0].results[node.node_id]))
         for node in dag0 if node.node_id in executors[0].results)
 
-    memo_stats = federation.memo.stats if federation.memo is not None else None
-    grid_stats = (federation.data_grid.stats
-                  if federation.data_grid is not None else None)
+    memo_stats = federation.memo.stats
+    grid_stats = federation.data_grid.stats
     network = federation.platform.network
     return SurveyArm(
         routing=routing, policy=policy, data=data_policy,
@@ -303,15 +301,13 @@ def _run_arm(routing: str, policy: str, data_policy: str,
         dep_refreshes=sum(e.stats.dep_refreshes for e in executors),
         zooms_done=stats["zooms"], makespan=makespan,
         stage_stats=stage_stats,
-        memo_hits=memo_stats.hits if memo_stats else 0,
-        memo_misses=memo_stats.misses if memo_stats else 0,
-        memo_invalidations=memo_stats.invalidations if memo_stats else 0,
+        memo_hits=memo_stats.hits, memo_misses=memo_stats.misses,
+        memo_invalidations=memo_stats.invalidations,
         redirects=sum(c.redirects for c in clients) + zoom_client.redirects,
         rejections=(sum(c.rejections for c in clients)
                     + zoom_client.rejections),
         bytes_wan=network.bytes_wan, bytes_total=network.bytes_total,
-        data_moved=grid_stats.bytes_moved if grid_stats else 0,
-        data_saved=grid_stats.bytes_saved if grid_stats else 0,
+        data_moved=grid_stats.bytes_moved, data_saved=grid_stats.bytes_saved,
         events=engine.events_scheduled,
         products=products,
         span_store=obs.spans if obs is not None else None)

@@ -129,7 +129,7 @@ def survey_reduce_desc(result_mode: PersistenceMode = PersistenceMode.VOLATILE
     return desc
 
 
-def survey_result_modes(data_policy: Optional[str]
+def survey_result_modes(data_policy: str
                         ) -> Tuple[PersistenceMode, PersistenceMode]:
     """(intermediate, final) result persistence for a campaign policy.
 

@@ -109,8 +109,7 @@ class RamsesServiceConfig:
     checkpoint_interval_work: Optional[float] = None
     #: Advertise restart dumps through the data manager's replica catalog,
     #: and let a resumed attempt on a *different* cluster pull the dump
-    #: volume-to-volume instead of restarting from scratch (needs a
-    #: deployment with a data grid; a no-op without one).
+    #: volume-to-volume instead of restarting from scratch.
     checkpoint_catalog: bool = False
 
     def __post_init__(self):

@@ -10,13 +10,14 @@ computations at the same time."
 
 :func:`run_campaign` builds the whole stack (platform, hierarchy, services)
 and produces a :class:`CampaignResult` from which every §5 figure/number is
-derived.
+derived.  ``CampaignConfig.data_policy`` says what persists on the SeDs; the
+default ``"volatile"`` is the paper's campaign: everything travels by value.
 """
 
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -139,12 +140,11 @@ class CampaignConfig:
     #: False skips even that bookkeeping for benchmark runs.
     observe: bool = True
     #: DAGDA-style data management policy (see repro.data.DATA_POLICIES):
-    #: None keeps the deployment exactly as before the data subsystem
-    #: existed; "volatile" wires the data grid but every argument still
-    #: travels by value; "persistent" keeps zoom2 tarballs on the producing
-    #: SeD (the client gets a handle); "replicated"/"broadcast" add replica
-    #: creation on top of persistence.
-    data_policy: Optional[str] = None
+    #: "volatile" — every argument travels by value, nothing persists;
+    #: "persistent" keeps zoom2 tarballs on the producing SeD (the client
+    #: gets a handle); "replicated"/"broadcast" add replica creation on top
+    #: of persistence.
+    data_policy: str = "volatile"
     #: Estimate flow: "pull" (the paper's per-request MA→LA→SeD fan-out,
     #: kept byte-identical for every figure) or "push" (SeDs push deltas,
     #: agents materialize top-k tables, the MA batches admission).
@@ -209,9 +209,9 @@ class CampaignResult:
     net_bytes_total: int = 0
     net_bytes_wan: int = 0
     #: Snapshot of the data grid's counters (hits, misses, bytes moved /
-    #: saved, evictions, ...); None when the campaign ran without a data
-    #: policy.  A plain dict so detached results stay picklable.
-    data_report: Optional[Dict[str, int]] = None
+    #: saved, evictions, ...).  A plain dict so detached results stay
+    #: picklable.
+    data_report: Dict[str, int] = field(default_factory=dict)
 
     # -- §5.2 headline numbers ---------------------------------------------------------
 
@@ -392,7 +392,6 @@ def run_campaign(config: Optional[CampaignConfig] = None) -> CampaignResult:
             heartbeat_timeout=plan.heartbeat_timeout,
             heartbeat_miss_threshold=plan.heartbeat_miss_threshold)
     obs = Observability(enabled=config.observe)
-    # None -> the pre-data-subsystem deployment, byte for byte.
     data_config = campaign_data_config(config.data_policy)
     keep_results = policy_keeps_results(config.data_policy)
     deployment = deploy_paper_hierarchy(platform, policy=policy,
@@ -523,8 +522,7 @@ def run_campaign(config: Optional[CampaignConfig] = None) -> CampaignResult:
     obs.finalize(engine.now)
     obs.collect_transport(deployment.fabric, engine.now)
     obs.collect_network(platform.network, engine.now)
-    if deployment.data_grid is not None:
-        obs.collect_data(deployment.data_grid, engine.now)
+    obs.collect_data(deployment.data_grid, engine.now)
 
     # Collect traces: part 1 is the first trace, part 2 the rest.  Under a
     # FailurePlan a resubmitted call leaves one trace per attempt; the
@@ -558,9 +556,6 @@ def run_campaign(config: Optional[CampaignConfig] = None) -> CampaignResult:
             restarts_from_scratch=stats.restarts_from_scratch,
             deregistrations=deregs,
             recoveries=recoveries)
-    data_report = None
-    if deployment.data_grid is not None:
-        data_report = deployment.data_grid.stats.as_dict()
     return CampaignResult(config=config, deployment=deployment,
                           part1_trace=part1_trace, part2_traces=part2_traces,
                           statuses=statuses,
@@ -568,7 +563,7 @@ def run_campaign(config: Optional[CampaignConfig] = None) -> CampaignResult:
                           failure_report=failure_report,
                           net_bytes_total=platform.network.bytes_total,
                           net_bytes_wan=platform.network.bytes_wan,
-                          data_report=data_report)
+                          data_report=deployment.data_grid.stats.as_dict())
 
 
 def run_campaign_detached(config: Optional[CampaignConfig] = None) -> CampaignResult:

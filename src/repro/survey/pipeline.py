@@ -117,7 +117,7 @@ def build_survey_dag(
     resolution: int = 64,
     n_planes: int = 8,
     z_source: float = 1.0,
-    data_policy: Optional[str] = "persistent",
+    data_policy: str = "persistent",
     realization_seed: int = 1,
     name: str = "survey",
     prefix: str = "",

@@ -107,7 +107,7 @@ def _one_point_executor(data_policy, memo, n_points=1, prefix="",
         engine = Engine()
         federation = build_federation(
             engine,
-            FederationConfig(n_grids=1, clusters_per_grid=1, memo=memo,
+            FederationConfig(n_grids=1, clusters_per_grid=1,
                              data=campaign_data_config(data_policy)))
         register_survey_services(federation.seds, LensingServiceConfig())
         federation.launch_all()

@@ -34,19 +34,14 @@ WORKLOADS = {
 
 
 def capture_stream(n_sub_simulations: int, seed: int, n_crashes: int = 0,
-                   observe: bool = True,
-                   data_policy: str = None) -> Tuple[List[tuple], float]:
+                   observe: bool = True) -> Tuple[List[tuple], float]:
     """Run one campaign with event logging on; return (stream, final_time).
 
     Uses :attr:`Engine.default_event_log` because the workflow builds its
     own engine; the class attribute is restored on exit.  ``observe``
     toggles the span/metrics recording — the references are recorded with
     it on, and the suite asserts the stream is identical with it off
-    (span recording is pure bookkeeping, never events).  ``data_policy``
-    wires the data-manager grid: with ``"volatile"`` the catalog and the
-    managers exist but every argument still travels by value, and the
-    suite asserts that too replays the recorded stream (the data layer is
-    pure bookkeeping until a profile opts into persistence).
+    (span recording is pure bookkeeping, never events).
     """
     from repro.services import CampaignConfig, FailurePlan, run_campaign
     from repro.sim.engine import Engine
@@ -57,7 +52,7 @@ def capture_stream(n_sub_simulations: int, seed: int, n_crashes: int = 0,
     try:
         run_campaign(CampaignConfig(n_sub_simulations=n_sub_simulations,
                                     seed=seed, failures=failures,
-                                    observe=observe, data_policy=data_policy))
+                                    observe=observe))
     finally:
         Engine.default_event_log = None
     final_time = log[-1][0] if log else 0.0

@@ -58,17 +58,3 @@ def test_disabled_tracing_replays_identical_stream():
     span/metrics recording is pure bookkeeping that schedules no events, so
     turning it off cannot change the total order either."""
     _check("campaign", observe=False)
-
-
-def test_volatile_data_grid_replays_identical_stream():
-    """Wiring the data-manager grid with every argument still volatile must
-    replay the no-grid reference bit-for-bit: catalogs, managers and byte
-    counters are pure bookkeeping until a profile opts into persistence."""
-    _check("campaign", data_policy="volatile")
-
-
-def test_volatile_data_grid_replays_degraded_stream():
-    """Same invariant under failures: the data managers' crash hooks
-    (catalog cleanup, NFS reservation release) run inside the existing
-    crash event and schedule nothing new."""
-    _check("degraded", data_policy="volatile")

@@ -101,14 +101,14 @@ class TestPersistence:
         value = profile.parameter(1).get()
         assert isinstance(value, np.ndarray)
         sed = deployment.sed_by_name(server)
-        assert len(sed.data_store) == 1
+        assert len(sed.data_manager.store) == 1
 
     def test_volatile_leaves_no_server_copy(self, deployment):
         profile, server = self._produce(deployment,
                                         mode=PersistenceMode.VOLATILE)
         assert isinstance(profile.parameter(1).get(), np.ndarray)
         sed = deployment.sed_by_name(server)
-        assert len(sed.data_store) == 0
+        assert len(sed.data_manager.store) == 0
 
     def test_handle_resolves_on_owner_or_peer(self, deployment):
         """Passing the handle to a later call yields the original data even

@@ -14,6 +14,7 @@ from repro.core import (
     scalar_desc,
 )
 from repro.core.deployment import build_hierarchy
+from repro.core.federation import FederationConfig, build_federation
 from repro.core.godiet import (
     AgentSpec,
     HierarchySpec,
@@ -23,7 +24,7 @@ from repro.core.godiet import (
     parse_godiet_xml,
     render_godiet_xml,
 )
-from repro.data import DataGrid, DataManagerConfig
+from repro.data import DataGrid
 from repro.platform import build_grid5000
 from repro.sim import Engine, FailureInjector, Outage
 
@@ -93,21 +94,17 @@ class TestParse:
 
 def _wiring(dep):
     """Everything the builder decides, as plain comparable data."""
-    def catalog(node):
-        return node.name if node is not None else None
-
     agents = [(a.name, a.host.name, a.parent, a.routing, list(a.children),
-               catalog(a.data_catalog))
+               a.data_catalog.name)
               for a in [dep.ma] + dep.local_agents]
     seds = [(s.name, s.host.name, s.parent, s.ma_name, s.routing,
-             s.nfs.name, s.tracer is dep.tracer,
-             catalog(s.data_manager.catalog), s.data_manager.parent)
+             s.nfs.name, s.tracer is dep.tracer, s.data_manager.catalog.name)
             for s in dep.seds]
     return {"agents": agents, "seds": seds, "routing": dep.routing,
             "la_tracers_shared": all(a.tracer is dep.tracer
                                      for a in dep.local_agents),
             "client": (dep.client.name, dep.client.host.name),
-            "volumes": sorted(dep.data_grid.volumes) if dep.data_grid else None,
+            "volumes": sorted(dep.data_grid.volumes),
             "endpoints": [c.endpoint.name for c in
                           [dep.ma, *dep.local_agents, *dep.seds, dep.client]]}
 
@@ -122,18 +119,47 @@ class TestDeploy:
         assert len(spec.master.all_seds()) == 11
         for routing in ("pull", "push"):
             builtin = deploy_paper_hierarchy(
-                build_grid5000(Engine()), routing=routing,
-                data=DataManagerConfig())
+                build_grid5000(Engine()), routing=routing)
             platform = build_grid5000(Engine())
             described = build_hierarchy(
                 parse_godiet_xml(render_godiet_xml(spec)), platform,
                 TransportFabric(platform.engine, platform.network), Tracer(),
-                routing=routing, data_grid=DataGrid(platform.network),
-                data=DataManagerConfig())
+                DataGrid(platform.network), routing=routing)
             assert _wiring(described) == _wiring(builtin)
-        # ... and what deploy_from_spec itself can express (pull, no data)
+            assert len(_wiring(builtin)["volumes"]) == 6  # one per cluster
+        # ... and what deploy_from_spec itself can express (pull)
         assert (_wiring(deploy_from_spec(build_grid5000(Engine()), spec))
                 == _wiring(deploy_paper_hierarchy(build_grid5000(Engine()))))
+
+    def test_every_builder_wires_exactly_one_data_grid(self):
+        """The three builders hand every component the stack's one grid:
+        SeD managers, agent catalog nodes and the memo all belong to it,
+        and the grids of a federation share one."""
+        def check(stack, grid):
+            assert stack.data_grid is grid
+            assert stack.ma.data_catalog is grid.root
+            for agent in [stack.ma] + stack.local_agents:
+                assert agent.data_grid is grid
+                assert agent.memo is grid.memo
+            for la in stack.local_agents:
+                assert la.data_catalog is grid.node(la.name)
+                assert la.data_catalog.parent is grid.root
+            for sed in stack.seds:
+                assert sed.data_manager.grid is grid
+                assert grid.managers[sed.name] is sed.data_manager
+                assert sed.data_manager.catalog is grid.node(sed.parent)
+
+        paper = deploy_paper_hierarchy(build_grid5000(Engine()))
+        check(paper, paper.data_grid)
+        spec = paper_hierarchy_spec(build_grid5000(Engine()))
+        described = deploy_from_spec(build_grid5000(Engine()), spec)
+        check(described, described.data_grid)
+        assert described.data_grid is not paper.data_grid
+        federation = build_federation(
+            Engine(), FederationConfig(n_grids=2, clusters_per_grid=1))
+        assert federation.memo is federation.data_grid.memo
+        for grid in federation.grids:
+            check(grid, federation.data_grid)
 
     def test_spec_deployed_sed_rejoins_after_crash(self):
         """Crash -> heartbeat deregistration -> restart -> re-registration

@@ -17,6 +17,7 @@ from repro.core import (
     DietClient,
     PersistenceMode,
     ProfileDesc,
+    deploy_paper_hierarchy,
     scalar_desc,
 )
 from repro.core.agent import ROUTING_MODES, AgentParams
@@ -26,6 +27,7 @@ from repro.core.federation import (
     build_federation,
 )
 from repro.data.memo import descriptor_digest
+from repro.platform import build_grid5000
 from repro.sim import Engine
 
 
@@ -53,7 +55,7 @@ CLIENT_KINDS = ("federated", "diet")
 
 
 def _build(routing, kind, out_mode=PersistenceMode.PERSISTENT_RETURN):
-    """Memoization on, fast heartbeats so a crashed SeD is deregistered
+    """Keyed clients, fast heartbeats so a crashed SeD is deregistered
     (and stops being scheduled) within ~5 sim-seconds.
 
     ``"federated"``: 2 grids x 1 cluster behind a :class:`FederatedClient`;
@@ -67,7 +69,7 @@ def _build(routing, kind, out_mode=PersistenceMode.PERSISTENT_RETURN):
         engine,
         FederationConfig(n_grids=n_grids,
                          clusters_per_grid=clusters_per_grid,
-                         routing=routing, memo=True,
+                         routing=routing,
                          agent_params=AgentParams(
                              heartbeat_interval=1.0, heartbeat_timeout=1.0,
                              heartbeat_miss_threshold=2)))
@@ -210,7 +212,40 @@ class TestMemoOnSchedulingPath:
         assert federation.memo.stats.misses == 2
 
     @pytest.mark.parametrize("routing", ROUTING_MODES)
+    def test_keyed_client_hits_on_the_paper_deployment(self, routing):
+        """The §5.1 stack carries the same memo as a federation: a
+        ``DietClient(memo_enabled=True)`` repeat is answered without a
+        second solve."""
+        dep = deploy_paper_hierarchy(build_grid5000(Engine()),
+                                     with_client=False, routing=routing)
+        for sed in dep.seds:
+            sed.add_service(_desc(), _solve)
+        dep.launch_all()
+        client = DietClient(dep.fabric, dep.platform.client_host,
+                            memo_enabled=True)
+        client.initialize({"MA_name": dep.ma.name})
+        results = []
+
+        def drive():
+            for _ in range(2):
+                profile = _profile(7)
+                handle = client.function_handle(profile.path)
+                status = yield from client.call(profile, handle)
+                results.append((status, profile.parameter(1).get(),
+                                handle.server))
+
+        dep.engine.run_until_complete(drive())
+        assert results[0][:2] == results[1][:2] == (0, 14)
+        assert results[1][2] == results[0][2]  # served by the first owner
+        assert sum(sed.solve_count for sed in dep.seds) == 1
+        memo = dep.data_grid.memo
+        assert (memo.stats.hits, memo.stats.misses, memo.stats.populated) \
+            == (1, 1, 1)
+
+    @pytest.mark.parametrize("routing", ROUTING_MODES)
     def test_memo_disabled_schedules_every_request(self, routing):
+        """A client that sends no memo key is scheduled and solved every
+        time, and the always-present index counts nothing."""
         engine = Engine()
         federation = build_federation(
             engine,
@@ -220,7 +255,7 @@ class TestMemoOnSchedulingPath:
         federation.launch_all()
         client = FederatedClient(federation.fabric, federation.client_host,
                                  name="cli", ma_names=federation.ma_names)
-        assert federation.memo is None
+        assert not client.memo_enabled
         results = []
 
         def drive():
@@ -231,3 +266,6 @@ class TestMemoOnSchedulingPath:
 
         engine.run_until_complete(drive())
         assert results == [(0, 14), (0, 14)]
+        assert sum(sed.solve_count for sed in federation.seds) == 2
+        assert len(federation.memo) == 0
+        assert not any(federation.memo.stats.as_dict().values())

@@ -58,7 +58,7 @@ class Recorder(Interceptor):
         self.tag = tag
 
     def _note(self, ctx):
-        self.journal.append((self.tag, ctx.phase, ctx.op))
+        self.journal.append((self.tag, ctx.phase, ctx.message.op))
 
     intercept_send = _note
     intercept_deliver = _note

@@ -4,8 +4,11 @@ import pytest
 
 from repro.core import (
     BaseType,
+    CommunicationError,
+    DataHandle,
     DietError,
     EstimateRequest,
+    PersistenceMode,
     ProfileDesc,
     SeD,
     SeDParams,
@@ -224,3 +227,88 @@ class TestSolve:
         engine.process(probe())
         engine.run()
         assert samples == [2]
+
+
+class TestBarePairPersistentData:
+    """Two SeDs built by hand (no ``build_hierarchy``): each is a data grid
+    of one, so a peer's handle is fetched from the SeD the handle names."""
+
+    @staticmethod
+    def _produce_desc():
+        desc = ProfileDesc("produce", 0, 0, 1)
+        desc.set_arg(0, scalar_desc(BaseType.INT))
+        desc.set_arg(1, scalar_desc(BaseType.INT, PersistenceMode.PERSISTENT))
+        return desc
+
+    @staticmethod
+    def _consume_desc():
+        desc = ProfileDesc("consume", 0, 0, 1)
+        desc.set_arg(0, scalar_desc(BaseType.INT, PersistenceMode.PERSISTENT))
+        desc.set_arg(1, scalar_desc(BaseType.INT))
+        return desc
+
+    def _pair(self, stack):
+        engine, net, fabric = stack
+        net.add_host(Host(engine, "sed-host-b"))
+        net.connect("sed-host-b", "sed-host", Link(engine, "lb", 0.001, 1e9))
+
+        def produce(profile, ctx):
+            yield from ctx.execute(1.0)
+            profile.parameter(1).set(profile.parameter(0).get() * 2)
+            return 0
+
+        def consume(profile, ctx):
+            yield from ctx.execute(1.0)
+            profile.parameter(1).set(profile.parameter(0).get() + 1)
+            return 0
+
+        seds = []
+        for name, host in (("sedA", "sed-host"), ("sedB", "sed-host-b")):
+            sed = SeD(fabric, net.host(host), name)
+            sed.add_service(self._produce_desc(), produce)
+            sed.add_service(self._consume_desc(), consume)
+            sed.launch()
+            seds.append(sed)
+        assert seds[0].data_manager.grid is not seds[1].data_manager.grid
+        return seds
+
+    def _solve(self, stack, cli, sed, desc, value):
+        profile = desc.instantiate()
+        profile.parameter(0).set(value)
+        profile.parameter(1).set(None)
+
+        def call():
+            req = SolveRequest(new_request_id(), profile, "cli")
+            return (yield from cli.rpc(sed.name, "solve", req))
+
+        return stack[0].run_process(call())
+
+    def test_handle_resolves_peer_to_peer(self, stack):
+        sed_a, sed_b = self._pair(stack)
+        cli = client_endpoint(stack)
+        produced = self._solve(stack, cli, sed_a, self._produce_desc(), 21)
+        handle = produced.out_values[1]
+        assert isinstance(handle, DataHandle) and handle.sed_name == "sedA"
+        consumed = self._solve(stack, cli, sed_b, self._consume_desc(), handle)
+        assert (consumed.status, consumed.out_values[1]) == (0, 43)
+        # One dm_fetch from the owner; the pulled copy stays on sedB.
+        assert sed_b.data_manager.stats.bytes_moved == handle.nbytes
+        assert handle.data_id in sed_b.data_manager.store
+
+    def test_stale_handle_is_a_data_error_status(self, stack):
+        sed_a, sed_b = self._pair(stack)
+        cli = client_endpoint(stack)
+        for owner in ("sedA", "sedB"):  # a dead peer's id, then our own
+            stale = DataHandle("gone", owner, 8)
+            reply = self._solve(stack, cli, sed_b, self._consume_desc(), stale)
+            assert reply.status == 1
+            assert reply.error.startswith("DataError")
+
+    def test_the_one_peer_fetch_op_is_dm_fetch(self, stack):
+        engine = stack[0]
+        sed_a, _ = self._pair(stack)
+        cli = client_endpoint(stack)
+        sed_a.data_manager.put("d", 5, 8, PersistenceMode.PERSISTENT)
+        assert engine.run_process(cli.rpc("sedA", "dm_fetch", "d")) == 5
+        with pytest.raises(CommunicationError, match="no handler"):
+            engine.run_process(cli.rpc("sedA", "fetch_data", "d"))

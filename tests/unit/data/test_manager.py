@@ -12,7 +12,7 @@ from repro.core import (
     deploy_paper_hierarchy,
     scalar_desc,
 )
-from repro.core.exceptions import DataError
+from repro.core.exceptions import CommunicationError, DataError
 from repro.data import DataManagerConfig
 from repro.platform import build_grid5000
 from repro.sim import Engine
@@ -61,7 +61,7 @@ class TestCatalogWiring:
         h1 = put(sed, "d1", value, 512)
         h2 = put(sed, "d2", value.copy(), 512)
         assert h2.data_id == h1.data_id  # aliased, not re-stored
-        assert len(sed.data_store) == 1
+        assert len(sed.data_manager.store) == 1
         assert dep.data_grid.stats.dedup == 1
 
     def test_crash_unregisters_store_but_not_checkpoints(self):
@@ -74,6 +74,79 @@ class TestCatalogWiring:
         assert dep.data_grid.root.locate("d1") == []
         # The dump lives on NFS, not in the SeD process: it survives.
         assert dep.data_grid.root.locate("ckpt:zoom/ckpt") != []
+
+
+class TestCheckpointPull:
+    """``pull_checkpoint`` stages a dump from another cluster's volume; a
+    crash of the pulling SeD mid-transfer must end the solve there."""
+
+    PATH = "zoom/ckpt"
+    NBYTES = 10**9  # seconds of WAN transfer: room to crash in the middle
+
+    def _stack(self):
+        """A remote dump advertised through the catalog, plus one SeD
+        offering a service that pulls it and then computes."""
+        dep = build()
+        source = dep.seds[0]
+        puller = next(s for s in dep.seds if s.cluster != source.cluster)
+        dep.engine.run_process(
+            source.nfs.write(source.host.name, self.PATH, self.NBYTES)
+        )
+        source.data_manager.register_checkpoint(self.PATH, self.NBYTES, source.nfs)
+        journal = []
+
+        def solve(profile, ctx):
+            journal.append("pulling")
+            pulled = yield from ctx.sed.data_manager.pull_checkpoint(self.PATH)
+            journal.append(("pulled", pulled, ctx.sed.is_down))
+            yield from ctx.execute(5.0)
+            journal.append("computed")
+            return 0
+
+        desc = ProfileDesc("resume", 0, 0, 0)
+        desc.set_arg(0, scalar_desc(BaseType.INT))
+        puller.add_service(desc, solve)  # only the puller offers it
+        profile = desc.instantiate()
+        profile.parameter(0).set(1)
+        return dep, puller, profile, journal
+
+    def test_pull_stages_the_dump_locally(self):
+        dep, puller, profile, journal = self._stack()
+
+        def run():
+            return (yield from dep.client.call(profile))
+
+        assert dep.engine.run_process(run()) == 0
+        assert journal == ["pulling", ("pulled", True, False), "computed"]
+        assert puller.nfs.exists(self.PATH)
+        assert dep.data_grid.stats.checkpoint_pulls == 1
+        assert dep.data_grid.stats.bytes_moved == self.NBYTES
+
+    def test_crash_mid_pull_ends_the_solve(self):
+        dep, puller, profile, journal = self._stack()
+        outcome = {}
+
+        def saboteur():
+            while journal != ["pulling"]:
+                yield dep.engine.timeout(0.01)
+            yield dep.engine.timeout(0.5)  # dump is on the wire
+            puller.crash()
+            outcome["crashed_at"] = dep.engine.now
+
+        def run():
+            dep.engine.process(saboteur(), name="saboteur")
+            try:
+                yield from dep.client.call(profile)
+            except CommunicationError:
+                outcome["raised_at"] = dep.engine.now
+
+        dep.engine.run_process(run())
+        dep.engine.run()  # anything the dead solve left scheduled
+        assert journal == ["pulling"]  # nothing ran after the interrupt
+        assert outcome["raised_at"] == outcome["crashed_at"]
+        assert puller.job_slots.count == 0
+        assert not puller.nfs.exists(self.PATH)
+        assert dep.data_grid.stats.checkpoint_pulls == 0
 
 
 class TestResolve:

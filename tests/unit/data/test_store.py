@@ -30,7 +30,8 @@ class TestBasicStore:
         store = DataStore()
         store.put("a", [1, 2], 16, now=0.0)
         assert "a" in store
-        assert store.get("a") == ([1, 2], 16)
+        entry = store.entry("a")
+        assert (entry.value, entry.nbytes) == ([1, 2], 16)
         assert len(store) == 1
         assert store.used_bytes == 16
 
@@ -39,7 +40,7 @@ class TestBasicStore:
         store.put("a", "x", 100, now=0.0)
         store.put("a", "y", 30, now=1.0)
         assert store.used_bytes == 30
-        assert store.get("a") == ("y", 30)
+        assert store.entry("a").value == "y"
 
     def test_remove_and_clear(self):
         store = DataStore()
@@ -58,6 +59,21 @@ class TestBasicStore:
         assert store.find_digest(d) == "a"
         store.remove("a")
         assert store.find_digest(d) is None
+
+    def test_entry_seq_is_per_store(self):
+        """Two identically driven stores hold equal entries whichever was
+        built first: ``seq`` counts insertions into *this* store."""
+
+        def drive():
+            store = DataStore(capacity_bytes=100)
+            store.put("a", "x", 60, now=0.0)
+            store.put("b", "y", 60, now=1.0)  # evicts "a"
+            store.put("c", "z", 10, now=2.0)
+            return store.entries()
+
+        first, second = drive(), drive()
+        assert first == second
+        assert [e.seq for e in first] == [1, 2]
 
     def test_negative_size_rejected(self):
         from repro.core import DataError
