@@ -26,7 +26,6 @@ from repro.core import (
     TransportFabric,
     scalar_desc,
 )
-from repro.core.requests import new_request_id
 from repro.sim import Engine, Host, Link, Network
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
@@ -97,7 +96,7 @@ def _route(built, n_submits):
 
     def driver():
         for _ in range(n_submits):
-            sub = SubmitRequest(new_request_id(), desc, "hub", "cli")
+            sub = SubmitRequest(cli.fabric.new_request_id(), desc, "hub", "cli")
             yield from cli.rpc("MA", "submit", sub)
 
     engine.run_process(driver())

@@ -32,7 +32,6 @@ from .data import (
 from .deployment import Deployment, deploy_paper_hierarchy
 from .federation import (
     ChurnPlan,
-    FederatedClient,
     Federation,
     FederationConfig,
     build_federation,
@@ -71,7 +70,6 @@ from .requests import (
     SolveReply,
     SolveRequest,
     SubmitRequest,
-    new_request_id,
 )
 from .scheduling import (
     DataLocalityPolicy,
@@ -119,7 +117,6 @@ __all__ = [
     "EstimationVector",
     "FastestNodePolicy",
     "FaultInjectionInterceptor",
-    "FederatedClient",
     "Federation",
     "FederationConfig",
     "FileRef",
@@ -170,7 +167,6 @@ __all__ = [
     "file_desc",
     "matrix_desc",
     "make_policy",
-    "new_request_id",
     "post_event",
     "scalar_desc",
     "schedule_churn",

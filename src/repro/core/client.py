@@ -6,19 +6,27 @@ to dispose of a SED which will be able to solve the problem.  Then the
 client sends input data to the chosen SED and, after the end of
 computation, retrieve output data from the SED."
 
-The client API is deliberately close to the C one: ``initialize`` /
-``finalize`` bracket a session; a *function handle* binds a service name
-(and, after the call, the server that solved it); ``call`` is synchronous
-(within a simulation process), ``call_async`` returns a request handle that
-can be probed and waited on — the paper's campaign submits its 100
-sub-simulations this way.
+There is one client.  The API is deliberately close to the C one:
+``initialize`` / ``finalize`` bracket a session; a *function handle* binds a
+service name (and, after the call, the server that solved it, the grid-wide
+request id, the instant the server was found and the SeD-side error);
+``call`` is synchronous (within a simulation process) and returns the
+service status, ``call_async`` returns a request handle that can be probed
+and waited on — the paper's campaign submits its 100 sub-simulations this
+way.
+
+The follow-up deployments run several Master Agents, one hierarchy per
+grid; the same client is then initialized with an *ordered list* of MAs
+(home first) and :meth:`DietClient.call` redirects a request the home MA
+refused to the siblings before giving up.  A bare MA name is the
+one-element list: nothing to redirect to.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, Iterable, Optional, Tuple
+from typing import Any, Dict, Generator, Iterable, List, Optional
 
 from ..sim.engine import Engine, Event, Process
 from ..sim.network import Host
@@ -38,112 +46,9 @@ from .requests import MemoHit, SolveRequest, SubmitRequest
 from .statistics import Tracer
 from .transport import Endpoint, TransportFabric
 
-__all__ = ["FunctionHandle", "AsyncRequest", "DietClient", "absorb_memo_hit",
-           "submit_and_solve"]
+__all__ = ["FunctionHandle", "AsyncRequest", "DietClient"]
 
-
-def absorb_memo_hit(endpoint: Endpoint, profile: Profile, hit: MemoHit
-                    ) -> Generator[Event, Any, None]:
-    """Materialize a memo hit into the client profile (process helper).
-
-    Returning arguments (``*_RETURN`` modes — the client owns the bytes)
-    are pulled from the owning SeD with ``memo_fetch`` at the data's true
-    size; non-returning ones bind to the persisted handle directly,
-    exactly as a fresh solve's reply would have.  Raises
-    :class:`CommunicationError` (owner died since the lookup) or
-    :class:`DataError` (result evicted) — callers fall back to a normal
-    re-solve, which repopulates the memo.
-    """
-    for index in sorted(hit.out_values):
-        handle = hit.out_values[index]
-        arg = profile.parameter(index)
-        if arg.desc.persistence.returns_to_client:
-            value = yield from endpoint.rpc(hit.owner, "memo_fetch",
-                                            handle.data_id)
-            arg.set(value)
-        else:
-            arg.set(handle)
-
-
-def submit_and_solve(client: Any, profile: Profile,
-                     handle: Optional["FunctionHandle"] = None
-                     ) -> Generator[Event, Any, Tuple[int, str, float]]:
-    """The one client request path: submit, then solve (process helper).
-
-    ``client`` (a :class:`DietClient` or a
-    :class:`~repro.core.federation.FederatedClient`) supplies its endpoint,
-    the MAs to try in order (``_ma_order()``) and what to account when one
-    declines (``_note_rejection(ma, redirected)``) with
-    :class:`ServerNotFoundError` or :class:`CommunicationError`; the last
-    MA's error is raised once every one declined.  Each attempt draws a
-    fresh fabric-scoped request id, so identical campaigns get identical
-    ids regardless of what ran before them.
-
-    Returns ``(status, sed_name, found_at)``, ``found_at`` being the instant
-    the winning submit reply arrived; OUT/INOUT values are written back into
-    ``profile``.  ``handle`` is bound to the chosen SeD as soon as it is
-    known and keeps the request id and the SeD-side error string.  Lifecycle
-    stamps are not taken here: an endpoint's :class:`TracingInterceptor`
-    records them as the messages pass through the pipeline.
-    """
-    profile.validate_for_submit()
-    endpoint: Endpoint = client.endpoint
-    if handle is None:
-        handle = FunctionHandle(profile.path)
-    # Data Location Manager view: persistent inputs already on SeDs.
-    handles = tuple(arg.value for arg in profile.arguments
-                    if isinstance(arg.value, DataHandle))
-    resident: Dict[str, int] = {}
-    for data in handles:
-        resident[data.sed_name] = resident.get(data.sed_name, 0) + data.nbytes
-    memo_key = None
-    if client.memo_enabled:
-        # Lazy: repro.data depends on repro.core at module level.
-        from ..data.memo import descriptor_digest
-
-        memo_key = descriptor_digest(profile)
-    while True:
-        order = client._ma_order()
-        for i, ma_name in enumerate(order):
-            request_id = client.fabric.new_request_id()
-            sub = SubmitRequest(request_id=request_id,
-                                service_desc=profile.desc,
-                                client_host=client.host.name,
-                                client_endpoint=endpoint.name,
-                                request_nbytes=profile.request_nbytes(),
-                                resident_bytes=resident,
-                                data_handles=handles,
-                                memo_key=memo_key)
-            try:
-                sed_name, est = yield from endpoint.rpc(ma_name, "submit", sub)
-            except (ServerNotFoundError, CommunicationError) as exc:
-                last_error = exc
-                client._note_rejection(ma_name, i + 1 < len(order))
-                continue
-            found_at = client.engine.now
-            handle.server, handle.request_id = sed_name, request_id
-            handle.error = None
-            if isinstance(est, MemoHit):
-                try:
-                    yield from absorb_memo_hit(endpoint, profile, est)
-                except (CommunicationError, DataError):
-                    # Stale hit: redo the whole round without the memo.
-                    client.memo_fallbacks += 1
-                    memo_key = None
-                    break
-                return 0, sed_name, found_at
-            reply = yield from endpoint.rpc(
-                sed_name, "solve",
-                SolveRequest(request_id=request_id, profile=profile,
-                             client_endpoint=endpoint.name,
-                             memo_key=memo_key),
-                nbytes=profile.request_nbytes())
-            for index, value in reply.out_values.items():
-                profile.parameter(index).set(value)
-            handle.error = reply.error
-            return reply.status, sed_name, found_at
-        else:  # no break: every MA declined
-            raise last_error
+_NEVER = float("-inf")
 
 
 @dataclass
@@ -153,10 +58,13 @@ class FunctionHandle:
     service_name: str
     server: Optional[str] = None
     bound: bool = True
-    #: Grid-wide id of the (last) request made through this handle and the
-    #: SeD-side error string of its solve — what a non-zero status alone
-    #: cannot say (None when the solve succeeded).
+    #: Grid-wide id of the (last) request made through this handle, the
+    #: simulated instant its winning submit reply arrived (finding time =
+    #: ``found_at`` - call start, redirects included) and the SeD-side
+    #: error string of its solve — what a non-zero status alone cannot say
+    #: (None when the solve succeeded).
     request_id: Optional[int] = None
+    found_at: Optional[float] = None
     error: Optional[str] = None
 
     def __post_init__(self):
@@ -209,7 +117,19 @@ class AsyncRequest:
 
 
 class DietClient:
-    """A DIET client application bound to one simulated host."""
+    """A DIET client application bound to one simulated host.
+
+    Redirection policy (several MAs): MAs are tried in
+    least-recent-rejection order — the MA-level load feedback loop.  Before
+    any MA has refused this client the order is the configured one (home
+    first); once an MA rejects (``ServerNotFoundError`` — no candidate
+    survived the grace period) or is unreachable (``CommunicationError``)
+    it sinks to the back until every other MA has rejected more recently.
+    The per-MA refusal counts feeding the order are the same events
+    exported as the ``federation.rejections`` metric (labelled by MA), so
+    the policy consumes exactly what observability reports.  A request
+    fails only once every MA declined.
+    """
 
     def __init__(self, fabric: TransportFabric, host: Host,
                  name: str = "client", tracer: Optional[Tracer] = None,
@@ -227,35 +147,48 @@ class DietClient:
         self.tracing = self.endpoint.pipeline.add(TracingInterceptor(self.tracer))
         for icpt in interceptors:
             self.endpoint.pipeline.add(icpt)
-        self.ma_name: Optional[str] = None
+        #: The MAs this client submits to, home first (set by initialize).
+        self.ma_names: List[str] = []
         self._initialized = False
         self._session_ids = itertools.count(1)
         self._requests: Dict[int, AsyncRequest] = {}
         #: Calls resubmitted through the MA after a middleware failure
         #: (:meth:`call_retry`); application failures are never retried.
         self.resubmissions = 0
+        #: Submits retried on a sibling MA / every per-MA refusal.
+        self.redirects = 0
+        self.rejections = 0
+        #: Per-MA refusal counts (the ``federation.rejections`` breakdown).
+        self.rejections_by_ma: Dict[str, int] = {}
+        #: Simulated instant each MA last refused us; feeds the
+        #: least-recent-rejection order.
+        self._last_rejected: Dict[str, float] = {}
         #: Send a canonical request-descriptor digest with every submit so
         #: the MA can short-circuit repeats to grid-memo hits.  Off by
         #: default: a key-less submit never touches the memo.
         self.memo_enabled = memo_enabled
         #: Memo hits whose owner vanished before the results could be
-        #: pulled; each one fell back to a normal re-solve.
+        #: pulled; each one fell back to a fresh memo-less submit round.
         self.memo_fallbacks = 0
 
     # -- session -------------------------------------------------------------------
 
     def initialize(self, config: Dict[str, Any]) -> None:
-        """diet_initialize(configuration_file): binds to the Master Agent.
+        """diet_initialize(configuration_file): binds to the Master Agent(s).
 
         ``config`` plays the role of the parsed configuration file; the only
-        mandatory key is ``"MA_name"``.
+        mandatory key is ``"MA_name"``: one MA name, or the ordered list of
+        MAs to try (home first).  A client that must stay on a subset of a
+        federation's MAs is initialized with that subset.
         """
         ma = config.get("MA_name")
-        if not ma:
+        names = [ma] if isinstance(ma, str) else list(ma or ())
+        if not names:
             raise NotInitializedError("configuration lacks 'MA_name'")
-        # Resolving validates the MA actually exists (name-service lookup).
-        self.fabric.resolve(ma)
-        self.ma_name = ma
+        # Resolving validates the MAs actually exist (name-service lookup).
+        for name in names:
+            self.fabric.resolve(name)
+        self.ma_names = names
         self._initialized = True
         self.endpoint.start()
 
@@ -283,23 +216,136 @@ class DietClient:
     def call(self, profile: Profile,
              handle: Optional[FunctionHandle] = None
              ) -> Generator[Event, Any, int]:
-        """diet_call(): synchronous solve.  Process helper.
+        """diet_call(): submit, then solve — the one request path.
 
-        The one-MA case of :func:`submit_and_solve`.  Returns the service's
-        integer status; OUT/INOUT values are written back into ``profile``
-        (freshly allocated on the client side, as the C API does for OUT
-        arguments).
+        A process helper.  Returns the service's integer status; OUT/INOUT
+        values are written back into ``profile`` (freshly allocated on the
+        client side, as the C API does for OUT arguments).  ``handle`` is
+        bound to the chosen SeD as soon as it is known and keeps the
+        request id, ``found_at`` and the SeD-side error string.
+
+        An MA that declines is accounted and the next one tried (see the
+        class docstring for the order); the last MA's error is raised once
+        every one declined.  A SeD crash mid-solve raises
+        ``CommunicationError``.  Each attempt draws a fresh fabric-scoped
+        request id, so identical campaigns get identical ids regardless of
+        what ran before them.  Lifecycle stamps are not taken here: the
+        endpoint's :class:`TracingInterceptor` records them as the messages
+        pass through the pipeline — except the ends no message marks (a memo
+        hit's completion, a request id abandoned without a reply).
         """
         self._check_session()
-        status, _sed, _found_at = yield from submit_and_solve(
-            self, profile, handle)
-        return status
+        profile.validate_for_submit()
+        endpoint = self.endpoint
+        if handle is None:
+            handle = FunctionHandle(profile.path)
+        # Data Location Manager view: persistent inputs already on SeDs.
+        handles = tuple(arg.value for arg in profile.arguments
+                        if isinstance(arg.value, DataHandle))
+        resident: Dict[str, int] = {}
+        for data in handles:
+            resident[data.sed_name] = resident.get(data.sed_name, 0) + data.nbytes
+        memo_key = None
+        if self.memo_enabled:
+            # Lazy: repro.data depends on repro.core at module level.
+            from ..data.memo import descriptor_digest
 
-    def _ma_order(self) -> list:
-        return [self.ma_name]
+            memo_key = descriptor_digest(profile)
+        try:
+            while True:
+                # Stable sort: never-refused MAs first in configured order, then
+                # ascending last-refusal stamp (simulated time: same per seed).
+                order = sorted(self.ma_names,
+                               key=lambda ma: self._last_rejected.get(ma, _NEVER))
+                for i, ma_name in enumerate(order):
+                    request_id = self.fabric.new_request_id()
+                    sub = SubmitRequest(request_id=request_id,
+                                        service_desc=profile.desc,
+                                        client_host=self.host.name,
+                                        client_endpoint=endpoint.name,
+                                        request_nbytes=profile.request_nbytes(),
+                                        resident_bytes=resident,
+                                        data_handles=handles,
+                                        memo_key=memo_key)
+                    try:
+                        sed_name, est = yield from endpoint.rpc(ma_name, "submit", sub)
+                    except (ServerNotFoundError, CommunicationError) as exc:
+                        last_error = exc
+                        self.tracing.abandon_request(request_id,
+                                                     self.engine.now, "error")
+                        self._note_rejection(ma_name, i + 1 < len(order))
+                        continue
+                    handle.server, handle.request_id = sed_name, request_id
+                    handle.found_at = self.engine.now
+                    handle.error = None
+                    if isinstance(est, MemoHit):
+                        try:
+                            yield from self._absorb_memo_hit(profile, est)
+                        except (CommunicationError, DataError):
+                            # Stale hit: redo the whole round without the memo.
+                            self.tracing.abandon_request(request_id, self.engine.now,
+                                                         "stale")
+                            self.memo_fallbacks += 1
+                            memo_key = None
+                            break
+                        self.tracing.complete_request(request_id, profile.path,
+                                                      self.engine.now, 0, memo="hit")
+                        return 0
+                    reply = yield from endpoint.rpc(
+                        sed_name, "solve",
+                        SolveRequest(request_id=request_id, profile=profile,
+                                     client_endpoint=endpoint.name,
+                                     memo_key=memo_key),
+                        nbytes=profile.request_nbytes())
+                    for index, value in reply.out_values.items():
+                        profile.parameter(index).set(value)
+                    handle.error = reply.error
+                    return reply.status
+                else:  # no break: every MA declined
+                    raise last_error
+        except Exception:
+            # Refusal in flight, dead SeD, deadline, cancellation: whatever
+            # ended this request id early, nothing stays open on its track
+            # (a no-op when the pipeline saw an error reply and unwound it).
+            self.tracing.abandon_request(request_id, self.engine.now, "error")
+            raise
 
     def _note_rejection(self, ma_name: str, redirected: bool) -> None:
-        """A single-MA client has nowhere to redirect and nothing to rank."""
+        now = self.engine.now
+        obs = self.tracer.obs
+        self.rejections += 1
+        self.rejections_by_ma[ma_name] = \
+            self.rejections_by_ma.get(ma_name, 0) + 1
+        self._last_rejected[ma_name] = now
+        if obs.enabled:
+            obs.metrics.counter("federation.rejections",
+                                ma=ma_name).inc(1, now)
+        if redirected:
+            self.redirects += 1
+            if obs.enabled:
+                obs.metrics.counter("federation.redirects").inc(1, now)
+
+    def _absorb_memo_hit(self, profile: Profile, hit: MemoHit
+                         ) -> Generator[Event, Any, None]:
+        """Materialize a memo hit into the client profile (process helper).
+
+        Returning arguments (``*_RETURN`` modes — the client owns the bytes)
+        are pulled from the owning SeD with ``memo_fetch`` at the data's true
+        size; non-returning ones bind to the persisted handle directly,
+        exactly as a fresh solve's reply would have.  Raises
+        :class:`CommunicationError` (owner died since the lookup) or
+        :class:`DataError` (result evicted) — :meth:`call` then falls back
+        to a normal re-solve, which repopulates the memo.
+        """
+        for index in sorted(hit.out_values):
+            data = hit.out_values[index]
+            arg = profile.parameter(index)
+            if arg.desc.persistence.returns_to_client:
+                value = yield from self.endpoint.rpc(hit.owner, "memo_fetch",
+                                                     data.data_id)
+                arg.set(value)
+            else:
+                arg.set(data)
 
     def call_retry(self, profile: Profile,
                    handle: Optional[FunctionHandle] = None,

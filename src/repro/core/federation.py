@@ -12,11 +12,9 @@ platform (ROADMAP item 1):
   a single shared :class:`~repro.core.transport.TransportFabric` and a
   single shared :class:`~repro.data.manager.DataGrid` (one replica
   catalog, one result memo: handles and memo hits resolve across grids);
-* :class:`FederatedClient` implements the inter-MA redirection policy: a
-  client is homed on one MA and, when that MA rejects the request
-  (:class:`~repro.core.exceptions.ServerNotFoundError`) or is unreachable
-  (:class:`~repro.core.exceptions.CommunicationError`), rotates through
-  the sibling MAs in federation order before giving up;
+* a client is a plain :class:`~repro.core.client.DietClient` initialized
+  with the federation's MA names, home first — the inter-MA redirection
+  policy lives in its one request routine;
 * :func:`schedule_churn` draws non-overlapping SeD outages from named
   random streams and hands them to the existing
   :class:`~repro.sim.failures.FailureInjector` — grid nodes disappear and
@@ -31,7 +29,7 @@ fabric-scoped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
@@ -44,16 +42,14 @@ from ..platform.grid5000 import (
     Grid5000Platform,
     build_grid5000,
 )
-from ..sim.engine import Engine, Event
+from ..sim.engine import Engine
 from ..sim.failures import FailureInjector, Outage
 from ..sim.network import Host, Link
 from ..sim.rng import RandomStreams
 from .agent import AgentParams
-from .client import submit_and_solve
 from .deployment import Deployment, build_hierarchy
 from .exceptions import DietError
 from .godiet import cluster_hierarchy_spec
-from .profile import Profile
 from .scheduling import make_policy
 from .sed import SeD, SeDParams
 from .statistics import Tracer
@@ -63,9 +59,8 @@ if TYPE_CHECKING:  # pragma: no cover - repro.data imports repro.core
     from ..data.manager import DataGrid, DataManagerConfig
     from ..data.memo import MemoIndex
 
-__all__ = ["FederationConfig", "Federation",
-           "FederatedClient", "ChurnPlan", "federation_cluster_specs",
-           "build_federation", "schedule_churn"]
+__all__ = ["FederationConfig", "Federation", "ChurnPlan",
+           "federation_cluster_specs", "build_federation", "schedule_churn"]
 
 
 @dataclass(frozen=True)
@@ -91,7 +86,7 @@ class FederationConfig:
     #: federation-wide data grid (None = defaults: unbounded stores, no
     #: proactive replication).
     data: Optional["DataManagerConfig"] = None
-    #: Where :class:`FederatedClient`\s run.  ``"per-grid"`` attaches one
+    #: Where the federation's clients run.  ``"per-grid"`` attaches one
     #: client host per grid to that grid's first site router, so client→MA
     #: latency is priced by the network model; ``"core"`` is the legacy
     #: placement on the shared core service node (kept for byte-compat
@@ -144,7 +139,7 @@ class Federation:
     #: across grids.
     data_grid: "DataGrid"
     #: One :class:`~repro.core.deployment.Deployment` per grid (no client
-    #: of its own: federated clients attach to the shared fabric).
+    #: of its own: clients attach to the shared fabric).
     grids: List[Deployment] = field(default_factory=list)
 
     @property
@@ -155,6 +150,12 @@ class Federation:
     @property
     def ma_names(self) -> List[str]:
         return [grid.ma.name for grid in self.grids]
+
+    def ma_order(self, home: int) -> List[str]:
+        """The MA list a client homed on grid ``home`` is initialized with:
+        federation order rotated so its own MA comes first."""
+        names = self.ma_names
+        return names[home:] + names[:home]
 
     @property
     def seds(self) -> List[SeD]:
@@ -234,103 +235,6 @@ def build_federation(engine: Engine, config: FederationConfig,
             sed_params=config.sed_params, agent_params=config.agent_params,
             routing=config.routing))
     return federation
-
-
-class FederatedClient:
-    """A client homed on one MA that fails over to sibling MAs.
-
-    Redirection policy: MAs are tried in least-recent-rejection order —
-    the MA-level load feedback loop.  Before any MA has refused this
-    client the order is exactly the old home-first rotation; once an MA
-    rejects (``ServerNotFoundError`` — no candidate survived the grace
-    period) or is unreachable (``CommunicationError``), it sinks to the
-    back of the order until every other MA has rejected more recently.
-    The per-MA refusal counts/stamps feeding the order are the same
-    events exported as the ``federation.rejections`` metric (labelled by
-    MA), so the policy consumes exactly what observability reports.  The
-    request fails only once every tried MA declined.  ``redirects``
-    counts submits retried on a sibling MA, ``rejections`` every per-MA
-    refusal.
-    """
-
-    def __init__(self, fabric: TransportFabric, host: Host, name: str,
-                 ma_names: List[str], home: int = 0,
-                 tracer: Optional[Tracer] = None,
-                 max_redirects: Optional[int] = None,
-                 memo_enabled: bool = False):
-        if not ma_names:
-            raise DietError("a FederatedClient needs at least one MA")
-        self.fabric = fabric
-        self.engine: Engine = fabric.engine
-        self.host = host
-        self.name = name
-        self.ma_names = list(ma_names)
-        self.home = home % len(self.ma_names)
-        self.tracer = tracer or Tracer()
-        #: None tries every MA once; otherwise at most this many siblings.
-        self.max_redirects = max_redirects
-        self.endpoint = fabric.endpoint(name, host.name)
-        self.endpoint.start()
-        self.redirects = 0
-        self.rejections = 0
-        #: Per-MA refusal counts (the ``federation.rejections`` breakdown).
-        self.rejections_by_ma: dict = {}
-        #: Simulated instant each MA last refused us; feeds the
-        #: least-recent-rejection order.
-        self._last_rejected: dict = {}
-        #: Stamp submits with canonical request-descriptor digests so MAs
-        #: can answer repeats from the federation-wide memo.
-        self.memo_enabled = memo_enabled
-        #: Memo hits whose owner vanished before the pull; each fell back
-        #: to a fresh memo-less submit round.
-        self.memo_fallbacks = 0
-
-    def _ma_order(self) -> List[str]:
-        """Least-recent-rejection order, home-rotation as the tiebreak.
-
-        Deterministic: never-rejected MAs sort first in rotation order
-        (byte-identical to the old fixed rotation until the first
-        rejection), then ascending last-rejection stamp — simulated time,
-        so identical per seed.
-        """
-        n = len(self.ma_names)
-        rotation = [self.ma_names[(self.home + i) % n] for i in range(n)]
-        position = {name: i for i, name in enumerate(rotation)}
-        order = sorted(rotation,
-                       key=lambda name: (
-                           self._last_rejected.get(name, float("-inf")),
-                           position[name]))
-        if self.max_redirects is not None:
-            order = order[:self.max_redirects + 1]
-        return order
-
-    def _note_rejection(self, ma_name: str, redirected: bool) -> None:
-        now = self.engine.now
-        obs = self.tracer.obs
-        self.rejections += 1
-        self.rejections_by_ma[ma_name] = \
-            self.rejections_by_ma.get(ma_name, 0) + 1
-        self._last_rejected[ma_name] = now
-        if obs.enabled:
-            obs.metrics.counter("federation.rejections",
-                                ma=ma_name).inc(1, now)
-        if redirected:
-            self.redirects += 1
-            if obs.enabled:
-                obs.metrics.counter("federation.redirects").inc(1, now)
-
-    def call(self, profile: Profile
-             ) -> Generator[Event, Any, Tuple[int, str, float]]:
-        """Submit through the federation, then solve; a process helper.
-
-        :func:`~repro.core.client.submit_and_solve` over :meth:`_ma_order`.
-        Returns ``(status, sed_name, found_at)`` where ``found_at`` is the
-        simulated instant the winning submit reply arrived (finding time =
-        ``found_at - submit start``, redirects included).  Raises the last
-        MA's error when every MA declined; a SeD crash mid-solve raises
-        ``CommunicationError`` exactly like the single-MA client.
-        """
-        return (yield from submit_and_solve(self, profile))
 
 
 @dataclass(frozen=True)

@@ -410,6 +410,7 @@ class TracingInterceptor(Interceptor):
         if rid is None:
             return
         op = message.op
+        now = ctx.fabric.engine.now
         if ctx.reply_status != "ok":
             # Submit/solve RPC failed (dead letter, crashed SeD, no server
             # found): unwind the whole request track so the failure path
@@ -418,14 +419,11 @@ class TracingInterceptor(Interceptor):
             # distinguishable from transport loss so saturation experiments
             # can separate rejected from failed requests.
             if op in (self.SUBMIT_OP, self.SOLVE_OP):
-                obs = self.tracer.obs
-                if obs.enabled:
-                    status = ("rejected"
-                              if isinstance(ctx.reply_value, ServerNotFoundError)
-                              else "error")
-                    obs.spans.unwind(f"req:{rid}", ctx.fabric.engine.now, status)
+                self.abandon_request(
+                    rid, now,
+                    "rejected" if isinstance(ctx.reply_value, ServerNotFoundError)
+                    else "error")
             return
-        now = ctx.fabric.engine.now
         if op == self.SUBMIT_OP:
             trace = self.tracer.trace(rid, ctx.service)
             trace.found_at = now
@@ -441,10 +439,9 @@ class TracingInterceptor(Interceptor):
                             "request.finding_seconds").observe(
                                 finding.duration, now)
         elif op == self.SOLVE_OP:
-            trace = self.tracer.trace(rid, ctx.service)
-            trace.completed_at = now
             reply = ctx.reply_value
-            trace.status = getattr(reply, "status", trace.status)
+            trace = self.complete_request(rid, ctx.service, now,
+                                          getattr(reply, "status", None))
             # The tracer is usually shared with the SeD in-process; when it
             # is not (separate tracers in tests) the reply timestamps fill
             # the server-side gaps.
@@ -452,11 +449,32 @@ class TracingInterceptor(Interceptor):
                 trace.solve_started_at = getattr(reply, "solve_started_at", None)
             if trace.solve_ended_at is None:
                 trace.solve_ended_at = getattr(reply, "solve_ended_at", None)
-            obs = self.tracer.obs
-            if obs.enabled:
-                request = obs.spans.open_span(f"req:{rid}", "request")
-                if request is not None:
-                    obs.spans.end(request, now, status_code=trace.status)
+
+    # -- request ends (also called by the client, where no message marks them) -----
+
+    def complete_request(self, rid: int, service: str, now: float,
+                         status: Optional[int], **attrs: Any):
+        """The one completion stamp: ``completed_at`` + ``status`` on the
+        request's trace, and its ``request`` span ended.  A solve reply gets
+        here through :meth:`intercept_complete`; a memo hit, which ends
+        without a solve, through the client (``memo="hit"``)."""
+        trace = self.tracer.trace(rid, service)
+        trace.completed_at = now
+        trace.status = status
+        obs = self.tracer.obs
+        if obs.enabled:
+            request = obs.spans.open_span(f"req:{rid}", "request")
+            if request is not None:
+                obs.spans.end(request, now, status_code=status, **attrs)
+        return trace
+
+    def abandon_request(self, rid: int, now: float, status: str) -> None:
+        """Unwind every span still open on the request's track: a request
+        id that will never complete leaves nothing for ``finalize`` to
+        sweep up as ``"lost"``."""
+        obs = self.tracer.obs
+        if obs.enabled:
+            obs.spans.unwind(f"req:{rid}", now, status)
 
 
 class DeadlineInterceptor(Interceptor):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -10,14 +9,7 @@ from .data import DataHandle, HANDLE_WIRE_BYTES
 from .profile import Profile, ProfileDesc
 
 __all__ = ["EstimateDelta", "EstimateRequest", "MemoHit", "SubmitRequest",
-           "SolveRequest", "SolveReply", "new_request_id"]
-
-_request_ids = itertools.count(1)
-
-
-def new_request_id() -> int:
-    """Globally unique (per-process) request identifier."""
-    return next(_request_ids)
+           "SolveRequest", "SolveReply"]
 
 
 @dataclass

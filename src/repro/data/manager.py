@@ -53,9 +53,6 @@ class DataManagerConfig:
     eviction: str = "lru"
     #: Replication policy name ("none", "per-cluster", "eager-broadcast").
     replication: str = "none"
-    #: Serve cluster-local replicas through the shared NFS volume instead
-    #: of SeD-to-SeD transfers.
-    nfs_fastpath: bool = True
 
 
 @dataclass
@@ -96,7 +93,6 @@ class DataManager:
             eviction=make_eviction(config.eviction),
         )
         self.replication = make_replication_policy(config.replication)
-        self.nfs_fastpath = config.nfs_fastpath
         self.stats = grid.stats
         self.transfers = TransferManager(self)
         #: Checkpoint registrations survive a crash of this SeD: the bytes

@@ -138,12 +138,9 @@ class TransferManager:
         last_error: Exception = DataError(f"no replica of {handle.data_id!r} reachable")
         for rep in ranked:
             try:
-                if (
-                    mgr.nfs_fastpath
-                    and mgr.sed.nfs is not None
-                    and rep.volume == mgr.sed.nfs.name
-                ):
-                    # Same volume: a sibling already staged the bytes here.
+                if mgr.sed.nfs is not None and rep.volume == mgr.sed.nfs.name:
+                    # The volume this SeD mounts: a sibling already staged
+                    # the bytes here, read them instead of a SeD-to-SeD pull.
                     nbytes = rep.nbytes or handle.nbytes
                     yield from mgr.sed.nfs.read_bytes(my_host, nbytes)
                     value = yield from self._peer_value(rep, handle)

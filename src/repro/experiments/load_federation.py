@@ -33,11 +33,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.agent import ROUTING_MODES, AgentParams
+from ..core.client import DietClient, FunctionHandle
 from ..core.data import BaseType, PersistenceMode, scalar_desc
 from ..core.exceptions import CommunicationError, ServerNotFoundError
 from ..core.federation import (
     ChurnPlan,
-    FederatedClient,
     FederationConfig,
     build_federation,
     schedule_churn,
@@ -182,12 +182,12 @@ def _run_point(routing: str, offered: float, duration: float,
                       end=duration * 0.75),
             streams)
 
-    clients = [FederatedClient(federation.fabric, federation.client_host,
-                               name=f"fedcli{g}",
-                               ma_names=federation.ma_names, home=g,
-                               tracer=federation.tracer,
-                               memo_enabled=memo_on)
+    clients = [DietClient(federation.fabric, federation.client_host,
+                          name=f"fedcli{g}", tracer=federation.tracer,
+                          memo_enabled=memo_on)
                for g in range(n_grids)]
+    for g, client in enumerate(clients):
+        client.initialize({"MA_name": federation.ma_order(g)})
     descs = {cls.name: _service_desc(cls.name, memo_on)
              for cls in DEFAULT_MIX}
 
@@ -204,15 +204,16 @@ def _run_point(routing: str, offered: float, duration: float,
         profile.parameter(1).set(None)
         started = engine.now
         client = clients[arrival.client % len(clients)]
+        handle = FunctionHandle(profile.path)
         try:
-            status, _sed, found_at = yield from client.call(profile)
+            status = yield from client.call(profile, handle)
         except ServerNotFoundError:
             stats["rejected"] += 1
             return
         except CommunicationError:
             stats["failed"] += 1  # SeD died mid-solve, job lost
             return
-        finds.append(found_at - started)
+        finds.append(handle.found_at - started)
         latencies.append(engine.now - started)
         if status == 0:
             stats["completed"] += 1

@@ -34,8 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..core.client import DietClient
 from ..core.exceptions import CommunicationError, ServerNotFoundError
-from ..core.federation import FederatedClient, FederationConfig, build_federation
+from ..core.federation import FederationConfig, build_federation
 from ..data import campaign_data_config
 from ..obs import Observability
 from ..services.lensing_service import LensingServiceConfig, register_survey_services
@@ -208,12 +209,12 @@ def _run_arm(routing: str, policy: str, data_policy: str,
     federation.launch_all()
 
     grid = _survey_grid(shape)
-    clients = [FederatedClient(federation.fabric,
-                               federation.client_host_for(g),
-                               name=f"surveycli{g}",
-                               ma_names=federation.ma_names, home=g,
-                               tracer=federation.tracer, memo_enabled=True)
+    clients = [DietClient(federation.fabric, federation.client_host_for(g),
+                          name=f"surveycli{g}", tracer=federation.tracer,
+                          memo_enabled=True)
                for g in range(n_grids)]
+    for g, client in enumerate(clients):
+        client.initialize({"MA_name": federation.ma_order(g)})
     # Both clients run the same grid with the same realization seed: the
     # later clients' chains are the duplicated-cosmology leg that should
     # answer from the federation-wide memo under persisting policies.
@@ -227,11 +228,9 @@ def _run_arm(routing: str, policy: str, data_policy: str,
                     max_in_flight=_MAX_IN_FLIGHT)
         for g, client in enumerate(clients)]
 
-    zoom_client = FederatedClient(federation.fabric,
-                                  federation.client_host_for(0),
-                                  name="zoomcli",
-                                  ma_names=federation.ma_names, home=0,
-                                  tracer=federation.tracer)
+    zoom_client = DietClient(federation.fabric, federation.client_host_for(0),
+                             name="zoomcli", tracer=federation.tracer)
+    zoom_client.initialize({"MA_name": federation.ma_names})
     stats: Dict[str, int] = {"zooms": 0}
 
     def one_zoom(index: int):
@@ -240,7 +239,7 @@ def _run_arm(routing: str, policy: str, data_policy: str,
             _ZOOM_RESOLUTION, _ZOOM_BOXSIZE, _zoom_center(index),
             _ZOOM_LEVELS)
         try:
-            status, _sed, _found = yield from zoom_client.call(profile)
+            status = yield from zoom_client.call(profile)
         except (ServerNotFoundError, CommunicationError):
             return
         if status == 0:

@@ -141,15 +141,6 @@ class Event:
         self.engine._queue.pushnow(priority, self)
         return self
 
-    def _trigger(self, ok: bool, value: Any, priority: int) -> None:
-        # Kept for subclass/test use; succeed()/fail() inline this.
-        if self._scheduled:
-            raise SimulationError(f"{self!r} already triggered")
-        self._ok = ok
-        self._value = value
-        self._scheduled = True
-        self.engine._queue.pushnow(priority, self)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "processed" if self.processed else ("triggered" if self._scheduled else "pending")
         return f"<{type(self).__name__} {state} at {hex(id(self))}>"
@@ -161,7 +152,7 @@ class Timeout(Event):
     Fast path: a Timeout is *born scheduled* — its outcome is decided at
     creation, so the constructor sets the event state directly and pushes
     the heap entry itself instead of going through
-    ``Event.__init__`` + ``_trigger`` (three frames saved per event on the
+    ``Event.__init__`` + ``succeed`` (three frames saved per event on the
     kernel's single hottest allocation site).
     """
 
@@ -438,16 +429,6 @@ class Engine:
         return self._queue.now
 
     @property
-    def _now(self) -> float:
-        # Kept as an alias: pre-PR-3 kernel code and tests read engine._now;
-        # the queue owns the clock now so dispatch never boxes it.
-        return self._queue.now
-
-    @_now.setter
-    def _now(self, value: float) -> None:
-        self._queue.now = value
-
-    @property
     def events_scheduled(self) -> int:
         """Total events ever pushed onto the queue (the seq counter)."""
         return self._queue.count
@@ -519,11 +500,11 @@ class Engine:
 
         Returns the simulation time when the run stopped.
         """
-        if until is not None and until < self._now:
-            raise ValueError(f"until={until} is in the past (now={self._now})")
+        if until is not None and until < self._queue.now:
+            raise ValueError(f"until={until} is in the past (now={self._queue.now})")
         obs = self.obs
         if obs.enabled:
-            span = obs.spans.begin("engine", "run", self._now, "engine")
+            span = obs.spans.begin("engine", "run", self._queue.now, "engine")
             try:
                 return self._run_inner(until)
             finally:
@@ -540,11 +521,11 @@ class Engine:
             peektime = queue.peektime
             while queue:
                 if until is not None and peektime() > until:
-                    self._now = until
+                    queue.now = until
                     return until
                 when, prio, seq, event = queue.pop()
                 dispatch(when, prio, seq, event)
-            return self._now
+            return queue.now
         # Fast path: hand the whole pop/dispatch/callback loop to _drain
         # (the C dispatch loop when the extension is loaded, the Python
         # mirror below otherwise).  clamp=True pins the clock to `until`
@@ -581,7 +562,7 @@ class Engine:
         obs = self.obs
         span = None
         if obs.enabled:
-            span = obs.spans.begin("engine", "run", self._now, "engine")
+            span = obs.spans.begin("engine", "run", queue.now, "engine")
         try:
             self._run_until_complete_inner(proc, queue, max_time)
         finally:

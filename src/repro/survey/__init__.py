@@ -9,8 +9,8 @@ requests (ROADMAP item 4, the LensTools pipeline shape).
   density slabs);
 * :mod:`~repro.survey.dag` — :class:`~repro.survey.dag.SurveyDAG` +
   :class:`~repro.survey.dag.DagExecutor`: a client-side executor that
-  submits ready nodes through a ``FederatedClient`` with
-  bounded in-flight width, dead-letter retry, and dependency-aware
+  submits ready nodes through a :class:`~repro.core.client.DietClient`
+  with bounded in-flight width, dead-letter retry, and dependency-aware
   upstream refresh when a persistent input died with its SeD;
 * :mod:`~repro.survey.pipeline` — the IC→run→lensing chain per cosmology
   point plus the pairwise map-reduction fan-in, with inter-node data

@@ -7,10 +7,10 @@ profile per attempt (instead of once) is what makes retries correct: when
 an upstream result died with its SeD and had to be recomputed, the next
 attempt reads the *new* handles.
 
-:class:`DagExecutor` runs the DAG through an existing
-:class:`~repro.core.federation.FederatedClient` (a single-MA deployment is
-its one-MA case) — any client whose ``call(profile)`` returns
-``(status, sed_name, found_at)``:
+:class:`DagExecutor` runs the DAG through an initialized
+:class:`~repro.core.client.DietClient` (one MA or an ordered list of them)
+— ``call(profile, handle)`` returns the status and fills the handle with
+the chosen SeD and the instant it was found:
 
 * ready nodes are submitted in insertion order with a bounded in-flight
   width (``max_in_flight``) — the client-side DAG engine the follow-up
@@ -46,6 +46,7 @@ from typing import (
     Tuple,
 )
 
+from ..core.client import DietClient, FunctionHandle
 from ..core.data import DataHandle, Direction
 from ..core.exceptions import CommunicationError, DietError, ServerNotFoundError
 from ..core.profile import Profile
@@ -210,7 +211,7 @@ class DagExecutor:
 
     def __init__(
         self,
-        client: Any,
+        client: DietClient,
         dag: SurveyDAG,
         max_in_flight: int = 4,
         max_attempts: int = 3,
@@ -286,8 +287,9 @@ class DagExecutor:
                     point=node.point,
                     attempt=attempts,
                 )
+            handle = FunctionHandle(profile.path)
             try:
-                status, sed_name, found_at = yield from self.client.call(profile)
+                status = yield from self.client.call(profile, handle)
             except (ServerNotFoundError, CommunicationError) as exc:
                 if span is not None:
                     self.obs.spans.end(
@@ -330,14 +332,14 @@ class DagExecutor:
                 if arg.direction is not Direction.IN and arg.is_set
             }
             if span is not None:
-                self.obs.spans.end(span, finished, status="ok", sed=sed_name)
+                self.obs.spans.end(span, finished, status="ok", sed=handle.server)
             result = NodeResult(
                 node_id=node.node_id,
                 status=status,
-                sed_name=sed_name,
+                sed_name=handle.server,
                 attempts=attempts,
                 started=started,
-                found_at=found_at,
+                found_at=handle.found_at,
                 finished=finished,
                 outputs=outputs,
             )

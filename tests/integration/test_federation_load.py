@@ -139,6 +139,19 @@ class TestMemoizedLoadSweep:
         parallel = load_federation.run(**MEMO_KW, jobs=2)
         assert canonical_pickle(parallel) == canonical_pickle(memo_result)
 
+    def test_every_request_span_is_closed(self):
+        """Hits, SeDs lost to churn, refusals: whatever ends a request, the
+        client closes its track — nothing left for a ``finalize`` sweep."""
+        point = load_federation.run(loads=(8,), routings=("push",), duration=5,
+                                    memo="on", observe=True).runs[0]
+        spans = point.span_store
+        requests = list(spans.find(name="request"))
+        assert len(requests) >= point.n_arrivals
+        assert sum(s.attrs.get("memo") == "hit" for s in requests) \
+            == point.memo_hits > 0
+        assert spans.open_count == 0
+        assert not list(spans.find(status="lost"))
+
     def test_memo_render_reports_hit_rates(self, memo_result):
         text = load_federation.render(memo_result)
         assert "memoization: on" in text

@@ -12,7 +12,8 @@ import dataclasses
 
 import pytest
 
-from repro.core.federation import FederatedClient, FederationConfig, build_federation
+from repro.core.client import DietClient
+from repro.core.federation import FederationConfig, build_federation
 from repro.data import campaign_data_config
 from repro.experiments import survey_campaign
 from repro.experiments.runner import canonical_pickle
@@ -113,11 +114,10 @@ def _one_point_executor(data_policy, memo, n_points=1, prefix="",
         federation.launch_all()
     grid = ParameterGrid.cartesian({"omega_m": tuple(
         0.24 + 0.02 * i for i in range(n_points))})
-    client = FederatedClient(federation.fabric,
-                             federation.client_host_for(0),
-                             name=f"cli{prefix or home}",
-                             ma_names=federation.ma_names, home=home,
-                             tracer=federation.tracer, memo_enabled=memo)
+    client = DietClient(federation.fabric, federation.client_host_for(0),
+                        name=f"cli{prefix or home}",
+                        tracer=federation.tracer, memo_enabled=memo)
+    client.initialize({"MA_name": federation.ma_order(home)})
     dag = build_survey_dag(grid, resolution=16, n_planes=2,
                            data_policy=data_policy, realization_seed=3,
                            name=f"dag{prefix}")

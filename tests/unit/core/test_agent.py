@@ -14,7 +14,6 @@ from repro.core import (
     TransportFabric,
     scalar_desc,
 )
-from repro.core.requests import new_request_id
 from repro.sim import Engine, Host, Link, Network
 
 
@@ -71,7 +70,7 @@ class TestSubmit:
         engine, _, ma, seds, cli = hierarchy
 
         def call():
-            sub = SubmitRequest(new_request_id(), toy_desc(), "hub", "cli")
+            sub = SubmitRequest(cli.fabric.new_request_id(), toy_desc(), "hub", "cli")
             sed_name, est = yield from cli.rpc("MA", "submit", sub)
             return sed_name, est
 
@@ -85,7 +84,7 @@ class TestSubmit:
 
         def call():
             for _ in range(4):
-                sub = SubmitRequest(new_request_id(), toy_desc(), "hub", "cli")
+                sub = SubmitRequest(cli.fabric.new_request_id(), toy_desc(), "hub", "cli")
                 sed_name, _ = yield from cli.rpc("MA", "submit", sub)
                 chosen.append(sed_name)
 
@@ -96,7 +95,7 @@ class TestSubmit:
         engine, _, _, _, cli = hierarchy
 
         def call():
-            sub = SubmitRequest(new_request_id(),
+            sub = SubmitRequest(cli.fabric.new_request_id(),
                                 ProfileDesc("nonexistent", 0, 0, 0),
                                 "hub", "cli")
             try:
@@ -111,7 +110,7 @@ class TestSubmit:
 
         def call():
             for _ in range(3):
-                sub = SubmitRequest(new_request_id(), toy_desc(), "hub", "cli")
+                sub = SubmitRequest(cli.fabric.new_request_id(), toy_desc(), "hub", "cli")
                 yield from cli.rpc("MA", "submit", sub)
 
         engine.run_process(call())
@@ -121,7 +120,7 @@ class TestSubmit:
         engine, _, ma, _, cli = hierarchy
 
         def call():
-            sub = SubmitRequest(new_request_id(), toy_desc(), "hub", "cli")
+            sub = SubmitRequest(cli.fabric.new_request_id(), toy_desc(), "hub", "cli")
             yield from cli.rpc("MA", "submit", sub)
 
         engine.run_process(call())
@@ -136,7 +135,7 @@ class TestFaultTolerance:
         fabric.unbind(seds[0].name)
 
         def call():
-            sub = SubmitRequest(new_request_id(), toy_desc(), "hub", "cli")
+            sub = SubmitRequest(cli.fabric.new_request_id(), toy_desc(), "hub", "cli")
             sed_name, _ = yield from cli.rpc("MA", "submit", sub)
             return sed_name
 
@@ -148,7 +147,7 @@ class TestFaultTolerance:
         fabric.unbind("LA0")
 
         def call():
-            sub = SubmitRequest(new_request_id(), toy_desc(), "hub", "cli")
+            sub = SubmitRequest(cli.fabric.new_request_id(), toy_desc(), "hub", "cli")
             sed_name, _ = yield from cli.rpc("MA", "submit", sub)
             return sed_name
 

@@ -8,7 +8,6 @@ from repro.core.data import BaseType, scalar_desc
 from repro.core.exceptions import ServerNotFoundError
 from repro.core.federation import (
     ChurnPlan,
-    FederatedClient,
     FederationConfig,
     build_federation,
     federation_cluster_specs,
@@ -19,6 +18,7 @@ from repro.platform.grid5000 import PAPER_CLUSTERS
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStreams
 from tests.property import kernel_reference
+from tests.property.scripted_mas import REFUSE, ScriptedMAs
 
 
 def _desc(name="echo"):
@@ -88,42 +88,54 @@ class TestBuildFederation:
                    for sed in federation.seds)
 
 
+def _client(federation, ma_names, name="cli"):
+    client = DietClient(federation.fabric, federation.client_host, name=name,
+                        tracer=federation.tracer)
+    client.initialize({"MA_name": ma_names})
+    return client
+
+
 class TestFederatedClientRedirection:
-    @pytest.mark.parametrize("routing", ROUTING_MODES)
-    def test_home_rejection_redirects_to_sibling(self, routing):
-        """Service deployed only on grid 1: a grid-0-homed client must be
-        rejected by MA0 and succeed on MA1 with exactly one redirect."""
+    """A client of a federation: one :class:`DietClient` initialized with
+    the MA names, home first."""
+
+    def _only_grid1_serves_echo(self, routing="pull"):
         engine = Engine()
         federation = build_federation(
             engine,
             FederationConfig(n_grids=2, clusters_per_grid=1, routing=routing,
                              agent_params=AgentParams(child_timeout=0.5)))
-        desc = _desc()
         # SeDs refuse to launch empty: grid 0 serves only a decoy service.
         for sed in federation.grids[0].seds:
             sed.add_service(_desc("decoy"), _solve)
         for sed in federation.grids[1].seds:
             sed.add_service(_desc(), _solve)
         federation.launch_all()
+        return engine, federation
 
-        client = FederatedClient(federation.fabric, federation.client_host,
-                                 name="cli", ma_names=federation.ma_names,
-                                 home=0)
-        state = {}
+    @pytest.mark.parametrize("routing", ROUTING_MODES)
+    def test_home_rejection_redirects_to_sibling(self, routing):
+        """Service deployed only on grid 1: a grid-0-homed client must be
+        rejected by MA0 and succeed on MA1 with exactly one redirect."""
+        engine, federation = self._only_grid1_serves_echo(routing)
+        client = _client(federation, federation.ma_order(0))
+        handle = client.function_handle("echo")
 
         def driver():
-            status, sed_name, found_at = yield from client.call(
-                _instantiate(desc))
-            state["status"] = status
-            state["sed"] = sed_name
-            state["found_at"] = found_at
+            return (yield from client.call(_instantiate(_desc()), handle))
 
-        engine.run_until_complete(driver())
-        assert state["status"] == 0
-        assert state["sed"].startswith("SeD-g1-")
+        assert engine.run_until_complete(driver()) == 0
+        assert handle.server.startswith("SeD-g1-")
         assert client.redirects == 1
         assert client.rejections == 1
-        assert state["found_at"] <= engine.now
+        assert client.rejections_by_ma == {"MA0": 1}
+        assert 0 < handle.found_at <= engine.now
+        # The refused id and the served one each left a full client record.
+        refused = federation.tracer.trace(handle.request_id - 1, "echo")
+        served = federation.tracer.trace(handle.request_id, "echo")
+        assert refused.submitted_at is not None and refused.found_at is None
+        assert served.found_at == handle.found_at
+        assert served.completed_at == engine.now and served.status == 0
 
     def test_every_ma_declining_raises(self):
         engine = Engine()
@@ -134,47 +146,30 @@ class TestFederatedClientRedirection:
         # Every grid serves only the decoy — "echo" exists nowhere.
         federation.add_service_everywhere(lambda: _desc("decoy"), _solve)
         federation.launch_all()
-        client = FederatedClient(federation.fabric, federation.client_host,
-                                 name="cli", ma_names=federation.ma_names)
-        state = {}
+        client = _client(federation, federation.ma_names)
 
         def driver():
-            try:
+            with pytest.raises(ServerNotFoundError):
                 yield from client.call(_instantiate(_desc()))
-            except ServerNotFoundError:
-                state["raised"] = True
 
         engine.run_until_complete(driver())
-        assert state.get("raised")
         assert client.rejections == 2
         assert client.redirects == 1   # one sibling retried, then gave up
 
-    def test_max_redirects_zero_pins_client_to_home(self):
-        engine = Engine()
-        federation = build_federation(
-            engine,
-            FederationConfig(n_grids=2, clusters_per_grid=1,
-                             agent_params=AgentParams(child_timeout=0.5)))
-        for sed in federation.grids[0].seds:
-            sed.add_service(_desc("decoy"), _solve)
-        for sed in federation.grids[1].seds:
-            sed.add_service(_desc(), _solve)
-        federation.launch_all()
-        client = FederatedClient(federation.fabric, federation.client_host,
-                                 name="cli", ma_names=federation.ma_names,
-                                 home=0, max_redirects=0)
-        state = {}
+    def test_home_only_client_stays_on_home(self):
+        """A client that must stay on a subset of the MAs is initialized
+        with that subset: MA1 would serve, but it is never asked."""
+        engine, federation = self._only_grid1_serves_echo()
+        client = _client(federation, ["MA0"])
 
         def driver():
-            try:
+            with pytest.raises(ServerNotFoundError):
                 yield from client.call(_instantiate(_desc()))
-            except ServerNotFoundError:
-                state["raised"] = True
 
         engine.run_until_complete(driver())
-        assert state.get("raised")
         assert client.redirects == 0
         assert client.rejections == 1
+        assert client.rejections_by_ma == {"MA0": 1}
 
 
 class TestChurn:
@@ -253,53 +248,72 @@ class TestClientPlacement:
 
 
 class TestLeastRecentRejectionOrder:
-    def _client(self, n_grids=3):
-        engine = Engine()
-        federation = build_federation(
-            engine, FederationConfig(n_grids=n_grids, clusters_per_grid=1))
-        return FederatedClient(federation.fabric, federation.client_host,
-                               name="cli", ma_names=federation.ma_names,
-                               home=1)
+    """The order a client tries its MAs in, observed on scripted MAs."""
+
+    MAS = ["MA1", "MA2", "MA0"]     # home first: a client homed on MA1
+
+    def _attempts(self, script, ma_names=None):
+        """Run ``len(script)`` calls one sim-second apart; ``script[k]``
+        names the MAs that refuse call ``k``.  Returns the client and the
+        MAs each call tried, in order."""
+        stack = ScriptedMAs(self.MAS)
+        client = stack.client(ma_names or self.MAS)
+        tried = []
+
+        def drive():
+            for refusing in script:
+                stack.script({ma: REFUSE for ma in refusing})
+                before = len(stack.attempts)
+                try:
+                    yield from client.call(stack.profile())
+                except ServerNotFoundError:
+                    pass
+                tried.append(stack.attempts[before:])
+                yield stack.engine.timeout(1.0)
+
+        stack.engine.run_until_complete(drive())
+        return client, tried
 
     def test_order_matches_home_rotation_before_any_rejection(self):
-        client = self._client()
-        assert client._ma_order() == ["MA1", "MA2", "MA0"]
+        _, tried = self._attempts([self.MAS])
+        assert tried == [["MA1", "MA2", "MA0"]]
 
     def test_rejected_ma_sinks_to_the_back(self):
-        client = self._client()
-        client._last_rejected["MA1"] = 4.0
-        assert client._ma_order() == ["MA2", "MA0", "MA1"]
+        _, tried = self._attempts([{"MA1"}, self.MAS])
+        assert tried == [["MA1", "MA2"], ["MA2", "MA0", "MA1"]]
 
     def test_least_recent_rejection_ranks_first_among_rejected(self):
-        client = self._client()
-        client._last_rejected.update({"MA1": 4.0, "MA2": 9.0, "MA0": 1.0})
-        assert client._ma_order() == ["MA0", "MA1", "MA2"]
+        # MA1 refuses at t=0 (MA2 answers), MA2 at t=1 (MA0 answers), then
+        # everyone: never-refused MA0 first, then oldest refusal first.
+        _, tried = self._attempts([{"MA1"}, {"MA2"}, self.MAS])
+        assert tried == [["MA1", "MA2"], ["MA2", "MA0"],
+                         ["MA0", "MA1", "MA2"]]
 
     def test_simultaneous_rejections_fall_back_to_rotation(self):
-        client = self._client()
-        client._last_rejected.update({"MA0": 2.0, "MA2": 2.0})
-        assert client._ma_order() == ["MA1", "MA2", "MA0"]
+        """Zero-latency scripted MAs refuse at the same instant: the tie
+        is broken by the configured (home-first) order."""
+        _, tried = self._attempts([self.MAS, self.MAS])
+        assert tried == [["MA1", "MA2", "MA0"]] * 2
 
     def test_note_rejection_feeds_counts_and_stamps(self):
-        client = self._client()
-        client._note_rejection("MA2", True)
-        client._note_rejection("MA2", False)
+        client, tried = self._attempts([{"MA1", "MA2"}, {"MA2"}])
+        assert tried == [["MA1", "MA2", "MA0"], ["MA0"]]
         assert client.rejections == 2
-        assert client.redirects == 1
-        assert client.rejections_by_ma == {"MA2": 2}
-        assert "MA2" in client._last_rejected
+        assert client.redirects == 2
+        assert client.rejections_by_ma == {"MA1": 1, "MA2": 1}
 
-    def test_max_redirects_truncates_the_order(self):
-        client = self._client()
-        client.max_redirects = 1
-        assert client._ma_order() == ["MA1", "MA2"]
+    def test_subset_client_tries_only_subset(self):
+        client, tried = self._attempts([self.MAS, {"MA1"}, ()],
+                                       ma_names=["MA1", "MA2"])
+        assert tried == [["MA1", "MA2"], ["MA1", "MA2"], ["MA2"]]
+        assert set(client.rejections_by_ma) == {"MA1", "MA2"}
 
 
 class TestOneCallRoutine:
-    """``DietClient.call`` is the one-MA case of the routine
-    ``FederatedClient.call`` runs: same request ids, same event stream."""
+    """The 1-MA run of the one request routine, pinned to what it produced
+    before the two client classes were merged (commit 62c90f9)."""
 
-    def _record(self, kind):
+    def test_same_request_ids_and_event_stream(self):
         log = []
         Engine.default_event_log = log      # picked up by the new Engine
         try:
@@ -310,35 +324,28 @@ class TestOneCallRoutine:
             engine, FederationConfig(n_grids=1, clusters_per_grid=2))
         federation.add_service_everywhere(_desc, _solve)
         federation.launch_all()
-        if kind == "federated":
-            client = FederatedClient(federation.fabric,
-                                     federation.client_host, name="cli",
-                                     ma_names=federation.ma_names)
-            call = client.call
-        else:
-            client = DietClient(federation.fabric, federation.client_host,
-                                name="cli")
-            client.initialize({"MA_name": federation.ma_names[0]})
-
-            def call(profile):
-                handle = client.function_handle(profile.path)
-                status = yield from client.call(profile, handle)
-                return status, handle.server, None
-
+        client = DietClient(federation.fabric, federation.client_host,
+                            name="cli")
+        client.initialize({"MA_name": federation.ma_names[0]})
         served = []
 
         def drive():
             for _ in range(3):
-                status, sed, _found = yield from call(_instantiate(_desc()))
-                served.append((status, sed))
+                handle = client.function_handle("echo")
+                status = yield from client.call(_instantiate(_desc()), handle)
+                served.append((status, handle.server))
             with pytest.raises(ServerNotFoundError):
-                yield from call(_instantiate(_desc("nobody-serves-this")))
+                yield from client.call(
+                    _instantiate(_desc("nobody-serves-this")))
 
         engine.run_process(drive())
-        return (served, federation.fabric.new_request_id(),
-                kernel_reference.digest(log, engine.now))
-
-    def test_same_request_ids_and_event_stream(self):
-        diet, federated = self._record("diet"), self._record("federated")
-        assert diet == federated
-        assert diet[1] == 5 and diet[2]["n_events"] > 100
+        assert served == [(0, "SeD-g0-lyon-capricorne-sed0"),
+                          (0, "SeD-g0-lyon-capricorne-sed1"),
+                          (0, "SeD-g0-lyon-sagittaire-sed0")]
+        assert federation.fabric.new_request_id() == 5
+        assert client.redirects == 0 and client.rejections == 1
+        digest = kernel_reference.digest(log, engine.now)
+        assert (digest["n_events"], digest["final_time"]) \
+            == (449, "10.941626753333335")
+        assert digest["sha256"] == ("6387fcbf965899b67a6f74052ff3355f"
+                                    "3805262d0afd64095a30fb2e28bdf841")

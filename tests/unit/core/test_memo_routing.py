@@ -1,5 +1,4 @@
-"""Grid-wide memoization on the scheduling path, in both routing modes and
-through both client kinds (one call routine serves them).
+"""Grid-wide memoization on the scheduling path, in both routing modes.
 
 The MA consults the shared MemoIndex before scheduling (pull submit path
 and push admission loop alike); SeDs populate it on successful solves
@@ -21,12 +20,9 @@ from repro.core import (
     scalar_desc,
 )
 from repro.core.agent import ROUTING_MODES, AgentParams
-from repro.core.federation import (
-    FederatedClient,
-    FederationConfig,
-    build_federation,
-)
+from repro.core.federation import FederationConfig, build_federation
 from repro.data.memo import descriptor_digest
+from repro.obs import Observability
 from repro.platform import build_grid5000
 from repro.sim import Engine
 
@@ -51,45 +47,33 @@ def _solve(profile, ctx):
     return 0
 
 
-CLIENT_KINDS = ("federated", "diet")
-
-
-def _build(routing, kind, out_mode=PersistenceMode.PERSISTENT_RETURN):
-    """Keyed clients, fast heartbeats so a crashed SeD is deregistered
-    (and stops being scheduled) within ~5 sim-seconds.
-
-    ``"federated"``: 2 grids x 1 cluster behind a :class:`FederatedClient`;
-    ``"diet"``: the same wiring on one single-MA tree (1 grid x 2 clusters)
-    behind a plain ``DietClient(memo_enabled=True)``.  Returns a uniform
-    ``call(profile) -> (status, sed_name, found_at)`` beside the client.
-    """
+def _build(routing, out_mode=PersistenceMode.PERSISTENT_RETURN, memo=True,
+           obs=None):
+    """2 grids x 1 cluster behind one client initialized with both MAs;
+    fast heartbeats so a crashed SeD is deregistered (and stops being
+    scheduled) within ~5 sim-seconds."""
     engine = Engine()
-    n_grids, clusters_per_grid = (2, 1) if kind == "federated" else (1, 2)
     federation = build_federation(
         engine,
-        FederationConfig(n_grids=n_grids,
-                         clusters_per_grid=clusters_per_grid,
-                         routing=routing,
+        FederationConfig(n_grids=2, clusters_per_grid=1, routing=routing,
                          agent_params=AgentParams(
                              heartbeat_interval=1.0, heartbeat_timeout=1.0,
-                             heartbeat_miss_threshold=2)))
+                             heartbeat_miss_threshold=2)),
+        obs=obs)
     federation.add_service_everywhere(lambda: _desc(out_mode), _solve)
     federation.launch_all()
-    if kind == "federated":
-        client = FederatedClient(federation.fabric, federation.client_host,
-                                 name="cli", ma_names=federation.ma_names,
-                                 memo_enabled=True)
-        return engine, federation, client, client.call
     client = DietClient(federation.fabric, federation.client_host,
-                        name="cli", memo_enabled=True)
-    client.initialize({"MA_name": federation.ma_names[0]})
+                        name="cli", tracer=federation.tracer,
+                        memo_enabled=memo)
+    client.initialize({"MA_name": federation.ma_names})
+    return engine, federation, client
 
-    def call(profile):
-        handle = client.function_handle(profile.path)
-        status = yield from client.call(profile, handle)
-        return status, handle.server, None
 
-    return engine, federation, client, call
+def _call(client, profile):
+    """One call; returns ``(status, OUT value, chosen SeD)``."""
+    handle = client.function_handle(profile.path)
+    status = yield from client.call(profile, handle)
+    return status, profile.parameter(1).get(), handle.server
 
 
 def _sed_by_name(federation, name):
@@ -97,16 +81,13 @@ def _sed_by_name(federation, name):
 
 
 class TestMemoOnSchedulingPath:
-    @pytest.mark.parametrize("kind", CLIENT_KINDS)
     @pytest.mark.parametrize("routing", ROUTING_MODES)
-    def test_repeat_request_hits_and_returns_same_result(self, routing, kind):
-        engine, federation, client, submit = _build(routing, kind)
+    def test_repeat_request_hits_and_returns_same_result(self, routing):
+        engine, federation, client = _build(routing)
         results = []
 
         def call(value):
-            profile = _profile(value)
-            status, sed, _found = yield from submit(profile)
-            results.append((status, profile.parameter(1).get(), sed))
+            results.append((yield from _call(client, _profile(value))))
 
         def drive():
             yield from call(7)   # miss: scheduled + solved
@@ -123,17 +104,14 @@ class TestMemoOnSchedulingPath:
         assert federation.memo.stats.misses == 2
         assert federation.memo.stats.populated == 2
 
-    @pytest.mark.parametrize("kind", CLIENT_KINDS)
     @pytest.mark.parametrize("routing", ROUTING_MODES)
-    def test_crash_invalidates_then_resolve_repopulates(self, routing, kind):
-        engine, federation, client, submit = _build(routing, kind)
+    def test_crash_invalidates_then_resolve_repopulates(self, routing):
+        engine, federation, client = _build(routing)
         key = descriptor_digest(_profile(7))
         results = []
 
         def call():
-            profile = _profile(7)
-            status, sed, _found = yield from submit(profile)
-            results.append((status, profile.parameter(1).get(), sed))
+            results.append((yield from _call(client, _profile(7))))
 
         def drive():
             yield from call()                      # miss + populate
@@ -158,19 +136,16 @@ class TestMemoOnSchedulingPath:
         assert federation.memo.stats.misses == 2
         assert federation.memo.stats.populated == 2
 
-    @pytest.mark.parametrize("kind", CLIENT_KINDS)
     @pytest.mark.parametrize("routing", ROUTING_MODES)
-    def test_stale_hit_falls_back_to_resolve(self, routing, kind):
+    def test_stale_hit_falls_back_to_resolve(self, routing):
         """A hit pointing at a dead SeD (the client raced the crash) must
         degrade to a plain re-solve, not an error."""
-        engine, federation, client, submit = _build(routing, kind)
+        engine, federation, client = _build(routing)
         key = descriptor_digest(_profile(7))
         results = []
 
         def call():
-            profile = _profile(7)
-            status, sed, _found = yield from submit(profile)
-            results.append((status, profile.parameter(1).get(), sed))
+            results.append((yield from _call(client, _profile(7))))
 
         def drive():
             yield from call()                      # populate
@@ -189,18 +164,16 @@ class TestMemoOnSchedulingPath:
         assert client.memo_fallbacks == 1
         assert federation.memo.stats.hits == 1
 
-    @pytest.mark.parametrize("kind", CLIENT_KINDS)
     @pytest.mark.parametrize("routing", ROUTING_MODES)
-    def test_volatile_output_never_memoized(self, routing, kind):
-        engine, federation, client, submit = _build(
-            routing, kind, out_mode=PersistenceMode.VOLATILE)
+    def test_volatile_output_never_memoized(self, routing):
+        engine, federation, client = _build(
+            routing, out_mode=PersistenceMode.VOLATILE)
         results = []
 
         def drive():
             for _ in range(2):
                 profile = _profile(7, out_mode=PersistenceMode.VOLATILE)
-                status, _sed, _found = yield from submit(profile)
-                results.append((status, profile.parameter(1).get()))
+                results.append((yield from _call(client, profile))[:2])
 
         engine.run_until_complete(drive())
         assert results == [(0, 14), (0, 14)]
@@ -228,11 +201,7 @@ class TestMemoOnSchedulingPath:
 
         def drive():
             for _ in range(2):
-                profile = _profile(7)
-                handle = client.function_handle(profile.path)
-                status = yield from client.call(profile, handle)
-                results.append((status, profile.parameter(1).get(),
-                                handle.server))
+                results.append((yield from _call(client, _profile(7))))
 
         dep.engine.run_until_complete(drive())
         assert results[0][:2] == results[1][:2] == (0, 14)
@@ -246,26 +215,76 @@ class TestMemoOnSchedulingPath:
     def test_memo_disabled_schedules_every_request(self, routing):
         """A client that sends no memo key is scheduled and solved every
         time, and the always-present index counts nothing."""
-        engine = Engine()
-        federation = build_federation(
-            engine,
-            FederationConfig(n_grids=2, clusters_per_grid=1,
-                             routing=routing))
-        federation.add_service_everywhere(_desc, _solve)
-        federation.launch_all()
-        client = FederatedClient(federation.fabric, federation.client_host,
-                                 name="cli", ma_names=federation.ma_names)
-        assert not client.memo_enabled
+        engine, federation, client = _build(routing, memo=False)
         results = []
 
         def drive():
             for _ in range(2):
-                profile = _profile(7)
-                status, _sed, _found = yield from client.call(profile)
-                results.append((status, profile.parameter(1).get()))
+                results.append((yield from _call(client, _profile(7)))[:2])
 
         engine.run_until_complete(drive())
         assert results == [(0, 14), (0, 14)]
         assert sum(sed.solve_count for sed in federation.seds) == 2
         assert len(federation.memo) == 0
         assert not any(federation.memo.stats.as_dict().values())
+
+
+class TestMemoHitClosesItsRequestRecord:
+    """The request routine closes every track it opens: a hit, which ends
+    without a solve reply, still completes its trace and ``request`` span."""
+
+    def test_hit_completes_its_trace_and_span(self):
+        obs = Observability()
+        dep = deploy_paper_hierarchy(build_grid5000(Engine()),
+                                     with_client=False, obs=obs)
+        for sed in dep.seds:
+            sed.add_service(_desc(), _solve)
+        dep.launch_all()
+        client = DietClient(dep.fabric, dep.platform.client_host,
+                            tracer=dep.tracer, memo_enabled=True)
+        client.initialize({"MA_name": dep.ma.name})
+        handles = []
+
+        def drive():
+            for _ in range(2):
+                handle = client.function_handle("memo-svc")
+                assert (yield from client.call(_profile(7), handle)) == 0
+                handles.append(handle)
+
+        dep.engine.run_until_complete(drive())
+        assert obs.spans.open_count == 0
+        assert obs.finalize(dep.engine.now) == 0
+        hit = dep.tracer.trace(handles[1].request_id, "memo-svc")
+        # PERSISTENT_RETURN: the value came back with a memo_fetch, so the
+        # request completed when that reply arrived, after the MA's answer.
+        assert hit.completed_at == dep.engine.now > hit.found_at
+        assert hit.found_at == handles[1].found_at
+        assert hit.status == 0
+        requests = list(obs.spans.find(name="request"))
+        assert [span.attrs.get("memo") for span in requests] == [None, "hit"]
+        assert all(span.status == "ok" for span in requests)
+
+    @pytest.mark.parametrize("routing", ROUTING_MODES)
+    def test_stale_hit_unwinds_the_abandoned_request_id(self, routing):
+        engine, federation, client = _build(routing, obs=Observability())
+        key = descriptor_digest(_profile(7))
+        obs = federation.tracer.obs
+        results = []
+
+        def drive():
+            results.append((yield from _call(client, _profile(7))))
+            stale = federation.memo.peek(key)
+            _sed_by_name(federation, stale.owner).crash()
+            yield engine.timeout(10.0)
+            assert federation.memo.put(stale, engine.now)
+            results.append((yield from _call(client, _profile(7))))
+
+        engine.run_until_complete(drive())
+        assert client.memo_fallbacks == 1
+        assert [r[:2] for r in results] == [(0, 14), (0, 14)]
+        requests = list(obs.spans.find(name="request"))
+        assert [span.status for span in requests] == ["ok", "stale", "ok"]
+        assert not obs.spans.open_spans(f"req:{requests[1].attrs['request_id']}")
+        abandoned = federation.tracer.trace(requests[1].attrs["request_id"],
+                                            "memo-svc")
+        assert abandoned.found_at is not None and abandoned.completed_at is None

@@ -16,7 +16,6 @@ from repro.core import (
     scalar_desc,
 )
 from repro.core.agent import AgentParams
-from repro.core.requests import new_request_id
 from repro.obs import Observability
 from repro.sim import Engine, Host, Link, Network
 
@@ -71,7 +70,7 @@ def build(routing="push", agent_params=None, obs=None):
 
 
 def submit(cli, service=None):
-    sub = SubmitRequest(new_request_id(), service or toy_desc(), "hub", "cli")
+    sub = SubmitRequest(cli.fabric.new_request_id(), service or toy_desc(), "hub", "cli")
     sed_name, est = yield from cli.rpc("MA", "submit", sub)
     return sed_name
 
@@ -131,7 +130,7 @@ class TestTableMaterialization:
         before = {r.sed_name: r.seq for r in ma.table.candidates("toy")}
 
         def call():
-            sub = SubmitRequest(new_request_id(), toy_desc(), "hub", "cli")
+            sub = SubmitRequest(cli.fabric.new_request_id(), toy_desc(), "hub", "cli")
             sed_name, est = yield from cli.rpc("MA", "submit", sub)
             # drive the solve so the SeD's queue changes
             from repro.core.requests import SolveRequest

@@ -17,7 +17,6 @@ from repro.core import (
     TransportFabric,
     scalar_desc,
 )
-from repro.core.requests import new_request_id
 from repro.sim import Engine, Host, Link, Network
 
 
@@ -77,7 +76,7 @@ class TestEstimate:
         cli = client_endpoint(stack)
 
         def call():
-            req = EstimateRequest(new_request_id(), toy_desc(),
+            req = EstimateRequest(cli.fabric.new_request_id(), toy_desc(),
                                   "client-host", 100)
             result = yield from cli.rpc("sed1", "estimate", req)
             return result
@@ -97,7 +96,7 @@ class TestEstimate:
 
         def call():
             other = ProfileDesc("unknown-service", 0, 0, 0)
-            req = EstimateRequest(new_request_id(), other, "client-host", 0)
+            req = EstimateRequest(cli.fabric.new_request_id(), other, "client-host", 0)
             result = yield from cli.rpc("sed1", "estimate", req)
             return result
 
@@ -112,7 +111,7 @@ class TestEstimate:
         cli = client_endpoint(stack)
 
         def call():
-            req = EstimateRequest(new_request_id(), toy_desc(),
+            req = EstimateRequest(cli.fabric.new_request_id(), toy_desc(),
                                   "client-host", 0)
             result = yield from cli.rpc("sed-pred", "estimate", req)
             return result[0]
@@ -128,7 +127,7 @@ class TestSolve:
         profile.parameter(1).set(None)
 
         def call():
-            req = SolveRequest(new_request_id(), profile, "cli")
+            req = SolveRequest(cli.fabric.new_request_id(), profile, "cli")
             reply = yield from cli.rpc(sed.name, "solve", req,
                                        nbytes=profile.request_nbytes())
             return reply
@@ -177,7 +176,7 @@ class TestSolve:
         profile.parameter(1).set(None)
 
         def call():
-            req = SolveRequest(new_request_id(), profile, "cli")
+            req = SolveRequest(cli.fabric.new_request_id(), profile, "cli")
             return (yield from cli.rpc("sed-crash", "solve", req))
 
         reply = engine.run_process(call())
@@ -195,7 +194,7 @@ class TestSolve:
             profile = toy_desc().instantiate()
             profile.parameter(0).set(v)
             profile.parameter(1).set(None)
-            req = SolveRequest(new_request_id(), profile, "cli")
+            req = SolveRequest(cli.fabric.new_request_id(), profile, "cli")
             reply = yield from cli.rpc("sed1", "solve", req)
             replies.append(reply)
 
@@ -215,7 +214,7 @@ class TestSolve:
             profile = toy_desc().instantiate()
             profile.parameter(0).set(v)
             profile.parameter(1).set(None)
-            req = SolveRequest(new_request_id(), profile, "cli")
+            req = SolveRequest(cli.fabric.new_request_id(), profile, "cli")
             yield from cli.rpc("sed1", "solve", req)
 
         def probe():
@@ -278,7 +277,7 @@ class TestBarePairPersistentData:
         profile.parameter(1).set(None)
 
         def call():
-            req = SolveRequest(new_request_id(), profile, "cli")
+            req = SolveRequest(cli.fabric.new_request_id(), profile, "cli")
             return (yield from cli.rpc(sed.name, "solve", req))
 
         return stack[0].run_process(call())

@@ -12,7 +12,6 @@ from repro.core import (
     TransportFabric,
     scalar_desc,
 )
-from repro.core.requests import new_request_id
 from repro.sim import Engine, Host, Link, Network
 
 
@@ -52,7 +51,7 @@ def fire(engine, cli, n):
         profile = toy_desc().instantiate()
         profile.parameter(0).set(i)
         profile.parameter(1).set(None)
-        req = SolveRequest(new_request_id(), profile, "cli")
+        req = SolveRequest(cli.fabric.new_request_id(), profile, "cli")
         reply = yield from cli.rpc("sed", "solve", req)
         replies.append(reply)
 
@@ -92,7 +91,7 @@ class TestConcurrentSolves:
             profile = toy_desc().instantiate()
             profile.parameter(0).set(i)
             profile.parameter(1).set(None)
-            req = SolveRequest(new_request_id(), profile, "cli")
+            req = SolveRequest(cli.fabric.new_request_id(), profile, "cli")
             yield from cli.rpc("sed", "solve", req)
 
         for i in range(5):

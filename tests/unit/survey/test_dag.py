@@ -34,7 +34,8 @@ class ScriptedClient:
     ``script[service]`` is a list consumed per call: an Exception instance
     is raised, an int is the solve status, a (status, out_value) pair also
     sets the OUT argument.  An exhausted (or absent) script succeeds with
-    status 0 and OUT value 0.
+    status 0 and OUT value 0.  Follows the one call contract: returns the
+    status and fills the handle it is given.
     """
 
     def __init__(self, engine, script=None, solve_time=1.0):
@@ -46,7 +47,7 @@ class ScriptedClient:
         self.in_flight = 0
         self.max_in_flight_seen = 0
 
-    def call(self, profile):
+    def call(self, profile, handle):
         self.calls.append(profile.path)
         self.in_flight += 1
         self.max_in_flight_seen = max(self.max_in_flight_seen, self.in_flight)
@@ -61,7 +62,8 @@ class ScriptedClient:
             raise action
         status, value = action if isinstance(action, tuple) else (action, 0)
         profile.parameter(1).set(value)
-        return status, "stub-sed", self.engine.now
+        handle.server, handle.found_at = "stub-sed", self.engine.now
+        return status
 
 
 def _builder(service, results_of=(), record=None):
