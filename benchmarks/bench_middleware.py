@@ -6,10 +6,14 @@
 * Hilbert vs slab decomposition communication volume (the §3 partitioning
   choice), as an ablation bench;
 * RPC round trips over a two-endpoint fabric: the whole per-message path
-  (four interceptor phases, two wire transfers, a handler and a reply
-  process per call) with nothing else around it.  ``benchmarks/export.py
-  --bench engine`` folds this case into ``BENCH_engine.json`` beside the
-  kernel shapes, with what the cyclic collector did during its rounds.
+  (four interceptor phases, two wire transfers, one handler process per
+  call, which also carries the reply) with nothing else around it — once
+  bare and once raced against a deadline, the way the agents call.
+  ``benchmarks/export.py --bench engine`` folds both cases into
+  ``BENCH_engine.json`` beside the kernel shapes, with the kernel events
+  each run scheduled (an exact count: 7 per bare call, 8 per deadline-raced
+  one, plus the echo handler's own timeout and the caller's fan-out) and
+  what the cyclic collector did during its rounds.
 """
 
 import os
@@ -19,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    DeadlineInterceptor,
     ProfileDesc,
     TransportFabric,
     deploy_paper_hierarchy,
@@ -39,6 +44,9 @@ N_PARTICLES = (2000, 800) if QUICK else (9000, 3000)
 N_RPC = 2_000 if QUICK else 20_000
 RPC_WINDOW = 50
 RPC_ROUNDS = 3 if QUICK else 5
+#: Never reached (a round trip takes ~25 ms): every deadline ``Timeout`` is
+#: outlived by its reply and pops unheeded.
+RPC_DEADLINE = 5.0
 
 
 def _measure_finding_time(n_seds_per_cluster: int) -> float:
@@ -112,7 +120,7 @@ def test_bench_decomposition_ablation(benchmark, show_report):
     assert comm_hilbert < comm_slab
 
 
-def _run_rpc_roundtrips() -> int:
+def _run_rpc_roundtrips(deadline: bool = False) -> int:
     engine = Engine()
     net = Network(engine)
     for name in ("alpha", "beta"):
@@ -127,7 +135,9 @@ def _run_rpc_roundtrips() -> int:
 
     server.on("echo", echo)
     server.start()
-    client = fabric.endpoint("client", "alpha")
+    client = fabric.endpoint(
+        "client", "alpha",
+        interceptors=[DeadlineInterceptor(RPC_DEADLINE)] if deadline else ())
 
     def one(i):
         return (yield from client.rpc("server", "echo", i))
@@ -147,3 +157,11 @@ def test_bench_rpc_roundtrip(measure_events):
     """The per-message path on its own: send, deliver, reply, complete."""
     measure_events(f"rpc round trip x{N_RPC} (window {RPC_WINDOW})",
                    _run_rpc_roundtrips, RPC_ROUNDS)
+
+
+def test_bench_rpc_roundtrip_deadline(measure_events):
+    """The same path as the agents use it: every call raced against a
+    deadline it beats."""
+    measure_events(f"deadline-raced rpc round trip x{N_RPC} "
+                   f"(window {RPC_WINDOW}, deadline {RPC_DEADLINE:g} s)",
+                   lambda: _run_rpc_roundtrips(deadline=True), RPC_ROUNDS)

@@ -13,12 +13,15 @@ Two roles, one file format:
   serve are gated together.
 * ``--check`` additionally compares the fresh ``min`` times against the
   committed baseline of the same name and exits non-zero when any
-  benchmark ran more than ``--threshold`` (default 2.0) times slower, or
-  left the cyclic collector more than ``GC_SLACK`` objects beyond the
-  baseline's count (``extra_info.gc_collected``) — the CI regression gate.
-  The object count repeats exactly from run to run, so a reference cycle
-  reintroduced into a per-message object fails the gate as a count even
-  on a runner too noisy to resolve its cost in time.
+  benchmark ran more than ``--threshold`` (default 2.0) times slower,
+  scheduled more kernel events than the baseline's run did
+  (``extra_info.events``), or left the cyclic collector more than
+  ``GC_SLACK`` objects beyond the baseline's count
+  (``extra_info.gc_collected``) — the CI regression gate.  Both counts
+  repeat exactly from run to run, so an event put back on the message path
+  or a reference cycle reintroduced into a per-message object fails the
+  gate as a count even on a runner too noisy to resolve its cost in time.
+  The event counts are printed baseline → fresh, case by case.
 
 CI runs both in quick mode (``REPRO_BENCH_QUICK=1``), comparing against a
 committed quick-mode baseline so the gate compares like with like.
@@ -39,7 +42,9 @@ _STATS_FIELDS = ("min", "mean", "rounds")
 
 #: Cases of other modules recorded in a bench's document (pytest node ids
 #: relative to ``benchmarks/``).
-_EXTRA_CASES = {"engine": ("bench_middleware.py::test_bench_rpc_roundtrip",)}
+_EXTRA_CASES = {"engine": (
+    "bench_middleware.py::test_bench_rpc_roundtrip",
+    "bench_middleware.py::test_bench_rpc_roundtrip_deadline")}
 
 #: Objects the cyclic collector may free beyond the baseline's count before
 #: the gate fails (set-up closures; a per-message cycle costs thousands).
@@ -120,16 +125,23 @@ def check_regression(doc: dict, baseline_path: Path, threshold: float) -> int:
         return 1
     rows = []
     failures = []
+    event_lines = []
     for name, entry in doc["benchmarks"].items():
         base = baseline.get("benchmarks", {}).get(name)
         if base is None:
             rows.append((name, None, entry["min"], None, "NEW (not in baseline)"))
             continue
         ratio = entry["min"] / base["min"]
-        freed = entry.get("extra_info", {}).get("gc_collected")
-        base_freed = base.get("extra_info", {}).get("gc_collected")
+        info, base_info = entry.get("extra_info", {}), base.get("extra_info", {})
+        freed, base_freed = info.get("gc_collected"), base_info.get("gc_collected")
+        events, base_events = info.get("events"), base_info.get("events")
+        counted = events is not None and base_events is not None
+        if counted:
+            event_lines.append(f"  {name}: {base_events} -> {events} events")
         if ratio > threshold:
             status = "REGRESSION"
+        elif counted and events > base_events:
+            status = f"EVENT REGRESSION ({base_events} -> {events} events)"
         elif (freed is not None and base_freed is not None
                 and freed > base_freed + GC_SLACK):
             status = f"GC REGRESSION ({base_freed} -> {freed} objects)"
@@ -139,11 +151,14 @@ def check_regression(doc: dict, baseline_path: Path, threshold: float) -> int:
         if status != "OK":
             failures.append(name)
     print(_delta_table(rows))
+    if event_lines:
+        print("kernel events scheduled, baseline -> current:")
+        print("\n".join(event_lines))
     if failures:
         print(f"FAILED: {len(failures)} benchmark(s) more than "
-              f"{threshold:.1f}x slower than baseline, or leaving the cyclic "
-              f"collector more than {GC_SLACK} objects beyond it: "
-              f"{', '.join(failures)}")
+              f"{threshold:.1f}x slower than baseline, scheduling more kernel "
+              f"events than it, or leaving the cyclic collector more than "
+              f"{GC_SLACK} objects beyond it: {', '.join(failures)}")
         return 1
     print("regression check passed")
     return 0

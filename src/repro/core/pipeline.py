@@ -28,7 +28,7 @@ A message passes four phases:
 ``deliver``
     in the receiver's handler process, before the handler runs (dispatch);
 ``reply``
-    in the spawned reply process, before the reply crosses the network;
+    in that same process once the handler returned, before the reply leg;
 ``complete``
     back in the caller's process, once the RPC reply has arrived.
 

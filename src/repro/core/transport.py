@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Iterable, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from ..sim.engine import Engine, Event, Interrupt, Process
 from ..sim.network import Network
-from ..sim.resources import Store
 from .exceptions import CommunicationError, DeadlineExceededError
 from .pipeline import (
     OUTBOUND_PHASES,
@@ -90,13 +90,24 @@ class Message:
     delivered_at: float = 0.0
 
 
+#: A reply token whose attempt's deadline passed first is settled with this:
+#: over for the caller but never *answered*, so a late reply is no duplicate.
+_EXPIRED = ("expired", None, 0)
+
+
+def _expire(reply: Event, deadline: Event) -> None:
+    if not reply.triggered:
+        reply.succeed(_EXPIRED)
+
+
 class Endpoint:
     """A named communication endpoint bound to a host.
 
-    Handlers are registered per operation name; each incoming request spawns
-    a handler *process* so a slow solve does not block the mailbox.  A
-    handler is a generator function ``handler(message) -> (value, nbytes)``;
-    its return value is shipped back as the RPC reply.
+    Handlers are registered per operation name; an arrived message is handed
+    straight to the endpoint, which spawns a handler *process* for it, so a
+    slow solve does not hold up the requests behind it.  A handler is a
+    generator function ``handler(message) -> (value, nbytes)``; its return
+    value is shipped back as the RPC reply, by that same process.
 
     Each endpoint owns an :class:`InterceptorPipeline`; its chain wraps the
     fabric-wide one like a protocol stack (endpoint hooks run closest to the
@@ -108,7 +119,6 @@ class Endpoint:
         self.fabric = fabric
         self.name = name
         self.host_name = host_name
-        self.mailbox: Store = Store(fabric.engine)
         self.pipeline = InterceptorPipeline(interceptors)
         #: Combined (endpoint + fabric) pre-bound hook chains per phase and the
         #: RPC deadline policy per op, as of the pipeline versions in the key.
@@ -116,11 +126,12 @@ class Endpoint:
         self._policies: Dict[str, Optional[RpcPolicy]] = {}
         self._chains_key: Tuple[int, int] = (-1, -1)
         self._handlers: Dict[str, Callable] = {}
-        #: Requests currently being handled: msg_id -> (message, process).
-        #: :meth:`stop` interrupts these so a crashing server neither strands
-        #: its callers nor keeps computing from beyond the grave.
-        self._inflight: Dict[int, Tuple[Message, Process]] = {}
-        self._serving = False
+        #: Running handler processes, keyed by the ``deliver`` envelope each
+        #: was spawned with (a duplicated request has two).  :meth:`stop`
+        #: interrupts them all: no computing from beyond the grave.
+        self._inflight: Dict[MessageContext, Process] = {}
+        #: Messages that arrived before :meth:`start`; None once serving.
+        self._backlog: Optional[List[Message]] = []
         self._closed = False
 
     @property
@@ -168,102 +179,124 @@ class Endpoint:
         self._handlers[op] = handler
 
     def start(self) -> None:
-        """Start the serving loop (idempotent)."""
+        """Start serving (idempotent); the backlog first, in arrival order."""
         if self._closed:
             raise CommunicationError(f"endpoint {self.name!r} is stopped")
-        if not self._serving:
-            self._serving = True
-            self.fabric.engine.process(self._serve_loop(), name=f"serve:{self.name}")
+        backlog, self._backlog = self._backlog, None
+        for msg in backlog or ():
+            self._accept(msg)
 
-    def _serve_loop(self) -> Generator[Event, Any, None]:
-        engine = self.fabric.engine
-        while True:
-            msg = yield self.mailbox.get()
-            if msg is _SHUTDOWN:
-                return
-            if self._closed:
-                # stop() raced with an arriving message: dead-letter it.
-                self.fabric._dead_letter(msg, f"endpoint {self.name!r} stopped")
-                continue
+    def _accept(self, msg: Message) -> None:
+        """An arrived message gets its handler process, or joins the backlog
+        of an endpoint that is bound but not serving yet."""
+        if self._backlog is not None:
+            self._backlog.append(msg)
+            return
+        ctx = MessageContext(self.fabric, msg, self, msg.nbytes, "deliver")
+        self._inflight[ctx] = Process(
+            self.fabric.engine, self._handle(ctx),
+            f"{self.name}:{msg.op}#{msg.msg_id}")
+
+    def _handle(self, ctx: MessageContext) -> Generator[Event, Any, None]:
+        """One arrived message, start to finish: ``deliver`` chain, handler
+        and, for an RPC, the reply leg.  Replies are at-most-once: a duplicate
+        (fault injection, or a retry racing a late original) is suppressed
+        with an accounting mark; if the replier or the caller disappeared
+        mid-flight the caller resumes with :class:`CommunicationError`.  A
+        reply to an attempt whose deadline expired is late, not a duplicate:
+        it still crosses the wire, and finds nobody waiting."""
+        fabric, msg = self.fabric, ctx.message
+        engine, reply_to = fabric.engine, msg.reply_to
+        try:
             handler = self._handlers.get(msg.op)
             if handler is None:
-                if msg.reply_to is not None:
-                    err = CommunicationError(
-                        f"endpoint {self.name!r} has no handler for {msg.op!r}")
-                    self.fabric._deliver_reply(msg, self, "error", err, 128)
-                else:
+                if reply_to is None:
                     # One-way message nobody will ever process.
-                    self.fabric.accounting.note_dead_letter()
-                continue
-            proc = engine.process(self._handle(handler, msg),
-                                  name=f"{self.name}:{msg.op}#{msg.msg_id}")
-            self._inflight[msg.msg_id] = (msg, proc)
-
-    def _handle(self, handler: Callable, msg: Message) -> Generator[Event, Any, None]:
-        ctx = MessageContext(self.fabric, msg, self, msg.nbytes, "deliver")
-        try:
-            try:
-                # Server-side dispatch cost + any deliver-side interceptors.
-                for hook in self.chain_hooks("deliver"):
-                    if (delay := hook(ctx)) is not None:
-                        yield self.fabric.engine.timeout(delay)
-            except MessageDropped:
-                self.fabric.accounting.note_dropped()
-                return
-            try:
-                result = yield from handler(msg)
-            except Interrupt:
-                # Not an application failure: the endpoint is crashing.  Let
-                # the outer handler dead-letter the request (must re-raise
-                # before ``except Exception`` — Interrupt subclasses it).
-                raise
-            except Exception as exc:  # ship failures back to the caller
-                if msg.reply_to is not None:
-                    self.fabric._deliver_reply(msg, self, "error", exc, 128)
+                    fabric.accounting.note_dead_letter()
                     return
-                raise
-            if msg.reply_to is not None:
-                value, nbytes = result if isinstance(result, tuple) else (result, None)
-                if nbytes is None:
-                    nbytes = self.fabric.params.control_payload
-                self.fabric._deliver_reply(msg, self, "ok", value, nbytes)
+                status, value, nbytes = "error", CommunicationError(
+                    f"endpoint {self.name!r} has no handler for {msg.op!r}"), 128
+            else:
+                try:
+                    # Server-side dispatch cost + any deliver-side interceptors.
+                    for hook in self.chain_hooks("deliver"):
+                        if (delay := hook(ctx)) is not None:
+                            yield engine.timeout(delay)
+                except MessageDropped:
+                    fabric.accounting.note_dropped()
+                    return
+                try:
+                    result = yield from handler(msg)
+                except Exception as exc:
+                    # Ship failures back to the caller — unless there is none,
+                    # or it is the endpoint crashing, not the application.
+                    if reply_to is None or isinstance(exc, Interrupt):
+                        raise
+                    # This frame keeps ``value`` through the reply leg: out
+                    # of the traceback with it, or the two hold each other.
+                    exc.__traceback__ = exc.__traceback__.tb_next
+                    status, value, nbytes = "error", exc, 128
+                else:
+                    if reply_to is None:
+                        return
+                    status = "ok"
+                    value, nbytes = (result if isinstance(result, tuple)
+                                     else (result, None))
+                    if nbytes is None:
+                        nbytes = fabric.params.control_payload
         except Interrupt:
             # The server died mid-request (endpoint stopped / host crash):
             # resume the caller with CommunicationError, never a reply.
-            self.fabric._dead_letter(
+            fabric._dead_letter(
                 msg, f"endpoint {self.name!r} stopped while handling {msg.op!r}")
+            return
         finally:
-            self._inflight.pop(msg.msg_id, None)
+            self._inflight.pop(ctx, None)
+        # The reply leg: no longer in flight, so a stop() from here on is
+        # seen by the liveness checks below, or not at all once on the wire.
+        if reply_to.triggered and reply_to.value is not _EXPIRED:
+            fabric.accounting.note_suppressed_reply()
+            return
+        ctx = MessageContext(fabric, msg, self, nbytes, "reply", status, value)
+        try:
+            for hook in self.chain_hooks("reply"):
+                if (delay := hook(ctx)) is not None:
+                    yield engine.timeout(delay)
+        except MessageDropped:
+            fabric.accounting.note_dropped()
+            return
+        caller = fabric._endpoints.get(msg.src)
+        if self._closed or fabric._endpoints.get(msg.dst) is not self:
+            fabric._dead_letter(msg, f"endpoint {msg.dst!r} stopped before "
+                                     f"its {msg.op!r} reply was sent")
+            return
+        if caller is None or caller.closed:
+            fabric._dead_letter(msg, f"caller {msg.src!r} unbound before its "
+                                     f"{msg.op!r} reply arrived")
+            return
+        yield from fabric.network.transfer(self.host_name, caller.host_name,
+                                           ctx.nbytes)
+        if not reply_to.triggered:
+            reply_to.succeed((status, value, ctx.nbytes))
+        elif reply_to.value is not _EXPIRED:
+            fabric.accounting.note_suppressed_reply()
 
     def stop(self) -> None:
-        """Stop serving; queued and in-flight requests are dead-lettered.
-
-        Any request already in the mailbox (or racing in behind the shutdown)
-        has its ``reply_to`` failed with :class:`CommunicationError` so the
-        caller resumes instead of suspending forever.  Handler processes
-        still running are interrupted: the Interrupt unwinds them (releasing
-        CPU/slot claims along the way) and :meth:`_handle` dead-letters the
-        request — crash semantics, not graceful drain.
-        """
+        """Stop serving; backlogged and in-flight requests are dead-lettered
+        (their callers resume with :class:`CommunicationError` instead of
+        suspending forever).  Every running handler process is interrupted:
+        the Interrupt unwinds it (releasing CPU/slot claims along the way)
+        and :meth:`_handle` dead-letters the request — crash semantics, not
+        graceful drain."""
         if self._closed:
             return
         self._closed = True
-        while True:
-            msg = self.mailbox.try_get()
-            if msg is None:
-                break
-            if msg is not _SHUTDOWN:
-                self.fabric._dead_letter(msg, f"endpoint {self.name!r} stopped")
-        for msg, proc in list(self._inflight.values()):
-            if proc.is_alive:
-                proc.interrupt(CommunicationError(
-                    f"endpoint {self.name!r} stopped"))
-            else:
-                self.fabric._dead_letter(
-                    msg, f"endpoint {self.name!r} stopped")
-        if self._serving:
-            self.mailbox.put(_SHUTDOWN)
-            self._serving = False
+        for msg in self._backlog or ():
+            self.fabric._dead_letter(msg, f"endpoint {self.name!r} stopped")
+        self._backlog = None
+        for proc in list(self._inflight.values()):
+            proc.interrupt(CommunicationError(
+                f"endpoint {self.name!r} stopped"))
 
     # -- sending ---------------------------------------------------------------
 
@@ -293,8 +326,8 @@ class Endpoint:
 
         Returns the handler's value; re-raises the handler's exception.  When
         a :class:`DeadlineInterceptor` (endpoint chain first, then fabric)
-        grants ``op`` a policy, the reply is raced against the deadline and
-        the request re-sent up to ``retries`` times (waiting ``backoff *
+        grants ``op`` a policy, the reply token expires at the deadline and
+        the request is re-sent up to ``retries`` times (waiting ``backoff *
         attempt`` between tries) before :class:`DeadlineExceededError`.
         """
         engine = self.fabric.engine
@@ -307,8 +340,11 @@ class Endpoint:
             if policy is None:
                 result = yield reply
             else:
-                yield engine.any_of([reply, engine.timeout(policy.deadline)])
-                if not reply.triggered:
+                deadline = engine.timeout(policy.deadline).callbacks
+                deadline.append(partial(_expire, reply))
+                result = yield reply
+                deadline.clear()  # queued until its time: not holding the reply
+                if result is _EXPIRED:
                     if attempt < policy.retries:
                         attempt += 1
                         if policy.backoff > 0:
@@ -317,7 +353,6 @@ class Endpoint:
                     raise DeadlineExceededError(
                         f"rpc {op!r} to {dst!r} exceeded {policy.deadline}s "
                         f"deadline after {attempt + 1} attempt(s)")
-                result = reply.value
             status, value, reply_nbytes = result
             ctx = MessageContext(self.fabric, msg, self, reply_nbytes,
                                  "complete", status, value, attempt)
@@ -325,11 +360,14 @@ class Endpoint:
                 if (delay := hook(ctx)) is not None:
                     yield engine.timeout(delay)
             if status == "error":
-                raise value
+                # ``value`` leaves with this frame in its traceback: keep
+                # nothing here that leads back to it.
+                del reply, msg, result, ctx
+                try:
+                    raise value
+                finally:
+                    del value
             return value
-
-
-_SHUTDOWN = object()
 
 
 class TransportFabric:
@@ -421,63 +459,15 @@ class TransportFabric:
             return msg
         yield from self.network.transfer(src.host_name, dst.host_name, ctx.nbytes)
         # The destination may have stopped or been unbound while the message
-        # was on the wire; surface that to the sender rather than parking the
-        # message in a mailbox nobody will ever read.
+        # was on the wire; surface that to the sender rather than handing the
+        # message to an endpoint that will never serve it.
         if self._endpoints.get(dst_name) is not dst or dst.closed:
             self.accounting.note_dead_letter()
             raise CommunicationError(
                 f"endpoint {dst_name!r} vanished while {op!r} was in flight")
         msg.delivered_at = self.engine.now
-        dst.mailbox.put(msg)
+        dst._accept(msg)
         if ctx._meta is not None:
             for _ in range(ctx._meta.get("duplicates", 0)):
-                dst.mailbox.put(msg)
+                dst._accept(msg)
         return msg
-
-    def _deliver_reply(self, request: Message, replier: Endpoint, status: str,
-                       value: Any, nbytes: int) -> None:
-        """Ship an RPC reply back asynchronously (spawned process).
-
-        Delivery is at-most-once: a duplicate reply (fault injection, or a
-        retry racing a late original) is suppressed with an accounting mark.
-        If the replier or the caller disappeared mid-flight the caller is
-        resumed with :class:`CommunicationError` — never crash the engine on
-        a name that no longer resolves.
-        """
-        Process(self.engine,
-                self._reply_proc(request, replier, status, value, nbytes),
-                f"reply:{request.op}#{request.msg_id}")
-
-    def _reply_proc(self, request: Message, replier: Endpoint, status: str,
-                    value: Any, nbytes: int) -> Generator[Event, Any, None]:
-        reply_to = request.reply_to
-        assert reply_to is not None
-        if reply_to.triggered:
-            self.accounting.note_suppressed_reply()
-            return
-        ctx = MessageContext(self, request, replier, nbytes, "reply",
-                             status, value)
-        try:
-            for hook in replier.chain_hooks("reply"):
-                if (delay := hook(ctx)) is not None:
-                    yield self.engine.timeout(delay)
-        except MessageDropped:
-            self.accounting.note_dropped()
-            return
-        caller = self._endpoints.get(request.src)
-        if replier.closed or self._endpoints.get(request.dst) is not replier:
-            self._dead_letter(
-                request, f"endpoint {request.dst!r} stopped before its "
-                         f"{request.op!r} reply was sent")
-            return
-        if caller is None or caller.closed:
-            self._dead_letter(
-                request, f"caller {request.src!r} unbound before its "
-                         f"{request.op!r} reply arrived")
-            return
-        yield from self.network.transfer(replier.host_name, caller.host_name,
-                                         ctx.nbytes)
-        if not reply_to.triggered:
-            reply_to.succeed((status, value, ctx.nbytes))
-        else:
-            self.accounting.note_suppressed_reply()

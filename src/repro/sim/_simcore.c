@@ -32,7 +32,7 @@
  *   When an event's single waiter is a Process._resume bound method (the
  *   overwhelmingly common case — registered via ``configure()``), the
  *   resume itself runs in C: interrupt check, generator send/throw,
- *   StopIteration -> succeed, subscribe to the yielded event.  Every
+ *   StopIteration -> Process._finish, subscribe to the yielded event.  Every
  *   branch mirrors the pure-Python ``Process._resume`` line for line; the
  *   determinism suite pins the equivalence.
  *
@@ -56,7 +56,7 @@ static PyObject *g_simerror;      /* SimulationError class */
 
 static PyObject *str_callbacks, *str__ok, *str__value, *str__scheduled,
     *str__defused, *str__active_process, *str_generator, *str__interrupts,
-    *str__target, *str_send, *str_throw, *str_succeed, *str_fail,
+    *str__target, *str_send, *str_throw, *str__finish,
     *str__resume_cb, *str__queue, *str_pushdelay, *str_name, *str_pop;
 
 /* ------------------------------------------------------------------ */
@@ -721,12 +721,10 @@ c_resume(PyObject *engine, PyObject *process, PyObject *event)
                     goto reset;
             }
             if (stopval != NULL) {
-                PyObject *r;
-                /* self._resume_cb = None: a finished process must not
-                 * keep itself alive through its own bound method. */
-                if (PyObject_SetAttr(process, str__resume_cb, Py_None) < 0)
-                    goto reset;
-                r = PyObject_CallMethodOneArg(process, str_succeed, stopval);
+                /* self._finish(True, value): the finish routine both
+                 * resume legs share (settle in place or schedule). */
+                PyObject *r = PyObject_CallMethodObjArgs(
+                    process, str__finish, Py_True, stopval, NULL);
                 if (r == NULL)
                     goto reset;
                 Py_DECREF(r);
@@ -748,11 +746,8 @@ c_resume(PyObject *engine, PyObject *process, PyObject *event)
                 Py_XDECREF(etb);
                 if (evalue == NULL)
                     goto reset;
-                if (PyObject_SetAttr(process, str__resume_cb, Py_None) < 0) {
-                    Py_DECREF(evalue);
-                    goto reset;
-                }
-                r = PyObject_CallMethodOneArg(process, str_fail, evalue);
+                r = PyObject_CallMethodObjArgs(
+                    process, str__finish, Py_False, evalue, NULL);
                 Py_DECREF(evalue);
                 if (r == NULL)
                     goto reset;
@@ -1112,8 +1107,7 @@ PyInit__simcore(void)
     INTERN(str__target, "_target");
     INTERN(str_send, "send");
     INTERN(str_throw, "throw");
-    INTERN(str_succeed, "succeed");
-    INTERN(str_fail, "fail");
+    INTERN(str__finish, "_finish");
     INTERN(str__resume_cb, "_resume_cb");
     INTERN(str__queue, "_queue");
     INTERN(str_pushdelay, "pushdelay");

@@ -184,15 +184,13 @@ class _ConditionEvent(Event):
     Once the condition settles (succeeds or fails) it *detaches* its
     callback from every sibling event that has not fired yet: a late-failing
     sibling must not touch an already-settled condition, and long campaigns
-    would otherwise accumulate dead callbacks on long-lived events (e.g. the
-    reply events that deadline races keep re-creating).
+    would otherwise accumulate dead callbacks on long-lived events.
     """
 
     __slots__ = ("events", "_n_fired", "_n_sub")
 
     def __init__(self, engine: "Engine", events: Iterable[Event]):
-        # Event.__init__ inlined: conditions are created once per wait in
-        # the deadline-race hot loop.
+        # Event.__init__ inlined: one condition per fan-out and per wait.
         self.engine = engine
         self.callbacks = []
         self._value = _PENDING
@@ -282,9 +280,10 @@ ProcessGenerator = Generator[Event, Any, Any]
 class Process(Event):
     """A generator-based simulated process.
 
-    A process is itself an :class:`Event` that fires (with the generator's
+    A process is itself an :class:`Event` that settles (with the generator's
     return value) when the generator finishes, so processes can wait on each
-    other simply by yielding the other process.
+    other simply by yielding the other process; one that returns while nobody
+    waits on it is processed on the spot, with no dispatch (:meth:`_finish`).
     """
 
     __slots__ = ("generator", "name", "_target", "_interrupts", "_defused",
@@ -293,7 +292,7 @@ class Process(Event):
     def __init__(self, engine: "Engine", generator: ProcessGenerator,
                  name: Optional[str] = None):
         # Event.__init__ inlined: a campaign spawns one process per
-        # handler, reply and fan-out leg.
+        # handler and fan-out leg.
         self.engine = engine
         self.callbacks = []
         self._value = _PENDING
@@ -308,8 +307,8 @@ class Process(Event):
         #: this same object: no bound-method allocation per wake-up, and the
         #: C dispatch loop recognises it by its ``__func__`` to run the
         #: resume fully in C.  It is the process's one reference to itself
-        #: (process -> method -> process); ``_resume`` drops it when the
-        #: generator finishes so a finished process dies by reference count.
+        #: (process -> method -> process); ``_finish`` drops it so a
+        #: finished process dies by reference count.
         self._resume_cb = resume = self._resume
         # Bootstrap: resume once at the current time.
         boot = Timeout(engine, 0.0, None, PRIORITY_URGENT)
@@ -356,8 +355,7 @@ class Process(Event):
                     else:
                         next_event = generator.throw(event._value)
                 except StopIteration as stop:
-                    self._resume_cb = None
-                    self.succeed(stop.value)
+                    self._finish(True, stop.value)
                     return
                 except BaseException as exc:
                     if isinstance(exc, (KeyboardInterrupt, SystemExit)):
@@ -368,8 +366,7 @@ class Process(Event):
                     # ``self`` (process -> exception -> frame -> process):
                     # drop it, as the C resume has no frame to record.
                     exc.__traceback__ = exc.__traceback__.tb_next
-                    self._resume_cb = None
-                    self.fail(exc)
+                    self._finish(False, exc)
                     return
                 try:
                     cbs = next_event.callbacks
@@ -386,6 +383,19 @@ class Process(Event):
                 return
         finally:
             engine._active_process = None
+
+    def _finish(self, ok: bool, value: Any) -> None:
+        """The generator ended (both resume legs, here and in C, end here).
+        With nobody subscribed a success never enters the heap; a failure
+        always does, so that dispatch escalates the unwatched crash."""
+        self._resume_cb = None  # the process's one reference to itself
+        self._ok = ok
+        self._value = value
+        self._scheduled = True
+        if self.callbacks or not ok:
+            self.engine._queue.pushnow(PRIORITY_NORMAL, self)
+        else:
+            self.callbacks = None
 
 
 class Engine:

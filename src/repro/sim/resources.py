@@ -5,7 +5,7 @@ Three primitives cover everything the middleware and platform layers need:
 * :class:`Resource` — a counted semaphore with a FIFO wait queue (used for
   CPU slots on compute nodes and the one-job-at-a-time constraint of a SeD);
 * :class:`Store` — an unbounded FIFO of Python objects with blocking ``get``
-  (used for mailboxes in the message transport);
+  (used for the master agent's batched-admission queue);
 * :class:`Container` — a continuous-quantity tank (used for disk space in
   the NFS model).
 """

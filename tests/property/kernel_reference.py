@@ -10,6 +10,14 @@ enabled and writes a digest of each stream (event count, final simulated
 time, SHA-256 over every ``(time, priority, seq, kind, name)`` record,
 plus head/tail samples for debugging) to ``tests/data/``.
 
+The digest pins two things separately.  ``n_events`` / ``sha256`` /
+``head`` / ``tail`` pin the stream itself and are re-recorded by a change
+that removes events on purpose.  ``final_time`` / ``n_instants`` /
+``instants_sha256`` pin *simulated time* — every distinct instant at which
+anything was dispatched, in order — and no change to the kernel or the
+message path may move them: an event cut is legitimate exactly when it
+keeps these three.
+
 ``test_kernel_determinism.py`` re-runs the same workloads against the
 current kernel and diffs the digests.  Regenerate the references ONLY
 from a commit whose kernel behaviour is known-good — they are the
@@ -66,12 +74,22 @@ def record_line(rec: tuple) -> str:
 
 def digest(stream: List[tuple], final_time: float) -> dict:
     sha = hashlib.sha256()
+    instants = hashlib.sha256()
+    n_instants = 0
+    last = None
     for rec in stream:
         sha.update(record_line(rec).encode())
         sha.update(b"\n")
+        if rec[0] != last:
+            last = rec[0]
+            n_instants += 1
+            instants.update(repr(last).encode())
+            instants.update(b"\n")
     return {
         "n_events": len(stream),
         "final_time": repr(final_time),
+        "n_instants": n_instants,
+        "instants_sha256": instants.hexdigest(),
         "sha256": sha.hexdigest(),
         "head": [record_line(r) for r in stream[:5]],
         "tail": [record_line(r) for r in stream[-5:]],

@@ -25,11 +25,17 @@ def _check(slug: str, **overrides) -> None:
     workload = dict(ref.WORKLOADS[slug], **overrides)
     stream, final_time = ref.capture_stream(**workload)
     got = ref.digest(stream, final_time)
-    assert got["n_events"] == expected["n_events"], (
-        f"event count changed: {got['n_events']} != {expected['n_events']}")
+    # Simulated time first: these three were recorded from the kernel of
+    # commit 55c4e31 and survive any legitimate change of the event count.
     assert got["final_time"] == expected["final_time"], (
         f"final simulated time changed: {got['final_time']} != "
         f"{expected['final_time']}")
+    assert (got["n_instants"], got["instants_sha256"]) == (
+        expected["n_instants"], expected["instants_sha256"]), (
+        f"the set of dispatch instants changed: {got['n_instants']} instants "
+        f"(reference {expected['n_instants']})")
+    assert got["n_events"] == expected["n_events"], (
+        f"event count changed: {got['n_events']} != {expected['n_events']}")
     if got["sha256"] != expected["sha256"]:
         # Locate the divergence for a useful failure message.
         for i, line in enumerate(expected["head"]):

@@ -24,18 +24,22 @@ HOP = 0.010
 XMIT = MARSHAL + HOP + 256 / 1e6
 
 
-@pytest.fixture
-def stack():
+def build_stack(shared=False):
     engine = Engine()
     net = Network(engine)
     for name in ("alpha", "beta"):
         net.add_host(Host(engine, name))
-    net.connect("alpha", "beta", Link(engine, "wire", HOP, 1e6))
+    net.connect("alpha", "beta", Link(engine, "wire", HOP, 1e6, shared=shared))
     fabric = TransportFabric(engine, net,
                              TransportParams(marshal_fixed=MARSHAL,
                                              marshal_per_byte=0.0,
                                              dispatch_fixed=DISPATCH))
     return engine, net, fabric
+
+
+@pytest.fixture
+def stack():
+    return build_stack()
 
 
 def echo_server(engine, fabric, name="server", host="beta"):
@@ -117,8 +121,8 @@ class TestErrorPropagation:
 
 class TestShutdownSemantics:
     def test_stop_dead_letters_queued_requests(self, stack):
-        """A request sitting in a never-started endpoint's mailbox must fail
-        its caller on stop(), not strand it forever."""
+        """A request that reached a never-started endpoint must fail its
+        caller on stop(), not strand it forever."""
         engine, _, fabric = stack
         server = fabric.endpoint("server", "beta")   # never started
         server.on("echo", lambda msg: iter(()))
@@ -131,14 +135,153 @@ class TestShutdownSemantics:
             except CommunicationError as exc:
                 outcome["error"] = str(exc)
 
-        engine.process(call())
+        caller = engine.process(call())
         engine.run()                      # request delivered, caller parked
-        assert outcome == {}
-        assert len(server.mailbox) == 1
+        assert outcome == {} and caller.is_alive
+        assert fabric.messages_sent == 1 and engine.peek() == float("inf")
         server.stop()
         engine.run()
         assert "stopped" in outcome["error"]
         assert fabric.accounting.dead_letters == 1
+
+    def test_start_serves_the_backlog_in_arrival_order(self, stack):
+        """Same parked callers, but the endpoint starts instead of stopping:
+        every request that arrived early is handled, first come first."""
+        engine, _, fabric = stack
+        server = fabric.endpoint("server", "beta")   # not started yet
+        handled = []
+
+        def echo(msg):
+            handled.append((engine.now, msg.payload))
+            yield engine.timeout(0.0)
+            return (msg.payload, 64)
+
+        server.on("echo", echo)
+        client = fabric.endpoint("client", "alpha")
+        values = []
+
+        def call(i):
+            yield engine.timeout(0.1 * i)
+            values.append((yield from client.rpc("server", "echo", i)))
+
+        for i in (2, 0, 1):
+            engine.process(call(i))
+        engine.run()
+        assert handled == [] and values == []
+        assert engine.now == pytest.approx(0.2 + XMIT)
+        server.start()
+        engine.run()
+        at = engine.now - XMIT + 256 / 1e6 - 64 / 1e6   # reply is 64 B
+        assert handled == [(pytest.approx(at), i) for i in (0, 1, 2)]
+        assert sorted(values) == [0, 1, 2]
+        assert fabric.accounting.dead_letters == 0
+
+    def test_duplicated_request_both_handlers_die_with_the_endpoint(self, stack):
+        """A duplicated request runs two handlers under one message id;
+        stop() must interrupt both, and each must clear only its own entry
+        (keyed by id, the second overwrote the first: one handler finished
+        at t = 10 on a stopped endpoint)."""
+
+        class AlwaysDup:
+            def random(self):
+                return 0.0
+
+        engine, _, fabric = stack
+        server = fabric.endpoint("server", "beta")
+        client = fabric.endpoint(
+            "client", "alpha",
+            interceptors=[FaultInjectionInterceptor(
+                rng=AlwaysDup(), duplicate=1.0, phases=("send",))])
+        journal = []
+
+        def slow(msg):
+            journal.append(("started", engine.now))
+            try:
+                yield engine.timeout(10.0)
+            except BaseException as exc:
+                journal.append((type(exc).__name__, engine.now))
+                raise
+            journal.append(("finished", engine.now))
+            return ("done", 8)
+
+        server.on("slow", slow)
+        server.start()
+        errors = []
+
+        def call():
+            try:
+                yield from client.rpc("server", "slow")
+            except CommunicationError as exc:
+                errors.append((str(exc), engine.now))
+
+        def killer():
+            yield engine.timeout(1.0)
+            assert len(server._inflight) == 2
+            server.stop()
+
+        engine.process(call())
+        engine.process(killer())
+        engine.run()
+        assert [kind for kind, _ in journal] == [
+            "started", "started", "Interrupt", "Interrupt"]
+        assert [at for _, at in journal[2:]] == [1.0, 1.0]
+        assert len(errors) == 1 and errors[0][1] == 1.0
+        assert "stopped while handling" in errors[0][0]
+        assert server._inflight == {}
+
+    def test_stop_during_the_reply_hooks_dead_letters(self, stack):
+        """The replier dies while its reply is still being marshalled: the
+        caller gets a CommunicationError when marshalling ends."""
+        engine, _, fabric = stack
+        server = echo_server(engine, fabric)
+        client = fabric.endpoint("client", "alpha")
+        handled_at = XMIT + DISPATCH
+        outcome = {}
+
+        def call():
+            try:
+                outcome["value"] = yield from client.rpc("server", "echo", 1)
+            except CommunicationError as exc:
+                outcome["error"] = (str(exc), engine.now)
+
+        def killer():
+            yield engine.timeout(handled_at + MARSHAL / 2)
+            assert server._inflight == {}      # handler done, reply leg on
+            server.stop()
+
+        engine.process(call())
+        engine.process(killer())
+        engine.run()
+        reason, at = outcome["error"]
+        assert "stopped before its 'echo' reply was sent" in reason
+        assert at == pytest.approx(handled_at + MARSHAL)
+        assert fabric.accounting.dead_letters == 1
+        assert fabric.messages_sent == 2       # accounted when marshalled
+
+    def test_stop_during_the_reply_wire_time_still_delivers(self, stack):
+        """Once the reply is on the wire the replier's death cannot call it
+        back: it arrives when it would have."""
+        engine, _, fabric = stack
+        server = echo_server(engine, fabric)
+        client = fabric.endpoint("client", "alpha")
+        handled_at = XMIT + DISPATCH
+        outcome = {}
+
+        def call():
+            outcome["value"] = yield from client.rpc("server", "echo", 1)
+            outcome["at"] = engine.now
+
+        def killer():
+            yield engine.timeout(handled_at + MARSHAL + HOP / 2)
+            server.stop()
+
+        engine.process(call())
+        engine.process(killer())
+        engine.run()
+        assert outcome["value"] == 1
+        assert outcome["at"] == pytest.approx(
+            handled_at + MARSHAL + HOP + 64 / 1e6)
+        assert fabric.accounting.dead_letters == 0
 
     def test_unbind_fails_rpc_in_server_handler(self, stack):
         """Unbinding the server while it is solving must resume the caller
@@ -347,26 +490,26 @@ class TestChainOrdering:
             return (yield from client.rpc("server", "echo", "hi"))
 
         assert engine.run_process(call()) == "hi"
+        # An RPC without a deadline: seven events of its own (send
+        # marshalling, wire, handler boot, dispatch, reply marshalling, wire,
+        # reply token), plus here one Timeout per user hook, the handler's own
+        # timeout(0) and the caller's boot.  No event for the hand-off to the
+        # endpoint, none for the reply leg (the handler's process runs it),
+        # none for a process finishing with nobody waiting on it.
         assert engine.event_log == [
-            (0.0, 0, 0, "Timeout", None),             # boot serve:server
-            (0.0, 0, 1, "Timeout", None),             # boot call
-            (0.002, 1, 2, "Timeout", None),           # client send hook
-            (0.003, 1, 3, "Timeout", None),           # fabric marshalling
-            (0.013256, 1, 4, "Timeout", None),        # wire
-            (0.013256, 1, 5, "Event", None),          # mailbox get
-            (0.013256, 0, 6, "Timeout", None),        # boot server:echo#1
-            (0.014256000000000001, 1, 7, "Timeout", None),  # fabric dispatch
-            (0.017256, 1, 8, "Timeout", None),        # server deliver hook
-            (0.017256, 1, 9, "Timeout", None),        # handler's timeout(0)
-            (0.017256, 0, 10, "Timeout", None),       # boot reply:echo#1
-            (0.017256, 1, 11, "Process", "server:echo#1"),
-            (0.021256, 1, 12, "Timeout", None),       # server reply hook
-            (0.022256, 1, 13, "Timeout", None),       # fabric marshalling
-            (0.03232, 1, 14, "Timeout", None),        # wire
-            (0.03232, 1, 15, "Event", None),          # reply event
-            (0.03232, 1, 16, "Process", "reply:echo#1"),
-            (0.03732, 1, 17, "Timeout", None),        # client complete hook
-            (0.03732, 1, 18, "Process", "call"),
+            (0.0, 0, 0, "Timeout", None),             # boot call
+            (0.002, 1, 1, "Timeout", None),           # client send hook
+            (0.003, 1, 2, "Timeout", None),           # fabric marshalling
+            (0.013256, 1, 3, "Timeout", None),        # wire
+            (0.013256, 0, 4, "Timeout", None),        # boot server:echo#1
+            (0.014256000000000001, 1, 5, "Timeout", None),  # fabric dispatch
+            (0.017256, 1, 6, "Timeout", None),        # server deliver hook
+            (0.017256, 1, 7, "Timeout", None),        # handler's timeout(0)
+            (0.021256, 1, 8, "Timeout", None),        # server reply hook
+            (0.022256, 1, 9, "Timeout", None),        # fabric marshalling
+            (0.03232, 1, 10, "Timeout", None),        # wire
+            (0.03232, 1, 11, "Event", None),          # reply token
+            (0.03732, 1, 12, "Timeout", None),        # client complete hook
         ]
 
     def test_installation_order_within_a_chain(self, stack):
@@ -452,6 +595,81 @@ class TestDeadlines:
         assert value == 42
         assert fault.dropped == 1
         assert elapsed > 0.5              # one full deadline was spent
+
+    def test_late_reply_crosses_the_wire_and_is_not_a_duplicate(self):
+        """The handler answers after the attempt's deadline: the reply is
+        marshalled, accounted and carried over the (shared) link like any
+        other, finds nobody waiting and is *not* counted as a suppressed
+        duplicate."""
+        engine, net, fabric = build_stack(shared=True)
+        (link,) = net.route("alpha", "beta")
+        server = fabric.endpoint("server", "beta")
+        client = fabric.endpoint(
+            "client", "alpha", interceptors=[DeadlineInterceptor(0.5)])
+
+        def slow(msg):
+            yield engine.timeout(1.0)
+            return ("late", 4000)
+
+        server.on("slow", slow)
+        server.start()
+
+        def call():
+            with pytest.raises(DeadlineExceededError):
+                yield from client.rpc("server", "slow")
+            return engine.now
+
+        on_the_wire = XMIT + DISPATCH + 1.0 + MARSHAL
+        slots = []
+
+        def probe():
+            yield engine.timeout(on_the_wire + HOP / 2)
+            slots.append(link._slot.count)
+
+        caller = engine.process(call())
+        engine.process(probe())
+        engine.run()
+        assert caller.value == pytest.approx(0.5 + XMIT)
+        assert fabric.messages_sent == 2 and fabric.bytes_sent == 256 + 4000
+        assert net.bytes_total == 256 + 4000
+        assert slots == [1]
+        assert engine.now == pytest.approx(on_the_wire + HOP + 4000 / 1e6)
+        assert fabric.accounting.replies_suppressed == 0
+        assert fabric.accounting.dead_letters == 0
+
+    def test_retry_reply_settles_only_its_own_attempt(self, stack):
+        """Attempt 0 is answered too late, attempt 1 in time: the caller gets
+        attempt 1's value, and attempt 0's late reply — which arrives while
+        the caller is still waiting for attempt 1 — neither completes the RPC
+        nor counts as a duplicate."""
+        engine, _, fabric = stack
+        server = fabric.endpoint("server", "beta")
+        client = fabric.endpoint(
+            "client", "alpha",
+            interceptors=[DeadlineInterceptor(0.5, retries=1)])
+        served = []
+
+        def uneven(msg):
+            served.append(msg.msg_id)
+            # first copy: 0.7 s (late for attempt 0, lands mid attempt 1)
+            yield engine.timeout(0.7 if len(served) == 1 else 0.4)
+            return (f"attempt-{len(served) - 1}-of-{msg.msg_id}", 8)
+
+        server.on("uneven", uneven)
+        server.start()
+
+        def call():
+            value = yield from client.rpc("server", "uneven")
+            return value, engine.now
+
+        value, at = engine.run_process(call())
+        assert len(served) == 2 and served[0] != served[1]
+        assert value == f"attempt-1-of-{served[1]}"
+        reply = MARSHAL + HOP + 8 / 1e6
+        assert at == pytest.approx(
+            (0.5 + XMIT) + XMIT + DISPATCH + 0.4 + reply)
+        assert fabric.messages_sent == 4           # 2 requests, 2 replies
+        assert fabric.accounting.replies_suppressed == 0
 
     def test_retries_exhausted_raises(self, stack):
         engine, _, fabric = stack
@@ -547,6 +765,7 @@ class TestFaultInjection:
         engine.run_process(call())
         engine.run()
         assert results == [5]
+        # the duplicate's reply, to an attempt already *answered*, is marked
         assert fabric.accounting.replies_suppressed == 1
 
     def test_probabilistic_drop_uses_rng_stream(self, stack):
