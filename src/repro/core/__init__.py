@@ -61,7 +61,6 @@ from .pipeline import (
     MessageContext,
     MessageDropped,
     RpcPolicy,
-    TracingInterceptor,
 )
 from .profile import Profile, ProfileDesc, ServiceTable
 from .requests import (
@@ -158,7 +157,6 @@ __all__ = [
     "SolveRequest",
     "SubmitRequest",
     "Tracer",
-    "TracingInterceptor",
     "TransportFabric",
     "TransportParams",
     "build_federation",

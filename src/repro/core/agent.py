@@ -37,7 +37,8 @@ from ..sim.resources import Store
 from .aggregation import AggregationTable
 from .exceptions import ServerNotFoundError
 from .liveness import HeartbeatConfig, HeartbeatMonitor
-from .pipeline import DeadlineInterceptor, TracingInterceptor
+from .logservice import post_event
+from .pipeline import DeadlineInterceptor
 from .requests import EstimateDelta, EstimateRequest, MemoHit, SubmitRequest
 from .scheduling import (
     EST_NBJOBS,
@@ -372,10 +373,6 @@ class MasterAgent(LocalAgent):
         self._sweep_target = float("inf")
         if self.routing == "push":
             self._admission = Store(self.engine)
-        #: One call site for monitoring: journals to the tracer and posts
-        #: the same event to LogCentral (when deployed).
-        self.tracing = self.endpoint.pipeline.add(
-            TracingInterceptor(self.tracer, log_central))
         self.endpoint.on("submit", self._handle_submit)
         self.endpoint.on("job_done", self._handle_job_done)
 
@@ -428,9 +425,9 @@ class MasterAgent(LocalAgent):
             if obs.enabled:
                 obs.spans.end(span, now, status="rejected")
                 obs.metrics.counter("scheduler.rejections").inc(1, now)
-            self.tracing.emit(self.endpoint, "schedule-reject",
-                              request_id=sub.request_id,
-                              service=sub.service_desc.path)
+            post_event(self.endpoint, self.log_central, "schedule-reject",
+                       request_id=sub.request_id,
+                       service=sub.service_desc.path)
             raise ServerNotFoundError(
                 f"no SeD can solve {sub.service_desc.path!r}")
         if isinstance(chosen, MemoHit):
@@ -439,9 +436,9 @@ class MasterAgent(LocalAgent):
             if span is not None:
                 obs.spans.end(span, self.engine.now, sed=chosen.owner,
                               n_candidates=0, memo="hit")
-            self.tracing.emit(self.endpoint, "schedule-memo",
-                              request_id=sub.request_id, sed=chosen.owner,
-                              service=sub.service_desc.path)
+            post_event(self.endpoint, self.log_central, "schedule-memo",
+                       request_id=sub.request_id, sed=chosen.owner,
+                       service=sub.service_desc.path)
             return ((chosen.owner, chosen), chosen.wire_bytes())
         if span is not None:
             now = self.engine.now
@@ -449,10 +446,9 @@ class MasterAgent(LocalAgent):
                           n_candidates=n_candidates)
             obs.metrics.counter("scheduler.dispatches",
                                 sed=chosen.sed_name).inc(1, now)
-        self.tracing.emit(self.endpoint, "schedule",
-                          request_id=sub.request_id, sed=chosen.sed_name,
-                          service=sub.service_desc.path,
-                          n_candidates=n_candidates)
+        post_event(self.endpoint, self.log_central, "schedule",
+                   request_id=sub.request_id, sed=chosen.sed_name,
+                   service=sub.service_desc.path, n_candidates=n_candidates)
         return ((chosen.sed_name, chosen), 512)
 
     def _memo_lookup(self, sub: SubmitRequest) -> Optional[MemoHit]:
@@ -607,6 +603,6 @@ class MasterAgent(LocalAgent):
         info = msg.payload
         self.ctx.note_completion(info["sed"], info["duration"],
                                  service=info.get("service", ""))
-        self.tracing.emit(self.endpoint, "job-done", **info)
+        post_event(self.endpoint, self.log_central, "job-done", **info)
         return
         yield  # pragma: no cover - make this a generator function

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, Iterable, List, Optional
+from typing import Any, Dict, Generator, List, Optional
 
 from ..sim.engine import Engine, Event, Process
 from ..sim.network import Host
@@ -40,15 +40,21 @@ from .exceptions import (
     NotInitializedError,
     ServerNotFoundError,
 )
-from .pipeline import Interceptor, TracingInterceptor
 from .profile import Profile
 from .requests import MemoHit, SolveRequest, SubmitRequest
-from .statistics import Tracer
+from .statistics import RequestTrace, Tracer
 from .transport import Endpoint, TransportFabric
 
 __all__ = ["FunctionHandle", "AsyncRequest", "DietClient"]
 
 _NEVER = float("-inf")
+
+
+def _failure_status(exc: BaseException) -> str:
+    """Span status of a request ended by ``exc``: an MA admission rejection
+    stays distinguishable from transport loss, so saturation experiments can
+    separate rejected from failed requests."""
+    return "rejected" if isinstance(exc, ServerNotFoundError) else "error"
 
 
 @dataclass
@@ -133,20 +139,15 @@ class DietClient:
 
     def __init__(self, fabric: TransportFabric, host: Host,
                  name: str = "client", tracer: Optional[Tracer] = None,
-                 interceptors: Iterable[Interceptor] = (),
                  memo_enabled: bool = False):
         self.fabric = fabric
         self.engine: Engine = fabric.engine
         self.host = host
         self.name = name
         self.tracer = tracer or Tracer()
+        #: Its chain starts empty; ``grpc_set_deadline`` adds a
+        #: DeadlineInterceptor with ``endpoint.pipeline.add``.
         self.endpoint: Endpoint = fabric.endpoint(name, host.name)
-        #: Request-lifecycle stamps (submitted/found/data-sent/completed) are
-        #: taken by the pipeline, not by call(); extra interceptors (e.g. a
-        #: DeadlineInterceptor from grpc_set_deadline) append after it.
-        self.tracing = self.endpoint.pipeline.add(TracingInterceptor(self.tracer))
-        for icpt in interceptors:
-            self.endpoint.pipeline.add(icpt)
         #: The MAs this client submits to, home first (set by initialize).
         self.ma_names: List[str] = []
         self._initialized = False
@@ -229,10 +230,13 @@ class DietClient:
         every one declined.  A SeD crash mid-solve raises
         ``CommunicationError``.  Each attempt draws a fresh fabric-scoped
         request id, so identical campaigns get identical ids regardless of
-        what ran before them.  Lifecycle stamps are not taken here: the
-        endpoint's :class:`TracingInterceptor` records them as the messages
-        pass through the pipeline — except the ends no message marks (a memo
-        hit's completion, a request id abandoned without a reply).
+        what ran before them.
+
+        The client's side of the request's :class:`RequestTrace` (and of its
+        span track) is written here, at the ``engine.now`` reads around the
+        two RPCs; the SeD writes its side in ``_handle_solve``.  A stamp is
+        taken only for a message that was sent: a name that no longer
+        resolves raises ``CommunicationError`` with nothing recorded.
         """
         self._check_session()
         profile.validate_for_submit()
@@ -268,47 +272,116 @@ class DietClient:
                                         data_handles=handles,
                                         memo_key=memo_key)
                     try:
+                        # Nothing is recorded for a message that cannot be
+                        # sent: a vanished MA fails the lookup first.
+                        self.fabric.resolve(ma_name)
+                        trace = self._stamp_submitted(request_id, profile.path)
                         sed_name, est = yield from endpoint.rpc(ma_name, "submit", sub)
                     except (ServerNotFoundError, CommunicationError) as exc:
                         last_error = exc
-                        self.tracing.abandon_request(request_id,
-                                                     self.engine.now, "error")
+                        self._abandon(request_id, _failure_status(exc))
                         self._note_rejection(ma_name, i + 1 < len(order))
                         continue
                     handle.server, handle.request_id = sed_name, request_id
-                    handle.found_at = self.engine.now
+                    handle.found_at = self._stamp_found(trace, sed_name)
                     handle.error = None
                     if isinstance(est, MemoHit):
                         try:
                             yield from self._absorb_memo_hit(profile, est)
                         except (CommunicationError, DataError):
                             # Stale hit: redo the whole round without the memo.
-                            self.tracing.abandon_request(request_id, self.engine.now,
-                                                         "stale")
+                            self._abandon(request_id, "stale")
                             self.memo_fallbacks += 1
                             memo_key = None
                             break
-                        self.tracing.complete_request(request_id, profile.path,
-                                                      self.engine.now, 0, memo="hit")
+                        # The one request end no message marks.
+                        self._stamp_completed(trace, 0, memo="hit")
                         return 0
+                    nbytes = profile.request_nbytes()
+                    self.fabric.resolve(sed_name)  # same rule: SeD just died
+                    self._stamp_data_sent(trace, nbytes)
                     reply = yield from endpoint.rpc(
                         sed_name, "solve",
                         SolveRequest(request_id=request_id, profile=profile,
                                      client_endpoint=endpoint.name,
                                      memo_key=memo_key),
-                        nbytes=profile.request_nbytes())
+                        nbytes=nbytes)
+                    self._stamp_completed(trace, reply.status)
+                    # The tracer is usually shared with the SeD in-process;
+                    # when it is not (separate tracers in tests) the reply's
+                    # solve window fills the server-side gaps.
+                    if trace.solve_started_at is None:
+                        trace.solve_started_at = reply.solve_started_at
+                    if trace.solve_ended_at is None:
+                        trace.solve_ended_at = reply.solve_ended_at
                     for index, value in reply.out_values.items():
                         profile.parameter(index).set(value)
                     handle.error = reply.error
                     return reply.status
                 else:  # no break: every MA declined
                     raise last_error
-        except Exception:
-            # Refusal in flight, dead SeD, deadline, cancellation: whatever
-            # ended this request id early, nothing stays open on its track
-            # (a no-op when the pipeline saw an error reply and unwound it).
-            self.tracing.abandon_request(request_id, self.engine.now, "error")
+        except Exception as exc:
+            # Refusal in flight, dead SeD, error reply, deadline,
+            # cancellation: whatever ended this request id early, nothing
+            # stays open on its track (a no-op once a refusal unwound it).
+            self._abandon(request_id, _failure_status(exc))
             raise
+
+    # -- the client's side of the request lifecycle ------------------------------------
+
+    def _stamp_submitted(self, request_id: int, service: str) -> RequestTrace:
+        """``submitted_at``; opens ``request`` and, inside it, ``finding``."""
+        now = self.engine.now
+        trace = self.tracer.trace(request_id, service)
+        trace.submitted_at = now
+        obs = self.tracer.obs
+        if obs.enabled:
+            for name in ("request", "finding"):
+                obs.spans.begin(f"req:{request_id}", name, now, name,
+                                request_id=request_id, service=service)
+        return trace
+
+    def _stamp_found(self, trace: RequestTrace, sed_name: str) -> float:
+        """``found_at`` + ``sed_name``; closes ``finding``.  Returns the read."""
+        now = self.engine.now
+        trace.found_at, trace.sed_name = now, sed_name
+        obs = self.tracer.obs
+        if obs.enabled:
+            finding = obs.spans.open_span(f"req:{trace.request_id}", "finding")
+            if finding is not None:
+                obs.spans.end(finding, now, sed=sed_name)
+                obs.metrics.histogram("request.finding_seconds").observe(
+                    finding.duration, now)
+        return now
+
+    def _stamp_data_sent(self, trace: RequestTrace, nbytes: int) -> None:
+        """``data_sent_at``; opens ``transfer`` (the SeD closes it on arrival)."""
+        now = self.engine.now
+        trace.data_sent_at = now
+        obs = self.tracer.obs
+        if obs.enabled:
+            obs.spans.begin(f"req:{trace.request_id}", "transfer", now,
+                            "transfer", request_id=trace.request_id,
+                            service=trace.service, nbytes=nbytes)
+
+    def _stamp_completed(self, trace: RequestTrace, status: int,
+                         **attrs: Any) -> None:
+        """``completed_at`` + ``status``; closes ``request``."""
+        now = self.engine.now
+        trace.completed_at, trace.status = now, status
+        obs = self.tracer.obs
+        if obs.enabled:
+            request = obs.spans.open_span(f"req:{trace.request_id}", "request")
+            if request is not None:
+                obs.spans.end(request, now, status_code=status, **attrs)
+
+    def _abandon(self, request_id: int, status: str) -> None:
+        """A request id that will never complete: unwind every span still
+        open on its track, so nothing is left for ``finalize`` to sweep up
+        as ``"lost"``."""
+        obs = self.tracer.obs
+        if obs.enabled:
+            obs.spans.unwind(f"req:{request_id}", self.engine.now, status)
 
     def _note_rejection(self, ma_name: str, redirected: bool) -> None:
         now = self.engine.now

@@ -21,8 +21,7 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
 from ..sim.engine import Engine, Event
 from ..sim.network import Host
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a runtime cycle:
-    # transport -> pipeline -> logservice; post_event is duck-typed).
+if TYPE_CHECKING:  # pragma: no cover - typing only (post_event is duck-typed)
     from .transport import Endpoint, TransportFabric
 
 __all__ = ["LogEvent", "LogCentral", "post_event"]

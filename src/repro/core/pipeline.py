@@ -4,18 +4,16 @@ Every message that crosses the transport — client submit, agent estimate
 fan-out, SeD solve, monitoring posts — travels as a :class:`MessageContext`
 envelope through an ordered chain of interceptors.  The paper's whole
 evaluation (finding time ≈ 49.8 ms, latency growth, ≈ 70.6 ms/simulation
-overhead) is a property of this client → MA → LA → SeD path, so the
-concerns that used to be hand-inlined per component are expressed once,
-as stock interceptors that compose on the one path:
+overhead) is a property of this client → MA → LA → SeD path, so what a
+*message* costs and what may happen to it is expressed once, as stock
+interceptors that compose on the one path (what happens to a *request* —
+its lifecycle stamps and spans — is written by the client and the SeD, in
+``DietClient.call`` and ``SeD._handle_solve``):
 
 * :class:`MarshallingInterceptor` — the calibrated CORBA cost model
   (fixed + per-byte marshalling, server-side dispatch);
 * :class:`AccountingInterceptor` — message/byte counters plus drop,
   dead-letter and duplicate-suppression marks;
-* :class:`TracingInterceptor` — feeds
-  :class:`~repro.core.statistics.RequestTrace` lifecycle stamps and emits
-  LogCentral events, replacing the ad-hoc call sites that used to live in
-  ``client.py`` / ``agent.py`` / ``sed.py``;
 * :class:`DeadlineInterceptor` — one timeout/retry/backoff mechanism shared
   by the MA/LA estimate fan-out and client-side solve deadlines;
 * :class:`FaultInjectionInterceptor` — message drop / delay / duplicate by
@@ -56,11 +54,7 @@ from typing import (
     Tuple,
 )
 
-from .exceptions import ServerNotFoundError
-from .logservice import post_event
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .statistics import Tracer
     from .transport import Endpoint, Message, TransportFabric, TransportParams
 
 __all__ = [
@@ -71,7 +65,6 @@ __all__ = [
     "RpcPolicy",
     "MarshallingInterceptor",
     "AccountingInterceptor",
-    "TracingInterceptor",
     "DeadlineInterceptor",
     "FaultInjectionInterceptor",
 ]
@@ -129,11 +122,6 @@ class MessageContext:
         if self._meta is None:
             self._meta = {}
         return self._meta
-
-    @property
-    def service(self) -> str:
-        """Service path carried by the payload, '' when not a DIET request."""
-        return getattr(self.message.payload, "service_path", "")
 
     def drop(self, reason: str = "dropped by interceptor") -> None:
         """Abort the current phase, discarding the message."""
@@ -314,167 +302,6 @@ class AccountingInterceptor(Interceptor):
 
     def note_suppressed_reply(self) -> None:
         self.replies_suppressed += 1
-
-
-class TracingInterceptor(Interceptor):
-    """Feeds :class:`RequestTrace` stamps and LogCentral from the pipeline.
-
-    Installed on a client endpoint it records the request lifecycle the
-    figures are built from (submitted → found → data sent → completed);
-    installed on a SeD endpoint it records data arrival.  Components also
-    route their application-level monitoring events through :meth:`emit`,
-    which both journals to the in-process :class:`Tracer` and posts a
-    fire-and-forget LogCentral message — one call site instead of parallel
-    ``tracer.log`` / ``post_event`` side-channels.
-
-    None of the hooks charge simulated time, so tracing never perturbs the
-    calibrated control path (a LogService test asserts this).
-
-    When the shared tracer carries an enabled
-    :class:`~repro.obs.Observability`, the same call sites also emit the
-    request-track **spans** (``request`` → ``finding`` / ``transfer`` /
-    ``queue``) the exporters and figure queries consume — begun and closed
-    with the *same* ``engine.now`` reads that stamp the trace fields, and
-    unwound with status ``"error"`` when a submit/solve RPC completes with
-    an error reply (the dead-letter path), so failures never leak open
-    spans.  Span recording is pure bookkeeping: no events, no time.
-    """
-
-    #: ops whose request/reply legs carry client-lifecycle stamps
-    SUBMIT_OP = "submit"
-    SOLVE_OP = "solve"
-
-    def __init__(self, tracer: "Tracer", log_central: Optional[str] = None):
-        self.tracer = tracer
-        self.log_central = log_central
-
-    # -- application-level events ------------------------------------------------
-
-    def emit(self, endpoint: "Endpoint", kind: str, **info: Any) -> None:
-        """Journal an event locally and post it to LogCentral (if deployed)."""
-        self.tracer.log(endpoint.fabric.engine.now, kind, **info)
-        post_event(endpoint, self.log_central, kind, **info)
-
-    # -- message-path stamps -------------------------------------------------------
-
-    def intercept_send(self, ctx: MessageContext) -> None:
-        message = ctx.message
-        rid = getattr(message.payload, "request_id", None)
-        if rid is not None:
-            op = message.op
-            now = ctx.fabric.engine.now
-            if op == self.SUBMIT_OP:
-                self.tracer.trace(rid, ctx.service).submitted_at = now
-                obs = self.tracer.obs
-                if obs.enabled:
-                    track = f"req:{rid}"
-                    spans = obs.spans
-                    if spans.open_spans(track):
-                        # RPC-layer retry re-sending the same request id:
-                        # the previous attempt's spans are dead weight.
-                        spans.unwind(track, now, "interrupted")
-                    spans.begin(track, "request", now, "request",
-                                request_id=rid, service=ctx.service)
-                    spans.begin(track, "finding", now, "finding",
-                                request_id=rid, service=ctx.service)
-            elif op == self.SOLVE_OP:
-                self.tracer.trace(rid, ctx.service).data_sent_at = now
-                obs = self.tracer.obs
-                if obs.enabled:
-                    obs.spans.begin(f"req:{rid}", "transfer", now, "transfer",
-                                    request_id=rid, service=ctx.service,
-                                    nbytes=ctx.nbytes)
-
-    def intercept_deliver(self, ctx: MessageContext) -> None:
-        message = ctx.message
-        rid = getattr(message.payload, "request_id", None)
-        if rid is not None and message.op == self.SOLVE_OP:
-            now = ctx.fabric.engine.now
-            trace = self.tracer.trace(rid, ctx.service)
-            trace.data_arrived_at = now
-            obs = self.tracer.obs
-            if obs.enabled:
-                track = f"req:{rid}"
-                spans = obs.spans
-                transfer = spans.open_span(track, "transfer")
-                if transfer is not None:
-                    spans.end(transfer, now)
-                spans.begin(track, "queue", now, "queue", request_id=rid,
-                            service=ctx.service, sed=ctx.endpoint.name)
-            self.tracer.log(now, "data-arrived",
-                            sed=ctx.endpoint.name, request_id=rid)
-
-    def intercept_complete(self, ctx: MessageContext) -> None:
-        message = ctx.message
-        rid = getattr(message.payload, "request_id", None)
-        if rid is None:
-            return
-        op = message.op
-        now = ctx.fabric.engine.now
-        if ctx.reply_status != "ok":
-            # Submit/solve RPC failed (dead letter, crashed SeD, no server
-            # found): unwind the whole request track so the failure path
-            # leaves no open spans.  Other ops (estimate fan-out legs) fail
-            # without killing the request.  An MA admission rejection is
-            # distinguishable from transport loss so saturation experiments
-            # can separate rejected from failed requests.
-            if op in (self.SUBMIT_OP, self.SOLVE_OP):
-                self.abandon_request(
-                    rid, now,
-                    "rejected" if isinstance(ctx.reply_value, ServerNotFoundError)
-                    else "error")
-            return
-        if op == self.SUBMIT_OP:
-            trace = self.tracer.trace(rid, ctx.service)
-            trace.found_at = now
-            if isinstance(ctx.reply_value, tuple) and ctx.reply_value:
-                trace.sed_name = ctx.reply_value[0]
-            obs = self.tracer.obs
-            if obs.enabled:
-                finding = obs.spans.open_span(f"req:{rid}", "finding")
-                if finding is not None:
-                    obs.spans.end(finding, now, sed=trace.sed_name)
-                    if finding.duration is not None:
-                        obs.metrics.histogram(
-                            "request.finding_seconds").observe(
-                                finding.duration, now)
-        elif op == self.SOLVE_OP:
-            reply = ctx.reply_value
-            trace = self.complete_request(rid, ctx.service, now,
-                                          getattr(reply, "status", None))
-            # The tracer is usually shared with the SeD in-process; when it
-            # is not (separate tracers in tests) the reply timestamps fill
-            # the server-side gaps.
-            if trace.solve_started_at is None:
-                trace.solve_started_at = getattr(reply, "solve_started_at", None)
-            if trace.solve_ended_at is None:
-                trace.solve_ended_at = getattr(reply, "solve_ended_at", None)
-
-    # -- request ends (also called by the client, where no message marks them) -----
-
-    def complete_request(self, rid: int, service: str, now: float,
-                         status: Optional[int], **attrs: Any):
-        """The one completion stamp: ``completed_at`` + ``status`` on the
-        request's trace, and its ``request`` span ended.  A solve reply gets
-        here through :meth:`intercept_complete`; a memo hit, which ends
-        without a solve, through the client (``memo="hit"``)."""
-        trace = self.tracer.trace(rid, service)
-        trace.completed_at = now
-        trace.status = status
-        obs = self.tracer.obs
-        if obs.enabled:
-            request = obs.spans.open_span(f"req:{rid}", "request")
-            if request is not None:
-                obs.spans.end(request, now, status_code=status, **attrs)
-        return trace
-
-    def abandon_request(self, rid: int, now: float, status: str) -> None:
-        """Unwind every span still open on the request's track: a request
-        id that will never complete leaves nothing for ``finalize`` to
-        sweep up as ``"lost"``."""
-        obs = self.tracer.obs
-        if obs.enabled:
-            obs.spans.unwind(f"req:{rid}", now, status)
 
 
 class DeadlineInterceptor(Interceptor):

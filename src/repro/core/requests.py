@@ -21,11 +21,6 @@ class EstimateRequest:
     client_host: str
     request_nbytes: int = 0
 
-    @property
-    def service_path(self) -> str:
-        """Uniform service accessor for the tracing pipeline."""
-        return self.service_desc.path
-
 
 @dataclass
 class EstimateDelta:
@@ -77,11 +72,6 @@ class SubmitRequest:
     #: memo.
     memo_key: Optional[str] = None
 
-    @property
-    def service_path(self) -> str:
-        """Uniform service accessor for the tracing pipeline."""
-        return self.service_desc.path
-
 
 @dataclass
 class SolveRequest:
@@ -93,11 +83,6 @@ class SolveRequest:
     #: Same digest as the submit carried; the SeD uses it to populate the
     #: memo on solve completion (None when the client sent no key).
     memo_key: Optional[str] = None
-
-    @property
-    def service_path(self) -> str:
-        """Uniform service accessor for the tracing pipeline."""
-        return self.profile.path
 
 
 @dataclass(frozen=True)

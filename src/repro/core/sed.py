@@ -30,7 +30,7 @@ from .agent import ROUTING_MODES
 from .cori import CoRI
 from .data import DataHandle, Direction
 from .exceptions import DataError, DietError
-from .pipeline import TracingInterceptor
+from .logservice import post_event
 from .profile import Profile, ProfileDesc, ServiceTable, SolveFunc
 from .requests import (EstimateDelta, EstimateRequest, MemoHit, SolveReply,
                        SolveRequest)
@@ -117,10 +117,6 @@ class SeD:
         self.cori = CoRI(self.engine, host, fabric.network,
                          collect_time=self.params.estimate_collect_time)
         self.endpoint: Endpoint = fabric.endpoint(name, host.name)
-        #: Stamps data arrival on incoming solves (deliver phase) and gives
-        #: solve_start / solve_end one emit() call site for tracer+LogCentral.
-        self.tracing = self.endpoint.pipeline.add(
-            TracingInterceptor(self.tracer, log_central))
         self._bind_handlers()
         #: DTM/DAGDA data agent on the stack's data grid; a SeD built on its
         #: own gets a private grid.  (Imported here: repro.data depends on
@@ -239,8 +235,6 @@ class SeD:
         # incarnation's first re-announce push.
         self._push_dirty = False
         self.endpoint = self.fabric.endpoint(self.name, self.host.name)
-        self.tracing = self.endpoint.pipeline.add(
-            TracingInterceptor(self.tracer, self.log_central))
         self._bind_handlers()
         if self._launched:
             self.endpoint.start()
@@ -426,11 +420,25 @@ class SeD:
     # -- solving --------------------------------------------------------------------
 
     def _handle_solve(self, msg) -> Generator[Event, Any, tuple]:
+        """The SeD's side of the request lifecycle: data arrival, slot
+        grant, solve start and solve end are all stamped here."""
         req: SolveRequest = msg.payload
         profile: Profile = req.profile
-        # Arrival already stamped by the endpoint's TracingInterceptor
-        # (deliver phase); this fetches the same trace record.
+        # The handler starts the instant the message is delivered (after the
+        # fabric's dispatch charge): the data has arrived, the transfer is
+        # over, the wait for a job slot begins.
+        arrived = self.engine.now
         trace = self.tracer.trace(req.request_id, profile.path)
+        trace.data_arrived_at = arrived
+        obs = self.tracer.obs
+        track = f"req:{req.request_id}"
+        if obs.enabled:
+            transfer = obs.spans.open_span(track, "transfer")
+            if transfer is not None:
+                obs.spans.end(transfer, arrived)
+            obs.spans.begin(track, "queue", arrived, "queue",
+                            request_id=req.request_id, service=profile.path,
+                            sed=self.name)
         try:
             yield from self._resolve_handles(profile)
         except DataError as exc:
@@ -440,8 +448,6 @@ class SeD:
                                sed_name=self.name,
                                error=f"DataError: {exc}"), 256)
 
-        obs = self.tracer.obs
-        track = f"req:{req.request_id}"
         # Queue is about to grow: push the new backlog up the tree.
         self._schedule_push()
         slot = yield from self.job_slots.acquire()
@@ -468,8 +474,8 @@ class SeD:
                     track, "solve", started, "solve",
                     request_id=req.request_id, service=profile.path,
                     sed=self.name, cluster=self.cluster)
-            self.tracing.emit(self.endpoint, "solve_start",
-                              request_id=req.request_id, service=profile.path)
+            post_event(self.endpoint, self.log_central, "solve_start",
+                       request_id=req.request_id, service=profile.path)
             desc, solve_func = self.table.lookup(profile.path)
             ctx = SolveContext(self.engine, self.host, self, self.nfs)
             try:
@@ -499,10 +505,10 @@ class SeD:
         finally:
             self.job_slots.release(slot)
 
-        self.tracing.emit(self.endpoint, "solve_end",
-                          request_id=req.request_id, service=profile.path,
-                          duration=ended - started, status=status)
         duration = ended - started
+        post_event(self.endpoint, self.log_central, "solve_end",
+                   request_id=req.request_id, service=profile.path,
+                   duration=duration, status=status)
         self.solve_count += 1
         self.solve_durations.append(duration)
         self.cori.note_solve_end()

@@ -26,9 +26,16 @@ __all__ = ["RequestTrace", "Tracer"]
 class RequestTrace:
     """Lifecycle timestamps of one request (simulated seconds).
 
+    One record per request id, written by the two components that live the
+    lifecycle: :meth:`DietClient.call <repro.core.client.DietClient.call>`
+    stamps ``submitted_at``, ``found_at`` + ``sed_name``, ``data_sent_at``
+    and ``completed_at`` + ``status``; ``SeD._handle_solve`` stamps
+    ``data_arrived_at``, ``init_started_at`` and the solve window.  A
+    request that never completes keeps ``completed_at`` and ``status`` None.
+
     ``slots=True``: campaigns create one record per request and stamp each
-    field once from the interceptor hot path — slots make those attribute
-    writes cheaper and the records smaller.
+    field once — slots make those attribute writes cheaper and the records
+    smaller.
     """
 
     request_id: int
@@ -37,7 +44,7 @@ class RequestTrace:
     found_at: Optional[float] = None
     sed_name: Optional[str] = None
     data_sent_at: Optional[float] = None
-    #: SeD side: solve request delivered (stamped by TracingInterceptor).
+    #: SeD side: solve request delivered, the queue wait begins.
     data_arrived_at: Optional[float] = None
     #: SeD side: job slot granted, service initiation begins.
     init_started_at: Optional[float] = None
@@ -90,7 +97,7 @@ class RequestTrace:
 
 
 class Tracer:
-    """Collects :class:`RequestTrace` records plus free-form middleware events."""
+    """Collects the :class:`RequestTrace` records of one deployment."""
 
     def __init__(self, obs: Optional[Observability] = None):
         #: The deployment-wide observability hub; components that hold the
@@ -102,14 +109,12 @@ class Tracer:
         #: Records in creation order — the append-only buffer report-time
         #: aggregation works from (the dict above is just the id index).
         self._order: List[RequestTrace] = []
-        #: Free-form middleware events, append-only.
-        self.events: List[tuple] = []
 
     # -- recording --------------------------------------------------------------
 
     def trace(self, request_id: int, service: str = "") -> RequestTrace:
-        """Get-or-create the record for ``request_id`` (the stamp hot path:
-        interceptors call this once per lifecycle phase per request)."""
+        """Get-or-create the record for ``request_id`` (client and SeD each
+        call this once per request)."""
         rec = self._traces.get(request_id)
         if rec is None:
             rec = RequestTrace(request_id=request_id, service=service)
@@ -118,9 +123,6 @@ class Tracer:
         elif service and not rec.service:
             rec.service = service
         return rec
-
-    def log(self, time: float, kind: str, **info) -> None:
-        self.events.append((time, kind, info))
 
     # -- series for the figures ----------------------------------------------------
 

@@ -6,15 +6,15 @@ simulated hosts, exchanging :class:`Message` objects whose delivery costs
 
     marshal(client) + network(latency, bandwidth, size) + unmarshal(server)
 
-Every cost, counter and trace stamp on that path is charged by the
+Every cost and counter on that path is charged by the
 interceptor pipeline (:mod:`repro.core.pipeline`): a message travels as a
 :class:`~repro.core.pipeline.MessageContext` through the ``send`` chain in
 the sender, the ``deliver`` chain in the receiver, the ``reply`` chain in
 the replier and the ``complete`` chain back in the caller.  The fabric
 installs the calibrated :class:`MarshallingInterceptor` (mid-2000s omniORB
 figures: fixed per-invocation + per-byte cost) and an
-:class:`AccountingInterceptor`; components layer tracing, deadlines and
-fault injection on their endpoints' own chains.
+:class:`AccountingInterceptor`; components layer deadlines (and tests
+fault injection) on their endpoints' own chains.
 
 An RPC is a request message carrying a reply-to token; :meth:`Endpoint.rpc`
 suspends the calling process until the reply arrives — or, when a
@@ -450,7 +450,7 @@ class TransportFabric:
                       size, reply_to, sent_at=self.engine.now)
         ctx = MessageContext(self, msg, src, size, "send", attempt=attempt)
         try:
-            # Sender-side chain: marshalling cost, accounting, tracing, faults.
+            # Sender-side chain: marshalling cost, accounting, faults.
             for hook in src.chain_hooks("send"):
                 if (delay := hook(ctx)) is not None:
                     yield self.engine.timeout(delay)

@@ -240,7 +240,7 @@ class SpanStore:
         """Innermost open span named ``name`` on ``track``, or None.
 
         How one component closes a span another component opened (the SeD
-        ends the ``queue`` span the deliver-phase interceptor began).
+        ends the ``transfer`` span the client began).
         """
         for span in reversed(self._open.get(track, ())):
             if span.name == name:
@@ -304,9 +304,9 @@ class SpanStore:
     ) -> Dict[str, List[Tuple[float, Optional[float], Any]]]:
         """Per-group ``(start, end, request_id)`` rows for a timeline chart.
 
-        Matches the shape :meth:`CampaignResult.gantt` always had: spans
-        that did not close normally contribute ``(start, None, rid)`` —
-        their start is a real stamp, their end is not.
+        Spans that did not close normally contribute ``(start, None, rid)``
+        — their start is a real stamp, their end is not (``svg_gantt`` marks
+        them; :meth:`Tracer.gantt`, the figures' series, leaves them out).
         """
         chart: Dict[str, List[Tuple[float, Optional[float], Any]]] = {}
         for span in self.find(category=category, **filters):

@@ -293,29 +293,17 @@ class CampaignResult:
     def latencies(self) -> List[float]:
         return [t.latency for t in self.part2_traces if t.latency is not None]
 
+    # The Figure 4 series are the tracer's, filtered to the zoom service:
+    # an attempt whose SeD died mid-solve has no solve window and no row.
+
     def requests_per_sed(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for t in self.part2_traces:
-            if t.sed_name:
-                counts[t.sed_name] = counts.get(t.sed_name, 0) + 1
-        return counts
+        return self.tracer.requests_per_sed("ramsesZoom2")
 
     def busy_time_per_sed(self) -> Dict[str, float]:
-        busy: Dict[str, float] = {}
-        for t in self.part2_traces:
-            if t.sed_name and t.solve_duration is not None:
-                busy[t.sed_name] = busy.get(t.sed_name, 0.0) + t.solve_duration
-        return busy
+        return self.tracer.busy_time_per_sed("ramsesZoom2")
 
     def gantt(self) -> Dict[str, List[Tuple[float, float, int]]]:
-        chart: Dict[str, List[Tuple[float, float, int]]] = {}
-        for t in self.part2_traces:
-            if t.sed_name and t.solve_started_at is not None:
-                chart.setdefault(t.sed_name, []).append(
-                    (t.solve_started_at, t.solve_ended_at, t.request_id))
-        for spans in chart.values():
-            spans.sort()
-        return chart
+        return self.tracer.gantt("ramsesZoom2")
 
     @property
     def overhead_per_request(self) -> List[float]:

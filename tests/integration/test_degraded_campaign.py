@@ -8,6 +8,7 @@ zero-failure baseline.
 
 import pytest
 
+from repro.experiments.report import ascii_gantt
 from repro.services import CampaignConfig, FailurePlan, run_campaign
 
 
@@ -73,6 +74,20 @@ class TestDegradedCampaign:
         assert sum(per_sed.values()) == 100
         survivors = {s: n for s, n in per_sed.items() if s not in victims}
         assert max(survivors.values()) > 100 // 11
+
+    def test_gantt_renders_without_the_attempts_that_died_mid_solve(self, result):
+        # Two attempts lost their SeD mid-solve: a solve start, no end.
+        # They are not rows of the Figure 4 chart, which must still render.
+        solved = [t for t in result.part2_traces
+                  if t.solve_ended_at is not None]
+        assert any(t.solve_started_at is not None and t.solve_ended_at is None
+                   for t in result.part2_traces)
+        chart = result.gantt()
+        rows = [row for sed_rows in chart.values() for row in sed_rows]
+        assert len(rows) == len(solved)
+        assert all(start <= end for start, end, _ in rows)
+        assert ascii_gantt(chart)
+        assert result.busy_time_per_sed().keys() == chart.keys()
 
     def test_bit_deterministic(self, result):
         again = run_campaign(degraded_config())

@@ -250,3 +250,46 @@ class TestLostEstimates:
         with pytest.raises(ServerNotFoundError):
             engine.run_process(run(), until=1e8)
         assert fault.dropped == 1
+
+
+class TestLostSubmit:
+    """A dropped submit against the client's deadline/retry policy."""
+
+    def test_rpc_retry_keeps_one_record_stamped_at_the_first_send(self):
+        from repro.core import FaultInjectionInterceptor
+        from repro.core.gridrpc import grpc_set_deadline
+        from repro.obs import Observability
+
+        engine, obs = Engine(), Observability()
+        dep = deploy_paper_hierarchy(build_grid5000(engine), obs=obs)
+        desc = toy_desc()
+        for sed in dep.seds:
+            sed.add_service(desc, solve_ok)
+        dep.launch_all()
+        fault = dep.ma.endpoint.pipeline.add(
+            FaultInjectionInterceptor(ops=("submit",), phases=("deliver",)))
+        fault.drop_next(1)
+        client = dep.client
+        grpc_set_deadline(client, 5.0, retries=1)
+
+        def run():
+            client.initialize({"MA_name": "MA"})
+            yield engine.timeout(3.0)
+            handle = client.function_handle("toy")
+            status = yield from client.call(fresh_profile(desc), handle)
+            return status, handle
+
+        status, handle = engine.run_process(run(), until=1e8)
+        assert status == 0 and fault.dropped == 1
+        # The RPC layer re-sent the same request id: its one record covers
+        # both attempts, from the first send to the second one's reply.
+        (trace,) = dep.tracer.all_traces("toy")
+        assert trace.request_id == handle.request_id
+        assert trace.submitted_at == 3.0
+        assert trace.found_at == handle.found_at > 3.0 + 5.0
+        assert trace.status == 0
+        (request,) = obs.spans.find(name="request")
+        (finding,) = obs.spans.find(name="finding")
+        assert request.ok and finding.ok and finding.start == 3.0
+        assert obs.spans.open_count == 0
+        assert not list(obs.spans.find(status="interrupted"))

@@ -17,6 +17,7 @@ import json
 import pytest
 
 from . import kernel_reference as ref
+from . import trace_reference
 
 
 def _check(slug: str, **overrides) -> None:
@@ -64,3 +65,67 @@ def test_disabled_tracing_replays_identical_stream():
     span/metrics recording is pure bookkeeping that schedules no events, so
     turning it off cannot change the total order either."""
     _check("campaign", observe=False)
+
+
+# -- what the runs say about their requests -----------------------------------
+#
+# The event stream above pins *when* anything happens; these pin the
+# request-lifecycle records read off the same runs (see trace_reference.py):
+# a stamp may move to another component, never to another instant.
+
+
+@pytest.fixture(scope="module", params=sorted(trace_reference.RUNS))
+def trace_run(request):
+    """``(slug, tracer, span_store)`` of one reference run (run once)."""
+    return (request.param, *trace_reference.RUNS[request.param]())
+
+
+def test_request_records_and_span_export_match_reference(trace_run):
+    """``Tracer.to_records()`` and the Chrome-trace export are byte-equal to
+    the ones recorded from 884740d, where an endpoint interceptor took the
+    client- and arrival-side stamps off the messages."""
+    slug, tracer, store = trace_run
+    with open(trace_reference.REFERENCE_PATH) as fh:
+        expected = json.load(fh)[slug]
+    assert trace_reference.digest(tracer, store) == expected
+
+
+_LIFECYCLE = ("submitted_at", "found_at", "data_sent_at", "data_arrived_at",
+              "init_started_at", "solve_started_at", "solve_ended_at",
+              "completed_at")
+
+
+def test_stamps_follow_the_lifecycle_and_no_span_leaks(trace_run):
+    """Whatever path a request ended on: the stamps it did get are in
+    lifecycle order, it has a status exactly when it completed, and the run
+    closed every span itself (nothing left for the end-of-run sweep)."""
+    _, tracer, store = trace_run
+    traces = tracer.all_traces()
+    assert traces
+    for trace in traces:
+        taken = [t for t in (getattr(trace, name) for name in _LIFECYCLE)
+                 if t is not None]
+        assert taken == sorted(taken), trace
+        assert trace.submitted_at is not None, trace
+        assert (trace.status is not None) == (trace.completed_at is not None)
+    assert store.open_count == 0
+    assert not list(store.find(status="lost"))
+
+
+def test_solve_to_a_crashed_sed_takes_no_stamp():
+    """A stamp is taken only for a message that was sent: the churn point
+    holds requests whose submit was answered from a table that still named
+    a SeD that had just crashed — found, then failed, and never "sent"."""
+    tracer, store = trace_reference.load_push_memo_churn()
+    tracks = {}
+    for span in store.spans:
+        if span.track.startswith("req:"):
+            tracks.setdefault(span.track, {})[span.name] = span.status
+    stranded = [track for track, spans in tracks.items()
+                if spans["request"] == "error" and spans.get("finding") == "ok"
+                and "transfer" not in spans]
+    assert stranded
+    for track in stranded:
+        trace = tracer.trace(int(track[4:]))
+        assert trace.found_at is not None and trace.sed_name
+        assert trace.data_sent_at is None and trace.completed_at is None

@@ -98,3 +98,19 @@ class TestPaperHierarchy:
             return (yield from client.call(profile))
 
         assert dep.engine.run_process(run()) == 0
+
+    def test_no_endpoint_chain_carries_a_hook_of_its_own(self, platform):
+        # A message pays the fabric's two interceptors and nothing else:
+        # the agents' DeadlineInterceptors grant policies, they hook no
+        # phase, and nothing else is installed — LogCentral deployed or
+        # not, before or after a SeD restart.
+        from repro.core.pipeline import PHASES
+
+        dep = deploy_paper_hierarchy(platform, with_log_central=True)
+        dep.seds[0].crash()
+        dep.seds[0].restart()
+        endpoints = dep.fabric._endpoints
+        assert {"MA", "client", dep.seds[0].name} <= set(endpoints)
+        for endpoint in endpoints.values():
+            for phase in PHASES:
+                assert endpoint.pipeline.hooks(phase) == (), endpoint.name

@@ -7,6 +7,7 @@ from repro.core import (
     deploy_paper_hierarchy,
     scalar_desc,
 )
+from repro.obs import Observability
 from repro.platform import build_grid5000
 from repro.sim import Engine
 
@@ -27,7 +28,8 @@ def solve_toy(profile, ctx):
 def build(top_k):
     dep = deploy_paper_hierarchy(
         build_grid5000(Engine()),
-        agent_params=AgentParams(aggregate_top_k=top_k))
+        agent_params=AgentParams(aggregate_top_k=top_k),
+        obs=Observability())
     for sed in dep.seds:
         sed.add_service(toy_desc(), solve_toy)
     dep.launch_all()
@@ -53,14 +55,14 @@ class TestTopKAggregation:
     def test_top1_ma_sees_one_candidate_per_cluster(self):
         dep = build(top_k=1)
         run_requests(dep, 1)
-        (event,) = [e for e in dep.tracer.events if e[1] == "schedule"]
-        assert event[2]["n_candidates"] == 6     # one per LA, not 11
+        (span,) = dep.tracer.obs.spans.find(name="schedule")
+        assert span.attrs["n_candidates"] == 6     # one per LA, not 11
 
     def test_no_truncation_by_default(self):
         dep = build(top_k=None)
         run_requests(dep, 1)
-        (event,) = [e for e in dep.tracer.events if e[1] == "schedule"]
-        assert event[2]["n_candidates"] == 11
+        (span,) = dep.tracer.obs.spans.find(name="schedule")
+        assert span.attrs["n_candidates"] == 11
 
     def test_requests_still_complete_under_top1(self):
         dep = build(top_k=1)

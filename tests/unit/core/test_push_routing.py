@@ -286,7 +286,8 @@ class TestDeregRacingInFlightRequest:
         ("push", 0.001),   # removal invalidates the table pre-admission
     ])
     def test_remove_child_mid_request(self, routing, delay):
-        engine, _, ma, las, seds, cli = build(routing=routing)
+        obs = Observability()
+        engine, _, ma, las, seds, cli = build(routing=routing, obs=obs)
         engine.run()
         result = {}
 
@@ -307,10 +308,10 @@ class TestDeregRacingInFlightRequest:
         engine.process(saboteur(), name="saboteur")
         engine.run()
         assert result["sed"] in {seds[2].name, seds[3].name}
-        sched = [e for e in ma.tracer.events if e[1] == "schedule"][-1]
+        sched = list(obs.spans.find(name="schedule"))[-1]
         # exactly the two survivors — the dead subtree neither lingers
         # nor gets counted twice through the removal cascade
-        assert sched[2]["n_candidates"] == 2
+        assert sched.attrs["n_candidates"] == 2
 
 
 class TestParkWatchdogHeapFootprint:
@@ -456,5 +457,5 @@ class TestRejectionObservability:
         assert engine.run_process(call()) == "not-found"
         assert ma.rejections == 1
         assert obs.metrics.counter("scheduler.rejections").value == 1
-        rejects = [e for e in ma.tracer.events if e[1] == "schedule-reject"]
-        assert len(rejects) == 1
+        (reject,) = obs.spans.find(name="schedule", status="rejected")
+        assert reject.attrs["service"] == "nonexistent"

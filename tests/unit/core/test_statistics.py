@@ -81,8 +81,3 @@ class TestTracer:
 
     def test_makespan_empty(self):
         assert Tracer().makespan() is None
-
-    def test_event_log(self):
-        tracer = Tracer()
-        tracer.log(1.5, "scheduled", sed="x")
-        assert tracer.events == [(1.5, "scheduled", {"sed": "x"})]
