@@ -6,9 +6,10 @@
 * Hilbert vs slab decomposition communication volume (the §3 partitioning
   choice), as an ablation bench;
 * RPC round trips over a two-endpoint fabric: the whole per-message path
-  (four interceptor phases, two wire transfers, one handler process per
-  call, which also carries the reply) with nothing else around it — once
-  bare and once raced against a deadline, the way the agents call.
+  (two marshalling charges, two wire transfers, one handler process per
+  call, which pays the dispatch charge and also carries the reply) with
+  nothing else around it — once bare and once raced against a deadline,
+  the way the agents call.
   ``benchmarks/export.py --bench engine`` folds both cases into
   ``BENCH_engine.json`` beside the kernel shapes, with the kernel events
   each run scheduled (an exact count: 7 per bare call, 8 per deadline-raced
@@ -23,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    DeadlineInterceptor,
     ProfileDesc,
     TransportFabric,
     deploy_paper_hierarchy,
@@ -135,9 +135,9 @@ def _run_rpc_roundtrips(deadline: bool = False) -> int:
 
     server.on("echo", echo)
     server.start()
-    client = fabric.endpoint(
-        "client", "alpha",
-        interceptors=[DeadlineInterceptor(RPC_DEADLINE)] if deadline else ())
+    client = fabric.endpoint("client", "alpha")
+    if deadline:
+        client.set_deadline(("echo",), RPC_DEADLINE)
 
     def one(i):
         return (yield from client.rpc("server", "echo", i))
@@ -154,7 +154,7 @@ def _run_rpc_roundtrips(deadline: bool = False) -> int:
 
 
 def test_bench_rpc_roundtrip(measure_events):
-    """The per-message path on its own: send, deliver, reply, complete."""
+    """The per-message path on its own: request leg, handler, reply leg."""
     measure_events(f"rpc round trip x{N_RPC} (window {RPC_WINDOW})",
                    _run_rpc_roundtrips, RPC_ROUNDS)
 

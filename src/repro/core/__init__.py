@@ -1,12 +1,11 @@
 """DIET middleware reimplementation (the paper's contribution surface).
 
-Layers (bottom-up): :mod:`pipeline` (the interceptor chain every message
-travels through) and :mod:`transport` (CORBA substitute over the simulated
-network), :mod:`data`/:mod:`profile` (the DIET data model and service
-profiles of §4.2), :mod:`sed` / :mod:`agent` / :mod:`client` (the
-client/agent/server paradigm of §2.1), :mod:`scheduling` (default and
-plug-in schedulers), :mod:`deployment` (GoDIET-like hierarchy builder) and
-:mod:`statistics` (LogService-like tracing behind Figures 4-5).
+Layers (bottom-up): :mod:`transport` (CORBA substitute over the simulated
+network: what a message costs), :mod:`data`/:mod:`profile` (the DIET data
+model and service profiles of §4.2), :mod:`sed` / :mod:`agent` /
+:mod:`client` (the client/agent/server paradigm of §2.1), :mod:`scheduling`
+(default and plug-in schedulers), :mod:`deployment` (GoDIET-like hierarchy
+builder) and :mod:`statistics` (LogService-like tracing behind Figures 4-5).
 """
 
 from .agent import ROUTING_MODES, AgentParams, LocalAgent, MasterAgent
@@ -51,17 +50,6 @@ from .exceptions import (
 )
 from .liveness import HeartbeatConfig, HeartbeatMonitor
 from .logservice import LogCentral, LogEvent, post_event
-from .pipeline import (
-    AccountingInterceptor,
-    DeadlineInterceptor,
-    FaultInjectionInterceptor,
-    Interceptor,
-    InterceptorPipeline,
-    MarshallingInterceptor,
-    MessageContext,
-    MessageDropped,
-    RpcPolicy,
-)
 from .profile import Profile, ProfileDesc, ServiceTable
 from .requests import (
     EstimateDelta,
@@ -85,10 +73,16 @@ from .scheduling import (
 )
 from .sed import SeD, SeDParams, SolveContext
 from .statistics import RequestTrace, Tracer
-from .transport import Endpoint, Message, TransportFabric, TransportParams
+from .transport import (
+    Endpoint,
+    FaultInjector,
+    Message,
+    RpcPolicy,
+    TransportFabric,
+    TransportParams,
+)
 
 __all__ = [
-    "AccountingInterceptor",
     "AgentParams",
     "AggregationTable",
     "ArgDesc",
@@ -103,7 +97,6 @@ __all__ = [
     "DataHandle",
     "DataLocalityPolicy",
     "DeadlineExceededError",
-    "DeadlineInterceptor",
     "DefaultPolicy",
     "Deployment",
     "DietArg",
@@ -115,24 +108,19 @@ __all__ = [
     "EstimateRequest",
     "EstimationVector",
     "FastestNodePolicy",
-    "FaultInjectionInterceptor",
+    "FaultInjector",
     "Federation",
     "FederationConfig",
     "FileRef",
     "FunctionHandle",
     "HeartbeatConfig",
     "HeartbeatMonitor",
-    "Interceptor",
-    "InterceptorPipeline",
     "LocalAgent",
     "LogCentral",
     "LogEvent",
     "MCTPolicy",
-    "MarshallingInterceptor",
     "MasterAgent",
     "Message",
-    "MessageContext",
-    "MessageDropped",
     "MinQueuePolicy",
     "NotCompletedError",
     "NotInitializedError",

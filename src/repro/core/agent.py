@@ -38,7 +38,6 @@ from .aggregation import AggregationTable
 from .exceptions import ServerNotFoundError
 from .liveness import HeartbeatConfig, HeartbeatMonitor
 from .logservice import post_event
-from .pipeline import DeadlineInterceptor
 from .requests import EstimateDelta, EstimateRequest, MemoHit, SubmitRequest
 from .scheduling import (
     EST_NBJOBS,
@@ -66,8 +65,8 @@ class AgentParams:
 
     processing_time: float = 1.8e-3
     #: Give up on children that do not answer within this many seconds
-    #: (covers crashed SeDs in the failure-injection tests).  Enforced by a
-    #: :class:`DeadlineInterceptor` on the agent's endpoint.
+    #: (covers crashed SeDs in the failure-injection tests).  Enforced by
+    #: the ``estimate`` deadline of the agent's endpoint.
     child_timeout: float = 10.0
     #: Re-send an unanswered estimate this many times before giving up on
     #: the child (recovers a dropped request instead of pruning its subtree).
@@ -124,11 +123,12 @@ class LocalAgent:
         self.tracer = tracer or Tracer()
         self.children: List[str] = []
         self.endpoint: Endpoint = fabric.endpoint(name, host.name)
-        #: Child fan-out timeout/retry, shared with every other RPC deadline
-        #: through the one pipeline mechanism.
-        self.deadline = self.endpoint.pipeline.add(DeadlineInterceptor(
-            self.params.child_timeout, retries=self.params.child_retries,
-            backoff=self.params.retry_backoff, ops=("estimate",)))
+        #: Child fan-out timeout/retry: the same mechanism as every other
+        #: RPC deadline.
+        self.endpoint.set_deadline(
+            ("estimate",), self.params.child_timeout,
+            retries=self.params.child_retries,
+            backoff=self.params.retry_backoff)
         self.endpoint.on("estimate", self._handle_estimate)
         self.endpoint.on("register", self._handle_register)
         self.endpoint.on("ping", self._handle_ping)
@@ -137,8 +137,8 @@ class LocalAgent:
         #: crashed SeD stops costing a ``child_timeout`` on every request.
         self.heartbeat: Optional[HeartbeatMonitor] = None
         if self.params.heartbeat_interval is not None:
-            self.endpoint.pipeline.add(DeadlineInterceptor(
-                self.params.heartbeat_timeout, ops=("ping",)))
+            self.endpoint.set_deadline(("ping",),
+                                       self.params.heartbeat_timeout)
             self.heartbeat = HeartbeatMonitor(self, HeartbeatConfig(
                 interval=self.params.heartbeat_interval,
                 timeout=self.params.heartbeat_timeout,
@@ -297,7 +297,7 @@ class LocalAgent:
             result = yield from self.endpoint.rpc(child, "estimate", req)
         except Exception:
             # A dead, misbehaving or timed-out child (DeadlineExceededError
-            # from the endpoint's DeadlineInterceptor) prunes its subtree
+            # from the endpoint's ``estimate`` deadline) prunes its subtree
             # from the candidate set; it must not fail the whole request.
             return []
         return list(result) if result else []
@@ -311,7 +311,7 @@ class LocalAgent:
                                      name=f"{self.name}->{c}")
                  for c in self.children]
         # Every child RPC carries its own deadline/retry budget (the
-        # endpoint's DeadlineInterceptor), so each proc is guaranteed to
+        # endpoint's ``estimate`` deadline), so each proc is guaranteed to
         # terminate — no fan-out-level watchdog needed.
         yield self.engine.all_of(procs)
         ests: List[EstimationVector] = []

@@ -145,8 +145,7 @@ class DietClient:
         self.host = host
         self.name = name
         self.tracer = tracer or Tracer()
-        #: Its chain starts empty; ``grpc_set_deadline`` adds a
-        #: DeadlineInterceptor with ``endpoint.pipeline.add``.
+        #: Its calls wait forever unless ``grpc_set_deadline`` says otherwise.
         self.endpoint: Endpoint = fabric.endpoint(name, host.name)
         #: The MAs this client submits to, home first (set by initialize).
         self.ma_names: List[str] = []

@@ -82,8 +82,8 @@ class CommunicationError(DietError):
 
 
 class DeadlineExceededError(CommunicationError):
-    """An RPC outlived its :class:`~repro.core.pipeline.DeadlineInterceptor`
-    policy (deadline expired on every attempt, retries exhausted)."""
+    """An RPC outlived its :class:`~repro.core.transport.RpcPolicy`
+    (deadline expired on every attempt, retries exhausted)."""
 
 
 class NotCompletedError(DietError):

@@ -17,7 +17,6 @@ from typing import Any, Dict, Generator, Sequence
 
 from .client import AsyncRequest, DietClient, FunctionHandle
 from .exceptions import GRPC_NO_ERROR
-from .pipeline import DeadlineInterceptor
 from .profile import Profile, ProfileDesc
 
 __all__ = [
@@ -94,14 +93,13 @@ def grpc_wait_any(client: DietClient) -> Generator[Any, Any, int]:
 
 def grpc_set_deadline(client: DietClient, deadline: float, retries: int = 0,
                       backoff: float = 0.0,
-                      ops: Sequence[str] = ("submit", "solve")) -> DeadlineInterceptor:
+                      ops: Sequence[str] = ("submit", "solve")) -> None:
     """Give the client's calls a deadline (with optional retry/backoff).
 
-    Installs a :class:`DeadlineInterceptor` on the client's endpoint — the
-    same mechanism that bounds the agents' estimate fan-out — and returns it
-    so it can be removed later (``client.endpoint.pipeline.remove(...)``).
-    A call whose reply misses every deadline raises
+    Sets it on the client's endpoint — the same mechanism that bounds the
+    agents' estimate fan-out; calling again replaces it.  A call whose reply
+    misses every deadline raises
     :class:`~repro.core.exceptions.DeadlineExceededError`.
     """
-    return client.endpoint.pipeline.add(
-        DeadlineInterceptor(deadline, retries=retries, backoff=backoff, ops=ops))
+    client.endpoint.set_deadline(ops, deadline, retries=retries,
+                                 backoff=backoff)

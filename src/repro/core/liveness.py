@@ -43,7 +43,7 @@ class HeartbeatConfig:
 
     #: Seconds between ping rounds.
     interval: float = 5.0
-    #: Seconds to wait for one pong (enforced by a DeadlineInterceptor on
+    #: Seconds to wait for one pong (enforced by the ``ping`` deadline of
     #: the agent's endpoint, like every other RPC deadline).
     timeout: float = 2.0
     #: Consecutive misses before the child is declared dead.

@@ -4,23 +4,27 @@ DIET uses omniORB; GridSolve and Ninf use raw sockets (§2.1).  Here both
 reduce to the same abstraction: named :class:`Endpoint` objects living on
 simulated hosts, exchanging :class:`Message` objects whose delivery costs
 
-    marshal(client) + network(latency, bandwidth, size) + unmarshal(server)
+    marshal(sender) + network(latency, bandwidth, size) + dispatch(receiver)
 
-Every cost and counter on that path is charged by the
-interceptor pipeline (:mod:`repro.core.pipeline`): a message travels as a
-:class:`~repro.core.pipeline.MessageContext` through the ``send`` chain in
-the sender, the ``deliver`` chain in the receiver, the ``reply`` chain in
-the replier and the ``complete`` chain back in the caller.  The fabric
-installs the calibrated :class:`MarshallingInterceptor` (mid-2000s omniORB
-figures: fixed per-invocation + per-byte cost) and an
-:class:`AccountingInterceptor`; components layer deadlines (and tests
-fault injection) on their endpoints' own chains.
+The paper's whole evaluation (finding time ≈ 49.8 ms, ≈ 70.6 ms/simulation
+overhead) is a property of the client → MA → LA → SeD message path, so
+what a message costs is written once, as straight-line code:
+:meth:`TransportFabric._transmit` (and the reply leg of
+:meth:`Endpoint._handle`) charges the marshalling time of
+:class:`TransportParams` in the sender's process and *then* counts the
+message in :attr:`TransportFabric.accounting`, the network carries it, and
+the receiver's handler process charges the dispatch time before the handler
+runs.
 
 An RPC is a request message carrying a reply-to token; :meth:`Endpoint.rpc`
-suspends the calling process until the reply arrives — or, when a
-:class:`DeadlineInterceptor` grants the operation a policy, until the
-deadline expires, with optional retries before
-:class:`DeadlineExceededError` is raised.
+suspends the calling process until the reply arrives — or, when
+:meth:`Endpoint.set_deadline` gave the operation an :class:`RpcPolicy`, until
+the deadline expires, with optional retries before
+:class:`DeadlineExceededError` is raised.  Tests lose, stall and duplicate
+messages through one seam, :attr:`Endpoint.faults` (a :class:`FaultInjector`,
+None in every deployment): consulted in the sender before marshalling, so a
+message dropped there is neither charged nor counted, and in the receiver
+after the dispatch charge.
 
 A :class:`TransportFabric` owns the endpoint namespace — this doubles as
 the omniNames-like naming service (endpoints are resolved by string name).
@@ -40,29 +44,18 @@ from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tup
 from ..sim.engine import Engine, Event, Interrupt, Process
 from ..sim.network import Network
 from .exceptions import CommunicationError, DeadlineExceededError
-from .pipeline import (
-    OUTBOUND_PHASES,
-    PHASES,
-    AccountingInterceptor,
-    Interceptor,
-    InterceptorPipeline,
-    MarshallingInterceptor,
-    MessageContext,
-    MessageDropped,
-    RpcPolicy,
-)
 
-__all__ = ["TransportParams", "Message", "Endpoint", "TransportFabric"]
+__all__ = ["TransportParams", "Message", "RpcPolicy", "FaultInjector",
+           "Accounting", "Endpoint", "TransportFabric"]
 
 
 @dataclass(frozen=True)
 class TransportParams:
     """Timing model of the RPC layer.
 
-    Defaults are calibrated (see ``experiments/calibration.py``) so that the
-    full MA/LA/SeD estimate round trip over the §5.1 topology averages the
-    paper's 49.8 ms finding time.  The charges themselves are applied by the
-    fabric's :class:`MarshallingInterceptor`.
+    Defaults are the mid-2000s omniORB figures, calibrated (see
+    ``experiments/calibration.py``) so that the full MA/LA/SeD estimate round
+    trip over the §5.1 topology averages the paper's 49.8 ms finding time.
     """
 
     #: CPU cost to marshal one invocation (CORBA stub + ORB dispatch), s.
@@ -87,12 +80,129 @@ class Message:
     nbytes: int = 0
     reply_to: Optional[Event] = None
     sent_at: float = 0.0
-    delivered_at: float = 0.0
+
+
+@dataclass(frozen=True)
+class RpcPolicy:
+    """Deadline/retry budget of one operation's RPCs: the reply is awaited
+    ``deadline`` seconds per attempt, the request re-sent up to ``retries``
+    times, ``backoff * attempt`` seconds apart."""
+
+    deadline: float
+    retries: int = 0
+    backoff: float = 0.0
+
+    def __post_init__(self):
+        if self.deadline <= 0:
+            raise ValueError(f"deadline must be positive, got {self.deadline}")
+        if self.retries < 0:
+            raise ValueError(f"retries must be >= 0, got {self.retries}")
+
+
+class Accounting:
+    """The full fate of every message: what crossed the wire and what did
+    not.  Plain counters, bumped by the transport (the hot path);
+    :meth:`Observability.collect_transport` folds them into the registry."""
+
+    def __init__(self):
+        self.messages_sent = 0
+        self.bytes_sent = 0
+        self.messages_by_op: Dict[str, int] = {}
+        #: Messages swallowed by fault injection.
+        self.messages_dropped = 0
+        #: Requests/replies that could never be delivered (endpoint stopped
+        #: or unbound mid-flight); their callers got a CommunicationError.
+        self.dead_letters = 0
+        #: Duplicate replies suppressed by at-most-once RPC semantics.
+        self.replies_suppressed = 0
+
+    def count(self, op: str, nbytes: int) -> None:
+        """One marshalled message of ``nbytes`` is about to cross the wire."""
+        self.messages_sent += 1
+        self.bytes_sent += nbytes
+        by_op = self.messages_by_op
+        by_op[op] = by_op.get(op, 0) + 1
+
+
+class FaultInjector:
+    """Drop / delay / duplicate messages, driven by a named RNG stream.
+
+    Set as :attr:`Endpoint.faults`; strikes at ``points`` of that endpoint:
+    ``"send"`` (its outgoing requests, before marshalling) and/or
+    ``"deliver"`` (its incoming ones, after the dispatch charge), narrowed
+    to ``ops``.  Probabilistic faults draw from ``rng`` (a numpy Generator,
+    e.g. ``RandomStreams(seed).get("faults")``) so runs stay reproducible
+    under the stream-splitting discipline; :meth:`drop_next` arms
+    deterministic drops for targeted tests.
+
+    Dropping a request silently loses it — give the caller a deadline
+    (:meth:`Endpoint.set_deadline`) so the loss is recovered (retry) or
+    surfaced (DeadlineExceededError) instead of hanging.
+    """
+
+    POINTS = ("send", "deliver")
+
+    def __init__(self, rng: Any = None, *, drop: float = 0.0,
+                 delay: float = 0.0, delay_prob: float = 1.0,
+                 duplicate: float = 0.0,
+                 ops: Optional[Iterable[str]] = None,
+                 points: Iterable[str] = ("deliver",)):
+        self.points = tuple(points)
+        unknown = set(self.points) - set(self.POINTS)
+        if unknown:
+            raise ValueError(f"unknown points: {sorted(unknown)}")
+        if any(p < 0 or p > 1 for p in (drop, delay_prob, duplicate)):
+            raise ValueError("probabilities must be within [0, 1]")
+        if rng is None and (drop > 0 or duplicate > 0 or 0 < delay_prob < 1):
+            raise ValueError("probabilistic faults need an rng stream")
+        if duplicate > 0 and "send" not in self.points:
+            raise ValueError("messages are duplicated at the 'send' point only")
+        self.rng = rng
+        self.drop = float(drop)
+        self.delay = float(delay)
+        self.delay_prob = float(delay_prob)
+        self.duplicate = float(duplicate)
+        self.ops: Optional[Tuple[str, ...]] = tuple(ops) if ops is not None else None
+        self._drop_next = 0
+        #: Observability for assertions in tests.
+        self.dropped = 0
+        self.delayed = 0
+        self.duplicated = 0
+
+    def drop_next(self, n: int = 1) -> None:
+        """Deterministically drop the next ``n`` matching messages."""
+        self._drop_next += int(n)
+
+    def _chance(self, p: float) -> bool:
+        return p > 0 and float(self.rng.random()) < p
+
+    def strike(self, point: str, op: str) -> Optional[Tuple[float, int]]:
+        """The fate of one ``op`` message at ``point``: None when it is
+        dropped, else (seconds of delay to charge, extra copies to deliver).
+        All draws happen here, in drop / delay / duplicate order: a duplicate
+        is decided when the delay starts, not when it ends."""
+        if point not in self.points or (self.ops is not None
+                                        and op not in self.ops):
+            return 0.0, 0
+        if self._drop_next > 0 or self._chance(self.drop):
+            if self._drop_next > 0:
+                self._drop_next -= 1
+            self.dropped += 1
+            return None
+        delay, copies = 0.0, 0
+        if self.delay > 0 and (self.delay_prob >= 1.0
+                               or self._chance(self.delay_prob)):
+            self.delayed += 1
+            delay = self.delay
+        if point == "send" and self._chance(self.duplicate):
+            self.duplicated += 1
+            copies = 1
+        return delay, copies
 
 
 #: A reply token whose attempt's deadline passed first is settled with this:
 #: over for the caller but never *answered*, so a late reply is no duplicate.
-_EXPIRED = ("expired", None, 0)
+_EXPIRED = ("expired", None)
 
 
 def _expire(reply: Event, deadline: Event) -> None:
@@ -108,28 +218,23 @@ class Endpoint:
     slow solve does not hold up the requests behind it.  A handler is a
     generator function ``handler(message) -> (value, nbytes)``; its return
     value is shipped back as the RPC reply, by that same process.
-
-    Each endpoint owns an :class:`InterceptorPipeline`; its chain wraps the
-    fabric-wide one like a protocol stack (endpoint hooks run closest to the
-    application, fabric hooks closest to the wire).
     """
 
-    def __init__(self, fabric: "TransportFabric", name: str, host_name: str,
-                 interceptors: Iterable[Interceptor] = ()):
+    def __init__(self, fabric: "TransportFabric", name: str, host_name: str):
         self.fabric = fabric
         self.name = name
         self.host_name = host_name
-        self.pipeline = InterceptorPipeline(interceptors)
-        #: Combined (endpoint + fabric) pre-bound hook chains per phase and the
-        #: RPC deadline policy per op, as of the pipeline versions in the key.
-        self._chains: Dict[str, tuple] = {}
-        self._policies: Dict[str, Optional[RpcPolicy]] = {}
-        self._chains_key: Tuple[int, int] = (-1, -1)
+        #: Deadline/retry budget per operation of the RPCs this endpoint
+        #: *makes*; an op without an entry waits for its reply forever.
+        self.deadlines: Dict[str, RpcPolicy] = {}
+        #: The fault-injection seam: None outside the failure-injection tests.
+        self.faults: Optional[FaultInjector] = None
         self._handlers: Dict[str, Callable] = {}
-        #: Running handler processes, keyed by the ``deliver`` envelope each
-        #: was spawned with (a duplicated request has two).  :meth:`stop`
-        #: interrupts them all: no computing from beyond the grave.
-        self._inflight: Dict[MessageContext, Process] = {}
+        #: Running handler processes by spawn number (a duplicated request
+        #: has two, under one message id).  :meth:`stop` interrupts them
+        #: all: no computing from beyond the grave.
+        self._inflight: Dict[int, Process] = {}
+        self._spawned = itertools.count()
         #: Messages that arrived before :meth:`start`; None once serving.
         self._backlog: Optional[List[Message]] = []
         self._closed = False
@@ -139,38 +244,13 @@ class Endpoint:
         """True once :meth:`stop` (or :meth:`TransportFabric.unbind`) ran."""
         return self._closed
 
-    # -- interceptor chain fast path -------------------------------------------
-
-    def _refresh(self) -> None:
-        """Rebuild the combined chains and forget the RPC policies when either
-        pipeline's version moved.  Layering as in :mod:`repro.core.pipeline`'s
-        docstring: endpoint hooks wrap fabric hooks on outbound phases, the
-        reverse inbound."""
-        ep, fab = self.pipeline, self.fabric.pipeline
-        key = (ep.version, fab.version)
-        if key != self._chains_key:
-            self._chains_key = key
-            self._policies = {}
-            self._chains = {
-                phase: (ep.hooks(phase) + fab.hooks(phase)
-                        if phase in OUTBOUND_PHASES
-                        else fab.hooks(phase) + ep.hooks(phase))
-                for phase in PHASES}
-
-    def chain_hooks(self, phase: str) -> tuple:
-        """The combined pre-bound hook chain for ``phase``: per message, one
-        version check and a dict probe.  The caller calls each hook in order
-        and yields ``engine.timeout(delay)`` for every delay one returns."""
-        self._refresh()
-        return self._chains[phase]
-
-    def rpc_policy(self, op: str) -> Optional[RpcPolicy]:
-        """Deadline policy for RPCs of ``op``: endpoint chain, then fabric."""
-        self._refresh()
-        if op not in self._policies:
-            self._policies[op] = (self.pipeline.rpc_policy(op)
-                                  or self.fabric.pipeline.rpc_policy(op))
-        return self._policies[op]
+    def set_deadline(self, ops: Iterable[str], deadline: float,
+                     retries: int = 0, backoff: float = 0.0) -> None:
+        """Give this endpoint's RPCs of ``ops`` a deadline (see
+        :class:`RpcPolicy`); a later call for the same op replaces it."""
+        policy = RpcPolicy(float(deadline), int(retries), float(backoff))
+        for op in ops:
+            self.deadlines[op] = policy
 
     # -- handler registration --------------------------------------------------
 
@@ -192,39 +272,40 @@ class Endpoint:
         if self._backlog is not None:
             self._backlog.append(msg)
             return
-        ctx = MessageContext(self.fabric, msg, self, msg.nbytes, "deliver")
-        self._inflight[ctx] = Process(
-            self.fabric.engine, self._handle(ctx),
+        key = next(self._spawned)
+        self._inflight[key] = Process(
+            self.fabric.engine, self._handle(msg, key),
             f"{self.name}:{msg.op}#{msg.msg_id}")
 
-    def _handle(self, ctx: MessageContext) -> Generator[Event, Any, None]:
-        """One arrived message, start to finish: ``deliver`` chain, handler
+    def _handle(self, msg: Message, key: int) -> Generator[Event, Any, None]:
+        """One arrived message, start to finish: dispatch charge, handler
         and, for an RPC, the reply leg.  Replies are at-most-once: a duplicate
         (fault injection, or a retry racing a late original) is suppressed
         with an accounting mark; if the replier or the caller disappeared
         mid-flight the caller resumes with :class:`CommunicationError`.  A
         reply to an attempt whose deadline expired is late, not a duplicate:
         it still crosses the wire, and finds nobody waiting."""
-        fabric, msg = self.fabric, ctx.message
-        engine, reply_to = fabric.engine, msg.reply_to
+        fabric = self.fabric
+        engine, params, acct = fabric.engine, fabric.params, fabric.accounting
+        reply_to = msg.reply_to
         try:
             handler = self._handlers.get(msg.op)
             if handler is None:
                 if reply_to is None:
                     # One-way message nobody will ever process.
-                    fabric.accounting.note_dead_letter()
+                    acct.dead_letters += 1
                     return
                 status, value, nbytes = "error", CommunicationError(
                     f"endpoint {self.name!r} has no handler for {msg.op!r}"), 128
             else:
-                try:
-                    # Server-side dispatch cost + any deliver-side interceptors.
-                    for hook in self.chain_hooks("deliver"):
-                        if (delay := hook(ctx)) is not None:
-                            yield engine.timeout(delay)
-                except MessageDropped:
-                    fabric.accounting.note_dropped()
-                    return
+                yield engine.timeout(params.dispatch_fixed)
+                if self.faults is not None:
+                    fate = self.faults.strike("deliver", msg.op)
+                    if fate is None:
+                        acct.messages_dropped += 1
+                        return
+                    if fate[0]:
+                        yield engine.timeout(fate[0])
                 try:
                     result = yield from handler(msg)
                 except Exception as exc:
@@ -243,7 +324,7 @@ class Endpoint:
                     value, nbytes = (result if isinstance(result, tuple)
                                      else (result, None))
                     if nbytes is None:
-                        nbytes = fabric.params.control_payload
+                        nbytes = params.control_payload
         except Interrupt:
             # The server died mid-request (endpoint stopped / host crash):
             # resume the caller with CommunicationError, never a reply.
@@ -251,20 +332,15 @@ class Endpoint:
                 msg, f"endpoint {self.name!r} stopped while handling {msg.op!r}")
             return
         finally:
-            self._inflight.pop(ctx, None)
+            self._inflight.pop(key, None)
         # The reply leg: no longer in flight, so a stop() from here on is
         # seen by the liveness checks below, or not at all once on the wire.
         if reply_to.triggered and reply_to.value is not _EXPIRED:
-            fabric.accounting.note_suppressed_reply()
+            acct.replies_suppressed += 1
             return
-        ctx = MessageContext(fabric, msg, self, nbytes, "reply", status, value)
-        try:
-            for hook in self.chain_hooks("reply"):
-                if (delay := hook(ctx)) is not None:
-                    yield engine.timeout(delay)
-        except MessageDropped:
-            fabric.accounting.note_dropped()
-            return
+        yield engine.timeout(params.marshal_fixed
+                             + params.marshal_per_byte * nbytes)
+        acct.count(msg.op, nbytes)
         caller = fabric._endpoints.get(msg.src)
         if self._closed or fabric._endpoints.get(msg.dst) is not self:
             fabric._dead_letter(msg, f"endpoint {msg.dst!r} stopped before "
@@ -275,11 +351,11 @@ class Endpoint:
                                      f"{msg.op!r} reply arrived")
             return
         yield from fabric.network.transfer(self.host_name, caller.host_name,
-                                           ctx.nbytes)
+                                           nbytes)
         if not reply_to.triggered:
-            reply_to.succeed((status, value, ctx.nbytes))
+            reply_to.succeed((status, value))
         elif reply_to.value is not _EXPIRED:
-            fabric.accounting.note_suppressed_reply()
+            acct.replies_suppressed += 1
 
     def stop(self) -> None:
         """Stop serving; backlogged and in-flight requests are dead-lettered
@@ -325,18 +401,18 @@ class Endpoint:
         """Remote invocation; suspends until the reply arrives.
 
         Returns the handler's value; re-raises the handler's exception.  When
-        a :class:`DeadlineInterceptor` (endpoint chain first, then fabric)
-        grants ``op`` a policy, the reply token expires at the deadline and
-        the request is re-sent up to ``retries`` times (waiting ``backoff *
-        attempt`` between tries) before :class:`DeadlineExceededError`.
+        :meth:`set_deadline` gave ``op`` a policy, the reply token expires at
+        the deadline and the request is re-sent up to ``retries`` times
+        (waiting ``backoff * attempt`` between tries) before
+        :class:`DeadlineExceededError`.
         """
         engine = self.fabric.engine
-        policy = self.rpc_policy(op)
+        policy = self.deadlines.get(op)
         attempt = 0
         while True:
             reply = Event(engine)
-            msg = yield from self.fabric._transmit(
-                self, dst, op, payload, nbytes, reply, attempt)
+            yield from self.fabric._transmit(self, dst, op, payload, nbytes,
+                                             reply)
             if policy is None:
                 result = yield reply
             else:
@@ -353,16 +429,11 @@ class Endpoint:
                     raise DeadlineExceededError(
                         f"rpc {op!r} to {dst!r} exceeded {policy.deadline}s "
                         f"deadline after {attempt + 1} attempt(s)")
-            status, value, reply_nbytes = result
-            ctx = MessageContext(self.fabric, msg, self, reply_nbytes,
-                                 "complete", status, value, attempt)
-            for hook in self.chain_hooks("complete"):
-                if (delay := hook(ctx)) is not None:
-                    yield engine.timeout(delay)
+            status, value = result
             if status == "error":
                 # ``value`` leaves with this frame in its traceback: keep
                 # nothing here that leads back to it.
-                del reply, msg, result, ctx
+                del reply, result
                 try:
                     raise value
                 finally:
@@ -378,6 +449,7 @@ class TransportFabric:
         self.engine = engine
         self.network = network
         self.params = params or TransportParams()
+        self.accounting = Accounting()
         self._endpoints: Dict[str, Endpoint] = {}
         self._msg_ids = itertools.count(1)
         #: Request ids are fabric-scoped, not process-global: a campaign's
@@ -386,10 +458,6 @@ class TransportFabric:
         #: processes, serial or under the parallel runner — label their
         #: traces identically.
         self._request_ids = itertools.count(1)
-        #: Fabric-wide chain: cost model first (wire time), then accounting.
-        self.pipeline = InterceptorPipeline()
-        self.marshalling = self.pipeline.add(MarshallingInterceptor(self.params))
-        self.accounting = self.pipeline.add(AccountingInterceptor())
 
     def new_request_id(self) -> int:
         """Next request id, unique within this fabric (all clients of a
@@ -408,14 +476,13 @@ class TransportFabric:
 
     # -- naming service (omniNames substitute) -----------------------------------
 
-    def endpoint(self, name: str, host_name: str,
-                 interceptors: Iterable[Interceptor] = ()) -> Endpoint:
+    def endpoint(self, name: str, host_name: str) -> Endpoint:
         """Create and register a named endpoint on ``host_name``."""
         if name in self._endpoints:
             raise CommunicationError(f"endpoint name {name!r} already bound")
         # Validate the host exists up front.
         self.network.host(host_name)
-        ep = Endpoint(self, name, host_name, interceptors)
+        ep = Endpoint(self, name, host_name)
         self._endpoints[name] = ep
         return ep
 
@@ -435,39 +502,41 @@ class TransportFabric:
     def _dead_letter(self, msg: Message, reason: str) -> None:
         """A message that can never be processed: resume its caller (if any)
         with :class:`CommunicationError` instead of stranding it."""
-        self.accounting.note_dead_letter()
+        self.accounting.dead_letters += 1
         if msg.reply_to is not None and not msg.reply_to.triggered:
-            msg.reply_to.succeed(("error", CommunicationError(reason), 0))
+            msg.reply_to.succeed(("error", CommunicationError(reason)))
 
     def _transmit(self, src: Endpoint, dst_name: str, op: str, payload: Any,
-                  nbytes: Optional[int], reply_to: Optional[Event] = None,
-                  attempt: int = 0) -> Generator[Event, Any, Message]:
+                  nbytes: Optional[int], reply_to: Optional[Event] = None
+                  ) -> Generator[Event, Any, None]:
+        """Carry one message from ``src`` to ``dst_name``'s handler process,
+        in the sender's process: fault seam, marshalling charge, count, wire."""
         dst = self.resolve(dst_name)
         if dst.closed:
             raise CommunicationError(f"endpoint {dst_name!r} is stopped")
-        size = self.params.control_payload if nbytes is None else int(nbytes)
+        engine, params = self.engine, self.params
+        size = params.control_payload if nbytes is None else int(nbytes)
         msg = Message(next(self._msg_ids), src.name, dst_name, op, payload,
-                      size, reply_to, sent_at=self.engine.now)
-        ctx = MessageContext(self, msg, src, size, "send", attempt=attempt)
-        try:
-            # Sender-side chain: marshalling cost, accounting, faults.
-            for hook in src.chain_hooks("send"):
-                if (delay := hook(ctx)) is not None:
-                    yield self.engine.timeout(delay)
-        except MessageDropped:
-            self.accounting.note_dropped()
-            return msg
-        yield from self.network.transfer(src.host_name, dst.host_name, ctx.nbytes)
+                      size, reply_to, engine.now)
+        copies = 0
+        if src.faults is not None:
+            fate = src.faults.strike("send", op)
+            if fate is None:
+                self.accounting.messages_dropped += 1
+                return
+            delay, copies = fate
+            if delay:
+                yield engine.timeout(delay)
+        yield engine.timeout(params.marshal_fixed
+                             + params.marshal_per_byte * size)
+        self.accounting.count(op, size)
+        yield from self.network.transfer(src.host_name, dst.host_name, size)
         # The destination may have stopped or been unbound while the message
         # was on the wire; surface that to the sender rather than handing the
         # message to an endpoint that will never serve it.
         if self._endpoints.get(dst_name) is not dst or dst.closed:
-            self.accounting.note_dead_letter()
+            self.accounting.dead_letters += 1
             raise CommunicationError(
                 f"endpoint {dst_name!r} vanished while {op!r} was in flight")
-        msg.delivered_at = self.engine.now
-        dst._accept(msg)
-        if ctx._meta is not None:
-            for _ in range(ctx._meta.get("duplicates", 0)):
-                dst._accept(msg)
-        return msg
+        for _ in range(1 + copies):
+            dst._accept(msg)

@@ -1,7 +1,7 @@
 """Unified observability: spans, metrics, exporters, profiling.
 
 One :class:`Observability` object travels with a deployment (reachable as
-``tracer.obs`` from every interceptor, agent and SeD): a
+``tracer.obs`` from every client, agent and SeD): a
 :class:`~repro.obs.spans.SpanStore` holding the campaign → request → phase
 span hierarchy plus crash/restart marks, and a
 :class:`~repro.obs.metrics.MetricsRegistry` of per-SeD/per-cluster
@@ -64,8 +64,8 @@ class Observability:
     def collect_transport(self, fabric: Any, t: float) -> None:
         """Snapshot the transport accounting counters into the registry.
 
-        The per-message counting stays in the pipeline's
-        :class:`~repro.core.pipeline.AccountingInterceptor` (the hot path);
+        The per-message counting stays in the fabric's
+        :class:`~repro.core.transport.Accounting` (the hot path);
         this folds its totals into the registry at report time so transport
         traffic sits beside the span-derived metrics.
         """

@@ -171,7 +171,7 @@ class TestSlowSeDs:
     def test_agent_timeout_skips_unresponsive_child(self):
         """An estimate that never returns must not hang scheduling forever:
         the agent's child timeout prunes it."""
-        from repro.core import AgentParams, FaultInjectionInterceptor
+        from repro.core import AgentParams, FaultInjector
 
         engine = Engine()
         platform = build_grid5000(engine)
@@ -184,8 +184,8 @@ class TestSlowSeDs:
         # stall one SeD's estimate path via fault injection (the handler
         # itself is untouched — the message just never reaches it in time)
         stalled = dep.seds[0]
-        stalled.endpoint.pipeline.add(FaultInjectionInterceptor(
-            delay=1e9, ops=("estimate",), phases=("deliver",)))
+        stalled.endpoint.faults = FaultInjector(
+            delay=1e9, ops=("estimate",), points=("deliver",))
 
         client = dep.client
 
@@ -204,7 +204,7 @@ class TestLostEstimates:
     """A dropped estimate request against the agents' retry policy."""
 
     def _deploy(self, retries):
-        from repro.core import AgentParams, FaultInjectionInterceptor
+        from repro.core import AgentParams, FaultInjector
 
         engine = Engine()
         dep = deploy_paper_hierarchy(
@@ -219,8 +219,8 @@ class TestLostEstimates:
         for sed in dep.seds[1:]:
             sed.add_service(other, solve_ok)
         dep.launch_all()
-        fault = target.endpoint.pipeline.add(
-            FaultInjectionInterceptor(ops=("estimate",), phases=("deliver",)))
+        fault = target.endpoint.faults = FaultInjector(
+            ops=("estimate",), points=("deliver",))
         fault.drop_next(1)
         return engine, dep, desc, target, fault
 
@@ -256,7 +256,7 @@ class TestLostSubmit:
     """A dropped submit against the client's deadline/retry policy."""
 
     def test_rpc_retry_keeps_one_record_stamped_at_the_first_send(self):
-        from repro.core import FaultInjectionInterceptor
+        from repro.core import FaultInjector
         from repro.core.gridrpc import grpc_set_deadline
         from repro.obs import Observability
 
@@ -266,8 +266,8 @@ class TestLostSubmit:
         for sed in dep.seds:
             sed.add_service(desc, solve_ok)
         dep.launch_all()
-        fault = dep.ma.endpoint.pipeline.add(
-            FaultInjectionInterceptor(ops=("submit",), phases=("deliver",)))
+        fault = dep.ma.endpoint.faults = FaultInjector(
+            ops=("submit",), points=("deliver",))
         fault.drop_next(1)
         client = dep.client
         grpc_set_deadline(client, 5.0, retries=1)

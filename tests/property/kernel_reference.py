@@ -1,9 +1,9 @@
 """Reference event streams for the kernel determinism suite.
 
 The PR-3 kernel optimizations promise *bit-identical event orderings*:
-every fast path (Timeout dispatch, pre-bound interceptor chains, route
-precompute, buffered trace stamps) must replay exactly the total order of
-events the unoptimized kernel executed.  The proof is a recorded trace:
+every fast path (Timeout dispatch, route precompute, buffered trace
+stamps) must replay exactly the total order of events the unoptimized
+kernel executed.  The proof is a recorded trace:
 ``python -m tests.property.kernel_reference`` runs the seeded 100-zoom
 campaign and the E11 degraded campaign with :attr:`Engine.event_log`
 enabled and writes a digest of each stream (event count, final simulated

@@ -1,7 +1,7 @@
 """The optimized kernel must replay the recorded event streams exactly.
 
 PR 3 rebuilt the kernel hot path (Timeout fast-path, inlined dispatch,
-pre-bound interceptor chains, route precompute, buffered trace stamps).
+route precompute, buffered trace stamps).
 None of that is allowed to change *what happens*: these tests re-run the
 seeded 100-zoom campaign and the E11 degraded campaign with
 :attr:`Engine.event_log` enabled and diff the full dispatch stream —

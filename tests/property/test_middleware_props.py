@@ -1,4 +1,4 @@
-"""Property-based tests for profiles, schedulers, the transport pipeline
+"""Property-based tests for profiles, schedulers, the transport counters
 and the namelist parser."""
 
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core import (
     DefaultPolicy,
     EstimationVector,
-    Interceptor,
     MCTPolicy,
     ProfileDesc,
     ProfileError,
@@ -80,7 +79,7 @@ def test_mct_distributes_inversely_to_job_time(times, n_requests):
     assert max(finish) - min(finish) <= max(times) + 1e-9
 
 
-# -- transport pipeline invariants --------------------------------------------------
+# -- transport counter invariants ---------------------------------------------------
 
 
 def _fabric():
@@ -138,53 +137,6 @@ def test_accounting_counts_every_wire_crossing(calls):
     assert fabric.accounting.messages_by_op == by_op
     assert fabric.accounting.dead_letters == 0
     assert fabric.accounting.messages_dropped == 0
-
-
-@given(st.integers(min_value=0, max_value=4),
-       st.integers(min_value=0, max_value=4))
-@settings(max_examples=20, deadline=None)
-def test_interceptor_chains_nest_like_a_stack(n_endpoint, n_fabric):
-    """For any chain lengths, outbound phases run endpoint interceptors
-    (in install order) then fabric ones; inbound phases the reverse."""
-    engine, fabric = _fabric()
-    journal = []
-
-    class Probe(Interceptor):
-        def __init__(self, tag):
-            self.tag = tag
-
-        def _note(self, ctx):
-            journal.append((self.tag, ctx.phase))
-
-        intercept_send = _note
-        intercept_deliver = _note
-
-    ep_tags = [f"e{i}" for i in range(n_endpoint)]
-    fab_tags = [f"f{i}" for i in range(n_fabric)]
-    for tag in fab_tags:
-        fabric.pipeline.add(Probe(tag))
-    server = fabric.endpoint("server", "beta")
-
-    def ack(msg):
-        yield engine.timeout(0.0)
-        return ("ok", 8)
-
-    server.on("op", ack)
-    server.start()
-    client = fabric.endpoint("client", "alpha",
-                             interceptors=[Probe(t) for t in ep_tags])
-    # give the server the same endpoint chain so deliver ordering is probed
-    for tag in ep_tags:
-        server.pipeline.add(Probe(tag))
-
-    def call():
-        yield from client.rpc("server", "op")
-
-    engine.run_process(call())
-    sends = [tag for tag, phase in journal if phase == "send"]
-    delivers = [tag for tag, phase in journal if phase == "deliver"]
-    assert sends == ep_tags + fab_tags          # outbound: endpoint first
-    assert delivers == fab_tags + ep_tags       # inbound: fabric first
 
 
 # -- namelist round-trip ---------------------------------------------------------------

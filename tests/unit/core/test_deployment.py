@@ -99,18 +99,35 @@ class TestPaperHierarchy:
 
         assert dep.engine.run_process(run()) == 0
 
-    def test_no_endpoint_chain_carries_a_hook_of_its_own(self, platform):
-        # A message pays the fabric's two interceptors and nothing else:
-        # the agents' DeadlineInterceptors grant policies, they hook no
-        # phase, and nothing else is installed — LogCentral deployed or
-        # not, before or after a SeD restart.
-        from repro.core.pipeline import PHASES
+    def test_no_faults_and_only_declared_deadlines(self):
+        # A message pays the transport's three charges and nothing else: no
+        # production endpoint has a fault injector, and the only deadlines
+        # are the ones the agents declare — ``estimate``, plus ``ping`` when
+        # heartbeats are on — LogCentral deployed or not, before or after a
+        # SeD restart, in a paper hierarchy and in a federation.
+        from repro.core import AgentParams, DietClient
+        from repro.core.federation import FederationConfig, build_federation
 
-        dep = deploy_paper_hierarchy(platform, with_log_central=True)
+        def check(fabric, agents, agent_ops):
+            agents = {agent.name for agent in agents}
+            for endpoint in fabric._endpoints.values():
+                assert endpoint.faults is None, endpoint.name
+                ops = agent_ops if endpoint.name in agents else set()
+                assert set(endpoint.deadlines) == ops, endpoint.name
+
+        dep = deploy_paper_hierarchy(build_grid5000(Engine()),
+                                     with_log_central=True)
         dep.seds[0].crash()
         dep.seds[0].restart()
-        endpoints = dep.fabric._endpoints
-        assert {"MA", "client", dep.seds[0].name} <= set(endpoints)
-        for endpoint in endpoints.values():
-            for phase in PHASES:
-                assert endpoint.pipeline.hooks(phase) == (), endpoint.name
+        assert {"MA", "client", "LogCentral", dep.seds[0].name} <= set(
+            dep.fabric._endpoints)
+        check(dep.fabric, [dep.ma, *dep.local_agents], {"estimate"})
+
+        fed = build_federation(Engine(), FederationConfig(
+            n_grids=2, clusters_per_grid=1,
+            agent_params=AgentParams(heartbeat_interval=5.0)))
+        DietClient(fed.fabric, fed.client_host_for(0))
+        agents = [a for grid in fed.grids
+                  for a in (grid.ma, *grid.local_agents)]
+        assert len(fed.fabric._endpoints) > len(agents) + 1
+        check(fed.fabric, agents, {"estimate", "ping"})

@@ -1,21 +1,19 @@
-"""Unit tests for the interceptor pipeline and the transport semantics it
-guarantees: error propagation, shutdown/unbind dead-lettering, counter
-invariants, chain ordering, deadlines/retries and fault injection."""
+"""Unit tests for the message path of :mod:`repro.core.transport` and the
+semantics it guarantees: error propagation, shutdown/unbind dead-lettering,
+counter invariants, deadlines/retries and fault injection."""
 
 import pytest
 
 from repro.core import (
     CommunicationError,
     DeadlineExceededError,
-    DeadlineInterceptor,
-    FaultInjectionInterceptor,
-    Interceptor,
-    InterceptorPipeline,
+    FaultInjector,
     RpcPolicy,
     TransportFabric,
     TransportParams,
 )
 from repro.sim import Engine, Host, Link, Network
+from repro.sim.rng import RandomStreams
 
 MARSHAL = 1e-3
 DISPATCH = 1e-3
@@ -52,22 +50,6 @@ def echo_server(engine, fabric, name="server", host="beta"):
     server.on("echo", echo)
     server.start()
     return server
-
-
-class Recorder(Interceptor):
-    """Appends (tag, phase, op) to a shared journal — ordering probe."""
-
-    def __init__(self, journal, tag):
-        self.journal = journal
-        self.tag = tag
-
-    def _note(self, ctx):
-        self.journal.append((self.tag, ctx.phase, ctx.message.op))
-
-    intercept_send = _note
-    intercept_deliver = _note
-    intercept_reply = _note
-    intercept_complete = _note
 
 
 class TestErrorPropagation:
@@ -188,10 +170,9 @@ class TestShutdownSemantics:
 
         engine, _, fabric = stack
         server = fabric.endpoint("server", "beta")
-        client = fabric.endpoint(
-            "client", "alpha",
-            interceptors=[FaultInjectionInterceptor(
-                rng=AlwaysDup(), duplicate=1.0, phases=("send",))])
+        client = fabric.endpoint("client", "alpha")
+        client.faults = FaultInjector(
+            rng=AlwaysDup(), duplicate=1.0, points=("send",))
         journal = []
 
         def slow(msg):
@@ -415,10 +396,8 @@ class TestCounters:
     def test_dropped_message_not_counted_on_wire(self, stack):
         engine, _, fabric = stack
         echo_server(engine, fabric)
-        client = fabric.endpoint(
-            "client", "alpha",
-            interceptors=[FaultInjectionInterceptor(phases=("send",))])
-        fault = client.pipeline.find(FaultInjectionInterceptor)
+        client = fabric.endpoint("client", "alpha")
+        fault = client.faults = FaultInjector(points=("send",))
         fault.drop_next(1)
 
         def send():
@@ -426,124 +405,19 @@ class TestCounters:
 
         engine.run_process(send())
         engine.run()
-        # endpoint chain runs before the fabric's accounting on send
+        # the send point sits before marshalling and accounting
         assert fabric.messages_sent == 0
         assert fabric.bytes_sent == 0
         assert fabric.accounting.messages_dropped == 1
         assert fault.dropped == 1
 
 
-class TestChainOrdering:
-    def test_endpoint_wraps_fabric_like_a_stack(self, stack):
-        """Outbound phases run endpoint-then-fabric; inbound the reverse."""
-        engine, _, fabric = stack
-        journal = []
-        fabric.pipeline.add(Recorder(journal, "fabric"))
-        server = fabric.endpoint(
-            "server", "beta", interceptors=[Recorder(journal, "server")])
-        client = fabric.endpoint(
-            "client", "alpha", interceptors=[Recorder(journal, "client")])
-
-        def ack(msg):
-            yield engine.timeout(0.0)
-            return ("ok", 8)
-
-        server.on("op", ack)
-        server.start()
-
-        def call():
-            yield from client.rpc("server", "op")
-
-        engine.run_process(call())
-        assert journal == [
-            ("client", "send", "op"),       # outbound: endpoint, then fabric
-            ("fabric", "send", "op"),
-            ("fabric", "deliver", "op"),    # inbound: fabric, then endpoint
-            ("server", "deliver", "op"),
-            ("server", "reply", "op"),      # outbound again, replier side
-            ("fabric", "reply", "op"),
-            ("fabric", "complete", "op"),   # inbound again, caller side
-            ("client", "complete", "op"),
-        ]
-
-    def test_hook_delay_is_one_timeout_where_the_generator_hook_yielded(self, stack):
-        """A hook returning a delay costs exactly one ``Timeout``, yielded by
-        the transport in the process and at the position the hook's own
-        ``yield engine.timeout(delay)`` used to occupy.  The expected log was
-        recorded with generator hooks before the protocol changed."""
-        delays = {"send": 0.002, "deliver": 0.003, "reply": 0.004,
-                  "complete": 0.005}
-
-        class Delay(Interceptor):
-            def _charge(self, ctx):
-                return delays[ctx.phase]
-
-            intercept_send = intercept_deliver = _charge
-            intercept_reply = intercept_complete = _charge
-
-        engine, _, fabric = stack
-        engine.event_log = []
-        echo_server(engine, fabric).pipeline.add(Delay())
-        client = fabric.endpoint("client", "alpha", interceptors=[Delay()])
-
-        def call():
-            return (yield from client.rpc("server", "echo", "hi"))
-
-        assert engine.run_process(call()) == "hi"
-        # An RPC without a deadline: seven events of its own (send
-        # marshalling, wire, handler boot, dispatch, reply marshalling, wire,
-        # reply token), plus here one Timeout per user hook, the handler's own
-        # timeout(0) and the caller's boot.  No event for the hand-off to the
-        # endpoint, none for the reply leg (the handler's process runs it),
-        # none for a process finishing with nobody waiting on it.
-        assert engine.event_log == [
-            (0.0, 0, 0, "Timeout", None),             # boot call
-            (0.002, 1, 1, "Timeout", None),           # client send hook
-            (0.003, 1, 2, "Timeout", None),           # fabric marshalling
-            (0.013256, 1, 3, "Timeout", None),        # wire
-            (0.013256, 0, 4, "Timeout", None),        # boot server:echo#1
-            (0.014256000000000001, 1, 5, "Timeout", None),  # fabric dispatch
-            (0.017256, 1, 6, "Timeout", None),        # server deliver hook
-            (0.017256, 1, 7, "Timeout", None),        # handler's timeout(0)
-            (0.021256, 1, 8, "Timeout", None),        # server reply hook
-            (0.022256, 1, 9, "Timeout", None),        # fabric marshalling
-            (0.03232, 1, 10, "Timeout", None),        # wire
-            (0.03232, 1, 11, "Event", None),          # reply token
-            (0.03732, 1, 12, "Timeout", None),        # client complete hook
-        ]
-
-    def test_installation_order_within_a_chain(self, stack):
-        engine, _, fabric = stack
-        journal = []
-        server = echo_server(engine, fabric)
-        client = fabric.endpoint("client", "alpha")
-        client.pipeline.add(Recorder(journal, "first"))
-        client.pipeline.add(Recorder(journal, "second"))
-
-        def call():
-            yield from client.rpc("server", "echo", 1)
-
-        engine.run_process(call())
-        sends = [tag for tag, phase, _ in journal if phase == "send"]
-        assert sends == ["first", "second"]
-
-    def test_pipeline_add_remove_find(self, stack):
-        pipeline = InterceptorPipeline()
-        a, b = Interceptor(), DeadlineInterceptor(1.0)
-        pipeline.add(a)
-        pipeline.add(b, index=0)
-        assert pipeline.interceptors == [b, a]
-        assert pipeline.find(DeadlineInterceptor) is b
-        pipeline.remove(b)
-        assert pipeline.find(DeadlineInterceptor) is None
-
-
 class TestDeadlines:
     def test_deadline_exceeded_raises(self, stack):
         engine, _, fabric = stack
         server = fabric.endpoint("server", "beta")
-        client = fabric.endpoint(
-            "client", "alpha", interceptors=[DeadlineInterceptor(0.5)])
+        client = fabric.endpoint("client", "alpha")
+        client.set_deadline(("stall",), 0.5)
 
         def stall(msg):
             yield engine.timeout(1e9)
@@ -563,29 +437,53 @@ class TestDeadlines:
     def test_ops_filter_limits_policy(self, stack):
         engine, _, fabric = stack
         echo_server(engine, fabric)
-        client = fabric.endpoint(
-            "client", "alpha",
-            interceptors=[DeadlineInterceptor(0.5, ops=("other",))])
+        client = fabric.endpoint("client", "alpha")
+        client.set_deadline(("other",), 0.5)
 
-        assert client.pipeline.rpc_policy("other") == RpcPolicy(0.5)
-        assert client.pipeline.rpc_policy("echo") is None
+        assert client.deadlines == {"other": RpcPolicy(0.5)}
 
         def call():
             return (yield from client.rpc("server", "echo", 42))
 
         assert engine.run_process(call()) == 42
 
+    def test_a_later_grpc_set_deadline_replaces_the_earlier_one(self):
+        """The deadline is a per-op fact of the endpoint: the last call wins
+        (the first grant used to, silently, so 0.5 s here meant 5 s)."""
+        from repro.core import DietClient
+        from repro.core.gridrpc import grpc_set_deadline
+
+        engine, net, fabric = build_stack()
+        server = fabric.endpoint("MA", "beta")
+
+        def silent(msg):
+            yield engine.timeout(1e9)
+
+        server.on("submit", silent)
+        server.start()
+        client = DietClient(fabric, net.host("alpha"))
+        assert grpc_set_deadline(client, 5.0) is None
+        grpc_set_deadline(client, 0.5, ops=("submit",))
+        assert client.endpoint.deadlines == {
+            "submit": RpcPolicy(0.5), "solve": RpcPolicy(5.0)}
+
+        def call():
+            with pytest.raises(DeadlineExceededError):
+                yield from client.endpoint.rpc("MA", "submit")
+            return engine.now
+
+        assert engine.run_process(call(), until=1e8) == pytest.approx(0.5 + XMIT)
+
     def test_retry_recovers_dropped_request(self, stack):
-        """FaultInjection drops the first request; the DeadlineInterceptor's
-        retry re-sends it and the RPC still succeeds."""
+        """Fault injection drops the first request; the deadline's retry
+        re-sends it and the RPC still succeeds."""
         engine, _, fabric = stack
         server = echo_server(engine, fabric)
-        fault = server.pipeline.add(
-            FaultInjectionInterceptor(ops=("echo",), phases=("deliver",)))
+        fault = server.faults = FaultInjector(ops=("echo",),
+                                              points=("deliver",))
         fault.drop_next(1)
-        client = fabric.endpoint(
-            "client", "alpha",
-            interceptors=[DeadlineInterceptor(0.5, retries=1)])
+        client = fabric.endpoint("client", "alpha")
+        client.set_deadline(("echo",), 0.5, retries=1)
 
         def call():
             value = yield from client.rpc("server", "echo", 42)
@@ -604,8 +502,8 @@ class TestDeadlines:
         engine, net, fabric = build_stack(shared=True)
         (link,) = net.route("alpha", "beta")
         server = fabric.endpoint("server", "beta")
-        client = fabric.endpoint(
-            "client", "alpha", interceptors=[DeadlineInterceptor(0.5)])
+        client = fabric.endpoint("client", "alpha")
+        client.set_deadline(("slow",), 0.5)
 
         def slow(msg):
             yield engine.timeout(1.0)
@@ -644,9 +542,8 @@ class TestDeadlines:
         nor counts as a duplicate."""
         engine, _, fabric = stack
         server = fabric.endpoint("server", "beta")
-        client = fabric.endpoint(
-            "client", "alpha",
-            interceptors=[DeadlineInterceptor(0.5, retries=1)])
+        client = fabric.endpoint("client", "alpha")
+        client.set_deadline(("uneven",), 0.5, retries=1)
         served = []
 
         def uneven(msg):
@@ -674,12 +571,10 @@ class TestDeadlines:
     def test_retries_exhausted_raises(self, stack):
         engine, _, fabric = stack
         server = echo_server(engine, fabric)
-        fault = server.pipeline.add(
-            FaultInjectionInterceptor(phases=("deliver",)))
+        fault = server.faults = FaultInjector(points=("deliver",))
         fault.drop_next(10)
-        client = fabric.endpoint(
-            "client", "alpha",
-            interceptors=[DeadlineInterceptor(0.25, retries=2, backoff=0.1)])
+        client = fabric.endpoint("client", "alpha")
+        client.set_deadline(("echo",), 0.25, retries=2, backoff=0.1)
 
         def call():
             with pytest.raises(DeadlineExceededError, match="3 attempt"):
@@ -694,20 +589,30 @@ class TestDeadlines:
 
 class TestFaultInjection:
     def test_validates_arguments(self):
+        rng = RandomStreams(7).get("faults")
         with pytest.raises(ValueError):
-            FaultInjectionInterceptor(phases=("teleport",))
+            FaultInjector(points=("teleport",))
         with pytest.raises(ValueError):
-            FaultInjectionInterceptor(drop=1.5)
+            FaultInjector(points=("reply",))     # went with the framework
         with pytest.raises(ValueError):
-            DeadlineInterceptor(0.0)
+            FaultInjector(rng, drop=1.5)
+        # a probability that could never fire is an error, not a no-op
+        with pytest.raises(ValueError, match="rng"):
+            FaultInjector(drop=0.5)
+        with pytest.raises(ValueError, match="'send'"):
+            FaultInjector(rng, duplicate=0.5, points=("deliver",))
         with pytest.raises(ValueError):
-            DeadlineInterceptor(1.0, retries=-1)
+            RpcPolicy(0.0)
+        with pytest.raises(ValueError):
+            RpcPolicy(1.0, retries=-1)
+        engine, _, fabric = build_stack()
+        with pytest.raises(ValueError):
+            fabric.endpoint("client", "alpha").set_deadline(("echo",), 0.0)
 
     def test_delay_slows_delivery(self, stack):
         engine, _, fabric = stack
         server = echo_server(engine, fabric)
-        server.pipeline.add(
-            FaultInjectionInterceptor(delay=5.0, phases=("deliver",)))
+        server.faults = FaultInjector(delay=5.0, points=("deliver",))
         client = fabric.endpoint("client", "alpha")
 
         def call():
@@ -718,29 +623,38 @@ class TestFaultInjection:
         assert value == 7
         assert elapsed > 5.0
 
-    def test_complete_phase_delay_is_charged_in_the_caller(self, stack):
-        """``phases=("complete",)`` is a real phase: the delay is charged in
-        the calling process, after the reply has arrived."""
+    def test_fault_points_relative_to_the_charges(self, stack):
+        """The two fault points relative to the path's own charges, event by
+        event: the sender's strikes before the marshalling charge, the
+        receiver's after the dispatch charge.  Each delay is one ``Timeout``
+        in the process the point runs in; the path itself is seven events per
+        deadline-less RPC and spends none on the hand-off to the endpoint,
+        the reply leg (the handler's process runs it) or a process finishing
+        with nobody waiting on it."""
         engine, _, fabric = stack
-        echo_server(engine, fabric)
-        arrived = []
-
-        class Arrival(Interceptor):
-            def intercept_complete(self, ctx):
-                arrived.append(engine.now)
-
-        fault = FaultInjectionInterceptor(delay=5.0, phases=("complete",))
-        # inbound chain runs in install order: Arrival sees the reply first
-        client = fabric.endpoint("client", "alpha",
-                                 interceptors=[Arrival(), fault])
+        engine.event_log = []
+        echo_server(engine, fabric).faults = FaultInjector(
+            delay=0.003, points=("deliver",))
+        client = fabric.endpoint("client", "alpha")
+        client.faults = FaultInjector(delay=0.002, points=("send",))
 
         def call():
-            value = yield from client.rpc("server", "echo", 7)
-            return value, engine.now
+            return (yield from client.rpc("server", "echo", "hi"))
 
-        value, returned_at = engine.run_process(call())
-        assert value == 7 and fault.delayed == 1
-        assert returned_at == pytest.approx(arrived[0] + 5.0)
+        assert engine.run_process(call()) == "hi"
+        assert engine.event_log == [
+            (0.0, 0, 0, "Timeout", None),             # boot call
+            (0.002, 1, 1, "Timeout", None),           # client send fault
+            (0.003, 1, 2, "Timeout", None),           # marshalling
+            (0.013256, 1, 3, "Timeout", None),        # wire
+            (0.013256, 0, 4, "Timeout", None),        # boot server:echo#1
+            (0.014256000000000001, 1, 5, "Timeout", None),  # dispatch
+            (0.017256, 1, 6, "Timeout", None),        # server deliver fault
+            (0.017256, 1, 7, "Timeout", None),        # handler's timeout(0)
+            (0.018256, 1, 8, "Timeout", None),        # reply marshalling
+            (0.02832, 1, 9, "Timeout", None),         # wire
+            (0.02832, 1, 10, "Event", None),          # reply token
+        ]
 
     def test_duplicate_reply_suppressed(self, stack):
         """A duplicated request produces two replies; at-most-once delivery
@@ -752,10 +666,9 @@ class TestFaultInjection:
 
         engine, _, fabric = stack
         server = echo_server(engine, fabric)
-        client = fabric.endpoint(
-            "client", "alpha",
-            interceptors=[FaultInjectionInterceptor(
-                rng=AlwaysDup(), duplicate=1.0, phases=("send",))])
+        client = fabric.endpoint("client", "alpha")
+        client.faults = FaultInjector(
+            rng=AlwaysDup(), duplicate=1.0, points=("send",))
         results = []
 
         def call():
@@ -769,15 +682,12 @@ class TestFaultInjection:
         assert fabric.accounting.replies_suppressed == 1
 
     def test_probabilistic_drop_uses_rng_stream(self, stack):
-        from repro.sim.rng import RandomStreams
-
         engine, _, fabric = stack
         server = echo_server(engine, fabric)
-        fault = server.pipeline.add(FaultInjectionInterceptor(
-            rng=RandomStreams(7).get("faults"), drop=0.5, phases=("deliver",)))
-        client = fabric.endpoint(
-            "client", "alpha",
-            interceptors=[DeadlineInterceptor(0.1, retries=5)])
+        fault = server.faults = FaultInjector(
+            rng=RandomStreams(7).get("faults"), drop=0.5, points=("deliver",))
+        client = fabric.endpoint("client", "alpha")
+        client.set_deadline(("echo",), 0.1, retries=5)
         ok = []
 
         def call(i):
