@@ -21,7 +21,12 @@ Two roles, one file format:
   repeat exactly from run to run, so an event put back on the message path
   or a reference cycle reintroduced into a per-message object fails the
   gate as a count even on a runner too noisy to resolve its cost in time.
-  The event counts are printed baseline → fresh, case by case.
+  The event counts are printed baseline → fresh, case by case.  The
+  ``startup`` bench is gated the same way on what a fresh interpreter
+  loaded: the third-party packages (``extra_info.third_party``) must equal
+  the baseline's, and ``len(sys.modules)`` (``extra_info.modules``) must not
+  exceed it where baseline and run share a Python/numpy pair (the count is
+  exact only there).
 
 CI runs both in quick mode (``REPRO_BENCH_QUICK=1``), comparing against a
 committed quick-mode baseline so the gate compares like with like.
@@ -126,6 +131,7 @@ def check_regression(doc: dict, baseline_path: Path, threshold: float) -> int:
     rows = []
     failures = []
     event_lines = []
+    import_lines = []
     for name, entry in doc["benchmarks"].items():
         base = baseline.get("benchmarks", {}).get(name)
         if base is None:
@@ -138,10 +144,23 @@ def check_regression(doc: dict, baseline_path: Path, threshold: float) -> int:
         counted = events is not None and base_events is not None
         if counted:
             event_lines.append(f"  {name}: {base_events} -> {events} events")
+        packages, base_packages = info.get("third_party"), base_info.get("third_party")
+        modules, base_modules = info.get("modules"), base_info.get("modules")
+        # len(sys.modules) is exact only on the baseline's Python/numpy pair.
+        like = info.get("versions") == base_info.get("versions")
+        if modules is not None and base_modules is not None:
+            import_lines.append(
+                f"  {name}: {base_modules} -> {modules} modules"
+                f"{'' if like else ' (not gated: other Python/numpy)'}, "
+                f"third-party {base_packages} -> {packages}")
         if ratio > threshold:
             status = "REGRESSION"
         elif counted and events > base_events:
             status = f"EVENT REGRESSION ({base_events} -> {events} events)"
+        elif packages != base_packages:
+            status = f"IMPORT REGRESSION (third-party {base_packages} -> {packages})"
+        elif like and base_modules is not None and modules > base_modules:
+            status = f"IMPORT REGRESSION ({base_modules} -> {modules} modules)"
         elif (freed is not None and base_freed is not None
                 and freed > base_freed + GC_SLACK):
             status = f"GC REGRESSION ({base_freed} -> {freed} objects)"
@@ -154,11 +173,15 @@ def check_regression(doc: dict, baseline_path: Path, threshold: float) -> int:
     if event_lines:
         print("kernel events scheduled, baseline -> current:")
         print("\n".join(event_lines))
+    if import_lines:
+        print("loaded by a fresh interpreter, baseline -> current:")
+        print("\n".join(import_lines))
     if failures:
         print(f"FAILED: {len(failures)} benchmark(s) more than "
               f"{threshold:.1f}x slower than baseline, scheduling more kernel "
-              f"events than it, or leaving the cyclic collector more than "
-              f"{GC_SLACK} objects beyond it: {', '.join(failures)}")
+              f"events than it, importing more than it, or leaving the cyclic "
+              f"collector more than {GC_SLACK} objects beyond it: "
+              f"{', '.join(failures)}")
         return 1
     print("regression check passed")
     return 0

@@ -20,8 +20,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.spatial import cKDTree
 
 from ..ramses.particles import ParticleSet
 from ..ramses.physcore import phys_c
@@ -70,6 +68,8 @@ def friends_of_friends(x: np.ndarray, linking_length: float) -> np.ndarray:
         labels = np.empty(n, dtype=np.int64)
         phys_c.fof(xm, float(linking_length), labels, n)
         return labels
+    from scipy import sparse
+    from scipy.spatial import cKDTree
     tree = cKDTree(xm, boxsize=1.0)
     pairs = tree.query_pairs(linking_length, output_type="ndarray")
     if len(pairs) == 0:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .catalogs import Halo, HaloCatalog
@@ -37,7 +36,7 @@ class TreeNode:
 class MergerTree:
     """The full merger forest plus convenient accessors."""
 
-    graph: nx.DiGraph
+    graph: "networkx.DiGraph"
     catalogs: List[HaloCatalog]
 
     def halo(self, node: TreeNode) -> Halo:
@@ -139,6 +138,7 @@ def build_merger_tree(catalogs: Sequence[HaloCatalog],
     if any(b <= a for a, b in zip(aexps[:-1], aexps[1:])):
         raise ValueError("catalogs must be ordered by increasing aexp")
 
+    import networkx as nx
     graph = nx.DiGraph()
     for snap, cat in enumerate(catalogs):
         for h in cat:

@@ -17,7 +17,6 @@ top-hat integral.  k is in h/Mpc throughout; P in (Mpc/h)^3.
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate
 
 from ..ramses.cosmology import Cosmology
 
@@ -84,6 +83,7 @@ class PowerSpectrum:
 
     def sigma_r(self, r_mpc_h: float) -> float:
         """RMS density fluctuation in a top-hat of radius r (Mpc/h)."""
+        from scipy import integrate
         if r_mpc_h <= 0:
             raise ValueError("radius must be positive")
 

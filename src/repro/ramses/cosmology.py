@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
 __all__ = ["Cosmology", "EDS", "LCDM_WMAP"]
 
@@ -64,6 +63,7 @@ class Cosmology:
 
     def age(self, a: float) -> float:
         """Cosmic time t(a) in 1/H0 units: integral_0^a da' / (a' H(a'))."""
+        from scipy import integrate
         if a <= 0:
             raise ValueError("expansion factor must be positive")
         val, _err = integrate.quad(lambda x: 1.0 / (x * float(self.hubble(x))),
@@ -86,6 +86,7 @@ class Cosmology:
 
     def growth_factor(self, a) -> np.ndarray:
         """Linear growth factor D(a), normalized to D(1) = 1."""
+        from scipy import integrate
         scalar = np.isscalar(a)
         a_arr = np.atleast_1d(np.asarray(a, dtype=float))
         if np.any(a_arr <= 0):

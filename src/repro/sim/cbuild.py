@@ -20,9 +20,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import os
-import subprocess
 import sysconfig
-import tempfile
 from typing import Callable, Optional
 
 __all__ = ["build_and_load"]
@@ -50,13 +48,35 @@ def build_and_load(src: str, name: str,
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
     soname = f"{name}_{tag}{suffix}"
 
-    so_path = None
-    for cache_dir in (os.path.join(os.path.dirname(src), "_build"),
-                      os.path.join(tempfile.gettempdir(), f"repro{name}")):
+    local = os.path.join(os.path.dirname(src), "_build")
+    so_path = os.path.join(local, soname)
+    if not os.path.exists(so_path):  # cold cache: the only path that compiles
+        so_path = _compile(src, name, soname, suffix, local)
+        if so_path is None:
+            return None
+
+    spec = importlib.util.spec_from_file_location(name, so_path)
+    if spec is None or spec.loader is None:
+        return None
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+
+    if smoke is not None and not smoke(mod):
+        return None
+    return mod
+
+
+def _compile(src: str, name: str, soname: str, suffix: str,
+             local: str) -> Optional[str]:
+    """Build ``soname`` under ``local``, else under the system temp dir
+    (where an earlier run may have left it); None when neither works."""
+    import subprocess
+    import tempfile
+
+    for cache_dir in (local, os.path.join(tempfile.gettempdir(), f"repro{name}")):
         candidate = os.path.join(cache_dir, soname)
         if os.path.exists(candidate):
-            so_path = candidate
-            break
+            return candidate
         try:
             os.makedirs(cache_dir, exist_ok=True)
             include = sysconfig.get_paths()["include"]
@@ -69,19 +89,7 @@ def build_and_load(src: str, name: str,
                 os.unlink(tmp)
                 continue
             os.replace(tmp, candidate)  # atomic: concurrent builders race safely
-            so_path = candidate
-            break
+            return candidate
         except (OSError, subprocess.SubprocessError):
             continue
-    if so_path is None:
-        return None
-
-    spec = importlib.util.spec_from_file_location(name, so_path)
-    if spec is None or spec.loader is None:
-        return None
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-
-    if smoke is not None and not smoke(mod):
-        return None
-    return mod
+    return None
