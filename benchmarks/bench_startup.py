@@ -2,23 +2,26 @@
 
 Every CLI call, e2e bench child, CI smoke job and ``--jobs`` parent starts
 by importing the program; ``benchmarks/e2e`` reports that as ``setup_s``.
-Three entry points are measured, each in a *fresh* interpreter
+Four entry points are measured, each in a *fresh* interpreter
 (``PYTHONHASHSEED=0``, ``PYTHONPATH=src`` only, the ``_build`` caches of
 both C cores warmed by one untimed spawn):
 
 * ``import repro.experiments.load_federation`` — what an e2e child imports;
 * ``import repro.services`` — the library entry point;
-* ``python -m repro list`` — the cheapest CLI call.
+* ``python -m repro list`` — the cheapest CLI call;
+* import + one 16^3 REAL campaign in a temporary directory (the e2e
+  benchmark's quick ``zoom_real``) — what a worker of a sweep of short REAL
+  runs pays, first solve included.
 
-The time is the whole spawn (interpreter start + import), min of N.  Beside
-it each case records three facts about the process that repeat exactly from
-run to run on one Python/numpy pair and say *why* the time is what it is:
-``modules`` (``len(sys.modules)`` after the import), ``third_party`` (the
-sorted top-level packages loaded from outside the stdlib and the source
-tree) and ``maxrss_mib`` (``ru_maxrss`` after the import).
+The time is the whole spawn (interpreter start + statement), min of N.
+Beside it each case records three facts about the process that repeat
+exactly from run to run on one Python/numpy pair and say *why* the time is
+what it is: ``modules`` (``len(sys.modules)`` after the statement),
+``third_party`` (the sorted top-level packages loaded from outside the
+stdlib and the source tree) and ``maxrss_mib`` (``ru_maxrss`` after it).
 ``benchmarks/export.py --check`` gates the first two as counts — a
-heavyweight import put back at module level fails as a package name, on a
-runner too noisy to resolve its cost in time.
+heavyweight import put back at module level, or on the path of a REAL run,
+fails as a package name, on a runner too noisy to resolve its cost in time.
 
 ``REPRO_BENCH_QUICK=1`` lowers the number of spawns; the committed
 ``BENCH_startup.json`` is a quick-mode recording like the other baselines.
@@ -64,10 +67,22 @@ with contextlib.redirect_stdout(io.StringIO()):
         assert not done.code, done.code
 """
 
+_REAL_QUICK_ZOOM_CAMPAIGN = """
+import tempfile
+from repro.services import CampaignConfig, ExecutionMode, run_campaign
+with tempfile.TemporaryDirectory() as workdir:
+    result = run_campaign(CampaignConfig(
+        n_sub_simulations=1, resolution=16, boxsize_mpc_h=50, n_zoom_levels=1,
+        mode=ExecutionMode.REAL, workdir=workdir, real_n_steps=12,
+        real_a_end=1.0, seed=2007))
+assert result.statuses == [0], result.statuses
+"""
+
 CASES = {
     "import_load_federation": "import repro.experiments.load_federation",
     "import_services": "import repro.services",
     "cli_list": _CLI_LIST,
+    "real_quick_zoom_campaign": _REAL_QUICK_ZOOM_CAMPAIGN,
 }
 
 

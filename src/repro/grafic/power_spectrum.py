@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ramses.cosmology import Cosmology
+from ..ramses.quadpack import integral
 
 __all__ = ["PowerSpectrum", "transfer_bbks", "transfer_eisenstein_hu"]
 
@@ -83,7 +84,6 @@ class PowerSpectrum:
 
     def sigma_r(self, r_mpc_h: float) -> float:
         """RMS density fluctuation in a top-hat of radius r (Mpc/h)."""
-        from scipy import integrate
         if r_mpc_h <= 0:
             raise ValueError("radius must be positive")
 
@@ -101,8 +101,9 @@ class PowerSpectrum:
             w = window(np.atleast_1d(k * r_mpc_h))[0]
             return float(k ** 3 * self(k) * w * w)
 
-        val, _ = integrate.quad(integrand, np.log(1e-5), np.log(1e3),
-                                limit=400)
+        val = integral(
+            f"sigma_r({r_mpc_h!r}) of {self.transfer_name} P(k), {self.cosmology!r}",
+            integrand, np.log(1e-5), np.log(1e3), limit=400)
         return float(np.sqrt(val / (2.0 * np.pi ** 2)))
 
     def sigma8_check(self) -> float:

@@ -12,9 +12,12 @@ reduces to D(a) = a, which property tests verify.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+
+from .quadpack import brentq, integral
 
 __all__ = ["Cosmology", "EDS", "LCDM_WMAP"]
 
@@ -63,43 +66,47 @@ class Cosmology:
 
     def age(self, a: float) -> float:
         """Cosmic time t(a) in 1/H0 units: integral_0^a da' / (a' H(a'))."""
-        from scipy import integrate
         if a <= 0:
             raise ValueError("expansion factor must be positive")
-        val, _err = integrate.quad(lambda x: 1.0 / (x * float(self.hubble(x))),
-                                   0.0, a, limit=200)
-        return val
+        return integral(f"{self!r}.age({a!r})",
+                        lambda x: 1.0 / (x * float(self.hubble(x))),
+                        0.0, a, limit=200)
 
     def lookback(self, a: float) -> float:
         return self.age(1.0) - self.age(a)
 
     def a_of_t(self, t: float, a_bracket=(1e-6, 64.0)) -> float:
         """Invert t(a) by bisection (monotone)."""
-        from scipy.optimize import brentq
         lo, hi = a_bracket
         t_lo, t_hi = self.age(lo), self.age(hi)
         if not t_lo <= t <= t_hi:
             raise ValueError(f"t={t} outside [{t_lo}, {t_hi}]")
-        return float(brentq(lambda a: self.age(a) - t, lo, hi, xtol=1e-12))
+        root, _iterations, _calls = brentq(lambda a: self.age(a) - t, lo, hi,
+                                           xtol=1e-12)
+        return root
 
     # -- linear growth ---------------------------------------------------------------------
 
+    def _growth_unnorm(self, a: float) -> float:
+        """H(a) * integral_0^a da' / (a' H(a'))^3: D(a) before normalization."""
+        return float(self.hubble(a)) * integral(
+            f"{self!r}.growth_factor({a!r})",
+            lambda x: 1.0 / (x * float(self.hubble(x))) ** 3,
+            0.0, a, limit=200)
+
+    @cached_property
+    def _growth_unnorm_today(self) -> float:
+        # Every D(a) divides by this; a frozen instance computes it once.
+        return self._growth_unnorm(1.0)
+
     def growth_factor(self, a) -> np.ndarray:
         """Linear growth factor D(a), normalized to D(1) = 1."""
-        from scipy import integrate
         scalar = np.isscalar(a)
         a_arr = np.atleast_1d(np.asarray(a, dtype=float))
         if np.any(a_arr <= 0):
             raise ValueError("expansion factor must be positive")
-
-        def unnorm(ai: float) -> float:
-            integral, _ = integrate.quad(
-                lambda x: 1.0 / (x * float(self.hubble(x))) ** 3,
-                0.0, ai, limit=200)
-            return float(self.hubble(ai)) * integral
-
-        d1 = unnorm(1.0)
-        out = np.array([unnorm(ai) / d1 for ai in a_arr])
+        d1 = self._growth_unnorm_today
+        out = np.array([self._growth_unnorm(ai) / d1 for ai in a_arr])
         return float(out[0]) if scalar else out
 
     def growth_rate(self, a, eps: float = 1e-5) -> np.ndarray:

@@ -4,10 +4,14 @@ The rule: stdlib and numpy at module level; any other third-party package
 is imported inside the function that uses it.  Three checks, each against a
 fresh interpreter so this suite's own imports cannot mask a regression:
 
-* a MODELED run of every kind the e2e benchmark times never loads scipy,
-  networkx, matplotlib or pandas;
-* the five functions that do need scipy / networkx load it on first call
-  and return exactly what they return with the package already imported;
+* neither a MODELED run of every kind the e2e benchmark times nor a REAL
+  campaign on the compiled cores ever loads scipy, networkx, matplotlib
+  or pandas;
+* the background-cosmology functions, which integrate with the QUADPACK
+  port in ``repro.ramses.quadpack``, load none of them either; the two
+  functions that do need one (``build_merger_tree``: networkx; the numpy
+  mirror of ``friends_of_friends``: scipy) load it on first call and
+  return exactly what they return with the package already imported;
 * no module under ``src/repro`` imports a third-party package other than
   numpy at module level (a source scan: the rule is enforced, not
   remembered).
@@ -67,18 +71,42 @@ report()
     assert out["heavy"] == []
 
 
-#: name -> (package the call must load, set-up code, code binding ``value``).
-#: The child runs set-up, checks nothing heavy is loaded yet, runs the call;
-#: this process runs the same two strings with the package pre-imported.
+def test_real_campaign_on_the_compiled_cores_loads_no_heavy_package():
+    """The e2e benchmark's quick ``zoom_real``: GRAFIC, PM N-body, FoF and
+    the tarball, 16^3 particles."""
+    if halomaker.phys_c is None:
+        pytest.skip("the numpy mirror of friends_of_friends needs scipy")
+    out = fresh("""
+import tempfile
+from repro.services import CampaignConfig, ExecutionMode, run_campaign
+
+with tempfile.TemporaryDirectory() as workdir:
+    result = run_campaign(CampaignConfig(
+        n_sub_simulations=1, resolution=16, boxsize_mpc_h=50, n_zoom_levels=1,
+        mode=ExecutionMode.REAL, workdir=workdir, real_n_steps=12,
+        real_a_end=1.0, seed=2007))
+assert result.statuses == [0], result.statuses
+report()
+""")
+    assert out["heavy"] == []
+
+
+#: name -> (package the call must load or None, set-up code, code binding
+#: ``value``).  The child runs set-up, checks nothing heavy is loaded yet,
+#: runs the call; this process runs the same two strings, with the package
+#: (if any) pre-imported.
 LAZY_CALLS = {
     "Cosmology.age": (
-        "scipy", "from repro.ramses.cosmology import LCDM_WMAP",
+        None, "from repro.ramses.cosmology import LCDM_WMAP",
         "value = LCDM_WMAP.age(0.5)"),
+    "Cosmology.a_of_t": (
+        None, "from repro.ramses.cosmology import LCDM_WMAP",
+        "value = LCDM_WMAP.a_of_t(0.5)"),
     "Cosmology.growth_factor": (
-        "scipy", "from repro.ramses.cosmology import LCDM_WMAP",
+        None, "from repro.ramses.cosmology import LCDM_WMAP",
         "value = LCDM_WMAP.growth_factor([0.1, 0.5, 1.0]).tolist()"),
     "PowerSpectrum.sigma_r": (
-        "scipy", """
+        None, """
 from repro.grafic.power_spectrum import PowerSpectrum
 from repro.ramses.cosmology import LCDM_WMAP
 """, "value = PowerSpectrum(LCDM_WMAP).sigma_r(4.0)"),
@@ -121,7 +149,8 @@ def _in_child(name: str, **env) -> dict:
 
 def _here(name: str):
     package, setup, call = LAZY_CALLS[name]
-    importlib.import_module(package)  # the reference side: pre-imported
+    if package:
+        importlib.import_module(package)  # the reference side: pre-imported
     namespace: dict = {}
     exec(f"{setup}\n{call}", namespace)
     return namespace["value"]
@@ -129,8 +158,11 @@ def _here(name: str):
 
 @pytest.mark.parametrize("name", sorted(set(LAZY_CALLS) - {"friends_of_friends"}))
 def test_first_call_loads_the_package_and_returns_the_same(name):
+    """... and nothing else: the cosmology calls, which need no package,
+    must leave the heavy set empty."""
     out = _in_child(name)
-    assert out["heavy"] == [LAZY_CALLS[name][0]]
+    package = LAZY_CALLS[name][0]
+    assert out["heavy"] == ([package] if package else [])
     assert out["value"] == _here(name)
 
 

@@ -64,6 +64,12 @@ class TestPowerSpectrum:
         with pytest.raises(ValueError):
             ps.sigma_r(0.0)
 
+    def test_nan_integrand_raises(self):
+        """An n_s that is not a number makes k^n_s NaN: the sigma8
+        normalization raises instead of returning an amplitude."""
+        with pytest.raises(ArithmeticError, match=r"sigma_r\(8\.0\).*ier=2"):
+            PowerSpectrum(Cosmology(n_s=float("nan")))
+
     def test_unknown_transfer_rejected(self):
         with pytest.raises(ValueError, match="bbks"):
             PowerSpectrum(LCDM_WMAP, transfer="cmbfast")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.ramses.cosmology as cosmology_module
 from repro.ramses import Cosmology, EDS, LCDM_WMAP
 
 
@@ -85,6 +86,52 @@ class TestGrowth:
 
     def test_scalar_in_scalar_out(self):
         assert isinstance(EDS.growth_factor(0.5), float)
+
+    def test_normalization_is_integrated_once_per_instance(self, monkeypatch):
+        upper_limits = []
+        integral = cosmology_module.integral
+
+        def counting(what, f, a, b, limit):
+            upper_limits.append(b)
+            return integral(what, f, a, b, limit)
+
+        monkeypatch.setattr(cosmology_module, "integral", counting)
+        cosmo = Cosmology(omega_m=0.31, omega_l=0.69)  # fresh: nothing cached
+        d = cosmo.growth_factor([0.25, 0.5])
+        cosmo.growth_rate(0.5)
+        assert upper_limits.count(1.0) == 1 and len(upper_limits) == 5
+        # the cached D(1) is the float a fresh instance integrates
+        assert d.tolist() == Cosmology(omega_m=0.31, omega_l=0.69).growth_factor(
+            [0.25, 0.5]).tolist()
+
+
+class TestUnphysicalBackground:
+    """H^2 < 0 somewhere on the interval makes the integrand NaN; QUADPACK
+    flags it (``ier != 0``) and the caller raises instead of returning a
+    number nobody vouches for."""
+
+    #: Closed, recollapsing: H^2 = 0.3/a^3 + 5.7/a^2 - 5 turns negative at
+    #: a ~ 1.1, inside every interval used below.
+    COLLAPSING = Cosmology(omega_m=0.3, omega_l=-5.0)
+
+    @pytest.fixture(autouse=True)
+    def silent_sqrt(self):
+        with np.errstate(invalid="ignore"):
+            yield
+
+    def test_age_raises(self):
+        assert self.COLLAPSING.age(1.0) > 0  # physical up to a = 1
+        with pytest.raises(ArithmeticError, match=r"age\(2\.0\).*ier=2.*abserr=nan"):
+            self.COLLAPSING.age(2.0)
+
+    def test_growth_factor_raises(self):
+        assert self.COLLAPSING.growth_factor(1.0) == 1.0
+        with pytest.raises(ArithmeticError, match=r"growth_factor\(.*ier=2"):
+            self.COLLAPSING.growth_factor(2.0)
+
+    def test_a_of_t_raises(self):
+        with pytest.raises(ArithmeticError, match=r"age\(64\.0\).*ier=2"):
+            self.COLLAPSING.a_of_t(0.5)
 
 
 class TestSchedule:
