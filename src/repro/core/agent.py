@@ -118,7 +118,7 @@ class LocalAgent:
         self.name = name
         self.parent = parent
         self.params = params or AgentParams()
-        #: Shared deployment tracer; liveness marks and scheduler metrics
+        #: Shared deployment tracer; liveness marks and schedule spans
         #: reach the observability hub through ``tracer.obs``.
         self.tracer = tracer or Tracer()
         self.children: List[str] = []
@@ -189,7 +189,7 @@ class LocalAgent:
         # A dead child's memoized results are unreachable: drop them (the
         # cascade reaches the leaf agents, whose children are the SeD
         # owners the memo is keyed by).
-        self.memo.invalidate_owner(endpoint_name, self.engine.now)
+        self.memo.invalidate_owner(endpoint_name)
         if self.table is not None and self.table.drop_via(endpoint_name):
             # Pure removals: rows only disappeared, no service gained a
             # candidate — interior agents still cascade the shrink upward,
@@ -357,8 +357,7 @@ class MasterAgent(LocalAgent):
         self.log_central = log_central
         self.policy = policy or DefaultPolicy()
         self.ctx = SchedulingContext()
-        #: Requests refused because no candidate could serve them (mirrors
-        #: the ``scheduler.rejections`` obs counter, available without obs).
+        #: Requests refused because no candidate could serve them.
         self.rejections = 0
         #: Push mode: submits park here; the admission loop drains them in
         #: batches against the materialized table.
@@ -421,10 +420,8 @@ class MasterAgent(LocalAgent):
             chosen = self._admit(sub, candidates) if candidates else None
         if chosen is None:
             self.rejections += 1
-            now = self.engine.now
-            if obs.enabled:
-                obs.spans.end(span, now, status="rejected")
-                obs.metrics.counter("scheduler.rejections").inc(1, now)
+            if span is not None:
+                obs.spans.end(span, self.engine.now, status="rejected")
             post_event(self.endpoint, self.log_central, "schedule-reject",
                        request_id=sub.request_id,
                        service=sub.service_desc.path)
@@ -441,11 +438,8 @@ class MasterAgent(LocalAgent):
                        service=sub.service_desc.path)
             return ((chosen.owner, chosen), chosen.wire_bytes())
         if span is not None:
-            now = self.engine.now
-            obs.spans.end(span, now, sed=chosen.sed_name,
+            obs.spans.end(span, self.engine.now, sed=chosen.sed_name,
                           n_candidates=n_candidates)
-            obs.metrics.counter("scheduler.dispatches",
-                                sed=chosen.sed_name).inc(1, now)
         post_event(self.endpoint, self.log_central, "schedule",
                    request_id=sub.request_id, sed=chosen.sed_name,
                    service=sub.service_desc.path, n_candidates=n_candidates)
@@ -456,7 +450,7 @@ class MasterAgent(LocalAgent):
         no key or the key misses."""
         if sub.memo_key is None:
             return None
-        return self.memo.lookup(sub.memo_key, self.engine.now)
+        return self.memo.lookup(sub.memo_key)
 
     def _admit(self, sub: SubmitRequest, candidates: List[EstimationVector],
                hosts: Optional[Dict[str, str]] = None) -> EstimationVector:

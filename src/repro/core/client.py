@@ -131,10 +131,9 @@ class DietClient:
     first); once an MA rejects (``ServerNotFoundError`` — no candidate
     survived the grace period) or is unreachable (``CommunicationError``)
     it sinks to the back until every other MA has rejected more recently.
-    The per-MA refusal counts feeding the order are the same events
-    exported as the ``federation.rejections`` metric (labelled by MA), so
-    the policy consumes exactly what observability reports.  A request
-    fails only once every MA declined.
+    The per-MA refusal counts feeding the order are
+    :attr:`rejections_by_ma`, the same record the load reports read.  A
+    request fails only once every MA declined.
     """
 
     def __init__(self, fabric: TransportFabric, host: Host,
@@ -158,7 +157,7 @@ class DietClient:
         #: Submits retried on a sibling MA / every per-MA refusal.
         self.redirects = 0
         self.rejections = 0
-        #: Per-MA refusal counts (the ``federation.rejections`` breakdown).
+        #: Per-MA refusal counts (they sum to ``rejections``).
         self.rejections_by_ma: Dict[str, int] = {}
         #: Simulated instant each MA last refused us; feeds the
         #: least-recent-rejection order.
@@ -349,8 +348,6 @@ class DietClient:
             finding = obs.spans.open_span(f"req:{trace.request_id}", "finding")
             if finding is not None:
                 obs.spans.end(finding, now, sed=sed_name)
-                obs.metrics.histogram("request.finding_seconds").observe(
-                    finding.duration, now)
         return now
 
     def _stamp_data_sent(self, trace: RequestTrace, nbytes: int) -> None:
@@ -383,19 +380,12 @@ class DietClient:
             obs.spans.unwind(f"req:{request_id}", self.engine.now, status)
 
     def _note_rejection(self, ma_name: str, redirected: bool) -> None:
-        now = self.engine.now
-        obs = self.tracer.obs
         self.rejections += 1
         self.rejections_by_ma[ma_name] = \
             self.rejections_by_ma.get(ma_name, 0) + 1
-        self._last_rejected[ma_name] = now
-        if obs.enabled:
-            obs.metrics.counter("federation.rejections",
-                                ma=ma_name).inc(1, now)
+        self._last_rejected[ma_name] = self.engine.now
         if redirected:
             self.redirects += 1
-            if obs.enabled:
-                obs.metrics.counter("federation.redirects").inc(1, now)
 
     def _absorb_memo_hit(self, profile: Profile, hit: MemoHit
                          ) -> Generator[Event, Any, None]:

@@ -186,7 +186,7 @@ def deploy_paper_hierarchy(platform: Grid5000Platform,
     engine = platform.engine
     fabric = TransportFabric(engine, platform.network, transport_params)
     tracer = Tracer(obs)
-    # The engine reads obs directly (run-level spans, transfer metrics).
+    # The engine reads obs directly (run-level spans).
     engine.obs = tracer.obs
     spec = paper_hierarchy_spec(platform)
     if not with_client:
@@ -195,7 +195,7 @@ def deploy_paper_hierarchy(platform: Grid5000Platform,
     from ..data.manager import DataGrid
 
     return build_hierarchy(spec, platform, fabric, tracer,
-                           DataGrid(platform.network, data, tracer.obs),
+                           DataGrid(platform.network, data),
                            policy=policy, sed_params=sed_params,
                            agent_params=agent_params,
                            with_log_central=with_log_central, routing=routing)

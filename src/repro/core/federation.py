@@ -206,7 +206,7 @@ def build_federation(engine: Engine, config: FederationConfig,
     # Lazy: repro.data depends on repro.core at module level.
     from ..data.manager import DataGrid
 
-    data_grid = DataGrid(platform.network, config.data, tracer.obs)
+    data_grid = DataGrid(platform.network, config.data)
     federation = Federation(engine=engine, fabric=fabric, tracer=tracer,
                             platform=platform, config=config,
                             data_grid=data_grid)

@@ -92,8 +92,6 @@ class HeartbeatMonitor:
             if obs.enabled:
                 obs.spans.mark(f"agent:{self.agent.name}", "re-register",
                                now, child=child)
-                obs.metrics.counter("liveness.recoveries",
-                                    agent=self.agent.name).inc(1, now)
 
     # -- the protocol ---------------------------------------------------------
 
@@ -133,8 +131,5 @@ class HeartbeatMonitor:
                     if obs.enabled:
                         obs.spans.mark(f"agent:{self.agent.name}",
                                        "deregister", now, child=child)
-                        obs.metrics.counter(
-                            "liveness.deregistrations",
-                            agent=self.agent.name).inc(1, now)
             return
         self._misses.pop(child, None)

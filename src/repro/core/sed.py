@@ -198,7 +198,6 @@ class SeD:
         if obs.enabled:
             now = self.engine.now
             obs.spans.mark(f"sed:{self.name}", "crash", now, sed=self.name)
-            obs.metrics.counter("sed.crashes", sed=self.name).inc(1, now)
             # Abort every span this SeD's serving loop had open (queued and
             # in-flight solves), innermost first so statuses stay "aborted"
             # rather than cascaded "interrupted".
@@ -226,9 +225,8 @@ class SeD:
         self._crashed = False
         obs = self.tracer.obs
         if obs.enabled:
-            now = self.engine.now
-            obs.spans.mark(f"sed:{self.name}", "restart", now, sed=self.name)
-            obs.metrics.counter("sed.restarts", sed=self.name).inc(1, now)
+            obs.spans.mark(f"sed:{self.name}", "restart", self.engine.now,
+                           sed=self.name)
         # A push pump armed before the crash belongs to the dead
         # incarnation (it will see the endpoint swap below and exit without
         # touching state); its dirty flag must not suppress this
@@ -414,8 +412,7 @@ class SeD:
                 return  # nothing produced / not server-resident
             out_handles[i] = handle
         self.data_manager.grid.memo.put(
-            MemoHit(key=key, owner=self.name, out_values=out_handles),
-            self.engine.now)
+            MemoHit(key=key, owner=self.name, out_values=out_handles))
 
     # -- solving --------------------------------------------------------------------
 
@@ -499,9 +496,6 @@ class SeD:
             trace.solve_ended_at = ended
             if solve_span is not None:
                 obs.spans.end(solve_span, ended, status_code=status)
-                obs.metrics.histogram("sed.solve_seconds", sed=self.name,
-                                      cluster=self.cluster).observe(
-                                          ended - started, ended)
         finally:
             self.job_slots.release(slot)
 

@@ -101,7 +101,7 @@ class Tracer:
 
     def __init__(self, obs: Optional[Observability] = None):
         #: The deployment-wide observability hub; components that hold the
-        #: shared tracer reach spans/metrics as ``tracer.obs``.  Defaults to
+        #: shared tracer reach the span store as ``tracer.obs``.  Defaults to
         #: the permanently-disabled :data:`~repro.obs.NULL_OBS` singleton,
         #: so a bare ``Tracer()`` records exactly what it always did.
         self.obs: Observability = obs if obs is not None else NULL_OBS

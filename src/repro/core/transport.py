@@ -101,8 +101,8 @@ class RpcPolicy:
 
 class Accounting:
     """The full fate of every message: what crossed the wire and what did
-    not.  Plain counters, bumped by the transport (the hot path);
-    :meth:`Observability.collect_transport` folds them into the registry."""
+    not.  Plain counters, always on, bumped by the transport (the hot path);
+    reports read them here."""
 
     def __init__(self):
         self.messages_sent = 0

@@ -33,7 +33,6 @@ from .transfer import TransferManager
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from ..core.sed import SeD
-    from ..obs import Observability
     from ..platform.nfs import NfsVolume
     from ..sim.network import Network
 
@@ -57,7 +56,7 @@ class DataManagerConfig:
 
 @dataclass
 class DataGridStats:
-    """Plain-int data traffic accounting (picklable, works with obs off)."""
+    """Plain-int data traffic accounting (picklable, always on)."""
 
     hits: int = 0
     misses: int = 0
@@ -195,7 +194,7 @@ class DataManager:
         STICKY pins are never evicted, so sticky memo entries survive by
         construction — only unpinned persistent data reaches this.
         """
-        self.grid.memo.invalidate_data(data_id, self.engine.now)
+        self.grid.memo.invalidate_data(data_id)
 
     def note_reply_handle(self, nbytes: int) -> None:
         """A reply shipped a 64-byte handle instead of ``nbytes`` of data."""
@@ -303,7 +302,7 @@ class DataManager:
             self.catalog.unregister(data_id, self.sed.name)
         # Memoized results owned by this SeD died with its store; a client
         # already holding a hit falls back to a re-solve.
-        self.grid.memo.invalidate_owner(self.sed.name, self.engine.now)
+        self.grid.memo.invalidate_owner(self.sed.name)
         self.store.clear()
 
 
@@ -319,7 +318,6 @@ class DataGrid:
         self,
         network: "Network",
         config: Optional[DataManagerConfig] = None,
-        obs: Optional["Observability"] = None,
     ):
         self.network = network
         self.engine = network.engine
@@ -328,7 +326,7 @@ class DataGrid:
         self._nodes: Dict[str, CatalogNode] = {}
         #: Request→result index consulted by every MA, populated by every
         #: SeD; counts nothing until a client sends memo keys.
-        self.memo = MemoIndex(obs=obs)
+        self.memo = MemoIndex()
         self.managers: Dict[str, DataManager] = {}
         self.volumes: Dict[str, "NfsVolume"] = {}
         self.stats = DataGridStats()

@@ -45,7 +45,6 @@ from ..core.data import DataHandle, Direction, FileRef
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from ..core.profile import Profile
     from ..core.requests import MemoHit
-    from ..obs import Observability
 
 __all__ = ["MemoIndex", "MemoStats", "descriptor_digest", "request_descriptor"]
 
@@ -109,7 +108,7 @@ def descriptor_digest(profile: "Profile") -> str:
 
 @dataclass
 class MemoStats:
-    """Plain-int memo accounting (picklable, works with obs off)."""
+    """Plain-int memo accounting (picklable, always on)."""
 
     hits: int = 0
     misses: int = 0
@@ -130,13 +129,11 @@ class MemoIndex:
     """The grid-wide request→result index, shared by every agent and SeD.
 
     Pure synchronous bookkeeping over plain dicts — safe to consult from
-    inside a scheduling decision.  Counters mirror into the ``memo.hits``
-    / ``memo.misses`` / ``memo.invalidations`` obs metrics when an
-    enabled :class:`~repro.obs.Observability` is attached.
+    inside a scheduling decision.  :attr:`stats` is the one record of its
+    hits, misses, populations and invalidations, always on.
     """
 
-    def __init__(self, obs: Optional["Observability"] = None):
-        self.obs = obs
+    def __init__(self) -> None:
         self.stats = MemoStats()
         self._entries: Dict[str, "MemoHit"] = {}
         self._by_owner: Dict[str, Set[str]] = {}
@@ -148,13 +145,9 @@ class MemoIndex:
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
-    def _count(self, metric: str, now: float, n: int = 1) -> None:
-        if self.obs is not None and self.obs.enabled:
-            self.obs.metrics.counter(metric).inc(n, now)
-
     # -- population (SeD side) ---------------------------------------------------
 
-    def put(self, hit: "MemoHit", now: float) -> bool:
+    def put(self, hit: "MemoHit") -> bool:
         """Register a solved result; first writer wins (a concurrent solve
         of the same key on another SeD produced equivalent data — keeping
         the incumbent avoids churning the owner index).  True if stored.
@@ -170,15 +163,13 @@ class MemoIndex:
 
     # -- lookup (MA side) --------------------------------------------------------
 
-    def lookup(self, key: str, now: float) -> Optional["MemoHit"]:
+    def lookup(self, key: str) -> Optional["MemoHit"]:
         """Consult the index for one submit, counting hit or miss."""
         hit = self._entries.get(key)
         if hit is None:
             self.stats.misses += 1
-            self._count("memo.misses", now)
             return None
         self.stats.hits += 1
-        self._count("memo.hits", now)
         return hit
 
     def peek(self, key: str) -> Optional["MemoHit"]:
@@ -203,7 +194,7 @@ class MemoIndex:
                 if not keys:
                     del self._by_data[handle.data_id]
 
-    def invalidate_owner(self, owner: str, now: float) -> int:
+    def invalidate_owner(self, owner: str) -> int:
         """Drop every entry owned by a crashed/deregistered SeD."""
         keys = self._by_owner.get(owner)
         if not keys:
@@ -212,10 +203,9 @@ class MemoIndex:
         for key in sorted(keys):
             self._drop(key)
         self.stats.invalidations += n
-        self._count("memo.invalidations", now, n)
         return n
 
-    def invalidate_data(self, data_id: str, now: float) -> int:
+    def invalidate_data(self, data_id: str) -> int:
         """Drop every entry whose result references an evicted datum."""
         keys = self._by_data.get(data_id)
         if not keys:
@@ -224,5 +214,4 @@ class MemoIndex:
         for key in sorted(keys):
             self._drop(key)
         self.stats.invalidations += n
-        self._count("memo.invalidations", now, n)
         return n

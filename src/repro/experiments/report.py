@@ -60,7 +60,7 @@ def ascii_gantt(chart: Dict[str, List[tuple]], width: int = 72) -> str:
             i0 = int((start - t_min) / span * (width - 1))
             i1 = max(int((end - t_min) / span * (width - 1)), i0)
             for i in range(i0, i1 + 1):
-                row[i] = "#" if row[i] == " " else "#"
+                row[i] = "#"
         # mark job boundaries
         for start, _end, _rid in chart[name]:
             i0 = int((start - t_min) / span * (width - 1))

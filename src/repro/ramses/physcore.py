@@ -5,9 +5,10 @@ the leapfrog kick/drift updates and friends-of-friends linking — and is
 compiled through the same :mod:`repro.sim.cbuild` machinery as the event
 heap: first import compiles with whatever ``cc`` the box has, the result
 is sha1-cached, and any failure (no compiler, sandboxed filesystem, a
-failed smoke test) silently degrades to the numpy implementations in
+failed smoke test) degrades to the numpy implementations in
 :mod:`repro.ramses.mesh`, :mod:`repro.ramses.integrator` and
-:mod:`repro.galics.halomaker`.
+:mod:`repro.galics.halomaker`, with one ``RuntimeWarning`` that carries the
+reason.
 
 The smoke test below is the bit-compatibility contract in miniature:
 every kernel is compared against the numpy reference on seeded inputs
@@ -20,6 +21,7 @@ implementations in CI.
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 
@@ -103,11 +105,14 @@ def _smoke(mod) -> bool:
 _mod = None
 if not os.environ.get("REPRO_PURE_PY"):
     try:
-        _mod = build_and_load(
+        _mod, _why = build_and_load(
             os.path.join(os.path.dirname(__file__), "_physcore.c"),
             "_physcore", smoke=_smoke)
-    except Exception:  # pragma: no cover - any build breakage means fallback
-        _mod = None
+    except Exception as exc:  # pragma: no cover - any build breakage means fallback
+        _mod, _why = None, f"{type(exc).__name__}: {exc}"
+    if _mod is None:
+        warnings.warn(f"_physcore: C extension not usable ({_why}); running on "
+                      "the numpy kernels", RuntimeWarning)
 
 #: Raw extension module, or None when running on the numpy mirrors.
 phys_c = _mod

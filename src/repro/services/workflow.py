@@ -134,7 +134,8 @@ class CampaignConfig:
     #: None (default) is the paper's happy path; a FailurePlan switches on
     #: seeded SeD outages plus the whole recovery machinery.
     failures: Optional[FailurePlan] = None
-    #: Record spans + metrics (the repro.obs subsystem).  Recording is pure
+    #: Record spans (the repro.obs subsystem; counts are kept either way,
+    #: by the components that own them).  Recording is pure
     #: bookkeeping over timestamps already read — the event stream is
     #: bit-identical either way (the determinism suite pins both settings);
     #: False skips even that bookkeeping for benchmark runs.
@@ -272,15 +273,15 @@ class CampaignResult:
     # — a test pins the stamp correspondence — not a second derivation.
 
     @property
-    def obs(self) -> Optional[Observability]:
-        """The campaign's observability hub (None on pre-obs results)."""
-        return getattr(self.tracer, "obs", None)
+    def obs(self) -> Observability:
+        """The campaign's observability hub."""
+        return self.tracer.obs
 
     def span_store(self) -> Optional[SpanStore]:
         """The campaign's span store for the ``--trace``/``--gantt-svg``/
         ``--profile`` exporters, or None when tracing was disabled."""
         obs = self.obs
-        if obs is not None and obs.enabled and obs.spans.spans:
+        if obs.enabled and obs.spans.spans:
             return obs.spans
         return None
 
@@ -506,11 +507,8 @@ def run_campaign(config: Optional[CampaignConfig] = None) -> CampaignResult:
     if cleanup_dir is not None:
         cleanup_dir.cleanup()
     # End-of-run sweep: close anything a failure path left open (status
-    # "lost"), then fold the transport counters into the metrics registry.
+    # "lost").
     obs.finalize(engine.now)
-    obs.collect_transport(deployment.fabric, engine.now)
-    obs.collect_network(platform.network, engine.now)
-    obs.collect_data(deployment.data_grid, engine.now)
 
     # Collect traces: part 1 is the first trace, part 2 the rest.  Under a
     # FailurePlan a resubmitted call leaves one trace per attempt; the

@@ -423,7 +423,7 @@ class Engine:
         #: clock from the queue); the Python fallback takes the engine.
         self.timeout = partial(
             Timeout, self._queue if CTimeout is not None else self)
-        #: Observability hub (spans/metrics over simulated time).  Defaults
+        #: Observability hub (spans over simulated time).  Defaults
         #: to the shared disabled singleton; deployments install theirs.
         #: Recording is pure bookkeeping — never events — so the dispatch
         #: stream is identical with it enabled or disabled.

@@ -114,7 +114,7 @@ class Network:
         #: and transfer() skip the per-call sum/min/sort on the RPC hot path.
         self._route_info: Dict[Tuple[str, str],
                                Tuple[float, float, Tuple[Link, ...], bool]] = {}
-        #: Plain traffic totals (no events, no obs dependency): every byte
+        #: Plain traffic totals, the one record of them (always on): every byte
         #: moved by :meth:`transfer`, and the subset that crossed a WAN link.
         self.bytes_total = 0
         self.bytes_wan = 0
@@ -286,7 +286,6 @@ class Network:
             # Fast path: no shared link on the route, so the duration is the
             # analytic one — a single timeout, no slot bookkeeping.
             yield self.engine.timeout(latency + nbytes / bottleneck)
-            self._observe_transfer(nbytes, start)
             return self.engine.now - start
         claims = []
         try:
@@ -297,16 +296,4 @@ class Network:
         finally:
             for link, req in claims:
                 link._slot.release(req)
-        self._observe_transfer(nbytes, start)
         return self.engine.now - start
-
-    def _observe_transfer(self, nbytes: int, start: float) -> None:
-        """Record one completed transfer into the engine's metrics registry
-        (bytes distribution + wall seconds spent on the wire)."""
-        obs = self.engine.obs
-        if obs.enabled:
-            now = self.engine.now
-            obs.metrics.histogram("network.transfer_bytes").observe(
-                float(nbytes), start)
-            obs.metrics.histogram("network.transfer_seconds").observe(
-                now - start, now)

@@ -11,15 +11,17 @@ is bit-identical to ``heapq`` over ``(when, prio, seq, obj)`` tuples.
 The extension is built on first import with whatever ``cc`` the box has and
 cached next to the source (or under the system temp dir when the package
 directory is read-only).  Anything going wrong — no compiler, no headers,
-sandboxed filesystem — silently degrades to :class:`PyEventHeap` (plain
-``heapq`` behind the same API) and the pure-Python ``Timeout`` defined in
-``engine.py``.  ``REPRO_PURE_PY=1`` forces the fallback; the determinism
-suite runs against both implementations.
+sandboxed filesystem — degrades to :class:`PyEventHeap` (plain ``heapq``
+behind the same API) and the pure-Python ``Timeout`` defined in
+``engine.py``, with one ``RuntimeWarning`` that carries the reason.
+``REPRO_PURE_PY=1`` forces the fallback (no build attempted, no warning);
+the determinism suite runs against both implementations.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 from heapq import heappop, heappush
 from typing import Optional
 
@@ -127,11 +129,14 @@ def _smoke(mod) -> bool:
 _mod = None
 if not os.environ.get("REPRO_PURE_PY"):
     try:
-        _mod = build_and_load(
+        _mod, _why = build_and_load(
             os.path.join(os.path.dirname(__file__), "_simcore.c"),
             "_simcore", smoke=_smoke)
-    except Exception:  # pragma: no cover - any build breakage means fallback
-        _mod = None
+    except Exception as exc:  # pragma: no cover - any build breakage means fallback
+        _mod, _why = None, f"{type(exc).__name__}: {exc}"
+    if _mod is None:
+        warnings.warn(f"_simcore: C extension not usable ({_why}); running on "
+                      "the pure-Python event heap", RuntimeWarning)
 
 #: C Timeout type, or None when running on the pure-Python fallback.
 CTimeout: Optional[type] = _mod.Timeout if _mod is not None else None

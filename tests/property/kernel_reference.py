@@ -47,7 +47,7 @@ def capture_stream(n_sub_simulations: int, seed: int, n_crashes: int = 0,
 
     Uses :attr:`Engine.default_event_log` because the workflow builds its
     own engine; the class attribute is restored on exit.  ``observe``
-    toggles the span/metrics recording — the references are recorded with
+    toggles the span recording — the references are recorded with
     it on, and the suite asserts the stream is identical with it off
     (span recording is pure bookkeeping, never events).
     """

@@ -62,7 +62,7 @@ def test_degraded_campaign_event_stream_is_bit_identical():
 
 def test_disabled_tracing_replays_identical_stream():
     """observe=False must replay the observe=True reference bit-for-bit:
-    span/metrics recording is pure bookkeeping that schedules no events, so
+    span recording is pure bookkeeping that schedules no events, so
     turning it off cannot change the total order either."""
     _check("campaign", observe=False)
 

@@ -154,7 +154,7 @@ class TestMemoOnSchedulingPath:
             yield engine.timeout(10.0)             # heartbeat deregisters
             # Re-insert the stale entry: the window where a crash has not
             # yet propagated to the index the MA consulted.
-            assert federation.memo.put(stale, engine.now)
+            assert federation.memo.put(stale)
             yield from call()                      # hit -> dead fetch -> fallback
 
         engine.run_until_complete(drive())
@@ -276,7 +276,7 @@ class TestMemoHitClosesItsRequestRecord:
             stale = federation.memo.peek(key)
             _sed_by_name(federation, stale.owner).crash()
             yield engine.timeout(10.0)
-            assert federation.memo.put(stale, engine.now)
+            assert federation.memo.put(stale)
             results.append((yield from _call(client, _profile(7))))
 
         engine.run_until_complete(drive())

@@ -17,7 +17,6 @@ from repro.core import (
 from repro.core.data import FileRef, file_desc, vector_desc
 from repro.core.requests import MemoHit
 from repro.data.memo import MemoIndex, descriptor_digest, request_descriptor
-from repro.obs import Observability
 
 
 def _desc(name="svc", out_mode=PersistenceMode.PERSISTENT_RETURN):
@@ -139,9 +138,9 @@ def _hit(key="k", owner="SeD0", data_id="sha:1"):
 class TestMemoIndex:
     def test_miss_then_populate_then_hit(self):
         memo = MemoIndex()
-        assert memo.lookup("k", 0.0) is None
-        assert memo.put(_hit(), 1.0)
-        found = memo.lookup("k", 2.0)
+        assert memo.lookup("k") is None
+        assert memo.put(_hit())
+        found = memo.lookup("k")
         assert found is not None and found.owner == "SeD0"
         assert memo.stats.as_dict() == {
             "hits": 1,
@@ -153,62 +152,55 @@ class TestMemoIndex:
 
     def test_first_writer_wins(self):
         memo = MemoIndex()
-        assert memo.put(_hit(owner="SeD0"), 0.0)
-        assert not memo.put(_hit(owner="SeD1"), 1.0)
+        assert memo.put(_hit(owner="SeD0"))
+        assert not memo.put(_hit(owner="SeD1"))
         assert memo.peek("k").owner == "SeD0"
         assert memo.stats.populated == 1
 
     def test_peek_does_not_count(self):
         memo = MemoIndex()
-        memo.put(_hit(), 0.0)
+        memo.put(_hit())
         assert memo.peek("k") is not None
         assert memo.peek("missing") is None
         assert memo.stats.hits == 0 and memo.stats.misses == 0
 
     def test_invalidate_owner_drops_only_its_entries(self):
         memo = MemoIndex()
-        memo.put(_hit("k1", "SeD0", "sha:1"), 0.0)
-        memo.put(_hit("k2", "SeD0", "sha:2"), 0.0)
-        memo.put(_hit("k3", "SeD1", "sha:3"), 0.0)
-        assert memo.invalidate_owner("SeD0", 1.0) == 2
-        assert memo.invalidate_owner("SeD0", 1.0) == 0  # idempotent
+        memo.put(_hit("k1", "SeD0", "sha:1"))
+        memo.put(_hit("k2", "SeD0", "sha:2"))
+        memo.put(_hit("k3", "SeD1", "sha:3"))
+        assert memo.invalidate_owner("SeD0") == 2
+        assert memo.invalidate_owner("SeD0") == 0  # idempotent
         assert "k3" in memo and len(memo) == 1
         assert memo.stats.invalidations == 2
 
     def test_invalidate_data_drops_referencing_entries(self):
         memo = MemoIndex()
-        memo.put(_hit("k1", "SeD0", "sha:1"), 0.0)
-        memo.put(_hit("k2", "SeD0", "sha:2"), 0.0)
-        assert memo.invalidate_data("sha:1", 1.0) == 1
+        memo.put(_hit("k1", "SeD0", "sha:1"))
+        memo.put(_hit("k2", "SeD0", "sha:2"))
+        assert memo.invalidate_data("sha:1") == 1
         assert "k1" not in memo and "k2" in memo
         # The owner index forgot k1 too: re-invalidating the owner only
         # touches the survivor.
-        assert memo.invalidate_owner("SeD0", 2.0) == 1
+        assert memo.invalidate_owner("SeD0") == 1
 
     def test_repopulate_after_invalidation(self):
         memo = MemoIndex()
-        memo.put(_hit(), 0.0)
-        memo.invalidate_owner("SeD0", 1.0)
-        assert memo.lookup("k", 2.0) is None
-        assert memo.put(_hit(owner="SeD1"), 3.0)
-        assert memo.lookup("k", 4.0).owner == "SeD1"
+        memo.put(_hit())
+        memo.invalidate_owner("SeD0")
+        assert memo.lookup("k") is None
+        assert memo.put(_hit(owner="SeD1"))
+        assert memo.lookup("k").owner == "SeD1"
 
-    def test_obs_counters_mirror_stats(self):
-        obs = Observability()
-        memo = MemoIndex(obs=obs)
-        memo.lookup("k", 0.0)
-        memo.put(_hit(), 1.0)
-        memo.lookup("k", 2.0)
-        memo.invalidate_owner("SeD0", 3.0)
-        assert obs.metrics.counter("memo.hits").value == 1
-        assert obs.metrics.counter("memo.misses").value == 1
-        assert obs.metrics.counter("memo.invalidations").value == 1
-
-    def test_disabled_obs_counts_nothing(self):
-        obs = Observability(enabled=False)
-        memo = MemoIndex(obs=obs)
-        memo.lookup("k", 0.0)
-        memo.put(_hit(), 1.0)
-        memo.lookup("k", 2.0)
-        assert memo.stats.hits == 1  # plain stats still track
-        assert obs.metrics.counter("memo.hits").value == 0
+    def test_stats_count_every_lookup_and_invalidation(self):
+        memo = MemoIndex()
+        memo.lookup("k")
+        memo.put(_hit())
+        memo.lookup("k")
+        memo.invalidate_owner("SeD0")
+        assert memo.stats.as_dict() == {
+            "hits": 1,
+            "misses": 1,
+            "invalidations": 1,
+            "populated": 1,
+        }

@@ -1,6 +1,7 @@
 """Observability wired through a real campaign.
 
-The contract: the figures read the always-on request trace, so they are the
+The contract: the figures read the always-on request trace and every count
+is a plain attribute of the component that decides it, so both are the
 same with observability on or off; the request-track spans are an export
 view whose bounds *are* the trace stamps; failure paths never leak open
 spans; and span stores survive detach/pickle so parallel sweeps can
@@ -19,6 +20,7 @@ from repro.experiments.ablation_scheduler import (
 )
 from repro.experiments.data_locality import DataLocalityResult
 from repro.experiments.degraded_campaign import DegradedResult, DegradedRun
+from repro.experiments import load_federation
 from repro.experiments.figure4 import Figure4Result
 from repro.experiments.load_federation import LoadPoint, LoadResult
 from repro.experiments.runner import collect_span_stores
@@ -69,7 +71,6 @@ def test_span_store_present_only_when_observing(observed, blind):
     assert observed.span_store() is not None
     assert blind.span_store() is None
     assert len(NULL_OBS.spans.spans) == 0
-    assert len(NULL_OBS.metrics) == 0
 
 
 def test_healthy_campaign_leaves_no_open_or_abnormal_spans(observed):
@@ -89,27 +90,58 @@ def test_request_spans_form_the_expected_hierarchy(observed):
     assert all("sed" in s.attrs and "cluster" in s.attrs for s in solves)
 
 
-def test_metrics_registry_populated(observed):
-    metrics = observed.obs.metrics
-    hist = metrics.histogram("request.finding_seconds")
-    assert hist.count == 9
-    assert metrics.counter("transport.messages").value > 0
+def test_always_on_counts_populated(blind):
+    assert len(blind.finding_times()) == 9
+    assert blind.net_bytes_total > 0
 
 
-def test_crashes_abort_spans_without_leaking():
-    config = CampaignConfig(
+def _degraded(observe):
+    return run_campaign(CampaignConfig(
         n_sub_simulations=30,
-        observe=True,
+        observe=observe,
         failures=FailurePlan(n_crashes=2),
-    )
-    result = run_campaign(config)
+    ))
+
+
+@pytest.fixture(scope="module")
+def degraded():
+    return _degraded(observe=True)
+
+
+def test_crashes_abort_spans_without_leaking(degraded):
+    result = degraded
     store = result.span_store()
     assert store.open_count == 0
     assert any(s.status != "ok" for s in store.spans)
     names = [m.name for m in store.marks]
     assert "crash" in names
-    crashes = list(result.obs.metrics.collect(name="sed.crashes"))
-    assert sum(c.value for c in crashes) >= 1
+    sed_names = {sed.name for sed in result.deployment.seds}
+    crashes = [o for o in result.failure_report.outages if o.name in sed_names]
+    assert len(crashes) >= 1
+
+
+def test_counts_do_not_depend_on_observe(degraded):
+    """One degraded campaign and one E13 push + memo + churn point, each
+    with ``observe`` on and off: every count reads the same."""
+    blind = _degraded(observe=False)
+    assert blind.span_store() is None
+    assert degraded.failure_report == blind.failure_report
+    assert degraded.failure_report.resubmissions > 0
+    assert degraded.data_report == blind.data_report
+    assert degraded.net_bytes_total == blind.net_bytes_total > 0
+    assert degraded.net_bytes_wan == blind.net_bytes_wan > 0
+    assert degraded.requests_per_sed() == blind.requests_per_sed()
+
+    def point(observe):
+        (load_point,) = load_federation.run(
+            loads=(8.0,), routings=("push",), duration=15.0, n_clients=500,
+            churn=1, seed=17, memo="on", observe=observe).runs
+        return load_point
+
+    seen, unseen = point(True), point(False)
+    assert seen.span_store and unseen.span_store is None
+    assert seen == unseen  # span_store is compare=False
+    assert seen.memo_hits > 0 and seen.rejected + seen.completed > 0
 
 
 def test_detached_result_carries_spans_across_pickle(observed):
