@@ -49,7 +49,6 @@ from .exceptions import (
     ServiceNotFoundError,
 )
 from .liveness import HeartbeatConfig, HeartbeatMonitor
-from .logservice import LogCentral, LogEvent, post_event
 from .profile import Profile, ProfileDesc, ServiceTable
 from .requests import (
     EstimateDelta,
@@ -116,8 +115,6 @@ __all__ = [
     "HeartbeatConfig",
     "HeartbeatMonitor",
     "LocalAgent",
-    "LogCentral",
-    "LogEvent",
     "MCTPolicy",
     "MasterAgent",
     "Message",
@@ -153,7 +150,6 @@ __all__ = [
     "file_desc",
     "matrix_desc",
     "make_policy",
-    "post_event",
     "scalar_desc",
     "schedule_churn",
     "sizeof_value",

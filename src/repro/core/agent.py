@@ -37,7 +37,6 @@ from ..sim.resources import Store
 from .aggregation import AggregationTable
 from .exceptions import ServerNotFoundError
 from .liveness import HeartbeatConfig, HeartbeatMonitor
-from .logservice import post_event
 from .requests import EstimateDelta, EstimateRequest, MemoHit, SubmitRequest
 from .scheduling import (
     EST_NBJOBS,
@@ -349,12 +348,10 @@ class MasterAgent(LocalAgent):
                  policy: Optional[SchedulerPolicy] = None,
                  params: Optional[AgentParams] = None,
                  tracer: Optional[Tracer] = None,
-                 log_central: Optional[str] = None,
                  routing: str = "pull",
                  data_grid: Optional["DataGrid"] = None):
         super().__init__(fabric, host, name, parent=None, params=params,
                          tracer=tracer, routing=routing, data_grid=data_grid)
-        self.log_central = log_central
         self.policy = policy or DefaultPolicy()
         self.ctx = SchedulingContext()
         #: Requests refused because no candidate could serve them.
@@ -422,9 +419,6 @@ class MasterAgent(LocalAgent):
             self.rejections += 1
             if span is not None:
                 obs.spans.end(span, self.engine.now, status="rejected")
-            post_event(self.endpoint, self.log_central, "schedule-reject",
-                       request_id=sub.request_id,
-                       service=sub.service_desc.path)
             raise ServerNotFoundError(
                 f"no SeD can solve {sub.service_desc.path!r}")
         if isinstance(chosen, MemoHit):
@@ -433,16 +427,10 @@ class MasterAgent(LocalAgent):
             if span is not None:
                 obs.spans.end(span, self.engine.now, sed=chosen.owner,
                               n_candidates=0, memo="hit")
-            post_event(self.endpoint, self.log_central, "schedule-memo",
-                       request_id=sub.request_id, sed=chosen.owner,
-                       service=sub.service_desc.path)
             return ((chosen.owner, chosen), chosen.wire_bytes())
         if span is not None:
             obs.spans.end(span, self.engine.now, sed=chosen.sed_name,
                           n_candidates=n_candidates)
-        post_event(self.endpoint, self.log_central, "schedule",
-                   request_id=sub.request_id, sed=chosen.sed_name,
-                   service=sub.service_desc.path, n_candidates=n_candidates)
         return ((chosen.sed_name, chosen), 512)
 
     def _memo_lookup(self, sub: SubmitRequest) -> Optional[MemoHit]:
@@ -597,6 +585,5 @@ class MasterAgent(LocalAgent):
         info = msg.payload
         self.ctx.note_completion(info["sed"], info["duration"],
                                  service=info.get("service", ""))
-        post_event(self.endpoint, self.log_central, "job-done", **info)
         return
         yield  # pragma: no cover - make this a generator function

@@ -396,8 +396,9 @@ class DietClient:
         size; non-returning ones bind to the persisted handle directly,
         exactly as a fresh solve's reply would have.  Raises
         :class:`CommunicationError` (owner died since the lookup) or
-        :class:`DataError` (result evicted) — :meth:`call` then falls back
-        to a normal re-solve, which repopulates the memo.
+        :class:`DataError` (owner restarted with an empty store) —
+        :meth:`call` then falls back to a normal re-solve, which
+        repopulates the memo.
         """
         for index in sorted(hit.out_values):
             data = hit.out_values[index]

@@ -47,7 +47,6 @@ class Deployment:
     seds: List[SeD] = field(default_factory=list)
     client: Optional[DietClient] = None
     platform: Optional[Grid5000Platform] = None
-    log_central: Optional["LogCentral"] = None
     #: Estimate-flow mode the hierarchy was built with ("pull" or "push").
     routing: str = "pull"
 
@@ -59,8 +58,6 @@ class Deployment:
 
     def launch_all(self) -> None:
         """Start every agent and SeD's serving loop (GoDIET 'launch')."""
-        if self.log_central is not None:
-            self.log_central.launch()
         self.ma.launch()
         for la in self.local_agents:
             la.launch()
@@ -87,7 +84,6 @@ def build_hierarchy(spec: "HierarchySpec", platform: Grid5000Platform,
                     policy: Optional[SchedulerPolicy] = None,
                     sed_params: Optional[SeDParams] = None,
                     agent_params: Optional[AgentParams] = None,
-                    with_log_central: bool = False,
                     routing: str = "pull") -> Deployment:
     """Instantiate ``spec``'s MA→LA→SeD tree on a built platform.
 
@@ -96,28 +92,18 @@ def build_hierarchy(spec: "HierarchySpec", platform: Grid5000Platform,
     every agent and SeD is built on ``fabric``/``tracer``/``data_grid``
     (replica catalog with the MA at the root and one node per LA, result
     memo, per-SeD data manager), runs ``routing`` and knows its ``parent``
-    (so a restarted SeD can re-register); the MA owns ``policy`` and hosts
-    the LogCentral collector.  A SeD on a cluster host must mount that
-    cluster's NFS volume (§4.1).
+    (so a restarted SeD can re-register); the MA owns ``policy``.  A SeD on
+    a cluster host must mount that cluster's NFS volume (§4.1).
     """
     spec.validate()
     network = platform.network
-    ma_host = network.host(spec.master.host)
-    log_central = None
-    log_name: Optional[str] = None
-    if with_log_central:
-        from .logservice import LogCentral
-
-        log_central = LogCentral(fabric, ma_host)
-        log_name = log_central.name
-    ma = MasterAgent(fabric, ma_host, name=spec.master.name, policy=policy,
-                     params=agent_params, tracer=tracer,
-                     log_central=log_name, routing=routing,
+    ma = MasterAgent(fabric, network.host(spec.master.host),
+                     name=spec.master.name, policy=policy,
+                     params=agent_params, tracer=tracer, routing=routing,
                      data_grid=data_grid)
     deployment = Deployment(engine=fabric.engine, fabric=fabric,
                             tracer=tracer, ma=ma, platform=platform,
-                            log_central=log_central, data_grid=data_grid,
-                            routing=routing)
+                            data_grid=data_grid, routing=routing)
 
     def build(agent_spec: "AgentSpec", agent: LocalAgent) -> None:
         for child_spec in agent_spec.children:
@@ -138,8 +124,8 @@ def build_hierarchy(spec: "HierarchySpec", platform: Grid5000Platform,
                     f"(§4.1 requires an NFS working directory)")
             sed = SeD(fabric, host, name=sed_spec.name, ma_name=ma.name,
                       params=sed_params, tracer=tracer, nfs=nfs,
-                      log_central=log_name, parent=agent.name,
-                      routing=routing, data_grid=data_grid)
+                      parent=agent.name, routing=routing,
+                      data_grid=data_grid)
             agent.add_child(sed.name)
             deployment.seds.append(sed)
 
@@ -157,23 +143,20 @@ def deploy_paper_hierarchy(platform: Grid5000Platform,
                            sed_params: Optional[SeDParams] = None,
                            agent_params: Optional[AgentParams] = None,
                            with_client: bool = True,
-                           with_log_central: bool = False,
                            obs: Optional[Observability] = None,
                            data: Optional["DataManagerConfig"] = None,
                            routing: str = "pull") -> Deployment:
     """Deploy the exact §5.1 hierarchy on a built Grid'5000 platform.
 
     :func:`~repro.core.godiet.paper_hierarchy_spec` describes it — MA on the
-    Lyon service node (with the client and, when ``with_log_central``, the
-    monitoring collector: "along with omniORB, the monitoring tools, and
-    the client", §5.1), one LA per cluster on the cluster frontend, one SeD
-    per reserved 16-node block (11 in the paper layout) — and
-    :func:`build_hierarchy` instantiates it.
+    Lyon service node with the client, one LA per cluster on the cluster
+    frontend, one SeD per reserved 16-node block (11 in the paper layout) —
+    and :func:`build_hierarchy` instantiates it.
 
     ``data`` is the per-SeD data-manager configuration of the stack's
-    data grid (store capacity, eviction, replication); None is the default
-    :class:`~repro.data.manager.DataManagerConfig` — unbounded stores, no
-    proactive replication.
+    data grid (its replication policy); None is the default
+    :class:`~repro.data.manager.DataManagerConfig` — no proactive
+    replication.
 
     ``routing`` selects the estimate flow: ``"pull"`` (the default, the
     paper's per-request fan-out — kept byte-identical for every figure) or
@@ -197,5 +180,4 @@ def deploy_paper_hierarchy(platform: Grid5000Platform,
     return build_hierarchy(spec, platform, fabric, tracer,
                            DataGrid(platform.network, data),
                            policy=policy, sed_params=sed_params,
-                           agent_params=agent_params,
-                           with_log_central=with_log_central, routing=routing)
+                           agent_params=agent_params, routing=routing)

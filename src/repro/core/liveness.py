@@ -65,10 +65,9 @@ class HeartbeatMonitor:
         self.agent = agent
         self.config = config
         self._misses: Dict[str, int] = {}
-        #: (child, time) pairs, in event order.
-        self.deaths: List[Tuple[str, float]] = []
+        #: (child, time) re-registrations, in event order.  Deaths are
+        #: :attr:`LocalAgent.deregistrations`.
         self.recoveries: List[Tuple[str, float]] = []
-        self.pings_sent = 0
         self._proc = None
 
     def launch(self) -> None:
@@ -114,7 +113,6 @@ class HeartbeatMonitor:
             return
 
     def _probe(self, child: str) -> Generator[Event, Any, None]:
-        self.pings_sent += 1
         try:
             yield from self.agent.endpoint.rpc(child, "ping")
         except Exception:
@@ -125,11 +123,10 @@ class HeartbeatMonitor:
             if misses >= self.config.miss_threshold:
                 self._misses.pop(child, None)
                 if self.agent.remove_child(child):
-                    now = self.agent.engine.now
-                    self.deaths.append((child, now))
                     obs = self.agent.tracer.obs
                     if obs.enabled:
                         obs.spans.mark(f"agent:{self.agent.name}",
-                                       "deregister", now, child=child)
+                                       "deregister", self.agent.engine.now,
+                                       child=child)
             return
         self._misses.pop(child, None)

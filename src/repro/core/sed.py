@@ -30,7 +30,6 @@ from .agent import ROUTING_MODES
 from .cori import CoRI
 from .data import DataHandle, Direction
 from .exceptions import DataError, DietError
-from .logservice import post_event
 from .profile import Profile, ProfileDesc, ServiceTable, SolveFunc
 from .requests import (EstimateDelta, EstimateRequest, MemoHit, SolveReply,
                        SolveRequest)
@@ -91,7 +90,6 @@ class SeD:
                  tracer: Optional[Tracer] = None,
                  nfs: Optional[NfsVolume] = None,
                  table_size: int = 64,
-                 log_central: Optional[str] = None,
                  parent: Optional[str] = None,
                  routing: str = "pull",
                  data_grid: Optional["DataGrid"] = None):
@@ -109,7 +107,6 @@ class SeD:
         self.parent = parent
         self.params = params or SeDParams()
         self.tracer = tracer or Tracer()
-        self.log_central = log_central
         self.nfs = nfs
         self.table = ServiceTable(max_size=table_size)
         self._registrations: Dict[str, _Registration] = {}
@@ -364,9 +361,7 @@ class SeD:
 
         Returns the handle of every argument that kept a server copy this
         call (including ``*_RETURN`` ones, whose reply still ships the
-        bytes) — the raw material for memo population.  A full store with
-        everything pinned raises ``StoreFullError`` (a :class:`DataError`),
-        which the transport reports to the client as an error reply.
+        bytes) — the raw material for memo population.
         """
         handles: Dict[int, DataHandle] = {}
         for i, arg in enumerate(profile.arguments):
@@ -471,8 +466,6 @@ class SeD:
                     track, "solve", started, "solve",
                     request_id=req.request_id, service=profile.path,
                     sed=self.name, cluster=self.cluster)
-            post_event(self.endpoint, self.log_central, "solve_start",
-                       request_id=req.request_id, service=profile.path)
             desc, solve_func = self.table.lookup(profile.path)
             ctx = SolveContext(self.engine, self.host, self, self.nfs)
             try:
@@ -500,9 +493,6 @@ class SeD:
             self.job_slots.release(slot)
 
         duration = ended - started
-        post_event(self.endpoint, self.log_central, "solve_end",
-                   request_id=req.request_id, service=profile.path,
-                   duration=duration, status=status)
         self.solve_count += 1
         self.solve_durations.append(duration)
         self.cori.note_solve_end()

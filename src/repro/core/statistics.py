@@ -1,6 +1,6 @@
 """LogService-like tracing: the raw material of Figures 4 and 5.
 
-DIET deployments run LogCentral to collect middleware events.  The
+DIET deployments collect middleware events with LogService.  The
 :class:`Tracer` plays that role: every phase of every request is recorded
 with simulated timestamps, and accessors produce exactly the series the
 paper plots —
@@ -160,7 +160,7 @@ class Tracer:
                 counts[t.sed_name] = counts.get(t.sed_name, 0) + 1
         return counts
 
-    # -- export (LogCentral dumps) ---------------------------------------------------
+    # -- export (LogService dumps) ---------------------------------------------------
 
     _CSV_FIELDS = ("request_id", "service", "sed_name", "submitted_at",
                    "found_at", "data_sent_at", "data_arrived_at",

@@ -7,8 +7,8 @@ stack: one :class:`~repro.data.manager.DataGrid` per deployment (or per
 federation, or per component built on its own), one
 :class:`~repro.data.manager.DataManager` per SeD on it.
 
-* :mod:`~repro.data.store` — per-SeD content-addressed stores with byte
-  capacity, STICKY pinning, and pluggable eviction;
+* :mod:`~repro.data.store` — per-SeD content-addressed stores with
+  STICKY pinning;
 * :mod:`~repro.data.catalog` — the hierarchical replica catalog threaded
   through the MA/LA tree;
 * :mod:`~repro.data.transfer` — coalescing peer-to-peer pulls with
@@ -35,29 +35,17 @@ from .policy import (
     ReplicationPolicy,
     make_replication_policy,
 )
-from .store import (
-    CostAwareEviction,
-    DataStore,
-    EvictionPolicy,
-    LRUEviction,
-    StoreEntry,
-    StoreFullError,
-    content_digest,
-    make_eviction,
-)
+from .store import DataStore, StoreEntry, content_digest
 from .transfer import TransferManager
 
 __all__ = [
     "CatalogNode",
-    "CostAwareEviction",
     "DataGrid",
     "DataGridStats",
     "DataManager",
     "DataManagerConfig",
     "DataStore",
     "EagerBroadcast",
-    "EvictionPolicy",
-    "LRUEviction",
     "MemoIndex",
     "MemoStats",
     "NoReplication",
@@ -65,12 +53,10 @@ __all__ = [
     "Replica",
     "ReplicationPolicy",
     "StoreEntry",
-    "StoreFullError",
     "TransferManager",
     "campaign_data_config",
     "content_digest",
     "descriptor_digest",
-    "make_eviction",
     "make_replication_policy",
     "policy_keeps_results",
     "request_descriptor",

@@ -56,18 +56,6 @@ class CatalogNode:
         if self.parent is not None:
             self.parent.unregister(data_id, sed_name)
 
-    def unregister_all(self, sed_name: str) -> List[Replica]:
-        """Drop every replica hosted by ``sed_name`` (SeD crash)."""
-        dropped = [
-            r
-            for copies in self._entries.values()
-            for r in copies.values()
-            if r.sed_name == sed_name
-        ]
-        for replica in dropped:
-            self.unregister(replica.data_id, sed_name)
-        return dropped
-
     def locate(self, data_id: str) -> List[Replica]:
         """All known replicas, in deterministic (sed_name) order."""
         copies = self._entries.get(data_id, {})

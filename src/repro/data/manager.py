@@ -3,7 +3,7 @@
 This is the DTM/DAGDA substitute.  Every stack has exactly one
 :class:`DataGrid` — the replica catalog, the result memo, the per-SeD
 configuration and the traffic counters — and every SeD owns a
-:class:`DataManager` built on it: a capacity-bounded store, its LA's
+:class:`DataManager` built on it: a content-addressed store, its LA's
 catalog node, pull transfers and a replication policy.  A SeD or agent
 constructed on its own gets a private grid, so "standalone" is a grid of
 one: a handle it cannot find in any catalog is fetched from the SeD the
@@ -28,7 +28,7 @@ from ..sim.network import NetworkError
 from .catalog import CatalogNode, Replica
 from .memo import MemoIndex
 from .policy import make_replication_policy
-from .store import DataStore, StoreFullError, content_digest, make_eviction
+from .store import DataStore, content_digest
 from .transfer import TransferManager
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
@@ -45,11 +45,6 @@ _PINNED_MODES = (PersistenceMode.STICKY, PersistenceMode.STICKY_RETURN)
 class DataManagerConfig:
     """Per-SeD data-manager knobs, one set per :class:`DataGrid`."""
 
-    #: Store capacity in bytes (None = unbounded, the DAGDA default when
-    #: no memory limit is configured).
-    capacity_bytes: Optional[float] = None
-    #: Eviction policy name ("lru" or "cost").
-    eviction: str = "lru"
     #: Replication policy name ("none", "per-cluster", "eager-broadcast").
     replication: str = "none"
 
@@ -60,7 +55,6 @@ class DataGridStats:
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
     coalesced: int = 0
     replicas: int = 0
     dedup: int = 0
@@ -86,12 +80,8 @@ class DataManager:
         self.grid = grid
         #: The parent LA's catalog node (the root for a parentless SeD).
         self.catalog = grid.node(sed.parent)
-        config = grid.config
-        self.store = DataStore(
-            capacity_bytes=config.capacity_bytes,
-            eviction=make_eviction(config.eviction),
-        )
-        self.replication = make_replication_policy(config.replication)
+        self.store = DataStore()
+        self.replication = make_replication_policy(grid.config.replication)
         self.stats = grid.stats
         self.transfers = TransferManager(self)
         #: Checkpoint registrations survive a crash of this SeD: the bytes
@@ -112,63 +102,27 @@ class DataManager:
     ) -> str:
         """Keep a server copy of a produced argument; returns the canonical
         data id (an existing one when content dedup aliases the value)."""
-        now = self.engine.now
         pinned = mode in _PINNED_MODES
         digest = content_digest(value)
         existing = self.store.find_digest(digest)
         if existing is not None and existing != data_id:
             entry = self.store.entry(existing)
-            entry.last_used = now
             entry.pinned = entry.pinned or pinned
             self.stats.dedup += 1
             self.stats.bytes_saved += nbytes
             return existing
-        # Own produced data is irreplaceable (no other copy exists yet):
-        # infinite refetch cost keeps cost-aware eviction away from it while
-        # cheap replicas remain.
-        evicted = self.store.put(
-            data_id,
-            value,
-            nbytes,
-            now=now,
-            pinned=pinned,
-            cost=float("inf"),
-            digest=digest,
-        )
-        for entry in evicted:
-            self._unregister(entry.data_id)
-            self._memo_evict(entry.data_id)
-            self.stats.evictions += 1
+        self.store.put(data_id, value, nbytes, pinned=pinned, digest=digest)
         self._register(data_id, nbytes)
         self.replication.on_store(self, data_id, nbytes)
         return data_id
 
-    def admit_replica(self, data_id: str, value: Any, nbytes: int) -> bool:
-        """Best-effort: keep a fetched copy and advertise it."""
-        now = self.engine.now
-        entry = self.store.entry(data_id)
-        if entry is not None:
-            entry.last_used = now
-            return True
-        try:
-            evicted = self.store.put(
-                data_id,
-                value,
-                nbytes,
-                now=now,
-                pinned=False,
-                cost=0.0,
-                digest=content_digest(value),
-            )
-        except StoreFullError:
-            return False
-        for old in evicted:
-            self._unregister(old.data_id)
-            self._memo_evict(old.data_id)
-            self.stats.evictions += 1
+    def admit_replica(self, data_id: str, value: Any, nbytes: int) -> None:
+        """Keep a fetched copy and advertise it."""
+        if data_id in self.store:
+            return
+        self.store.put(data_id, value, nbytes, digest=content_digest(value))
         self._register(data_id, nbytes)
         self.stats.replicas += 1
-        return True
 
     def _register(self, data_id: str, nbytes: int) -> None:
         # Advertise the cluster volume the bytes live on (§4.1: solves
@@ -184,17 +138,6 @@ class DataManager:
                 volume=volume,
             )
         )
-
-    def _unregister(self, data_id: str) -> None:
-        self.catalog.unregister(data_id, self.sed.name)
-
-    def _memo_evict(self, data_id: str) -> None:
-        """Eviction made a memoized result unservable: drop its entries.
-
-        STICKY pins are never evicted, so sticky memo entries survive by
-        construction — only unpinned persistent data reaches this.
-        """
-        self.grid.memo.invalidate_data(data_id)
 
     def note_reply_handle(self, nbytes: int) -> None:
         """A reply shipped a 64-byte handle instead of ``nbytes`` of data."""
@@ -215,14 +158,12 @@ class DataManager:
             raise DataError(f"no persistent data {data_id!r} on {self.sed.name}")
         if entry.pinned and not allow_pinned:
             raise DataError(f"data {data_id!r} is sticky on {self.sed.name}")
-        entry.last_used = self.engine.now
         return entry.value, entry.nbytes
 
     def resolve(self, handle: DataHandle) -> Generator[Event, Any, Any]:
         """Materialize a handle on this SeD ("Data downloading")."""
         entry = self.store.entry(handle.data_id)
         if entry is not None:
-            entry.last_used = self.engine.now
             self.stats.hits += 1
             self.stats.bytes_saved += entry.nbytes
             return entry.value
@@ -413,7 +354,7 @@ class DataGrid:
                     owner.sed.name, "dm_fetch", data_id
                 )
             except (DataError, CommunicationError):
-                return  # owner gone or data evicted meanwhile: never fatal
+                return  # owner gone or restarted meanwhile: never fatal
             self.stats.bytes_moved += nbytes
             target.admit_replica(data_id, value, nbytes)
 

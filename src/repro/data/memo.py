@@ -20,11 +20,10 @@ the solve (ROADMAP item 5):
   point at, so such requests are never memoized;
 * invalidation rides the existing crash cascade: a SeD crash drops every
   entry it owned (:meth:`MemoIndex.invalidate_owner`, called from the
-  data manager's crash cleanup and the agents' ``remove_child``), and an
-  eviction drops the entries referencing the evicted datum
-  (:meth:`MemoIndex.invalidate_data`).  A client that pulled a hit whose
-  owner died mid-fetch falls back to a normal re-solve, which repopulates
-  the index.
+  data manager's crash cleanup and the agents' ``remove_child``) — a
+  live SeD never drops a stored datum, so an entry whose owner is up is
+  servable.  A client that pulled a hit whose owner died mid-fetch falls
+  back to a normal re-solve, which repopulates the index.
 
 Everything here is synchronous bookkeeping — lookups and population
 schedule **zero** events.  Every stack carries one index
@@ -137,7 +136,6 @@ class MemoIndex:
         self.stats = MemoStats()
         self._entries: Dict[str, "MemoHit"] = {}
         self._by_owner: Dict[str, Set[str]] = {}
-        self._by_data: Dict[str, Set[str]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -156,8 +154,6 @@ class MemoIndex:
             return False
         self._entries[hit.key] = hit
         self._by_owner.setdefault(hit.owner, set()).add(hit.key)
-        for handle in hit.out_values.values():
-            self._by_data.setdefault(handle.data_id, set()).add(hit.key)
         self.stats.populated += 1
         return True
 
@@ -178,40 +174,10 @@ class MemoIndex:
 
     # -- invalidation ------------------------------------------------------------
 
-    def _drop(self, key: str) -> None:
-        hit = self._entries.pop(key, None)
-        if hit is None:
-            return
-        owned = self._by_owner.get(hit.owner)
-        if owned is not None:
-            owned.discard(key)
-            if not owned:
-                del self._by_owner[hit.owner]
-        for handle in hit.out_values.values():
-            keys = self._by_data.get(handle.data_id)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._by_data[handle.data_id]
-
     def invalidate_owner(self, owner: str) -> int:
         """Drop every entry owned by a crashed/deregistered SeD."""
-        keys = self._by_owner.get(owner)
-        if not keys:
-            return 0
-        n = len(keys)
-        for key in sorted(keys):
-            self._drop(key)
-        self.stats.invalidations += n
-        return n
-
-    def invalidate_data(self, data_id: str) -> int:
-        """Drop every entry whose result references an evicted datum."""
-        keys = self._by_data.get(data_id)
-        if not keys:
-            return 0
-        n = len(keys)
-        for key in sorted(keys):
-            self._drop(key)
-        self.stats.invalidations += n
-        return n
+        keys = self._by_owner.pop(owner, ())
+        for key in keys:
+            del self._entries[key]
+        self.stats.invalidations += len(keys)
+        return len(keys)

@@ -91,7 +91,7 @@ class TransferManager:
             span.attrs["via"] = via
             obs.spans.end(span, mgr.engine.now)
         # DTM's DIET_PERSISTENT semantic: the data follows the computation
-        # and stays on the SeD that pulled it (best-effort under capacity).
+        # and stays on the SeD that pulled it.
         mgr.admit_replica(handle.data_id, value, handle.nbytes)
         return value
 

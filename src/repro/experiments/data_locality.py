@@ -97,12 +97,11 @@ def render(result: DataLocalityResult) -> str:
                      _mib(result.wan_saved(policy)),
                      _mib(report.get("bytes_moved", 0)),
                      report.get("hits", 0),
-                     report.get("evictions", 0),
                      report.get("replicas", 0)))
     lines = [
         "E12 - data-locality ablation (DTM/DAGDA-style persistence)",
         ascii_table(("policy", "makespan", "net bytes", "WAN bytes",
-                     "WAN saved", "moved", "hits", "evict", "repl"), rows),
+                     "WAN saved", "moved", "hits", "repl"), rows),
         "",
         "figure 4/5 series (distribution, busy time, finding, latency) "
         + ("identical across every arm"

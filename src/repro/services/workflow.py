@@ -210,7 +210,7 @@ class CampaignResult:
     net_bytes_total: int = 0
     net_bytes_wan: int = 0
     #: Snapshot of the data grid's counters (hits, misses, bytes moved /
-    #: saved, evictions, ...).  A plain dict so detached results stay
+    #: saved, replicas, ...).  A plain dict so detached results stay
     #: picklable.
     data_report: Dict[str, int] = field(default_factory=dict)
 

@@ -4,7 +4,7 @@ Public surface:
 
 - :class:`Engine`, :class:`Event`, :class:`Process`, :class:`Timeout`,
   :class:`AnyOf`, :class:`AllOf`, :class:`Interrupt` — the event kernel;
-- :class:`Resource`, :class:`Store`, :class:`Container` — shared resources;
+- :class:`Resource`, :class:`Store` — shared resources;
 - :class:`Host`, :class:`Link`, :class:`Network` — the platform graph;
 - :class:`Outage`, :class:`FailureInjector` — crash/restart outage driver;
 - :class:`RandomStreams` — deterministic named random streams.
@@ -25,7 +25,7 @@ from .engine import (
 )
 from .failures import FailureInjector, Outage, OutageRecord
 from .network import Host, Link, Network, NetworkError
-from .resources import Container, Request, Resource, Store
+from .resources import Request, Resource, Store
 from .rng import RandomStreams, stable_seed
 from .traffic import (
     DEFAULT_MIX,
@@ -40,7 +40,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Arrival",
-    "Container",
     "DEFAULT_MIX",
     "Engine",
     "Event",

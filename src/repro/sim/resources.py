@@ -1,13 +1,11 @@
 """Shared-resource primitives for the simulation kernel.
 
-Three primitives cover everything the middleware and platform layers need:
+Two primitives cover everything the middleware and platform layers need:
 
 * :class:`Resource` — a counted semaphore with a FIFO wait queue (used for
   CPU slots on compute nodes and the one-job-at-a-time constraint of a SeD);
 * :class:`Store` — an unbounded FIFO of Python objects with blocking ``get``
-  (used for the master agent's batched-admission queue);
-* :class:`Container` — a continuous-quantity tank (used for disk space in
-  the NFS model).
+  (used for the master agent's batched-admission queue).
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from typing import Any, Deque, Generator, List, Optional
 
 from .engine import Engine, Event
 
-__all__ = ["Resource", "Request", "Store", "Container"]
+__all__ = ["Resource", "Request", "Store"]
 
 
 class Request(Event):
@@ -142,48 +140,3 @@ class Store:
         """Non-blocking get; None if empty."""
         return self._items.popleft() if self._items else None
 
-
-class Container:
-    """A continuous quantity (e.g. bytes of disk) with blocking ``get``.
-
-    ``put`` adds quantity immediately; ``get(amount)`` fires once the amount
-    is available.  Waiters are served FIFO without overtaking (a large
-    request at the head blocks smaller ones behind it, which models fair
-    disk reservation).
-    """
-
-    def __init__(self, engine: Engine, capacity: float = float("inf"),
-                 init: float = 0.0):
-        if init < 0 or init > capacity:
-            raise ValueError("init must satisfy 0 <= init <= capacity")
-        self.engine = engine
-        self.capacity = capacity
-        self._level = float(init)
-        self._waiting: Deque[tuple] = deque()  # (amount, event)
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> None:
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        if self._level + amount > self.capacity + 1e-9:
-            raise ValueError(
-                f"overflow: level {self._level} + {amount} > capacity {self.capacity}")
-        self._level += amount
-        self._drain()
-
-    def get(self, amount: float) -> Event:
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        ev = Event(self.engine)
-        self._waiting.append((amount, ev))
-        self._drain()
-        return ev
-
-    def _drain(self) -> None:
-        while self._waiting and self._waiting[0][0] <= self._level + 1e-12:
-            amount, ev = self._waiting.popleft()
-            self._level -= amount
-            ev.succeed(amount)

@@ -103,8 +103,8 @@ class TestPaperHierarchy:
         # A message pays the transport's three charges and nothing else: no
         # production endpoint has a fault injector, and the only deadlines
         # are the ones the agents declare — ``estimate``, plus ``ping`` when
-        # heartbeats are on — LogCentral deployed or not, before or after a
-        # SeD restart, in a paper hierarchy and in a federation.
+        # heartbeats are on — before or after a SeD restart, in a paper
+        # hierarchy and in a federation.
         from repro.core import AgentParams, DietClient
         from repro.core.federation import FederationConfig, build_federation
 
@@ -115,11 +115,10 @@ class TestPaperHierarchy:
                 ops = agent_ops if endpoint.name in agents else set()
                 assert set(endpoint.deadlines) == ops, endpoint.name
 
-        dep = deploy_paper_hierarchy(build_grid5000(Engine()),
-                                     with_log_central=True)
+        dep = deploy_paper_hierarchy(build_grid5000(Engine()))
         dep.seds[0].crash()
         dep.seds[0].restart()
-        assert {"MA", "client", "LogCentral", dep.seds[0].name} <= set(
+        assert {"MA", "client", dep.seds[0].name} <= set(
             dep.fabric._endpoints)
         check(dep.fabric, [dep.ma, *dep.local_agents], {"estimate"})
 

@@ -153,7 +153,6 @@ class TestHeartbeat:
         # restarted SeD re-announced itself and is a child again
         assert victim.name in la.children
         assert la.heartbeat is not None
-        assert any(n == victim.name for n, _ in la.heartbeat.deaths)
         assert any(n == victim.name for n, _ in la.heartbeat.recoveries)
 
     def test_surviving_seds_never_deregistered(self):

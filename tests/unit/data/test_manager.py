@@ -270,19 +270,7 @@ class TestReplication:
         assert [r.sed_name for r in dep.data_grid.root.locate("d1")] == [sibling.name]
 
 
-class TestEvictionOnGrid:
-    def test_sticky_survives_capacity_pressure(self):
-        dep = build(capacity_bytes=1000)
-        sed = dep.seds[0]
-        put(sed, "sticky", "s", 600, mode=PersistenceMode.STICKY)
-        put(sed, "loose", "l", 300)
-        put(sed, "new", "n", 300)  # forces one eviction
-        assert "sticky" in sed.data_manager.store
-        assert "loose" not in sed.data_manager.store
-        assert dep.data_grid.stats.evictions == 1
-        # The evicted entry also left the catalog.
-        assert dep.data_grid.root.locate("loose") == []
-
+class TestStickyOnGrid:
     def test_sticky_never_serves_to_peers(self):
         dep = build()
         owner = dep.seds[0]

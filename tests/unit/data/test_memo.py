@@ -174,16 +174,6 @@ class TestMemoIndex:
         assert "k3" in memo and len(memo) == 1
         assert memo.stats.invalidations == 2
 
-    def test_invalidate_data_drops_referencing_entries(self):
-        memo = MemoIndex()
-        memo.put(_hit("k1", "SeD0", "sha:1"))
-        memo.put(_hit("k2", "SeD0", "sha:2"))
-        assert memo.invalidate_data("sha:1") == 1
-        assert "k1" not in memo and "k2" in memo
-        # The owner index forgot k1 too: re-invalidating the owner only
-        # touches the survivor.
-        assert memo.invalidate_owner("SeD0") == 1
-
     def test_repopulate_after_invalidation(self):
         memo = MemoIndex()
         memo.put(_hit())

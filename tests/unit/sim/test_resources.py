@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Store and Container."""
+"""Unit tests for Resource and Store."""
 
 import pytest
 
-from repro.sim import Container, Engine, Resource, Store
+from repro.sim import Engine, Resource, Store
 
 
 @pytest.fixture
@@ -137,59 +137,3 @@ class TestStore:
         assert store.try_get() == 7
         assert len(store) == 0
 
-
-class TestContainer:
-    def test_init_validation(self, engine):
-        with pytest.raises(ValueError):
-            Container(engine, capacity=10, init=11)
-
-    def test_put_get_levels(self, engine):
-        tank = Container(engine, capacity=100, init=50)
-        tank.put(25)
-        assert tank.level == 75
-        ev = tank.get(70)
-        assert ev.triggered
-        assert tank.level == 5
-
-    def test_overflow_raises(self, engine):
-        tank = Container(engine, capacity=10)
-        with pytest.raises(ValueError):
-            tank.put(11)
-
-    def test_get_blocks_until_available(self, engine):
-        tank = Container(engine, init=0, capacity=100)
-        times = []
-
-        def consumer():
-            yield tank.get(10)
-            times.append(engine.now)
-
-        def producer():
-            yield engine.timeout(1.0)
-            tank.put(5)
-            yield engine.timeout(1.0)
-            tank.put(5)
-
-        engine.process(consumer())
-        engine.process(producer())
-        engine.run()
-        assert times == [2.0]
-
-    def test_fifo_no_overtaking(self, engine):
-        tank = Container(engine, init=0, capacity=100)
-        big = tank.get(50)
-        small = tank.get(1)
-        tank.put(10)
-        # the big request is at the head; the small one must not overtake
-        assert not big.triggered and not small.triggered
-        tank.put(40)
-        assert big.triggered and not small.triggered
-        tank.put(1)
-        assert small.triggered
-
-    def test_negative_amounts_raise(self, engine):
-        tank = Container(engine)
-        with pytest.raises(ValueError):
-            tank.put(-1)
-        with pytest.raises(ValueError):
-            tank.get(-1)
