@@ -226,7 +226,7 @@ _EXPERIMENTS: Dict[str, Experiment] = {
             Opt("--seed", "seed", int, "campaign seed"),
             Opt("--routing", "routing", str,
                 "estimate flow: per-request pull fan-out (the paper's "
-                "protocol) or push deltas into materialized top-k tables",
+                "protocol) or push deltas into materialized candidate tables",
                 choices=("pull", "push")),
             Opt("--data-policy", "data_policy", str,
                 "DAGDA-style data management policy: what persists on the "
@@ -280,7 +280,7 @@ def _export_observability(args, result: Any) -> List[str]:
         lines.append(f"trace: {n} spans from {len(stores)} campaign(s) "
                      f"written to {args.trace}")
     if args.gantt_svg:
-        chart = stores[0].gantt(category="solve", group_by="sed")
+        chart = stores[0].gantt(category="solve")
         with open(args.gantt_svg, "w", encoding="utf-8") as fh:
             fh.write(svg_gantt(chart))
         lines.append(f"gantt: {sum(len(v) for v in chart.values())} solves "

@@ -48,7 +48,7 @@ from .exceptions import (
     ServerNotFoundError,
     ServiceNotFoundError,
 )
-from .liveness import HeartbeatConfig, HeartbeatMonitor
+from .liveness import HeartbeatMonitor
 from .profile import Profile, ProfileDesc, ServiceTable
 from .requests import (
     EstimateDelta,
@@ -112,7 +112,6 @@ __all__ = [
     "FederationConfig",
     "FileRef",
     "FunctionHandle",
-    "HeartbeatConfig",
     "HeartbeatMonitor",
     "LocalAgent",
     "MCTPolicy",

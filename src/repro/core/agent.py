@@ -15,7 +15,7 @@ architecture: pull vs push aggregation"):
 
 ``push`` (the scale path)
     SeDs push estimate *deltas* upward on state changes; agents fold them
-    into materialized per-service top-k tables
+    into materialized per-service candidate tables
     (:mod:`repro.core.aggregation`) and forward only table *changes*; the
     MA answers ``submit`` from its table, admitting requests in batches —
     routing cost no longer depends on hierarchy size.
@@ -36,11 +36,9 @@ from ..sim.network import Host
 from ..sim.resources import Store
 from .aggregation import AggregationTable
 from .exceptions import ServerNotFoundError
-from .liveness import HeartbeatConfig, HeartbeatMonitor
+from .liveness import HeartbeatMonitor
 from .requests import EstimateDelta, EstimateRequest, MemoHit, SubmitRequest
 from .scheduling import (
-    EST_NBJOBS,
-    EST_SPEED,
     DefaultPolicy,
     EstimationVector,
     SchedulerPolicy,
@@ -57,6 +55,11 @@ __all__ = ["AgentParams", "LocalAgent", "MasterAgent", "ROUTING_MODES"]
 #: Valid values of the agents' ``routing`` switch.
 ROUTING_MODES = ("pull", "push")
 
+#: Push mode: most submits admitted per admission-loop wake-up.  The loop
+#: pays one ``processing_time`` per batch, so a burst of simultaneous
+#: requests costs one agent charge instead of one each.
+ADMISSION_BATCH_MAX = 64
+
 
 @dataclass(frozen=True)
 class AgentParams:
@@ -65,19 +68,8 @@ class AgentParams:
     processing_time: float = 1.8e-3
     #: Give up on children that do not answer within this many seconds
     #: (covers crashed SeDs in the failure-injection tests).  Enforced by
-    #: the ``estimate`` deadline of the agent's endpoint.
+    #: the ``estimate`` deadline of the agent's endpoint, without retries.
     child_timeout: float = 10.0
-    #: Re-send an unanswered estimate this many times before giving up on
-    #: the child (recovers a dropped request instead of pruning its subtree).
-    child_retries: int = 0
-    #: Seconds to wait between estimate retries (multiplied by the attempt).
-    retry_backoff: float = 0.0
-    #: LA-side aggregation: forward only the best ``aggregate_top_k``
-    #: estimates upward (§2.1: agents sort responses through the hierarchy).
-    #: None forwards everything — the MA then sees every candidate, which
-    #: the stateful default/MCT policies need; a top-k cut trades candidate
-    #: visibility for smaller response messages in very wide hierarchies.
-    aggregate_top_k: Optional[int] = None
     #: Seconds between liveness pings to children; None (the default)
     #: disables the heartbeat monitor entirely, preserving the happy-path
     #: deployment byte for byte.
@@ -86,10 +78,13 @@ class AgentParams:
     heartbeat_timeout: float = 2.0
     #: Consecutive misses before a child is deregistered.
     heartbeat_miss_threshold: int = 2
-    #: Push mode: most submits admitted per admission-loop wake-up.  The
-    #: loop pays one ``processing_time`` per batch, so a burst of
-    #: simultaneous requests costs one agent charge instead of one each.
-    admission_batch_max: int = 64
+
+    def __post_init__(self) -> None:
+        if self.heartbeat_interval is not None and (
+                self.heartbeat_interval <= 0 or self.heartbeat_timeout <= 0
+                or self.heartbeat_miss_threshold < 1):
+            raise ValueError("heartbeat interval and timeout must be "
+                             "positive and the miss threshold >= 1")
 
 
 class LocalAgent:
@@ -122,12 +117,9 @@ class LocalAgent:
         self.tracer = tracer or Tracer()
         self.children: List[str] = []
         self.endpoint: Endpoint = fabric.endpoint(name, host.name)
-        #: Child fan-out timeout/retry: the same mechanism as every other
-        #: RPC deadline.
-        self.endpoint.set_deadline(
-            ("estimate",), self.params.child_timeout,
-            retries=self.params.child_retries,
-            backoff=self.params.retry_backoff)
+        #: Child fan-out timeout: the same mechanism as every other RPC
+        #: deadline.
+        self.endpoint.set_deadline(("estimate",), self.params.child_timeout)
         self.endpoint.on("estimate", self._handle_estimate)
         self.endpoint.on("register", self._handle_register)
         self.endpoint.on("ping", self._handle_ping)
@@ -138,10 +130,7 @@ class LocalAgent:
         if self.params.heartbeat_interval is not None:
             self.endpoint.set_deadline(("ping",),
                                        self.params.heartbeat_timeout)
-            self.heartbeat = HeartbeatMonitor(self, HeartbeatConfig(
-                interval=self.params.heartbeat_interval,
-                timeout=self.params.heartbeat_timeout,
-                miss_threshold=self.params.heartbeat_miss_threshold))
+            self.heartbeat = HeartbeatMonitor(self)
         #: Children deregistered by the heartbeat monitor, in event order.
         self.deregistrations: List[str] = []
         #: The stack's data grid; an agent built on its own gets a private
@@ -165,7 +154,7 @@ class LocalAgent:
         self.table: Optional[AggregationTable] = None
         self._fwd_dirty = False
         if routing == "push":
-            self.table = AggregationTable(top_k=self.params.aggregate_top_k)
+            self.table = AggregationTable()
             self.endpoint.on("est_delta", self._handle_est_delta)
 
     def add_child(self, endpoint_name: str) -> None:
@@ -309,31 +298,18 @@ class LocalAgent:
         procs = [self.engine.process(self._child_estimate(c, req),
                                      name=f"{self.name}->{c}")
                  for c in self.children]
-        # Every child RPC carries its own deadline/retry budget (the
-        # endpoint's ``estimate`` deadline), so each proc is guaranteed to
-        # terminate — no fan-out-level watchdog needed.
+        # Every child RPC carries its own deadline (the endpoint's
+        # ``estimate`` deadline), so each proc is guaranteed to terminate —
+        # no fan-out-level watchdog needed.
         yield self.engine.all_of(procs)
         ests: List[EstimationVector] = []
         for proc in procs:
             ests.extend(proc.value)
         return ests
 
-    def _aggregate(self, ests: List[EstimationVector]) -> List[EstimationVector]:
-        """LA-level sort + optional truncation before forwarding upward.
-
-        Stateless ordering only (queue length, then speed): the stateful
-        ranking belongs to the MA where the scheduling context lives.
-        """
-        if self.params.aggregate_top_k is None or not ests:
-            return ests
-        ranked = sorted(ests, key=lambda e: (e.get(EST_NBJOBS, 0.0),
-                                             -e.get(EST_SPEED, 0.0),
-                                             e.sed_name))
-        return ranked[:self.params.aggregate_top_k]
-
     def _handle_estimate(self, msg) -> Generator[Event, Any, tuple]:
         req: EstimateRequest = msg.payload
-        ests = self._aggregate((yield from self._gather(req)))
+        ests = yield from self._gather(req)
         return (ests, 128 + 384 * len(ests))
 
 
@@ -483,12 +459,11 @@ class MasterAgent(LocalAgent):
         (the store is FIFO), preserving determinism.
         """
         store = self._admission
-        batch_max = self.params.admission_batch_max
         while True:
             first = yield store.get()
             batch = [first]
             yield self.engine.timeout(self.params.processing_time)
-            while len(batch) < batch_max:
+            while len(batch) < ADMISSION_BATCH_MAX:
                 extra = store.try_get()
                 if extra is None:
                     break

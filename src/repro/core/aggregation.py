@@ -15,7 +15,7 @@ Three invariants:
   stored row is discarded, so late wire arrivals and pre-crash leftovers
   can never resurrect stale state.
 * **Only changes travel.**  :meth:`AggregationTable.export_diff` compares
-  the current top-k view against the last exported one and produces the
+  the current table against the last exported view and produces the
   minimal update/removal lists for the parent — a delta cascade, not a
   table dump.
 * **Provenance-based invalidation.**  Rows remember the immediate child
@@ -24,16 +24,16 @@ Three invariants:
   child's whole contribution in one sweep and the removals propagate
   upward through the same diff machinery.
 
-Ranking uses the same stateless key as the LA-level ``aggregate_top_k``
-sort of the pull path (queue length, then speed, then name); the stateful
-ranking — in-flight dispatch counts, history, data locality — stays at the
-MA, applied by the scheduler policy over the table rows at admission time.
+Rows are kept in a stateless order (queue length, then speed, then name);
+the stateful ranking — in-flight dispatch counts, history, data locality —
+stays at the MA, applied by the scheduler policy over the table rows at
+admission time.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .requests import EstimateDelta
 from .scheduling import EST_NBJOBS, EST_SPEED, EstimationVector
@@ -94,7 +94,7 @@ class ServiceTable:
 
     ``_order`` is a list of rank keys maintained with bisect on every
     update/removal — O(log n) to locate, O(n) list shift — so reading the
-    top-k never re-sorts and two tables fed the same deltas in the same
+    rows never re-sorts and two tables fed the same deltas in the same
     order are identical element for element (determinism relies on this).
     """
 
@@ -138,24 +138,19 @@ class ServiceTable:
         self._discard_key(row)
         return True
 
-    def top(self, k: Optional[int] = None) -> List[CandidateRow]:
-        """The best ``k`` rows (all rows when ``k`` is None), best first."""
-        keys = self._order if k is None else self._order[:k]
-        return [self.rows[key[-1]] for key in keys]
+    def top(self) -> List[CandidateRow]:
+        """Every row, best first."""
+        return [self.rows[key[-1]] for key in self._order]
 
 
 class AggregationTable:
     """All of one agent's service tables plus the export-diff state.
 
-    ``top_k`` bounds what this agent *exposes upward* (and, at the MA, what
-    the policy ranks): None exposes every known candidate — the same
-    semantics as ``AgentParams.aggregate_top_k`` in the pull path.
+    An agent exposes every candidate it knows upward, and the MA's policy
+    ranks them all.
     """
 
-    def __init__(self, top_k: Optional[int] = None):
-        if top_k is not None and top_k < 1:
-            raise ValueError(f"top_k must be >= 1 or None, got {top_k}")
-        self.top_k = top_k
+    def __init__(self):
         self.services: Dict[str, ServiceTable] = {}
         #: Last exported view: (service, sed_name) -> seq.
         self._exported: Dict[Tuple[str, str], int] = {}
@@ -212,18 +207,18 @@ class AggregationTable:
     # -- reads ------------------------------------------------------------------
 
     def candidates(self, service: str) -> List[CandidateRow]:
-        """The ranked top-k rows of ``service`` (empty when unknown)."""
+        """The ranked rows of ``service`` (empty when unknown)."""
         tbl = self.services.get(service)
-        return tbl.top(self.top_k) if tbl is not None else []
+        return tbl.top() if tbl is not None else []
 
     # -- upward propagation -------------------------------------------------------
 
     def export_diff(self) -> Tuple[List[Tuple], List[Tuple]]:
-        """Changes of the top-k view since the last export.
+        """Changes of the table since the last export.
 
         Returns ``(updates, removals)`` in :class:`EstimateDelta` row
-        format and records the new view as exported.  Rows below the top-k
-        cut never travel; a row that merely kept its seq does not re-travel.
+        format and records the new view as exported.  A row that merely
+        kept its seq does not re-travel.
         """
         view: Dict[Tuple[str, str], CandidateRow] = {}
         for service in self.services:

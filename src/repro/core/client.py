@@ -63,7 +63,6 @@ class FunctionHandle:
 
     service_name: str
     server: Optional[str] = None
-    bound: bool = True
     #: Grid-wide id of the (last) request made through this handle, the
     #: simulated instant its winning submit reply arrived (finding time =
     #: ``found_at`` - call start, redirects included) and the SeD-side

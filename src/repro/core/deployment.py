@@ -22,9 +22,9 @@ from .agent import AgentParams, LocalAgent, MasterAgent
 from .client import DietClient
 from .exceptions import DietError
 from .scheduling import SchedulerPolicy
-from .sed import SeD, SeDParams
+from .sed import SeD
 from .statistics import Tracer
-from .transport import TransportFabric, TransportParams
+from .transport import TransportFabric
 
 if TYPE_CHECKING:  # pragma: no cover - import cycles (data needs core; godiet needs this)
     from ..data.manager import DataGrid, DataManagerConfig
@@ -82,7 +82,6 @@ def build_hierarchy(spec: "HierarchySpec", platform: Grid5000Platform,
                     fabric: TransportFabric, tracer: Tracer,
                     data_grid: "DataGrid",
                     policy: Optional[SchedulerPolicy] = None,
-                    sed_params: Optional[SeDParams] = None,
                     agent_params: Optional[AgentParams] = None,
                     routing: str = "pull") -> Deployment:
     """Instantiate ``spec``'s MA→LA→SeD tree on a built platform.
@@ -123,7 +122,7 @@ def build_hierarchy(spec: "HierarchySpec", platform: Grid5000Platform,
                     f"SeD host {host.name} does not mount {nfs.name} "
                     f"(§4.1 requires an NFS working directory)")
             sed = SeD(fabric, host, name=sed_spec.name, ma_name=ma.name,
-                      params=sed_params, tracer=tracer, nfs=nfs,
+                      tracer=tracer, nfs=nfs,
                       parent=agent.name, routing=routing,
                       data_grid=data_grid)
             agent.add_child(sed.name)
@@ -139,10 +138,7 @@ def build_hierarchy(spec: "HierarchySpec", platform: Grid5000Platform,
 
 def deploy_paper_hierarchy(platform: Grid5000Platform,
                            policy: Optional[SchedulerPolicy] = None,
-                           transport_params: Optional[TransportParams] = None,
-                           sed_params: Optional[SeDParams] = None,
                            agent_params: Optional[AgentParams] = None,
-                           with_client: bool = True,
                            obs: Optional[Observability] = None,
                            data: Optional["DataManagerConfig"] = None,
                            routing: str = "pull") -> Deployment:
@@ -160,24 +156,21 @@ def deploy_paper_hierarchy(platform: Grid5000Platform,
 
     ``routing`` selects the estimate flow: ``"pull"`` (the default, the
     paper's per-request fan-out — kept byte-identical for every figure) or
-    ``"push"`` (SeDs push deltas, agents materialize top-k tables, the MA
+    ``"push"`` (SeDs push deltas, agents materialize candidate tables, the MA
     admits from its table in batches; see DESIGN.md).
     """
     # Lazy: godiet imports this module for Deployment/build_hierarchy.
     from .godiet import paper_hierarchy_spec
 
     engine = platform.engine
-    fabric = TransportFabric(engine, platform.network, transport_params)
+    fabric = TransportFabric(engine, platform.network)
     tracer = Tracer(obs)
     # The engine reads obs directly (run-level spans).
     engine.obs = tracer.obs
-    spec = paper_hierarchy_spec(platform)
-    if not with_client:
-        spec.client_host = None
     # Lazy: repro.data depends on repro.core at module level.
     from ..data.manager import DataGrid
 
-    return build_hierarchy(spec, platform, fabric, tracer,
-                           DataGrid(platform.network, data),
-                           policy=policy, sed_params=sed_params,
-                           agent_params=agent_params, routing=routing)
+    return build_hierarchy(paper_hierarchy_spec(platform), platform, fabric,
+                           tracer, DataGrid(platform.network, data),
+                           policy=policy, agent_params=agent_params,
+                           routing=routing)

@@ -51,7 +51,7 @@ from .deployment import Deployment, build_hierarchy
 from .exceptions import DietError
 from .godiet import cluster_hierarchy_spec
 from .scheduling import make_policy
-from .sed import SeD, SeDParams
+from .sed import SeD
 from .statistics import Tracer
 from .transport import TransportFabric
 
@@ -77,14 +77,12 @@ class FederationConfig:
     #: ``heartbeat_interval`` here when churn is injected — push mode
     #: relies on the heartbeat cascade to invalidate dead SeDs' rows.
     agent_params: Optional[AgentParams] = None
-    #: SeD knobs shared by every SeD (None = defaults).
-    sed_params: Optional[SeDParams] = None
     #: Scheduling policy name (:data:`repro.core.scheduling.POLICIES`) each
     #: MA runs; None keeps the DefaultPolicy (the paper's baseline).
     policy: Optional[str] = None
     #: Per-SeD :class:`~repro.data.manager.DataManagerConfig` of the
-    #: federation-wide data grid (None = defaults: unbounded stores, no
-    #: proactive replication).
+    #: federation-wide data grid (None = defaults: no proactive
+    #: replication).
     data: Optional["DataManagerConfig"] = None
     #: Where the federation's clients run.  ``"per-grid"`` attaches one
     #: client host per grid to that grid's first site router, so client→MA
@@ -232,23 +230,20 @@ def build_federation(engine: Engine, config: FederationConfig,
         federation.grids.append(build_hierarchy(
             cluster_hierarchy_spec(clusters, f"MA{g}", f"{prefix}ma"),
             platform, fabric, tracer, data_grid, policy=policy,
-            sed_params=config.sed_params, agent_params=config.agent_params,
-            routing=config.routing))
+            agent_params=config.agent_params, routing=config.routing))
     return federation
 
 
 @dataclass(frozen=True)
 class ChurnPlan:
-    """SeD churn drawn for one run: how many outages, when, how long."""
+    """SeD churn drawn for one run: how many outages and when.  Each
+    downtime is exponential with a 5 s mean, floored at 1 s."""
 
     #: Distinct SeD victims (one outage each — no overlap by construction).
     n_outages: int
     #: Crash instants are uniform over [start, end).
     start: float
     end: float
-    #: Exponential mean downtime, floored at ``min_downtime``.
-    mean_downtime: float = 5.0
-    min_downtime: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n_outages < 0:
@@ -274,8 +269,7 @@ def schedule_churn(federation: Federation, plan: ChurnPlan,
     rng = streams.get("federation", "churn")
     victims = rng.choice(len(seds), size=n, replace=False)
     crash_ats = rng.uniform(plan.start, plan.end, size=n)
-    downtimes = np.maximum(plan.min_downtime,
-                           rng.exponential(plan.mean_downtime, size=n))
+    downtimes = np.maximum(1.0, rng.exponential(5.0, size=n))
     for idx, at, downtime in zip(victims, crash_ats, downtimes):
         injector.schedule(seds[int(idx)],
                           [Outage(float(at), float(downtime))])

@@ -30,13 +30,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
 from ..platform.grid5000 import Cluster, Grid5000Platform
-from .agent import AgentParams
 from .deployment import Deployment, build_hierarchy
 from .exceptions import DietError
 from .scheduling import SchedulerPolicy
-from .sed import SeDParams
 from .statistics import Tracer
-from .transport import TransportFabric, TransportParams
+from .transport import TransportFabric
 
 __all__ = ["SedSpec", "AgentSpec", "HierarchySpec", "parse_godiet_xml",
            "render_godiet_xml", "deploy_from_spec", "cluster_hierarchy_spec",
@@ -167,10 +165,7 @@ def paper_hierarchy_spec(platform: Grid5000Platform) -> HierarchySpec:
 
 
 def deploy_from_spec(platform: Grid5000Platform, spec: HierarchySpec,
-                     policy: Optional[SchedulerPolicy] = None,
-                     transport_params: Optional[TransportParams] = None,
-                     sed_params: Optional[SeDParams] = None,
-                     agent_params: Optional[AgentParams] = None) -> Deployment:
+                     policy: Optional[SchedulerPolicy] = None) -> Deployment:
     """Instantiate the described hierarchy on a built platform.
 
     :func:`~repro.core.deployment.build_hierarchy` on a fresh fabric and a
@@ -181,8 +176,6 @@ def deploy_from_spec(platform: Grid5000Platform, spec: HierarchySpec,
     # Lazy: repro.data depends on repro.core at module level.
     from ..data.manager import DataGrid
 
-    fabric = TransportFabric(platform.engine, platform.network,
-                             transport_params)
+    fabric = TransportFabric(platform.engine, platform.network)
     return build_hierarchy(spec, platform, fabric, Tracer(),
-                           DataGrid(platform.network), policy=policy,
-                           sed_params=sed_params, agent_params=agent_params)
+                           DataGrid(platform.network), policy=policy)

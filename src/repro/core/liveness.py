@@ -4,16 +4,17 @@ DIET's real hierarchy learns of dead SeDs only when a CORBA call to them
 fails; combined with estimate timeouts that makes every scheduling round
 pay for every corpse.  The monitor here is the standard fix (and what the
 follow-up grid deployments ran operationally): the parent LA pings each
-child every ``interval`` seconds, a ping unanswered within ``timeout``
-counts as a miss, and ``miss_threshold`` consecutive misses deregister the
-child from the agent — after which scheduling never fans out to it.  A
+child every ``AgentParams.heartbeat_interval`` seconds, a ping unanswered
+within ``heartbeat_timeout`` counts as a miss, and
+``heartbeat_miss_threshold`` consecutive misses deregister the child from
+the agent — after which scheduling never fans out to it.  A
 restarted SeD re-registers explicitly (the ``register`` op), which clears
 its miss count and re-adds it to the candidate set.
 
 Probes ride the normal RPC path, so they are charged marshalling + network
 time like any other control message and show up in the accounting counters
 — liveness is not free, which is exactly the overhead/responsiveness
-trade-off ``interval`` expresses.
+trade-off the interval expresses.
 
 Deregistration calls :meth:`LocalAgent.remove_child`, which in push
 routing mode also invalidates every materialized-table row that arrived
@@ -26,7 +27,6 @@ around the dead dispatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Tuple, TYPE_CHECKING
 
 from ..sim.engine import Event, Interrupt
@@ -34,36 +34,19 @@ from ..sim.engine import Event, Interrupt
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .agent import LocalAgent
 
-__all__ = ["HeartbeatConfig", "HeartbeatMonitor"]
-
-
-@dataclass(frozen=True)
-class HeartbeatConfig:
-    """Liveness protocol knobs (see module docstring)."""
-
-    #: Seconds between ping rounds.
-    interval: float = 5.0
-    #: Seconds to wait for one pong (enforced by the ``ping`` deadline of
-    #: the agent's endpoint, like every other RPC deadline).
-    timeout: float = 2.0
-    #: Consecutive misses before the child is declared dead.
-    miss_threshold: int = 2
-
-    def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError("heartbeat interval must be positive")
-        if self.timeout <= 0:
-            raise ValueError("heartbeat timeout must be positive")
-        if self.miss_threshold < 1:
-            raise ValueError("miss threshold must be >= 1")
+__all__ = ["HeartbeatMonitor"]
 
 
 class HeartbeatMonitor:
-    """Pings an agent's children; deregisters the persistently silent."""
+    """Pings an agent's children; deregisters the persistently silent.
 
-    def __init__(self, agent: "LocalAgent", config: HeartbeatConfig):
+    The protocol constants are the agent's ``AgentParams.heartbeat_*``; the
+    pong timeout is the ``ping`` deadline of the agent's endpoint, like
+    every other RPC deadline.
+    """
+
+    def __init__(self, agent: "LocalAgent"):
         self.agent = agent
-        self.config = config
         self._misses: Dict[str, int] = {}
         #: (child, time) re-registrations, in event order.  Deaths are
         #: :attr:`LocalAgent.deregistrations`.
@@ -98,7 +81,7 @@ class HeartbeatMonitor:
         engine = self.agent.engine
         try:
             while True:
-                yield engine.timeout(self.config.interval)
+                yield engine.timeout(self.agent.params.heartbeat_interval)
                 # Snapshot: registration during a round must not mutate the
                 # list we are iterating; probes run in parallel, in child
                 # order, so rounds are deterministic.
@@ -120,7 +103,7 @@ class HeartbeatMonitor:
             # DeadlineExceededError (no pong in time): one miss either way.
             misses = self._misses.get(child, 0) + 1
             self._misses[child] = misses
-            if misses >= self.config.miss_threshold:
+            if misses >= self.agent.params.heartbeat_miss_threshold:
                 self._misses.pop(child, None)
                 if self.agent.remove_child(child):
                     obs = self.agent.tracer.obs

@@ -19,7 +19,7 @@ fetches are ``dm_fetch``) and populates the grid's result memo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional
 
 from ..sim.engine import Engine, Event, Interrupt
@@ -64,7 +64,6 @@ class SolveContext:
     host: Host
     sed: "SeD"
     nfs: Optional[NfsVolume] = None
-    extra: Dict[str, Any] = field(default_factory=dict)
 
     def execute(self, work: float) -> Generator[Event, Any, None]:
         """Charge ``work`` normalized operations on the SeD's host."""
@@ -89,7 +88,6 @@ class SeD:
                  params: Optional[SeDParams] = None,
                  tracer: Optional[Tracer] = None,
                  nfs: Optional[NfsVolume] = None,
-                 table_size: int = 64,
                  parent: Optional[str] = None,
                  routing: str = "pull",
                  data_grid: Optional["DataGrid"] = None):
@@ -108,7 +106,7 @@ class SeD:
         self.params = params or SeDParams()
         self.tracer = tracer or Tracer()
         self.nfs = nfs
-        self.table = ServiceTable(max_size=table_size)
+        self.table = ServiceTable()
         self._registrations: Dict[str, _Registration] = {}
         self.job_slots = Resource(self.engine, capacity=self.params.max_concurrent_solves)
         self.cori = CoRI(self.engine, host, fabric.network,

@@ -169,29 +169,21 @@ class Tracer:
                    "finding_time", "latency", "queue_wait",
                    "initiation_time", "solve_duration")
 
-    def to_records(self, service: Optional[str] = None) -> List[dict]:
+    def to_records(self) -> List[dict]:
         """One plain dict per request (raw timestamps + derived metrics)."""
-        out = []
-        for t in self.all_traces(service):
-            out.append({field: getattr(t, field) for field in self._CSV_FIELDS})
-        return out
+        return [{field: getattr(t, field) for field in self._CSV_FIELDS}
+                for t in self.all_traces()]
 
-    def write_csv(self, path: str, service: Optional[str] = None) -> None:
+    def write_csv(self, path: str) -> None:
         """Dump the trace table as CSV (empty cells for missing phases)."""
         import csv
 
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=self._CSV_FIELDS)
             writer.writeheader()
-            for rec in self.to_records(service):
+            for rec in self.to_records():
                 writer.writerow({k: ("" if v is None else v)
                                  for k, v in rec.items()})
-
-    def write_json(self, path: str, service: Optional[str] = None) -> None:
-        import json
-
-        with open(path, "w") as fh:
-            json.dump(self.to_records(service), fh, indent=1)
 
     def makespan(self, service: Optional[str] = None) -> Optional[float]:
         traces = [t for t in self.all_traces(service)

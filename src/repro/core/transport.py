@@ -53,9 +53,11 @@ __all__ = ["TransportParams", "Message", "RpcPolicy", "FaultInjector",
 class TransportParams:
     """Timing model of the RPC layer.
 
-    Defaults are the mid-2000s omniORB figures, calibrated (see
-    ``experiments/calibration.py``) so that the full MA/LA/SeD estimate round
-    trip over the §5.1 topology averages the paper's 49.8 ms finding time.
+    Defaults are the mid-2000s omniORB figures, calibrated so that the full
+    MA/LA/SeD estimate round trip over the §5.1 topology averages the
+    paper's 49.8 ms finding time.  ``TestE4FindingTime::
+    test_average_matches_paper`` (``tests/integration/test_paper_numbers.py``)
+    pins it to 3 %, and ``python -m repro figure5`` prints it.
     """
 
     #: CPU cost to marshal one invocation (CORBA stub + ORB dispatch), s.

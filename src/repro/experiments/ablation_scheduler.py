@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.agent import ROUTING_MODES
 from ..platform.grid5000 import PAPER_CLUSTERS, ClusterSpec
 from ..services.workflow import CampaignConfig, CampaignResult
 from .report import ascii_table, hms
@@ -44,16 +45,14 @@ DEFAULT_POLICIES = (
 class AblationResult:
     campaigns: Dict[str, CampaignResult] = field(default_factory=dict)
 
-    def makespans(self) -> Dict[str, float]:
-        return {name: c.total_elapsed for name, c in self.campaigns.items()}
-
     def part2_makespans(self) -> Dict[str, float]:
         """Makespan of the parallel section only (fairer comparison)."""
         return {name: c.part2_makespan for name, c in self.campaigns.items()}
 
-    def improvement_over_default(self, policy: str = "mct") -> float:
+    def improvement_over_default(self) -> float:
+        """MCT's part-2 makespan gain over the default policy."""
         spans = self.part2_makespans()
-        return 1.0 - spans[policy] / spans["default"]
+        return 1.0 - spans["mct"] / spans["default"]
 
     def busy_spread(self, policy: str) -> float:
         busy = self.campaigns[policy].busy_time_per_sed()
@@ -79,7 +78,7 @@ def render(result: AblationResult) -> str:
         counts = sorted(result.campaigns[policy].requests_per_sed().values())
         rows.append((policy, hms(span), f"{result.busy_spread(policy):.2f}",
                      f"{min(counts)}..{max(counts)}"))
-    gain = result.improvement_over_default("mct") * 100.0
+    gain = result.improvement_over_default() * 100.0
     return ("E7 - scheduler ablation (part-2 makespan; the paper predicts a "
             "plug-in scheduler improves on the default)\n"
             + ascii_table(("policy", "part-2 makespan", "busy max/min",
@@ -132,7 +131,6 @@ class RoutingAblationResult:
 
 def run_routing(base_config: Optional[CampaignConfig] = None,
                 widths: Sequence[int] = DEFAULT_WIDTHS,
-                modes: Sequence[str] = ("pull", "push"),
                 jobs: Optional[int] = None) -> RoutingAblationResult:
     """One campaign per (routing mode, hierarchy width); ``jobs`` fans the
     (independent, seeded) campaigns out to worker processes."""
@@ -140,7 +138,7 @@ def run_routing(base_config: Optional[CampaignConfig] = None,
     return RoutingAblationResult(widths=list(widths), campaigns=run_campaigns(
         {f"{mode}@{width}": replace(
             base, cluster_specs=routing_cluster_specs(width), routing=mode)
-         for width in widths for mode in modes}, jobs))
+         for width in widths for mode in ROUTING_MODES}, jobs))
 
 
 def render_routing(result: RoutingAblationResult) -> str:

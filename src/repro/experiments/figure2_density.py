@@ -56,11 +56,12 @@ def run(n_per_side: int = 32, boxsize: float = 100.0,
         projections=[s.projected_density(n=32) for s in snaps])
 
 
-def _density_panel(projection: np.ndarray, width: int = 24) -> List[str]:
-    """Downsampled ASCII rendering of one projected-density panel."""
+def _density_panel(projection: np.ndarray) -> List[str]:
+    """Downsampled ASCII rendering (about 24 columns) of one projected-density
+    panel."""
     ramp = " .:-=+*#%@"
     n = projection.shape[0]
-    step = max(n // width, 1)
+    step = max(n // 24, 1)
     img = projection[::step, ::step]
     logv = np.log10(np.maximum(img, 1e-3))
     lo, hi = logv.min(), max(logv.max(), logv.min() + 1e-9)

@@ -58,15 +58,11 @@ class ScalingResult:
                 return base / (bd.total * bd.ncpu)
         raise KeyError(f"no breakdown for {ncpu} ranks")
 
-    @property
-    def rank_counts(self) -> List[int]:
-        return [bd.ncpu for bd in self.breakdowns]
-
-    def knee(self, floor: float = 0.5) -> int:
-        """Largest swept rank count with efficiency >= floor."""
+    def knee(self) -> int:
+        """Largest swept rank count with efficiency >= 0.5."""
         best = self.breakdowns[0].ncpu
         for bd in self.breakdowns:
-            if self.efficiency(bd.ncpu) >= floor:
+            if self.efficiency(bd.ncpu) >= 0.5:
                 best = bd.ncpu
         return best
 

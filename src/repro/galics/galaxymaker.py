@@ -67,10 +67,6 @@ class _GalaxyState:
     hot: float = 0.0
     sfr: float = 0.0
 
-    @property
-    def baryons(self) -> float:
-        return self.stellar + self.cold + self.hot
-
 
 class GalaxyMaker:
     """Runs the SAM over a merger tree and emits galaxy catalogs."""

@@ -81,13 +81,13 @@ def friends_of_friends(x: np.ndarray, linking_length: float) -> np.ndarray:
     return _canonical_labels(labels)
 
 
-def find_halos(parts: ParticleSet, aexp: float, b: float = 0.2,
+def find_halos(parts: ParticleSet, aexp: float,
                min_particles: int = 10,
                mean_separation: Optional[float] = None) -> HaloCatalog:
     """Run FoF and build the halo catalog.
 
-    ``b`` is the dimensionless linking parameter (0.2 is the canonical
-    choice); the linking length is ``b * mean_separation`` where the mean
+    The linking length is ``0.2 * mean_separation`` (the canonical
+    dimensionless linking parameter ``b = 0.2``), where the mean
     separation defaults to ``n_effective^{-1/3}`` with ``n_effective``
     derived from the *smallest* particle mass (so zoom runs link at the
     refined resolution).
@@ -99,7 +99,7 @@ def find_halos(parts: ParticleSet, aexp: float, b: float = 0.2,
     if mean_separation is None:
         n_eff = parts.total_mass / parts.mass.min()
         mean_separation = n_eff ** (-1.0 / 3.0)
-    labels = friends_of_friends(parts.x, b * mean_separation)
+    labels = friends_of_friends(parts.x, 0.2 * mean_separation)
 
     order = np.argsort(labels, kind="stable")
     sorted_labels = labels[order]

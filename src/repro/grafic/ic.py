@@ -21,7 +21,7 @@ structure that forms in the zoom matches the parent run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -90,17 +90,14 @@ def _check_power_of_two(n: int, name: str) -> int:
 
 def make_single_level_ic(n_per_side: int, boxsize_mpc_h: float,
                          cosmology: Cosmology, a_start: float = 0.02,
-                         seed: int = 0, transfer: str = "eisenstein_hu",
-                         generator: Optional[GaussianFieldGenerator] = None
-                         ) -> InitialConditions:
+                         seed: int = 0) -> InitialConditions:
     """Standard single-level ICs: n^3 equal-mass particles."""
     level = _check_power_of_two(n_per_side, "n_per_side")
     if not 0 < a_start < 1:
         raise ValueError("a_start must be in (0, 1)")
-    if generator is None:
-        spectrum = PowerSpectrum(cosmology, transfer=transfer)
-        generator = GaussianFieldGenerator(spectrum, boxsize_mpc_h,
-                                           n_fine=n_per_side, seed=seed)
+    generator = GaussianFieldGenerator(PowerSpectrum(cosmology),
+                                       boxsize_mpc_h, n_fine=n_per_side,
+                                       seed=seed)
     parts = ParticleSet.uniform_lattice(n_per_side)
     psi = generator.displacement(n_per_side)
     x, p = displace_lattice(parts.x, psi, cosmology, a_start)
@@ -145,16 +142,14 @@ def make_multi_level_ic(n_coarse: int, boxsize_mpc_h: float,
                         cosmology: Cosmology,
                         center: Sequence[float], n_levels: int,
                         region_half_size: float,
-                        a_start: float = 0.02, seed: int = 0,
-                        transfer: str = "eisenstein_hu",
-                        shrink_per_level: float = 0.5
+                        a_start: float = 0.02, seed: int = 0
                         ) -> InitialConditions:
     """Russian-doll multi-level ICs around ``center``.
 
     ``n_levels`` counts the *additional* refinement levels (the paper's
     "number of zoom levels (number of nested boxes)" profile argument);
-    each level doubles the lattice resolution and shrinks the box by
-    ``shrink_per_level``.  The returned particle set mixes masses:
+    each level doubles the lattice resolution and halves the box.  The
+    returned particle set mixes masses:
     ``1/n_l^3`` for the lattice of level ``l``.
     """
     level0 = _check_power_of_two(n_coarse, "n_coarse")
@@ -166,10 +161,10 @@ def make_multi_level_ic(n_coarse: int, boxsize_mpc_h: float,
     if len(center) != 3:
         raise ValueError("center must have three coordinates")
 
-    regions = [ZoomRegion(center, region_half_size * shrink_per_level ** lv)
+    regions = [ZoomRegion(center, region_half_size * 0.5 ** lv)
                for lv in range(n_levels)]
     n_finest = n_coarse * 2 ** n_levels
-    spectrum = PowerSpectrum(cosmology, transfer=transfer)
+    spectrum = PowerSpectrum(cosmology)
     generator = GaussianFieldGenerator(spectrum, boxsize_mpc_h,
                                        n_fine=n_finest, seed=seed)
 

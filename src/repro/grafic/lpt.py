@@ -81,10 +81,10 @@ def d2_growth(cosmology: Cosmology, a: float) -> float:
     return -3.0 / 7.0 * d1 * d1 * om ** (-1.0 / 143.0)
 
 
-def d2_growth_rate(cosmology: Cosmology, a: float, eps: float = 1e-5) -> float:
-    """dD2/da by centred difference."""
-    lo = max(a * (1 - eps), 1e-8)
-    hi = a * (1 + eps)
+def d2_growth_rate(cosmology: Cosmology, a: float) -> float:
+    """dD2/da by centred difference (relative step 1e-5)."""
+    lo = max(a * (1 - 1e-5), 1e-8)
+    hi = a * (1 + 1e-5)
     return (d2_growth(cosmology, hi) - d2_growth(cosmology, lo)) / (hi - lo)
 
 

@@ -79,13 +79,9 @@ def chrome_trace(store: SpanStore, process_name: str = "repro") -> dict:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(
-    store: SpanStore,
-    path: str,
-    process_name: str = "repro",
-) -> None:
+def write_chrome_trace(store: SpanStore, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(chrome_trace(store, process_name), fh, indent=1)
+        json.dump(chrome_trace(store), fh, indent=1)
 
 
 #: Row height / paddings of the SVG Gantt, in px.

@@ -212,11 +212,12 @@ class SpanStore:
             self._close(stack.pop(), t, status)
         return n
 
-    def close_all(self, t: float, status: str = "lost") -> int:
-        """End-of-run sweep: close whatever is still open, on every track."""
+    def close_all(self, t: float) -> int:
+        """End-of-run sweep: close whatever is still open, on every track,
+        as ``"lost"``."""
         n = 0
         for track in list(self._open):
-            n += self.unwind(track, t, status)
+            n += self.unwind(track, t, "lost")
         return n
 
     def mark(self, track: str, name: str, t: float, **attrs: Any) -> Mark:
@@ -287,22 +288,12 @@ class SpanStore:
             return span
         return None
 
-    def by_attr(self, key: str, **kwargs: Any) -> Dict[Any, List[Span]]:
-        """Group matching spans by an attribute value (e.g. ``"sed"``)."""
-        out: Dict[Any, List[Span]] = {}
-        for span in self.find(**kwargs):
-            value = span.attrs.get(key)
-            if value is not None:
-                out.setdefault(value, []).append(span)
-        return out
-
     def gantt(
         self,
         category: str = "solve",
-        group_by: str = "sed",
         **filters: Any,
     ) -> Dict[str, List[Tuple[float, Optional[float], Any]]]:
-        """Per-group ``(start, end, request_id)`` rows for a timeline chart.
+        """Per-SeD ``(start, end, request_id)`` rows for a timeline chart.
 
         Spans that did not close normally contribute ``(start, None, rid)``
         — their start is a real stamp, their end is not (``svg_gantt`` marks
@@ -310,7 +301,7 @@ class SpanStore:
         """
         chart: Dict[str, List[Tuple[float, Optional[float], Any]]] = {}
         for span in self.find(category=category, **filters):
-            group = span.attrs.get(group_by)
+            group = span.attrs.get("sed")
             if group is None:
                 continue
             end = span.end if span.ok else None
@@ -320,13 +311,3 @@ class SpanStore:
         for rows in chart.values():
             rows.sort(key=lambda r: (r[0], r[2] if r[2] is not None else -1))
         return chart
-
-    def extent(self) -> Tuple[float, float]:
-        """(earliest start, latest close) over every span and mark."""
-        times = [s.start for s in self.spans] + [m.time for m in self.marks]
-        ends = [s.end for s in self.spans if s.end is not None]
-        if not times and not ends:
-            return (0.0, 0.0)
-        lo = min(times) if times else min(ends)
-        hi = max(ends) if ends else max(times)
-        return (lo, max(hi, lo))

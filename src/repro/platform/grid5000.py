@@ -140,8 +140,8 @@ _LAN_LATENCY = 0.05e-3       # 50 us switch hop
 
 
 def build_grid5000(engine: Engine,
-                   cluster_specs: Optional[List[ClusterSpec]] = None,
-                   nodes_per_sed: int = NODES_PER_SED) -> Grid5000Platform:
+                   cluster_specs: Optional[List[ClusterSpec]] = None
+                   ) -> Grid5000Platform:
     """Build the §5.1 testbed model on ``engine``.
 
     The builder goes through the batch scheduler for every block of nodes a
@@ -169,7 +169,7 @@ def build_grid5000(engine: Engine,
         node_spec = machine(spec.machine_key)
         # Reservation cap reproduces the "one SeD only" restriction when the
         # admissible nodes cannot fit two SeD blocks.
-        user_cap = nodes_per_sed if spec.n_seds == 1 else None
+        user_cap = NODES_PER_SED if spec.n_seds == 1 else None
         batch.add_cluster(spec.full_name, spec.total_nodes, user_cap=user_cap)
 
         frontend = network.add_host(
@@ -185,7 +185,7 @@ def build_grid5000(engine: Engine,
             if len(sed_hosts) >= spec.n_seds:
                 break
             try:
-                batch.reserve(spec.full_name, nodes_per_sed,
+                batch.reserve(spec.full_name, NODES_PER_SED,
                               walltime_s=24 * 3600.0, owner="diet")
             except Exception:
                 break
@@ -195,9 +195,9 @@ def build_grid5000(engine: Engine,
                 cores=1,
                 properties={
                     "cluster": spec.full_name,
-                    "n_nodes": nodes_per_sed,
+                    "n_nodes": NODES_PER_SED,
                     "node_model": node_spec.model,
-                    "memory_gib": node_spec.memory_gib * nodes_per_sed,
+                    "memory_gib": node_spec.memory_gib * NODES_PER_SED,
                 }))
             network.connect(sed.name, frontend.name,
                             Link(engine, f"lan-{sed.name}", _LAN_LATENCY, _LAN_BW))

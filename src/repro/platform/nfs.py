@@ -92,9 +92,6 @@ class NfsVolume:
     def unlink(self, path: str) -> None:
         self._files.pop(path, None)
 
-    def listing(self) -> Dict[str, int]:
-        return dict(self._files)
-
     # -- timed access -------------------------------------------------------------
 
     def write(self, host_name: str, path: str,

@@ -23,7 +23,7 @@ from .io import (
 )
 from .mesh import cic_deposit, cic_interpolate, cic_weights, density_contrast
 from .namelist import Namelist, format_namelist, parse_namelist
-from .parallel import MpiCostModel, ParallelStepModel, StepBreakdown, scaling_curve
+from .parallel import MpiCostModel, ParallelStepModel, StepBreakdown
 from .riemann import PrimitiveState, exact_riemann, sample_riemann, sod_states
 from .particles import ParticleSet
 from .physcore import PHYS_IMPL
@@ -108,7 +108,6 @@ __all__ = [
     "resume_run",
     "run_zoom",
     "slab_ranks",
-    "scaling_curve",
     "snapshot_paths",
     "StepBreakdown",
     "write_snapshot",

@@ -109,12 +109,13 @@ class Cosmology:
         out = np.array([self._growth_unnorm(ai) / d1 for ai in a_arr])
         return float(out[0]) if scalar else out
 
-    def growth_rate(self, a, eps: float = 1e-5) -> np.ndarray:
-        """dD/da by centred finite difference (robust for any background)."""
+    def growth_rate(self, a) -> np.ndarray:
+        """dD/da by centred finite difference, relative step 1e-5 (robust
+        for any background)."""
         scalar = np.isscalar(a)
         a_arr = np.atleast_1d(np.asarray(a, dtype=float))
-        lo = np.maximum(a_arr * (1 - eps), 1e-8)
-        hi = a_arr * (1 + eps)
+        lo = np.maximum(a_arr * (1 - 1e-5), 1e-8)
+        hi = a_arr * (1 + 1e-5)
         out = (np.asarray(self.growth_factor(hi)) - np.asarray(self.growth_factor(lo))) / (hi - lo)
         return float(out[0]) if scalar else out
 

@@ -25,14 +25,13 @@ p).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .domain import decompose, exchange_matrix
 
-__all__ = ["MpiCostModel", "StepBreakdown", "ParallelStepModel",
-           "scaling_curve"]
+__all__ = ["MpiCostModel", "StepBreakdown", "ParallelStepModel"]
 
 
 @dataclass(frozen=True)
@@ -73,10 +72,6 @@ class StepBreakdown:
     @property
     def total(self) -> float:
         return self.compute + self.ghost + self.fft
-
-    @property
-    def comm_fraction(self) -> float:
-        return (self.ghost + self.fft * 0.5) / max(self.total, 1e-300)
 
 
 class ParallelStepModel:
@@ -144,21 +139,3 @@ class ParallelStepModel:
 
     def efficiency(self, ncpu: int) -> float:
         return self.speedup(ncpu) / ncpu
-
-    def sweet_spot(self, candidates: Sequence[int],
-                   min_efficiency: float = 0.5) -> int:
-        """Largest rank count still above the efficiency floor."""
-        best = 1
-        for p in sorted(candidates):
-            if self.efficiency(p) >= min_efficiency:
-                best = p
-        return best
-
-
-def scaling_curve(x: np.ndarray, n_grid: int, rank_counts: Sequence[int],
-                  cost: Optional[MpiCostModel] = None,
-                  node_speed_ghz: float = 2.0) -> List[StepBreakdown]:
-    """Step breakdowns over a list of rank counts (the E10 sweep)."""
-    model = ParallelStepModel(x, n_grid, cost=cost,
-                              node_speed_ghz=node_speed_ghz)
-    return [model.breakdown(p) for p in rank_counts]

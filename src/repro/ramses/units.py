@@ -10,30 +10,23 @@ The solver works in the dimensionless unit system standard for PM codes
   ``dx/da = p / (a^3 H(a))``, ``dp/da = -grad(phi) / (a H(a))``);
 * the peculiar potential obeys ``laplacian(phi) = (3/2) Omega_m delta / a``.
 
-Conversions to astronomer units (Mpc/h, km/s, Msun/h) are provided for the
-snapshot writer and the GALICS post-processing chain.
+Conversions to astronomer units (Msun/h) are provided for the GALICS
+post-processing chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Units", "H0_KM_S_MPC", "RHO_CRIT_MSUN_H2_MPC3", "MPC_KM"]
+__all__ = ["Units", "RHO_CRIT_MSUN_H2_MPC3"]
 
-#: Hubble constant in km/s/Mpc for h = 1.
-H0_KM_S_MPC = 100.0
 #: Critical density today, in (Msun/h) / (Mpc/h)^3.
 RHO_CRIT_MSUN_H2_MPC3 = 2.77536627e11
-#: Kilometres per megaparsec.
-MPC_KM = 3.0856775814913673e19
 
 
 @dataclass(frozen=True)
 class Units:
-    """Conversion factors for a box of ``boxlen_mpc_h`` comoving Mpc/h.
-
-    All ``to_*`` helpers take code-unit values and return astronomer units.
-    """
+    """Conversion factors for a box of ``boxlen_mpc_h`` comoving Mpc/h."""
 
     boxlen_mpc_h: float
     omega_m: float = 0.3
@@ -43,15 +36,6 @@ class Units:
             raise ValueError("box length must be positive")
         if not 0 < self.omega_m <= 1.5:
             raise ValueError("unphysical Omega_m")
-
-    # -- lengths ------------------------------------------------------------------
-
-    def to_mpc_h(self, x_code: float) -> float:
-        """Comoving box-units -> comoving Mpc/h."""
-        return x_code * self.boxlen_mpc_h
-
-    def from_mpc_h(self, x_mpc_h: float) -> float:
-        return x_mpc_h / self.boxlen_mpc_h
 
     # -- masses -------------------------------------------------------------------
 
@@ -64,21 +48,3 @@ class Units:
         if n_particles < 1:
             raise ValueError("need at least one particle")
         return self.total_mass_msun_h / n_particles
-
-    # -- velocities ------------------------------------------------------------------
-
-    def momentum_to_km_s(self, p_code: float, a: float) -> float:
-        """Code momentum p = a^2 dx/dt -> peculiar velocity in km/s.
-
-        v_pec = a dx/dt = p / a, in units of (box length) * H0.
-        """
-        if a <= 0:
-            raise ValueError("expansion factor must be positive")
-        return (p_code / a) * self.boxlen_mpc_h * H0_KM_S_MPC
-
-    # -- times -----------------------------------------------------------------------
-
-    def hubble_time_gyr(self, h: float = 0.7) -> float:
-        """1/H0 in Gyr for a given little-h."""
-        seconds = MPC_KM / (H0_KM_S_MPC * h)
-        return seconds / (3.1557e16)

@@ -91,10 +91,6 @@ class ZoomSpec:
         if self.n_levels < 1:
             raise ValueError("need at least one zoom level")
 
-    @property
-    def n_finest(self) -> int:
-        return self.n_coarse * 2 ** self.n_levels
-
 
 def run_zoom(parent_ic: "InitialConditions", spec: ZoomSpec,
              config: Optional[RunConfig] = None,

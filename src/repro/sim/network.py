@@ -207,16 +207,6 @@ class Network:
             # matching the pre-existing pairwise behaviour on latency ties).
             cache.setdefault((node, src), list(reversed(path)))
 
-    def precompute_routes(self) -> int:
-        """Warm the route cache for every host pair; returns #cached routes.
-
-        Deployments with a static topology call this once so no simulation
-        process ever pays a Dijkstra mid-run.
-        """
-        for name in self._hosts:
-            self._expand_source(name)
-        return len(self._route_cache)
-
     def _route_metrics(self, src: str, dst: str) -> Tuple[float, float, Tuple[Link, ...], bool]:
         """Cached ``(latency_sum, bottleneck_bw, shared_links, crosses_wan)``
         per pair.

@@ -183,9 +183,6 @@ class ParameterGrid:
     def digests(self) -> Tuple[str, ...]:
         return tuple(p.digest for p in self._points)
 
-    def labels(self) -> Tuple[str, ...]:
-        return tuple(p.label for p in self._points)
-
     def __len__(self) -> int:
         return len(self._points)
 

@@ -201,16 +201,15 @@ class TestSlowSeDs:
 
 
 class TestLostEstimates:
-    """A dropped estimate request against the agents' retry policy."""
+    """A dropped estimate request: agents do not retry estimates."""
 
-    def _deploy(self, retries):
+    def _deploy(self):
         from repro.core import AgentParams, FaultInjector
 
         engine = Engine()
         dep = deploy_paper_hierarchy(
             build_grid5000(engine),
-            agent_params=AgentParams(child_timeout=2.0,
-                                     child_retries=retries))
+            agent_params=AgentParams(child_timeout=2.0))
         desc = toy_desc()
         # only one SeD knows the service; losing its estimate loses the call
         target = dep.seds[0]
@@ -224,23 +223,8 @@ class TestLostEstimates:
         fault.drop_next(1)
         return engine, dep, desc, target, fault
 
-    def test_retry_recovers_dropped_estimate(self):
-        engine, dep, desc, target, fault = self._deploy(retries=1)
-        client = dep.client
-
-        def run():
-            client.initialize({"MA_name": "MA"})
-            handle = client.function_handle("toy")
-            status = yield from client.call(fresh_profile(desc), handle)
-            return status, handle.server
-
-        status, server = engine.run_process(run(), until=1e8)
-        assert status == 0
-        assert server == target.name
-        assert fault.dropped == 1
-
     def test_without_retry_the_request_fails(self):
-        engine, dep, desc, target, fault = self._deploy(retries=0)
+        engine, dep, desc, target, fault = self._deploy()
         client = dep.client
 
         def run():

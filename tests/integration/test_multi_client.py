@@ -35,7 +35,7 @@ def solve_toy(profile, ctx):
 def stack():
     engine = Engine()
     platform = build_grid5000(engine)
-    deployment = deploy_paper_hierarchy(platform, with_client=False)
+    deployment = deploy_paper_hierarchy(platform)
     desc = toy_desc()
     for sed in deployment.seds:
         sed.add_service(desc, solve_toy)

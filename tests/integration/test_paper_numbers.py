@@ -145,7 +145,7 @@ class TestE7PluginScheduler:
     def test_mct_improves_makespan(self, ablation):
         """The paper's prediction: 'a better makespan could be attained by
         writing a plug-in scheduler'."""
-        gain = ablation.improvement_over_default("mct")
+        gain = ablation.improvement_over_default()
         assert gain > 0.05
 
     def test_mct_balances_busy_time(self, ablation):

@@ -59,8 +59,7 @@ def _solve_noop(profile, ctx):
 class DataGridMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.dep = deploy_paper_hierarchy(build_grid5000(Engine()),
-                                          with_client=False)
+        self.dep = deploy_paper_hierarchy(build_grid5000(Engine()))
         for sed in self.dep.seds:
             sed.add_service(_noop_desc(), _solve_noop)
         self.dep.launch_all()

@@ -45,11 +45,3 @@ def test_units_mass_partition(boxlen, omega_m, n_side):
     n = n_side ** 3
     assert (units.particle_mass_msun_h(n) * n
             == pytest.approx(units.total_mass_msun_h, rel=1e-12))
-
-
-@given(st.floats(min_value=10.0, max_value=1000.0),
-       st.floats(min_value=0.0, max_value=1.0))
-@settings(max_examples=40, deadline=None)
-def test_units_length_round_trip(boxlen, x):
-    units = Units(boxlen)
-    assert units.from_mpc_h(units.to_mpc_h(x)) == pytest.approx(x, abs=1e-12)

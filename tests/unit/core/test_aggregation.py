@@ -1,7 +1,5 @@
 """Unit tests for the push-mode materialized candidate tables."""
 
-import pytest
-
 from repro.core.aggregation import AggregationTable, ServiceTable, rank_key
 from repro.core.requests import EstimateDelta
 from repro.core.scheduling import EST_NBJOBS, EST_SPEED, EstimationVector
@@ -24,12 +22,6 @@ class TestServiceTable:
         tbl.update("C", vec("C", n_jobs=0.0, speed=2.0), "hC", "LA0", 1)
         # fewest jobs first, faster first among ties
         assert [r.sed_name for r in tbl.top()] == ["C", "A", "B"]
-
-    def test_top_k_cut(self):
-        tbl = ServiceTable("toy")
-        for i in range(5):
-            tbl.update(f"S{i}", vec(f"S{i}", n_jobs=float(i)), "h", "LA0", 1)
-        assert [r.sed_name for r in tbl.top(2)] == ["S0", "S1"]
 
     def test_refresh_rerank(self):
         tbl = ServiceTable("toy")
@@ -60,11 +52,6 @@ class TestServiceTable:
 
 
 class TestAggregationTable:
-    def test_top_k_validation(self):
-        with pytest.raises(ValueError):
-            AggregationTable(top_k=0)
-        AggregationTable(top_k=1)  # boundary is legal
-
     def test_apply_delta_and_candidates(self):
         agg = AggregationTable()
         assert agg.apply_delta(EstimateDelta("LA0", [upd("A"), upd("B", 1.0)]))
@@ -119,18 +106,6 @@ class TestAggregationTable:
         updates, removals = agg.export_diff()
         assert not updates
         assert sorted(removals) == [("toy", "A"), ("toy", "B")]
-
-    def test_export_diff_respects_top_k(self):
-        agg = AggregationTable(top_k=1)
-        agg.apply_delta(EstimateDelta("LA0", [upd("A", 0.0), upd("B", 1.0)]))
-        updates, _ = agg.export_diff()
-        # only the best row crosses the top-k cut
-        assert [u[1].sed_name for u in updates] == ["A"]
-        # B overtakes A -> B travels as an update, A as a removal
-        agg.apply_delta(EstimateDelta("LA0", [upd("A", 5.0, seq=2)]))
-        updates, removals = agg.export_diff()
-        assert [u[1].sed_name for u in updates] == ["B"]
-        assert removals == [("toy", "A")]
 
     def test_wire_bytes_scale_with_rows(self):
         small = EstimateDelta("LA0", [upd("A")])

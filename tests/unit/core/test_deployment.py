@@ -7,8 +7,6 @@ from repro.core import (
     DietError,
     MCTPolicy,
     ProfileDesc,
-    SeDParams,
-    TransportParams,
     deploy_paper_hierarchy,
     scalar_desc,
 )
@@ -49,18 +47,6 @@ class TestPaperHierarchy:
     def test_policy_override(self, platform):
         dep = deploy_paper_hierarchy(platform, policy=MCTPolicy())
         assert isinstance(dep.ma.policy, MCTPolicy)
-
-    def test_params_propagate(self, platform):
-        dep = deploy_paper_hierarchy(
-            platform,
-            sed_params=SeDParams(service_init_time=0.5),
-            transport_params=TransportParams(marshal_fixed=9e-3))
-        assert dep.seds[0].params.service_init_time == 0.5
-        assert dep.fabric.params.marshal_fixed == 9e-3
-
-    def test_without_client(self, platform):
-        dep = deploy_paper_hierarchy(platform, with_client=False)
-        assert dep.client is None
 
     def test_sed_lookup(self, platform):
         dep = deploy_paper_hierarchy(platform)

@@ -171,8 +171,10 @@ class TestDeploy:
                 name="LA", host="nancy-grillon-frontend",
                 seds=[SedSpec("SeD-only", "nancy-grillon-sed0")])]),
             client_host="lyon-ma")
-        dep = deploy_from_spec(
-            build_grid5000(engine), spec,
+        platform = build_grid5000(engine)
+        dep = build_hierarchy(
+            spec, platform, TransportFabric(engine, platform.network),
+            Tracer(), DataGrid(platform.network),
             agent_params=AgentParams(heartbeat_interval=5.0,
                                      heartbeat_timeout=1.0,
                                      heartbeat_miss_threshold=2))

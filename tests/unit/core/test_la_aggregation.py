@@ -1,7 +1,6 @@
 """Unit tests for Local-Agent-level estimate aggregation (§2.1 sorting)."""
 
 from repro.core import (
-    AgentParams,
     BaseType,
     ProfileDesc,
     deploy_paper_hierarchy,
@@ -25,11 +24,8 @@ def solve_toy(profile, ctx):
     return 0
 
 
-def build(top_k):
-    dep = deploy_paper_hierarchy(
-        build_grid5000(Engine()),
-        agent_params=AgentParams(aggregate_top_k=top_k),
-        obs=Observability())
+def build():
+    dep = deploy_paper_hierarchy(build_grid5000(Engine()), obs=Observability())
     for sed in dep.seds:
         sed.add_service(toy_desc(), solve_toy)
     dep.launch_all()
@@ -52,38 +48,10 @@ def run_requests(dep, n):
 
 
 class TestTopKAggregation:
-    def test_top1_ma_sees_one_candidate_per_cluster(self):
-        dep = build(top_k=1)
-        run_requests(dep, 1)
-        (span,) = dep.tracer.obs.spans.find(name="schedule")
-        assert span.attrs["n_candidates"] == 6     # one per LA, not 11
-
     def test_no_truncation_by_default(self):
-        dep = build(top_k=None)
+        """Every LA forwards all of its SeDs' estimates: the MA ranks all
+        11 candidates of the §5.1 deployment."""
+        dep = build()
         run_requests(dep, 1)
         (span,) = dep.tracer.obs.spans.find(name="schedule")
         assert span.attrs["n_candidates"] == 11
-
-    def test_requests_still_complete_under_top1(self):
-        dep = build(top_k=1)
-        run_requests(dep, 12)
-        traces = dep.tracer.all_traces("toy")
-        assert len(traces) == 12
-        assert all(t.status == 0 for t in traces)
-
-    def test_top1_prefers_idle_then_fast_sed(self):
-        """Within a cluster the LA forwards the less-loaded/faster SeD."""
-        dep = build(top_k=1)
-        run_requests(dep, 6)
-        # 6 requests, 6 clusters: with one candidate per cluster each goes
-        # to a different cluster
-        counts = dep.tracer.requests_per_sed("toy")
-        clusters = {dep.cluster_of_sed(s) for s in counts}
-        assert len(clusters) == 6
-
-    def test_truncation_shrinks_response_traffic(self):
-        full = build(top_k=None)
-        run_requests(full, 4)
-        trimmed = build(top_k=1)
-        run_requests(trimmed, 4)
-        assert trimmed.fabric.bytes_sent < full.fabric.bytes_sent

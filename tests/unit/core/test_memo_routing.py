@@ -190,12 +190,12 @@ class TestMemoOnSchedulingPath:
         ``DietClient(memo_enabled=True)`` repeat is answered without a
         second solve."""
         dep = deploy_paper_hierarchy(build_grid5000(Engine()),
-                                     with_client=False, routing=routing)
+                                     routing=routing)
         for sed in dep.seds:
             sed.add_service(_desc(), _solve)
         dep.launch_all()
         client = DietClient(dep.fabric, dep.platform.client_host,
-                            memo_enabled=True)
+                            name="memo-client", memo_enabled=True)
         client.initialize({"MA_name": dep.ma.name})
         results = []
 
@@ -235,13 +235,13 @@ class TestMemoHitClosesItsRequestRecord:
 
     def test_hit_completes_its_trace_and_span(self):
         obs = Observability()
-        dep = deploy_paper_hierarchy(build_grid5000(Engine()),
-                                     with_client=False, obs=obs)
+        dep = deploy_paper_hierarchy(build_grid5000(Engine()), obs=obs)
         for sed in dep.seds:
             sed.add_service(_desc(), _solve)
         dep.launch_all()
         client = DietClient(dep.fabric, dep.platform.client_host,
-                            tracer=dep.tracer, memo_enabled=True)
+                            name="memo-client", tracer=dep.tracer,
+                            memo_enabled=True)
         client.initialize({"MA_name": dep.ma.name})
         handles = []
 

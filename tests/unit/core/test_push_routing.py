@@ -15,7 +15,7 @@ from repro.core import (
     TransportFabric,
     scalar_desc,
 )
-from repro.core.agent import AgentParams
+from repro.core.agent import ADMISSION_BATCH_MAX, AgentParams
 from repro.obs import Observability
 from repro.sim import Engine, Host, Link, Network
 
@@ -115,15 +115,6 @@ class TestTableMaterialization:
         # per LA reaches the MA (2 total), not one per SeD (4).
         assert ma.table.deltas_applied == 2
 
-    def test_top_k_bounds_upward_exposure(self):
-        engine, _, ma, las, _, _ = build(
-            agent_params=AgentParams(aggregate_top_k=1))
-        engine.run()
-        # each LA knows both of its SeDs but forwards only its best
-        for la in las:
-            assert len(la.table.table("toy").rows) == 2
-        assert len(ma.table.table("toy").rows) == 2
-
     def test_queue_change_triggers_repush(self):
         engine, _, ma, _, seds, cli = build()
         engine.run()
@@ -204,20 +195,25 @@ class TestPushAdmission:
         assert ma.request_count == 6
 
     def test_batch_max_bounds_one_wakeup(self):
-        engine, _, ma, _, _, cli = build(
-            agent_params=AgentParams(admission_batch_max=2))
+        engine, _, ma, _, _, cli = build()
         engine.run()
-        results = []
+        answered_at = []
 
         def one():
-            results.append((yield from submit(cli)))
+            yield from submit(cli)
+            answered_at.append(engine.now)
 
         def burst():
-            procs = [engine.process(one()) for _ in range(5)]
+            procs = [engine.process(one())
+                     for _ in range(ADMISSION_BATCH_MAX + 1)]
             yield engine.all_of(procs)
 
         engine.run_process(burst())
-        assert len(results) == 5
+        # one wake-up admits ADMISSION_BATCH_MAX submits; the one left over
+        # waits for the next wake-up and its own processing charge
+        first, last = min(answered_at), max(answered_at)
+        assert answered_at.count(first) == ADMISSION_BATCH_MAX
+        assert last - first == pytest.approx(AgentParams().processing_time)
 
 
 class TestInvalidation:

@@ -1,7 +1,6 @@
 """Unit tests for report rendering helpers and trace export."""
 
 import csv
-import json
 
 import pytest
 
@@ -78,13 +77,6 @@ class TestTracerExport:
         assert len(rows) == 2
         assert rows[0]["sed_name"] == "sed1"
         assert float(rows[0]["latency"]) == pytest.approx(0.95)
-
-    def test_json_export(self, tmp_path):
-        path = str(tmp_path / "trace.json")
-        self.make_tracer().write_json(path)
-        with open(path) as fh:
-            data = json.load(fh)
-        assert [r["request_id"] for r in data] == [1, 2]
 
     def test_incomplete_trace_exports_blank(self, tmp_path):
         tracer = Tracer()

@@ -90,7 +90,7 @@ class TestFindHalos:
                        blob([0.7] * 3, 40, 0.002, rng),
                        rng.random((60, 3))])   # field particles
         parts = make_parts(x)
-        catalog = find_halos(parts, aexp=1.0, b=0.2, min_particles=20)
+        catalog = find_halos(parts, aexp=1.0, min_particles=20)
         assert len(catalog) == 2
         # sorted by decreasing mass
         assert catalog[0].n_particles == 100

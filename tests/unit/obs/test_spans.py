@@ -88,7 +88,6 @@ def test_find_filters_by_name_status_and_attrs():
     assert list(store.find(name="solve", status="ok")) == [a]
     assert list(store.find(sed="n2")) == [b]
     assert store.first(status="aborted") is b
-    assert store.by_attr("sed", name="solve") == {"n1": [a], "n2": [b]}
 
 
 def test_gantt_groups_by_attribute_and_masks_abnormal_ends():
@@ -97,18 +96,17 @@ def test_gantt_groups_by_attribute_and_masks_abnormal_ends():
     store.end(a, 4.0)
     b = store.begin("r", "solve", 1.0, category="solve", sed="n1", request_id=3)
     store.end(b, 2.0, "aborted")
-    chart = store.gantt(category="solve", group_by="sed")
+    chart = store.gantt(category="solve")
     assert chart == {"n1": [(0.0, 4.0, 2), (1.0, None, 3)]}
 
 
-def test_marks_tracks_and_extent():
+def test_marks_and_tracks():
     store = SpanStore()
     span = store.begin("sed:n1", "solve", 1.0)
     store.end(span, 2.0)
     store.mark("sed:n1", "crash", 5.0, reason="test")
     assert store.tracks() == ["sed:n1"]
     assert store.marks[0].attrs == {"reason": "test"}
-    assert store.extent() == (1.0, 2.0)
 
 
 def test_spans_pickle_across_process_boundaries():
