@@ -1,8 +1,8 @@
 """Micro-benchmarks of the numerical kernels (throughput tracking).
 
 Not paper figures — these guard the REAL-mode hot paths (CIC scatter and
-gather, FFT Poisson, the full PM force evaluation, two KDK steps, the AMR
-level build, Hilbert keys, FoF and the halo catalog build) against
+gather, FFT Poisson, the full PM force evaluation, two KDK steps, Hilbert
+keys, FoF and the halo catalog build) against
 performance regressions, per the hpc-parallel guide's "no optimization
 without measuring".
 
@@ -36,7 +36,6 @@ from repro.ramses import (
     GravitySolver,
     Leapfrog,
     ParticleSet,
-    build_amr,
     cic_deposit,
     cic_interpolate,
     hilbert_encode,
@@ -166,12 +165,6 @@ def test_bench_kdk_step(benchmark, cloud):
     two_steps().validate()
     assert solver.force_evaluations - before == 3
     benchmark(two_steps)
-
-
-def test_bench_build_amr(benchmark, zoom_cloud):
-    """Levels 5-8, as a 32^3 one-level zoom asks for."""
-    amr = benchmark(build_amr, zoom_cloud.x, zoom_cloud.mass, 5, 8)
-    assert amr.deepest_refined_level > 5
 
 
 def test_bench_find_halos(benchmark, zoom_cloud):

@@ -5,13 +5,13 @@ Subpackages
 ``repro.sim``
     Discrete-event simulation kernel (engine, resources, network, RNG).
 ``repro.platform``
-    Grid'5000 testbed model: machines, topology, NFS, batch reservations.
+    Grid'5000 testbed model: machines, topology, NFS.
 ``repro.core``
     The DIET middleware reimplementation: profiles, SeDs, agents, client,
     GridRPC facade, scheduling (default + plug-in), deployment, tracing.
 ``repro.ramses``
-    A working cosmological N-body code: PM gravity, KDK leapfrog, AMR
-    bookkeeping, Peano-Hilbert domain decomposition, snapshot I/O.
+    A working cosmological N-body code: PM gravity, KDK leapfrog,
+    Peano-Hilbert domain decomposition, snapshot I/O.
 ``repro.grafic``
     Gaussian-random-field initial conditions, single- and multi-level.
 ``repro.galics``

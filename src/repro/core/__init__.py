@@ -64,7 +64,6 @@ from .scheduling import (
     FastestNodePolicy,
     MCTPolicy,
     MinQueuePolicy,
-    PriorityListPolicy,
     RandomPolicy,
     SchedulerPolicy,
     SchedulingContext,
@@ -121,7 +120,6 @@ __all__ = [
     "NotCompletedError",
     "NotInitializedError",
     "PersistenceMode",
-    "PriorityListPolicy",
     "Profile",
     "ProfileDesc",
     "ProfileError",

@@ -32,7 +32,6 @@ __all__ = [
     "MinQueuePolicy",
     "MCTPolicy",
     "FastestNodePolicy",
-    "PriorityListPolicy",
     "POLICIES",
     "make_policy",
     # standard estimation tags
@@ -286,36 +285,6 @@ class MCTPolicy(SchedulerPolicy):
                     + ctx.data_cost(est.sed_name))
 
         return sorted(candidates, key=lambda e: (completion(e), e.sed_name))
-
-
-class PriorityListPolicy(SchedulerPolicy):
-    """Generic plug-in aggregator: lexicographic (tag, direction) list.
-
-    This is the user-facing face of the plug-in scheduler framework of [2]:
-    e.g. ``PriorityListPolicy([("EST_NBJOBS", "min"), ("EST_SPEED", "max")])``
-    prefers idle SeDs and breaks ties by speed.
-    """
-
-    name = "priority-list"
-
-    def __init__(self, priorities: Sequence[tuple]):
-        if not priorities:
-            raise ValueError("priority list must be non-empty")
-        for tag, direction in priorities:
-            if direction not in ("min", "max"):
-                raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
-        self.priorities = list(priorities)
-
-    def sort(self, candidates, ctx):
-        def key(est: EstimationVector):
-            parts = []
-            for tag, direction in self.priorities:
-                v = est.get(tag)
-                parts.append(v if direction == "min" else -v)
-            parts.append(est.sed_name)
-            return tuple(parts)
-
-        return sorted(candidates, key=key)
 
 
 class DataLocalityPolicy(SchedulerPolicy):

@@ -19,7 +19,6 @@ from .press_schechter import (
     press_schechter_dndlnm,
     sigma_of_mass,
 )
-from .halo_properties import VirialProperties, velocity_dispersion, virial_properties
 from .halomaker import find_halos, friends_of_friends, periodic_center
 from .treemaker import MergerTree, TreeNode, build_merger_tree, match_halos
 
@@ -32,7 +31,6 @@ __all__ = [
     "MergerTree",
     "SamParams",
     "TreeNode",
-    "VirialProperties",
     "build_merger_tree",
     "find_halos",
     "friends_of_friends",
@@ -42,7 +40,5 @@ __all__ = [
     "expected_halo_counts",
     "sigma_of_mass",
     "read_halo_catalog",
-    "velocity_dispersion",
-    "virial_properties",
     "write_halo_catalog",
 ]

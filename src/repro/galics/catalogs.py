@@ -101,10 +101,6 @@ class Galaxy:
         self.position = np.asarray(self.position, dtype=np.float64)
 
     @property
-    def disk_mass(self) -> float:
-        return self.stellar_mass - self.bulge_mass
-
-    @property
     def bulge_fraction(self) -> float:
         return self.bulge_mass / self.stellar_mass if self.stellar_mass > 0 else 0.0
 

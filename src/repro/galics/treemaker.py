@@ -46,13 +46,6 @@ class MergerTree:
         return sorted(self.graph.predecessors(node),
                       key=lambda n: -self.graph[n][node]["shared_mass"])
 
-    def descendant(self, node: TreeNode) -> Optional[TreeNode]:
-        succ = list(self.graph.successors(node))
-        if not succ:
-            return None
-        # a halo has at most one descendant: the one receiving most mass
-        return max(succ, key=lambda n: self.graph[node][n]["shared_mass"])
-
     def main_progenitor(self, node: TreeNode) -> Optional[TreeNode]:
         progs = self.progenitors(node)
         return progs[0] if progs else None

@@ -56,9 +56,6 @@ class ZoomRegion:
         d = np.minimum(d, 1.0 - d)
         return np.all(d <= self.half_size + 1e-12, axis=1)
 
-    def shrunk(self, factor: float) -> "ZoomRegion":
-        return ZoomRegion(self.center, self.half_size * factor)
-
 
 @dataclass
 class InitialConditions:
@@ -72,10 +69,6 @@ class InitialConditions:
     levelmax: int                       # log2 of the finest lattice
     regions: List[ZoomRegion] = field(default_factory=list)
     seed: int = 0
-
-    @property
-    def is_zoom(self) -> bool:
-        return self.levelmax > self.levelmin
 
     @property
     def n_levels(self) -> int:

@@ -1,6 +1,5 @@
-"""Grid'5000 platform model: machines, topology, NFS volumes, reservations."""
+"""Grid'5000 platform model: machines, topology, NFS volumes."""
 
-from .batch import BatchScheduler, Reservation, ReservationError
 from .grid5000 import (
     Cluster,
     ClusterSpec,
@@ -14,7 +13,6 @@ from .machines import MachineSpec, OPTERON_CATALOGUE, machine
 from .nfs import NfsError, NfsVolume
 
 __all__ = [
-    "BatchScheduler",
     "Cluster",
     "ClusterSpec",
     "Grid5000Platform",
@@ -24,8 +22,6 @@ __all__ = [
     "NODES_PER_SED",
     "OPTERON_CATALOGUE",
     "PAPER_CLUSTERS",
-    "Reservation",
-    "ReservationError",
     "Site",
     "build_grid5000",
     "machine",

@@ -24,7 +24,6 @@ from typing import Dict, List, Optional
 
 from ..sim.engine import Engine
 from ..sim.network import Host, Link, Network
-from .batch import BatchScheduler
 from .machines import MachineSpec, machine
 from .nfs import NfsVolume
 
@@ -52,6 +51,13 @@ class ClusterSpec:
     #: WAN one-way latency from the site router to the RENATER core (s).
     wan_latency: float = 4.0e-3
 
+    def __post_init__(self):
+        if self.total_nodes < self.n_seds * NODES_PER_SED:
+            raise ValueError(
+                f"cluster {self.full_name!r}: {self.n_seds} SeDs need "
+                f"{self.n_seds * NODES_PER_SED} nodes, it has "
+                f"{self.total_nodes}")
+
     @property
     def full_name(self) -> str:
         return f"{self.site}-{self.name}"
@@ -77,7 +83,7 @@ PAPER_CLUSTERS: List[ClusterSpec] = [
 
 @dataclass
 class Cluster:
-    """A built cluster: frontend host, SeD hosts, NFS volume, reservations."""
+    """A built cluster: frontend host, SeD hosts, NFS volume."""
 
     spec: ClusterSpec
     frontend: Host
@@ -88,11 +94,6 @@ class Cluster:
     @property
     def full_name(self) -> str:
         return self.spec.full_name
-
-    @property
-    def sed_speed(self) -> float:
-        """Effective normalized speed seen by one SeD's 16-node job."""
-        return self.node_spec.speed * self.spec.efficiency
 
 
 @dataclass
@@ -110,7 +111,6 @@ class Grid5000Platform:
     network: Network
     sites: Dict[str, Site]
     clusters: Dict[str, Cluster]
-    batch: BatchScheduler
     client_host: Host
     ma_host: Host
 
@@ -142,15 +142,10 @@ _LAN_LATENCY = 0.05e-3       # 50 us switch hop
 def build_grid5000(engine: Engine,
                    cluster_specs: Optional[List[ClusterSpec]] = None
                    ) -> Grid5000Platform:
-    """Build the §5.1 testbed model on ``engine``.
-
-    The builder goes through the batch scheduler for every block of nodes a
-    SeD controls, so reservation caps genuinely produce the 11-SeD layout
-    (sagittaire's cap admits a single 16-node block).
-    """
+    """Build the §5.1 testbed model on ``engine``: ``spec.n_seds`` SeD
+    hosts per cluster, each controlling a block of ``NODES_PER_SED`` nodes."""
     specs = list(PAPER_CLUSTERS) if cluster_specs is None else list(cluster_specs)
     network = Network(engine)
-    batch = BatchScheduler()
 
     core = network.add_host(Host(engine, "renater-core"))
     sites: Dict[str, Site] = {}
@@ -167,10 +162,6 @@ def build_grid5000(engine: Engine,
             sites[spec.site] = site
 
         node_spec = machine(spec.machine_key)
-        # Reservation cap reproduces the "one SeD only" restriction when the
-        # admissible nodes cannot fit two SeD blocks.
-        user_cap = NODES_PER_SED if spec.n_seds == 1 else None
-        batch.add_cluster(spec.full_name, spec.total_nodes, user_cap=user_cap)
 
         frontend = network.add_host(
             Host(engine, f"{spec.full_name}-frontend", speed=node_spec.speed))
@@ -181,16 +172,9 @@ def build_grid5000(engine: Engine,
         nfs.export_to(frontend.name)
 
         sed_hosts: List[Host] = []
-        for i in range(spec.n_seds + 1):  # attempt one extra to exercise the cap
-            if len(sed_hosts) >= spec.n_seds:
-                break
-            try:
-                batch.reserve(spec.full_name, NODES_PER_SED,
-                              walltime_s=24 * 3600.0, owner="diet")
-            except Exception:
-                break
+        for i in range(spec.n_seds):
             sed = network.add_host(Host(
-                engine, f"{spec.full_name}-sed{len(sed_hosts)}",
+                engine, f"{spec.full_name}-sed{i}",
                 speed=node_spec.speed * spec.efficiency,
                 cores=1,
                 properties={
@@ -216,5 +200,5 @@ def build_grid5000(engine: Engine,
                     Link(engine, "lan-lyon-ma", _LAN_LATENCY, _LAN_BW))
 
     return Grid5000Platform(engine=engine, network=network, sites=sites,
-                            clusters=clusters, batch=batch,
+                            clusters=clusters,
                             client_host=ma_host, ma_host=ma_host)

@@ -1,12 +1,10 @@
 """RAMSES substitute: a working cosmological N-body code.
 
 Particle-mesh gravity (CIC + FFT Poisson), cosmological KDK leapfrog,
-quasi-Lagrangian AMR bookkeeping, Peano-Hilbert domain decomposition,
-Fortran-unformatted snapshot I/O, namelist configuration, and the zoom
-re-simulation workflow of the paper's §3.
+Peano-Hilbert domain decomposition, Fortran-unformatted snapshot I/O,
+namelist parsing, and the zoom re-simulation workflow of the paper's §3.
 """
 
-from .amr import AmrHierarchy, AmrLevel, build_amr
 from .cosmology import Cosmology, EDS, LCDM_WMAP
 from .energy import LayzerIrvineMonitor, kinetic_energy, potential_energy
 from .domain import DomainDecomposition, decompose, exchange_matrix, slab_ranks
@@ -35,11 +33,9 @@ from .poisson import (
 )
 from .simulation import (
     RamsesRun,
-    resume_run,
     RunConfig,
     SimulationResult,
     Snapshot,
-    config_from_namelist,
 )
 from .units import Units
 from .zoom import (
@@ -51,8 +47,6 @@ from .zoom import (
 )
 
 __all__ = [
-    "AmrHierarchy",
-    "AmrLevel",
     "Cosmology",
     "DomainDecomposition",
     "EDS",
@@ -78,12 +72,10 @@ __all__ = [
     "Units",
     "ZoomSpec",
     "acceleration_from_source",
-    "build_amr",
     "PHYS_IMPL",
     "cic_deposit",
     "cic_interpolate",
     "cic_weights",
-    "config_from_namelist",
     "decompose",
     "density_contrast",
     "exact_riemann",
@@ -105,7 +97,6 @@ __all__ = [
     "sample_riemann",
     "sod_states",
     "resolution_gain",
-    "resume_run",
     "run_zoom",
     "slab_ranks",
     "snapshot_paths",

@@ -72,9 +72,6 @@ class Cosmology:
                         lambda x: 1.0 / (x * float(self.hubble(x))),
                         0.0, a, limit=200)
 
-    def lookback(self, a: float) -> float:
-        return self.age(1.0) - self.age(a)
-
     def a_of_t(self, t: float, a_bracket=(1e-6, 64.0)) -> float:
         """Invert t(a) by bisection (monotone)."""
         lo, hi = a_bracket

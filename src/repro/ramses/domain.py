@@ -2,9 +2,9 @@
 
 Implements RAMSES' partitioning strategy: sort cells (here: particles by
 their cell) along the Hilbert curve and cut the curve into ``ncpu``
-contiguous segments of equal *work*.  The decomposition is described by
-``ncpu + 1`` key boundaries, exactly like RAMSES' ``bound_key`` array, so a
-particle's owner is a ``searchsorted`` away.
+contiguous segments of equal particle count.  The decomposition is
+described by ``ncpu + 1`` key boundaries, exactly like RAMSES'
+``bound_key`` array, so a particle's owner is a ``searchsorted`` away.
 
 The module also quantifies what the decomposition buys: surface-to-volume
 style communication metrics used by the parallel harness's cost model and
@@ -14,8 +14,6 @@ compared against a naive slab decomposition in the ablation benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .hilbert import check_level, hilbert_decode, positions_to_keys
@@ -54,19 +52,6 @@ class DomainDecomposition:
         """Particles per rank."""
         return np.bincount(self.rank_of_positions(x), minlength=self.ncpu)
 
-    def load_imbalance(self, x: np.ndarray,
-                       weights: Optional[np.ndarray] = None) -> float:
-        """max(work) / mean(work) over ranks (1.0 == perfect balance)."""
-        ranks = self.rank_of_positions(x)
-        if weights is None:
-            work = np.bincount(ranks, minlength=self.ncpu).astype(float)
-        else:
-            work = np.bincount(ranks, weights=weights, minlength=self.ncpu)
-        mean = work.mean()
-        if mean == 0:
-            return 1.0
-        return float(work.max() / mean)
-
 
 def _as_positions(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
@@ -75,40 +60,26 @@ def _as_positions(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def decompose(x: np.ndarray, ncpu: int, level: int = 7,
-              weights: Optional[np.ndarray] = None) -> DomainDecomposition:
-    """Equal-work cut of the Hilbert curve for the given particle set.
-
-    ``weights`` defaults to one per particle (equal-count split); a zoom run
-    passes per-particle work estimates so the refined region, which costs
-    more per particle, is spread over more ranks.
-    """
+def decompose(x: np.ndarray, ncpu: int, level: int = 7) -> DomainDecomposition:
+    """Equal-count cut of the Hilbert curve for the given particle set."""
     x = _as_positions(x)
     if ncpu < 1:
         raise ValueError("ncpu must be >= 1")
     check_level(level)
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if np.any(weights < 0):
-            raise ValueError("weights must be non-negative")
     bound = np.empty(ncpu + 1, dtype=np.int64)
     bound[0] = 0
     bound[ncpu] = np.int64(1) << np.int64(3 * level)
     if ncpu > 1:
         # One rank has no interior cut, so only here are the keys needed.
-        bound[1:ncpu] = _interior_cuts(x, ncpu, level, weights)
+        bound[1:ncpu] = _interior_cuts(x, ncpu, level)
     return DomainDecomposition(ncpu=ncpu, level=level, bound_key=bound)
 
 
-def _interior_cuts(x: np.ndarray, ncpu: int, level: int,
-                   weights: Optional[np.ndarray]) -> np.ndarray:
+def _interior_cuts(x: np.ndarray, ncpu: int, level: int) -> np.ndarray:
     """The ``ncpu - 1`` keys at which the sorted curve is cut."""
-    keys = positions_to_keys(x, level)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    w = np.ones(len(x)) if weights is None else weights[order]
-    cum = np.cumsum(w)
-    total = cum[-1] if len(cum) else 0.0
+    sorted_keys = np.sort(positions_to_keys(x, level))
+    cum = np.arange(1.0, len(x) + 1.0)     # particles up to each key
+    total = float(len(x))
     n_keys = np.int64(1) << np.int64(3 * level)
     cuts = np.empty(ncpu - 1, dtype=np.int64)
     for r in range(1, ncpu):

@@ -13,7 +13,7 @@ Einstein-de Sitter universe follows D(a) = a across many steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -43,7 +43,6 @@ class Leapfrog:
     def __init__(self, cosmology: Cosmology, solver: GravitySolver):
         self.cosmology = cosmology
         self.solver = solver
-        self.stats: List[StepStats] = []
         # The last force evaluation and private copies of its x and mass.
         self._force: Optional[PMForceResult] = None
         self._force_x: Optional[np.ndarray] = None
@@ -118,12 +117,10 @@ class Leapfrog:
         self.kick(parts, a, 0.5 * da)
         max_disp = self.drift(parts, 0.5 * (a + a_next), da)
         force = self.kick(parts, a_next, 0.5 * da)
-        stats = StepStats(a_before=a, a_after=a_next,
-                          max_delta=float(force.delta.max()),
-                          rms_delta=float(np.sqrt(np.mean(force.delta ** 2))),
-                          max_disp=max_disp)
-        self.stats.append(stats)
-        return stats
+        return StepStats(a_before=a, a_after=a_next,
+                         max_delta=float(force.delta.max()),
+                         rms_delta=float(np.sqrt(np.mean(force.delta ** 2))),
+                         max_disp=max_disp)
 
     def run(self, parts: ParticleSet, schedule: np.ndarray,
             callback: Optional[Callable[[float, ParticleSet], None]] = None

@@ -15,7 +15,7 @@ import io
 import os
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Dict, List, Optional, Union
+from typing import BinaryIO, Dict, List, Union
 
 import numpy as np
 
@@ -108,23 +108,19 @@ def snapshot_paths(directory: str, output_number: int, ncpu: int) -> List[str]:
             for icpu in range(ncpu)]
 
 
-def write_snapshot(directory: str, header: SnapshotHeader, parts: ParticleSet,
-                   ranks: Optional[np.ndarray] = None) -> List[str]:
+def write_snapshot(directory: str, header: SnapshotHeader,
+                   parts: ParticleSet) -> List[str]:
     """Write a snapshot split over ``header.ncpu`` per-cpu files + info file.
 
-    ``ranks`` assigns particles to cpu files (defaults to the Hilbert-order
-    contiguous split used by the domain decomposition).
+    Particles go to cpu files by the Hilbert-order contiguous split of the
+    domain decomposition.
     """
     header.validate()
     if header.npart != len(parts):
         raise ValueError("header.npart disagrees with particle count")
     os.makedirs(directory, exist_ok=True)
-    if ranks is None:
-        from .domain import decompose
-        ranks = decompose(parts.x, header.ncpu).rank_of_positions(parts.x)
-    ranks = np.asarray(ranks)
-    if ranks.shape != (len(parts),):
-        raise ValueError("ranks must be (N,)")
+    from .domain import decompose
+    ranks = decompose(parts.x, header.ncpu).rank_of_positions(parts.x)
 
     # info file: plain text, RAMSES style
     info_path = os.path.join(directory, f"info_{header.output_number:05d}.txt")

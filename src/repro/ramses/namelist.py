@@ -32,9 +32,6 @@ class Namelist(OrderedDict):
     def get_param(self, group: str, param: str, default: Any = None) -> Any:
         return self.get(group.upper(), {}).get(param.lower(), default)
 
-    def set_param(self, group: str, param: str, value: Value) -> None:
-        self.group(group)[param.lower()] = value
-
 
 _TOKEN_RE = re.compile(
     r"""

@@ -106,12 +106,6 @@ class ParticleSet:
         """Apply periodic boundary conditions in place."""
         np.mod(self.x, 1.0, out=self.x)
 
-    def peculiar_velocity(self, a: float) -> np.ndarray:
-        """v_pec = p / a in code (box*H0) units."""
-        if a <= 0:
-            raise ValueError("expansion factor must be positive")
-        return self.p / a
-
     def validate(self) -> None:
         """Invariant checks used by integration tests."""
         if np.any(~np.isfinite(self.x)) or np.any(~np.isfinite(self.p)):

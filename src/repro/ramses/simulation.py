@@ -2,16 +2,14 @@
 
 This is the Python stand-in for running ``ramses3d`` on a namelist: it
 takes :class:`~repro.grafic.ic.InitialConditions`, steps them with the KDK
-integrator, writes snapshots "given a list of time steps (or expansion
-factor)" (§3), and keeps the AMR/domain-decomposition bookkeeping that the
-cost model and the analysis figures consume.
+integrator and takes snapshots "given a list of time steps (or expansion
+factor)" (§3).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -20,17 +18,11 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # avoid a grafic <-> ramses import cycle at runtime
     from ..grafic.ic import InitialConditions
 
-from .amr import AmrHierarchy, build_amr
-from .cosmology import Cosmology
-from .domain import DomainDecomposition, decompose
 from .gravity import GravitySolver
 from .integrator import Leapfrog, StepStats
-from .io import SnapshotHeader, write_snapshot
-from .namelist import Namelist
 from .particles import ParticleSet
 
-__all__ = ["RunConfig", "Snapshot", "SimulationResult", "RamsesRun",
-           "config_from_namelist"]
+__all__ = ["RunConfig", "Snapshot", "SimulationResult", "RamsesRun"]
 
 
 @dataclass(frozen=True)
@@ -45,19 +37,11 @@ class RunConfig:
     n_grid: int = 0
     #: Poisson kernel: "spectral" or "discrete".
     kernel: str = "spectral"
-    #: MPI ranks for the domain-decomposition bookkeeping.
-    ncpu: int = 1
-    #: AMR refinement threshold (particles per cell), RAMSES' m_refine.
-    m_refine: float = 8.0
-    #: Extra AMR levels allowed above the particle lattice level.
-    n_extra_levels: int = 2
     spacing: str = "log"
 
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if self.ncpu < 1:
-            raise ValueError("ncpu must be >= 1")
         if not self.output_aexp:
             raise ValueError("need at least one output expansion factor")
         if any(a <= 0 for a in self.output_aexp):
@@ -68,10 +52,8 @@ class RunConfig:
 class Snapshot:
     """State of the universe at one output time."""
 
-    output_number: int
     aexp: float
     particles: ParticleSet
-    amr: AmrHierarchy
     rms_delta: float
     max_delta: float
 
@@ -91,19 +73,10 @@ class SimulationResult:
     ic: "InitialConditions"
     snapshots: List[Snapshot] = field(default_factory=list)
     step_stats: List[StepStats] = field(default_factory=list)
-    #: load imbalance (max/mean work) per re-decomposition
-    imbalance_history: List[float] = field(default_factory=list)
-    total_work_units: float = 0.0
     #: PM force evaluations the run made: one per step plus the opening
     #: one (each step's closing kick also serves the next step's opening
     #: kick and any snapshot taken in between).
     force_evaluations: int = 0
-
-    def snapshot_at(self, aexp: float, tol: float = 1e-6) -> Snapshot:
-        for snap in self.snapshots:
-            if abs(snap.aexp - aexp) <= tol:
-                return snap
-        raise KeyError(f"no snapshot at aexp={aexp}")
 
     @property
     def final(self) -> Snapshot:
@@ -144,8 +117,7 @@ class RamsesRun:
 
     # -- run -----------------------------------------------------------------------------
 
-    def run(self, callback: Optional[Callable[[Snapshot], None]] = None,
-            output_dir: Optional[str] = None) -> SimulationResult:
+    def run(self) -> SimulationResult:
         cfg = self.config
         parts = self.ic.particles.copy()
         parts.wrap()
@@ -154,105 +126,24 @@ class RamsesRun:
         outputs = sorted(a for a in cfg.output_aexp
                          if self.ic.a_start < a <= cfg.a_end)
         out_idx = 0
-        levelmin = self.ic.levelmin
-        levelmax = self.ic.levelmax + cfg.n_extra_levels
-        work_weights = parts.mass.min() / parts.mass  # fine particles cost more
         evaluations_before = self.solver.force_evaluations
 
-        decomp = decompose(parts.x, cfg.ncpu, weights=work_weights)
-        result.imbalance_history.append(
-            decomp.load_imbalance(parts.x, weights=work_weights))
-
         def take_snapshot(aexp: float) -> None:
-            nonlocal out_idx
-            amr = build_amr(parts.x, parts.mass, levelmin, levelmax,
-                            m_refine=cfg.m_refine)
             force = self.integrator.force(parts, aexp)
-            snap = Snapshot(output_number=out_idx + 1, aexp=aexp,
-                            particles=parts.copy(), amr=amr,
-                            rms_delta=float(np.sqrt(np.mean(force.delta ** 2))),
-                            max_delta=float(force.delta.max()))
-            result.snapshots.append(snap)
-            result.total_work_units += amr.work_units(n_particles=len(parts))
-            if output_dir is not None:
-                header = SnapshotHeader(
-                    ncpu=cfg.ncpu, ndim=3, npart=len(parts), aexp=aexp,
-                    omega_m=self.ic.cosmology.omega_m,
-                    omega_l=self.ic.cosmology.omega_l,
-                    h0=100.0 * self.ic.cosmology.h,
-                    boxlen_mpc_h=self.ic.boxsize_mpc_h,
-                    levelmin=levelmin, levelmax=levelmax,
-                    output_number=snap.output_number)
-                write_snapshot(os.path.join(output_dir,
-                                            f"output_{snap.output_number:05d}"),
-                               header, parts,
-                               ranks=decomp.rank_of_positions(parts.x))
-            if callback is not None:
-                callback(snap)
-            out_idx += 1
+            result.snapshots.append(Snapshot(
+                aexp=aexp, particles=parts.copy(),
+                rms_delta=float(np.sqrt(np.mean(force.delta ** 2))),
+                max_delta=float(force.delta.max())))
 
         for a, a_next in zip(schedule[:-1], schedule[1:]):
-            stats = self.integrator.step(parts, float(a), float(a_next))
-            result.step_stats.append(stats)
-            # periodic re-decomposition (RAMSES load balances as it runs)
-            if len(result.step_stats) % 8 == 0:
-                decomp = decompose(parts.x, cfg.ncpu, weights=work_weights)
-                result.imbalance_history.append(
-                    decomp.load_imbalance(parts.x, weights=work_weights))
+            result.step_stats.append(
+                self.integrator.step(parts, float(a), float(a_next)))
             while out_idx < len(outputs) and a_next >= outputs[out_idx] - 1e-12:
                 take_snapshot(float(a_next))
+                out_idx += 1
 
         if not result.snapshots:
             take_snapshot(float(schedule[-1]))
         result.force_evaluations = (self.solver.force_evaluations
                                     - evaluations_before)
         return result
-
-
-def resume_run(directory: str, output_number: int,
-               config: RunConfig) -> "RamsesRun":
-    """Restart a run from an on-disk snapshot (RAMSES' restart files).
-
-    Reads the snapshot written by a previous run's ``output_dir`` and
-    builds a :class:`RamsesRun` whose initial state is the checkpoint: the
-    background cosmology comes from the snapshot header, the expansion
-    factor from its ``aexp``.  With a stepping schedule that subdivides the
-    original one identically, the resumed run reproduces the original
-    trajectory bit for bit (the KDK integrator is deterministic) — the
-    restart test asserts exactly that.
-
-    Note: the snapshot header does not carry sigma8/n_s (they only matter
-    for IC generation, which a restart never redoes).
-    """
-    from ..grafic.ic import InitialConditions
-    from .cosmology import Cosmology
-    from .io import read_snapshot
-
-    header, parts = read_snapshot(directory, output_number)
-    cosmology = Cosmology(omega_m=header.omega_m, omega_l=header.omega_l,
-                          h=header.h0 / 100.0)
-    # The finest particle-lattice level follows from the mass hierarchy
-    # (the header's levelmax includes AMR headroom beyond the lattice).
-    n_finest = (parts.total_mass / parts.mass.min()) ** (1.0 / 3.0)
-    lattice_level = max(int(round(np.log2(max(n_finest, 2.0)))),
-                        header.levelmin)
-    ic = InitialConditions(particles=parts, a_start=header.aexp,
-                           boxsize_mpc_h=header.boxlen_mpc_h,
-                           cosmology=cosmology, levelmin=header.levelmin,
-                           levelmax=lattice_level)
-    return RamsesRun(ic, config)
-
-
-def config_from_namelist(nml: Namelist) -> RunConfig:
-    """Build a RunConfig from a RAMSES-style namelist."""
-    aout = nml.get_param("OUTPUT_PARAMS", "aout", 1.0)
-    if not isinstance(aout, list):
-        aout = [aout]
-    return RunConfig(
-        a_end=float(nml.get_param("RUN_PARAMS", "aexp_end", 1.0)),
-        n_steps=int(nml.get_param("RUN_PARAMS", "nstepmax", 32)),
-        output_aexp=tuple(float(a) for a in aout),
-        n_grid=int(nml.get_param("AMR_PARAMS", "ngridmax", 0)),
-        ncpu=int(nml.get_param("RUN_PARAMS", "ncpu", 1)),
-        m_refine=float(nml.get_param("REFINE_PARAMS", "m_refine", 8.0)),
-    )

@@ -23,7 +23,7 @@ from .ramses_service import (
 
 __all__ = ["default_namelist_text", "build_zoom1_profile",
            "build_zoom2_profile", "Zoom2Result", "decode_zoom1",
-           "decode_zoom2", "encode_center", "decode_center"]
+           "decode_zoom2", "encode_center"]
 
 
 def default_namelist_text(resolution: int = 128, boxsize: int = 100,
@@ -45,10 +45,6 @@ def encode_center(center: Sequence[float]) -> Tuple[int, int, int]:
     if len(center) != 3:
         raise ValueError("center must have three coordinates")
     return tuple(int(round((c % 1.0) * COORD_SCALE)) for c in center)  # type: ignore
-
-
-def decode_center(cx: int, cy: int, cz: int) -> Tuple[float, float, float]:
-    return (cx / COORD_SCALE, cy / COORD_SCALE, cz / COORD_SCALE)
 
 
 def build_zoom1_profile(namelist_text: str, resolution: int,

@@ -171,18 +171,15 @@ class RamsesService:
     def _run_config_from_profile(self, profile: Profile) -> RunConfig:
         """REAL mode: honour the shipped namelist (the paper's "file
         containing parameters for RAMSES") when it carries run parameters;
-        fall back to the service defaults otherwise."""
+        the service defaults stand in for the ones it leaves out.  A
+        malformed namelist raises ``ValueError``: the solve fails."""
         n_steps = self.config.real_n_steps
         a_end = self.config.real_a_end
         namelist_ref = profile.parameter(0).get()
         if isinstance(namelist_ref, FileRef) and namelist_ref.content:
-            try:
-                nml = parse_namelist(namelist_ref.content)
-            except ValueError:
-                nml = None
-            if nml is not None:
-                n_steps = int(nml.get_param("RUN_PARAMS", "nstepmax", n_steps))
-                a_end = float(nml.get_param("RUN_PARAMS", "aexp_end", a_end))
+            nml = parse_namelist(namelist_ref.content)
+            n_steps = int(nml.get_param("RUN_PARAMS", "nstepmax", n_steps))
+            a_end = float(nml.get_param("RUN_PARAMS", "aexp_end", a_end))
         return RunConfig(a_end=a_end, n_steps=n_steps, output_aexp=(a_end,))
 
     # -- shared plumbing ---------------------------------------------------------------

@@ -35,7 +35,6 @@ from .dag import (
 from .grid import PARAMETER_NAMES, CosmologyPoint, ParameterGrid, parse_cosmology_text
 from .lensing import (
     born_convergence,
-    comoving_distance,
     density_slabs,
     hubble_e,
     lens_planes,
@@ -59,7 +58,6 @@ __all__ = [
     "SurveyDAG",
     "born_convergence",
     "build_survey_dag",
-    "comoving_distance",
     "density_slabs",
     "hubble_e",
     "lens_planes",

@@ -156,10 +156,3 @@ class SurveyBatch:
             json.dump(self.manifest(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         return path
-
-    def summary(self) -> Dict[str, int]:
-        """Product counts by location (deterministic key order)."""
-        out = {"grid": 0, "home": 0, "storage": 0}
-        for record in self._records:
-            out[record.location] += 1
-        return out

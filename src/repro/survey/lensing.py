@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "C_LIGHT_KM_S",
     "born_convergence",
-    "comoving_distance",
     "density_slabs",
     "hubble_e",
     "lens_planes",
@@ -58,18 +57,6 @@ def _distance_table(
     steps = 0.5 * (inv_e[:-1] + inv_e[1:]) * dz
     chi_grid = np.concatenate([[0.0], np.cumsum(steps)]) * (C_LIGHT_KM_S / h0)
     return z_grid, chi_grid
-
-
-def comoving_distance(
-    z: float, h0: float, omega_m: float, w0: float = -1.0, n_samples: int = 1024
-) -> float:
-    """Line-of-sight comoving distance to redshift ``z`` in Mpc (flat)."""
-    if z < 0:
-        raise ValueError("z must be >= 0")
-    if z == 0:
-        return 0.0
-    _, chi_grid = _distance_table(z, h0, omega_m, w0, n_samples)
-    return float(chi_grid[-1])
 
 
 def lens_planes(

@@ -93,8 +93,9 @@ class TestZoomResimulation:
         best = max(catalog, key=lambda h: h.n_particles)
         assert best.n_particles > halo.n_particles
 
-    def test_amr_refines_deeper_in_zoom(self, parent, zoom):
-        _, result, _ = parent
+    def test_zoom_refines_deeper(self, parent, zoom):
+        ic, result, _ = parent
         _, _, zoom_result = zoom
-        assert (zoom_result.final.amr.deepest_refined_level
-                >= result.final.amr.deepest_refined_level)
+        assert zoom_result.ic.levelmax == ic.levelmax + 2
+        assert result.final.particles.level.max() == 0
+        assert zoom_result.final.particles.level.max() == 2

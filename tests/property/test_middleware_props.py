@@ -162,7 +162,7 @@ def test_namelist_roundtrip(data):
     nml = Namelist()
     for group, params in data.items():
         for key, value in params.items():
-            nml.set_param(group, key, value)
+            nml.group(group)[key] = value
     text = format_namelist(nml)
     back = parse_namelist(text)
     for group, params in data.items():

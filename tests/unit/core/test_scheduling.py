@@ -9,7 +9,6 @@ from repro.core import (
     FastestNodePolicy,
     MCTPolicy,
     MinQueuePolicy,
-    PriorityListPolicy,
     RandomPolicy,
     SchedulingContext,
     make_policy,
@@ -176,22 +175,6 @@ class TestOtherPolicies:
         picks2 = RandomPolicy(np.random.default_rng(5)).sort(
             cands, SchedulingContext())
         assert [e.sed_name for e in picks1] == [e.sed_name for e in picks2]
-
-    def test_priority_list(self):
-        policy = PriorityListPolicy([(EST_NBJOBS, "min"), (EST_SPEED, "max")])
-        cands = [
-            EstimationVector("a", {EST_NBJOBS: 0, EST_SPEED: 2.0}),
-            EstimationVector("b", {EST_NBJOBS: 0, EST_SPEED: 2.6}),
-            EstimationVector("c", {EST_NBJOBS: 1, EST_SPEED: 9.9}),
-        ]
-        ranked = policy.sort(cands, SchedulingContext())
-        assert [e.sed_name for e in ranked] == ["b", "a", "c"]
-
-    def test_priority_list_validation(self):
-        with pytest.raises(ValueError):
-            PriorityListPolicy([])
-        with pytest.raises(ValueError):
-            PriorityListPolicy([(EST_SPEED, "sideways")])
 
 
 class TestRegistry:

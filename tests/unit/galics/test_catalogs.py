@@ -86,7 +86,6 @@ class TestGalaxyCatalog:
 
     def test_morphology_accessors(self):
         g = self.galaxy(0, 0.4, bulge=0.1)
-        assert g.disk_mass == pytest.approx(0.3)
         assert g.bulge_fraction == pytest.approx(0.25)
 
     def test_zero_mass_bulge_fraction(self):

@@ -68,9 +68,8 @@ class TestBuildTree:
 
     def test_descendant_unique(self):
         tree = build_merger_tree(self.three_snapshot_history())
-        assert tree.descendant(TreeNode(0, 0)) == TreeNode(1, 0)
-        assert tree.descendant(TreeNode(0, 1)) == TreeNode(1, 0)
-        assert tree.descendant(TreeNode(2, 0)) is None
+        assert list(tree.graph.successors(TreeNode(0, 1))) == [TreeNode(1, 0)]
+        assert list(tree.graph.successors(TreeNode(2, 0))) == []
         # at most one outgoing edge per halo
         for node in tree.graph.nodes:
             assert tree.graph.out_degree(node) <= 1

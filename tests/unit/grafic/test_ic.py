@@ -22,10 +22,6 @@ class TestZoomRegion:
         region = ZoomRegion((0.02, 0.5, 0.5), 0.1)
         assert region.contains(np.array([[0.97, 0.5, 0.5]]))[0]
 
-    def test_shrunk(self):
-        region = ZoomRegion((0.5, 0.5, 0.5), 0.2)
-        assert region.shrunk(0.5).half_size == pytest.approx(0.1)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ZoomRegion((0.5, 0.5, 0.5), 0.0)
@@ -43,7 +39,6 @@ class TestSingleLevel:
 
     def test_levels(self, ic):
         assert ic.levelmin == ic.levelmax == 4
-        assert not ic.is_zoom
         assert ic.n_levels == 1
 
     def test_positions_wrapped_and_valid(self, ic):
@@ -111,7 +106,6 @@ class TestMultiLevel:
     def test_levels_metadata(self, zoom_ic):
         assert zoom_ic.levelmin == 3
         assert zoom_ic.levelmax == 5
-        assert zoom_ic.is_zoom
         assert len(zoom_ic.regions) == 2
         assert zoom_ic.regions[1].half_size < zoom_ic.regions[0].half_size
 

@@ -31,8 +31,6 @@ class TestPaperLayout:
     def test_sagittaire_single_sed_from_reservation_cap(self, platform):
         sag = platform.clusters["lyon-sagittaire"]
         assert len(sag.sed_hosts) == 1
-        # the cap genuinely blocked the second block
-        assert platform.batch.free_nodes("lyon-sagittaire") == 70 - NODES_PER_SED
 
     def test_each_sed_controls_16_machines(self, platform):
         for host in platform.sed_hosts:
@@ -47,7 +45,8 @@ class TestPaperLayout:
 
     def test_nancy_faster_than_toulouse(self, platform):
         """The Figure-4 spread source: Nancy fastest, Toulouse slowest."""
-        speeds = {name: c.sed_speed for name, c in platform.clusters.items()}
+        speeds = {name: c.sed_hosts[0].speed
+                  for name, c in platform.clusters.items()}
         assert max(speeds, key=speeds.get) == "nancy-grillon"
         assert min(speeds, key=speeds.get) == "toulouse-violette"
 
@@ -90,7 +89,6 @@ class TestCustomLayouts:
         assert len(platform.sites) == 1
 
     def test_insufficient_nodes_limit_seds(self):
-        specs = [ClusterSpec("s", "c", "opteron-246", 20, n_seds=2)]
-        platform = build_grid5000(Engine(), cluster_specs=specs)
-        # only one 16-node block fits in 20 nodes
-        assert len(platform.sed_hosts) == 1
+        # only one 16-node block fits in 20 nodes: two SeDs are refused
+        with pytest.raises(ValueError, match="'s-c'"):
+            ClusterSpec("s", "c", "opteron-246", 20, n_seds=2)

@@ -52,10 +52,6 @@ class TestAges:
         with pytest.raises(ValueError):
             LCDM_WMAP.a_of_t(-1.0)
 
-    def test_lookback(self):
-        assert LCDM_WMAP.lookback(1.0) == pytest.approx(0.0, abs=1e-12)
-        assert LCDM_WMAP.lookback(0.5) > 0
-
 
 class TestGrowth:
     def test_eds_growth_is_a(self):

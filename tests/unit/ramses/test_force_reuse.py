@@ -6,8 +6,6 @@ integrator that evaluates afresh at every kick, as the code did before;
 trajectories must be ``np.array_equal``, not close.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,6 @@ from repro.ramses import (
     Leapfrog,
     RamsesRun,
     RunConfig,
-    resume_run,
 )
 
 
@@ -104,19 +101,3 @@ def test_run_records_one_evaluation_per_step_plus_one():
                                             output_aexp=(0.3,))).run()
     assert len(result.step_stats) == 5
     assert result.force_evaluations == 5 + 1
-
-
-def test_resumed_run_equals_recomputing_reference(tmp_path):
-    """A restart starts from a checkpoint with an empty carry-over."""
-    first_leg = RamsesRun(zoom_ic(), RunConfig(a_end=0.15, n_steps=3,
-                                               output_aexp=(0.15,)))
-    first_leg.run(output_dir=str(tmp_path))
-    finals = []
-    for integrator_class in (Leapfrog, RecomputingLeapfrog):
-        run = resume_run(os.path.join(str(tmp_path), "output_00001"), 1,
-                         RunConfig(a_end=0.3, n_steps=3, output_aexp=(0.3,)))
-        run.integrator = integrator_class(run.ic.cosmology, run.solver)
-        finals.append(run.run().final)
-    assert_same_state(finals[0].particles, finals[1].particles)
-    assert finals[0].rms_delta == finals[1].rms_delta
-    assert finals[0].max_delta == finals[1].max_delta

@@ -74,13 +74,6 @@ class TestDecomposition:
         assert counts.sum() == len(x)
         assert counts.max() / counts.mean() < 1.3
 
-    def test_weighted_split(self):
-        x = self.make_points()
-        w = np.ones(len(x))
-        w[:100] = 100.0   # a few very expensive particles
-        dd = decompose(x, ncpu=4, weights=w)
-        assert dd.load_imbalance(x, weights=w) < 1.6
-
     def test_single_cpu(self):
         x = self.make_points(n=100)
         dd = decompose(x, ncpu=1)
@@ -107,9 +100,6 @@ class TestDecomposition:
             decompose(np.zeros((1, 3)), ncpu=0)
         with pytest.raises(ValueError):
             DomainDecomposition(2, 3, np.array([0, 5], dtype=np.int64))
-        with pytest.raises(ValueError):
-            decompose(np.random.default_rng(0).random((10, 3)), 2,
-                      weights=-np.ones(10))
 
 
 class TestLocalityMetric:

@@ -164,12 +164,6 @@ title='zoom run ''A'''
         again = parse_namelist(text)
         assert again == nml
 
-    def test_set_param(self):
-        nml = parse_namelist(self.SAMPLE)
-        nml.set_param("NEW_GROUP", "x", [1, 2])
-        assert parse_namelist(format_namelist(nml)).get_param(
-            "new_group", "x") == [1, 2]
-
     def test_malformed_line_raises(self):
         with pytest.raises(ValueError):
             parse_namelist("&G\nthis is not an assignment\n/")

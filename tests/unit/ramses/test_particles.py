@@ -65,13 +65,6 @@ class TestOperations:
         parts.wrap()
         assert np.all((parts.x >= 0) & (parts.x < 1))
 
-    def test_peculiar_velocity(self):
-        parts = ParticleSet.uniform_lattice(2)
-        parts.p[:] = 1.0
-        assert np.allclose(parts.peculiar_velocity(0.5), 2.0)
-        with pytest.raises(ValueError):
-            parts.peculiar_velocity(0.0)
-
 
 class TestValidate:
     def test_valid_set_passes(self):

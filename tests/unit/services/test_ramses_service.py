@@ -14,7 +14,6 @@ from repro.services import (
     RamsesServiceConfig,
     build_zoom1_profile,
     build_zoom2_profile,
-    decode_center,
     decode_zoom1,
     decode_zoom2,
     default_namelist_text,
@@ -48,7 +47,7 @@ class TestClientHelpers:
         center = (0.123456, 0.654321, 0.999999)
         encoded = encode_center(center)
         assert all(isinstance(c, int) for c in encoded)
-        decoded = decode_center(*encoded)
+        decoded = tuple(c / COORD_SCALE for c in encoded)
         assert decoded == pytest.approx(center, abs=1.0 / COORD_SCALE)
 
     def test_center_wraps(self):
@@ -197,6 +196,29 @@ class TestRealService:
         assert tarballs[0] == tarballs[1]
         assert makespans[0] == makespans[1]
         assert tarballs[0][4:8] == b"\0\0\0\0"   # gzip header mtime
+
+    def test_zoom2_real_malformed_namelist_fails_the_solve(self, deployment,
+                                                          tmp_path):
+        """A namelist that does not parse is an application failure (status
+        1, the error in the handle), not a silent run on the defaults."""
+        register_ramses_services(deployment, RamsesServiceConfig(
+            mode=ExecutionMode.REAL, workdir=str(tmp_path),
+            real_n_steps=6, real_a_end=0.4))
+        deployment.launch_all()
+        client = deployment.client
+        profile = build_zoom2_profile("nstepmax=6\n", 8, 50,
+                                      (0.5, 0.5, 0.5), 1)
+
+        def run():
+            client.initialize({"MA_name": "MA"})
+            handle = client.function_handle("ramsesZoom2")
+            status = yield from client.call(profile, handle)
+            return status, handle.error
+
+        status, error = deployment.engine.run_process(run())
+        assert status == 1
+        assert error.startswith("ValueError: parameter outside any group")
+        assert profile.parameter(7).get() is None
 
     def test_real_mode_requires_workdir(self):
         with pytest.raises(ValueError):

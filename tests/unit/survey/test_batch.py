@@ -68,9 +68,3 @@ class TestProducts:
         path = batch.write_manifest()
         with open(path) as fh:
             assert json.load(fh) == manifest
-
-    def test_summary_counts_by_location(self, batch):
-        batch.record_product("p", "ic", FileRef.from_text("a.txt", "a"))
-        handle = DataHandle(data_id="sed/req/arg", sed_name="sed", nbytes=1)
-        batch.record_product("p", "run", handle)
-        assert batch.summary() == {"grid": 1, "home": 1, "storage": 0}

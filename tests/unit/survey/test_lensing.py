@@ -5,7 +5,6 @@ import numpy as np
 
 from repro.survey.lensing import (
     born_convergence,
-    comoving_distance,
     density_slabs,
     hubble_e,
     lens_planes,
@@ -25,14 +24,10 @@ class TestBackground:
         es = [hubble_e(z, OM) for z in zs]
         assert all(b > a for a, b in zip(es, es[1:]))
 
-    def test_comoving_distance_monotonic(self):
-        ds = [comoving_distance(z, H0, OM) for z in (0.0, 0.5, 1.0, 2.0)]
-        assert ds[0] == 0.0
-        assert all(b > a for a, b in zip(ds, ds[1:]))
-
     def test_dark_energy_equation_of_state_matters(self):
-        fiducial = comoving_distance(1.0, H0, OM, w0=-1.0)
-        assert comoving_distance(1.0, H0, OM, w0=-0.8) != fiducial
+        _, fiducial, _ = lens_planes(1, 1.0, H0, OM, w0=-1.0)
+        _, other, _ = lens_planes(1, 1.0, H0, OM, w0=-0.8)
+        assert other[0] != fiducial[0]
 
 
 class TestLensPlanes:

@@ -11,15 +11,18 @@ AST pass (``--check`` runs this one alone)
     definition is a *hit* when no caller references it outside its own
     body; a value is a hit when no caller passes it something other than
     its default.  Matching is by name, so it errs towards "used": a call
-    ``x.run(seed=3)`` sets ``seed`` of every ``run``, and a method counts
-    as referenced by any ``x.name``.  Passing a parameter or a config field
-    on unchanged (``f(seed=seed)``, ``f(p=cfg.p)``) sets the callee's value
-    only if the forwarded one is set itself.  A record field the program
-    writes (``x.a = v``, ``x.a += v``, ``x.a.append(v)``) is run state, not
-    a knob.  ``Task(func=f, args=(...))`` calls ``f``.  A ``**mapping``
-    argument sets every parameter of the callee, except the CLI's
-    ``row.run(**kwargs)``, whose keywords are read from the ``Opt`` rows of
-    its ``Experiment`` table.
+    ``x.run(seed=3)`` sets ``seed`` of every ``run`` whose signature its
+    arguments bind to (no more positionals than it takes, no keyword that
+    repeats a positional, no unknown keyword unless it takes ``**``), and
+    a method counts as referenced by any ``x.name``.  Passing a parameter
+    or a config field on unchanged (``f(seed=seed)``, ``f(p=cfg.p)``)
+    sets the callee's value only if the forwarded one is set itself.  A
+    record field the program writes (``x.a = v``, ``x.a += v``,
+    ``x.a.append(v)``) is run state, not a knob.
+    ``Task(func=f, args=(...))`` calls ``f``.  A ``**mapping`` argument
+    sets every parameter of the callee, except the CLI's
+    ``row.run(**kwargs)``, whose keywords are read from the ``Opt`` rows
+    of its ``Experiment`` table.
 
 Reach pass
     Runs every registry experiment with small options and the five
@@ -98,6 +101,7 @@ _KEPT: Dict[str, str] = {
         "repro.galics.galaxymaker:GalaxyMaker(params=) "
         "repro.ramses.parallel:MpiCostModel "
         "repro.ramses.parallel:ParallelStepModel "
+        "repro.experiments.scaling_nodes:run(cost=) "
         "repro.services.perfmodel:RamsesPerfModel "
         "repro.services.perfmodel:SurveyPerfModel "
         "repro.services.lensing_service:LensingServiceConfig "
@@ -118,21 +122,21 @@ _KEPT: Dict[str, str] = {
         "repro.galics.halomaker:find_halos(mean_separation=) "
         "repro.galics.treemaker:build_merger_tree(min_shared_fraction=) "
         "repro.ramses.cosmology:Cosmology.aexp_schedule(spacing=) "
-        "repro.ramses.amr:AmrHierarchy.work_units "
         "repro.ramses.simulation:Snapshot.projected_density(axis=) "
         "repro.ramses.zoom:lagrangian_region(padding=) "
         "repro.ramses.zoom:run_zoom(seed=) "
         "repro.survey.lensing:_distance_table(n_samples=)",
     "a reference the tests compare the program against (power spectrum, "
-    "Press-Schechter counts, cosmic-energy equation, Hilbert inverse, "
-    "conserved totals, 2LPT start; ROADMAP item 3 needs a_of_t and "
-    "f_growth)":
+    "Press-Schechter counts, cosmic-energy equation and the integrator "
+    "callback that samples it, Hilbert inverse, conserved totals, 2LPT "
+    "start; ROADMAP item 3 needs a_of_t and f_growth)":
         "repro.galics.press_schechter:expected_halo_counts "
         "repro.galics.catalogs:HaloCatalog.mass_function "
         "repro.grafic.gaussian_field:measure_power_spectrum "
         "repro.grafic.power_spectrum:PowerSpectrum.sigma8_check "
         "repro.grafic.lpt:make_single_level_ic_2lpt "
         "repro.ramses.energy:LayzerIrvineMonitor "
+        "repro.ramses.integrator:Leapfrog.run(callback=) "
         "repro.ramses.hilbert:hilbert_decode "
         "repro.ramses.hydro:HydroState.totals "
         "repro.ramses.cosmology:Cosmology.a_of_t "
@@ -144,37 +148,20 @@ _KEPT: Dict[str, str] = {
         "repro.data.memo:MemoIndex.peek repro.sim.engine:Engine "
         "repro.sim.engine:Event repro.sim.failures:FailureInjector.pending "
         "repro.sim.network:Network.hosts repro.sim.rng:RandomStreams "
-        "repro.ramses.amr:AmrLevel.n_leaves repro.survey.dag:SurveyDAG",
+        "repro.survey.dag:SurveyDAG",
     "an entry point's size or layout, which tests set small (sweep widths, "
     "DAG shape, grid base, retry budget, chart size, CLI argv)":
         "repro.__main__:main(argv=) "
         "repro.experiments.ablation_scheduler:run_routing "
+        "repro.experiments.figure2_density:run(n_steps=) "
+        "repro.experiments.figure3_zoom:run(n_steps=) "
+        "repro.experiments.figure3_zoom:run(a_end=) "
         "repro.experiments.report:ascii_gantt(width=) "
         "repro.experiments.report:ascii_series "
         "repro.obs.export:svg_gantt repro.obs.export:chrome_trace(process_name=) "
         "repro.obs.profiling:profile_report(top=) "
         "repro.survey.dag:DagExecutor repro.survey.pipeline:build_survey_dag "
         "repro.survey.grid:ParameterGrid",
-    "deferred: only tests drive it, and deleting it deletes the tests that "
-    "pin it; ROADMAP item 7 lists it for its own change":
-        "repro.core.scheduling:PriorityListPolicy "
-        "repro.galics.halo_properties "
-        "repro.ramses.simulation:resume_run "
-        "repro.ramses.simulation:config_from_namelist "
-        "repro.ramses.simulation:SimulationResult.snapshot_at "
-        "repro.ramses.namelist:Namelist.set_param "
-        "repro.services.ramses_client:decode_center "
-        "repro.ramses.cosmology:Cosmology.lookback "
-        "repro.survey.lensing:comoving_distance "
-        "repro.ramses.particles:ParticleSet.peculiar_velocity "
-        "repro.ramses.amr:AmrHierarchy.cells_per_level "
-        "repro.ramses.amr:AmrHierarchy.total_cells "
-        "repro.galics.treemaker:MergerTree.descendant "
-        "repro.galics.catalogs:Galaxy.disk_mass "
-        "repro.grafic.ic:InitialConditions.is_zoom "
-        "repro.grafic.ic:ZoomRegion.shrunk "
-        "repro.survey.batch:SurveyBatch.summary "
-        "repro.platform.grid5000:Cluster.sed_speed",
 }
 
 KEEP: Dict[str, str] = {key: reason for reason, keys in _KEPT.items()
@@ -222,9 +209,39 @@ class Value:
 
 
 @dataclass
+class Signature:
+    """What a call must fit to reach a function, or a record's fields."""
+
+    positional: List[str]
+    #: Leading positionals a keyword cannot name.
+    n_posonly: int = 0
+    keyword_only: Set[str] = field(default_factory=set)
+    varargs: bool = False
+    varkw: bool = False
+
+    def binds(self, call: "Call") -> bool:
+        n_positional = sum(isinstance(slot, int) for slot, _ in call)
+        starred = any(isinstance(slot, tuple) for slot, _ in call)
+        if (n_positional > len(self.positional) and not starred
+                and not self.varargs):
+            return False
+        named = set(self.positional[self.n_posonly:]) | self.keyword_only
+        for slot, _ in call:
+            if not isinstance(slot, str) or slot == "**":
+                continue
+            if slot in self.positional[:n_positional]:
+                return False
+            if slot not in named and not self.varkw:
+                return False
+        return True
+
+
+@dataclass
 class Inventory:
     definitions: List[Definition] = field(default_factory=list)
     values: List[Value] = field(default_factory=list)
+    #: Owner key -> the signature a call to it binds to.
+    signatures: Dict[str, Signature] = field(default_factory=dict)
 
 
 def _python_files(top: str) -> Iterator[str]:
@@ -277,6 +294,18 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+def _signature(fn, skip_first: bool) -> Signature:
+    args = fn.args
+    positional = [a.arg for a in list(args.posonlyargs) + list(args.args)]
+    n_posonly = len(args.posonlyargs)
+    if skip_first:
+        positional = positional[1:]
+        n_posonly = max(0, n_posonly - 1)
+    return Signature(positional, n_posonly,
+                     {a.arg for a in args.kwonlyargs},
+                     args.vararg is not None, args.kwarg is not None)
+
+
 def _function_values(fn, key: str, callee: str,
                      skip_first: bool) -> List[Value]:
     args = fn.args
@@ -308,6 +337,7 @@ def collect_inventory(src: str) -> Inventory:
                 key = f"{module}:{node.name}"
                 inv.definitions.append(Definition(
                     key, node.name, path, node.lineno, node.end_lineno))
+                inv.signatures[key] = _signature(node, False)
                 inv.values.extend(_function_values(node, key, node.name,
                                                    False))
             elif isinstance(node, ast.ClassDef):
@@ -322,6 +352,7 @@ def _collect_class(inv: Inventory, node: ast.ClassDef, module: str,
                                       node.end_lineno))
     if _is_record(node):
         index = 0
+        inv.signatures[ckey] = Signature([])
         for stmt in node.body:
             if not (isinstance(stmt, ast.AnnAssign)
                     and isinstance(stmt.target, ast.Name)):
@@ -334,6 +365,7 @@ def _collect_class(inv: Inventory, node: ast.ClassDef, module: str,
                 inv.values.append(Value(
                     f"{ckey}.{stmt.target.id}", node.name, stmt.target.id,
                     index, default, ckey, is_field=True))
+            inv.signatures[ckey].positional.append(stmt.target.id)
             index += 1
     for stmt in node.body:
         if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -341,6 +373,7 @@ def _collect_class(inv: Inventory, node: ast.ClassDef, module: str,
         decorators = _decorator_names(stmt)
         skip_first = "staticmethod" not in decorators
         if stmt.name == "__init__":
+            inv.signatures[ckey] = _signature(stmt, skip_first)
             inv.values.extend(_function_values(stmt, ckey, node.name,
                                                skip_first))
             continue
@@ -349,6 +382,7 @@ def _collect_class(inv: Inventory, node: ast.ClassDef, module: str,
         key = f"{ckey}.{stmt.name}"
         inv.definitions.append(Definition(key, stmt.name, path, stmt.lineno,
                                           stmt.end_lineno, is_method=True))
+        inv.signatures[key] = _signature(stmt, skip_first)
         inv.values.extend(_function_values(stmt, key, stmt.name,
                                            skip_first))
 
@@ -359,6 +393,9 @@ def _collect_class(inv: Inventory, node: ast.ClassDef, module: str,
 #: what it forwards -- ``("param", function key, name)`` for an enclosing
 #: parameter, ``("field", name)`` for a config attribute -- or the literal.
 Passed = Optional[Tuple]
+#: One call site: (keyword or position, passed) per argument; "**" for an
+#: unknown mapping, ("*", i) for a starred argument at position i.
+Call = List[Tuple[object, Passed]]
 
 
 @dataclass
@@ -366,8 +403,8 @@ class Usage:
     #: (identifier, path, line, is_attribute) of every load of a name or
     #: attribute.
     refs: List[Tuple[str, str, int, bool]] = field(default_factory=list)
-    #: callee -> [(keyword or position, passed)]; "**" for unknown keywords.
-    calls: Dict[str, List[Tuple[object, Passed]]] = field(default_factory=dict)
+    #: callee -> its call sites.
+    calls: Dict[str, List[Call]] = field(default_factory=dict)
     #: keyword -> [passed] from ``replace(obj, k=...)`` on any record.
     replaced: Dict[str, List[Passed]] = field(default_factory=dict)
     #: Attributes assigned, augmented or mutated in place (``x.a = v``,
@@ -487,8 +524,8 @@ class _CallerVisitor(ast.NodeVisitor):
             return ("field", value.attr)
         return None
 
-    def _record(self, callee: str, slot: object, passed: Passed) -> None:
-        self.usage.calls.setdefault(callee, []).append((slot, passed))
+    def _record(self, callee: str, call: Call) -> None:
+        self.usage.calls.setdefault(callee, []).append(call)
 
     def visit_Call(self, node: ast.Call) -> None:
         callee = _callee_name(node.func)
@@ -502,8 +539,8 @@ class _CallerVisitor(ast.NodeVisitor):
             given = {kw.arg: kw.value for kw in keywords}
             task_args = given.get("args")
             if "func" in given and isinstance(task_args, ast.Tuple):
-                for kw in keywords:
-                    self._record(callee, kw.arg, self._passed(kw.value))
+                self._record(callee, [(kw.arg, self._passed(kw.value))
+                                      for kw in keywords])
                 callee = _callee_name(given["func"])
                 args = list(task_args.elts)
                 keywords = []
@@ -526,17 +563,19 @@ class _CallerVisitor(ast.NodeVisitor):
                     self.usage.replaced.setdefault(kw.arg, []).append(
                         self._passed(kw.value))
         elif callee is not None:
+            call: Call = []
             for i, arg in enumerate(args):
                 if isinstance(arg, ast.Starred):
-                    self._record(callee, ("*", i), None)
+                    call.append((("*", i), None))
                     break
-                self._record(callee, i, self._passed(arg))
+                call.append((i, self._passed(arg)))
             for kw in keywords:
                 if kw.arg is None:
                     if not self._cli_dispatch(node):
-                        self._record(callee, "**", None)
+                        call.append(("**", None))
                 else:
-                    self._record(callee, kw.arg, self._passed(kw.value))
+                    call.append((kw.arg, self._passed(kw.value)))
+            self._record(callee, call)
         self.generic_visit(node)
 
     def _cli_dispatch(self, node: ast.Call) -> bool:
@@ -576,8 +615,10 @@ def _cli_keywords(main_path: str, usage: Usage) -> None:
                     keywords.add(opts[opt.id])
                 else:
                     keywords.add(opt.args[1].value)
+        # Which keys reach which row depends on the flags given: each one
+        # is a call of its own.
         for keyword in keywords:
-            usage.calls.setdefault(run, []).append((keyword, None))
+            usage.calls.setdefault(run, []).append([(keyword, None)])
 
 
 def collect_usage(root: str, inv: Inventory) -> Usage:
@@ -625,11 +666,15 @@ def find_hits(inv: Inventory, usage: Usage) -> Tuple[List[str], List[str]]:
 
     def sources(v: Value) -> List[Passed]:
         out: List[Passed] = []
-        for slot, passed in usage.calls.get(v.callee, ()):
-            if slot == "**" or slot == v.name or slot == v.index or (
-                    isinstance(slot, tuple) and v.index is not None
-                    and v.index >= slot[1]):
-                out.append(passed)
+        signature = inv.signatures[v.owner]
+        for call in usage.calls.get(v.callee, ()):
+            if not signature.binds(call):
+                continue
+            for slot, passed in call:
+                if slot == "**" or slot == v.name or slot == v.index or (
+                        isinstance(slot, tuple) and v.index is not None
+                        and v.index >= slot[1]):
+                    out.append(passed)
         if v.is_field:
             out.extend(usage.replaced.get(v.name, ()))
         return out
