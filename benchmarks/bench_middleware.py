@@ -9,12 +9,15 @@
   (two marshalling charges, two wire transfers, one handler process per
   call, which pays the dispatch charge and also carries the reply) with
   nothing else around it — once bare and once raced against a deadline,
-  the way the agents call.
-  ``benchmarks/export.py --bench engine`` folds both cases into
+  the way the agents call;
+* one agent's estimate fan-out (``LocalAgent._gather``) over its leaf
+  children, one gather after another: the join of the per-child legs.
+  ``benchmarks/export.py --bench engine`` folds the three cases into
   ``BENCH_engine.json`` beside the kernel shapes, with the kernel events
-  each run scheduled (an exact count: 7 per bare call, 8 per deadline-raced
-  one, plus the echo handler's own timeout and the caller's fan-out) and
-  what the cyclic collector did during its rounds.
+  each run scheduled (an exact count: 6 per call, bare or deadline-raced,
+  plus the echo handler's own timeout and the calling leg's boot; a wave's
+  deadlines cost one timer) and what the cyclic collector did during its
+  rounds.
 """
 
 import os
@@ -29,7 +32,9 @@ from repro.core import (
     deploy_paper_hierarchy,
     scalar_desc,
 )
+from repro.core.agent import LocalAgent
 from repro.core.data import BaseType
+from repro.core.requests import EstimateRequest
 from repro.platform import ClusterSpec, build_grid5000
 from repro.ramses import decompose, exchange_matrix, slab_ranks
 from repro.sim import Engine, Host, Link, Network
@@ -44,9 +49,11 @@ N_PARTICLES = (2000, 800) if QUICK else (9000, 3000)
 N_RPC = 2_000 if QUICK else 20_000
 RPC_WINDOW = 50
 RPC_ROUNDS = 3 if QUICK else 5
-#: Never reached (a round trip takes ~25 ms): every deadline ``Timeout`` is
-#: outlived by its reply and pops unheeded.
+#: Never reached (a round trip takes ~25 ms): every deadline is outlived by
+#: its reply.
 RPC_DEADLINE = 5.0
+N_GATHER = 200 if QUICK else 2_000
+GATHER_LEGS = 8
 
 
 def _measure_finding_time(n_seds_per_cluster: int) -> float:
@@ -165,3 +172,44 @@ def test_bench_rpc_roundtrip_deadline(measure_events):
     measure_events(f"deadline-raced rpc round trip x{N_RPC} "
                    f"(window {RPC_WINDOW}, deadline {RPC_DEADLINE:g} s)",
                    lambda: _run_rpc_roundtrips(deadline=True), RPC_ROUNDS)
+
+
+def _run_gathers() -> int:
+    engine = Engine()
+    net = Network(engine)
+    net.add_host(Host(engine, "agent"))
+    fabric = TransportFabric(engine, net)
+    agent = LocalAgent(fabric, net.host("agent"), "LA")
+
+    def no_candidate(msg):
+        return ([], 128)
+        yield  # pragma: no cover - make this a generator function
+
+    for leg in range(GATHER_LEGS):
+        name = f"sed{leg}"
+        net.add_host(Host(engine, name))
+        net.connect("agent", name, Link(engine, f"link{leg}", 0.001, 1e8))
+        child = fabric.endpoint(name, name)
+        child.on("estimate", no_candidate)
+        child.start()
+        agent.add_child(name)
+    agent.launch()
+    desc = ProfileDesc("echo", 0, 0, 1)
+    desc.set_arg(0, scalar_desc(BaseType.INT))
+    desc.set_arg(1, scalar_desc(BaseType.INT))
+    req = EstimateRequest(0, desc, "agent")
+
+    def caller():
+        for _ in range(N_GATHER):
+            yield from agent._gather(req)
+
+    engine.run_process(caller())
+    assert fabric.messages_sent == 2 * GATHER_LEGS * N_GATHER
+    return engine.events_scheduled
+
+
+def test_bench_fanout_gather(measure_events):
+    """One agent's estimate fan-out, gather after gather: per leg a process
+    and its RPC; the legs' join costs one event per gather."""
+    measure_events(f"fan-out gather x{N_GATHER} ({GATHER_LEGS} legs)",
+                   _run_gathers, RPC_ROUNDS)

@@ -8,9 +8,9 @@ Two roles, one file format:
   per benchmark ``min``/``mean`` seconds, ``rounds``, plus any
   ``extra_info`` the benchmark recorded (events/sec, efficiency, what the
   cyclic collector did, ...), tagged with the heap implementation that
-  produced it.  The engine document also carries the RPC round-trip case
-  of ``bench_middleware.py``: the kernel shapes and the message path they
-  serve are gated together.
+  produced it.  The engine document also carries the RPC round-trip and
+  fan-out gather cases of ``bench_middleware.py``: the kernel shapes, the
+  message path and the fan-out join they serve are gated together.
 * ``--check`` additionally compares the fresh ``min`` times against the
   committed baseline of the same name and exits non-zero when any
   benchmark ran more than ``--threshold`` (default 2.0) times slower,
@@ -49,7 +49,8 @@ _STATS_FIELDS = ("min", "mean", "rounds")
 #: relative to ``benchmarks/``).
 _EXTRA_CASES = {"engine": (
     "bench_middleware.py::test_bench_rpc_roundtrip",
-    "bench_middleware.py::test_bench_rpc_roundtrip_deadline")}
+    "bench_middleware.py::test_bench_rpc_roundtrip_deadline",
+    "bench_middleware.py::test_bench_fanout_gather")}
 
 #: Objects the cyclic collector may free beyond the baseline's count before
 #: the gate fails (set-up closures; a per-message cycle costs thousands).

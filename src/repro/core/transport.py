@@ -11,16 +11,19 @@ overhead) is a property of the client → MA → LA → SeD message path, so
 what a message costs is written once, as straight-line code:
 :meth:`TransportFabric._transmit` (and the reply leg of
 :meth:`Endpoint._handle`) charges the marshalling time of
-:class:`TransportParams` in the sender's process and *then* counts the
-message in :attr:`TransportFabric.accounting`, the network carries it, and
-the receiver's handler process charges the dispatch time before the handler
-runs.
+:class:`TransportParams` in the sender's process and counts the message in
+:attr:`TransportFabric.accounting`, the network carries it, and the
+receiver's handler process charges the dispatch time before the handler
+runs.  A request's marshalling and wire are one kernel event where the
+route allows it; a reply's stay two, since its liveness is decided at the
+marshal end.
 
 An RPC is a request message carrying a reply-to token; :meth:`Endpoint.rpc`
 suspends the calling process until the reply arrives — or, when
 :meth:`Endpoint.set_deadline` gave the operation an :class:`RpcPolicy`, until
-the deadline expires, with optional retries before
-:class:`DeadlineExceededError` is raised.  Tests lose, stall and duplicate
+the deadline expires (one timer per deadline length serves the whole
+fabric), with optional retries before :class:`DeadlineExceededError` is
+raised.  Tests lose, stall and duplicate
 messages through one seam, :attr:`Endpoint.faults` (a :class:`FaultInjector`,
 None in every deployment): consulted in the sender before marshalling, so a
 message dropped there is neither charged nor counted, and in the receiver
@@ -37,8 +40,8 @@ duplicate replies are suppressed with an accounting mark.
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from ..sim.engine import Engine, Event, Interrupt, Process
@@ -125,6 +128,17 @@ class Accounting:
         by_op = self.messages_by_op
         by_op[op] = by_op.get(op, 0) + 1
 
+    def uncount(self, op: str, nbytes: int) -> None:
+        """Take back a :meth:`count` whose sender was interrupted before the
+        message finished marshalling (it never reached the wire)."""
+        self.messages_sent -= 1
+        self.bytes_sent -= nbytes
+        by_op = self.messages_by_op
+        if by_op[op] == 1:
+            del by_op[op]
+        else:
+            by_op[op] -= 1
+
 
 class FaultInjector:
     """Drop / delay / duplicate messages, driven by a named RNG stream.
@@ -207,9 +221,63 @@ class FaultInjector:
 _EXPIRED = ("expired", None)
 
 
-def _expire(reply: Event, deadline: Event) -> None:
-    if not reply.triggered:
-        reply.succeed(_EXPIRED)
+class _DeadlineQueue:
+    """The pending deadlines of a fabric's RPCs that share one deadline
+    length, expired by one armed timer.
+
+    Attempts join in send order, which is expiry order (same length, a
+    clock that never goes back), so the head is always the next to expire
+    and attempts due at one instant expire in send order, as their own
+    timers would have.  The timer is armed at the head's expiry while
+    anything is pending and taken off the heap when the queue empties: an
+    answered attempt leaves nothing behind — no dead ``Timeout`` per RPC —
+    and an unanswered one expires at exactly ``t_send + deadline``.  When
+    the timer fires for a head that was answered meanwhile it re-arms at
+    the new head (the MA's ``_expiry_sweep`` pattern), so at most one timer
+    per queue is on the heap.  One queue serves all the fabric's endpoints:
+    per endpoint, a queue would empty between two requests and pay a timer
+    for each.
+    """
+
+    __slots__ = ("engine", "deadline", "_pending", "_timer")
+
+    def __init__(self, engine: Engine, deadline: float):
+        self.engine = engine
+        self.deadline = deadline
+        #: reply token -> its expiry instant, in send (== expiry) order.
+        self._pending: "OrderedDict[Event, float]" = OrderedDict()
+        self._timer: Optional[Event] = None
+
+    def add(self, reply: Event) -> None:
+        """Start the deadline of the attempt ``reply`` answers: now."""
+        expires = self.engine.now + self.deadline
+        self._pending[reply] = expires
+        if self._timer is None:
+            self._arm(expires)
+
+    def discard(self, reply: Event) -> None:
+        """The attempt is over (answered, expired or abandoned)."""
+        if (self._pending.pop(reply, None) is not None and not self._pending
+                and self._timer is not None):
+            self.engine._queue.remove(self._timer)
+            self._timer = None
+
+    def _arm(self, when: float) -> None:
+        self._timer = self.engine.timeout_at(when)
+        self._timer.callbacks.append(self._expire_due)
+
+    def _expire_due(self, timer: Event) -> None:
+        self._timer = None
+        now = self.engine.now
+        pending = self._pending
+        while pending:
+            reply, expires = next(iter(pending.items()))
+            if expires > now:
+                self._arm(expires)
+                return
+            del pending[reply]
+            if not reply.triggered:
+                reply.succeed(_EXPIRED)
 
 
 class Endpoint:
@@ -340,6 +408,7 @@ class Endpoint:
         if reply_to.triggered and reply_to.value is not _EXPIRED:
             acct.replies_suppressed += 1
             return
+        # Liveness is decided at the marshal end, so it stays an event.
         yield engine.timeout(params.marshal_fixed
                              + params.marshal_per_byte * nbytes)
         acct.count(msg.op, nbytes)
@@ -352,8 +421,13 @@ class Endpoint:
             fabric._dead_letter(msg, f"caller {msg.src!r} unbound before its "
                                      f"{msg.op!r} reply arrived")
             return
-        yield from fabric.network.transfer(self.host_name, caller.host_name,
-                                           nbytes)
+        network = fabric.network
+        wire = network.wire_time(self.host_name, caller.host_name, nbytes)
+        if wire is None:
+            yield from network.transfer(self.host_name, caller.host_name,
+                                        nbytes)
+        else:
+            yield engine.timeout(wire)
         if not reply_to.triggered:
             reply_to.succeed((status, value))
         elif reply_to.value is not _EXPIRED:
@@ -418,10 +492,16 @@ class Endpoint:
             if policy is None:
                 result = yield reply
             else:
-                deadline = engine.timeout(policy.deadline).callbacks
-                deadline.append(partial(_expire, reply))
-                result = yield reply
-                deadline.clear()  # queued until its time: not holding the reply
+                queues = self.fabric._deadline_queues
+                queue = queues.get(policy.deadline)
+                if queue is None:
+                    queue = queues[policy.deadline] = \
+                        _DeadlineQueue(engine, policy.deadline)
+                queue.add(reply)
+                try:
+                    result = yield reply
+                finally:
+                    queue.discard(reply)
                 if result is _EXPIRED:
                     if attempt < policy.retries:
                         attempt += 1
@@ -454,6 +534,8 @@ class TransportFabric:
         self.accounting = Accounting()
         self._endpoints: Dict[str, Endpoint] = {}
         self._msg_ids = itertools.count(1)
+        #: The pending RPC deadlines of every endpoint, one queue per length.
+        self._deadline_queues: Dict[float, _DeadlineQueue] = {}
         #: Request ids are fabric-scoped, not process-global: a campaign's
         #: ids are then a pure function of the campaign itself, so two runs
         #: of the same seeded experiment — in one process, in different
@@ -512,7 +594,16 @@ class TransportFabric:
                   nbytes: Optional[int], reply_to: Optional[Event] = None
                   ) -> Generator[Event, Any, None]:
         """Carry one message from ``src`` to ``dst_name``'s handler process,
-        in the sender's process: fault seam, marshalling charge, count, wire."""
+        in the sender's process: fault seam, marshalling charge, count, wire.
+
+        On a route with links and no shared one, marshalling and wire are
+        one event at ``(now + marshal) + wire``, the instant the two charges
+        reach one after the other.  The message is counted at send and the
+        count taken back if the sender is interrupted before the marshal
+        end; an interrupt dispatched at exactly the marshal end counts as
+        after it (the message was on the wire).  Shared-link routes queue
+        for slots and the self-route has no wire: both keep the two steps,
+        counting at the marshal end."""
         dst = self.resolve(dst_name)
         if dst.closed:
             raise CommunicationError(f"endpoint {dst_name!r} is stopped")
@@ -529,10 +620,23 @@ class TransportFabric:
             delay, copies = fate
             if delay:
                 yield engine.timeout(delay)
-        yield engine.timeout(params.marshal_fixed
-                             + params.marshal_per_byte * size)
-        self.accounting.count(op, size)
-        yield from self.network.transfer(src.host_name, dst.host_name, size)
+        marshal = params.marshal_fixed + params.marshal_per_byte * size
+        network, acct = self.network, self.accounting
+        wire = network.wire_time(src.host_name, dst.host_name, size)
+        if wire is None:
+            yield engine.timeout(marshal)
+            acct.count(op, size)
+            yield from network.transfer(src.host_name, dst.host_name, size)
+        else:
+            acct.count(op, size)
+            marshalled = engine.now + marshal
+            try:
+                yield engine.timeout_at(marshalled + wire)
+            except Interrupt:
+                if engine.now < marshalled:
+                    acct.uncount(op, size)
+                    network.uncount(src.host_name, dst.host_name, size)
+                raise
         # The destination may have stopped or been unbound while the message
         # was on the wire; surface that to the sender rather than handing the
         # message to an endpoint that will never serve it.

@@ -59,7 +59,10 @@ _MEAN_INV_SPEED = (2 / 2.0 + 1 / 2.4 + 2 / 2.2 + 2 / 2.6
 _CANONICAL_INDICES = (2, 102)
 
 
-@lru_cache(maxsize=64)
+# Sized to the canonical range: a campaign draws it once for the sample
+# mean and again, index by index, for its zooms (a smaller LRU lets the
+# second pass evict every entry just before it is read).
+@lru_cache(maxsize=_CANONICAL_INDICES[1] - _CANONICAL_INDICES[0])
 def _noise_draw(seed: int, sigma: float, index: int) -> float:
     """The (mean-one) lognormal work factor of job ``index``."""
     rng = RandomStreams(seed).get("zoom-work", index)

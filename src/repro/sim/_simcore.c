@@ -13,7 +13,10 @@
  *   (``push`` stamps the next seq itself; seq makes the key total, so pop
  *   order is bit-identical to heapq over equivalent tuples) and the
  *   simulation clock (``now`` advances to each popped entry's time, so
- *   the dispatch paths never box the clock).
+ *   the dispatch paths never box the clock).  ``timeout_at(when)`` pushes a
+ *   Timeout at an absolute instant (the message path's one-event legs) and
+ *   ``remove(obj)`` unschedules an entry without dispatching it (a
+ *   disarmed deadline timer).
  *
  * Timeout
  *   A born-scheduled event: the constructor stamps the fields and sifts
@@ -31,9 +34,10 @@
  *   The non-logging dispatch loop: pop, advance the clock, run callbacks.
  *   When an event's single waiter is a Process._resume bound method (the
  *   overwhelmingly common case — registered via ``configure()``), the
- *   resume itself runs in C: interrupt check, generator send/throw,
- *   StopIteration -> Process._finish, subscribe to the yielded event.  Every
- *   branch mirrors the pure-Python ``Process._resume`` line for line; the
+ *   resume itself runs in C: interrupt check, generator send/throw, the
+ *   finish (``c_finish``: settle in place, count a fan-out join down, or
+ *   schedule), subscribe to the yielded event.  Every branch mirrors the
+ *   pure-Python ``Process._resume`` / ``_finish`` line for line; the
  *   determinism suite pins the equivalence.
  *
  * Built on first import by repro.sim.simcore; that module falls back to a
@@ -53,10 +57,11 @@
 static PyObject *g_resume_func;   /* Process._resume (plain function) */
 static PyObject *g_process_type;  /* Process class */
 static PyObject *g_simerror;      /* SimulationError class */
+static PyObject *g_join_func;     /* AllOf._on_fire (plain function) */
 
 static PyObject *str_callbacks, *str__ok, *str__value, *str__scheduled,
     *str__defused, *str__active_process, *str_generator, *str__interrupts,
-    *str__target, *str_send, *str_throw, *str__finish,
+    *str__target, *str_send, *str_throw,
     *str__resume_cb, *str__queue, *str_pushdelay, *str_name, *str_pop;
 
 /* ------------------------------------------------------------------ */
@@ -127,6 +132,27 @@ heap_insert(Heap *self, double when, long prio, PyObject *item)
     return 0;
 }
 
+/* Place `e` in the hole at `pos` of arr[0..n), moving it towards the
+ * leaves; returns its final index. */
+static Py_ssize_t
+sift_down(Entry *arr, Py_ssize_t n, Py_ssize_t pos, const Entry *e)
+{
+    for (;;) {
+        Py_ssize_t child = 2 * pos + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && entry_lt(&arr[child + 1], &arr[child]))
+            child++;
+        if (entry_lt(&arr[child], e)) {
+            arr[pos] = arr[child];
+            pos = child;
+        } else
+            break;
+    }
+    arr[pos] = *e;
+    return pos;
+}
+
 /* Core extract-min into *out; caller owns out->item.  size must be > 0.
  * Advances the heap's clock to the popped entry's time. */
 static void
@@ -135,24 +161,8 @@ heap_extract(Heap *self, Entry *out)
     *out = self->arr[0];
     self->now = out->when;
     Entry last = self->arr[--self->size];
-    Py_ssize_t n = self->size;
-    if (n > 0) {
-        Entry *arr = self->arr;
-        Py_ssize_t pos = 0;
-        for (;;) {
-            Py_ssize_t child = 2 * pos + 1;
-            if (child >= n)
-                break;
-            if (child + 1 < n && entry_lt(&arr[child + 1], &arr[child]))
-                child++;
-            if (entry_lt(&arr[child], &last)) {
-                arr[pos] = arr[child];
-                pos = child;
-            } else
-                break;
-        }
-        arr[pos] = last;
-    }
+    if (self->size > 0)
+        sift_down(self->arr, self->size, 0, &last);
 }
 
 static PyObject *
@@ -301,6 +311,66 @@ heap_pop2(Heap *self, PyObject *Py_UNUSED(ignored))
 }
 
 static PyObject *
+heap_remove(Heap *self, PyObject *obj)
+{
+    /* Take a scheduled entry out without dispatching it (a disarmed timer).
+     * A linear scan: the callers keep at most one such entry per queue of
+     * theirs, and pop order is the total (when, prio, seq) order whatever
+     * the layout, so the heap replays exactly as if it had never held it. */
+    Entry *arr = self->arr;
+    Py_ssize_t i = 0;
+    while (i < self->size && arr[i].item != obj)
+        i++;
+    if (i == self->size) {
+        PyErr_SetString(PyExc_ValueError, "remove(): object is not scheduled");
+        return NULL;
+    }
+    PyObject *item = arr[i].item;
+    Entry last = arr[--self->size];
+    if (i < self->size) {
+        Py_ssize_t pos = i;
+        while (pos > 0) {
+            Py_ssize_t parent = (pos - 1) >> 1;
+            if (!entry_lt(&last, &arr[parent]))
+                break;
+            arr[pos] = arr[parent];
+            pos = parent;
+        }
+        if (pos == i)
+            sift_down(arr, self->size, i, &last);
+        else
+            arr[pos] = last;
+    }
+    Py_DECREF(item);
+    Py_RETURN_NONE;
+}
+
+static PyObject *timeout_alloc(double delay, PyObject *value); /* forward */
+
+static PyObject *
+heap_timeout_at(Heap *self, PyObject *arg)
+{
+    /* A Timeout at the absolute instant `when`: the float a chain of
+     * relative charges reached, pushed without re-rounding it through
+     * `when - now`. */
+    double when = PyFloat_AsDouble(arg);
+    if (when == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (when < self->now) {
+        PyErr_SetString(PyExc_ValueError, "timeout_at(): instant is in the past");
+        return NULL;
+    }
+    PyObject *t = timeout_alloc(when - self->now, Py_None);
+    if (t == NULL)
+        return NULL;
+    if (heap_insert(self, when, 1 /* PRIORITY_NORMAL */, t) < 0) {
+        Py_DECREF(t);
+        return NULL;
+    }
+    return t;
+}
+
+static PyObject *
 heap_peektime(Heap *self, PyObject *Py_UNUSED(ignored))
 {
     return PyFloat_FromDouble(self->size ? self->arr[0].when : INFINITY);
@@ -331,6 +401,10 @@ static PyMethodDef heap_methods[] = {
      "pop2() -> smallest (when, obj) pair; advances the clock"},
     {"peektime", (PyCFunction)heap_peektime, METH_NOARGS,
      "peektime() -> time of the next entry, or inf when empty"},
+    {"remove", (PyCFunction)heap_remove, METH_O,
+     "remove(obj) -> None  (unschedule obj without dispatching it)"},
+    {"timeout_at", (PyCFunction)heap_timeout_at, METH_O,
+     "timeout_at(when) -> Timeout scheduled at the absolute instant when"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -403,6 +477,30 @@ timeout_dealloc(TimeoutObj *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
+/* A fresh, unscheduled Timeout. */
+static PyObject *
+timeout_alloc(double delay, PyObject *value)
+{
+    TimeoutObj *self = PyObject_GC_New(TimeoutObj, &TimeoutType);
+    if (self == NULL)
+        return NULL;
+    self->callbacks = NULL;
+    if (value == Py_None) {
+        self->value = NULL;
+    } else {
+        Py_INCREF(value);
+        self->value = value;
+        /* A container value could close a reference cycle through us. */
+        if (PyObject_IS_GC(value))
+            PyObject_GC_Track(self);
+    }
+    self->delay = delay;
+    /* Otherwise stay untracked: with no callbacks and an atomic value a
+     * queued Timeout cannot participate in a cycle.  The callbacks getter
+     * tracks us the moment a waiter can subscribe. */
+    return (PyObject *)self;
+}
+
 /* Shared constructor body.  ``owner`` may be the Engine (we read its
  * ``_queue``) or the EventHeap itself (the Engine's ``timeout`` factory
  * binds the heap directly to skip one attribute lookup per event). */
@@ -427,25 +525,11 @@ timeout_create(PyObject *owner, double delay, PyObject *value, long prio)
             return NULL;
     }
 
-    TimeoutObj *self = PyObject_GC_New(TimeoutObj, &TimeoutType);
+    TimeoutObj *self = (TimeoutObj *)timeout_alloc(delay, value);
     if (self == NULL) {
         Py_DECREF(queue);
         return NULL;
     }
-    self->callbacks = NULL;
-    if (value == Py_None) {
-        self->value = NULL;
-    } else {
-        Py_INCREF(value);
-        self->value = value;
-        /* A container value could close a reference cycle through us. */
-        if (PyObject_IS_GC(value))
-            PyObject_GC_Track(self);
-    }
-    self->delay = delay;
-    /* Otherwise stay untracked: with no callbacks and an atomic value a
-     * queued Timeout cannot participate in a cycle.  The callbacks getter
-     * tracks us the moment a waiter can subscribe. */
 
     int rc;
     if (Py_TYPE(queue) == &HeapType) {
@@ -642,11 +726,63 @@ raise_simerror(const char *fmt, PyObject *obj)
     PyErr_Format(g_simerror ? g_simerror : PyExc_RuntimeError, fmt, obj);
 }
 
+/* Mirror of Process._finish: the generator ended with `value`.  A success
+ * with no waiter, or with one AllOf join as its only waiter, settles in
+ * place (the join counted down here, no heap event); anything else — a
+ * failure always — is scheduled now.  Returns 0, or -1 with an exception
+ * set. */
+static int
+c_finish(Heap *heap, PyObject *process, int ok, PyObject *value)
+{
+    if (PyObject_SetAttr(process, str__resume_cb, Py_None) < 0 ||
+        PyObject_SetAttr(process, str__ok, ok ? Py_True : Py_False) < 0 ||
+        PyObject_SetAttr(process, str__value, value) < 0 ||
+        PyObject_SetAttr(process, str__scheduled, Py_True) < 0)
+        return -1;
+    PyObject *cbs = PyObject_GetAttr(process, str_callbacks);
+    if (cbs == NULL)
+        return -1;
+    PyObject *join = NULL;
+    int settle = 0;
+    if (ok) {
+        Py_ssize_t n = PyList_Check(cbs) ? PyList_GET_SIZE(cbs)
+                                         : PyObject_IsTrue(cbs);
+        if (n < 0) {
+            Py_DECREF(cbs);
+            return -1;
+        }
+        if (n == 0) {
+            settle = 1;
+        } else if (n == 1 && PyList_Check(cbs)) {
+            PyObject *cb = PyList_GET_ITEM(cbs, 0);
+            if (g_join_func != NULL && PyMethod_Check(cb) &&
+                PyMethod_GET_FUNCTION(cb) == g_join_func) {
+                settle = 1;
+                join = Py_NewRef(cb);
+            }
+        }
+    }
+    Py_DECREF(cbs);
+    int rc;
+    if (settle) {
+        rc = PyObject_SetAttr(process, str_callbacks, Py_None);
+        if (rc == 0 && join != NULL) {
+            PyObject *r = PyObject_CallOneArg(join, process);
+            rc = r == NULL ? -1 : 0;
+            Py_XDECREF(r);
+        }
+    } else {
+        rc = heap_insert(heap, heap->now, 1 /* PRIORITY_NORMAL */, process);
+    }
+    Py_XDECREF(join);
+    return rc;
+}
+
 /* Mirror of Process._resume.  Returns 0 on success, -1 with an exception
  * set on failure.  Every branch corresponds to a line of the Python
  * implementation in engine.py — keep them in sync. */
 static int
-c_resume(PyObject *engine, PyObject *process, PyObject *event)
+c_resume(Heap *heap, PyObject *engine, PyObject *process, PyObject *event)
 {
     int result = -1;
     PyObject *gen = NULL, *interrupts = NULL, *next = NULL, *stopval = NULL;
@@ -721,13 +857,9 @@ c_resume(PyObject *engine, PyObject *process, PyObject *event)
                     goto reset;
             }
             if (stopval != NULL) {
-                /* self._finish(True, value): the finish routine both
-                 * resume legs share (settle in place or schedule). */
-                PyObject *r = PyObject_CallMethodObjArgs(
-                    process, str__finish, Py_True, stopval, NULL);
-                if (r == NULL)
+                /* self._finish(True, value) */
+                if (c_finish(heap, process, 1, stopval) < 0)
                     goto reset;
-                Py_DECREF(r);
                 result = 0;
                 goto reset;
             }
@@ -737,7 +869,7 @@ c_resume(PyObject *engine, PyObject *process, PyObject *event)
             {
                 /* Unhandled in-process exception: fail the process event;
                  * escalation happens at dispatch time if nobody watches. */
-                PyObject *etype, *evalue, *etb, *r;
+                PyObject *etype, *evalue, *etb;
                 PyErr_Fetch(&etype, &evalue, &etb);
                 PyErr_NormalizeException(&etype, &evalue, &etb);
                 if (etb != NULL)
@@ -746,12 +878,10 @@ c_resume(PyObject *engine, PyObject *process, PyObject *event)
                 Py_XDECREF(etb);
                 if (evalue == NULL)
                     goto reset;
-                r = PyObject_CallMethodObjArgs(
-                    process, str__finish, Py_False, evalue, NULL);
+                int rc = c_finish(heap, process, 0, evalue);
                 Py_DECREF(evalue);
-                if (r == NULL)
+                if (rc < 0)
                     goto reset;
-                Py_DECREF(r);
                 result = 0;
                 goto reset;
             }
@@ -848,13 +978,13 @@ done:
 
 /* Invoke one dispatched event's callback list (already detached). */
 static int
-run_callbacks(PyObject *engine, PyObject *cbs, PyObject *event)
+run_callbacks(Heap *heap, PyObject *engine, PyObject *cbs, PyObject *event)
 {
     if (PyList_GET_SIZE(cbs) == 1) {
         PyObject *cb = PyList_GET_ITEM(cbs, 0); /* borrowed; cbs keeps it */
         if (g_resume_func != NULL && PyMethod_Check(cb) &&
             PyMethod_GET_FUNCTION(cb) == g_resume_func)
-            return c_resume(engine, PyMethod_GET_SELF(cb), event);
+            return c_resume(heap, engine, PyMethod_GET_SELF(cb), event);
         PyObject *r = PyObject_CallOneArg(cb, event);
         if (r == NULL)
             return -1;
@@ -943,7 +1073,7 @@ simcore_drain(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
             }
             t->callbacks = Py_NewRef(Py_None); /* we own old cbs ref */
             if (PyList_GET_SIZE(cbs) > 0) {
-                int rc = run_callbacks(engine, cbs, event);
+                int rc = run_callbacks(heap, engine, cbs, event);
                 Py_DECREF(cbs);
                 Py_DECREF(event);
                 if (rc < 0)
@@ -984,7 +1114,7 @@ simcore_drain(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
         if (ncbs > 0) {
             int rc;
             if (PyList_Check(cbs)) {
-                rc = run_callbacks(engine, cbs, event);
+                rc = run_callbacks(heap, engine, cbs, event);
             } else {
                 PyObject *it = PyObject_GetIter(cbs);
                 rc = it == NULL ? -1 : 0;
@@ -1062,12 +1192,13 @@ simcore_drain(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 simcore_configure(PyObject *mod, PyObject *args)
 {
-    PyObject *resume, *process, *simerror;
-    if (!PyArg_ParseTuple(args, "OOO", &resume, &process, &simerror))
+    PyObject *resume, *process, *simerror, *join;
+    if (!PyArg_ParseTuple(args, "OOOO", &resume, &process, &simerror, &join))
         return NULL;
     Py_XSETREF(g_resume_func, Py_NewRef(resume));
     Py_XSETREF(g_process_type, Py_NewRef(process));
     Py_XSETREF(g_simerror, Py_NewRef(simerror));
+    Py_XSETREF(g_join_func, Py_NewRef(join));
     Py_RETURN_NONE;
 }
 
@@ -1075,7 +1206,7 @@ static PyMethodDef simcore_methods[] = {
     {"drain", (PyCFunction)(void (*)(void))simcore_drain, METH_FASTCALL,
      "drain(engine, heap, until, clamp, stopproc) -> int stop code"},
     {"configure", simcore_configure, METH_VARARGS,
-     "configure(resume_func, process_type, simerror_type)"},
+     "configure(resume_func, process_type, simerror_type, join_func)"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1107,7 +1238,6 @@ PyInit__simcore(void)
     INTERN(str__target, "_target");
     INTERN(str_send, "send");
     INTERN(str_throw, "throw");
-    INTERN(str__finish, "_finish");
     INTERN(str__resume_cb, "_resume_cb");
     INTERN(str__queue, "_queue");
     INTERN(str_pushdelay, "pushdelay");

@@ -171,6 +171,24 @@ class Timeout(Event):
         engine._queue.pushdelay(delay, priority, self)
 
 
+def _py_timeout_at(engine: "Engine", when: float) -> Timeout:
+    """Pure-Python ``Engine.timeout_at``: a Timeout pushed at the absolute
+    instant ``when`` (the mirror of the C heap's ``timeout_at``)."""
+    queue = engine._queue
+    if when < queue.now:
+        raise ValueError(f"timeout_at({when!r}) is in the past "
+                         f"(now={queue.now!r})")
+    timeout = Timeout.__new__(Timeout)
+    timeout.engine = engine
+    timeout.callbacks = []
+    timeout._value = None
+    timeout._ok = True
+    timeout._scheduled = True
+    timeout.delay = when - queue.now
+    queue.push(when, PRIORITY_NORMAL, timeout)
+    return timeout
+
+
 if CTimeout is not None:
     # The C fast path: same constructor signature, same duck-typed Event
     # surface, same type __name__ (so determinism event logs match), but
@@ -385,23 +403,37 @@ class Process(Event):
             engine._active_process = None
 
     def _finish(self, ok: bool, value: Any) -> None:
-        """The generator ended (both resume legs, here and in C, end here).
-        With nobody subscribed a success never enters the heap; a failure
-        always does, so that dispatch escalates the unwatched crash."""
+        """The generator ended: the line-for-line mirror of ``c_finish`` in
+        ``_simcore.c``.  A success with nobody subscribed, or with one
+        :class:`AllOf` as its only waiter, never enters the heap: the join
+        is counted down here (a fan-out leg costs no completion event).  A
+        failure always does, so that dispatch escalates the unwatched crash
+        and a join fails at the failure's dispatch."""
         self._resume_cb = None  # the process's one reference to itself
         self._ok = ok
         self._value = value
         self._scheduled = True
-        if self.callbacks or not ok:
-            self.engine._queue.pushnow(PRIORITY_NORMAL, self)
-        else:
+        callbacks = self.callbacks
+        if ok and (not callbacks or (
+                len(callbacks) == 1
+                and getattr(callbacks[0], "__func__", None) is _JOIN)):
             self.callbacks = None
+            if callbacks:
+                callbacks[0](self)
+        else:
+            self.engine._queue.pushnow(PRIORITY_NORMAL, self)
+
+
+#: ``AllOf._on_fire``: a process whose only waiter is this join counts it
+#: down when it finishes (:meth:`Process._finish`, ``c_finish``).
+_JOIN = AllOf._on_fire
 
 
 class Engine:
     """The simulation engine: clock plus event queue."""
 
-    __slots__ = ("_queue", "_active_process", "event_log", "timeout", "obs")
+    __slots__ = ("_queue", "_active_process", "event_log", "timeout",
+                 "timeout_at", "obs")
 
     #: Class-wide default for :attr:`event_log`.  Tests set this to a list
     #: before building a stack whose engines they cannot reach (e.g. the
@@ -423,6 +455,11 @@ class Engine:
         #: clock from the queue); the Python fallback takes the engine.
         self.timeout = partial(
             Timeout, self._queue if CTimeout is not None else self)
+        #: ``timeout_at(when)`` — a Timeout at the absolute instant ``when``,
+        #: for a chain of charges summed as the same floats a chain of
+        #: ``timeout`` calls would reach, without the intermediate events.
+        self.timeout_at = (self._queue.timeout_at if CTimeout is not None
+                           else partial(_py_timeout_at, self))
         #: Observability hub (spans over simulated time).  Defaults
         #: to the shared disabled singleton; deployments install theirs.
         #: Recording is pure bookkeeping — never events — so the dispatch
@@ -659,7 +696,7 @@ def _py_drain(engine: Engine, queue, until: float, clamp: bool,
 if _C is not None:
     # Let the C dispatch loop recognise process-resume callbacks (by their
     # __func__) and raise the kernel's own error type.
-    _C.configure(Process._resume, Process, SimulationError)
+    _C.configure(Process._resume, Process, SimulationError, _JOIN)
     _drain = _C.drain
 else:
     _drain = _py_drain

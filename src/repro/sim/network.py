@@ -251,6 +251,33 @@ class Network:
             return 0.0
         return latency + nbytes / bottleneck
 
+    def wire_time(self, src: str, dst: str, nbytes: int) -> Optional[float]:
+        """Count a transfer's bytes and return its duration, for a caller
+        that charges the time itself (the message path's one-event legs).
+
+        Only a route with links, none of them shared, has a wire time of its
+        own: on a shared link the duration depends on the slot queue and on
+        the self-route there is no wire, so both return None, count nothing
+        and are left to :meth:`transfer`.  The duration is the one
+        :meth:`transfer` and :meth:`transfer_time` compute, to the bit.
+        """
+        info = self._route_info.get((src, dst))  # the per-message hot path
+        latency, bottleneck, shared, wan = (
+            info if info is not None else self._route_metrics(src, dst))
+        if shared or bottleneck == 0.0:
+            return None
+        self.bytes_total += nbytes
+        if wan:
+            self.bytes_wan += nbytes
+        return latency + nbytes / bottleneck
+
+    def uncount(self, src: str, dst: str, nbytes: int) -> None:
+        """Take back the bytes :meth:`wire_time` counted for a transfer whose
+        sender was stopped before it started."""
+        self.bytes_total -= nbytes
+        if self._route_metrics(src, dst)[3]:
+            self.bytes_wan -= nbytes
+
     def transfer(self, src: str, dst: str, nbytes: int) -> Generator[Event, Any, float]:
         """Process helper: perform a timed transfer, honouring shared links.
 
@@ -266,17 +293,18 @@ class Network:
         contended — see the contract there).
         """
         start = self.engine.now
+        wire = self.wire_time(src, dst, nbytes)
+        if wire is not None:
+            # No shared link on the route, so the duration is the analytic
+            # one — a single timeout, no slot bookkeeping.
+            yield self.engine.timeout(wire)
+            return self.engine.now - start
         latency, bottleneck, shared, wan = self._route_metrics(src, dst)
         if bottleneck == 0.0:  # empty self-route
             return 0.0
         self.bytes_total += nbytes
         if wan:
             self.bytes_wan += nbytes
-        if not shared:
-            # Fast path: no shared link on the route, so the duration is the
-            # analytic one — a single timeout, no slot bookkeeping.
-            yield self.engine.timeout(latency + nbytes / bottleneck)
-            return self.engine.now - start
         claims = []
         try:
             for link in shared:

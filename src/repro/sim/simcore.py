@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Optional
 
 from .cbuild import build_and_load
@@ -74,6 +74,20 @@ class PyEventHeap:
         self.now = entry[0]
         return entry[0], entry[3]
 
+    def remove(self, obj: object) -> None:
+        """Unschedule ``obj`` without dispatching it (pop order of the rest
+        is the same total order)."""
+        entries = self._entries
+        for i, entry in enumerate(entries):
+            if entry[3] is obj:
+                break
+        else:
+            raise ValueError("remove(): object is not scheduled")
+        last = entries.pop()
+        if i < len(entries):
+            entries[i] = last
+            heapify(entries)
+
     def peektime(self) -> float:
         entries = self._entries
         return entries[0][0] if entries else _INF
@@ -109,6 +123,13 @@ def _smoke(mod) -> bool:
             and type(t).__name__ == "Timeout"):
         return False
     if queue.pop2() != (4.0, t) or queue.now != 4.0:
+        return False
+
+    # timeout_at() schedules at the absolute instant; remove() unschedules.
+    at = queue.timeout_at(4.25)
+    gone = queue.timeout_at(4.0)
+    queue.remove(gone)
+    if len(queue) != 1 or at.delay != 0.25 or queue.pop2() != (4.25, at):
         return False
 
     # drain(): watcherless timeouts are consumed without callbacks and the

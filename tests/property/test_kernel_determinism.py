@@ -60,6 +60,32 @@ def test_degraded_campaign_event_stream_is_bit_identical():
     _check("degraded")
 
 
+def test_fast_dispatch_loop_schedules_the_logged_stream():
+    """The logging loop runs every wake-up in Python (``Process._resume`` /
+    ``_finish``); the fast loop is ``_simcore.drain`` with ``c_resume`` /
+    ``c_finish`` when the extension is loaded, ``_py_drain`` otherwise.
+    Both must schedule the same events — fan-out joins counted down in
+    place included — and reach the same campaign."""
+    from repro.services import CampaignConfig, run_campaign
+    from repro.sim.engine import Engine
+
+    def campaign(log):
+        Engine.default_event_log = log
+        try:
+            result = run_campaign(CampaignConfig(n_sub_simulations=100,
+                                                 seed=2007))
+        finally:
+            Engine.default_event_log = None
+        engine = result.deployment.engine
+        return (engine.events_scheduled, engine.now, result.total_elapsed,
+                result.part2_durations, result.statuses)
+
+    log = []
+    logged = campaign(log)
+    assert campaign(None) == logged
+    assert len(log) <= logged[0]
+
+
 def test_disabled_tracing_replays_identical_stream():
     """observe=False must replay the observe=True reference bit-for-bit:
     span recording is pure bookkeeping that schedules no events, so

@@ -345,14 +345,17 @@ class TestOneCallRoutine:
         assert federation.fabric.new_request_id() == 5
         assert client.redirects == 0 and client.rejections == 1
         digest = kernel_reference.digest(log, engine.now)
-        # Simulated time, as recorded from the kernel of commit 55c4e31:
-        # every instant at which anything happened.  An event cut keeps it.
+        # Simulated time: every instant at which anything happened, derived
+        # from the kernel of commit 8d8922f (10.941626753333335, 116
+        # instants, 60b043cd...) by dropping exactly its request-marshal-end
+        # and dead-deadline instants; the last of those, 10 s after the
+        # final fan-out, was the old final time.  Any other event cut keeps it.
         assert (digest["final_time"], digest["n_instants"]) \
-            == ("10.941626753333335", 116)
-        assert digest["instants_sha256"] == ("60b043cd6187599959d14355ba5b8331"
-                                             "05ca44a513a1790c6c19b1c4d410e930")
+            == ("0.9528796333333338", 90)
+        assert digest["instants_sha256"] == ("f4982da210c7e12e334cf9197f6dca22"
+                                             "c580d0cafb832725e7a9dc1422fb3083")
         # The stream itself (449 events until the zero-time events of the
-        # message path went).
-        assert digest["n_events"] == 307
-        assert digest["sha256"] == ("58a2c5a4b5348bf4af50bae21ed0648d"
-                                    "c703454f3debd30a71a3eaa7eb78139d")
+        # message path went, 307 until an RPC became six events).
+        assert digest["n_events"] == 237
+        assert digest["sha256"] == ("23764e70fb732a9b2a3fb46bed261810"
+                                    "13ac1fdcf0bfe74beda1746e86d80251")

@@ -412,6 +412,74 @@ class TestCounters:
         assert fault.dropped == 1
 
 
+class TestSenderInterrupt:
+    """``grpc_cancel`` while the submit is on its way to the MA, over a WAN
+    link: a message counts — in the transport and on the network — exactly
+    when it finished marshalling, and a cancelled one is never delivered."""
+
+    def _cancel(self, at, cancel_first=False):
+        from repro.core import BaseType, DietClient, ProfileDesc, scalar_desc
+        from repro.core.gridrpc import grpc_call_async, grpc_cancel
+
+        engine = Engine()
+        net = Network(engine)
+        for name in ("alpha", "beta"):
+            net.add_host(Host(engine, name))
+        net.connect("alpha", "beta", Link(engine, "uplink", HOP, 1e6, wan=True))
+        fabric = TransportFabric(engine, net, TransportParams(
+            marshal_fixed=MARSHAL, marshal_per_byte=0.0,
+            dispatch_fixed=DISPATCH))
+        ma = fabric.endpoint("MA", "beta")
+        served = []
+
+        def submit(msg):
+            served.append(msg.op)
+            yield engine.timeout(0.0)
+
+        ma.on("submit", submit)
+        ma.start()
+        client = DietClient(fabric, net.host("alpha"))
+        client.initialize({"MA_name": "MA"})
+        desc = ProfileDesc("echo", 0, 0, 1)
+        desc.set_arg(0, scalar_desc(BaseType.INT))
+        desc.set_arg(1, scalar_desc(BaseType.INT))
+        profile = desc.instantiate()
+        profile.parameter(0).set(1)
+        profile.parameter(1).set(None)
+        request = None
+
+        def cancel():
+            yield engine.timeout(at)
+            assert grpc_cancel(request)
+
+        if cancel_first:  # its timer is dispatched before the charges'
+            engine.process(cancel())
+        request = grpc_call_async(client, client.function_handle("echo"),
+                                  profile)
+        if not cancel_first:
+            engine.process(cancel())
+        engine.run()
+        assert request.status() == DietClient.STATUS_CANCELLED
+        assert served == [] and not ma._inflight
+        acct = fabric.accounting
+        return (acct.messages_sent, acct.bytes_sent, acct.messages_by_op,
+                net.bytes_total, net.bytes_wan)
+
+    def test_cancel_while_marshalling_counts_nothing(self):
+        assert self._cancel(MARSHAL / 2) == (0, 0, {}, 0, 0)
+
+    def test_cancel_on_the_wire_counts_the_message(self):
+        assert self._cancel(MARSHAL + HOP / 2) == (
+            1, 256, {"submit": 1}, 256, 256)
+
+    def test_cancel_at_the_marshal_end_counts_as_after_it(self):
+        """Whichever of the two is dispatched first at that instant, the
+        message was on the wire."""
+        for cancel_first in (False, True):
+            assert self._cancel(MARSHAL, cancel_first) == (
+                1, 256, {"submit": 1}, 256, 256)
+
+
 class TestDeadlines:
     def test_deadline_exceeded_raises(self, stack):
         engine, _, fabric = stack
@@ -627,10 +695,12 @@ class TestFaultInjection:
         """The two fault points relative to the path's own charges, event by
         event: the sender's strikes before the marshalling charge, the
         receiver's after the dispatch charge.  Each delay is one ``Timeout``
-        in the process the point runs in; the path itself is seven events per
-        deadline-less RPC and spends none on the hand-off to the endpoint,
-        the reply leg (the handler's process runs it) or a process finishing
-        with nobody waiting on it."""
+        in the process the point runs in; the path itself is six events per
+        RPC and spends none on the hand-off to the endpoint, the reply leg
+        (the handler's process runs it) or a process finishing with nobody
+        waiting on it.  Derived from the parent's eleven rows by dropping its
+        request-marshalling row, (0.003, 1, 2): the request's marshal and
+        wire are one event at the instant the two reached, 0.013256."""
         engine, _, fabric = stack
         engine.event_log = []
         echo_server(engine, fabric).faults = FaultInjector(
@@ -645,15 +715,14 @@ class TestFaultInjection:
         assert engine.event_log == [
             (0.0, 0, 0, "Timeout", None),             # boot call
             (0.002, 1, 1, "Timeout", None),           # client send fault
-            (0.003, 1, 2, "Timeout", None),           # marshalling
-            (0.013256, 1, 3, "Timeout", None),        # wire
-            (0.013256, 0, 4, "Timeout", None),        # boot server:echo#1
-            (0.014256000000000001, 1, 5, "Timeout", None),  # dispatch
-            (0.017256, 1, 6, "Timeout", None),        # server deliver fault
-            (0.017256, 1, 7, "Timeout", None),        # handler's timeout(0)
-            (0.018256, 1, 8, "Timeout", None),        # reply marshalling
-            (0.02832, 1, 9, "Timeout", None),         # wire
-            (0.02832, 1, 10, "Event", None),          # reply token
+            (0.013256, 1, 2, "Timeout", None),        # marshalling + wire
+            (0.013256, 0, 3, "Timeout", None),        # boot server:echo#1
+            (0.014256000000000001, 1, 4, "Timeout", None),  # dispatch
+            (0.017256, 1, 5, "Timeout", None),        # server deliver fault
+            (0.017256, 1, 6, "Timeout", None),        # handler's timeout(0)
+            (0.018256, 1, 7, "Timeout", None),        # reply marshalling
+            (0.02832, 1, 8, "Timeout", None),         # wire
+            (0.02832, 1, 9, "Event", None),           # reply token
         ]
 
     def test_duplicate_reply_suppressed(self, stack):

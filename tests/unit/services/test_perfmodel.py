@@ -33,6 +33,19 @@ class TestCalibration:
         assert model.zoom_overhead_factor > 1.0
 
 
+def test_one_campaign_makes_one_draw_per_zoom():
+    """The sample mean and the zooms read the same 100 draws: one numpy
+    Generator each, made once."""
+    from repro.services import CampaignConfig, run_campaign
+    from repro.services.perfmodel import _noise_draw, _realized_noise_mean
+
+    _noise_draw.cache_clear()
+    _realized_noise_mean.cache_clear()
+    run_campaign(CampaignConfig(seed=2007))
+    info = _noise_draw.cache_info()
+    assert (info.misses, info.hits) == (100, 100)
+
+
 class TestScaling:
     def test_part1_scales_with_particle_count(self, model):
         # N^3 scaling: doubling resolution costs 8x
