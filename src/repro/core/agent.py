@@ -481,7 +481,7 @@ class MasterAgent(LocalAgent):
                     if hit is not None:
                         done.succeed((hit, 0))
                         continue
-                rows = self.table.candidates(sub.service_desc.path)
+                rows = self.table.candidates(sub.service_desc.key)
                 if not rows:
                     if self.engine.now >= expires_at:
                         done.succeed((None, 0))
@@ -550,7 +550,7 @@ class MasterAgent(LocalAgent):
             return
         keep = []
         for item in self._parked:
-            if item[0].service_desc.path in gained:
+            if item[0].service_desc.key in gained:
                 self._admission.put(item)
             else:
                 keep.append(item)

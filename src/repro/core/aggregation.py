@@ -15,15 +15,17 @@ Three invariants:
   stored row is discarded, so late wire arrivals and pre-crash leftovers
   can never resurrect stale state.
 * **Only changes travel.**  :meth:`AggregationTable.export_diff` compares
-  the current table against the last exported view and produces the
-  minimal update/removal lists for the parent — a delta cascade, not a
-  table dump.
+  the rows touched since the last export against the exported view and
+  produces the minimal update/removal lists for the parent — a delta
+  cascade, not a table dump.
 * **Provenance-based invalidation.**  Rows remember the immediate child
   (``via``) they arrived through; when liveness deregisters a child (a dead
   SeD at a leaf LA, a dead LA at the MA) :meth:`drop_via` invalidates that
   child's whole contribution in one sweep and the removals propagate
   upward through the same diff machinery.
 
+Tables are keyed by the service description's match key, the rule
+pull mode's :meth:`~repro.core.profile.ServiceTable.can_solve` applies.
 Rows are kept in a stateless order (queue length, then speed, then name);
 the stateful ranking — in-flight dispatch counts, history, data locality —
 stays at the MA, applied by the scheduler policy over the table rows at
@@ -32,25 +34,27 @@ admission time.
 
 from __future__ import annotations
 
-from bisect import insort
-from typing import Dict, List, Tuple
+from bisect import bisect_left, insort
+from operator import attrgetter
+from typing import Dict, Hashable, List, Tuple
 
 from .requests import EstimateDelta
 from .scheduling import EST_NBJOBS, EST_SPEED, EstimationVector
 
-__all__ = ["CandidateRow", "DeltaOutcome", "ServiceTable", "AggregationTable",
+__all__ = ["CandidateRow", "DeltaOutcome", "CandidateTable", "AggregationTable",
            "rank_key"]
 
 
 def rank_key(vector: EstimationVector, sed_name: str) -> Tuple:
     """Stateless table order: fewest queued jobs, fastest host, name."""
-    return (vector.get(EST_NBJOBS, 0.0), -vector.get(EST_SPEED, 0.0), sed_name)
+    values = vector.values
+    return (values.get(EST_NBJOBS, 0.0), -values.get(EST_SPEED, 0.0), sed_name)
 
 
 class CandidateRow:
-    """One materialized candidate: a SeD's latest pushed estimate."""
+    """One materialized candidate: a SeD's latest estimate and rank key."""
 
-    __slots__ = ("sed_name", "vector", "host", "via", "seq")
+    __slots__ = ("sed_name", "vector", "host", "via", "seq", "key")
 
     def __init__(self, sed_name: str, vector: EstimationVector, host: str,
                  via: str, seq: int):
@@ -59,6 +63,7 @@ class CandidateRow:
         self.host = host
         self.via = via
         self.seq = seq
+        self.key = rank_key(vector, sed_name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CandidateRow({self.sed_name} via {self.via} "
@@ -89,53 +94,54 @@ class DeltaOutcome:
         return f"DeltaOutcome(changed={self.changed}, gained={set(self.gained)})"
 
 
-class ServiceTable:
+class CandidateTable:
     """The candidate table of one service, kept sorted incrementally.
 
     ``_order`` is a list of rank keys maintained with bisect on every
     update/removal — O(log n) to locate, O(n) list shift — so reading the
     rows never re-sorts and two tables fed the same deltas in the same
     order are identical element for element (determinism relies on this).
+    ``touched`` names the rows updated or removed since the last
+    :meth:`AggregationTable.export_diff` (the MA never exports it).
     """
 
-    __slots__ = ("service", "rows", "_order")
+    __slots__ = ("service", "rows", "_order", "touched")
 
-    def __init__(self, service: str):
+    def __init__(self, service: Hashable):
         self.service = service
         #: sed_name -> CandidateRow
         self.rows: Dict[str, CandidateRow] = {}
         #: rank keys of every row, sorted ascending (best first).
         self._order: List[Tuple] = []
+        self.touched: Dict[str, None] = {}
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def _discard_key(self, row: CandidateRow) -> None:
-        key = rank_key(row.vector, row.sed_name)
-        # rank_key ends with the unique sed_name, so the key is unique and
-        # list.remove hits exactly this row's entry.
-        self._order.remove(key)
 
     def update(self, sed_name: str, vector: EstimationVector, host: str,
                via: str, seq: int) -> bool:
         """Insert or refresh a row; False if ``seq`` is stale."""
         row = self.rows.get(sed_name)
-        if row is not None:
-            if seq <= row.seq:
-                return False
-            self._discard_key(row)
-            row.vector, row.host, row.via, row.seq = vector, host, via, seq
+        if row is not None and seq <= row.seq:
+            return False
+        if row is None:
+            row = self.rows[sed_name] = CandidateRow(sed_name, vector, host,
+                                                     via, seq)
         else:
-            row = CandidateRow(sed_name, vector, host, via, seq)
-            self.rows[sed_name] = row
-        insort(self._order, rank_key(vector, sed_name))
+            # Keys end with the unique sed_name: bisect finds this row's.
+            del self._order[bisect_left(self._order, row.key)]
+            row.vector, row.host, row.via, row.seq = vector, host, via, seq
+            row.key = rank_key(vector, sed_name)
+        insort(self._order, row.key)
+        self.touched[sed_name] = None
         return True
 
     def remove(self, sed_name: str) -> bool:
         row = self.rows.pop(sed_name, None)
         if row is None:
             return False
-        self._discard_key(row)
+        del self._order[bisect_left(self._order, row.key)]
+        self.touched[sed_name] = None
         return True
 
     def top(self) -> List[CandidateRow]:
@@ -151,20 +157,14 @@ class AggregationTable:
     """
 
     def __init__(self):
-        self.services: Dict[str, ServiceTable] = {}
-        #: Last exported view: (service, sed_name) -> seq.
-        self._exported: Dict[Tuple[str, str], int] = {}
+        self.services: Dict[Hashable, CandidateTable] = {}
+        #: Last exported view: service -> sed_name -> seq.
+        self._exported: Dict[Hashable, Dict[str, int]] = {}
         #: Monotone counters for observability / tests.
         self.deltas_applied = 0
         self.rows_invalidated = 0
 
     # -- ingest -----------------------------------------------------------------
-
-    def table(self, service: str) -> ServiceTable:
-        tbl = self.services.get(service)
-        if tbl is None:
-            tbl = self.services[service] = ServiceTable(service)
-        return tbl
 
     def apply_delta(self, delta: EstimateDelta) -> DeltaOutcome:
         """Fold one child delta in.
@@ -176,8 +176,10 @@ class AggregationTable:
         changed = False
         gained = set()
         for service, vector, host, seq in delta.updates:
-            if self.table(service).update(vector.sed_name, vector, host,
-                                          delta.source, seq):
+            tbl = self.services.get(service)
+            if tbl is None:
+                tbl = self.services[service] = CandidateTable(service)
+            if tbl.update(vector.sed_name, vector, host, delta.source, seq):
                 changed = True
                 gained.add(service)
         for service, sed_name in delta.removals:
@@ -206,7 +208,7 @@ class AggregationTable:
 
     # -- reads ------------------------------------------------------------------
 
-    def candidates(self, service: str) -> List[CandidateRow]:
+    def candidates(self, service: Hashable) -> List[CandidateRow]:
         """The ranked rows of ``service`` (empty when unknown)."""
         tbl = self.services.get(service)
         return tbl.top() if tbl is not None else []
@@ -217,16 +219,26 @@ class AggregationTable:
         """Changes of the table since the last export.
 
         Returns ``(updates, removals)`` in :class:`EstimateDelta` row
-        format and records the new view as exported.  A row that merely
-        kept its seq does not re-travel.
+        format and records the new view as exported.  Only rows touched
+        since the last export are visited, and only those whose seq moved
+        travel: service by service, best first (:meth:`candidates` order).
         """
-        view: Dict[Tuple[str, str], CandidateRow] = {}
-        for service in self.services:
-            for row in self.candidates(service):
-                view[(service, row.sed_name)] = row
-        updates = [(service, row.vector, row.host, row.seq)
-                   for (service, _sed), row in view.items()
-                   if self._exported.get((service, row.sed_name)) != row.seq]
-        removals = [key for key in self._exported if key not in view]
-        self._exported = {key: row.seq for key, row in view.items()}
+        updates: List[Tuple] = []
+        removals: List[Tuple] = []
+        for service, tbl in self.services.items():
+            if not tbl.touched:
+                continue
+            exported = self._exported.setdefault(service, {})
+            fresh = []
+            for sed_name in tbl.touched:
+                row = tbl.rows.get(sed_name)
+                if row is None:
+                    if exported.pop(sed_name, None) is not None:
+                        removals.append((service, sed_name))
+                elif exported.get(sed_name) != row.seq:
+                    exported[sed_name] = row.seq
+                    fresh.append(row)
+            tbl.touched.clear()
+            updates += [(service, row.vector, row.host, row.seq)
+                        for row in sorted(fresh, key=attrgetter("key"))]
         return updates, removals

@@ -260,11 +260,12 @@ class DietClient:
                                key=lambda ma: self._last_rejected.get(ma, _NEVER))
                 for i, ma_name in enumerate(order):
                     request_id = self.fabric.new_request_id()
+                    nbytes = profile.request_nbytes()
                     sub = SubmitRequest(request_id=request_id,
                                         service_desc=profile.desc,
                                         client_host=self.host.name,
                                         client_endpoint=endpoint.name,
-                                        request_nbytes=profile.request_nbytes(),
+                                        request_nbytes=nbytes,
                                         resident_bytes=resident,
                                         data_handles=handles,
                                         memo_key=memo_key)
@@ -294,7 +295,6 @@ class DietClient:
                         # The one request end no message marks.
                         self._stamp_completed(trace, 0, memo="hit")
                         return 0
-                    nbytes = profile.request_nbytes()
                     self.fabric.resolve(sed_name)  # same rule: SeD just died
                     self._stamp_data_sent(trace, nbytes)
                     reply = yield from endpoint.rpc(

@@ -64,18 +64,17 @@ class CoRI:
         push pump and then snapshot with this; pull mode keeps using
         :meth:`collect`, whose delay is part of the per-request finding time.
         """
-        est = EstimationVector(sed_name=sed_name)
-        est.set(EST_SPEED, self.host.speed)
-        est.set(EST_NBJOBS, float(n_jobs))
-        busy = self.host.cpu.count / max(self.host.cpu.capacity, 1)
-        est.set(EST_FREECPU, max(0.0, 1.0 - busy))
-        est.set(EST_FREEMEM, float(self.host.properties.get("memory_gib", 0.0)))
+        host = self.host
+        busy = host.cpu.count / max(host.cpu.capacity, 1)
+        values = {EST_SPEED: float(host.speed), EST_NBJOBS: float(n_jobs),
+                  EST_FREECPU: max(0.0, 1.0 - busy),
+                  EST_FREEMEM: float(host.properties.get("memory_gib", 0.0))}
         if self.last_solve_end is not None:
-            est.set(EST_TIMESINCELASTSOLVE, self.engine.now - self.last_solve_end)
+            values[EST_TIMESINCELASTSOLVE] = float(
+                self.engine.now - self.last_solve_end)
         if predicted_tcomp is not None:
-            est.set(EST_TCOMP, predicted_tcomp)
+            values[EST_TCOMP] = float(predicted_tcomp)
         if self.network is not None and client_host is not None:
-            est.set(EST_COMMTIME,
-                    self.network.transfer_time(client_host, self.host.name,
-                                               request_nbytes))
-        return est
+            values[EST_COMMTIME] = float(self.network.transfer_time(
+                client_host, host.name, request_nbytes))
+        return EstimationVector(sed_name, values)

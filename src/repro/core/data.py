@@ -168,12 +168,14 @@ class DataHandle:
             raise DataError("data size must be non-negative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArgDesc:
     """Type-level description of one profile argument (no value).
 
     This is what ``diet_generic_desc_set(diet_parameter(pb, i), ...)``
-    builds in the C API.
+    builds in the C API.  A value: a description changes an argument by
+    replacing its ``ArgDesc`` (:meth:`ProfileDesc.set_arg`), never by
+    assigning into it.
     """
 
     composite: CompositeType = CompositeType.SCALAR

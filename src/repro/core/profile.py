@@ -19,6 +19,7 @@ none are INOUT (last_inout == last_in), and 7..8 are OUT.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
@@ -60,10 +61,10 @@ class ProfileDesc:
                 f"indices must satisfy -1 <= last_in <= last_inout <= last_out, "
                 f"got ({self.last_in}, {self.last_inout}, {self.last_out})")
         if not self.args:
-            self.args = [ArgDesc() for _ in range(self.last_out + 1)]
-        elif len(self.args) != self.last_out + 1:
+            self.args = [ArgDesc() for _ in range(self.n_args)]
+        elif len(self.args) != self.n_args:
             raise ProfileError(
-                f"args array must have last_out+1 = {self.last_out + 1} entries, "
+                f"args array must have last_out+1 = {self.n_args} entries, "
                 f"got {len(self.args)}")
 
     # -- C-API-style setters --------------------------------------------------
@@ -73,6 +74,28 @@ class ProfileDesc:
         if not 0 <= index <= self.last_out:
             raise ProfileError(f"argument index {index} out of range [0, {self.last_out}]")
         self.args[index] = desc
+        for fact in ("slots", "key", "memo_shapes"):
+            self.__dict__.pop(fact, None)
+
+    # -- facts derived once per description (set_arg, the mutator, drops them)
+
+    @functools.cached_property
+    def slots(self) -> tuple:
+        """``(ArgDesc, Direction)`` per argument, in index order."""
+        return tuple((a, self.direction(i)) for i, a in enumerate(self.args))
+
+    @functools.cached_property
+    def key(self) -> str:
+        """Match key: path, indices, each argument's composite and base type
+        (a string, hashed once; push-mode candidate tables are keyed by it)."""
+        types = (t for a in self.args for t in (a.composite.value, a.base.cname))
+        return repr((self.path, self.last_in, self.last_inout, self.last_out, *types))
+
+    @functools.cached_property
+    def memo_shapes(self) -> tuple:
+        """Per argument, its declaration in the memo descriptor."""
+        return tuple((d.value, a.composite.value, a.base.cname, a.persistence.value)
+                     for a, d in self.slots)
 
     def direction(self, index: int) -> Direction:
         if not 0 <= index <= self.last_out:
@@ -85,20 +108,14 @@ class ProfileDesc:
 
     def matches(self, other: "ProfileDesc") -> bool:
         """Structural service matching (name + arity + directions + types)."""
-        return (self.path == other.path
-                and self.last_in == other.last_in
-                and self.last_inout == other.last_inout
-                and self.last_out == other.last_out
-                and all(a.composite is b.composite and a.base is b.base
-                        for a, b in zip(self.args, other.args)))
+        return self.key == other.key
 
     def instantiate(self) -> "Profile":
         """Client-side diet_profile_alloc: allocate all argument slots."""
         return Profile(self)
 
     def signature(self) -> str:
-        dirs = [self.direction(i).value for i in range(self.n_args)]
-        parts = [f"{d}:{a.describe()}" for d, a in zip(dirs, self.args)]
+        parts = [f"{d.value}:{a.describe()}" for a, d in self.slots]
         return f"{self.path}({', '.join(parts)})"
 
 
@@ -107,9 +124,10 @@ class Profile:
 
     def __init__(self, desc: ProfileDesc):
         self.desc = desc
+        self.path = desc.path
         self.arguments: List[DietArg] = [
-            DietArg(desc=desc.args[i], direction=desc.direction(i))
-            for i in range(desc.n_args)
+            DietArg(desc=arg, direction=direction)
+            for arg, direction in desc.slots
         ]
 
     # -- paper-style accessors ---------------------------------------------------
@@ -122,10 +140,6 @@ class Profile:
 
     def __iter__(self) -> Iterator[DietArg]:
         return iter(self.arguments)
-
-    @property
-    def path(self) -> str:
-        return self.desc.path
 
     def in_args(self) -> List[DietArg]:
         return [a for a in self.arguments if a.direction is Direction.IN]
@@ -141,7 +155,7 @@ class Profile:
     def request_nbytes(self) -> int:
         """Bytes shipped client -> SeD (IN + INOUT values)."""
         return sum(a.nbytes for a in self.arguments
-                   if a.direction in (Direction.IN, Direction.INOUT))
+                   if a.direction is not Direction.OUT)
 
     def response_nbytes(self) -> int:
         """Bytes shipped SeD -> client (INOUT + returning OUT values).

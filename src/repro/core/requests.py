@@ -38,10 +38,10 @@ class EstimateDelta:
     #: Endpoint that sent this delta — the immediate child, which is the
     #: SeD itself at a leaf LA and the forwarding LA above that.
     source: str
-    #: ``(service_path, EstimationVector, origin_host_name, seq)`` rows.
+    #: ``(ProfileDesc.key, EstimationVector, origin_host_name, seq)`` rows.
     updates: List[Tuple] = field(default_factory=list)
-    #: ``(service_path, sed_name)`` rows whose candidate disappeared
-    #: (fell out of the child's top-k, or the SeD was deregistered).
+    #: ``(ProfileDesc.key, sed_name)`` rows whose candidate disappeared
+    #: (the SeD was deregistered).
     removals: List[Tuple] = field(default_factory=list)
 
     def wire_bytes(self) -> int:

@@ -290,12 +290,15 @@ class SeD:
             return
         n_jobs = self.n_jobs
         updates = []
-        for path, reg in self._registrations.items():
-            predicted = reg.predictor(reg.desc) if reg.predictor else None
-            est = self.cori.build(self.name, n_jobs,
-                                  predicted_tcomp=predicted)
+        shared = None  # one snapshot serves every service without a predictor
+        for reg in self._registrations.values():
+            if reg.predictor is None:
+                est = shared = shared or self.cori.build(self.name, n_jobs)
+            else:
+                est = self.cori.build(self.name, n_jobs,
+                                      predicted_tcomp=reg.predictor(reg.desc))
             self._push_seq += 1
-            updates.append((path, est, self.host.name, self._push_seq))
+            updates.append((reg.desc.key, est, self.host.name, self._push_seq))
         delta = EstimateDelta(self.name, updates)
         yield from self.endpoint.try_send(self.parent, "est_delta", delta,
                                           nbytes=delta.wire_bytes())

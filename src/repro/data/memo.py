@@ -79,20 +79,11 @@ def request_descriptor(profile: "Profile") -> Tuple:
     placeholders (or a previous call's results) and must not fragment the
     key space.
     """
-    args = []
-    for arg in profile.arguments:
-        desc = arg.desc
-        shape = (
-            arg.direction.value,
-            desc.composite.value,
-            desc.base.cname,
-            desc.persistence.value,
-        )
-        if arg.direction is Direction.OUT:
-            args.append(shape)
-        else:
-            args.append(shape + (_normalize(arg.value),))
-    return ("diet-request", profile.path, tuple(args))
+    args = tuple(
+        shape if arg.direction is Direction.OUT else shape + (_normalize(arg.value),)
+        for shape, arg in zip(profile.desc.memo_shapes, profile.arguments)
+    )
+    return ("diet-request", profile.path, args)
 
 
 def descriptor_digest(profile: "Profile") -> str:

@@ -22,7 +22,8 @@ Profiles (all IN args first, then OUT result file + OUT error int):
 
 Persistence is chosen by the *client* per campaign data policy
 (``ProfileDesc.matches`` ignores it): the desc factories take the result
-mode, and :func:`survey_result_modes` maps a policy name to the
+mode and build one shared description per mode (nothing mutates one),
+and :func:`survey_result_modes` maps a policy name to the
 (intermediate, final) modes.  Like the RAMSES services each solve runs in
 ``MODELED`` mode (charge the :class:`~repro.services.perfmodel.SurveyPerfModel`
 costs) or ``REAL`` mode (additionally compute genuine slabs/maps with the
@@ -32,6 +33,7 @@ predictor so the service advertises its own ``EST_TCOMP`` through CoRI.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from dataclasses import dataclass, field
@@ -75,6 +77,7 @@ def _error_mode(result_mode: PersistenceMode) -> PersistenceMode:
     return PersistenceMode.VOLATILE
 
 
+@functools.cache
 def survey_ic_desc(result_mode: PersistenceMode = PersistenceMode.VOLATILE
                    ) -> ProfileDesc:
     """surveyIC: (cosmology, resolution, seed) -> (IC file, error)."""
@@ -87,6 +90,7 @@ def survey_ic_desc(result_mode: PersistenceMode = PersistenceMode.VOLATILE
     return desc
 
 
+@functools.cache
 def survey_run_desc(result_mode: PersistenceMode = PersistenceMode.VOLATILE
                     ) -> ProfileDesc:
     """surveyRun: (IC file, resolution, n_planes) -> (slab stack, error)."""
@@ -99,6 +103,7 @@ def survey_run_desc(result_mode: PersistenceMode = PersistenceMode.VOLATILE
     return desc
 
 
+@functools.cache
 def lensing_convergence_desc(result_mode: PersistenceMode = PersistenceMode.VOLATILE
                              ) -> ProfileDesc:
     """lensingConvergence: (slabs, cosmology, resolution, n_planes,
@@ -114,6 +119,7 @@ def lensing_convergence_desc(result_mode: PersistenceMode = PersistenceMode.VOLA
     return desc
 
 
+@functools.cache
 def survey_reduce_desc(result_mode: PersistenceMode = PersistenceMode.VOLATILE
                        ) -> ProfileDesc:
     """surveyReduce: (map a, map b, weight a, weight b, resolution) ->

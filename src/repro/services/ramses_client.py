@@ -8,12 +8,13 @@ integers, a declared-but-NULL OUT file), and decodes results the same way
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from ..core.data import FileRef, PersistenceMode, file_desc
 from ..core.exceptions import DietError
-from ..core.profile import Profile
+from ..core.profile import Profile, ProfileDesc
 from ..ramses.namelist import format_namelist
 from .ramses_service import (
     COORD_SCALE,
@@ -59,6 +60,15 @@ def build_zoom1_profile(namelist_text: str, resolution: int,
     return profile
 
 
+@functools.cache
+def _zoom2_desc(result_persistence: Optional[PersistenceMode]) -> ProfileDesc:
+    """ramsesZoom2's description, one per result persistence mode."""
+    desc = zoom2_profile_desc()
+    if result_persistence is not None:
+        desc.set_arg(7, file_desc(result_persistence))
+    return desc
+
+
 def build_zoom2_profile(namelist_text: str, resolution: int,
                         boxsize_mpc_h: int, center: Sequence[float],
                         n_levels: int,
@@ -73,10 +83,7 @@ def build_zoom2_profile(namelist_text: str, resolution: int,
     service solves both variants.
     """
     cx, cy, cz = encode_center(center)
-    desc = zoom2_profile_desc()
-    if result_persistence is not None:
-        desc.set_arg(7, file_desc(result_persistence))
-    profile = desc.instantiate()
+    profile = _zoom2_desc(result_persistence).instantiate()
     profile.parameter(0).set(FileRef.from_text("namelist.nml", namelist_text))
     profile.parameter(1).set(int(resolution))
     profile.parameter(2).set(int(boxsize_mpc_h))

@@ -1,6 +1,6 @@
 """Unit tests for the push-mode materialized candidate tables."""
 
-from repro.core.aggregation import AggregationTable, ServiceTable, rank_key
+from repro.core.aggregation import AggregationTable, CandidateTable, rank_key
 from repro.core.requests import EstimateDelta
 from repro.core.scheduling import EST_NBJOBS, EST_SPEED, EstimationVector
 
@@ -14,9 +14,9 @@ def upd(sed, n_jobs=0.0, speed=1.0, seq=1, service="toy", host=None):
     return (service, vec(sed, n_jobs, speed), host or f"{sed}-host", seq)
 
 
-class TestServiceTable:
+class TestCandidateTable:
     def test_update_inserts_ranked(self):
-        tbl = ServiceTable("toy")
+        tbl = CandidateTable("toy")
         tbl.update("B", vec("B", n_jobs=1.0), "hB", "LA0", 1)
         tbl.update("A", vec("A", n_jobs=0.0), "hA", "LA0", 1)
         tbl.update("C", vec("C", n_jobs=0.0, speed=2.0), "hC", "LA0", 1)
@@ -24,7 +24,7 @@ class TestServiceTable:
         assert [r.sed_name for r in tbl.top()] == ["C", "A", "B"]
 
     def test_refresh_rerank(self):
-        tbl = ServiceTable("toy")
+        tbl = CandidateTable("toy")
         tbl.update("A", vec("A", n_jobs=0.0), "hA", "LA0", 1)
         tbl.update("B", vec("B", n_jobs=1.0), "hB", "LA0", 1)
         assert tbl.update("A", vec("A", n_jobs=5.0), "hA", "LA0", 2)
@@ -32,14 +32,14 @@ class TestServiceTable:
         assert len(tbl) == 2
 
     def test_stale_seq_discarded(self):
-        tbl = ServiceTable("toy")
+        tbl = CandidateTable("toy")
         tbl.update("A", vec("A", n_jobs=2.0), "hA", "LA0", seq=5)
         assert not tbl.update("A", vec("A", n_jobs=0.0), "hA", "LA0", seq=5)
         assert not tbl.update("A", vec("A", n_jobs=0.0), "hA", "LA0", seq=4)
         assert tbl.top()[0].vector.get(EST_NBJOBS) == 2.0
 
     def test_remove(self):
-        tbl = ServiceTable("toy")
+        tbl = CandidateTable("toy")
         tbl.update("A", vec("A"), "hA", "LA0", 1)
         assert tbl.remove("A")
         assert not tbl.remove("A")

@@ -1,6 +1,10 @@
 """Unit tests for profile descriptions and the service table."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     BaseType,
@@ -15,7 +19,7 @@ from repro.core import (
     file_desc,
     scalar_desc,
 )
-from repro.core.data import HANDLE_WIRE_BYTES, ArgDesc
+from repro.core.data import HANDLE_WIRE_BYTES, ArgDesc, CompositeType
 
 
 def ramses_zoom2_desc():
@@ -84,6 +88,78 @@ class TestProfileDesc:
         sig = ramses_zoom2_desc().signature()
         assert sig.startswith("ramsesZoom2(")
         assert "IN:DIET_FILE" in sig and "OUT:DIET_SCALAR" in sig
+
+
+_arg_descs = st.builds(ArgDesc, st.sampled_from(list(CompositeType)),
+                       st.sampled_from(list(BaseType)),
+                       st.sampled_from(list(PersistenceMode)))
+
+
+@st.composite
+def _descs(draw, n_args=None):
+    n = n_args if n_args is not None else draw(st.integers(1, 4))
+    cuts = sorted(draw(st.lists(st.integers(-1, n - 1), min_size=2,
+                                max_size=2)))
+    return ProfileDesc(draw(st.sampled_from(("svc", "other"))),
+                       cuts[0], cuts[1], n - 1,
+                       [draw(_arg_descs) for _ in range(n)])
+
+
+def _structural_match(a, b):
+    """The matching rule spelled out: name, arity, directions, types."""
+    return (a.path == b.path and a.last_in == b.last_in
+            and a.last_inout == b.last_inout and a.last_out == b.last_out
+            and all(x.composite is y.composite and x.base is y.base
+                    for x, y in zip(a.args, b.args)))
+
+
+class TestDescriptionFacts:
+    """A description's derived facts are cached; the cache never answers
+    differently from the definition."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_descs(n_args=3), other=_descs(n_args=3), data=st.data())
+    def test_matches_is_structural_across_set_arg(self, a, other, data):
+        b = other if data.draw(st.booleans()) else ProfileDesc(
+            a.path, a.last_in, a.last_inout, a.last_out, list(a.args))
+        assert a.matches(b) == b.matches(a) == _structural_match(a, b)
+        # a set_arg on a description whose key is already cached
+        for desc in data.draw(st.permutations([a, b])):
+            desc.set_arg(data.draw(st.integers(0, 2)), data.draw(_arg_descs))
+            assert a.matches(b) == _structural_match(a, b)
+        twin = ProfileDesc(a.path, a.last_in, a.last_inout, a.last_out,
+                           list(a.args))
+        assert a.matches(twin) and a.key == twin.key
+
+    @settings(max_examples=100, deadline=None)
+    @given(desc=_descs(), data=st.data())
+    def test_slots_and_shapes_follow_set_arg(self, desc, data):
+        desc.slots, desc.memo_shapes  # cache them
+        desc.set_arg(data.draw(st.integers(0, desc.n_args - 1)),
+                     data.draw(_arg_descs))
+        assert desc.slots == tuple((arg, desc.direction(i))
+                                   for i, arg in enumerate(desc.args))
+        assert desc.memo_shapes == tuple(
+            (desc.direction(i).value, arg.composite.value, arg.base.cname,
+             arg.persistence.value) for i, arg in enumerate(desc.args))
+        profile = desc.instantiate()
+        assert [(a.desc, a.direction) for a in profile] == list(desc.slots)
+
+    def test_set_arg_resets_the_cached_facts(self):
+        a, b = ramses_zoom2_desc(), ramses_zoom2_desc()
+        assert a.matches(b) and len(b.slots) == 9
+        b.set_arg(1, scalar_desc(BaseType.DOUBLE))
+        assert not a.matches(b)
+        assert b.slots[1] == (scalar_desc(BaseType.DOUBLE), Direction.IN)
+
+    def test_key_ignores_persistence(self):
+        a, b = ramses_zoom2_desc(), ramses_zoom2_desc()
+        b.set_arg(7, file_desc(PersistenceMode.PERSISTENT))
+        assert a.key == b.key and a.memo_shapes != b.memo_shapes
+
+    def test_arg_desc_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scalar_desc().base = BaseType.DOUBLE
 
 
 class TestProfile:

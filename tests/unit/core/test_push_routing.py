@@ -14,6 +14,7 @@ from repro.core import (
     Tracer,
     TransportFabric,
     scalar_desc,
+    vector_desc,
 )
 from repro.core.agent import ADMISSION_BATCH_MAX, AgentParams
 from repro.obs import Observability
@@ -25,6 +26,10 @@ def toy_desc():
     desc.set_arg(0, scalar_desc(BaseType.INT))
     desc.set_arg(1, scalar_desc(BaseType.INT))
     return desc
+
+
+#: Push tables are keyed by the service description's match key.
+TOY = toy_desc().key
 
 
 def solve_toy(profile, ctx):
@@ -100,13 +105,13 @@ class TestTableMaterialization:
     def test_launch_pushes_populate_ma_table(self):
         engine, _, ma, las, seds, _ = build()
         engine.run()
-        rows = ma.table.candidates("toy")
+        rows = ma.table.candidates(TOY)
         assert sorted(r.sed_name for r in rows) == sorted(
             s.name for s in seds)
         # provenance at the MA is the LA that forwarded, not the SeD
         assert {r.via for r in rows} == {"LA0", "LA1"}
         for la in las:
-            assert len(la.table.candidates("toy")) == 2
+            assert len(la.table.candidates(TOY)) == 2
 
     def test_la_forwarding_coalesces_burst(self):
         engine, _, ma, _, _, _ = build()
@@ -118,7 +123,7 @@ class TestTableMaterialization:
     def test_queue_change_triggers_repush(self):
         engine, _, ma, _, seds, cli = build()
         engine.run()
-        before = {r.sed_name: r.seq for r in ma.table.candidates("toy")}
+        before = {r.sed_name: r.seq for r in ma.table.candidates(TOY)}
 
         def call():
             sub = SubmitRequest(cli.fabric.new_request_id(), toy_desc(), "hub", "cli")
@@ -134,7 +139,7 @@ class TestTableMaterialization:
 
         sed_name = engine.run_process(call())
         engine.run()  # let the post-solve push propagate
-        after = {r.sed_name: r.seq for r in ma.table.candidates("toy")}
+        after = {r.sed_name: r.seq for r in ma.table.candidates(TOY)}
         assert after[sed_name] > before[sed_name]
 
 
@@ -221,7 +226,7 @@ class TestInvalidation:
         engine, _, ma, _, seds, cli = build()
         engine.run()
         assert ma.remove_child("LA0")
-        survivors = {r.sed_name for r in ma.table.candidates("toy")}
+        survivors = {r.sed_name for r in ma.table.candidates(TOY)}
         assert survivors == {"SeD10", "SeD11"}
 
         def call():
@@ -238,34 +243,34 @@ class TestInvalidation:
         las[0].remove_child("SeD00")
         engine.run()  # forward pump ships the removal upward
         assert "SeD00" not in {r.sed_name
-                               for r in ma.table.candidates("toy")}
+                               for r in ma.table.candidates(TOY)}
 
     def test_late_delta_from_deregistered_child_ignored(self):
         engine, _, ma, _, _, _ = build()
         engine.run()
         ma.remove_child("LA0")
-        n_before = len(ma.table.candidates("toy"))
+        n_before = len(ma.table.candidates(TOY))
         # a straggler delta arrives after deregistration
         from repro.core.scheduling import EstimationVector
-        ghost = EstimateDelta("LA0", [("toy", EstimationVector("SeD00"),
+        ghost = EstimateDelta("LA0", [(TOY, EstimationVector("SeD00"),
                                        "sed00-host", 99)])
         # handlers are generators; drive it to completion directly
         list(ma._handle_est_delta(type("M", (), {"payload": ghost})))
-        assert len(ma.table.candidates("toy")) == n_before
+        assert len(ma.table.candidates(TOY)) == n_before
 
     def test_sed_crash_restart_repush(self):
         engine, _, ma, las, seds, cli = build()
         engine.run()
         victim = seds[0]
-        seq_before = {r.sed_name: r.seq for r in ma.table.candidates("toy")}
+        seq_before = {r.sed_name: r.seq for r in ma.table.candidates(TOY)}
         victim.crash()
         las[0].remove_child(victim.name)  # what liveness would do
         engine.run()
         assert victim.name not in {r.sed_name
-                                   for r in ma.table.candidates("toy")}
+                                   for r in ma.table.candidates(TOY)}
         victim.restart()
         engine.run()  # register + re-announce push propagates
-        rows = {r.sed_name: r.seq for r in ma.table.candidates("toy")}
+        rows = {r.sed_name: r.seq for r in ma.table.candidates(TOY)}
         assert victim.name in rows
         # the restart push outranks every pre-crash seq (monotone counter)
         assert rows[victim.name] > seq_before[victim.name]
@@ -386,7 +391,8 @@ class TestParkedRescueFilter:
             # a SeD of the "ghost" service appears behind LA1
             from repro.core.scheduling import EstimationVector
             delta = EstimateDelta(
-                "LA1", [("ghost", EstimationVector("SeD10"),
+                "LA1", [(ProfileDesc("ghost", 0, 0, 0).key,
+                         EstimationVector("SeD10"),
                          "sed10-host", 999)])
             list(ma._handle_est_delta(type("M", (), {"payload": delta})))
             state["parked_now"] = len(ma._parked)
@@ -422,7 +428,7 @@ class TestCrashDuringPushPump:
         if routing == "push":
             # restart cleared the stale dirty flag, so the re-announce push
             # was not suppressed: the SeD is visible again at the MA
-            rows = {r.sed_name for r in ma.table.candidates("toy")}
+            rows = {r.sed_name for r in ma.table.candidates(TOY)}
             assert victim.name in rows
             assert not victim._push_dirty
         chosen = set()
@@ -454,3 +460,26 @@ class TestRejectionObservability:
         assert ma.rejections == 1
         (reject,) = obs.spans.find(name="schedule", status="rejected")
         assert reject.attrs["service"] == "nonexistent"
+
+
+class TestAdmissionMatchesDescription:
+    @pytest.mark.parametrize("routing", ["pull", "push"])
+    def test_same_path_other_types_rejected(self, routing):
+        """Both routings apply ``can_solve``'s rule: a submit naming a
+        registered path with other argument types finds no SeD."""
+        params = AgentParams(child_timeout=0.5)
+        engine, _, ma, _, _, cli = build(routing=routing, agent_params=params)
+        engine.run()
+        wrong = toy_desc()
+        wrong.set_arg(0, vector_desc(BaseType.DOUBLE))
+
+        def call():
+            try:
+                return (yield from submit(cli, wrong))
+            except ServerNotFoundError:
+                return "not-found"
+
+        assert engine.run_process(call()) == "not-found"
+        assert ma.rejections == 1
+        # the registered description is still served
+        assert engine.run_process(submit(cli)).startswith("SeD")

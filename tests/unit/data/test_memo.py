@@ -127,6 +127,54 @@ class TestDescriptor:
         assert len(descriptor[2]) == 2
 
 
+class TestDigestPins:
+    """Memo keys are the grid's shared vocabulary: a refactor of how the
+    descriptor is built must not move one bit of them (hex values recorded
+    before descriptions cached their memo shapes)."""
+
+    #: E13's mix, (interactive, analysis, survey) x (memo off, memo on).
+    E13 = [
+        "f961e8c3c76a0c3cef4856ac11fbd7281a2fc7a771768e3a635894d0d09cb04d",
+        "2ac51a0b3c0dc0ad68bdac807a8a4c48415cf436aeeda482bf9c507ae189e8f7",
+        "bc130caf08272fdd2d8e27eda20f76e646c66dc4209c60eece93931407724f40",
+        "52fd10293ab5290a319db9d513c94d3025627700ce90cbf0c65601a26779768f",
+        "2f9faefff710b1302d83667afee17941d74c9911144461f5a0fd435e20020804",
+        "399c222cdf03230223eb7dcbc4df1a35e8d3fffce84f75d428cd99e413238c49",
+    ]
+    #: ramsesZoom2 with the default, PERSISTENT and STICKY_RETURN results.
+    ZOOM2 = [
+        "e808dfea8b77d2f008064e491fac8ca06a88bcac35f348e579afbd3b4eb3a915",
+        "ca7995bd81da985ff525212a37af767f71e325dc92def8436d51cefb4a378d3a",
+        "e0b7939d4fca0b9ca873dab38d5cf2762eb76cdb2f8a63cab773aa7e5064aabb",
+    ]
+
+    def test_e13_mix(self):
+        from repro.experiments.load_federation import _service_desc
+        from repro.sim.traffic import DEFAULT_MIX
+
+        cases = [(cls.name, memo) for cls in DEFAULT_MIX for memo in (False, True)]
+        for (name, memo), digest in zip(cases, self.E13, strict=True):
+            profile = _service_desc(name, memo).instantiate()
+            profile.parameter(0).set(4242)
+            profile.parameter(1).set(None)
+            assert descriptor_digest(profile) == digest, (name, memo)
+
+    def test_zoom2(self):
+        from repro.services.ramses_client import (
+            build_zoom2_profile,
+            default_namelist_text,
+        )
+
+        modes = [None, PersistenceMode.PERSISTENT, PersistenceMode.STICKY_RETURN]
+        for mode, digest in zip(modes, self.ZOOM2, strict=True):
+            # twice: the second profile shares the first one's description
+            for _ in range(2):
+                profile = build_zoom2_profile(
+                    default_namelist_text(64, 100), 64, 100, (0.25, 0.5, 0.75), 2, mode
+                )
+                assert descriptor_digest(profile) == digest, mode
+
+
 def _hit(key="k", owner="SeD0", data_id="sha:1"):
     return MemoHit(
         key=key,

@@ -69,11 +69,13 @@ _KEPT: Dict[str, str] = {
         "repro.core.transport:Endpoint.set_deadline(retries=) "
         "repro.core.transport:Endpoint.set_deadline(backoff=)",
     "DIET's data / profile description API: argument descriptors, direction "
-    "filters and diet_service_table_add's (ignored) convertor":
+    "filters, diet_service_table_init's size and diet_service_table_add's "
+    "(ignored) convertor":
         "repro.core.data:vector_desc repro.core.data:matrix_desc "
         "repro.core.data:string_desc repro.core.profile:Profile.in_args "
         "repro.core.profile:Profile.inout_args "
         "repro.core.profile:Profile.out_args "
+        "repro.core.profile:ServiceTable(max_size=) "
         "repro.core.sed:SeD.add_service(convertor=)",
     "FaultInjector: ROADMAP item 2(c)'s chaos sweep is its workload":
         "repro.core.transport:FaultInjector",
