@@ -12,9 +12,10 @@ events/sec here bounds how large the campaigns can grow.  Four shapes:
   repeatedly waits on ``any_of`` over a fan of timeouts (condition
   settling + callback detach);
 * **process spawn** — spawn-and-finish short processes, the shape in-situ
-  runs actually have (~75 000 handler / reply / fan-out processes per
-  benchmark run, three to four events each); the first three shapes spawn
-  at most one process and so cannot see what a finished process costs.
+  runs actually have (one per request handler and per estimate fan-out
+  leg: a full e2e run spawns 46 056 on ``campaign_pull`` and 50 286 on
+  ``load_pull``); the first three shapes spawn at most one process and so
+  cannot see what a finished process costs.
 
 Each case records, beside its time, what the cyclic collector did during
 its rounds (``gc.get_stats()`` deltas): a kernel object that is part of a
@@ -115,6 +116,6 @@ def test_bench_anyof_fanin(measure_events):
 
 
 def test_bench_process_spawn(measure_events):
-    """Spawn-and-finish: what ~75 000 short processes per run cost."""
+    """Spawn-and-finish: what ~50 000 short processes per run cost."""
     measure_events(f"process spawn x{N_SPAWN} (window {SPAWN_WINDOW})",
                    _run_spawn, ROUNDS)

@@ -1,7 +1,8 @@
-/* Simulation kernel hot core: event heap, Timeout and dispatch loop, in C.
+/* Simulation kernel hot core: event heap, events, processes and the
+ * dispatch loop, in C.
  *
  * A campaign is hundreds of thousands of iterations of the same cycle:
- * create a Timeout, push it on the event queue, pop the minimum, run its
+ * create an event, push it on the event queue, pop the minimum, run its
  * callbacks, resume a generator.  This module keeps that whole cycle on
  * the C side of the interpreter:
  *
@@ -18,27 +19,31 @@
  *   ``remove(obj)`` unschedules an entry without dispatching it (a
  *   disarmed deadline timer).
  *
- * Timeout
- *   A born-scheduled event: the constructor stamps the fields and sifts
- *   the object into the C heap in one call — no Python ``__init__``
- *   frame.  ``callbacks`` materialises lazily: a watcherless timeout (the
- *   transfer/churn case) never allocates its waiter list, stays invisible
- *   to the cyclic GC (it holds no references that can form a cycle until
- *   a waiter subscribes), and costs one object allocation total.  It
- *   duck-types the Python Event surface the kernel reads (``callbacks``,
- *   ``_ok``, ``_value``, ``_scheduled``, ``triggered``, ``processed``,
- *   ``ok``, ``value``, ``delay``) and its type ``__name__`` is "Timeout"
- *   so determinism event logs match the pure-Python kernel's exactly.
+ * Event, Process, Timeout
+ *   The event family as C structs, so a wake-up reads and writes fields
+ *   instead of attributes.  ``Event`` holds engine, callbacks, value, ok
+ *   and scheduled (plus a weakref slot) and has ``succeed`` / ``fail``;
+ *   ``Request``, ``AnyOf`` and ``AllOf`` stay Python subclasses of it.
+ *   ``Process`` extends it with generator, name, ``_target``,
+ *   ``_interrupts`` and ``_defused``: its constructor pushes the boot
+ *   Timeout, and it is its own resume callback (``tp_call``) — a waiter
+ *   list holds the process itself, with no bound method and no process ->
+ *   method -> process reference.  ``Timeout`` is a born-scheduled event
+ *   whose constructor sifts itself into the heap.  All three keep
+ *   ``callbacks`` unallocated until a waiter subscribes: a watcherless
+ *   timeout or a process nobody waits on never allocates a waiter list
+ *   (and a watcherless timeout stays invisible to the cyclic GC).  Their
+ *   type ``__name__``s are "Event", "Process" and "Timeout", so
+ *   determinism event logs match the pure-Python kernel's exactly.
  *
- * drain(engine, heap, until, clamp, stopproc)
+ * drain(heap, until, clamp, stopproc)
  *   The non-logging dispatch loop: pop, advance the clock, run callbacks.
- *   When an event's single waiter is a Process._resume bound method (the
- *   overwhelmingly common case — registered via ``configure()``), the
- *   resume itself runs in C: interrupt check, generator send/throw, the
- *   finish (``c_finish``: settle in place, count a fan-out join down, or
- *   schedule), subscribe to the yielded event.  Every branch mirrors the
- *   pure-Python ``Process._resume`` / ``_finish`` line for line; the
- *   determinism suite pins the equivalence.
+ *   A callback that is a Process resumes in C (``c_resume``): interrupt
+ *   check, generator send/throw, the finish (``c_finish``: settle in
+ *   place, count a fan-out join down, or schedule), subscribe to the
+ *   yielded event.  Every branch mirrors the pure-Python
+ *   ``Process.__call__`` / ``_finish`` line for line; the determinism suite
+ *   pins the equivalence.
  *
  * Built on first import by repro.sim.simcore; that module falls back to a
  * pure-Python implementation when no C toolchain is available, and the
@@ -49,20 +54,17 @@
 #include <Python.h>
 #include <structmember.h>
 #include <math.h>
+#include <string.h>
 
 /* ------------------------------------------------------------------ */
 /* Module state (set once by configure(); NULL-safe before that)       */
 /* ------------------------------------------------------------------ */
 
-static PyObject *g_resume_func;   /* Process._resume (plain function) */
-static PyObject *g_process_type;  /* Process class */
 static PyObject *g_simerror;      /* SimulationError class */
 static PyObject *g_join_func;     /* AllOf._on_fire (plain function) */
+static PyObject *g_pending;       /* PENDING: a pending event's _value */
 
-static PyObject *str_callbacks, *str__ok, *str__value, *str__scheduled,
-    *str__defused, *str__active_process, *str_generator, *str__interrupts,
-    *str__target, *str_send, *str_throw,
-    *str__resume_cb, *str__queue, *str_pushdelay, *str_name, *str_pop;
+static PyObject *str__queue, *str_throw, *str___name__;
 
 /* ------------------------------------------------------------------ */
 /* EventHeap                                                          */
@@ -441,6 +443,55 @@ static PyTypeObject HeapType = {
 };
 
 /* ------------------------------------------------------------------ */
+/* Shared helpers                                                     */
+/* ------------------------------------------------------------------ */
+
+/* Raise SimulationError (RuntimeError before configure()). */
+static void
+raise_simerror(const char *fmt, PyObject *a, PyObject *b)
+{
+    PyErr_Format(g_simerror ? g_simerror : PyExc_RuntimeError, fmt, a, b);
+}
+
+/* Schedule `obj` at now + delay on `owner`'s queue: ``owner`` is the
+ * EventHeap itself or anything with a ``_queue`` that is one (the Engine
+ * on the compiled kernel). */
+static int
+owner_push(PyObject *owner, double delay, long prio, PyObject *obj)
+{
+    if (Py_TYPE(owner) == &HeapType) {
+        Heap *h = (Heap *)owner;
+        return heap_insert(h, h->now + delay, prio, obj);
+    }
+    PyObject *queue = PyObject_GetAttr(owner, str__queue);
+    if (queue == NULL)
+        return -1;
+    int rc = -1;
+    if (Py_TYPE(queue) == &HeapType) {
+        Heap *h = (Heap *)queue;
+        rc = heap_insert(h, h->now + delay, prio, obj);
+    } else {
+        PyErr_SetString(PyExc_TypeError,
+                        "a C event needs an engine on the C EventHeap");
+    }
+    Py_DECREF(queue);
+    return rc;
+}
+
+/* The ``callbacks`` setter of every event type: a list or None. */
+static int
+set_callbacks_slot(PyObject **slot, PyObject *v)
+{
+    if (v == NULL || (v != Py_None && !PyList_Check(v))) {
+        PyErr_SetString(PyExc_TypeError, "callbacks must be a list or None");
+        return -1;
+    }
+    Py_INCREF(v);
+    Py_XSETREF(*slot, v);
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
 /* Timeout                                                            */
 /* ------------------------------------------------------------------ */
 
@@ -496,14 +547,28 @@ timeout_alloc(double delay, PyObject *value)
     }
     self->delay = delay;
     /* Otherwise stay untracked: with no callbacks and an atomic value a
-     * queued Timeout cannot participate in a cycle.  The callbacks getter
-     * tracks us the moment a waiter can subscribe. */
+     * queued Timeout cannot participate in a cycle.  A waiter list
+     * tracks us the moment it materialises. */
     return (PyObject *)self;
 }
 
-/* Shared constructor body.  ``owner`` may be the Engine (we read its
- * ``_queue``) or the EventHeap itself (the Engine's ``timeout`` factory
- * binds the heap directly to skip one attribute lookup per event). */
+/* The Timeout's waiter list, allocated on first use. */
+static PyObject *
+timeout_waiters(TimeoutObj *self)
+{
+    if (self->callbacks == NULL) {
+        self->callbacks = PyList_New(0);
+        if (self->callbacks == NULL)
+            return NULL;
+        if (!PyObject_GC_IsTracked((PyObject *)self))
+            PyObject_GC_Track(self);
+    }
+    return self->callbacks;
+}
+
+/* Shared constructor body.  ``owner`` may be the Engine or the EventHeap
+ * itself (the Engine's ``timeout`` factory binds the heap directly to
+ * skip one attribute lookup per event). */
 static PyObject *
 timeout_create(PyObject *owner, double delay, PyObject *value, long prio)
 {
@@ -515,44 +580,14 @@ timeout_create(PyObject *owner, double delay, PyObject *value, long prio)
         }
         return NULL;
     }
-    PyObject *queue;
-    if (Py_TYPE(owner) == &HeapType) {
-        queue = owner;
-        Py_INCREF(queue);
-    } else {
-        queue = PyObject_GetAttr(owner, str__queue);
-        if (queue == NULL)
-            return NULL;
-    }
-
-    TimeoutObj *self = (TimeoutObj *)timeout_alloc(delay, value);
-    if (self == NULL) {
-        Py_DECREF(queue);
+    PyObject *self = timeout_alloc(delay, value);
+    if (self == NULL)
         return NULL;
-    }
-
-    int rc;
-    if (Py_TYPE(queue) == &HeapType) {
-        Heap *h = (Heap *)queue;
-        rc = heap_insert(h, h->now + delay, prio, (PyObject *)self);
-    } else {
-        /* Foreign queue (pure-Python fallback objects): generic push. */
-        PyObject *d = PyFloat_FromDouble(delay);
-        PyObject *p = d ? PyLong_FromLong(prio) : NULL;
-        PyObject *r = p ? PyObject_CallMethodObjArgs(
-                              queue, str_pushdelay, d, p, self, NULL)
-                        : NULL;
-        rc = (r == NULL) ? -1 : 0;
-        Py_XDECREF(r);
-        Py_XDECREF(p);
-        Py_XDECREF(d);
-    }
-    Py_DECREF(queue);
-    if (rc < 0) {
+    if (owner_push(owner, delay, prio, self) < 0) {
         Py_DECREF(self);
         return NULL;
     }
-    return (PyObject *)self;
+    return self;
 }
 
 /* Fast instantiation path: Timeout(owner, delay[, value[, priority]]). */
@@ -615,28 +650,16 @@ timeout_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 static PyObject *
 timeout_get_callbacks(TimeoutObj *self, void *closure)
 {
-    if (self->callbacks == NULL) {
-        /* First access: materialise the waiter list and become visible
-         * to the cyclic GC (a subscriber may close a cycle through us). */
-        self->callbacks = PyList_New(0);
-        if (self->callbacks == NULL)
-            return NULL;
-        if (!PyObject_GC_IsTracked((PyObject *)self))
-            PyObject_GC_Track(self);
-    }
-    Py_INCREF(self->callbacks);
-    return self->callbacks;
+    /* First access materialises the waiter list: a subscriber may close
+     * a cycle through us from now on. */
+    return Py_XNewRef(timeout_waiters(self));
 }
 
 static int
 timeout_set_callbacks(TimeoutObj *self, PyObject *v, void *closure)
 {
-    if (v == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "cannot delete callbacks");
+    if (set_callbacks_slot(&self->callbacks, v) < 0)
         return -1;
-    }
-    Py_INCREF(v);
-    Py_XSETREF(self->callbacks, v);
     if (v != Py_None && !PyObject_GC_IsTracked((PyObject *)self))
         PyObject_GC_Track(self);
     return 0;
@@ -658,9 +681,7 @@ timeout_get_processed(TimeoutObj *self, void *closure)
 static PyObject *
 timeout_get_value(TimeoutObj *self, void *closure)
 {
-    PyObject *v = self->value ? self->value : Py_None;
-    Py_INCREF(v);
-    return v;
+    return Py_NewRef(self->value ? self->value : Py_None);
 }
 
 static PyObject *
@@ -716,15 +737,538 @@ static PyTypeObject TimeoutType = {
 };
 
 /* ------------------------------------------------------------------ */
-/* C resume: the fused Process._resume fast path                       */
+/* Event                                                              */
 /* ------------------------------------------------------------------ */
 
-/* Raise SimulationError (falls back to RuntimeError pre-configure). */
-static void
-raise_simerror(const char *fmt, PyObject *obj)
+typedef struct {
+    PyObject_HEAD
+    PyObject *engine;
+    PyObject *callbacks;   /* NULL = no waiter yet; list while pending;
+                            * Py_None once processed */
+    PyObject *value;       /* NULL while pending */
+    PyObject *weakreflist;
+    signed char ok;        /* -1 pending, 0 failed, 1 succeeded */
+    char scheduled;
+} EventObj;
+
+static PyTypeObject EventType;   /* forward */
+static PyTypeObject ProcessType; /* forward */
+
+static int
+event_traverse(EventObj *self, visitproc visit, void *arg)
 {
-    PyErr_Format(g_simerror ? g_simerror : PyExc_RuntimeError, fmt, obj);
+    Py_VISIT(self->engine);
+    Py_VISIT(self->callbacks);
+    Py_VISIT(self->value);
+    return 0;
 }
+
+static int
+event_clear(EventObj *self)
+{
+    Py_CLEAR(self->engine);
+    Py_CLEAR(self->callbacks);
+    Py_CLEAR(self->value);
+    return 0;
+}
+
+static void
+event_dealloc(EventObj *self)
+{
+    PyObject_GC_UnTrack(self);
+    if (self->weakreflist != NULL)
+        PyObject_ClearWeakRefs((PyObject *)self);
+    event_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* Allocation for Python subclasses (Request, AnyOf, AllOf): a pending
+ * event with no engine yet; their __init__ calls Event.__init__(engine). */
+static PyObject *
+event_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    EventObj *self = (EventObj *)type->tp_alloc(type, 0);
+    if (self != NULL)
+        self->ok = -1;
+    return (PyObject *)self;
+}
+
+static int
+event_init(EventObj *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"engine", NULL};
+    PyObject *engine;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O:Event", kwlist, &engine))
+        return -1;
+    Py_INCREF(engine);
+    Py_XSETREF(self->engine, engine);
+    Py_CLEAR(self->callbacks);
+    Py_CLEAR(self->value);
+    self->ok = -1;
+    self->scheduled = 0;
+    return 0;
+}
+
+/* Fast instantiation path: Event(engine). */
+static PyObject *
+event_type_vectorcall(PyObject *type, PyObject *const *args,
+                      size_t nargsf, PyObject *kwnames)
+{
+    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
+    Py_ssize_t nkw = kwnames ? PyTuple_GET_SIZE(kwnames) : 0;
+    if (nargs + nkw != 1 || (nkw && PyUnicode_CompareWithASCIIString(
+                                        PyTuple_GET_ITEM(kwnames, 0),
+                                        "engine") != 0)) {
+        PyErr_SetString(PyExc_TypeError, "Event(engine)");
+        return NULL;
+    }
+    EventObj *self = PyObject_GC_New(EventObj, &EventType);
+    if (self == NULL)
+        return NULL;
+    self->engine = Py_NewRef(args[0]);
+    self->callbacks = NULL;
+    self->value = NULL;
+    self->weakreflist = NULL;
+    self->ok = -1;
+    self->scheduled = 0;
+    PyObject_GC_Track(self);
+    return (PyObject *)self;
+}
+
+/* The event's waiter list, allocated on first use. */
+static PyObject *
+event_waiters(EventObj *self)
+{
+    if (self->callbacks == NULL)
+        self->callbacks = PyList_New(0);
+    return self->callbacks;
+}
+
+/* succeed()/fail() body: settle with (ok, value) and schedule now. */
+static PyObject *
+event_trigger(EventObj *self, int ok, PyObject *value, long prio)
+{
+    if (self->scheduled) {
+        raise_simerror("%R already triggered", (PyObject *)self, NULL);
+        return NULL;
+    }
+    if (self->engine == NULL) {
+        PyErr_SetString(PyExc_TypeError, "event has no engine");
+        return NULL;
+    }
+    self->ok = (signed char)ok;
+    Py_INCREF(value);
+    Py_XSETREF(self->value, value);
+    self->scheduled = 1;
+    if (owner_push(self->engine, 0.0, prio, (PyObject *)self) < 0)
+        return NULL;
+    return Py_NewRef(self);
+}
+
+/* Parse (first[, priority]) with either passed by keyword. */
+static int
+parse_trigger_args(PyObject *const *args, Py_ssize_t nargs,
+                   PyObject *kwnames, const char *first_name,
+                   PyObject **first, long *prio)
+{
+    PyObject *prio_obj = NULL;
+    if (nargs > 2) {
+        PyErr_SetString(PyExc_TypeError, "too many arguments");
+        return -1;
+    }
+    if (nargs > 0)
+        *first = args[0];
+    if (nargs > 1)
+        prio_obj = args[1];
+    Py_ssize_t nkw = kwnames ? PyTuple_GET_SIZE(kwnames) : 0;
+    for (Py_ssize_t i = 0; i < nkw; i++) {
+        PyObject *name = PyTuple_GET_ITEM(kwnames, i);
+        if (PyUnicode_CompareWithASCIIString(name, first_name) == 0) {
+            *first = args[nargs + i];
+        } else if (PyUnicode_CompareWithASCIIString(name, "priority") == 0) {
+            prio_obj = args[nargs + i];
+        } else {
+            PyErr_Format(PyExc_TypeError,
+                         "unexpected keyword argument %R", name);
+            return -1;
+        }
+    }
+    if (prio_obj != NULL) {
+        *prio = PyLong_AsLong(prio_obj);
+        if (*prio == -1 && PyErr_Occurred())
+            return -1;
+    }
+    return 0;
+}
+
+static PyObject *
+event_succeed(EventObj *self, PyObject *const *args, Py_ssize_t nargs,
+              PyObject *kwnames)
+{
+    PyObject *value = Py_None;
+    long prio = 1; /* PRIORITY_NORMAL */
+    if (parse_trigger_args(args, nargs, kwnames, "value", &value, &prio) < 0)
+        return NULL;
+    return event_trigger(self, 1, value, prio);
+}
+
+static PyObject *
+event_fail(EventObj *self, PyObject *const *args, Py_ssize_t nargs,
+           PyObject *kwnames)
+{
+    PyObject *exc = NULL;
+    long prio = 1;
+    if (parse_trigger_args(args, nargs, kwnames, "exception", &exc, &prio) < 0)
+        return NULL;
+    if (exc == NULL) {
+        PyErr_SetString(PyExc_TypeError, "fail() needs an exception");
+        return NULL;
+    }
+    if (!PyExceptionInstance_Check(exc)) {
+        PyErr_Format(PyExc_TypeError, "fail() needs an exception, got %R", exc);
+        return NULL;
+    }
+    return event_trigger(self, 0, exc, prio);
+}
+
+static PyObject *
+event_get_callbacks(EventObj *self, void *closure)
+{
+    return Py_XNewRef(event_waiters(self));
+}
+
+static int
+event_set_callbacks(EventObj *self, PyObject *v, void *closure)
+{
+    return set_callbacks_slot(&self->callbacks, v);
+}
+
+static PyObject *
+event_get__ok(EventObj *self, void *closure)
+{
+    if (self->ok < 0)
+        Py_RETURN_NONE;
+    return PyBool_FromLong(self->ok);
+}
+
+static PyObject *
+event_get__value(EventObj *self, void *closure)
+{
+    return Py_NewRef(self->value ? self->value : g_pending);
+}
+
+static PyObject *
+event_get_scheduled(EventObj *self, void *closure)
+{
+    return PyBool_FromLong(self->scheduled);
+}
+
+static PyObject *
+event_get_processed(EventObj *self, void *closure)
+{
+    return PyBool_FromLong(self->callbacks == Py_None);
+}
+
+static PyObject *
+event_get_ok(EventObj *self, void *closure)
+{
+    if (self->ok < 0) {
+        PyErr_SetString(g_simerror ? g_simerror : PyExc_RuntimeError,
+                        "event has not been triggered yet");
+        return NULL;
+    }
+    return PyBool_FromLong(self->ok);
+}
+
+static PyObject *
+event_get_value(EventObj *self, void *closure)
+{
+    if (self->value == NULL) {
+        PyErr_SetString(g_simerror ? g_simerror : PyExc_RuntimeError,
+                        "event value is not yet available");
+        return NULL;
+    }
+    return Py_NewRef(self->value);
+}
+
+static PyObject *
+event_repr(EventObj *self)
+{
+    const char *name = Py_TYPE(self)->tp_name;
+    const char *dot = strrchr(name, '.');
+    return PyUnicode_FromFormat(
+        "<%s %s at %p>", dot ? dot + 1 : name,
+        self->callbacks == Py_None ? "processed"
+                                   : (self->scheduled ? "triggered" : "pending"),
+        self);
+}
+
+static PyMethodDef event_methods[] = {
+    {"succeed", (PyCFunction)(void (*)(void))event_succeed,
+     METH_FASTCALL | METH_KEYWORDS,
+     "succeed(value=None, priority=PRIORITY_NORMAL) -> self"},
+    {"fail", (PyCFunction)(void (*)(void))event_fail,
+     METH_FASTCALL | METH_KEYWORDS,
+     "fail(exception, priority=PRIORITY_NORMAL) -> self  (re-raised in "
+     "waiters)"},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyGetSetDef event_getset[] = {
+    {"callbacks", (getter)event_get_callbacks, (setter)event_set_callbacks,
+     "pending waiter list; None once processed", NULL},
+    {"_ok", (getter)event_get__ok, NULL, "None until triggered, then bool",
+     NULL},
+    {"_value", (getter)event_get__value, NULL, "the value, PENDING until set",
+     NULL},
+    {"_scheduled", (getter)event_get_scheduled, NULL,
+     "True once triggered", NULL},
+    {"triggered", (getter)event_get_scheduled, NULL,
+     "True once the event has been scheduled to fire (or has fired)", NULL},
+    {"processed", (getter)event_get_processed, NULL,
+     "True once callbacks have run", NULL},
+    {"ok", (getter)event_get_ok, NULL,
+     "True if the event succeeded; only valid once triggered", NULL},
+    {"value", (getter)event_get_value, NULL,
+     "the event's value; only valid once triggered", NULL},
+    {NULL},
+};
+
+static PyMemberDef event_members[] = {
+    {"engine", T_OBJECT, offsetof(EventObj, engine), READONLY,
+     "the Engine (or EventHeap) the event is scheduled on"},
+    {NULL},
+};
+
+static PyTypeObject EventType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    /* __name__ "Event", like the pure-Python kernel's class. */
+    .tp_name = "_simcore.Event",
+    .tp_doc = "A one-shot occurrence in simulated time (C fast path)",
+    .tp_basicsize = sizeof(EventObj),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
+    .tp_new = event_new,
+    .tp_init = (initproc)event_init,
+    .tp_vectorcall = event_type_vectorcall,
+    .tp_dealloc = (destructor)event_dealloc,
+    .tp_traverse = (traverseproc)event_traverse,
+    .tp_clear = (inquiry)event_clear,
+    .tp_repr = (reprfunc)event_repr,
+    .tp_weaklistoffset = offsetof(EventObj, weakreflist),
+    .tp_methods = event_methods,
+    .tp_getset = event_getset,
+    .tp_members = event_members,
+};
+
+/* ------------------------------------------------------------------ */
+/* Process                                                            */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    EventObj ev;
+    PyObject *generator;
+    PyObject *name;
+    PyObject *target;      /* the event the process waits on, or NULL */
+    PyObject *interrupts;  /* NULL (None) until the first interrupt */
+    char defused;
+} ProcessObj;
+
+static int
+process_traverse(ProcessObj *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->generator);
+    Py_VISIT(self->name);
+    Py_VISIT(self->target);
+    Py_VISIT(self->interrupts);
+    return event_traverse(&self->ev, visit, arg);
+}
+
+static int
+process_clear(ProcessObj *self)
+{
+    Py_CLEAR(self->generator);
+    Py_CLEAR(self->name);
+    Py_CLEAR(self->target);
+    Py_CLEAR(self->interrupts);
+    return event_clear(&self->ev);
+}
+
+static void
+process_dealloc(ProcessObj *self)
+{
+    PyObject_GC_UnTrack(self);
+    if (self->ev.weakreflist != NULL)
+        PyObject_ClearWeakRefs((PyObject *)self);
+    process_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* Process(engine, generator[, name]): the process and its boot Timeout
+ * (resume once at the current time, urgently), built in one call. */
+static PyObject *
+process_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    PyObject *engine, *generator, *name = Py_None;
+    Py_ssize_t n = PyTuple_GET_SIZE(args);
+    if (kwds == NULL && (n == 2 || n == 3)) {
+        engine = PyTuple_GET_ITEM(args, 0);
+        generator = PyTuple_GET_ITEM(args, 1);
+        if (n == 3)
+            name = PyTuple_GET_ITEM(args, 2);
+    } else {
+        static char *kwlist[] = {"engine", "generator", "name", NULL};
+        if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO|O:Process", kwlist,
+                                         &engine, &generator, &name))
+            return NULL;
+    }
+    /* name or getattr(generator, "__name__", "process") */
+    int named = PyObject_IsTrue(name);
+    if (named < 0)
+        return NULL;
+    if (named) {
+        Py_INCREF(name);
+    } else {
+        name = PyObject_GetAttr(generator, str___name__);
+        if (name == NULL) {
+            if (!PyErr_ExceptionMatches(PyExc_AttributeError))
+                return NULL;
+            PyErr_Clear();
+            name = PyUnicode_FromString("process");
+            if (name == NULL)
+                return NULL;
+        }
+    }
+    ProcessObj *self = (ProcessObj *)type->tp_alloc(type, 0);
+    if (self == NULL) {
+        Py_DECREF(name);
+        return NULL;
+    }
+    self->ev.engine = Py_NewRef(engine);
+    self->ev.ok = -1;
+    self->generator = Py_NewRef(generator);
+    self->name = name;
+    TimeoutObj *boot = (TimeoutObj *)timeout_alloc(0.0, Py_None);
+    if (boot == NULL) {
+        Py_DECREF(self);
+        return NULL;
+    }
+    self->target = (PyObject *)boot;
+    PyObject *waiters;
+    if (owner_push(engine, 0.0, 0 /* PRIORITY_URGENT */, (PyObject *)boot) < 0 ||
+        (waiters = timeout_waiters(boot)) == NULL ||
+        PyList_Append(waiters, (PyObject *)self) < 0) {
+        Py_DECREF(self);
+        return NULL;
+    }
+    return (PyObject *)self;
+}
+
+/* Everything happened in process_new. */
+static int
+process_init(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    return 0;
+}
+
+static int c_resume(ProcessObj *p, PyObject *event); /* forward */
+
+/* A process is its own resume callback: process(event). */
+static PyObject *
+process_call(ProcessObj *self, PyObject *args, PyObject *kwds)
+{
+    PyObject *event;
+    if (kwds != NULL && PyDict_GET_SIZE(kwds) > 0) {
+        PyErr_SetString(PyExc_TypeError, "a process takes no keywords");
+        return NULL;
+    }
+    if (!PyArg_UnpackTuple(args, "Process", 1, 1, &event))
+        return NULL;
+    if (c_resume(self, event) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+process_get_is_alive(ProcessObj *self, void *closure)
+{
+    return PyBool_FromLong(!self->ev.scheduled);
+}
+
+/* _target / _interrupts: NULL reads as None. */
+static PyObject *
+process_get_opt(ProcessObj *self, void *closure)
+{
+    PyObject *v = *(PyObject **)((char *)self + (Py_ssize_t)closure);
+    return Py_NewRef(v ? v : Py_None);
+}
+
+static int
+process_set_opt(ProcessObj *self, PyObject *v, void *closure)
+{
+    PyObject **slot = (PyObject **)((char *)self + (Py_ssize_t)closure);
+    Py_XSETREF(*slot, (v == NULL || v == Py_None) ? NULL : Py_NewRef(v));
+    return 0;
+}
+
+static PyObject *
+process_get_defused(ProcessObj *self, void *closure)
+{
+    return PyBool_FromLong(self->defused);
+}
+
+static int
+process_set_defused(ProcessObj *self, PyObject *v, void *closure)
+{
+    int truth = v == NULL ? 0 : PyObject_IsTrue(v);
+    if (truth < 0)
+        return -1;
+    self->defused = (char)truth;
+    return 0;
+}
+
+static PyGetSetDef process_getset[] = {
+    {"is_alive", (getter)process_get_is_alive, NULL,
+     "True until the generator has finished", NULL},
+    {"_target", (getter)process_get_opt, (setter)process_set_opt,
+     "the event the process waits on",
+     (void *)offsetof(ProcessObj, target)},
+    {"_interrupts", (getter)process_get_opt, (setter)process_set_opt,
+     "pending interrupts; None until the first interrupt()",
+     (void *)offsetof(ProcessObj, interrupts)},
+    {"_defused", (getter)process_get_defused, (setter)process_set_defused,
+     "True: a failure is not escalated by the kernel", NULL},
+    {NULL},
+};
+
+static PyMemberDef process_members[] = {
+    {"generator", T_OBJECT, offsetof(ProcessObj, generator), READONLY,
+     "the generator the process runs"},
+    {"name", T_OBJECT, offsetof(ProcessObj, name), 0,
+     "the process name (default: the generator's __name__)"},
+    {NULL},
+};
+
+static PyTypeObject ProcessType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    /* __name__ "Process", like the pure-Python kernel's class. */
+    .tp_name = "_simcore.Process",
+    .tp_doc = "A generator-based simulated process (C fast path)",
+    .tp_basicsize = sizeof(ProcessObj),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
+    .tp_base = &EventType,
+    .tp_new = process_new,
+    .tp_init = process_init,
+    .tp_call = (ternaryfunc)process_call,
+    .tp_dealloc = (destructor)process_dealloc,
+    .tp_traverse = (traverseproc)process_traverse,
+    .tp_clear = (inquiry)process_clear,
+    .tp_getset = process_getset,
+    .tp_members = process_members,
+};
+
+/* ------------------------------------------------------------------ */
+/* C resume: the mirror's Process.__call__ / _finish                   */
+/* ------------------------------------------------------------------ */
 
 /* Mirror of Process._finish: the generator ended with `value`.  A success
  * with no waiter, or with one AllOf join as its only waiter, settles in
@@ -732,79 +1276,64 @@ raise_simerror(const char *fmt, PyObject *obj)
  * failure always — is scheduled now.  Returns 0, or -1 with an exception
  * set. */
 static int
-c_finish(Heap *heap, PyObject *process, int ok, PyObject *value)
+c_finish(ProcessObj *p, int ok, PyObject *value)
 {
-    if (PyObject_SetAttr(process, str__resume_cb, Py_None) < 0 ||
-        PyObject_SetAttr(process, str__ok, ok ? Py_True : Py_False) < 0 ||
-        PyObject_SetAttr(process, str__value, value) < 0 ||
-        PyObject_SetAttr(process, str__scheduled, Py_True) < 0)
-        return -1;
-    PyObject *cbs = PyObject_GetAttr(process, str_callbacks);
-    if (cbs == NULL)
-        return -1;
+    p->ev.ok = (signed char)ok;
+    Py_INCREF(value);
+    Py_XSETREF(p->ev.value, value);
+    p->ev.scheduled = 1;
+    PyObject *cbs = p->ev.callbacks; /* NULL, or a list: nobody set None */
+    Py_ssize_t n = (cbs == NULL || cbs == Py_None) ? 0 : PyList_GET_SIZE(cbs);
     PyObject *join = NULL;
-    int settle = 0;
-    if (ok) {
-        Py_ssize_t n = PyList_Check(cbs) ? PyList_GET_SIZE(cbs)
-                                         : PyObject_IsTrue(cbs);
-        if (n < 0) {
-            Py_DECREF(cbs);
-            return -1;
-        }
-        if (n == 0) {
-            settle = 1;
-        } else if (n == 1 && PyList_Check(cbs)) {
-            PyObject *cb = PyList_GET_ITEM(cbs, 0);
-            if (g_join_func != NULL && PyMethod_Check(cb) &&
-                PyMethod_GET_FUNCTION(cb) == g_join_func) {
-                settle = 1;
-                join = Py_NewRef(cb);
-            }
-        }
+    if (ok && n == 1) {
+        PyObject *cb = PyList_GET_ITEM(cbs, 0);
+        if (g_join_func != NULL && PyMethod_Check(cb) &&
+            PyMethod_GET_FUNCTION(cb) == g_join_func)
+            join = Py_NewRef(cb);
     }
-    Py_DECREF(cbs);
-    int rc;
-    if (settle) {
-        rc = PyObject_SetAttr(process, str_callbacks, Py_None);
-        if (rc == 0 && join != NULL) {
-            PyObject *r = PyObject_CallOneArg(join, process);
-            rc = r == NULL ? -1 : 0;
-            Py_XDECREF(r);
-        }
-    } else {
-        rc = heap_insert(heap, heap->now, 1 /* PRIORITY_NORMAL */, process);
-    }
-    Py_XDECREF(join);
-    return rc;
+    if (!ok || (n > 0 && join == NULL))
+        return owner_push(p->ev.engine, 0.0, 1 /* PRIORITY_NORMAL */,
+                          (PyObject *)p);
+    Py_XSETREF(p->ev.callbacks, Py_NewRef(Py_None));
+    if (join == NULL)
+        return 0;
+    PyObject *r = PyObject_CallOneArg(join, (PyObject *)p);
+    Py_DECREF(join);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
 }
 
-/* Mirror of Process._resume.  Returns 0 on success, -1 with an exception
+/* Where an event keeps its waiter list, or NULL for a non-event. */
+static PyObject **
+waiters_slot(PyObject *obj)
+{
+    if (Py_TYPE(obj) == &TimeoutType)
+        return &((TimeoutObj *)obj)->callbacks;
+    if (PyObject_TypeCheck(obj, &EventType))
+        return &((EventObj *)obj)->callbacks;
+    return NULL;
+}
+
+/* Mirror of Process.__call__.  Returns 0 on success, -1 with an exception
  * set on failure.  Every branch corresponds to a line of the Python
  * implementation in engine.py — keep them in sync. */
 static int
-c_resume(Heap *heap, PyObject *engine, PyObject *process, PyObject *event)
+c_resume(ProcessObj *p, PyObject *event)
 {
     int result = -1;
-    PyObject *gen = NULL, *interrupts = NULL, *next = NULL, *stopval = NULL;
+    PyObject *gen = p->generator, *next = NULL, *stopval = NULL;
     Py_INCREF(event); /* we re-bind `event` while chaining */
-
-    if (PyObject_SetAttr(engine, str__active_process, process) < 0)
-        goto done;
-    gen = PyObject_GetAttr(process, str_generator);
-    if (gen == NULL)
-        goto reset;
 
     for (;;) {
         /* -- advance the generator ---------------------------------- */
-        Py_XSETREF(interrupts, PyObject_GetAttr(process, str__interrupts));
-        if (interrupts == NULL)
-            goto reset;
-        if (PyList_Check(interrupts) && PyList_GET_SIZE(interrupts) > 0) {
-            PyObject *intr = PyList_GetItem(interrupts, 0); /* borrowed */
-            Py_XINCREF(intr);
-            if (intr == NULL || PySequence_DelItem(interrupts, 0) < 0) {
-                Py_XDECREF(intr);
-                goto reset;
+        PyObject *intrs = p->interrupts;
+        if (intrs != NULL && PyList_Check(intrs) && PyList_GET_SIZE(intrs) > 0) {
+            PyObject *intr = Py_NewRef(PyList_GET_ITEM(intrs, 0));
+            if (PyList_SetSlice(intrs, 0, 1, NULL) < 0) {
+                Py_DECREF(intr);
+                goto done;
             }
             next = PyObject_CallMethodOneArg(gen, str_throw, intr);
             Py_DECREF(intr);
@@ -815,31 +1344,25 @@ c_resume(Heap *heap, PyObject *engine, PyObject *process, PyObject *event)
                 ok = 1;
                 value = ((TimeoutObj *)event)->value;
                 value = value ? value : Py_None;
-                Py_INCREF(value);
+            } else if (PyObject_TypeCheck(event, &EventType)) {
+                ok = ((EventObj *)event)->ok > 0;
+                value = ((EventObj *)event)->value;
+                value = value ? value : g_pending;
             } else {
-                PyObject *okobj = PyObject_GetAttr(event, str__ok);
-                if (okobj == NULL)
-                    goto reset;
-                ok = PyObject_IsTrue(okobj);
-                Py_DECREF(okobj);
-                if (ok < 0)
-                    goto reset;
-                value = PyObject_GetAttr(event, str__value);
-                if (value == NULL)
-                    goto reset;
+                raise_simerror("process %R was resumed by %R, not an Event",
+                               p->name ? p->name : Py_None, event);
+                goto done;
             }
             if (ok) {
                 /* generator.send(value); a plain return arrives as
                  * PYGEN_RETURN, with no StopIteration object made. */
-                PySendResult sr = PyIter_Send(gen, value, &next);
-                if (sr == PYGEN_RETURN) {
+                if (PyIter_Send(gen, value, &next) == PYGEN_RETURN) {
                     stopval = next;
                     next = NULL;
                 }
             } else {
                 next = PyObject_CallMethodOneArg(gen, str_throw, value);
             }
-            Py_DECREF(value);
         }
 
         if (next == NULL) {
@@ -854,151 +1377,79 @@ c_resume(Heap *heap, PyObject *engine, PyObject *process, PyObject *event)
                 Py_XDECREF(evalue);
                 Py_XDECREF(etb);
                 if (stopval == NULL)
-                    goto reset;
+                    goto done;
             }
             if (stopval != NULL) {
-                /* self._finish(True, value) */
-                if (c_finish(heap, process, 1, stopval) < 0)
-                    goto reset;
-                result = 0;
-                goto reset;
+                result = c_finish(p, 1, stopval);
+                goto done;
             }
             if (PyErr_ExceptionMatches(PyExc_KeyboardInterrupt) ||
                 PyErr_ExceptionMatches(PyExc_SystemExit))
-                goto reset; /* propagate */
-            {
-                /* Unhandled in-process exception: fail the process event;
-                 * escalation happens at dispatch time if nobody watches. */
-                PyObject *etype, *evalue, *etb;
-                PyErr_Fetch(&etype, &evalue, &etb);
-                PyErr_NormalizeException(&etype, &evalue, &etb);
-                if (etb != NULL)
-                    PyException_SetTraceback(evalue, etb);
-                Py_XDECREF(etype);
-                Py_XDECREF(etb);
-                if (evalue == NULL)
-                    goto reset;
-                int rc = c_finish(heap, process, 0, evalue);
-                Py_DECREF(evalue);
-                if (rc < 0)
-                    goto reset;
-                result = 0;
-                goto reset;
-            }
+                goto done; /* propagate */
+            /* Unhandled in-process exception: fail the process event;
+             * escalation happens at dispatch time if nobody watches. */
+            PyObject *etype, *evalue, *etb;
+            PyErr_Fetch(&etype, &evalue, &etb);
+            PyErr_NormalizeException(&etype, &evalue, &etb);
+            if (etb != NULL)
+                PyException_SetTraceback(evalue, etb);
+            Py_XDECREF(etype);
+            Py_XDECREF(etb);
+            if (evalue == NULL)
+                goto done;
+            result = c_finish(p, 0, evalue);
+            Py_DECREF(evalue);
+            goto done;
         }
 
         /* -- the generator yielded `next` --------------------------- */
-        if (Py_TYPE(next) == &TimeoutType) {
-            TimeoutObj *t = (TimeoutObj *)next;
-            if (t->callbacks == Py_None) {
-                /* Already fired: loop around synchronously. */
-                Py_SETREF(event, next);
-                next = NULL;
-                continue;
-            }
-            if (t->callbacks == NULL) {
-                t->callbacks = PyList_New(0);
-                if (t->callbacks == NULL)
-                    goto reset;
-                if (!PyObject_GC_IsTracked(next))
-                    PyObject_GC_Track(next);
-            }
-            PyObject *cb = PyObject_GetAttr(process, str__resume_cb);
-            if (cb == NULL)
-                goto reset;
-            int rc = PyList_Append(t->callbacks, cb);
-            Py_DECREF(cb);
-            if (rc < 0)
-                goto reset;
-        } else {
-            PyObject *cbs = PyObject_GetAttr(next, str_callbacks);
-            if (cbs == NULL) {
-                if (!PyErr_ExceptionMatches(PyExc_AttributeError))
-                    goto reset;
-                PyErr_Clear();
-                raise_simerror("process yielded %R, not an Event", next);
-                goto reset;
-            }
-            if (cbs == Py_None) {
-                Py_DECREF(cbs);
-                Py_SETREF(event, next);
-                next = NULL;
-                continue;
-            }
-            PyObject *cb = PyObject_GetAttr(process, str__resume_cb);
-            if (cb == NULL) {
-                Py_DECREF(cbs);
-                goto reset;
-            }
-            int rc = PyList_Check(cbs)
-                         ? PyList_Append(cbs, cb)
-                         : -2;
-            if (rc == -2) {
-                PyObject *r = PyObject_CallMethod(cbs, "append", "O", cb);
-                rc = (r == NULL) ? -1 : 0;
-                Py_XDECREF(r);
-            }
-            Py_DECREF(cb);
-            Py_DECREF(cbs);
-            if (rc < 0)
-                goto reset;
+        PyObject **slot = waiters_slot(next);
+        if (slot == NULL) {
+            raise_simerror("process %R yielded %R, not an Event",
+                           p->name ? p->name : Py_None, next);
+            goto done;
         }
-        if (PyObject_SetAttr(process, str__target, next) < 0)
-            goto reset;
-        Py_CLEAR(next);
+        if (*slot == Py_None) {
+            /* Already fired: loop around synchronously. */
+            Py_SETREF(event, next);
+            next = NULL;
+            continue;
+        }
+        PyObject *waiters = Py_TYPE(next) == &TimeoutType
+                                ? timeout_waiters((TimeoutObj *)next)
+                                : event_waiters((EventObj *)next);
+        if (waiters == NULL || PyList_Append(waiters, (PyObject *)p) < 0)
+            goto done;
+        Py_XSETREF(p->target, next); /* takes our reference */
+        next = NULL;
         result = 0;
-        goto reset;
+        goto done;
     }
 
-reset:
-    /* finally: engine._active_process = None (preserve any live error) */
-    {
-        PyObject *etype, *evalue, *etb;
-        PyErr_Fetch(&etype, &evalue, &etb);
-        if (PyObject_SetAttr(engine, str__active_process, Py_None) < 0) {
-            if (etype == NULL) {
-                result = -1;
-            } else {
-                PyErr_Clear();
-            }
-            if (etype != NULL)
-                PyErr_Restore(etype, evalue, etb);
-        } else if (etype != NULL) {
-            PyErr_Restore(etype, evalue, etb);
-        }
-    }
 done:
     Py_XDECREF(stopval);
     Py_XDECREF(next);
-    Py_XDECREF(interrupts);
-    Py_XDECREF(gen);
     Py_DECREF(event);
     return result;
 }
 
 /* Invoke one dispatched event's callback list (already detached). */
 static int
-run_callbacks(Heap *heap, PyObject *engine, PyObject *cbs, PyObject *event)
+run_callbacks(PyObject *cbs, PyObject *event)
 {
-    if (PyList_GET_SIZE(cbs) == 1) {
-        PyObject *cb = PyList_GET_ITEM(cbs, 0); /* borrowed; cbs keeps it */
-        if (g_resume_func != NULL && PyMethod_Check(cb) &&
-            PyMethod_GET_FUNCTION(cb) == g_resume_func)
-            return c_resume(heap, engine, PyMethod_GET_SELF(cb), event);
-        PyObject *r = PyObject_CallOneArg(cb, event);
-        if (r == NULL)
-            return -1;
-        Py_DECREF(r);
-        return 0;
-    }
     for (Py_ssize_t i = 0; i < PyList_GET_SIZE(cbs); i++) {
-        PyObject *cb = PyList_GET_ITEM(cbs, i);
-        Py_INCREF(cb);
-        PyObject *r = PyObject_CallOneArg(cb, event);
+        PyObject *cb = Py_NewRef(PyList_GET_ITEM(cbs, i));
+        int rc;
+        if (PyObject_TypeCheck(cb, &ProcessType)) {
+            rc = c_resume((ProcessObj *)cb, event);
+        } else {
+            PyObject *r = PyObject_CallOneArg(cb, event);
+            rc = r == NULL ? -1 : 0;
+            Py_XDECREF(r);
+        }
         Py_DECREF(cb);
-        if (r == NULL)
+        if (rc < 0)
             return -1;
-        Py_DECREF(r);
     }
     return 0;
 }
@@ -1007,7 +1458,7 @@ run_callbacks(Heap *heap, PyObject *engine, PyObject *cbs, PyObject *event)
 /* drain(): the non-logging dispatch loop                              */
 /* ------------------------------------------------------------------ */
 
-/* drain(engine, heap, until, clamp, stopproc) -> int
+/* drain(heap, until, clamp, stopproc) -> int
  *   0: queue drained empty
  *   1: next event lies beyond `until` (clock clamped to until if clamp)
  *   2: stopproc._scheduled became true
@@ -1015,37 +1466,34 @@ run_callbacks(Heap *heap, PyObject *engine, PyObject *cbs, PyObject *event)
 static PyObject *
 simcore_drain(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 5) {
+    if (nargs != 4) {
         PyErr_SetString(PyExc_TypeError,
-                        "drain(engine, heap, until, clamp, stopproc)");
+                        "drain(heap, until, clamp, stopproc)");
         return NULL;
     }
-    PyObject *engine = args[0];
-    if (Py_TYPE(args[1]) != &HeapType) {
+    if (Py_TYPE(args[0]) != &HeapType) {
         PyErr_SetString(PyExc_TypeError, "drain() needs a C EventHeap");
         return NULL;
     }
-    Heap *heap = (Heap *)args[1];
-    double until = PyFloat_AsDouble(args[2]);
+    Heap *heap = (Heap *)args[0];
+    double until = PyFloat_AsDouble(args[1]);
     if (until == -1.0 && PyErr_Occurred())
         return NULL;
-    int clamp = PyObject_IsTrue(args[3]);
+    int clamp = PyObject_IsTrue(args[2]);
     if (clamp < 0)
         return NULL;
-    PyObject *stopproc = args[4] == Py_None ? NULL : args[4];
+    EventObj *stopproc = NULL;
+    if (args[3] != Py_None) {
+        if (!PyObject_TypeCheck(args[3], &ProcessType)) {
+            PyErr_SetString(PyExc_TypeError, "drain() stopproc: a Process");
+            return NULL;
+        }
+        stopproc = (EventObj *)args[3];
+    }
 
     for (;;) {
-        if (stopproc != NULL) {
-            PyObject *sched = PyObject_GetAttr(stopproc, str__scheduled);
-            if (sched == NULL)
-                return NULL;
-            int done = PyObject_IsTrue(sched);
-            Py_DECREF(sched);
-            if (done < 0)
-                return NULL;
-            if (done)
-                return PyLong_FromLong(2);
-        }
+        if (stopproc != NULL && stopproc->scheduled)
+            return PyLong_FromLong(2);
         if (heap->size == 0)
             return PyLong_FromLong(0);
         if (heap->arr[0].when > until) {
@@ -1056,132 +1504,41 @@ simcore_drain(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
         Entry e;
         heap_extract(heap, &e);
         PyObject *event = e.item; /* we own this ref */
-
-        if (Py_TYPE(event) == &TimeoutType) {
-            TimeoutObj *t = (TimeoutObj *)event;
-            PyObject *cbs = t->callbacks;
-            if (cbs == NULL) {
-                /* Watcherless timeout: mark processed, nothing to run. */
-                t->callbacks = Py_NewRef(Py_None);
-                Py_DECREF(event);
-                continue;
-            }
-            if (cbs == Py_None) {
-                raise_simerror("%R dispatched twice", event);
-                Py_DECREF(event);
-                return NULL;
-            }
-            t->callbacks = Py_NewRef(Py_None); /* we own old cbs ref */
-            if (PyList_GET_SIZE(cbs) > 0) {
-                int rc = run_callbacks(heap, engine, cbs, event);
-                Py_DECREF(cbs);
-                Py_DECREF(event);
-                if (rc < 0)
-                    return NULL;
-            } else {
-                /* Empty waiter list; a Timeout is always ok, so no
-                 * escalation check is needed. */
-                Py_DECREF(cbs);
-                Py_DECREF(event);
-            }
-            continue;
-        }
-
-        /* Generic event (Event / Process / conditions). */
-        PyObject *cbs = PyObject_GetAttr(event, str_callbacks);
-        if (cbs == NULL) {
+        PyObject **slot = waiters_slot(event);
+        if (slot == NULL) {
+            raise_simerror("%R was scheduled, not an Event", event, NULL);
             Py_DECREF(event);
             return NULL;
         }
+        PyObject *cbs = *slot;
         if (cbs == Py_None) {
-            raise_simerror("%R dispatched twice", event);
-            Py_DECREF(cbs);
+            raise_simerror("%R dispatched twice", event, NULL);
             Py_DECREF(event);
             return NULL;
         }
-        if (PyObject_SetAttr(event, str_callbacks, Py_None) < 0) {
-            Py_DECREF(cbs);
-            Py_DECREF(event);
-            return NULL;
-        }
-        Py_ssize_t ncbs = PyList_Check(cbs) ? PyList_GET_SIZE(cbs)
-                                            : PyObject_Length(cbs);
-        if (ncbs < 0) {
-            Py_DECREF(cbs);
-            Py_DECREF(event);
-            return NULL;
-        }
-        if (ncbs > 0) {
-            int rc;
-            if (PyList_Check(cbs)) {
-                rc = run_callbacks(heap, engine, cbs, event);
-            } else {
-                PyObject *it = PyObject_GetIter(cbs);
-                rc = it == NULL ? -1 : 0;
-                if (it != NULL) {
-                    PyObject *cb;
-                    while ((cb = PyIter_Next(it)) != NULL) {
-                        PyObject *r = PyObject_CallOneArg(cb, event);
-                        Py_DECREF(cb);
-                        if (r == NULL) {
-                            rc = -1;
-                            break;
-                        }
-                        Py_DECREF(r);
-                    }
-                    if (PyErr_Occurred())
-                        rc = -1;
-                    Py_DECREF(it);
-                }
-            }
+        *slot = Py_NewRef(Py_None); /* we own the old list (or NULL) */
+        if (cbs != NULL && PyList_GET_SIZE(cbs) > 0) {
+            int rc = run_callbacks(cbs, event);
             Py_DECREF(cbs);
             Py_DECREF(event);
             if (rc < 0)
                 return NULL;
             continue;
         }
-        Py_DECREF(cbs);
-
-        /* Failed process with nobody watching: escalate unless defused. */
-        {
-            PyObject *okobj = PyObject_GetAttr(event, str__ok);
-            if (okobj == NULL) {
+        Py_XDECREF(cbs);
+        /* Failed process with nobody watching: escalate unless defused.
+         * (A Timeout is always ok.) */
+        if (PyObject_TypeCheck(event, &ProcessType)) {
+            ProcessObj *p = (ProcessObj *)event;
+            if (p->ev.ok == 0 && !p->defused) {
+                PyObject *exc = Py_NewRef(p->ev.value);
                 Py_DECREF(event);
+                PyErr_SetObject((PyObject *)Py_TYPE(exc), exc);
+                Py_DECREF(exc);
                 return NULL;
             }
-            int is_false = (okobj == Py_False);
-            Py_DECREF(okobj);
-            if (is_false && g_process_type != NULL) {
-                int isproc = PyObject_IsInstance(event, g_process_type);
-                if (isproc < 0) {
-                    Py_DECREF(event);
-                    return NULL;
-                }
-                if (isproc) {
-                    PyObject *defused = PyObject_GetAttr(event, str__defused);
-                    if (defused == NULL) {
-                        Py_DECREF(event);
-                        return NULL;
-                    }
-                    int skip = PyObject_IsTrue(defused);
-                    Py_DECREF(defused);
-                    if (skip < 0) {
-                        Py_DECREF(event);
-                        return NULL;
-                    }
-                    if (!skip) {
-                        PyObject *exc = PyObject_GetAttr(event, str__value);
-                        Py_DECREF(event);
-                        if (exc == NULL)
-                            return NULL;
-                        PyErr_SetObject((PyObject *)Py_TYPE(exc), exc);
-                        Py_DECREF(exc);
-                        return NULL;
-                    }
-                }
-            }
-            Py_DECREF(event);
         }
+        Py_DECREF(event);
     }
 }
 
@@ -1192,11 +1549,9 @@ simcore_drain(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 simcore_configure(PyObject *mod, PyObject *args)
 {
-    PyObject *resume, *process, *simerror, *join;
-    if (!PyArg_ParseTuple(args, "OOOO", &resume, &process, &simerror, &join))
+    PyObject *simerror, *join;
+    if (!PyArg_ParseTuple(args, "OO", &simerror, &join))
         return NULL;
-    Py_XSETREF(g_resume_func, Py_NewRef(resume));
-    Py_XSETREF(g_process_type, Py_NewRef(process));
     Py_XSETREF(g_simerror, Py_NewRef(simerror));
     Py_XSETREF(g_join_func, Py_NewRef(join));
     Py_RETURN_NONE;
@@ -1204,16 +1559,17 @@ simcore_configure(PyObject *mod, PyObject *args)
 
 static PyMethodDef simcore_methods[] = {
     {"drain", (PyCFunction)(void (*)(void))simcore_drain, METH_FASTCALL,
-     "drain(engine, heap, until, clamp, stopproc) -> int stop code"},
+     "drain(heap, until, clamp, stopproc) -> int stop code"},
     {"configure", simcore_configure, METH_VARARGS,
-     "configure(resume_func, process_type, simerror_type, join_func)"},
+     "configure(simerror_type, join_func)"},
     {NULL, NULL, 0, NULL},
 };
 
 static PyModuleDef simcore_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_simcore",
-    .m_doc = "C hot core (event heap + Timeout + dispatch) for repro.sim",
+    .m_doc = "C hot core (event heap, events, processes, dispatch) for "
+             "repro.sim",
     .m_size = -1,
     .m_methods = simcore_methods,
 };
@@ -1227,37 +1583,27 @@ PyInit__simcore(void)
         if (var == NULL)                            \
             return NULL;                            \
     } while (0)
-    INTERN(str_callbacks, "callbacks");
-    INTERN(str__ok, "_ok");
-    INTERN(str__value, "_value");
-    INTERN(str__scheduled, "_scheduled");
-    INTERN(str__defused, "_defused");
-    INTERN(str__active_process, "_active_process");
-    INTERN(str_generator, "generator");
-    INTERN(str__interrupts, "_interrupts");
-    INTERN(str__target, "_target");
-    INTERN(str_send, "send");
-    INTERN(str_throw, "throw");
-    INTERN(str__resume_cb, "_resume_cb");
     INTERN(str__queue, "_queue");
-    INTERN(str_pushdelay, "pushdelay");
-    INTERN(str_name, "name");
-    INTERN(str_pop, "pop");
+    INTERN(str_throw, "throw");
+    INTERN(str___name__, "__name__");
 #undef INTERN
-    if (PyType_Ready(&HeapType) < 0 || PyType_Ready(&TimeoutType) < 0)
+    if (g_pending == NULL) {
+        /* A plain object(): a pending event's `_value`. */
+        g_pending = PyObject_CallNoArgs((PyObject *)&PyBaseObject_Type);
+        if (g_pending == NULL)
+            return NULL;
+    }
+    if (PyType_Ready(&HeapType) < 0 || PyType_Ready(&TimeoutType) < 0 ||
+        PyType_Ready(&EventType) < 0 || PyType_Ready(&ProcessType) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&simcore_module);
     if (m == NULL)
         return NULL;
-    Py_INCREF(&HeapType);
-    if (PyModule_AddObject(m, "EventHeap", (PyObject *)&HeapType) < 0) {
-        Py_DECREF(&HeapType);
-        Py_DECREF(m);
-        return NULL;
-    }
-    Py_INCREF(&TimeoutType);
-    if (PyModule_AddObject(m, "Timeout", (PyObject *)&TimeoutType) < 0) {
-        Py_DECREF(&TimeoutType);
+    if (PyModule_AddObjectRef(m, "EventHeap", (PyObject *)&HeapType) < 0 ||
+        PyModule_AddObjectRef(m, "Timeout", (PyObject *)&TimeoutType) < 0 ||
+        PyModule_AddObjectRef(m, "Event", (PyObject *)&EventType) < 0 ||
+        PyModule_AddObjectRef(m, "Process", (PyObject *)&ProcessType) < 0 ||
+        PyModule_AddObjectRef(m, "PENDING", g_pending) < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -23,6 +23,12 @@ single-callback dispatch without copying, and a ``run()`` loop that keeps
 the queue and clock in locals.  The determinism suite
 (``tests/property/test_kernel_determinism.py``) pins the exact event
 stream these fast paths must preserve.
+
+With the compiled core loaded, :class:`Event`, :class:`Timeout` and
+:class:`Process` are the C types of ``_simcore.c`` (a process there is its
+own resume callback, woken by the C dispatch loop through struct fields);
+the classes of the same names defined first below are their line-for-line
+pure-Python mirror, which ``REPRO_PURE_PY=1`` selects.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from .simcore import CTimeout, EventHeap, _C
+from .simcore import EventHeap, _C
 
 _INF = float("inf")
 
@@ -53,8 +59,9 @@ PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
 PRIORITY_LOW = 2
 
-#: Sentinel meaning "event not yet assigned a value".
-_PENDING = object()
+#: Sentinel meaning "event not yet assigned a value" (a pending event's
+#: ``_value``; the C Event reports the extension's own).
+_PENDING = _C.PENDING if _C is not None else object()
 
 
 class SimulationError(RuntimeError):
@@ -189,11 +196,141 @@ def _py_timeout_at(engine: "Engine", when: float) -> Timeout:
     return timeout
 
 
-if CTimeout is not None:
-    # The C fast path: same constructor signature, same duck-typed Event
-    # surface, same type __name__ (so determinism event logs match), but
-    # the whole create-and-schedule cycle runs without a Python frame.
-    Timeout = CTimeout  # noqa: F811
+ProcessGenerator = Generator[Event, Any, Any]
+
+
+class Process(Event):
+    """A generator-based simulated process.
+
+    A process is itself an :class:`Event` that settles (with the generator's
+    return value) when the generator finishes, so processes can wait on each
+    other simply by yielding the other process; one that returns while nobody
+    waits on it is processed on the spot, with no dispatch (:meth:`_finish`).
+    It is also its own resume callback: a waiter list holds the process
+    itself and dispatch calls it (:meth:`__call__`), so no bound method is
+    made per process and nothing refers from the process back to itself.
+    """
+
+    __slots__ = ("generator", "name", "_target", "_interrupts", "_defused")
+
+    def __init__(self, engine: "Engine", generator: ProcessGenerator,
+                 name: Optional[str] = None):
+        # Event.__init__ inlined: a campaign spawns one process per
+        # handler and fan-out leg.
+        self.engine = engine
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._scheduled = False
+        self.generator = generator
+        self.name = name or getattr(generator, "__name__", "process")
+        #: Pending interrupts; no list until the first :meth:`interrupt`.
+        self._interrupts: Optional[List[Interrupt]] = None
+        self._defused = False
+        # Bootstrap: resume once at the current time.
+        boot = Timeout(engine, 0.0, None, PRIORITY_URGENT)
+        boot.callbacks.append(self)
+        self._target: Optional[Event] = boot
+
+    @property
+    def is_alive(self) -> bool:
+        return not self._scheduled
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Throw :class:`Interrupt` into the process at the current time."""
+        if self._scheduled:
+            raise SimulationError(f"cannot interrupt finished process {self.name}")
+        if self._interrupts is None:
+            self._interrupts = []
+        self._interrupts.append(Interrupt(cause))
+        # Detach from the current target and resume immediately.
+        target, self._target = self._target, None
+        if target is not None and target.callbacks is not None:
+            try:
+                target.callbacks.remove(self)
+            except ValueError:
+                pass
+        wake = Timeout(self.engine, 0.0, priority=PRIORITY_URGENT)
+        wake.callbacks.append(self)
+        self._target = wake
+
+    def __call__(self, event: Event) -> None:
+        # Resume: the kernel's hottest frame, run once per wake-up.  The
+        # generator is pinned in a local; the "already fired" shortcut
+        # reads ``callbacks is None`` directly instead of the ``processed``
+        # property.
+        generator = self.generator
+        while True:
+            try:
+                if self._interrupts:
+                    next_event = generator.throw(self._interrupts.pop(0))
+                elif event._ok:
+                    next_event = generator.send(event._value)
+                else:
+                    next_event = generator.throw(event._value)
+            except StopIteration as stop:
+                self._finish(True, stop.value)
+                return
+            except BaseException as exc:
+                if isinstance(exc, (KeyboardInterrupt, SystemExit)):
+                    raise
+                # Unhandled in-process exception: fail the process event;
+                # if nobody is watching, escalate at dispatch time.  The
+                # traceback's head entry is this frame, which pins
+                # ``self`` (process -> exception -> frame -> process):
+                # drop it, as the C resume has no frame to record.
+                exc.__traceback__ = exc.__traceback__.tb_next
+                self._finish(False, exc)
+                return
+            try:
+                cbs = next_event.callbacks
+            except AttributeError:
+                raise SimulationError(
+                    f"process {self.name!r} yielded {next_event!r}, "
+                    f"not an Event") from None
+            if cbs is None:
+                # Already fired: loop around synchronously.
+                event = next_event
+                continue
+            self._target = next_event
+            cbs.append(self)
+            return
+
+    def _finish(self, ok: bool, value: Any) -> None:
+        """The generator ended: the line-for-line mirror of ``c_finish`` in
+        ``_simcore.c``.  A success with nobody subscribed, or with one
+        :class:`AllOf` as its only waiter, never enters the heap: the join
+        is counted down here (a fan-out leg costs no completion event).  A
+        failure always does, so that dispatch escalates the unwatched crash
+        and a join fails at the failure's dispatch."""
+        self._ok = ok
+        self._value = value
+        self._scheduled = True
+        callbacks = self.callbacks
+        if ok and (not callbacks or (
+                len(callbacks) == 1
+                and getattr(callbacks[0], "__func__", None) is _JOIN)):
+            self.callbacks = None
+            if callbacks:
+                callbacks[0](self)
+        else:
+            self.engine._queue.pushnow(PRIORITY_NORMAL, self)
+
+
+if _C is not None:
+    # The C fast path: the same constructor signatures, attribute surface
+    # and type ``__name__``s (so determinism event logs match), with every
+    # field a struct member — creating, triggering, dispatching and
+    # resuming run without a Python frame.  The C ``Process`` is its own
+    # resume callback too; only :meth:`~Process.interrupt` stays Python.
+    Event = _C.Event  # noqa: F811
+    Timeout = _C.Timeout  # noqa: F811
+    _PyProcess = Process
+
+    class Process(_C.Process):  # noqa: F811
+        __doc__ = _PyProcess.__doc__
+        __slots__ = ()
+        interrupt = _PyProcess.interrupt
 
 
 class _ConditionEvent(Event):
@@ -208,12 +345,7 @@ class _ConditionEvent(Event):
     __slots__ = ("events", "_n_fired", "_n_sub")
 
     def __init__(self, engine: "Engine", events: Iterable[Event]):
-        # Event.__init__ inlined: one condition per fan-out and per wait.
-        self.engine = engine
-        self.callbacks = []
-        self._value = _PENDING
-        self._ok = None
-        self._scheduled = False
+        Event.__init__(self, engine)
         self.events = list(events)
         self._n_fired = 0
         #: How many children were actually subscribed (settling
@@ -292,137 +424,6 @@ class AllOf(_ConditionEvent):
             self._detach()
 
 
-ProcessGenerator = Generator[Event, Any, Any]
-
-
-class Process(Event):
-    """A generator-based simulated process.
-
-    A process is itself an :class:`Event` that settles (with the generator's
-    return value) when the generator finishes, so processes can wait on each
-    other simply by yielding the other process; one that returns while nobody
-    waits on it is processed on the spot, with no dispatch (:meth:`_finish`).
-    """
-
-    __slots__ = ("generator", "name", "_target", "_interrupts", "_defused",
-                 "_resume_cb")
-
-    def __init__(self, engine: "Engine", generator: ProcessGenerator,
-                 name: Optional[str] = None):
-        # Event.__init__ inlined: a campaign spawns one process per
-        # handler and fan-out leg.
-        self.engine = engine
-        self.callbacks = []
-        self._value = _PENDING
-        self._ok = None
-        self._scheduled = False
-        self.generator = generator
-        self.name = name or getattr(generator, "__name__", "process")
-        #: Pending interrupts; no list until the first :meth:`interrupt`.
-        self._interrupts: Optional[List[Interrupt]] = None
-        self._defused = False
-        #: The bound resume method, created once.  Every subscription uses
-        #: this same object: no bound-method allocation per wake-up, and the
-        #: C dispatch loop recognises it by its ``__func__`` to run the
-        #: resume fully in C.  It is the process's one reference to itself
-        #: (process -> method -> process); ``_finish`` drops it so a
-        #: finished process dies by reference count.
-        self._resume_cb = resume = self._resume
-        # Bootstrap: resume once at the current time.
-        boot = Timeout(engine, 0.0, None, PRIORITY_URGENT)
-        boot.callbacks.append(resume)
-        self._target: Optional[Event] = boot
-
-    @property
-    def is_alive(self) -> bool:
-        return not self._scheduled
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._scheduled:
-            raise SimulationError(f"cannot interrupt finished process {self.name}")
-        if self._interrupts is None:
-            self._interrupts = []
-        self._interrupts.append(Interrupt(cause))
-        # Detach from the current target and resume immediately.
-        target, self._target = self._target, None
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume_cb)
-            except ValueError:
-                pass
-        wake = Timeout(self.engine, 0.0, priority=PRIORITY_URGENT)
-        wake.callbacks.append(self._resume_cb)
-        self._target = wake
-
-    def _resume(self, event: Event) -> None:
-        # The kernel's hottest frame: runs once per process wake-up.  The
-        # generator and engine are pinned in locals; the "already fired"
-        # shortcut reads ``callbacks is None`` directly instead of the
-        # ``processed`` property.
-        engine = self.engine
-        engine._active_process = self
-        generator = self.generator
-        try:
-            while True:
-                try:
-                    if self._interrupts:
-                        next_event = generator.throw(self._interrupts.pop(0))
-                    elif event._ok:
-                        next_event = generator.send(event._value)
-                    else:
-                        next_event = generator.throw(event._value)
-                except StopIteration as stop:
-                    self._finish(True, stop.value)
-                    return
-                except BaseException as exc:
-                    if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                        raise
-                    # Unhandled in-process exception: fail the process event;
-                    # if nobody is watching, escalate at dispatch time.  The
-                    # traceback's head entry is this frame, which pins
-                    # ``self`` (process -> exception -> frame -> process):
-                    # drop it, as the C resume has no frame to record.
-                    exc.__traceback__ = exc.__traceback__.tb_next
-                    self._finish(False, exc)
-                    return
-                try:
-                    cbs = next_event.callbacks
-                except AttributeError:
-                    raise SimulationError(
-                        f"process {self.name!r} yielded {next_event!r}, "
-                        f"not an Event") from None
-                if cbs is None:
-                    # Already fired: loop around synchronously.
-                    event = next_event
-                    continue
-                self._target = next_event
-                cbs.append(self._resume_cb)
-                return
-        finally:
-            engine._active_process = None
-
-    def _finish(self, ok: bool, value: Any) -> None:
-        """The generator ended: the line-for-line mirror of ``c_finish`` in
-        ``_simcore.c``.  A success with nobody subscribed, or with one
-        :class:`AllOf` as its only waiter, never enters the heap: the join
-        is counted down here (a fan-out leg costs no completion event).  A
-        failure always does, so that dispatch escalates the unwatched crash
-        and a join fails at the failure's dispatch."""
-        self._resume_cb = None  # the process's one reference to itself
-        self._ok = ok
-        self._value = value
-        self._scheduled = True
-        callbacks = self.callbacks
-        if ok and (not callbacks or (
-                len(callbacks) == 1
-                and getattr(callbacks[0], "__func__", None) is _JOIN)):
-            self.callbacks = None
-            if callbacks:
-                callbacks[0](self)
-        else:
-            self.engine._queue.pushnow(PRIORITY_NORMAL, self)
-
 
 #: ``AllOf._on_fire``: a process whose only waiter is this join counts it
 #: down when it finishes (:meth:`Process._finish`, ``c_finish``).
@@ -432,8 +433,7 @@ _JOIN = AllOf._on_fire
 class Engine:
     """The simulation engine: clock plus event queue."""
 
-    __slots__ = ("_queue", "_active_process", "event_log", "timeout",
-                 "timeout_at", "obs")
+    __slots__ = ("_queue", "event_log", "timeout", "timeout_at", "obs")
 
     #: Class-wide default for :attr:`event_log`.  Tests set this to a list
     #: before building a stack whose engines they cannot reach (e.g. the
@@ -444,7 +444,6 @@ class Engine:
 
     def __init__(self):
         self._queue = EventHeap()
-        self._active_process: Optional[Process] = None
         #: When a list, every dispatched event appends
         #: ``(time, priority, seq, kind, name)`` — the exact total order the
         #: kernel executed.  The determinism suite diffs these streams.
@@ -454,11 +453,11 @@ class Engine:
         #: The C Timeout takes the heap directly (its constructor reads the
         #: clock from the queue); the Python fallback takes the engine.
         self.timeout = partial(
-            Timeout, self._queue if CTimeout is not None else self)
+            Timeout, self._queue if _C is not None else self)
         #: ``timeout_at(when)`` — a Timeout at the absolute instant ``when``,
         #: for a chain of charges summed as the same floats a chain of
         #: ``timeout`` calls would reach, without the intermediate events.
-        self.timeout_at = (self._queue.timeout_at if CTimeout is not None
+        self.timeout_at = (self._queue.timeout_at if _C is not None
                            else partial(_py_timeout_at, self))
         #: Observability hub (spans over simulated time).  Defaults
         #: to the shared disabled singleton; deployments install theirs.
@@ -490,7 +489,7 @@ class Engine:
     # call shape.
 
     def process(self, generator: ProcessGenerator, name: Optional[str] = None) -> Process:
-        return Process(self, generator, name=name)
+        return Process(self, generator, name)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
@@ -577,7 +576,7 @@ class Engine:
         # (the C dispatch loop when the extension is loaded, the Python
         # mirror below otherwise).  clamp=True pins the clock to `until`
         # when the next event lies beyond it, matching the logging path.
-        _drain(self, queue, _INF if until is None else until, True, None)
+        _drain(queue, _INF if until is None else until, True, None)
         return self._queue.now
 
     def run_process(self, generator: ProcessGenerator, until: Optional[float] = None) -> Any:
@@ -639,8 +638,8 @@ class Engine:
             # Fast path: _drain stops at whichever comes first — the
             # process finishing (2), the queue draining (0), or the next
             # event lying beyond max_time (1, clock left untouched).
-            code = _drain(self, queue,
-                          _INF if max_time is None else max_time, False, proc)
+            code = _drain(queue, _INF if max_time is None else max_time,
+                          False, proc)
             if code == 0:
                 raise SimulationError(
                     f"process {proc.name!r} cannot complete: event queue drained")
@@ -653,7 +652,7 @@ class Engine:
         process._defused = True  # type: ignore[attr-defined]
 
 
-def _py_drain(engine: Engine, queue, until: float, clamp: bool,
+def _py_drain(queue, until: float, clamp: bool,
               stopproc: Optional[Process]) -> int:
     """Pure-Python dispatch loop — the exact mirror of ``_simcore.drain``.
 
@@ -694,9 +693,9 @@ def _py_drain(engine: Engine, queue, until: float, clamp: bool,
 
 
 if _C is not None:
-    # Let the C dispatch loop recognise process-resume callbacks (by their
-    # __func__) and raise the kernel's own error type.
-    _C.configure(Process._resume, Process, SimulationError, _JOIN)
+    # Let the C kernel raise the kernel's own error type and recognise a
+    # fan-out join (by its __func__).
+    _C.configure(SimulationError, _JOIN)
     _drain = _C.drain
 else:
     _drain = _py_drain

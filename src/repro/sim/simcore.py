@@ -1,21 +1,25 @@
-"""The kernel's C hot core: event heap + Timeout, with a pure-Python fallback.
+"""The kernel's C hot core: event heap, Event, Process and Timeout, with a
+pure-Python fallback.
 
 ``_simcore.c`` keeps the event queue's three ordering keys unboxed beside
 each event pointer (sift comparisons become C double/long compares instead
-of Python tuple comparisons) and provides a C ``Timeout`` whose constructor
-schedules itself into that heap in a single call — the kernel's hottest
-allocation site with no Python frame at all.  The heap owns the sequence
-counter: ``push(when, prio, obj)`` stamps the next seq itself, so pop order
-is bit-identical to ``heapq`` over ``(when, prio, seq, obj)`` tuples.
+of Python tuple comparisons) and implements the event family as C types:
+``Event`` (``Request``, ``AnyOf`` and ``AllOf`` subclass it in Python),
+``Process`` — its own resume callback, resumed by the C dispatch loop
+through struct fields — and ``Timeout``, whose constructor schedules itself
+into that heap in a single call.  The heap owns the sequence counter:
+``push(when, prio, obj)`` stamps the next seq itself, so pop order is
+bit-identical to ``heapq`` over ``(when, prio, seq, obj)`` tuples.
 
 The extension is built on first import with whatever ``cc`` the box has and
 cached next to the source (or under the system temp dir when the package
 directory is read-only).  Anything going wrong — no compiler, no headers,
-sandboxed filesystem — degrades to :class:`PyEventHeap` (plain ``heapq``
-behind the same API) and the pure-Python ``Timeout`` defined in
-``engine.py``, with one ``RuntimeWarning`` that carries the reason.
-``REPRO_PURE_PY=1`` forces the fallback (no build attempted, no warning);
-the determinism suite runs against both implementations.
+sandboxed filesystem, a smoke check that fails — degrades to
+:class:`PyEventHeap` (plain ``heapq`` behind the same API) and the
+pure-Python event classes defined in ``engine.py``, with one
+``RuntimeWarning`` that carries the reason.  ``REPRO_PURE_PY=1`` forces the
+fallback (no build attempted, no warning); the determinism suite runs
+against both implementations.
 """
 
 from __future__ import annotations
@@ -23,11 +27,10 @@ from __future__ import annotations
 import os
 import warnings
 from heapq import heapify, heappop, heappush
-from typing import Optional
 
 from .cbuild import build_and_load
 
-__all__ = ["EventHeap", "PyEventHeap", "CTimeout", "HEAP_IMPL"]
+__all__ = ["EventHeap", "PyEventHeap", "HEAP_IMPL"]
 
 _INF = float("inf")
 
@@ -99,18 +102,23 @@ class PyEventHeap:
         return bool(self._entries)
 
 
+def _expect(ok: bool, what: str) -> None:
+    if not ok:
+        raise RuntimeError(f"smoke check failed: {what}")
+
+
 def _smoke(mod) -> bool:
-    # Smoke-test ordering and the Timeout fast path before trusting the
-    # extension for every simulation.
+    # Exercise heap ordering and the event types before trusting the
+    # extension for every simulation; a failed check raises with its
+    # reason, which the fallback warning carries.
     heap = mod.EventHeap()
     for when, prio in [(2.0, 1), (1.0, 1), (1.0, 0), (1.0, 1)]:
         heap.push(when, prio, object())
     keys = [heap.pop()[:3] for _ in range(len(heap))]
-    if keys != sorted(keys) or keys != [(1.0, 0, 2), (1.0, 1, 1),
-                                        (1.0, 1, 3), (2.0, 1, 0)]:
-        return False
-    if heap.peektime() != _INF or heap.count != 4 or heap.now != 2.0:
-        return False
+    _expect(keys == [(1.0, 0, 2), (1.0, 1, 1), (1.0, 1, 3), (2.0, 1, 0)],
+            f"heap pop order {keys}")
+    _expect(heap.peektime() == _INF and heap.count == 4 and heap.now == 2.0,
+            "heap clock and count")
 
     # Timeout fast path: the heap owns the clock, so the constructor
     # schedules relative to queue.now.  It accepts the heap directly (the
@@ -118,32 +126,53 @@ def _smoke(mod) -> bool:
     queue = mod.EventHeap()
     queue.now = 1.5
     t = mod.Timeout(queue, 2.5, value="v", priority=0)
-    if not (t.delay == 2.5 and t._ok and t._scheduled and t.value == "v"
-            and not t.processed and t.callbacks == []
-            and type(t).__name__ == "Timeout"):
-        return False
-    if queue.pop2() != (4.0, t) or queue.now != 4.0:
-        return False
+    _expect(t.delay == 2.5 and t._ok and t._scheduled and t.value == "v"
+            and not t.processed and t.callbacks == [],
+            "Timeout fields")
+    _expect(queue.pop2() == (4.0, t) and queue.now == 4.0, "Timeout push")
 
     # timeout_at() schedules at the absolute instant; remove() unschedules.
     at = queue.timeout_at(4.25)
     gone = queue.timeout_at(4.0)
     queue.remove(gone)
-    if len(queue) != 1 or at.delay != 0.25 or queue.pop2() != (4.25, at):
-        return False
+    _expect(len(queue) == 1 and at.delay == 0.25
+            and queue.pop2() == (4.25, at), "timeout_at / remove")
 
     # drain(): watcherless timeouts are consumed without callbacks and the
     # clock clamps to `until` when the next event lies beyond it.
     queue = mod.EventHeap()
     mod.Timeout(queue, 1.0)
     far = mod.Timeout(queue, 9.0)
-    code = mod.drain(object(), queue, 5.0, True, None)
-    if code != 1 or queue.now != 5.0 or len(queue) != 1:
-        return False
-    if mod.drain(object(), queue, float("inf"), False, None) != 0:
-        return False
-    if not far.processed:
-        return False
+    _expect(mod.drain(queue, 5.0, True, None) == 1 and queue.now == 5.0
+            and len(queue) == 1, "drain clamps to until")
+    _expect(mod.drain(queue, _INF, False, None) == 0 and far.processed,
+            "drain empties the heap")
+
+    # A Process on a fresh heap runs through drain to its return value.
+    def returns(value):
+        yield mod.Timeout(queue, 1.0)
+        return value
+
+    queue = mod.EventHeap()
+    proc = mod.Process(queue, returns(7), None)
+    _expect(proc.name == "returns" and proc.is_alive, "Process fields")
+    _expect(mod.drain(queue, _INF, False, proc) == 2 and proc._value == 7
+            and proc.processed and queue.now == 1.0,
+            "a Process runs to its return value")
+
+    # A process waiting on an Event wakes with that event's value.
+    def waits(event):
+        return (yield event) + 1
+
+    event = mod.Event(queue)
+    proc = mod.Process(queue, waits(event))
+    _expect(mod.drain(queue, _INF, False, None) == 0 and proc.is_alive
+            and event.callbacks == [proc], "a Process subscribes to an Event")
+    event.succeed(41)
+    _expect(mod.drain(queue, _INF, False, proc) == 2 and proc._value == 42,
+            "a Process wakes with its Event's value")
+    _expect((type(event).__name__, type(proc).__name__, type(t).__name__)
+            == ("Event", "Process", "Timeout"), "type names")
     return True
 
 
@@ -157,12 +186,11 @@ if not os.environ.get("REPRO_PURE_PY"):
         _mod, _why = None, f"{type(exc).__name__}: {exc}"
     if _mod is None:
         warnings.warn(f"_simcore: C extension not usable ({_why}); running on "
-                      "the pure-Python event heap", RuntimeWarning)
+                      "the pure-Python kernel", RuntimeWarning)
 
-#: C Timeout type, or None when running on the pure-Python fallback.
-CTimeout: Optional[type] = _mod.Timeout if _mod is not None else None
 EventHeap = _mod.EventHeap if _mod is not None else PyEventHeap
-#: Raw extension module (exposes drain()/configure()); None on fallback.
+#: Raw extension module (its event types, drain() and configure()); None
+#: on fallback.
 _C = _mod
 #: "c" or "python" — surfaced in benchmark exports so regression numbers
 #: are never compared across implementations by accident.

@@ -61,11 +61,11 @@ def test_degraded_campaign_event_stream_is_bit_identical():
 
 
 def test_fast_dispatch_loop_schedules_the_logged_stream():
-    """The logging loop runs every wake-up in Python (``Process._resume`` /
-    ``_finish``); the fast loop is ``_simcore.drain`` with ``c_resume`` /
-    ``c_finish`` when the extension is loaded, ``_py_drain`` otherwise.
-    Both must schedule the same events — fan-out joins counted down in
-    place included — and reach the same campaign."""
+    """The logging loop pops and dispatches in Python (``Engine._dispatch``
+    calling each waiter); the fast loop is ``_simcore.drain`` with
+    ``c_resume`` / ``c_finish`` when the extension is loaded, ``_py_drain``
+    otherwise.  Both must schedule the same events — fan-out joins counted
+    down in place included — and reach the same campaign."""
     from repro.services import CampaignConfig, run_campaign
     from repro.sim.engine import Engine
 

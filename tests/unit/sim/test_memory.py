@@ -1,11 +1,13 @@
 """Kernel objects die by reference count.
 
-A campaign spawns one short process per handler, reply and fan-out leg
-(~75 000 a run).  If a finished process were part of a reference cycle,
-each of them — with its generator, message, context and reply event —
-would wait for the cyclic collector.  These tests switch the collector off
-and require a weak reference to go dead the moment the last name is
-dropped; they run on the compiled and the ``REPRO_PURE_PY=1`` legs.
+A campaign spawns one short process per handler and fan-out leg (46 056
+on ``campaign_pull``, 50 286 on ``load_pull``).  If a finished process were
+part of a reference cycle, each of them — with its generator, message,
+context and reply event — would wait for the cyclic collector.  These tests
+switch the collector off and require a weak reference to go dead the moment
+the last name is dropped; they run on the compiled and the
+``REPRO_PURE_PY=1`` legs.  On the compiled leg a pending process is also
+held to the objects the collector has to track for it.
 """
 
 import gc
@@ -14,6 +16,7 @@ import weakref
 import pytest
 
 from repro.sim import Engine, Interrupt, Resource
+from repro.sim.simcore import _C
 
 
 @pytest.fixture
@@ -133,3 +136,41 @@ class TestReleasedRequest:
         engine.process(user())
         engine.run()
         assert claims[0]() is None
+
+
+@pytest.mark.skipif(_C is None, reason="the C event types are not loaded")
+class TestPendingProcessFootprint:
+    """What the collector tracks per process, the generator aside: the
+    process, its boot Timeout and that timeout's waiter list.  A process
+    is its own resume callback (no bound method), and its own waiter list
+    exists only once someone waits on it."""
+
+    N = 1000
+
+    def test_three_tracked_objects_per_pending_process(self, engine):
+        def idle():
+            yield engine.timeout(1.0)
+
+        generators = [idle() for _ in range(self.N)]
+        procs = []
+        before = len(gc.get_objects())
+        procs.extend(engine.process(gen) for gen in generators)
+        per_process = (len(gc.get_objects()) - before) / self.N
+        assert per_process <= 3
+
+    def test_an_unwatched_process_never_allocates_a_waiter_list(self, engine):
+        def worker():
+            yield engine.timeout(1.0)
+            yield engine.timeout(1.0)
+            return "done"
+
+        def lists_held(obj):
+            return [r for r in gc.get_referents(obj) if type(r) is list]
+
+        proc = engine.process(worker())
+        held = [lists_held(proc)]
+        engine.run(until=1.5)
+        held.append(lists_held(proc))
+        engine.run()
+        held.append(lists_held(proc))
+        assert held == [[], [], []] and proc.value == "done"

@@ -4,39 +4,13 @@
 subscribed to it: no heap entry, no dispatch, and whoever yields it later
 carries on at the same instant with its value.  These tests pin that rule
 and the one exception to it (a failure is still scheduled, so dispatch can
-escalate it) on both kernels: the session's own — the compiled heap and C
-resume unless the session runs under ``REPRO_PURE_PY=1`` — and a private
-copy of ``repro.sim.engine`` imported with the fallback forced.
+escalate it) on both kernels (the ``kernel`` fixture of this directory's
+``conftest.py``).
 """
-
-import importlib
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-_KERNEL_MODULES = ("repro.sim.simcore", "repro.sim.engine")
-
-
-@pytest.fixture(scope="module", params=["session", "pure-py"])
-def kernel(request):
-    """The ``repro.sim.engine`` module under test."""
-    import repro.sim.engine as session_kernel
-
-    if request.param == "session":
-        yield session_kernel
-        return
-    saved = {name: sys.modules.pop(name) for name in _KERNEL_MODULES}
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_PURE_PY", "1")
-        try:
-            private = importlib.import_module("repro.sim.engine")
-        finally:
-            sys.modules.update(saved)
-    assert private is not session_kernel
-    assert private._drain is private._py_drain
-    yield private
 
 
 @pytest.fixture
