@@ -12,9 +12,8 @@ events/sec here bounds how large the campaigns can grow.  Four shapes:
   repeatedly waits on ``any_of`` over a fan of timeouts (condition
   settling + callback detach);
 * **process spawn** — spawn-and-finish short processes, the shape in-situ
-  runs actually have (one per request handler and per estimate fan-out
-  leg: a full e2e run spawns 46 056 on ``campaign_pull`` and 50 286 on
-  ``load_pull``); the first three shapes spawn at most one process and so
+  runs actually have (one per message handler: a full e2e run spawns
+  26 664 on ``campaign_pull`` and 29 012 on ``load_pull``); the first three shapes spawn at most one process and so
   cannot see what a finished process costs.
 
 Each case records, beside its time, what the cyclic collector did during

@@ -7,17 +7,17 @@
   choice), as an ablation bench;
 * RPC round trips over a two-endpoint fabric: the whole per-message path
   (two marshalling charges, two wire transfers, one handler process per
-  call, which pays the dispatch charge and also carries the reply) with
-  nothing else around it — once bare and once raced against a deadline,
-  the way the agents call;
+  call, which boots at the end of the dispatch charge and also carries the
+  reply) with nothing else around it — once bare and once raced against a
+  deadline, the way the agents call;
 * one agent's estimate fan-out (``LocalAgent._gather``) over its leaf
-  children, one gather after another: the join of the per-child legs.
-  ``benchmarks/export.py --bench engine`` folds the three cases into
-  ``BENCH_engine.json`` beside the kernel shapes, with the kernel events
-  each run scheduled (an exact count: 6 per call, bare or deadline-raced,
-  plus the echo handler's own timeout and the calling leg's boot; a wave's
-  deadlines cost one timer) and what the cyclic collector did during its
-  rounds.
+  children, one gather after another: the join of the per-child reply
+  tokens.  ``benchmarks/export.py --bench engine`` folds the three cases
+  into ``BENCH_engine.json`` beside the kernel shapes, with the kernel
+  events each run scheduled (an exact count: 5 per call, bare or
+  deadline-raced, plus the echo handler's own timeout and the calling
+  process's boot; 5 per fan-out leg; a wave's deadlines cost one timer)
+  and what the cyclic collector did during its rounds.
 """
 
 import os
@@ -209,7 +209,8 @@ def _run_gathers() -> int:
 
 
 def test_bench_fanout_gather(measure_events):
-    """One agent's estimate fan-out, gather after gather: per leg a process
-    and its RPC; the legs' join costs one event per gather."""
+    """One agent's estimate fan-out, gather after gather: per leg a posted
+    request and its reply token; the tokens' join costs one event per
+    gather."""
     measure_events(f"fan-out gather x{N_GATHER} ({GATHER_LEGS} legs)",
                    _run_gathers, RPC_ROUNDS)

@@ -35,7 +35,7 @@ from ..sim.engine import Engine, Event, Interrupt
 from ..sim.network import Host
 from ..sim.resources import Store
 from .aggregation import AggregationTable
-from .exceptions import ServerNotFoundError
+from .exceptions import CommunicationError, ServerNotFoundError
 from .liveness import HeartbeatMonitor
 from .requests import EstimateDelta, EstimateRequest, MemoHit, SubmitRequest
 from .scheduling import (
@@ -279,32 +279,31 @@ class LocalAgent:
 
     # -- estimate fan-out ----------------------------------------------------------
 
-    def _child_estimate(self, child: str, req: EstimateRequest
-                        ) -> Generator[Event, Any, List[EstimationVector]]:
-        try:
-            result = yield from self.endpoint.rpc(child, "estimate", req)
-        except Exception:
-            # A dead, misbehaving or timed-out child (DeadlineExceededError
-            # from the endpoint's ``estimate`` deadline) prunes its subtree
-            # from the candidate set; it must not fail the whole request.
-            return []
-        return list(result) if result else []
-
     def _gather(self, req: EstimateRequest) -> Generator[Event, Any, List[EstimationVector]]:
+        """One processing charge, then every child's estimate, joined.  A
+        fan-out leg is just the reply token of its request: each carries
+        the endpoint's ``estimate`` deadline (no retries), so the join
+        always settles — no fan-out-level watchdog needed."""
         self.request_count += 1
         yield self.engine.timeout(self.params.processing_time)
         if not self.children:
             return []
-        procs = [self.engine.process(self._child_estimate(c, req),
-                                     name=f"{self.name}->{c}")
-                 for c in self.children]
-        # Every child RPC carries its own deadline (the endpoint's
-        # ``estimate`` deadline), so each proc is guaranteed to terminate —
-        # no fan-out-level watchdog needed.
-        yield self.engine.all_of(procs)
+        request = self.endpoint.request
+        tokens = []
+        for child in self.children:
+            try:
+                tokens.append(request(child, "estimate", req))
+            except CommunicationError:
+                # A stopped or unbound child prunes its subtree from the
+                # candidate set; it must not fail the whole request.
+                pass
+        yield self.engine.all_of(tokens)
         ests: List[EstimationVector] = []
-        for proc in procs:
-            ests.extend(proc.value)
+        for token in tokens:
+            # So does an error reply or an expired deadline.
+            status, value = token._value
+            if status == "ok":
+                ests.extend(value)
         return ests
 
     def _handle_estimate(self, msg) -> Generator[Event, Any, tuple]:

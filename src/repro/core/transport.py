@@ -8,15 +8,18 @@ simulated hosts, exchanging :class:`Message` objects whose delivery costs
 
 The paper's whole evaluation (finding time ≈ 49.8 ms, ≈ 70.6 ms/simulation
 overhead) is a property of the client → MA → LA → SeD message path, so
-what a message costs is written once, as straight-line code:
-:meth:`TransportFabric._transmit` (and the reply leg of
-:meth:`Endpoint._handle`) charges the marshalling time of
-:class:`TransportParams` in the sender's process and counts the message in
-:attr:`TransportFabric.accounting`, the network carries it, and the
-receiver's handler process charges the dispatch time before the handler
-runs.  A request's marshalling and wire are one kernel event where the
-route allows it; a reply's stay two, since its liveness is decided at the
-marshal end.
+what a message costs is written once, as straight-line code.  A request is
+*posted* (:meth:`Endpoint.request`): the sender's side runs synchronously —
+fault seam, count in :attr:`TransportFabric.accounting`, wire time — and
+pushes one timer at ``(now + marshal) + wire``, whose callback is the
+fabric's arrival step: the destination's liveness check, then a handler
+process that boots at the end of the receiver's dispatch charge.  A
+shared-link or self route has no wire time of its own; a carrier process
+booted at the marshal end runs the network transfer and then the same
+arrival step.  The reply leg is the handler process's tail: a marshal
+event, where its liveness is decided, and a wire event.  An RPC is five
+kernel events — request, handler boot, reply marshal, reply wire, reply
+token — and a fan-out leg is the same five, with no process of its own.
 
 An RPC is a request message carrying a reply-to token; :meth:`Endpoint.rpc`
 suspends the calling process until the reply arrives — or, when
@@ -42,9 +45,10 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
+from inspect import GEN_CREATED, getgeneratorstate
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
-from ..sim.engine import Engine, Event, Interrupt, Process
+from ..sim.engine import PRIORITY_URGENT, Engine, Event, Interrupt, Process
 from ..sim.network import Network
 from .exceptions import CommunicationError, DeadlineExceededError
 
@@ -249,9 +253,12 @@ class _DeadlineQueue:
         self._timer: Optional[Event] = None
 
     def add(self, reply: Event) -> None:
-        """Start the deadline of the attempt ``reply`` answers: now."""
-        expires = self.engine.now + self.deadline
+        """Start the deadline of the attempt ``reply`` answers: now.  The
+        attempt leaves the queue when ``reply`` is dispatched: the queue is
+        a callback of every token it holds."""
+        expires = self.engine._queue.now + self.deadline
         self._pending[reply] = expires
+        reply.callbacks.append(self)
         if self._timer is None:
             self._arm(expires)
 
@@ -261,6 +268,8 @@ class _DeadlineQueue:
                 and self._timer is not None):
             self.engine._queue.remove(self._timer)
             self._timer = None
+
+    __call__ = discard
 
     def _arm(self, when: float) -> None:
         self._timer = self.engine.timeout_at(when)
@@ -278,6 +287,98 @@ class _DeadlineQueue:
             del pending[reply]
             if not reply.triggered:
                 reply.succeed(_EXPIRED)
+
+
+def _unboot(engine: Engine, proc: Process) -> bool:
+    """Take a process whose generator has not started yet off the heap, as
+    if it had never been spawned; False for one that has started.  An
+    :class:`Interrupt` cannot enter a generator before its first line: it
+    would fail the process instead of running its handlers."""
+    if getgeneratorstate(proc.generator) != GEN_CREATED:
+        return False
+    boot, proc._target = proc._target, None
+    engine._queue.remove(boot)
+    return True
+
+
+class _Leg:
+    """One posted message on its way to the destination endpoint.
+
+    It is the callback of the message's wire event — the timer at the wire
+    end, or the carrier process of a shared-link or self route — and being
+    called is the fabric's arrival step.  Until then the wire event leads
+    to it, and so does an RPC's reply token, as its first callback: a
+    sender interrupted meanwhile takes the message back with
+    :func:`_recall`.  Arrived, the leg leaves the token, and nothing holds
+    it but a one-way sender.
+    """
+
+    __slots__ = ("src", "dst", "msg", "copies", "deadline", "marshalled",
+                 "wire", "lost")
+
+    def __init__(self, src: "Endpoint", dst: "Endpoint", msg: Message,
+                 copies: int, deadline: Optional[_DeadlineQueue]):
+        self.src = src
+        self.dst = dst
+        self.msg = msg
+        #: Injected duplicates: each is handed to the destination too.
+        self.copies = copies
+        #: The RPC deadline to start on arrival, if the op has one.
+        self.deadline = deadline
+        #: The instant the message finished marshalling (timer route).
+        self.marshalled = 0.0
+        self.wire: Optional[Event] = None
+        #: Why a one-way message found nobody to deliver to (its sender
+        #: raises it); None while on its way and once delivered.
+        self.lost: Optional[str] = None
+
+    def __call__(self, wire: Optional[Event]) -> None:
+        """The arrival step, at the wire end.  The destination may have
+        stopped or been unbound while the message was on the wire: that is
+        a dead letter, not a message for an endpoint that will never serve
+        it.  Otherwise the message gets its handler (one more per injected
+        duplicate), and then an RPC's deadline starts."""
+        msg, dst = self.msg, self.dst
+        if msg.reply_to is not None:
+            # Nothing left to recall: a waiting caller keeps no handle.
+            msg.reply_to.callbacks.remove(self)
+        fabric = dst.fabric
+        if fabric._endpoints.get(msg.dst) is not dst or dst._closed:
+            self.lost = (f"endpoint {msg.dst!r} vanished while {msg.op!r} "
+                         f"was in flight")
+            fabric._dead_letter(msg, self.lost)
+            return
+        dst._accept(msg)
+        for _ in range(self.copies):
+            dst._accept(msg)
+        if self.deadline is not None:
+            self.deadline.add(msg.reply_to)
+
+
+def _recall(leg: _Leg) -> None:
+    """The sender of ``leg``'s message was interrupted: a message still on
+    its way is not delivered.  Taken back before its marshal end it never
+    reached the wire, and is uncounted in the accounting and the network;
+    an interrupt dispatched at exactly the marshal end counts as after
+    it."""
+    wire = leg.wire
+    if isinstance(wire, Process):
+        # The carrier counts at its boot (the marshal end) and stops where
+        # it is when interrupted, undelivered.
+        if wire.is_alive and not _unboot(wire.engine, wire):
+            wire.interrupt("sender interrupted")
+        return
+    if wire.processed:
+        return
+    fabric = leg.dst.fabric
+    engine = fabric.engine
+    engine._queue.remove(wire)
+    wire.callbacks = None
+    if engine.now < leg.marshalled:
+        msg = leg.msg
+        fabric.accounting.uncount(msg.op, msg.nbytes)
+        fabric.network.uncount(leg.src.host_name, leg.dst.host_name,
+                               msg.nbytes)
 
 
 class Endpoint:
@@ -301,8 +402,8 @@ class Endpoint:
         self.faults: Optional[FaultInjector] = None
         self._handlers: Dict[str, Callable] = {}
         #: Running handler processes by spawn number (a duplicated request
-        #: has two, under one message id).  :meth:`stop` interrupts them
-        #: all: no computing from beyond the grave.
+        #: has two, under one message id).  :meth:`stop` ends them all: no
+        #: computing from beyond the grave.
         self._inflight: Dict[int, Process] = {}
         self._spawned = itertools.count()
         #: Messages that arrived before :meth:`start`; None once serving.
@@ -337,19 +438,25 @@ class Endpoint:
             self._accept(msg)
 
     def _accept(self, msg: Message) -> None:
-        """An arrived message gets its handler process, or joins the backlog
-        of an endpoint that is bound but not serving yet."""
+        """An arrived message gets its handler process, booted at the end of
+        the dispatch charge, or joins the backlog of an endpoint that is
+        bound but not serving yet."""
         if self._backlog is not None:
             self._backlog.append(msg)
             return
         key = next(self._spawned)
+        handler = self._handlers.get(msg.op)
+        fabric = self.fabric
         self._inflight[key] = Process(
-            self.fabric.engine, self._handle(msg, key),
-            f"{self.name}:{msg.op}#{msg.msg_id}")
+            fabric.engine, self._handle(msg, key, handler),
+            f"{self.name}:{msg.op}#{msg.msg_id}",
+            None if handler is None else fabric.params.dispatch_fixed)
 
-    def _handle(self, msg: Message, key: int) -> Generator[Event, Any, None]:
-        """One arrived message, start to finish: dispatch charge, handler
-        and, for an RPC, the reply leg.  Replies are at-most-once: a duplicate
+    def _handle(self, msg: Message, key: int, handler: Optional[Callable]
+                ) -> Generator[Event, Any, None]:
+        """One arrived message, from the end of its dispatch charge (a
+        message without a handler pays none): handler and, for an RPC, the
+        reply leg.  Replies are at-most-once: a duplicate
         (fault injection, or a retry racing a late original) is suppressed
         with an accounting mark; if the replier or the caller disappeared
         mid-flight the caller resumes with :class:`CommunicationError`.  A
@@ -359,7 +466,10 @@ class Endpoint:
         engine, params, acct = fabric.engine, fabric.params, fabric.accounting
         reply_to = msg.reply_to
         try:
-            handler = self._handlers.get(msg.op)
+            if self._closed:
+                # stop() started this handler before its dispatch charge
+                # ended: the endpoint died mid-request.
+                raise Interrupt("stopped during the dispatch charge")
             if handler is None:
                 if reply_to is None:
                     # One-way message nobody will ever process.
@@ -368,7 +478,6 @@ class Endpoint:
                 status, value, nbytes = "error", CommunicationError(
                     f"endpoint {self.name!r} has no handler for {msg.op!r}"), 128
             else:
-                yield engine.timeout(params.dispatch_fixed)
                 if self.faults is not None:
                     fate = self.faults.strike("deliver", msg.op)
                     if fate is None:
@@ -439,23 +548,55 @@ class Endpoint:
         suspending forever).  Every running handler process is interrupted:
         the Interrupt unwinds it (releasing CPU/slot claims along the way)
         and :meth:`_handle` dead-letters the request — crash semantics, not
-        graceful drain."""
+        graceful drain.  A handler still in its dispatch charge has not
+        started, so an Interrupt cannot enter it: it starts now instead, at
+        the same place in the stream, and finds the endpoint stopped."""
         if self._closed:
             return
         self._closed = True
+        engine = self.fabric.engine
         for msg in self._backlog or ():
             self.fabric._dead_letter(msg, f"endpoint {self.name!r} stopped")
         self._backlog = None
         for proc in list(self._inflight.values()):
-            proc.interrupt(CommunicationError(
-                f"endpoint {self.name!r} stopped"))
+            if _unboot(engine, proc):
+                proc._target = boot = engine.timeout(0.0, None,
+                                                     PRIORITY_URGENT)
+                boot.callbacks.append(proc)
+            else:
+                proc.interrupt(CommunicationError(
+                    f"endpoint {self.name!r} stopped"))
 
     # -- sending ---------------------------------------------------------------
 
+    def request(self, dst: str, op: str, payload: Any = None) -> Event:
+        """Post one attempt of an RPC and return its reply token, settled
+        with ``("ok", value)``, ``("error", exception)`` or, once the op's
+        deadline (:meth:`set_deadline`) passed, :data:`_EXPIRED`.  Raises
+        :class:`CommunicationError` at once when ``dst`` is unbound or
+        stopped.  No retries: :meth:`rpc` makes those."""
+        fabric = self.fabric
+        policy = self.deadlines.get(op)
+        deadline = (None if policy is None
+                    else fabric._deadline_queue(policy.deadline))
+        reply = Event(fabric.engine)
+        fabric._post(self, dst, op, payload, None, reply, deadline)
+        return reply
+
     def send(self, dst: str, op: str, payload: Any = None,
              nbytes: Optional[int] = None) -> Generator[Event, Any, None]:
-        """One-way message (no reply expected)."""
-        yield from self.fabric._transmit(self, dst, op, payload, nbytes)
+        """One-way message (no reply expected): posted, and the sender
+        resumes at the wire end, after the arrival step."""
+        leg = self.fabric._post(self, dst, op, payload, nbytes, None, None)
+        if leg is None:
+            return
+        try:
+            yield leg.wire
+        except BaseException:
+            _recall(leg)
+            raise
+        if leg.lost is not None:
+            raise CommunicationError(leg.lost)
 
     def try_send(self, dst: str, op: str, payload: Any = None,
                  nbytes: Optional[int] = None) -> Generator[Event, Any, bool]:
@@ -467,7 +608,7 @@ class Endpoint:
         must keep running, not unwind.
         """
         try:
-            yield from self.fabric._transmit(self, dst, op, payload, nbytes)
+            yield from self.send(dst, op, payload, nbytes)
         except CommunicationError:
             return False
         return True
@@ -480,37 +621,39 @@ class Endpoint:
         :meth:`set_deadline` gave ``op`` a policy, the reply token expires at
         the deadline and the request is re-sent up to ``retries`` times
         (waiting ``backoff * attempt`` between tries) before
-        :class:`DeadlineExceededError`.
+        :class:`DeadlineExceededError`.  Each attempt is posted as by
+        :meth:`request`.
         """
-        engine = self.fabric.engine
+        fabric = self.fabric
+        engine = fabric.engine
         policy = self.deadlines.get(op)
+        deadline = (None if policy is None
+                    else fabric._deadline_queue(policy.deadline))
         attempt = 0
         while True:
             reply = Event(engine)
-            yield from self.fabric._transmit(self, dst, op, payload, nbytes,
-                                             reply)
-            if policy is None:
+            fabric._post(self, dst, op, payload, nbytes, reply, deadline)
+            try:
                 result = yield reply
-            else:
-                queues = self.fabric._deadline_queues
-                queue = queues.get(policy.deadline)
-                if queue is None:
-                    queue = queues[policy.deadline] = \
-                        _DeadlineQueue(engine, policy.deadline)
-                queue.add(reply)
-                try:
-                    result = yield reply
-                finally:
-                    queue.discard(reply)
-                if result is _EXPIRED:
-                    if attempt < policy.retries:
-                        attempt += 1
-                        if policy.backoff > 0:
-                            yield engine.timeout(policy.backoff * attempt)
-                        continue
-                    raise DeadlineExceededError(
-                        f"rpc {op!r} to {dst!r} exceeded {policy.deadline}s "
-                        f"deadline after {attempt + 1} attempt(s)")
+            except BaseException:
+                # Interrupted: the request is recalled if still on its way
+                # (its leg is then the token's first callback), and the
+                # attempt leaves its deadline queue now.
+                callbacks = reply.callbacks
+                if callbacks and type(callbacks[0]) is _Leg:
+                    _recall(callbacks.pop(0))
+                if deadline is not None:
+                    deadline.discard(reply)
+                raise
+            if result is _EXPIRED:
+                if attempt < policy.retries:
+                    attempt += 1
+                    if policy.backoff > 0:
+                        yield engine.timeout(policy.backoff * attempt)
+                    continue
+                raise DeadlineExceededError(
+                    f"rpc {op!r} to {dst!r} exceeded {policy.deadline}s "
+                    f"deadline after {attempt + 1} attempt(s)")
             status, value = result
             if status == "error":
                 # ``value`` leaves with this frame in its traceback: keep
@@ -590,59 +733,77 @@ class TransportFabric:
         if msg.reply_to is not None and not msg.reply_to.triggered:
             msg.reply_to.succeed(("error", CommunicationError(reason)))
 
-    def _transmit(self, src: Endpoint, dst_name: str, op: str, payload: Any,
-                  nbytes: Optional[int], reply_to: Optional[Event] = None
-                  ) -> Generator[Event, Any, None]:
-        """Carry one message from ``src`` to ``dst_name``'s handler process,
-        in the sender's process: fault seam, marshalling charge, count, wire.
+    def _deadline_queue(self, deadline: float) -> _DeadlineQueue:
+        """The queue that expires attempts with this deadline length."""
+        queue = self._deadline_queues.get(deadline)
+        if queue is None:
+            queue = self._deadline_queues[deadline] = \
+                _DeadlineQueue(self.engine, deadline)
+        return queue
 
-        On a route with links and no shared one, marshalling and wire are
-        one event at ``(now + marshal) + wire``, the instant the two charges
-        reach one after the other.  The message is counted at send and the
-        count taken back if the sender is interrupted before the marshal
-        end; an interrupt dispatched at exactly the marshal end counts as
-        after it (the message was on the wire).  Shared-link routes queue
-        for slots and the self-route has no wire: both keep the two steps,
-        counting at the marshal end."""
-        dst = self.resolve(dst_name)
-        if dst.closed:
+    def _post(self, src: Endpoint, dst_name: str, op: str, payload: Any,
+              nbytes: Optional[int], reply_to: Optional[Event],
+              deadline: Optional[_DeadlineQueue]) -> Optional[_Leg]:
+        """The send side of every message, run synchronously in the sender:
+        resolve, fault seam, count, wire time, and one timer at
+        ``(now + marshal) + wire`` — the instant the two charges reach one
+        after the other — whose callback is the arrival step.  Returns the
+        message's :class:`_Leg`, or None when the seam dropped it (an RPC's
+        deadline then starts at once).  An RPC's leg is also the first
+        callback of its reply token until it arrives.
+
+        A shared-link route queues for slots and the self-route has no
+        wire, so neither has a wire time: a carrier process booted at the
+        marshal end counts the message, runs :meth:`Network.transfer` and
+        then the arrival step.  A send-point delay comes before the
+        marshalling."""
+        dst = self._endpoints.get(dst_name)
+        if dst is None:
+            raise CommunicationError(f"cannot resolve endpoint {dst_name!r}")
+        if dst._closed:
             raise CommunicationError(f"endpoint {dst_name!r} is stopped")
         engine, params = self.engine, self.params
         size = params.control_payload if nbytes is None else int(nbytes)
+        now = engine._queue.now
         msg = Message(next(self._msg_ids), src.name, dst_name, op, payload,
-                      size, reply_to, engine.now)
-        copies = 0
+                      size, reply_to, now)
+        copies, delay = 0, 0.0
         if src.faults is not None:
             fate = src.faults.strike("send", op)
             if fate is None:
                 self.accounting.messages_dropped += 1
-                return
+                if deadline is not None:
+                    deadline.add(reply_to)
+                return None
             delay, copies = fate
-            if delay:
-                yield engine.timeout(delay)
+            now += delay
+        leg = _Leg(src, dst, msg, copies, deadline)
+        if reply_to is not None:
+            reply_to.callbacks.append(leg)
         marshal = params.marshal_fixed + params.marshal_per_byte * size
-        network, acct = self.network, self.accounting
-        wire = network.wire_time(src.host_name, dst.host_name, size)
+        wire = self.network.wire_time(src.host_name, dst.host_name, size)
         if wire is None:
-            yield engine.timeout(marshal)
-            acct.count(op, size)
-            yield from network.transfer(src.host_name, dst.host_name, size)
+            carry = self._carry(leg, marshal if delay else 0.0)
+            leg.wire = Process(engine, carry, None, delay or marshal)
         else:
-            acct.count(op, size)
-            marshalled = engine.now + marshal
-            try:
-                yield engine.timeout_at(marshalled + wire)
-            except Interrupt:
-                if engine.now < marshalled:
-                    acct.uncount(op, size)
-                    network.uncount(src.host_name, dst.host_name, size)
-                raise
-        # The destination may have stopped or been unbound while the message
-        # was on the wire; surface that to the sender rather than handing the
-        # message to an endpoint that will never serve it.
-        if self._endpoints.get(dst_name) is not dst or dst.closed:
-            self.accounting.dead_letters += 1
-            raise CommunicationError(
-                f"endpoint {dst_name!r} vanished while {op!r} was in flight")
-        for _ in range(1 + copies):
-            dst._accept(msg)
+            self.accounting.count(op, size)
+            leg.marshalled = marshalled = now + marshal
+            leg.wire = timer = engine.timeout_at(marshalled + wire)
+            timer.callbacks.append(leg)
+        return leg
+
+    def _carry(self, leg: _Leg, marshal: float) -> Generator[Event, Any, None]:
+        """The wire of a shared-link or self route, as a process that boots
+        at the marshal end (or at the end of a send-point delay, and then
+        charges ``marshal``): count, transfer, arrival step.  Interrupted
+        by its sender's recall, it stops where it is, undelivered."""
+        msg = leg.msg
+        try:
+            if marshal:
+                yield self.engine.timeout(marshal)
+            self.accounting.count(msg.op, msg.nbytes)
+            yield from self.network.transfer(leg.src.host_name,
+                                             leg.dst.host_name, msg.nbytes)
+        except Interrupt:
+            return
+        leg(None)

@@ -26,15 +26,16 @@
  *   ``Request``, ``AnyOf`` and ``AllOf`` stay Python subclasses of it.
  *   ``Process`` extends it with generator, name, ``_target``,
  *   ``_interrupts`` and ``_defused``: its constructor pushes the boot
- *   Timeout, and it is its own resume callback (``tp_call``) — a waiter
- *   list holds the process itself, with no bound method and no process ->
- *   method -> process reference.  ``Timeout`` is a born-scheduled event
- *   whose constructor sifts itself into the heap.  All three keep
- *   ``callbacks`` unallocated until a waiter subscribes: a watcherless
- *   timeout or a process nobody waits on never allocates a waiter list
- *   (and a watcherless timeout stays invisible to the cyclic GC).  Their
- *   type ``__name__``s are "Event", "Process" and "Timeout", so
- *   determinism event logs match the pure-Python kernel's exactly.
+ *   Timeout (now, urgently, or after a ``delay``: a message handler boots
+ *   at the end of its dispatch charge), and it is its own resume callback
+ *   (``tp_call``) — a waiter list holds the process itself, with no bound
+ *   method and no process -> method -> process reference.  ``Timeout`` is
+ *   a born-scheduled event whose constructor sifts itself into the heap.
+ *   All three keep ``callbacks`` unallocated until a waiter subscribes: a
+ *   watcherless timeout or a process nobody waits on never allocates a
+ *   waiter list (and a watcherless timeout stays invisible to the cyclic
+ *   GC).  Their type ``__name__``s are "Event", "Process" and "Timeout",
+ *   so determinism event logs match the pure-Python kernel's exactly.
  *
  * drain(heap, until, clamp, stopproc)
  *   The non-logging dispatch loop: pop, advance the clock, run callbacks.
@@ -1103,23 +1104,40 @@ process_dealloc(ProcessObj *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
-/* Process(engine, generator[, name]): the process and its boot Timeout
- * (resume once at the current time, urgently), built in one call. */
+/* Process(engine, generator[, name[, delay]]): the process and its boot
+ * Timeout, built in one call.  The boot resumes it once: urgently at the
+ * current time, or, with a delay, at now + delay with PRIORITY_NORMAL —
+ * where a Timeout(delay) made now would fire. */
 static PyObject *
 process_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    PyObject *engine, *generator, *name = Py_None;
+    PyObject *engine, *generator, *name = Py_None, *delay_obj = Py_None;
     Py_ssize_t n = PyTuple_GET_SIZE(args);
-    if (kwds == NULL && (n == 2 || n == 3)) {
+    if (kwds == NULL && n >= 2 && n <= 4) {
         engine = PyTuple_GET_ITEM(args, 0);
         generator = PyTuple_GET_ITEM(args, 1);
-        if (n == 3)
+        if (n >= 3)
             name = PyTuple_GET_ITEM(args, 2);
+        if (n == 4)
+            delay_obj = PyTuple_GET_ITEM(args, 3);
     } else {
-        static char *kwlist[] = {"engine", "generator", "name", NULL};
-        if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO|O:Process", kwlist,
-                                         &engine, &generator, &name))
+        static char *kwlist[] = {"engine", "generator", "name", "delay", NULL};
+        if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO|OO:Process", kwlist,
+                                         &engine, &generator, &name,
+                                         &delay_obj))
             return NULL;
+    }
+    double delay = 0.0;
+    long prio = 0; /* PRIORITY_URGENT */
+    if (delay_obj != Py_None) {
+        delay = PyFloat_AsDouble(delay_obj);
+        if (delay == -1.0 && PyErr_Occurred())
+            return NULL;
+        if (delay < 0.0) {
+            PyErr_Format(PyExc_ValueError, "negative delay: %R", delay_obj);
+            return NULL;
+        }
+        prio = 1; /* PRIORITY_NORMAL */
     }
     /* name or getattr(generator, "__name__", "process") */
     int named = PyObject_IsTrue(name);
@@ -1147,14 +1165,14 @@ process_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->ev.ok = -1;
     self->generator = Py_NewRef(generator);
     self->name = name;
-    TimeoutObj *boot = (TimeoutObj *)timeout_alloc(0.0, Py_None);
+    TimeoutObj *boot = (TimeoutObj *)timeout_alloc(delay, Py_None);
     if (boot == NULL) {
         Py_DECREF(self);
         return NULL;
     }
     self->target = (PyObject *)boot;
     PyObject *waiters;
-    if (owner_push(engine, 0.0, 0 /* PRIORITY_URGENT */, (PyObject *)boot) < 0 ||
+    if (owner_push(engine, delay, prio, (PyObject *)boot) < 0 ||
         (waiters = timeout_waiters(boot)) == NULL ||
         PyList_Append(waiters, (PyObject *)self) < 0) {
         Py_DECREF(self);

@@ -209,14 +209,19 @@ class Process(Event):
     It is also its own resume callback: a waiter list holds the process
     itself and dispatch calls it (:meth:`__call__`), so no bound method is
     made per process and nothing refers from the process back to itself.
+    Its generator starts urgently at the current time, or, given a
+    ``delay``, where a ``Timeout(delay)`` made now would fire: a message
+    handler starts at the end of its dispatch charge, with no event of its
+    own for the charge.  An :meth:`interrupt` before that start cannot enter
+    the generator's ``try``: it fails the process.
     """
 
     __slots__ = ("generator", "name", "_target", "_interrupts", "_defused")
 
     def __init__(self, engine: "Engine", generator: ProcessGenerator,
-                 name: Optional[str] = None):
+                 name: Optional[str] = None, delay: Optional[float] = None):
         # Event.__init__ inlined: a campaign spawns one process per
-        # handler and fan-out leg.
+        # handler.
         self.engine = engine
         self.callbacks = []
         self._value = _PENDING
@@ -227,8 +232,12 @@ class Process(Event):
         #: Pending interrupts; no list until the first :meth:`interrupt`.
         self._interrupts: Optional[List[Interrupt]] = None
         self._defused = False
-        # Bootstrap: resume once at the current time.
-        boot = Timeout(engine, 0.0, None, PRIORITY_URGENT)
+        # Bootstrap: resume once, urgently at the current time or, after
+        # a ``delay``, where a ``Timeout(delay)`` would fire.
+        if delay is None:
+            boot = Timeout(engine, 0.0, None, PRIORITY_URGENT)
+        else:
+            boot = Timeout(engine, delay)
         boot.callbacks.append(self)
         self._target: Optional[Event] = boot
 
@@ -300,7 +309,7 @@ class Process(Event):
         """The generator ended: the line-for-line mirror of ``c_finish`` in
         ``_simcore.c``.  A success with nobody subscribed, or with one
         :class:`AllOf` as its only waiter, never enters the heap: the join
-        is counted down here (a fan-out leg costs no completion event).  A
+        is counted down here (a joined process costs no completion event).  A
         failure always does, so that dispatch escalates the unwatched crash
         and a join fails at the failure's dispatch."""
         self._ok = ok

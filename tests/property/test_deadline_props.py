@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core import DeadlineExceededError, TransportFabric, TransportParams
 from repro.core import transport
-from repro.sim import Engine, Event, Host, Link, Network
+from repro.sim import Engine, Host, Link, Network
 from repro.sim.simcore import PyEventHeap
 
 #: The two deadline lengths on the one client endpoint.
@@ -32,22 +32,31 @@ LENGTHS = (0.5, 0.8)
 ANSWER, LOST, LATE = "answer", "lost", "late"
 
 
-def oracle_rpc(endpoint, dst, op):
-    """``Endpoint.rpc`` as it was: one deadline ``Timeout`` per attempt."""
-    fabric = endpoint.fabric
-    engine = fabric.engine
-    policy = endpoint.deadlines[op]
-    attempt = 0
-    while True:
-        reply = Event(engine)
-        yield from fabric._transmit(endpoint, dst, op, None, None, reply)
+class OneTimeoutPerAttempt:
+    """An attempt's deadline as it was: its own ``Timeout``, armed where
+    ``Endpoint.rpc`` starts the deadline (when the request arrives), that
+    settles the reply token unless the reply came first."""
 
+    def __init__(self, engine, deadline):
+        self.engine = engine
+        self.deadline = deadline
+
+    def add(self, reply):
         def expire(_, reply=reply):
             if not reply.triggered:
                 reply.succeed(transport._EXPIRED)
 
-        engine.timeout(policy.deadline).callbacks.append(expire)
-        result = yield reply
+        self.engine.timeout(self.deadline).callbacks.append(expire)
+
+
+def oracle_rpc(endpoint, dst, op):
+    """``Endpoint.rpc`` as it was: each attempt one :meth:`Endpoint.request`
+    whose deadline is a :class:`OneTimeoutPerAttempt` (see :func:`run`)."""
+    policy = endpoint.deadlines[op]
+    engine = endpoint.fabric.engine
+    attempt = 0
+    while True:
+        result = yield endpoint.request(dst, op)
         if result is transport._EXPIRED:
             if attempt < policy.retries:
                 attempt += 1
@@ -59,15 +68,20 @@ def oracle_rpc(endpoint, dst, op):
 
 
 class _ScriptedLoss:
-    """The server's fault seam: loses the attempts the script says to."""
+    """The server's fault seam: loses the attempts the script says to, and
+    records when each attempt reached it (its arrival + the dispatch
+    charge)."""
 
     points = ("deliver",)
 
-    def __init__(self, fates):
+    def __init__(self, engine, fates):
+        self.engine = engine
         self.fates = fates
         self.seen = {}
+        self.struck = []
 
     def strike(self, point, op):
+        self.struck.append(self.engine.now)
         attempt = self.seen[op] = self.seen.get(op, -1) + 1
         return None if self.fates[op][attempt][0] == LOST else (0.0, 0)
 
@@ -101,8 +115,12 @@ def run(calls, policies, oracle):
         marshal_fixed=1e-3, marshal_per_byte=0.0, dispatch_fixed=1e-3))
     server = fabric.endpoint("server", "beta")
     client = fabric.endpoint("client", "alpha")
+    if oracle:
+        # The oracle's requests start their deadlines as timers of their own.
+        fabric._deadline_queue = lambda deadline: OneTimeoutPerAttempt(
+            engine, deadline)
     fates = {f"c{i}": call[2] for i, call in enumerate(calls)}
-    server.faults = _ScriptedLoss(fates)
+    server.faults = _ScriptedLoss(engine, fates)
     arrivals = {}
 
     def handler(msg):
@@ -168,6 +186,11 @@ def run(calls, policies, oracle):
             transport._DeadlineQueue._expire_due = expire_due
         for queue in fabric._deadline_queues.values():
             assert not queue._pending and queue._timer is None
+        # Each deadline started when its request arrived, as the seam saw
+        # on its own: one dispatch charge before the seam struck it.
+        dispatch = fabric.params.dispatch_fixed
+        assert (sorted(t + dispatch for t, _ in started.values())
+                == sorted(server.faults.struck))
         assert not server._inflight and not client._inflight
     acct = fabric.accounting
     counts = (acct.messages_sent, acct.bytes_sent, acct.replies_suppressed,

@@ -172,3 +172,57 @@ class TestChildManagement:
         _, _, ma, _, _ = hierarchy
         with pytest.raises(ValueError):
             ma.add_child("LA0")
+
+
+class TestFanOutCost:
+    """A fan-out leg is the reply token of its request: no process, no
+    generator, and five events — request, handler boot (at the dispatch
+    end), reply marshal, reply wire, reply token."""
+
+    @pytest.mark.parametrize("k", (1, 3, 8))
+    def test_a_gather_schedules_three_plus_five_per_child(self, k,
+                                                          monkeypatch):
+        from repro.core.requests import EstimateRequest
+        from repro.sim import Event, Process
+
+        engine = Engine()
+        net = Network(engine)
+        net.add_host(Host(engine, "agent"))
+        fabric = TransportFabric(engine, net)
+        agent = LocalAgent(fabric, net.host("agent"), "LA")
+
+        def trivial(msg):
+            return ([], 128)
+            yield  # pragma: no cover - make this a generator function
+
+        for i in range(k):
+            name = f"sed{i}"
+            net.add_host(Host(engine, name))
+            net.connect("agent", name, Link(engine, f"l{i}", 0.001, 1e8))
+            child = fabric.endpoint(name, name)
+            child.on("estimate", trivial)
+            child.start()
+            agent.add_child(name)
+        agent.launch()
+        joined = []
+        all_of = Engine.all_of
+
+        def spy(self, events):
+            joined.append(list(events))
+            return all_of(self, joined[-1])
+
+        monkeypatch.setattr(Engine, "all_of", spy)
+
+        def drive():
+            before = engine.events_scheduled
+            ests = yield from agent._gather(
+                EstimateRequest(0, toy_desc(), "agent"))
+            return ests, engine.events_scheduled - before
+
+        # The gather's own three: its processing charge, the one timer of
+        # its legs' deadlines, its join.
+        assert engine.run_process(drive()) == ([], 3 + 5 * k)
+        (legs,) = joined
+        assert len(legs) == k
+        assert all(type(leg) is Event and not isinstance(leg, Process)
+                   for leg in legs)

@@ -210,6 +210,35 @@ class TestShutdownSemantics:
         assert "stopped while handling" in errors[0][0]
         assert server._inflight == {}
 
+    def test_stop_during_the_dispatch_charge_dead_letters(self, stack):
+        """The server stops while the request pays its dispatch charge,
+        before its handler has started: the caller gets a
+        CommunicationError at the stop instant, and nothing escapes the
+        engine."""
+        engine, _, fabric = stack
+        server = echo_server(engine, fabric)
+        client = fabric.endpoint("client", "alpha")
+        stop_at = XMIT + DISPATCH / 2
+        outcome = {}
+
+        def call():
+            try:
+                outcome["value"] = yield from client.rpc("server", "echo", 1)
+            except CommunicationError as exc:
+                outcome["error"] = (str(exc), engine.now)
+
+        def killer():
+            yield engine.timeout(stop_at)
+            server.stop()
+
+        engine.process(call())
+        engine.process(killer())
+        engine.run()
+        assert outcome["error"] == (
+            "endpoint 'server' stopped while handling 'echo'", stop_at)
+        assert fabric.accounting.dead_letters == 1
+        assert server._inflight == {}
+
     def test_stop_during_the_reply_hooks_dead_letters(self, stack):
         """The replier dies while its reply is still being marshalled: the
         caller gets a CommunicationError when marshalling ends."""
@@ -694,13 +723,16 @@ class TestFaultInjection:
     def test_fault_points_relative_to_the_charges(self, stack):
         """The two fault points relative to the path's own charges, event by
         event: the sender's strikes before the marshalling charge, the
-        receiver's after the dispatch charge.  Each delay is one ``Timeout``
-        in the process the point runs in; the path itself is six events per
-        RPC and spends none on the hand-off to the endpoint, the reply leg
-        (the handler's process runs it) or a process finishing with nobody
-        waiting on it.  Derived from the parent's eleven rows by dropping its
-        request-marshalling row, (0.003, 1, 2): the request's marshal and
-        wire are one event at the instant the two reached, 0.013256."""
+        receiver's after the dispatch charge.  The sender's delay is part of
+        the request's one timer, at ``((now + delay) + marshal) + wire``;
+        the receiver's is one ``Timeout`` in the handler's process.  The
+        path itself is five events per RPC and spends none on the hand-off
+        to the endpoint, the dispatch charge (the handler boots at its
+        end), the reply leg (the handler's process runs it) or a process
+        finishing with nobody waiting on it.  Derived from the parent's ten
+        rows by dropping its send-fault row, (0.002, 1, 1), whose delay the
+        request's timer now reaches at the same 0.013256, and its handler
+        boot row, (0.013256, 0, 3): the boot is the dispatch row."""
         engine, _, fabric = stack
         engine.event_log = []
         echo_server(engine, fabric).faults = FaultInjector(
@@ -714,15 +746,13 @@ class TestFaultInjection:
         assert engine.run_process(call()) == "hi"
         assert engine.event_log == [
             (0.0, 0, 0, "Timeout", None),             # boot call
-            (0.002, 1, 1, "Timeout", None),           # client send fault
-            (0.013256, 1, 2, "Timeout", None),        # marshalling + wire
-            (0.013256, 0, 3, "Timeout", None),        # boot server:echo#1
-            (0.014256000000000001, 1, 4, "Timeout", None),  # dispatch
-            (0.017256, 1, 5, "Timeout", None),        # server deliver fault
-            (0.017256, 1, 6, "Timeout", None),        # handler's timeout(0)
-            (0.018256, 1, 7, "Timeout", None),        # reply marshalling
-            (0.02832, 1, 8, "Timeout", None),         # wire
-            (0.02832, 1, 9, "Event", None),           # reply token
+            (0.013256, 1, 1, "Timeout", None),        # fault + marshal + wire
+            (0.014256000000000001, 1, 2, "Timeout", None),  # dispatch, boot
+            (0.017256, 1, 3, "Timeout", None),        # server deliver fault
+            (0.017256, 1, 4, "Timeout", None),        # handler's timeout(0)
+            (0.018256, 1, 5, "Timeout", None),        # reply marshalling
+            (0.02832, 1, 6, "Timeout", None),         # wire
+            (0.02832, 1, 7, "Event", None),           # reply token
         ]
 
     def test_duplicate_reply_suppressed(self, stack):

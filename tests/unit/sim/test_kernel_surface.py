@@ -97,6 +97,31 @@ class TestProcess:
         assert engine.process(_sleeper(engine, 1.0), "").name == "_sleeper"
         assert engine.process(iter(()), None).name == "process"
 
+    def test_a_delayed_boot_sits_where_a_timeout_would(self, engine, kernel):
+        """Booted after a ``delay``, a process starts where a
+        ``Timeout(delay)`` made at the same moment fires, in push order."""
+        started = []
+
+        def mark(tag):
+            started.append((tag, engine.now))
+            return
+            yield  # pragma: no cover - make this a generator function
+
+        engine.timeout(0.25)
+        engine.run()
+        engine.event_log = []
+        kernel.Process(engine, mark("delayed"), "delayed", 0.5)
+        engine.timeout(0.5).callbacks.append(
+            lambda ev: started.append(("timeout", engine.now)))
+        kernel.Process(engine, mark("urgent"), "urgent")
+        engine.run()
+        assert started == [("urgent", 0.25), ("delayed", 0.75),
+                           ("timeout", 0.75)]
+        assert [(when, prio) for when, prio, *_ in engine.event_log] == [
+            (0.25, 0), (0.75, 1), (0.75, 1)]
+        with pytest.raises(ValueError, match="negative delay"):
+            kernel.Process(engine, mark("never"), None, -1.0)
+
     def test_finished(self, engine):
         proc = engine.process(_sleeper(engine, 1.0, "done"))
         engine.run()

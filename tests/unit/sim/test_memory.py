@@ -1,7 +1,7 @@
 """Kernel objects die by reference count.
 
-A campaign spawns one short process per handler and fan-out leg (46 056
-on ``campaign_pull``, 50 286 on ``load_pull``).  If a finished process were
+A campaign spawns one short process per message handler (26 664 on
+``campaign_pull``, 29 012 on ``load_pull``).  If a finished process were
 part of a reference cycle, each of them — with its generator, message,
 context and reply event — would wait for the cyclic collector.  These tests
 switch the collector off and require a weak reference to go dead the moment

@@ -79,9 +79,6 @@ _KEPT: Dict[str, str] = {
         "repro.core.sed:SeD.add_service(convertor=)",
     "FaultInjector: ROADMAP item 2(c)'s chaos sweep is its workload":
         "repro.core.transport:FaultInjector",
-    "the transport's message API: every send form takes a payload size "
-    "(rpc and try_send are passed one in src)":
-        "repro.core.transport:Endpoint.send(nbytes=)",
     "calibrated section-5 constants, one record each, and where a component "
     "takes its record":
         "repro.core.transport:TransportParams "
