@@ -11,15 +11,14 @@ overhead) is a property of the client → MA → LA → SeD message path, so
 what a message costs is written once, as straight-line code.  A request is
 *posted* (:meth:`Endpoint.request`): the sender's side runs synchronously —
 fault seam, count in :attr:`TransportFabric.accounting`, wire time — and
-pushes one timer at ``(now + marshal) + wire``, whose callback is the
-fabric's arrival step: the destination's liveness check, then a handler
-process that boots at the end of the receiver's dispatch charge.  A
-shared-link or self route has no wire time of its own; a carrier process
-booted at the marshal end runs the network transfer and then the same
-arrival step.  The reply leg is the handler process's tail: a marshal
-event, where its liveness is decided, and a wire event.  An RPC is five
-kernel events — request, handler boot, reply marshal, reply wire, reply
-token — and a fan-out leg is the same five, with no process of its own.
+pushes one timer at ``(now + marshal) + wire`` on every route (the self
+route's wire is 0), whose callback is the fabric's arrival step: the
+destination's liveness check, then a handler process that boots at the
+end of the receiver's dispatch charge.  The reply leg is the handler
+process's tail: a marshal event, where its liveness is decided, and a
+wire event (none on the self route).  An RPC is five kernel events —
+request, handler boot, reply marshal, reply wire, reply token — and a
+fan-out leg is the same five, with no process of its own.
 
 An RPC is a request message carrying a reply-to token; :meth:`Endpoint.rpc`
 suspends the calling process until the reply arrives — or, when
@@ -290,10 +289,10 @@ class _DeadlineQueue:
 
 
 def _unboot(engine: Engine, proc: Process) -> bool:
-    """Take a process whose generator has not started yet off the heap, as
-    if it had never been spawned; False for one that has started.  An
-    :class:`Interrupt` cannot enter a generator before its first line: it
-    would fail the process instead of running its handlers."""
+    """Take a handler process whose generator has not started yet off the
+    heap, as if it had never been spawned; False for one that has started.
+    An :class:`Interrupt` cannot enter a generator before its first line:
+    it would fail the process instead of running its handlers."""
     if getgeneratorstate(proc.generator) != GEN_CREATED:
         return False
     boot, proc._target = proc._target, None
@@ -304,13 +303,12 @@ def _unboot(engine: Engine, proc: Process) -> bool:
 class _Leg:
     """One posted message on its way to the destination endpoint.
 
-    It is the callback of the message's wire event — the timer at the wire
-    end, or the carrier process of a shared-link or self route — and being
-    called is the fabric's arrival step.  Until then the wire event leads
-    to it, and so does an RPC's reply token, as its first callback: a
-    sender interrupted meanwhile takes the message back with
-    :func:`_recall`.  Arrived, the leg leaves the token, and nothing holds
-    it but a one-way sender.
+    It is the callback of the message's timer at the wire end, and being
+    called is the fabric's arrival step.  Until then the timer leads to
+    it, and so does an RPC's reply token, as its first callback: a sender
+    interrupted meanwhile takes the message back with :func:`_recall`.
+    Arrived, the leg leaves the token, and nothing holds it but a one-way
+    sender.
     """
 
     __slots__ = ("src", "dst", "msg", "copies", "deadline", "marshalled",
@@ -325,14 +323,14 @@ class _Leg:
         self.copies = copies
         #: The RPC deadline to start on arrival, if the op has one.
         self.deadline = deadline
-        #: The instant the message finished marshalling (timer route).
+        #: The instant the message finished marshalling.
         self.marshalled = 0.0
         self.wire: Optional[Event] = None
         #: Why a one-way message found nobody to deliver to (its sender
         #: raises it); None while on its way and once delivered.
         self.lost: Optional[str] = None
 
-    def __call__(self, wire: Optional[Event]) -> None:
+    def __call__(self, wire: Event) -> None:
         """The arrival step, at the wire end.  The destination may have
         stopped or been unbound while the message was on the wire: that is
         a dead letter, not a message for an endpoint that will never serve
@@ -360,14 +358,8 @@ def _recall(leg: _Leg) -> None:
     its way is not delivered.  Taken back before its marshal end it never
     reached the wire, and is uncounted in the accounting and the network;
     an interrupt dispatched at exactly the marshal end counts as after
-    it."""
+    it, on every route."""
     wire = leg.wire
-    if isinstance(wire, Process):
-        # The carrier counts at its boot (the marshal end) and stops where
-        # it is when interrupted, undelivered.
-        if wire.is_alive and not _unboot(wire.engine, wire):
-            wire.interrupt("sender interrupted")
-        return
     if wire.processed:
         return
     fabric = leg.dst.fabric
@@ -530,12 +522,9 @@ class Endpoint:
             fabric._dead_letter(msg, f"caller {msg.src!r} unbound before its "
                                      f"{msg.op!r} reply arrived")
             return
-        network = fabric.network
-        wire = network.wire_time(self.host_name, caller.host_name, nbytes)
-        if wire is None:
-            yield from network.transfer(self.host_name, caller.host_name,
+        wire = fabric.network.wire_time(self.host_name, caller.host_name,
                                         nbytes)
-        else:
+        if wire:
             yield engine.timeout(wire)
         if not reply_to.triggered:
             reply_to.succeed((status, value))
@@ -750,13 +739,8 @@ class TransportFabric:
         after the other — whose callback is the arrival step.  Returns the
         message's :class:`_Leg`, or None when the seam dropped it (an RPC's
         deadline then starts at once).  An RPC's leg is also the first
-        callback of its reply token until it arrives.
-
-        A shared-link route queues for slots and the self-route has no
-        wire, so neither has a wire time: a carrier process booted at the
-        marshal end counts the message, runs :meth:`Network.transfer` and
-        then the arrival step.  A send-point delay comes before the
-        marshalling."""
+        callback of its reply token until it arrives.  A send-point delay
+        comes before the marshalling."""
         dst = self._endpoints.get(dst_name)
         if dst is None:
             raise CommunicationError(f"cannot resolve endpoint {dst_name!r}")
@@ -767,7 +751,7 @@ class TransportFabric:
         now = engine._queue.now
         msg = Message(next(self._msg_ids), src.name, dst_name, op, payload,
                       size, reply_to, now)
-        copies, delay = 0, 0.0
+        copies = 0
         if src.faults is not None:
             fate = src.faults.strike("send", op)
             if fate is None:
@@ -782,28 +766,8 @@ class TransportFabric:
             reply_to.callbacks.append(leg)
         marshal = params.marshal_fixed + params.marshal_per_byte * size
         wire = self.network.wire_time(src.host_name, dst.host_name, size)
-        if wire is None:
-            carry = self._carry(leg, marshal if delay else 0.0)
-            leg.wire = Process(engine, carry, None, delay or marshal)
-        else:
-            self.accounting.count(op, size)
-            leg.marshalled = marshalled = now + marshal
-            leg.wire = timer = engine.timeout_at(marshalled + wire)
-            timer.callbacks.append(leg)
+        self.accounting.count(op, size)
+        leg.marshalled = marshalled = now + marshal
+        leg.wire = timer = engine.timeout_at(marshalled + wire)
+        timer.callbacks.append(leg)
         return leg
-
-    def _carry(self, leg: _Leg, marshal: float) -> Generator[Event, Any, None]:
-        """The wire of a shared-link or self route, as a process that boots
-        at the marshal end (or at the end of a send-point delay, and then
-        charges ``marshal``): count, transfer, arrival step.  Interrupted
-        by its sender's recall, it stops where it is, undelivered."""
-        msg = leg.msg
-        try:
-            if marshal:
-                yield self.engine.timeout(marshal)
-            self.accounting.count(msg.op, msg.nbytes)
-            yield from self.network.transfer(leg.src.host_name,
-                                             leg.dst.host_name, msg.nbytes)
-        except Interrupt:
-            return
-        leg(None)

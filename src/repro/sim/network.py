@@ -5,11 +5,9 @@ The model is the standard latency + bandwidth one used by grid simulators
 
     transfer_time(route, size) = sum(link.latency) + size / min(link.bandwidth)
 
-Optionally each link can enforce *serialization* (``Link(shared=True)``): a
-link then processes at most ``max_concurrent`` flows at a time and further
-flows queue FIFO.  The Grid'5000 reproduction uses non-shared links — the
-paper's transfers (namelists, tarballs) are small compared to RENATER
-capacity — but tests exercise both modes.
+Links do not serialize flows: the paper's transfers (namelists, tarballs)
+are small compared to RENATER capacity, so concurrent transfers on one
+link each take the analytic time.
 
 The topology is a graph of :class:`Host` objects; routing is shortest-path
 by latency, computed once and cached (the reproduction topologies are small
@@ -19,7 +17,6 @@ and static).
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
@@ -73,14 +70,8 @@ class Host:
 class Link:
     """A network link with latency (s) and bandwidth (bytes/s)."""
 
-    #: Global creation order — the deterministic total order in which
-    #: :meth:`Network.transfer` acquires shared-link slots (lock ordering
-    #: prevents two crossing transfers from deadlocking on each other).
-    _uids = itertools.count()
-
     def __init__(self, engine: Engine, name: str, latency: float,
-                 bandwidth: float, shared: bool = False, max_concurrent: int = 1,
-                 wan: bool = False):
+                 bandwidth: float, wan: bool = False):
         if latency < 0:
             raise ValueError("latency must be non-negative")
         if bandwidth <= 0:
@@ -89,12 +80,9 @@ class Link:
         self.name = name
         self.latency = float(latency)
         self.bandwidth = float(bandwidth)
-        self.shared = shared
         #: Wide-area link (site uplink): transfers crossing it count toward
         #: :attr:`Network.bytes_wan`, the quantity data placement minimizes.
         self.wan = wan
-        self._uid = next(Link._uids)
-        self._slot = Resource(engine, capacity=max_concurrent) if shared else None
 
     def __repr__(self) -> str:
         return (f"Link({self.name!r}, lat={self.latency * 1e3:.3f}ms, "
@@ -110,12 +98,11 @@ class Network:
         self._adj: Dict[str, List[Tuple[str, Link]]] = {}
         self._route_cache: Dict[Tuple[str, str], List[Link]] = {}
         #: Per-pair derived route metrics: (latency_sum, bottleneck_bw,
-        #: shared_links_in_lock_order, crosses_wan).  Lets transfer_time()
-        #: and transfer() skip the per-call sum/min/sort on the RPC hot path.
-        self._route_info: Dict[Tuple[str, str],
-                               Tuple[float, float, Tuple[Link, ...], bool]] = {}
+        #: crosses_wan).  Lets transfer_time() and wire_time() skip the
+        #: per-call sum/min on the RPC hot path.
+        self._route_info: Dict[Tuple[str, str], Tuple[float, float, bool]] = {}
         #: Plain traffic totals, the one record of them (always on): every byte
-        #: moved by :meth:`transfer`, and the subset that crossed a WAN link.
+        #: timed by :meth:`wire_time`, and the subset that crossed a WAN link.
         self.bytes_total = 0
         self.bytes_wan = 0
 
@@ -207,65 +194,42 @@ class Network:
             # matching the pre-existing pairwise behaviour on latency ties).
             cache.setdefault((node, src), list(reversed(path)))
 
-    def _route_metrics(self, src: str, dst: str) -> Tuple[float, float, Tuple[Link, ...], bool]:
-        """Cached ``(latency_sum, bottleneck_bw, shared_links, crosses_wan)``
-        per pair.
-
-        ``shared_links`` is deduped and sorted by ``Link._uid`` — the global
-        lock order :meth:`transfer` acquires slots in.  ``bottleneck_bw`` is
-        0.0 for the empty self-route.
-        """
+    def _route_metrics(self, src: str, dst: str) -> Tuple[float, float, bool]:
+        """Cached ``(latency_sum, bottleneck_bw, crosses_wan)`` per pair;
+        ``bottleneck_bw`` is 0.0 for the empty self-route."""
         info = self._route_info.get((src, dst))
         if info is None:
             links = self.route(src, dst)
             if links:
-                shared: Dict[int, Link] = {}
-                for link in links:
-                    if link._slot is not None:
-                        shared[link._uid] = link
                 info = (sum(l.latency for l in links),
                         min(l.bandwidth for l in links),
-                        tuple(shared[uid] for uid in sorted(shared)),
                         any(l.wan for l in links))
             else:
-                info = (0.0, 0.0, (), False)
+                info = (0.0, 0.0, False)
             self._route_info[(src, dst)] = info
         return info
 
     def transfer_time(self, src: str, dst: str, nbytes: int) -> float:
-        """Analytic transfer duration (ignores link sharing queues).
-
-        Contract with :meth:`transfer`: on a route with **no contended
-        shared link** the two agree *exactly* — both evaluate the same
-        ``sum(latency) + nbytes / min(bandwidth)`` expression, so cost
-        models built on ``transfer_time`` predict the slotted transfer to
-        the bit.  On shared links :meth:`transfer` additionally waits for a
-        slot, so it is always ``>= transfer_time``; the analytic value is a
-        lower bound, never an unrelated number.  (A property test pins this
-        contract.)
-        """
+        """Analytic transfer duration, ``sum(latency) + nbytes /
+        min(bandwidth)`` (0.0 on the self-route).  :meth:`wire_time` and
+        :meth:`transfer` charge exactly this, to the bit, so cost models
+        built on it predict the wire (a property test pins the contract)."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        latency, bottleneck, _, _ = self._route_metrics(src, dst)
+        latency, bottleneck, _ = self._route_metrics(src, dst)
         if bottleneck == 0.0:  # empty self-route
             return 0.0
         return latency + nbytes / bottleneck
 
-    def wire_time(self, src: str, dst: str, nbytes: int) -> Optional[float]:
+    def wire_time(self, src: str, dst: str, nbytes: int) -> float:
         """Count a transfer's bytes and return its duration, for a caller
         that charges the time itself (the message path's one-event legs).
-
-        Only a route with links, none of them shared, has a wire time of its
-        own: on a shared link the duration depends on the slot queue and on
-        the self-route there is no wire, so both return None, count nothing
-        and are left to :meth:`transfer`.  The duration is the one
-        :meth:`transfer` and :meth:`transfer_time` compute, to the bit.
-        """
+        The self-route has no wire: 0.0, and nothing counted."""
         info = self._route_info.get((src, dst))  # the per-message hot path
-        latency, bottleneck, shared, wan = (
+        latency, bottleneck, wan = (
             info if info is not None else self._route_metrics(src, dst))
-        if shared or bottleneck == 0.0:
-            return None
+        if bottleneck == 0.0:  # empty self-route
+            return 0.0
         self.bytes_total += nbytes
         if wan:
             self.bytes_wan += nbytes
@@ -274,44 +238,17 @@ class Network:
     def uncount(self, src: str, dst: str, nbytes: int) -> None:
         """Take back the bytes :meth:`wire_time` counted for a transfer whose
         sender was stopped before it started."""
+        _, bottleneck, wan = self._route_metrics(src, dst)
+        if bottleneck == 0.0:  # the self-route counted nothing
+            return
         self.bytes_total -= nbytes
-        if self._route_metrics(src, dst)[3]:
+        if wan:
             self.bytes_wan -= nbytes
 
     def transfer(self, src: str, dst: str, nbytes: int) -> Generator[Event, Any, float]:
-        """Process helper: perform a timed transfer, honouring shared links.
-
-        Shared-link slots are claimed in the links' global creation order
-        (``Link._uid``), not in path order: two crossing transfers that
-        traverse the same shared links in opposite directions would
-        otherwise each grab its first link and deadlock waiting for the
-        other's.  With a total lock order the second transfer queues on the
-        first contended link and both complete.
-
-        Returns the transfer duration actually experienced (equal to
-        :meth:`transfer_time` when no shared link on the route is
-        contended — see the contract there).
-        """
-        start = self.engine.now
+        """Process helper: a timed transfer of :meth:`wire_time`, one
+        timeout unless the wire is empty.  Returns its duration."""
         wire = self.wire_time(src, dst, nbytes)
-        if wire is not None:
-            # No shared link on the route, so the duration is the analytic
-            # one — a single timeout, no slot bookkeeping.
+        if wire:
             yield self.engine.timeout(wire)
-            return self.engine.now - start
-        latency, bottleneck, shared, wan = self._route_metrics(src, dst)
-        if bottleneck == 0.0:  # empty self-route
-            return 0.0
-        self.bytes_total += nbytes
-        if wan:
-            self.bytes_wan += nbytes
-        claims = []
-        try:
-            for link in shared:
-                req = yield from link._slot.acquire()
-                claims.append((link, req))
-            yield self.engine.timeout(latency + nbytes / bottleneck)
-        finally:
-            for link, req in claims:
-                link._slot.release(req)
-        return self.engine.now - start
+        return wire

@@ -7,9 +7,9 @@ Covers the guarantees the middleware layers lean on:
   identical routes for every pair (ties broken stably);
 - ``connect()`` invalidates the route cache — a better link added after a
   lookup is picked up by the next lookup;
-- on an uncontended, unshared route, the duration charged by ``transfer``
-  agrees *exactly* (``==``, not approx) with ``transfer_time`` — the
-  estimate SeDs advertise is the time the wire then charges.
+- on every route, the duration charged by ``transfer`` agrees *exactly*
+  (``==``, not approx) with ``transfer_time`` — the estimate SeDs
+  advertise is the time the wire then charges.
 """
 
 from hypothesis import given, settings
@@ -41,7 +41,7 @@ def topology_specs(draw):
     return n, parents, extras, lats
 
 
-def build(spec, shared=False):
+def build(spec):
     n, parents, extras, lats = spec
     engine = Engine()
     net = Network(engine)
@@ -53,7 +53,7 @@ def build(spec, shared=False):
         # Parallel edges between one pair are fine: connect() keeps both
         # and routing picks the cheaper one deterministically.
         net.connect(f"h{a}", f"h{b}",
-                    Link(engine, f"l{k}", next(it), 1e6, shared=shared))
+                    Link(engine, f"l{k}", next(it), 1e6))
     return engine, net
 
 
@@ -103,7 +103,7 @@ def test_connect_invalidates_route_cache(spec, data):
        st.integers(min_value=0, max_value=10_000_000))
 @settings(max_examples=60, deadline=None)
 def test_transfer_matches_transfer_time_uncontended(spec, data, nbytes):
-    engine, net = build(spec, shared=False)
+    engine, net = build(spec)
     n = spec[0]
     a = data.draw(st.integers(min_value=0, max_value=n - 1), label="src")
     b = data.draw(st.integers(min_value=0, max_value=n - 1), label="dst")

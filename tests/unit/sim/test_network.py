@@ -92,6 +92,8 @@ class TestRouting:
         net = star(engine)
         assert net.route("hub", "hub") == []
         assert net.transfer_time("hub", "hub", 10**9) == 0.0
+        assert net.wire_time("hub", "hub", 10**9) == 0.0
+        assert net.bytes_total == 0
 
     def test_leaf_to_leaf_via_hub(self, engine):
         net = star(engine)
@@ -165,30 +167,15 @@ class TestRouteCache:
 
     def test_route_metrics_match_route(self, engine):
         net = star(engine, latency=0.01, bw=1e6)
-        latency, bottleneck, shared, wan = net._route_metrics("leaf0", "leaf2")
+        latency, bottleneck, wan = net._route_metrics("leaf0", "leaf2")
         route = net.route("leaf0", "leaf2")
         assert latency == pytest.approx(sum(l.latency for l in route))
         assert bottleneck == min(l.bandwidth for l in route)
-        assert shared == ()              # star links are not shared
         assert wan is False              # no link was marked wan=True
-
-    def test_route_metrics_shared_links_in_lock_order(self, engine):
-        net = Network(engine)
-        for name in "abc":
-            net.add_host(Host(engine, name))
-        # Create the far link first so path order (ab, bc) differs from
-        # creation (= lock) order (bc, ab).
-        bc = Link(engine, "bc", 0.001, 1e6, shared=True)
-        ab = Link(engine, "ab", 0.001, 1e6, shared=True)
-        net.connect("b", "c", bc)
-        net.connect("a", "b", ab)
-        _, _, shared, _ = net._route_metrics("a", "c")
-        assert [l.name for l in shared] == ["bc", "ab"]
-        assert [l._uid for l in shared] == sorted(l._uid for l in shared)
 
     def test_self_route_metrics_sentinel(self, engine):
         net = star(engine)
-        assert net._route_metrics("hub", "hub") == (0.0, 0.0, (), False)
+        assert net._route_metrics("hub", "hub") == (0.0, 0.0, False)
 
 
 class TestTransfers:
@@ -219,23 +206,6 @@ class TestTransfers:
         with pytest.raises(ValueError):
             net.transfer_time("leaf0", "leaf1", -5)
 
-    def test_shared_link_serializes(self, engine):
-        net = Network(engine)
-        net.add_host(Host(engine, "a"))
-        net.add_host(Host(engine, "b"))
-        net.connect("a", "b",
-                    Link(engine, "serial", 0.0, 1e6, shared=True))
-        ends = []
-
-        def xfer():
-            yield from net.transfer("a", "b", 1_000_000)
-            ends.append(engine.now)
-
-        engine.process(xfer())
-        engine.process(xfer())
-        engine.run()
-        assert ends == [pytest.approx(1.0), pytest.approx(2.0)]
-
     def test_unshared_link_concurrent(self, engine):
         net = star(engine, latency=0.0, bw=1e6)
         ends = []
@@ -248,71 +218,3 @@ class TestTransfers:
         engine.process(xfer())
         engine.run()
         assert ends == [pytest.approx(1.0), pytest.approx(1.0)]
-
-
-class TestCrossingTransfers:
-    """Regression: two transfers traversing the same shared links in
-    opposite directions used to deadlock (each held one link's slot while
-    waiting for the other's).  Slots are now claimed in a deterministic
-    global link order, so crossing transfers serialize instead."""
-
-    def _line(self, engine):
-        """a -- L1 -- m -- L2 -- b, both links shared (capacity 1)."""
-        net = Network(engine)
-        for name in ("a", "m", "b"):
-            net.add_host(Host(engine, name))
-        net.connect("a", "m", Link(engine, "L1", 0.0, 1e6, shared=True))
-        net.connect("m", "b", Link(engine, "L2", 0.0, 1e6, shared=True))
-        return net
-
-    def test_opposite_directions_complete(self, engine):
-        net = self._line(engine)
-        ends = []
-
-        def xfer(src, dst):
-            yield from net.transfer(src, dst, 1_000_000)
-            ends.append((src, dst, engine.now))
-
-        engine.process(xfer("a", "b"))
-        engine.process(xfer("b", "a"))
-        engine.run(until=100.0)
-        # Pre-fix this deadlocked: the queue drained with both transfers
-        # parked on each other's link and ends stayed empty.
-        assert [(s, d) for s, d, _ in ends] == [("a", "b"), ("b", "a")]
-        assert [t for _, _, t in ends] == [pytest.approx(1.0),
-                                           pytest.approx(2.0)]
-
-    def test_many_crossing_transfers_drain(self, engine):
-        net = self._line(engine)
-        done = []
-
-        def xfer(src, dst, tag):
-            yield from net.transfer(src, dst, 100_000)
-            done.append(tag)
-
-        for i in range(4):
-            engine.process(xfer("a", "b", f"fwd{i}"))
-            engine.process(xfer("b", "a", f"rev{i}"))
-        engine.run(until=100.0)
-        assert len(done) == 8
-
-    def test_partially_overlapping_routes_complete(self, engine):
-        """Crossing transfers whose routes share only a middle link must
-        also drain: w -- e1 -- a -- L1 -- m -- L2 -- b -- e2 -- x with the
-        two long routes traversing L1/L2 in opposite directions."""
-        net = self._line(engine)
-        net.add_host(Host(engine, "w"))
-        net.add_host(Host(engine, "x"))
-        net.connect("w", "a", Link(engine, "e1", 0.0, 1e6, shared=True))
-        net.connect("b", "x", Link(engine, "e2", 0.0, 1e6, shared=True))
-        done = []
-
-        def xfer(src, dst):
-            yield from net.transfer(src, dst, 500_000)
-            done.append((src, dst))
-
-        engine.process(xfer("w", "x"))
-        engine.process(xfer("x", "w"))
-        engine.process(xfer("b", "a"))
-        engine.run(until=100.0)
-        assert sorted(done) == [("b", "a"), ("w", "x"), ("x", "w")]

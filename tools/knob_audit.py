@@ -93,7 +93,7 @@ _KEPT: Dict[str, str] = {
         "repro.core.agent:AgentParams.heartbeat_miss_threshold",
     "constants of a documented model, one record per model (E11's failure "
     "model, GalICS semi-analytic model, MPI cost model, RAMSES / survey "
-    "performance models, NFS and link contention, the run namelist, the "
+    "performance models, NFS contention, the run namelist, the "
     "traffic mix)":
         "repro.services.workflow:FailurePlan "
         "repro.galics.galaxymaker:SamParams "
@@ -106,7 +106,7 @@ _KEPT: Dict[str, str] = {
         "repro.services.lensing_service:LensingServiceConfig "
         "repro.services.ramses_service:RamsesServiceConfig "
         "repro.ramses.simulation:RunConfig repro.platform.nfs:NfsVolume "
-        "repro.sim.network:Host(cores=) repro.sim.network:Link "
+        "repro.sim.network:Host(cores=) "
         "repro.sim.traffic:TrafficConfig.mix "
         "repro.core.scheduling:DataLocalityPolicy(max_backlog=)",
     "an argument of a physics or numerics routine (adiabatic index, "
