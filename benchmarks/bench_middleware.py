@@ -132,7 +132,7 @@ def _run_rpc_roundtrips(deadline: bool = False) -> int:
     net = Network(engine)
     for name in ("alpha", "beta"):
         net.add_host(Host(engine, name))
-    net.connect("alpha", "beta", Link(engine, "wire", 0.010, 1e6))
+    net.connect("alpha", "beta", Link("wire", 0.010, 1e6))
     fabric = TransportFabric(engine, net)
     server = fabric.endpoint("server", "beta")
 
@@ -188,7 +188,7 @@ def _run_gathers() -> int:
     for leg in range(GATHER_LEGS):
         name = f"sed{leg}"
         net.add_host(Host(engine, name))
-        net.connect("agent", name, Link(engine, f"link{leg}", 0.001, 1e8))
+        net.connect("agent", name, Link(f"link{leg}", 0.001, 1e8))
         child = fabric.endpoint(name, name)
         child.on("estimate", no_candidate)
         child.start()

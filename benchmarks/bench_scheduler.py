@@ -67,7 +67,7 @@ def _build(n_las, n_seds_per_la, routing):
     for la_i in range(n_las):
         la_host = net.add_host(Host(engine, f"la{la_i}"))
         net.connect("hub", la_host.name,
-                    Link(engine, f"wl{la_i}", 0.002, 1e9))
+                    Link(f"wl{la_i}", 0.002, 1e9))
         la = LocalAgent(fabric, la_host, name=f"LA{la_i}", parent="MA",
                         routing=routing)
         ma.add_child(la.name)
@@ -75,7 +75,7 @@ def _build(n_las, n_seds_per_la, routing):
         for sed_i in range(n_seds_per_la):
             sed_host = net.add_host(Host(engine, f"s{la_i}-{sed_i}"))
             net.connect(la_host.name, sed_host.name,
-                        Link(engine, f"sl{la_i}-{sed_i}", 0.0001, 1e9))
+                        Link(f"sl{la_i}-{sed_i}", 0.0001, 1e9))
             sed = SeD(fabric, sed_host, f"SeD{la_i}-{sed_i}", ma_name="MA",
                       tracer=tracer, parent=la.name, routing=routing)
             sed.add_service(_probe_desc(), _solve)

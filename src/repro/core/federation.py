@@ -221,7 +221,7 @@ def build_federation(engine: Engine, config: FederationConfig,
                 Host(engine, f"{prefix}{role}", speed=2.4))
             platform.network.connect(
                 host.name, site_router.name,
-                Link(engine, f"lan-{prefix}{role}", _LAN_LATENCY, _LAN_BW))
+                Link(f"lan-{prefix}{role}", _LAN_LATENCY, _LAN_BW))
         policy = None
         if config.policy is not None:
             # A fresh instance per MA: policies keep per-hierarchy state

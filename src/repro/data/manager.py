@@ -22,9 +22,7 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, Iterable, List, Optional
 
 from ..core.data import DataHandle, HANDLE_WIRE_BYTES, PersistenceMode
 from ..core.exceptions import CommunicationError, DataError
-from ..platform.nfs import NfsError
 from ..sim.engine import Event
-from ..sim.network import NetworkError
 from .catalog import CatalogNode, Replica
 from .memo import MemoIndex
 from .policy import make_replication_policy
@@ -33,7 +31,6 @@ from .transfer import TransferManager
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from ..core.sed import SeD
-    from ..platform.nfs import NfsVolume
     from ..sim.network import Network
 
 __all__ = ["DataManagerConfig", "DataGridStats", "DataManager", "DataGrid"]
@@ -65,7 +62,6 @@ class DataGridStats:
     #: Bytes that did *not* travel thanks to cache hits, handle replies,
     #: coalesced pulls, and content dedup.
     bytes_saved: int = 0
-    checkpoint_pulls: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return asdict(self)
@@ -84,12 +80,7 @@ class DataManager:
         self.replication = make_replication_policy(grid.config.replication)
         self.stats = grid.stats
         self.transfers = TransferManager(self)
-        #: Checkpoint registrations survive a crash of this SeD: the bytes
-        #: live on the cluster NFS volume, not in the SeD process.
-        self._checkpoints: Dict[str, Replica] = {}
         grid.managers[sed.name] = self
-        if sed.nfs is not None:
-            grid.volumes[sed.nfs.name] = sed.nfs
 
     @property
     def obs(self):
@@ -171,74 +162,10 @@ class DataManager:
         value = yield from self.transfers.pull(handle)
         return value
 
-    # -- checkpoints --------------------------------------------------------------
-
-    def register_checkpoint(
-        self, path: str, nbytes: int, volume: "NfsVolume"
-    ) -> None:
-        """Advertise an NFS-resident checkpoint dump through the catalog."""
-        replica = Replica(
-            data_id=f"ckpt:{path}",
-            sed_name=self.sed.name,
-            host_name=self.sed.host.name,
-            nbytes=nbytes,
-            volume=volume.name,
-        )
-        self._checkpoints[path] = replica
-        self.catalog.register(replica)
-
-    def unregister_checkpoint(self, path: str) -> None:
-        replica = self._checkpoints.pop(path, None)
-        if replica is not None:
-            self.catalog.unregister(replica.data_id, self.sed.name)
-
-    def pull_checkpoint(self, path: str) -> Generator[Event, Any, bool]:
-        """Stage a remote cluster's checkpoint dump onto the local volume.
-
-        The §4.1 resume gate required the dump on *this* cluster's NFS; with
-        the catalog a restarted job can locate the dump wherever it was
-        written, stream it volume-to-volume, and resume.  Returns True when
-        ``path`` now exists locally.
-        """
-        if self.sed.parent is None or self.sed.nfs is None:
-            return False
-        data_id = f"ckpt:{path}"
-        try:
-            raw = yield from self.sed.endpoint.rpc(
-                self.sed.parent, "dm_locate", data_id
-            )
-        except CommunicationError:
-            return False
-        remote = [r for r in raw if r.volume and r.volume != self.sed.nfs.name]
-        if not remote:
-            return False
-        source = min(remote, key=lambda r: r.sed_name)
-        volume = self.grid.volumes.get(source.volume)
-        if volume is None or not volume.exists(path):
-            return False
-        hosts = volume.mounts()
-        if not hosts:
-            return False
-        src_host = hosts[0]
-        try:
-            nbytes = yield from volume.read(src_host, path)
-            yield from self.sed.fabric.network.transfer(
-                src_host, self.sed.host.name, nbytes
-            )
-            yield from self.sed.nfs.write(self.sed.host.name, path, nbytes)
-        except (NfsError, NetworkError):
-            # Dump unlinked or volume full meanwhile: restart from scratch.
-            # (An Interrupt — this SeD crashing mid-pull — must unwind.)
-            return False
-        self.stats.checkpoint_pulls += 1
-        self.stats.bytes_moved += nbytes
-        self.register_checkpoint(path, nbytes, self.sed.nfs)
-        return True
-
     # -- failure model ------------------------------------------------------------
 
     def on_crash(self) -> None:
-        """Volatile state dies with the process; NFS checkpoints survive."""
+        """Volatile state dies with the process."""
         for data_id in self.store.data_ids():
             self.catalog.unregister(data_id, self.sed.name)
         # Memoized results owned by this SeD died with its store; a client
@@ -269,7 +196,6 @@ class DataGrid:
         #: SeD; counts nothing until a client sends memo keys.
         self.memo = MemoIndex()
         self.managers: Dict[str, DataManager] = {}
-        self.volumes: Dict[str, "NfsVolume"] = {}
         self.stats = DataGridStats()
 
     def node(self, name: Optional[str], root: bool = False) -> CatalogNode:

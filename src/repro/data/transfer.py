@@ -9,9 +9,8 @@ on top of a plain RPC fetch:
   one SeD share a single wire transfer; late requesters park on the same
   :class:`~repro.sim.engine.Event` and wake with the value;
 * **NFS fast path** — if a replica lives on the same NFS volume this SeD
-  mounts (cluster-local data, e.g. a checkpoint written by a sibling), the
-  bytes come off the volume at NFS throughput instead of crossing the
-  network SeD-to-SeD.
+  mounts (cluster-local data), the bytes come off the volume at NFS
+  throughput instead of crossing the network SeD-to-SeD.
 
 Replica ranking uses :meth:`sim.network.Network.transfer_time` — the same
 latency/bandwidth model the actual transfer will pay — so "nearest" means

@@ -156,7 +156,7 @@ def build_grid5000(engine: Engine,
         if site is None:
             router = network.add_host(Host(engine, f"{spec.site}-router"))
             network.connect(router.name, core.name,
-                            Link(engine, f"wan-{spec.site}", spec.wan_latency,
+                            Link(f"wan-{spec.site}", spec.wan_latency,
                                  _SITE_UPLINK_BW, wan=True))
             site = Site(spec.site, router)
             sites[spec.site] = site
@@ -166,7 +166,7 @@ def build_grid5000(engine: Engine,
         frontend = network.add_host(
             Host(engine, f"{spec.full_name}-frontend", speed=node_spec.speed))
         network.connect(frontend.name, site.router.name,
-                        Link(engine, f"lan-{spec.full_name}", _LAN_LATENCY, _LAN_BW))
+                        Link(f"lan-{spec.full_name}", _LAN_LATENCY, _LAN_BW))
 
         nfs = NfsVolume(engine, f"nfs-{spec.full_name}")
         nfs.export_to(frontend.name)
@@ -184,7 +184,7 @@ def build_grid5000(engine: Engine,
                     "memory_gib": node_spec.memory_gib * NODES_PER_SED,
                 }))
             network.connect(sed.name, frontend.name,
-                            Link(engine, f"lan-{sed.name}", _LAN_LATENCY, _LAN_BW))
+                            Link(f"lan-{sed.name}", _LAN_LATENCY, _LAN_BW))
             nfs.export_to(sed.name)
             sed_hosts.append(sed)
 
@@ -197,7 +197,7 @@ def build_grid5000(engine: Engine,
     lyon_router = sites["lyon"].router if "lyon" in sites else core
     ma_host = network.add_host(Host(engine, "lyon-ma", speed=2.4))
     network.connect(ma_host.name, lyon_router.name,
-                    Link(engine, "lan-lyon-ma", _LAN_LATENCY, _LAN_BW))
+                    Link("lan-lyon-ma", _LAN_LATENCY, _LAN_BW))
 
     return Grid5000Platform(engine=engine, network=network, sites=sites,
                             clusters=clusters,

@@ -14,7 +14,7 @@ writes at the NFS server's effective throughput.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Generator, List, Set, Tuple
+from typing import Any, Dict, Generator, Set, Tuple
 
 from ..sim.engine import Engine, Event
 from ..sim.resources import Resource
@@ -60,10 +60,6 @@ class NfsVolume:
 
     def is_mounted_on(self, host_name: str) -> bool:
         return host_name in self._mounts
-
-    def mounts(self) -> List[str]:
-        """Mounting hosts in deterministic (sorted) order."""
-        return sorted(self._mounts)
 
     def _check_mount(self, host_name: str) -> None:
         if host_name not in self._mounts:

@@ -107,10 +107,6 @@ class RamsesServiceConfig:
     #: working directory).  None — the default — disables checkpointing
     #: entirely and the solve path is byte-for-byte the happy-path one.
     checkpoint_interval_work: Optional[float] = None
-    #: Advertise restart dumps through the data manager's replica catalog,
-    #: and let a resumed attempt on a *different* cluster pull the dump
-    #: volume-to-volume instead of restarting from scratch.
-    checkpoint_catalog: bool = False
 
     def __post_init__(self):
         if self.mode is ExecutionMode.REAL and not self.workdir:
@@ -232,17 +228,6 @@ class RamsesService:
         resumable = (progress.segments_done > 0 and ctx.nfs is not None
                      and progress.volume is ctx.nfs
                      and ctx.nfs.exists(progress.path))
-        if (not resumable and progress.attempts > 1
-                and progress.segments_done > 0
-                and self.config.checkpoint_catalog and ctx.nfs is not None):
-            # The dump lives on another cluster's volume: locate it through
-            # the replica catalog and stage it onto the local volume, lifting
-            # the §4.1 same-cluster restriction on resume.
-            pulled = yield from ctx.sed.data_manager.pull_checkpoint(
-                progress.path)
-            if pulled:
-                progress.volume = ctx.nfs
-                resumable = True
         if progress.attempts > 1:
             # The previous attempt died: everything it ran past the last
             # durable checkpoint is gone.
@@ -281,9 +266,6 @@ class RamsesService:
                 progress.segments_done = _seg + 1
                 progress.unsaved = 0.0
                 stats.checkpoints_written += 1
-                if self.config.checkpoint_catalog:
-                    ctx.sed.data_manager.register_checkpoint(
-                        progress.path, ckpt_bytes, ctx.nfs)
 
         if ctx.nfs is not None:
             yield from ctx.nfs.write(ctx.host.name, f"snapshots-{job_id}",
@@ -375,8 +357,6 @@ class RamsesService:
             self._progress.pop(job_key, None)
             if progress.volume is not None:
                 progress.volume.unlink(progress.path)
-            if self.config.checkpoint_catalog:
-                ctx.sed.data_manager.unregister_checkpoint(progress.path)
 
         if self.config.mode is ExecutionMode.REAL:
             tar_path = self._run_real_zoom2(

@@ -398,11 +398,7 @@ def run_campaign(config: Optional[CampaignConfig] = None) -> CampaignResult:
         workdir=workdir, real_n_steps=config.real_n_steps,
         real_a_end=config.real_a_end, seed=config.seed,
         checkpoint_interval_work=(
-            plan.checkpoint_interval_work if plan is not None else None),
-        # Degraded campaigns under a persistence-keeping policy publish
-        # checkpoints to the replica catalog so a resumed attempt on another
-        # cluster can pull them across the WAN instead of restarting.
-        checkpoint_catalog=(plan is not None and keep_results))
+            plan.checkpoint_interval_work if plan is not None else None))
     service = register_ramses_services(deployment, service_config,
                                        with_predictor=config.with_predictor)
     deployment.launch_all()

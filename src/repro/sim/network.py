@@ -1,4 +1,4 @@
-"""Network model: hosts, links, routes and timed data transfers.
+"""Network model: hosts, links, routes and transfer times.
 
 The model is the standard latency + bandwidth one used by grid simulators
 (SimGrid's simple LV08-style model without cross-traffic):
@@ -70,13 +70,12 @@ class Host:
 class Link:
     """A network link with latency (s) and bandwidth (bytes/s)."""
 
-    def __init__(self, engine: Engine, name: str, latency: float,
-                 bandwidth: float, wan: bool = False):
+    def __init__(self, name: str, latency: float, bandwidth: float,
+                 wan: bool = False):
         if latency < 0:
             raise ValueError("latency must be non-negative")
         if bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
-        self.engine = engine
         self.name = name
         self.latency = float(latency)
         self.bandwidth = float(bandwidth)
@@ -211,9 +210,9 @@ class Network:
 
     def transfer_time(self, src: str, dst: str, nbytes: int) -> float:
         """Analytic transfer duration, ``sum(latency) + nbytes /
-        min(bandwidth)`` (0.0 on the self-route).  :meth:`wire_time` and
-        :meth:`transfer` charge exactly this, to the bit, so cost models
-        built on it predict the wire (a property test pins the contract)."""
+        min(bandwidth)`` (0.0 on the self-route).  :meth:`wire_time` charges
+        exactly this, to the bit, so cost models built on it predict the
+        wire (a property test pins the contract)."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         latency, bottleneck, _ = self._route_metrics(src, dst)
@@ -244,11 +243,3 @@ class Network:
         self.bytes_total -= nbytes
         if wan:
             self.bytes_wan -= nbytes
-
-    def transfer(self, src: str, dst: str, nbytes: int) -> Generator[Event, Any, float]:
-        """Process helper: a timed transfer of :meth:`wire_time`, one
-        timeout unless the wire is empty.  Returns its duration."""
-        wire = self.wire_time(src, dst, nbytes)
-        if wire:
-            yield self.engine.timeout(wire)
-        return wire

@@ -4,8 +4,8 @@ One §5.1 stack (11 SeDs under their LAs, one ``DataGrid``) is driven by an
 arbitrary sequence of PERSISTENT / STICKY puts, cross-SeD resolves, SeD
 crashes and restarts, and memo populations.  After every step:
 
-* the root catalog's replicas (checkpoints aside) are exactly the union of
-  the live SeDs' store contents, each listed under its holder;
+* the root catalog's replicas are exactly the union of the live SeDs'
+  store contents, each listed under its holder;
 * no replica names a down SeD;
 * every memo entry's owner is up and holds every handle the entry names.
 
@@ -133,7 +133,7 @@ class DataGridMachine(RuleBasedStateMachine):
     # -- invariants -------------------------------------------------------------
 
     def replicas(self):
-        return [r for d in sorted(self.known) if not d.startswith("ckpt:")
+        return [r for d in sorted(self.known)
                 for r in self.grid.root.locate(d)]
 
     @invariant()

@@ -110,7 +110,7 @@ def run(calls, policies, oracle):
     net = Network(engine)
     for name in ("alpha", "beta"):
         net.add_host(Host(engine, name))
-    net.connect("alpha", "beta", Link(engine, "wire", 0.01, 1e6))
+    net.connect("alpha", "beta", Link("wire", 0.01, 1e6))
     fabric = TransportFabric(engine, net, TransportParams(
         marshal_fixed=1e-3, marshal_per_byte=0.0, dispatch_fixed=1e-3))
     server = fabric.endpoint("server", "beta")

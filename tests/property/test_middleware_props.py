@@ -87,7 +87,7 @@ def _fabric():
     net = Network(engine)
     for name in ("alpha", "beta"):
         net.add_host(Host(engine, name))
-    net.connect("alpha", "beta", Link(engine, "wire", 0.010, 1e6))
+    net.connect("alpha", "beta", Link("wire", 0.010, 1e6))
     fabric = TransportFabric(engine, net,
                              TransportParams(marshal_fixed=1e-3,
                                              marshal_per_byte=0.0,

@@ -43,7 +43,7 @@ def hierarchy():
     seds = []
     for la_i in range(2):
         la_host = net.add_host(Host(engine, f"la{la_i}-host"))
-        net.connect("hub", la_host.name, Link(engine, f"wl{la_i}", 0.005, 1e8))
+        net.connect("hub", la_host.name, Link(f"wl{la_i}", 0.005, 1e8))
         la = LocalAgent(fabric, la_host, name=f"LA{la_i}", parent="MA")
         ma.add_child(la.name)
         la.launch()
@@ -51,7 +51,7 @@ def hierarchy():
             sed_host = net.add_host(Host(engine, f"sed{la_i}{sed_i}-host",
                                          speed=1.0 + la_i))
             net.connect(la_host.name, sed_host.name,
-                        Link(engine, f"sl{la_i}{sed_i}", 0.0001, 1e9))
+                        Link(f"sl{la_i}{sed_i}", 0.0001, 1e9))
             sed = SeD(fabric, sed_host, f"SeD{la_i}{sed_i}", ma_name="MA",
                       tracer=tracer)
             sed.add_service(toy_desc(), solve_toy)
@@ -198,7 +198,7 @@ class TestFanOutCost:
         for i in range(k):
             name = f"sed{i}"
             net.add_host(Host(engine, name))
-            net.connect("agent", name, Link(engine, f"l{i}", 0.001, 1e8))
+            net.connect("agent", name, Link(f"l{i}", 0.001, 1e8))
             child = fabric.endpoint(name, name)
             child.on("estimate", trivial)
             child.start()

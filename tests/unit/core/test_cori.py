@@ -22,7 +22,7 @@ def stack():
     host = net.add_host(Host(engine, "sed", speed=2.4, cores=2,
                              properties={"memory_gib": 32.0}))
     net.add_host(Host(engine, "client"))
-    net.connect("sed", "client", Link(engine, "l", 0.01, 1e6))
+    net.connect("sed", "client", Link("l", 0.01, 1e6))
     return engine, net, host
 
 

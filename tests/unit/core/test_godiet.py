@@ -104,7 +104,7 @@ def _wiring(dep):
             "la_tracers_shared": all(a.tracer is dep.tracer
                                      for a in dep.local_agents),
             "client": (dep.client.name, dep.client.host.name),
-            "volumes": sorted(dep.data_grid.volumes),
+            "volumes": sorted({s.nfs.name for s in dep.seds}),
             "endpoints": [c.endpoint.name for c in
                           [dep.ma, *dep.local_agents, *dep.seds, dep.client]]}
 

@@ -27,7 +27,7 @@ def build_stack():
     net = Network(engine)
     for name in ("alpha", "beta"):
         net.add_host(Host(engine, name))
-    net.connect("alpha", "beta", Link(engine, "wire", HOP, 1e6))
+    net.connect("alpha", "beta", Link("wire", HOP, 1e6))
     fabric = TransportFabric(engine, net,
                              TransportParams(marshal_fixed=MARSHAL,
                                              marshal_per_byte=0.0,
@@ -455,7 +455,7 @@ class TestSenderInterrupt:
         net = Network(engine)
         for name in ("alpha", "beta"):
             net.add_host(Host(engine, name))
-        net.connect("alpha", "beta", Link(engine, "uplink", HOP, 1e6, wan=True))
+        net.connect("alpha", "beta", Link("uplink", HOP, 1e6, wan=True))
         fabric = TransportFabric(engine, net, TransportParams(
             marshal_fixed=MARSHAL, marshal_per_byte=0.0,
             dispatch_fixed=DISPATCH))

@@ -51,7 +51,7 @@ def build(routing="push", agent_params=None, obs=None):
     las, seds = [], []
     for la_i in range(2):
         la_host = net.add_host(Host(engine, f"la{la_i}-host"))
-        net.connect("hub", la_host.name, Link(engine, f"wl{la_i}", 0.005, 1e8))
+        net.connect("hub", la_host.name, Link(f"wl{la_i}", 0.005, 1e8))
         la = LocalAgent(fabric, la_host, name=f"LA{la_i}", parent="MA",
                         routing=routing, params=agent_params)
         ma.add_child(la.name)
@@ -61,7 +61,7 @@ def build(routing="push", agent_params=None, obs=None):
             sed_host = net.add_host(Host(engine, f"sed{la_i}{sed_i}-host",
                                          speed=1.0 + la_i))
             net.connect(la_host.name, sed_host.name,
-                        Link(engine, f"sl{la_i}{sed_i}", 0.0001, 1e9))
+                        Link(f"sl{la_i}{sed_i}", 0.0001, 1e9))
             sed = SeD(fabric, sed_host, f"SeD{la_i}{sed_i}", ma_name="MA",
                       tracer=tracer, parent=la.name, routing=routing)
             sed.add_service(toy_desc(), solve_toy)

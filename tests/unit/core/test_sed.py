@@ -26,7 +26,7 @@ def stack():
     net = Network(engine)
     net.add_host(Host(engine, "client-host"))
     net.add_host(Host(engine, "sed-host", speed=2.0))
-    net.connect("client-host", "sed-host", Link(engine, "l", 0.001, 1e9))
+    net.connect("client-host", "sed-host", Link("l", 0.001, 1e9))
     fabric = TransportFabric(engine, net)
     return engine, net, fabric
 
@@ -249,7 +249,7 @@ class TestBarePairPersistentData:
     def _pair(self, stack):
         engine, net, fabric = stack
         net.add_host(Host(engine, "sed-host-b"))
-        net.connect("sed-host-b", "sed-host", Link(engine, "lb", 0.001, 1e9))
+        net.connect("sed-host-b", "sed-host", Link("lb", 0.001, 1e9))
 
         def produce(profile, ctx):
             yield from ctx.execute(1.0)

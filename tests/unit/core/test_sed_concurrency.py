@@ -33,7 +33,7 @@ def build(max_concurrent, cores=4):
     net = Network(engine)
     net.add_host(Host(engine, "cli-host"))
     sed_host = net.add_host(Host(engine, "sed-host", speed=1.0, cores=cores))
-    net.connect("cli-host", "sed-host", Link(engine, "l", 1e-4, 1e9))
+    net.connect("cli-host", "sed-host", Link("l", 1e-4, 1e9))
     fabric = TransportFabric(engine, net)
     sed = SeD(fabric, sed_host, "sed", tracer=Tracer(),
               params=SeDParams(max_concurrent_solves=max_concurrent))
