@@ -3,10 +3,12 @@ lensingConvergence and surveyReduce.
 
 The paper's follow-up ("Cosmological Simulations on a Grid of Computers",
 Depardon et al. 2010) runs production surveys on DIET by wrapping each
-pipeline step as its own service; the post-processing here is the
-LensTools chain — density slabs from a survey box stacked into a Born
-convergence map (:mod:`repro.survey.lensing`), then maps combined across
-realizations by a pairwise reduction.
+pipeline step as its own service; the chain here has the LensTools
+shape — density slabs from a survey box stacked into a Born
+convergence map, then maps combined across realizations by a pairwise
+reduction.  No stage computes a map: each solve charges the
+:class:`~repro.services.perfmodel.SurveyPerfModel` work and NFS staging
+of its stage and returns a product file stamped from its inputs.
 
 Profiles (all IN args first, then OUT result file + OUT error int):
 
@@ -24,18 +26,15 @@ Persistence is chosen by the *client* per campaign data policy
 (``ProfileDesc.matches`` ignores it): the desc factories take the result
 mode and build one shared description per mode (nothing mutates one),
 and :func:`survey_result_modes` maps a policy name to the
-(intermediate, final) modes.  Like the RAMSES services each solve runs in
-``MODELED`` mode (charge the :class:`~repro.services.perfmodel.SurveyPerfModel`
-costs) or ``REAL`` mode (additionally compute genuine slabs/maps with the
-numpy lensing kernels), and registration can attach a per-SeD performance
-predictor so the service advertises its own ``EST_TCOMP`` through CoRI.
+(intermediate, final) modes.  Registration can attach a per-SeD
+performance predictor so the service advertises its own ``EST_TCOMP``
+through CoRI.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import os
 from dataclasses import dataclass, field
 from typing import Any, Generator, Iterable, Optional, Tuple
 
@@ -43,11 +42,6 @@ from ..core.data import BaseType, FileRef, PersistenceMode, file_desc, scalar_de
 from ..core.profile import Profile, ProfileDesc
 from ..core.sed import SeD, SolveContext
 from .perfmodel import SurveyPerfModel
-from .ramses_service import ExecutionMode
-
-# The survey math (repro.survey.lensing / .grid) is imported lazily inside
-# the REAL-mode branches: repro.survey.pipeline imports this module for the
-# profile descs, so a module-level import here would cycle.
 
 __all__ = [
     "Z_SOURCE_SCALE",
@@ -166,18 +160,10 @@ def _stamp(*parts: Any) -> str:
 class LensingServiceConfig:
     """Configuration shared by every SeD's survey services."""
 
-    mode: ExecutionMode = ExecutionMode.MODELED
     perf: SurveyPerfModel = field(default_factory=SurveyPerfModel)
-    #: REAL mode: directory for genuine .npy products (one subdir per job).
-    workdir: Optional[str] = None
     #: Parameters the performance predictor quotes EST_TCOMP at.
     predict_resolution: int = 64
     predict_n_planes: int = 8
-    seed: int = 2007
-
-    def __post_init__(self):
-        if self.mode is ExecutionMode.REAL and not self.workdir:
-            raise ValueError("REAL mode needs a workdir for output files")
 
 
 class LensingService:
@@ -200,16 +186,6 @@ class LensingService:
         if ctx.nfs is not None:
             yield from ctx.nfs.write(ctx.host.name, tag, product_bytes)
 
-    def _job_dir(self, service: str, job_id: int) -> str:
-        assert self.config.workdir is not None
-        path = os.path.join(self.config.workdir, f"{service}-{job_id:04d}")
-        os.makedirs(path, exist_ok=True)
-        return path
-
-    @property
-    def _real(self) -> bool:
-        return self.config.mode is ExecutionMode.REAL
-
     @staticmethod
     def _file_arg(profile: Profile, index: int, what: str) -> FileRef:
         value = profile.parameter(index).get()
@@ -217,14 +193,6 @@ class LensingService:
             raise ValueError(f"{what} argument must resolve to a file, "
                              f"got {type(value).__name__}")
         return value
-
-    def _save_array(self, service: str, job_id: int, name: str,
-                    array: Any) -> str:
-        import numpy as np
-
-        path = os.path.join(self._job_dir(service, job_id), name)
-        np.save(path, array)
-        return path + ".npy" if not path.endswith(".npy") else path
 
     # -- surveyIC ----------------------------------------------------------------------
 
@@ -241,20 +209,8 @@ class LensingService:
                        resolution, seed)
         yield from self._charge(ctx, perf.ic_work(resolution), nbytes,
                                 f"survey-ic-{job_id}")
-
-        content = None
-        if self._real:
-            from ..survey.grid import parse_cosmology_text
-
-            cosmo = parse_cosmology_text(cosmo_ref.content or "")
-            realization = int.from_bytes(hashlib.sha256(
-                f"{self.config.seed}:{stamp}".encode()).digest()[:8], "big")
-            content = (f"realization = {realization}\n"
-                       f"resolution = {resolution}\n"
-                       f"sigma8 = {cosmo.sigma8!r}\n"
-                       f"ns = {cosmo.ns!r}\n")
         profile.parameter(3).set(FileRef(path=f"ic-{stamp}.dat",
-                                         nbytes=nbytes, content=content))
+                                         nbytes=nbytes))
         profile.parameter(4).set(0)
         return 0
 
@@ -272,25 +228,8 @@ class LensingService:
         stamp = _stamp("run", ic_ref.path, resolution, n_planes)
         yield from self._charge(ctx, perf.run_work(resolution), nbytes,
                                 f"survey-run-{job_id}")
-
-        local_path = None
-        if self._real:
-            from ..survey.lensing import density_slabs
-
-            params = {}
-            for line in (ic_ref.content or "").splitlines():
-                key, sep, raw = line.partition("=")
-                if sep:
-                    params[key.strip()] = raw.strip()
-            slabs = density_slabs(
-                resolution, n_planes,
-                seed=int(params["realization"]),
-                sigma8=float(params.get("sigma8", "0.8")),
-                ns=float(params.get("ns", "0.96")))
-            local_path = self._save_array("run", job_id, "slabs", slabs)
         profile.parameter(3).set(FileRef(path=f"slabs-{stamp}.npy",
-                                         nbytes=nbytes,
-                                         local_path=local_path))
+                                         nbytes=nbytes))
         profile.parameter(4).set(0)
         return 0
 
@@ -303,7 +242,6 @@ class LensingService:
         cosmo_ref = self._file_arg(profile, 1, "cosmology")
         resolution = int(profile.parameter(2).get())
         n_planes = int(profile.parameter(3).get())
-        z_source = int(profile.parameter(4).get()) / Z_SOURCE_SCALE
         perf = self.config.perf
         job_id = self._next_job()
         nbytes = perf.map_bytes(resolution)
@@ -312,24 +250,8 @@ class LensingService:
                        profile.parameter(4).get())
         yield from self._charge(ctx, perf.lensing_work(resolution, n_planes),
                                 nbytes, f"survey-lens-{job_id}")
-
-        local_path = None
-        if self._real:
-            import numpy as np
-
-            from ..survey.grid import parse_cosmology_text
-            from ..survey.lensing import born_convergence
-
-            if not slab_ref.local_path:
-                raise ValueError("REAL lensing needs slabs with a local_path")
-            slabs = np.load(slab_ref.local_path)
-            cosmo = parse_cosmology_text(cosmo_ref.content or "")
-            kappa = born_convergence(slabs, z_source, cosmo.h0,
-                                     cosmo.omega_m, cosmo.w0)
-            local_path = self._save_array("lens", job_id, "kappa", kappa)
         profile.parameter(5).set(FileRef(path=f"kappa-{stamp}.npy",
-                                         nbytes=nbytes,
-                                         local_path=local_path))
+                                         nbytes=nbytes))
         profile.parameter(6).set(0)
         return 0
 
@@ -349,22 +271,8 @@ class LensingService:
         stamp = _stamp("reduce", ref_a.path, ref_b.path, weight_a, weight_b)
         yield from self._charge(ctx, perf.reduce_work(resolution), nbytes,
                                 f"survey-reduce-{job_id}")
-
-        local_path = None
-        if self._real:
-            import numpy as np
-
-            from ..survey.lensing import stack_maps
-
-            if not (ref_a.local_path and ref_b.local_path):
-                raise ValueError("REAL reduce needs maps with a local_path")
-            stacked = stack_maps(
-                [np.load(ref_a.local_path), np.load(ref_b.local_path)],
-                [weight_a, weight_b])
-            local_path = self._save_array("reduce", job_id, "kappa", stacked)
         profile.parameter(5).set(FileRef(path=f"stack-{stamp}.npy",
-                                         nbytes=nbytes,
-                                         local_path=local_path))
+                                         nbytes=nbytes))
         profile.parameter(6).set(0)
         return 0
 

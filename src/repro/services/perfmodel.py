@@ -192,8 +192,6 @@ class SurveyPerfModel:
     ic_fraction: float = 0.05
     #: GHz-seconds per lens-plane pixel of the Born ray bookkeeping.
     kappa_lens: float = 2.0e-4
-    #: effective NFS throughput for staging products, bytes/s.
-    nfs_throughput: float = 60e6
 
     # -- work (GHz-seconds) --------------------------------------------------------------
 
@@ -232,7 +230,3 @@ class SurveyPerfModel:
     def map_bytes(self, resolution: int) -> int:
         """One convergence map, single precision."""
         return int(resolution ** 2 * 4)
-
-    def nfs_seconds(self, nbytes: int) -> float:
-        """Uncontended NFS time for staging ``nbytes`` of products."""
-        return nbytes / self.nfs_throughput

@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .rng import RandomStreams
 
 __all__ = ["RequestClass", "DEFAULT_MIX", "TrafficConfig", "Arrival",
-           "zipf_weights", "generate_arrivals", "percentile", "summarize"]
+           "zipf_weights", "generate_arrivals", "percentile"]
 
 
 @dataclass(frozen=True)
@@ -151,15 +151,3 @@ def percentile(values: Sequence[float], q: float) -> float:
         return float("nan")
     rank = max(1, math.ceil(q / 100.0 * len(ordered)))
     return ordered[rank - 1]
-
-
-def summarize(values: Sequence[float]) -> Dict[str, float]:
-    """The tail summary the load reports print: n, mean, P50, P99, max."""
-    if not values:
-        return {"n": 0, "mean": float("nan"), "p50": float("nan"),
-                "p99": float("nan"), "max": float("nan")}
-    return {"n": float(len(values)),
-            "mean": float(sum(values)) / len(values),
-            "p50": percentile(values, 50.0),
-            "p99": percentile(values, 99.0),
-            "max": max(values)}

@@ -4,9 +4,6 @@ requests (ROADMAP item 4, the LensTools pipeline shape).
 * :mod:`~repro.survey.grid` — :class:`~repro.survey.grid.CosmologyPoint`
   and :class:`~repro.survey.grid.ParameterGrid` (cartesian + explicit
   construction, stable per-point digests over ``canonical_pickle``);
-* :mod:`~repro.survey.lensing` — numpy-only multi-lens-plane Born
-  convergence maps (flat w0CDM distances, equal-Δχ planes, deterministic
-  density slabs);
 * :mod:`~repro.survey.dag` — :class:`~repro.survey.dag.SurveyDAG` +
   :class:`~repro.survey.dag.DagExecutor`: a client-side executor that
   submits ready nodes through a :class:`~repro.core.client.DietClient`
@@ -14,7 +11,9 @@ requests (ROADMAP item 4, the LensTools pipeline shape).
   upstream refresh when a persistent input died with its SeD;
 * :mod:`~repro.survey.pipeline` — the IC→run→lensing chain per cosmology
   point plus the pairwise map-reduction fan-in, with inter-node data
-  passed as ``PERSISTENT`` handles under the campaign data policies;
+  passed as ``PERSISTENT`` handles under the campaign data policies
+  (every stage is priced by the survey performance model and computes
+  no map);
 * :mod:`~repro.survey.batch` — the LensTools-style home/storage tree
   (small bookkeeping files to "home", large products to
   catalog-registered storage).
@@ -32,15 +31,7 @@ from .dag import (
     NodeResult,
     SurveyDAG,
 )
-from .grid import PARAMETER_NAMES, CosmologyPoint, ParameterGrid, parse_cosmology_text
-from .lensing import (
-    born_convergence,
-    density_slabs,
-    hubble_e,
-    lens_planes,
-    lensing_weights,
-    stack_maps,
-)
+from .grid import PARAMETER_NAMES, CosmologyPoint, ParameterGrid
 from .pipeline import build_survey_dag
 
 __all__ = [
@@ -56,12 +47,5 @@ __all__ = [
     "ProductRecord",
     "SurveyBatch",
     "SurveyDAG",
-    "born_convergence",
     "build_survey_dag",
-    "density_slabs",
-    "hubble_e",
-    "lens_planes",
-    "lensing_weights",
-    "parse_cosmology_text",
-    "stack_maps",
 ]

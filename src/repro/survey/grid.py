@@ -15,13 +15,12 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "PARAMETER_NAMES",
     "CosmologyPoint",
     "ParameterGrid",
-    "parse_cosmology_text",
 ]
 
 #: The sweep-able parameters, in canonical order.
@@ -81,32 +80,10 @@ class CosmologyPoint:
         return hashlib.sha256(canonical_pickle(payload)).hexdigest()[:16]
 
     def cosmology_text(self) -> str:
-        """The parameter file the IC service consumes (round-trips
-        through :func:`parse_cosmology_text`)."""
+        """The parameter file the IC service consumes."""
         lines = ["[cosmology]"]
         lines += [f"{name} = {getattr(self, name)!r}" for name in PARAMETER_NAMES]
         return "\n".join(lines) + "\n"
-
-    def as_dict(self) -> Dict[str, float]:
-        return {name: getattr(self, name) for name in PARAMETER_NAMES}
-
-
-def parse_cosmology_text(text: str) -> CosmologyPoint:
-    """Inverse of :meth:`CosmologyPoint.cosmology_text`."""
-    values: Dict[str, float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith(("[", "#", ";")):
-            continue
-        name, _, raw = line.partition("=")
-        name = name.strip()
-        if name not in PARAMETER_NAMES:
-            raise ValueError(f"unknown cosmology parameter {name!r}")
-        values[name] = float(raw.strip())
-    missing = [name for name in PARAMETER_NAMES if name not in values]
-    if missing:
-        raise ValueError(f"cosmology file missing parameters: {missing}")
-    return CosmologyPoint(**values)
 
 
 PointSpec = Union[CosmologyPoint, Mapping[str, float]]

@@ -1,24 +1,15 @@
 """Unit tests for the survey pipeline services
 (repro.services.lensing_service)."""
 
-import numpy as np
-import pytest
-
 from repro.core.data import FileRef, PersistenceMode
 from repro.services.lensing_service import (
-    Z_SOURCE_SCALE,
     LensingService,
-    LensingServiceConfig,
-    lensing_convergence_desc,
     survey_ic_desc,
-    survey_reduce_desc,
     survey_result_modes,
     survey_run_desc,
 )
-from repro.services.ramses_service import ExecutionMode
 from repro.sim.engine import Engine
 from repro.survey.grid import CosmologyPoint
-from repro.survey.lensing import born_convergence
 from repro.survey.pipeline import build_survey_dag
 
 
@@ -109,77 +100,6 @@ class TestModeledSolves:
         _solve(engine, service.solve_ic(profile, _Ctx(engine)))
         assert profile.parameter(3).get().nbytes == \
             service.config.perf.ic_bytes(16)
-
-
-class TestRealPipeline:
-    def test_real_chain_matches_the_numpy_kernels(self, tmp_path):
-        """REAL mode end to end: IC -> slabs -> convergence must equal a
-        direct call of the lensing kernels on the produced slab file."""
-        engine = Engine()
-        service = LensingService(LensingServiceConfig(
-            mode=ExecutionMode.REAL, workdir=str(tmp_path), seed=5))
-        ctx = _Ctx(engine)
-        point = CosmologyPoint(omega_m=0.28, sigma8=0.82)
-        resolution, n_planes, z_source = 16, 4, 1.0
-
-        ic = _ic_profile(point, resolution=resolution)
-        assert _solve(engine, service.solve_ic(ic, ctx)) == 0
-        ic_ref = ic.parameter(3).get()
-        assert "realization =" in ic_ref.content
-
-        run = survey_run_desc().instantiate()
-        run.parameter(0).set(ic_ref)
-        run.parameter(1).set(resolution)
-        run.parameter(2).set(n_planes)
-        run.parameter(3).set(None)
-        run.parameter(4).set(None)
-        assert _solve(engine, service.solve_run(run, ctx)) == 0
-        slab_ref = run.parameter(3).get()
-        slabs = np.load(slab_ref.local_path)
-        assert slabs.shape == (n_planes, resolution, resolution)
-
-        lens = lensing_convergence_desc().instantiate()
-        lens.parameter(0).set(slab_ref)
-        lens.parameter(1).set(FileRef.from_text("cosmo.ini",
-                                                point.cosmology_text()))
-        lens.parameter(2).set(resolution)
-        lens.parameter(3).set(n_planes)
-        lens.parameter(4).set(int(round(z_source * Z_SOURCE_SCALE)))
-        lens.parameter(5).set(None)
-        lens.parameter(6).set(None)
-        assert _solve(engine, service.solve_lensing(lens, ctx)) == 0
-        kappa = np.load(lens.parameter(5).get().local_path)
-        expected = born_convergence(slabs, z_source, point.h0,
-                                    point.omega_m, point.w0)
-        np.testing.assert_allclose(kappa, expected, rtol=1e-6)
-
-    def test_real_reduce_is_the_weighted_mean(self, tmp_path):
-        engine = Engine()
-        service = LensingService(LensingServiceConfig(
-            mode=ExecutionMode.REAL, workdir=str(tmp_path)))
-        ctx = _Ctx(engine)
-        a = np.full((4, 4), 1.0)
-        b = np.full((4, 4), 3.0)
-        path_a, path_b = tmp_path / "a.npy", tmp_path / "b.npy"
-        np.save(path_a, a)
-        np.save(path_b, b)
-        profile = survey_reduce_desc().instantiate()
-        profile.parameter(0).set(FileRef(path="a.npy", nbytes=64,
-                                         local_path=str(path_a)))
-        profile.parameter(1).set(FileRef(path="b.npy", nbytes=64,
-                                         local_path=str(path_b)))
-        profile.parameter(2).set(1)
-        profile.parameter(3).set(3)
-        profile.parameter(4).set(4)
-        profile.parameter(5).set(None)
-        profile.parameter(6).set(None)
-        assert _solve(engine, service.solve_reduce(profile, ctx)) == 0
-        stacked = np.load(profile.parameter(5).get().local_path)
-        np.testing.assert_allclose(stacked, 2.5)
-
-    def test_real_mode_requires_a_workdir(self):
-        with pytest.raises(ValueError):
-            LensingServiceConfig(mode=ExecutionMode.REAL)
 
 
 class TestPipelineBuilder:

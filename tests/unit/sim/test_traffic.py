@@ -11,7 +11,6 @@ from repro.sim.traffic import (
     TrafficConfig,
     generate_arrivals,
     percentile,
-    summarize,
     zipf_weights,
 )
 
@@ -124,17 +123,3 @@ class TestPercentile:
             percentile([1.0], 0.0)
         with pytest.raises(ValueError):
             percentile([1.0], 101.0)
-
-
-class TestSummarize:
-    def test_full_summary(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0])
-        assert s["n"] == 4
-        assert s["mean"] == pytest.approx(2.5)
-        assert s["p50"] == 2.0
-        assert s["max"] == 4.0
-
-    def test_empty_summary_is_nan(self):
-        s = summarize([])
-        assert s["n"] == 0
-        assert math.isnan(s["mean"]) and math.isnan(s["p99"])

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.survey.grid import (
-    PARAMETER_NAMES,
-    CosmologyPoint,
-    ParameterGrid,
-    parse_cosmology_text,
-)
+from repro.survey.grid import CosmologyPoint, ParameterGrid
 
 
 class TestCosmologyPoint:
@@ -36,17 +31,6 @@ class TestCosmologyPoint:
             CosmologyPoint(h0=float("nan"))
         with pytest.raises(ValueError):
             CosmologyPoint(omega_m=float("inf"))
-
-    def test_cosmology_text_roundtrips(self):
-        point = CosmologyPoint(omega_m=0.31, sigma8=0.79, w0=-0.9)
-        assert parse_cosmology_text(point.cosmology_text()) == point
-
-    def test_parse_rejects_unknown_parameter(self):
-        with pytest.raises(ValueError):
-            parse_cosmology_text("omega_k = 0.1\n")
-
-    def test_as_dict_covers_every_parameter(self):
-        assert tuple(CosmologyPoint().as_dict()) == PARAMETER_NAMES
 
 
 class TestParameterGrid:

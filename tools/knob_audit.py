@@ -19,23 +19,25 @@ AST pass (``--check`` runs this one alone)
     sets the callee's value only if the forwarded one is set itself.  A
     record field the program writes (``x.a = v``, ``x.a += v``,
     ``x.a.append(v)``) is run state, not a knob.
-    ``Task(func=f, args=(...))`` calls ``f``.  A ``**mapping`` argument
+    ``Task(func=f, args=(...))`` calls ``f``, and ``cls(...)`` in a
+    classmethod calls its class.  A ``**mapping`` argument
     sets every parameter of the callee, except the CLI's
     ``row.run(**kwargs)``, whose keywords are read from the ``Opt`` rows
     of its ``Experiment`` table.
 
 Reach pass
-    Runs every registry experiment with small options and the five
-    ``benchmarks/e2e`` workloads at their quick sizes under the stdlib
-    ``trace`` module, then lists the functions of ``src/repro`` none of
-    them calls.  It informs; it gates nothing.
+    Runs every registry experiment with small options, the five
+    ``benchmarks/e2e`` workloads at their quick sizes and every
+    ``examples/*.py`` under the stdlib ``trace`` module, then lists the
+    functions of ``src/repro`` none of them calls.  It informs; it gates
+    nothing.
 
 A hit is deleted, given a workload that turns it on, or named in
 :data:`KEEP` with the reason it stays.  ``--check`` fails on a hit not in
 ``KEEP`` and on a ``KEEP`` key that covers no hit.
 
     python tools/knob_audit.py --check           # the CI gate (~1 s)
-    python tools/knob_audit.py                   # both passes (~1.5 min)
+    python tools/knob_audit.py                   # both passes (~2.5 min)
     python tools/knob_audit.py --write --before REV
         # both passes into tools/knob_audit.txt, with REV's AST counts
 """
@@ -47,6 +49,7 @@ import ast
 import contextlib
 import io
 import os
+import runpy
 import subprocess
 import sys
 import tarfile
@@ -123,8 +126,7 @@ _KEPT: Dict[str, str] = {
         "repro.ramses.cosmology:Cosmology.aexp_schedule(spacing=) "
         "repro.ramses.simulation:Snapshot.projected_density(axis=) "
         "repro.ramses.zoom:lagrangian_region(padding=) "
-        "repro.ramses.zoom:run_zoom(seed=) "
-        "repro.survey.lensing:_distance_table(n_samples=)",
+        "repro.ramses.zoom:run_zoom(seed=)",
     "a reference the tests compare the program against (power spectrum, "
     "Press-Schechter counts, cosmic-energy equation and the integrator "
     "callback that samples it, Hilbert inverse, conserved totals, 2LPT "
@@ -543,6 +545,9 @@ class _CallerVisitor(ast.NodeVisitor):
                 callee = _callee_name(given["func"])
                 args = list(task_args.elts)
                 keywords = []
+        if callee == "cls" and isinstance(node.func, ast.Name) and self.classes:
+            # ``cls(...)`` in a classmethod builds the enclosing class.
+            callee = self.classes[-1].name
         if (isinstance(node.func, ast.Attribute) and node.func.attr in _MUTATORS
                 and isinstance(node.func.value, ast.Attribute)):
             self._store(node.func.value)
@@ -741,7 +746,7 @@ QUICK_ARGS: Dict[str, List[str]] = {
 
 def reach(root: str) -> Set[Tuple[str, str]]:
     """(module path, function name) of every ``src/repro`` function the
-    quick runs call."""
+    quick runs and the examples call."""
     import trace
 
     src = os.path.join(root, "src")
@@ -772,6 +777,11 @@ def reach(root: str) -> Set[Tuple[str, str]]:
                 workdir = tempfile.mkdtemp(dir=tmp)
                 tracer.runfunc(workload.run, 2007, workload.quick, False,
                                workdir)
+            for path in _python_files(os.path.join(root, "examples")):
+                print(f"reach: python {os.path.relpath(path, root)}",
+                      file=sys.stderr, flush=True)
+                with contextlib.redirect_stdout(io.StringIO()):
+                    tracer.runfunc(runpy.run_path, path, run_name="__main__")
         finally:
             os.chdir(cwd)
     package = os.path.join(src, "repro") + os.sep
@@ -830,10 +840,11 @@ def report(root: str, before: Optional[str], with_reach: bool) -> str:
         missed = unreached(root, reach(root))
         lines += ["", f"## Reach pass: {len(missed)} functions no quick run "
                       f"calls (informational)",
-                  "# runs: python -m repro <row> with QUICK_ARGS, and the "
-                  "five e2e workloads at",
-                  "# quick sizes, on the compiled cores (so the pure-Python "
-                  "mirrors show here)"]
+                  "# runs: python -m repro <row> with QUICK_ARGS, the five "
+                  "e2e workloads at",
+                  "# quick sizes and examples/*.py, on the compiled cores (so "
+                  "the pure-Python",
+                  "# mirrors show here)"]
         lines += missed
     return "\n".join(lines) + "\n"
 
