@@ -64,10 +64,6 @@ class Deployment:
         for sed in self.seds:
             sed.launch()
 
-    @property
-    def sed_names(self) -> List[str]:
-        return [s.name for s in self.seds]
-
     def cluster_of_sed(self, sed_name: str) -> str:
         sed = self.sed_by_name(sed_name)
         return str(sed.host.properties.get("cluster", sed.host.name))

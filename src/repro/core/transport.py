@@ -36,7 +36,12 @@ the omniNames-like naming service (endpoints are resolved by string name).
 Reply delivery is at-most-once: a request whose reply can no longer arrive
 (receiver stopped or unbound mid-flight) fails with
 :class:`CommunicationError` instead of suspending the caller forever, and
-duplicate replies are suppressed with an accounting mark.
+duplicate replies are suppressed with an accounting mark.  Neither an
+interrupt nor a :meth:`Endpoint.stop` takes a transport event off the heap:
+a posted message arrives at its wire end even when its sender was
+cancelled meanwhile (an interrupted caller just stops waiting), and a
+spawned handler boots at its dispatch end, where a stopped endpoint
+dead-letters it.  Only a deadline queue's timer is ever removed.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from dataclasses import dataclass
 from inspect import GEN_CREATED, getgeneratorstate
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
-from ..sim.engine import PRIORITY_URGENT, Engine, Event, Interrupt, Process
+from ..sim.engine import Engine, Event, Interrupt, Process
 from ..sim.network import Network
 from .exceptions import CommunicationError, DeadlineExceededError
 
@@ -130,17 +135,6 @@ class Accounting:
         self.bytes_sent += nbytes
         by_op = self.messages_by_op
         by_op[op] = by_op.get(op, 0) + 1
-
-    def uncount(self, op: str, nbytes: int) -> None:
-        """Take back a :meth:`count` whose sender was interrupted before the
-        message finished marshalling (it never reached the wire)."""
-        self.messages_sent -= 1
-        self.bytes_sent -= nbytes
-        by_op = self.messages_by_op
-        if by_op[op] == 1:
-            del by_op[op]
-        else:
-            by_op[op] -= 1
 
 
 class FaultInjector:
@@ -288,31 +282,16 @@ class _DeadlineQueue:
                 reply.succeed(_EXPIRED)
 
 
-def _unboot(engine: Engine, proc: Process) -> bool:
-    """Take a handler process whose generator has not started yet off the
-    heap, as if it had never been spawned; False for one that has started.
-    An :class:`Interrupt` cannot enter a generator before its first line:
-    it would fail the process instead of running its handlers."""
-    if getgeneratorstate(proc.generator) != GEN_CREATED:
-        return False
-    boot, proc._target = proc._target, None
-    engine._queue.remove(boot)
-    return True
-
-
 class _Leg:
     """One posted message on its way to the destination endpoint.
 
     It is the callback of the message's timer at the wire end, and being
-    called is the fabric's arrival step.  Until then the timer leads to
-    it, and so does an RPC's reply token, as its first callback: a sender
-    interrupted meanwhile takes the message back with :func:`_recall`.
-    Arrived, the leg leaves the token, and nothing holds it but a one-way
-    sender.
+    called is the fabric's arrival step.  Only the timer and a one-way
+    sender hold it: nothing takes a posted message back, so it arrives
+    whatever became of its sender meanwhile.
     """
 
-    __slots__ = ("src", "dst", "msg", "copies", "deadline", "marshalled",
-                 "wire", "lost")
+    __slots__ = ("src", "dst", "msg", "copies", "deadline", "wire", "lost")
 
     def __init__(self, src: "Endpoint", dst: "Endpoint", msg: Message,
                  copies: int, deadline: Optional[_DeadlineQueue]):
@@ -323,8 +302,6 @@ class _Leg:
         self.copies = copies
         #: The RPC deadline to start on arrival, if the op has one.
         self.deadline = deadline
-        #: The instant the message finished marshalling.
-        self.marshalled = 0.0
         self.wire: Optional[Event] = None
         #: Why a one-way message found nobody to deliver to (its sender
         #: raises it); None while on its way and once delivered.
@@ -337,9 +314,6 @@ class _Leg:
         it.  Otherwise the message gets its handler (one more per injected
         duplicate), and then an RPC's deadline starts."""
         msg, dst = self.msg, self.dst
-        if msg.reply_to is not None:
-            # Nothing left to recall: a waiting caller keeps no handle.
-            msg.reply_to.callbacks.remove(self)
         fabric = dst.fabric
         if fabric._endpoints.get(msg.dst) is not dst or dst._closed:
             self.lost = (f"endpoint {msg.dst!r} vanished while {msg.op!r} "
@@ -351,26 +325,6 @@ class _Leg:
             dst._accept(msg)
         if self.deadline is not None:
             self.deadline.add(msg.reply_to)
-
-
-def _recall(leg: _Leg) -> None:
-    """The sender of ``leg``'s message was interrupted: a message still on
-    its way is not delivered.  Taken back before its marshal end it never
-    reached the wire, and is uncounted in the accounting and the network;
-    an interrupt dispatched at exactly the marshal end counts as after
-    it, on every route."""
-    wire = leg.wire
-    if wire.processed:
-        return
-    fabric = leg.dst.fabric
-    engine = fabric.engine
-    engine._queue.remove(wire)
-    wire.callbacks = None
-    if engine.now < leg.marshalled:
-        msg = leg.msg
-        fabric.accounting.uncount(msg.op, msg.nbytes)
-        fabric.network.uncount(leg.src.host_name, leg.dst.host_name,
-                               msg.nbytes)
 
 
 class Endpoint:
@@ -451,16 +405,18 @@ class Endpoint:
         reply leg.  Replies are at-most-once: a duplicate
         (fault injection, or a retry racing a late original) is suppressed
         with an accounting mark; if the replier or the caller disappeared
-        mid-flight the caller resumes with :class:`CommunicationError`.  A
-        reply to an attempt whose deadline expired is late, not a duplicate:
-        it still crosses the wire, and finds nobody waiting."""
+        mid-flight the caller resumes with :class:`CommunicationError`, and
+        a handler that boots on a stopped endpoint dead-letters at once.  A
+        reply to an attempt whose deadline expired, or whose caller was
+        interrupted, is late, not a duplicate: it still crosses the wire,
+        and finds nobody waiting."""
         fabric = self.fabric
         engine, params, acct = fabric.engine, fabric.params, fabric.accounting
         reply_to = msg.reply_to
         try:
             if self._closed:
-                # stop() started this handler before its dispatch charge
-                # ended: the endpoint died mid-request.
+                # The endpoint stopped while this handler paid its dispatch
+                # charge: it boots anyway, and dies mid-request here.
                 raise Interrupt("stopped during the dispatch charge")
             if handler is None:
                 if reply_to is None:
@@ -538,21 +494,16 @@ class Endpoint:
         the Interrupt unwinds it (releasing CPU/slot claims along the way)
         and :meth:`_handle` dead-letters the request — crash semantics, not
         graceful drain.  A handler still in its dispatch charge has not
-        started, so an Interrupt cannot enter it: it starts now instead, at
-        the same place in the stream, and finds the endpoint stopped."""
+        started, so an Interrupt cannot enter it: it boots at its dispatch
+        end as spawned, finds the endpoint stopped and dead-letters there."""
         if self._closed:
             return
         self._closed = True
-        engine = self.fabric.engine
         for msg in self._backlog or ():
             self.fabric._dead_letter(msg, f"endpoint {self.name!r} stopped")
         self._backlog = None
         for proc in list(self._inflight.values()):
-            if _unboot(engine, proc):
-                proc._target = boot = engine.timeout(0.0, None,
-                                                     PRIORITY_URGENT)
-                boot.callbacks.append(proc)
-            else:
+            if getgeneratorstate(proc.generator) != GEN_CREATED:
                 proc.interrupt(CommunicationError(
                     f"endpoint {self.name!r} stopped"))
 
@@ -579,11 +530,7 @@ class Endpoint:
         leg = self.fabric._post(self, dst, op, payload, nbytes, None, None)
         if leg is None:
             return
-        try:
-            yield leg.wire
-        except BaseException:
-            _recall(leg)
-            raise
+        yield leg.wire
         if leg.lost is not None:
             raise CommunicationError(leg.lost)
 
@@ -611,7 +558,9 @@ class Endpoint:
         the deadline and the request is re-sent up to ``retries`` times
         (waiting ``backoff * attempt`` between tries) before
         :class:`DeadlineExceededError`.  Each attempt is posted as by
-        :meth:`request`.
+        :meth:`request`.  An interrupted caller stops waiting and its
+        attempt leaves the deadline queue; the request itself goes on, and
+        its reply finds nobody waiting.
         """
         fabric = self.fabric
         engine = fabric.engine
@@ -625,12 +574,6 @@ class Endpoint:
             try:
                 result = yield reply
             except BaseException:
-                # Interrupted: the request is recalled if still on its way
-                # (its leg is then the token's first callback), and the
-                # attempt leaves its deadline queue now.
-                callbacks = reply.callbacks
-                if callbacks and type(callbacks[0]) is _Leg:
-                    _recall(callbacks.pop(0))
                 if deadline is not None:
                     deadline.discard(reply)
                 raise
@@ -738,9 +681,8 @@ class TransportFabric:
         ``(now + marshal) + wire`` — the instant the two charges reach one
         after the other — whose callback is the arrival step.  Returns the
         message's :class:`_Leg`, or None when the seam dropped it (an RPC's
-        deadline then starts at once).  An RPC's leg is also the first
-        callback of its reply token until it arrives.  A send-point delay
-        comes before the marshalling."""
+        deadline then starts at once).  A send-point delay comes before the
+        marshalling."""
         dst = self._endpoints.get(dst_name)
         if dst is None:
             raise CommunicationError(f"cannot resolve endpoint {dst_name!r}")
@@ -762,12 +704,9 @@ class TransportFabric:
             delay, copies = fate
             now += delay
         leg = _Leg(src, dst, msg, copies, deadline)
-        if reply_to is not None:
-            reply_to.callbacks.append(leg)
         marshal = params.marshal_fixed + params.marshal_per_byte * size
         wire = self.network.wire_time(src.host_name, dst.host_name, size)
         self.accounting.count(op, size)
-        leg.marshalled = marshalled = now + marshal
-        leg.wire = timer = engine.timeout_at(marshalled + wire)
+        leg.wire = timer = engine.timeout_at((now + marshal) + wire)
         timer.callbacks.append(leg)
         return leg

@@ -139,10 +139,13 @@ class TransferManager:
             try:
                 if mgr.sed.nfs is not None and rep.volume == mgr.sed.nfs.name:
                     # The volume this SeD mounts: a sibling already staged
-                    # the bytes here, read them instead of a SeD-to-SeD pull.
+                    # the bytes here, read them instead of a SeD-to-SeD pull
+                    # — if the sibling serves them at all (a missing or
+                    # sticky entry raises before anything is charged).
+                    value, _ = mgr.grid.managers[rep.sed_name].serve(
+                        handle.data_id)
                     nbytes = rep.nbytes or handle.nbytes
                     yield from mgr.sed.nfs.read_bytes(my_host, nbytes)
-                    value = yield from self._peer_value(rep, handle)
                     mgr.stats.bytes_nfs += nbytes
                     return value, "nfs"
                 value = yield from mgr.sed.endpoint.rpc(
@@ -153,19 +156,3 @@ class TransferManager:
             except (DataError, CommunicationError) as exc:
                 last_error = exc
         raise DataError(f"all replicas of {handle.data_id!r} failed: {last_error}")
-
-    def _peer_value(
-        self, rep: Replica, handle: "DataHandle"
-    ) -> Generator[Event, Any, Any]:
-        """Value for an NFS fast-path read: from the peer's local store if
-        this process can see it, else a zero-cost control RPC."""
-        mgr = self.manager
-        peer = mgr.grid.managers.get(rep.sed_name)
-        if peer is not None:
-            entry = peer.store.entry(handle.data_id)
-            if entry is not None and not entry.pinned:  # sticky never moves
-                return entry.value
-        value = yield from mgr.sed.endpoint.rpc(
-            rep.sed_name, "dm_fetch", handle.data_id
-        )
-        return value

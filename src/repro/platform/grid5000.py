@@ -114,15 +114,6 @@ class Grid5000Platform:
     client_host: Host
     ma_host: Host
 
-    @property
-    def sed_hosts(self) -> List[Host]:
-        # clusters is insertion-ordered (build order == spec order), which
-        # keeps SeD enumeration deterministic for the schedulers.
-        out: List[Host] = []
-        for cluster in self.clusters.values():
-            out.extend(cluster.sed_hosts)
-        return out
-
     def cluster_of_host(self, host_name: str) -> Optional[Cluster]:
         for cluster in self.clusters.values():
             if (host_name == cluster.frontend.name

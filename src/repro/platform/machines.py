@@ -33,11 +33,6 @@ class MachineSpec:
     def speed(self) -> float:
         return self.clock_ghz
 
-    @property
-    def node_speed(self) -> float:
-        """Aggregate per-node speed over all cores."""
-        return self.clock_ghz * self.cores
-
 
 #: The Opteron parts named in §5.1.
 OPTERON_CATALOGUE: Dict[str, MachineSpec] = {

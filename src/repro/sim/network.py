@@ -233,13 +233,3 @@ class Network:
         if wan:
             self.bytes_wan += nbytes
         return latency + nbytes / bottleneck
-
-    def uncount(self, src: str, dst: str, nbytes: int) -> None:
-        """Take back the bytes :meth:`wire_time` counted for a transfer whose
-        sender was stopped before it started."""
-        _, bottleneck, wan = self._route_metrics(src, dst)
-        if bottleneck == 0.0:  # the self-route counted nothing
-            return
-        self.bytes_total -= nbytes
-        if wan:
-            self.bytes_wan -= nbytes

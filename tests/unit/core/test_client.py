@@ -147,7 +147,7 @@ class TestSyncCall:
         assert status == 1 and request.status() == 1
         for h in (handle, request.handle):
             assert h.error == "ValueError: scratch volume full"
-            assert h.server in dep.sed_names
+            assert h.server in [s.name for s in dep.seds]
         assert (handle.request_id, request.handle.request_id) == (1, 2)
 
     def test_unset_in_arg_rejected_before_submit(self, deployment):

@@ -50,7 +50,7 @@ class TestPaperHierarchy:
 
     def test_sed_lookup(self, platform):
         dep = deploy_paper_hierarchy(platform)
-        name = dep.sed_names[0]
+        name = dep.seds[0].name
         assert dep.sed_by_name(name).name == name
         with pytest.raises(DietError):
             dep.sed_by_name("SeD-ghost")

@@ -12,7 +12,7 @@ from repro.core import (
     TransportFabric,
     TransportParams,
 )
-from repro.sim import Engine, Host, Link, Network
+from repro.sim import Engine, Host, Interrupt, Link, Network
 from repro.sim.rng import RandomStreams
 
 MARSHAL = 1e-3
@@ -212,9 +212,9 @@ class TestShutdownSemantics:
 
     def test_stop_during_the_dispatch_charge_dead_letters(self, stack):
         """The server stops while the request pays its dispatch charge,
-        before its handler has started: the caller gets a
-        CommunicationError at the stop instant, and nothing escapes the
-        engine."""
+        before its handler has started: the handler still boots at its
+        dispatch end, where the caller gets a CommunicationError, and
+        nothing escapes the engine."""
         engine, _, fabric = stack
         server = echo_server(engine, fabric)
         client = fabric.endpoint("client", "alpha")
@@ -234,8 +234,9 @@ class TestShutdownSemantics:
         engine.process(call())
         engine.process(killer())
         engine.run()
-        assert outcome["error"] == (
-            "endpoint 'server' stopped while handling 'echo'", stop_at)
+        reason, at = outcome["error"]
+        assert reason == "endpoint 'server' stopped while handling 'echo'"
+        assert at == pytest.approx(XMIT + DISPATCH)
         assert fabric.accounting.dead_letters == 1
         assert server._inflight == {}
 
@@ -441,16 +442,34 @@ class TestCounters:
         assert fault.dropped == 1
 
 
+#: Cancel instants of the submit: (seconds after the post, whether the
+#: cancel's timer is dispatched before the message's at a shared instant).
+CANCEL_INSTANTS = {
+    "marshalling": (MARSHAL / 2, False),
+    "marshal-end": (MARSHAL, False),
+    "cancel-first": (MARSHAL, True),   # at the marshal end too
+    "wire": (MARSHAL + HOP / 2, False),
+}
+#: The MA's host per route: across the WAN uplink, or the client's own.
+MA_HOSTS = {"wan": "beta", "self": "alpha"}
+
+
 class TestSenderInterrupt:
     """``grpc_cancel`` while the submit is on its way to the MA, over a WAN
-    link or the self route (the MA on the client's host, ``"alpha"``): a
-    message counts — in the transport and on the network — exactly when it
-    finished marshalling, and a cancelled one is never delivered."""
+    link or the self route (the MA on the client's host, ``"alpha"``): the
+    caller stops waiting, and the message is not taken back — it is counted
+    once, delivered and served, and its reply finds nobody waiting."""
 
-    def _cancel(self, at, cancel_first=False, ma_host="beta"):
+    @pytest.mark.parametrize("instant, route", [
+        (instant, route) for route in MA_HOSTS for instant in CANCEL_INSTANTS
+        # The self route has no wire: by then the reply has arrived.
+        if (instant, route) != ("wire", "self")])
+    def test_cancelled_submit_arrives(self, instant, route):
         from repro.core import BaseType, DietClient, ProfileDesc, scalar_desc
         from repro.core.gridrpc import grpc_call_async, grpc_cancel
 
+        at, cancel_first = CANCEL_INSTANTS[instant]
+        ma_host = MA_HOSTS[route]
         engine = Engine()
         net = Network(engine)
         for name in ("alpha", "beta"):
@@ -482,7 +501,7 @@ class TestSenderInterrupt:
             yield engine.timeout(at)
             assert grpc_cancel(request)
 
-        if cancel_first:  # its timer is dispatched before the charges'
+        if cancel_first:
             engine.process(cancel())
         request = grpc_call_async(client, client.function_handle("echo"),
                                   profile)
@@ -490,34 +509,83 @@ class TestSenderInterrupt:
             engine.process(cancel())
         engine.run()
         assert request.status() == DietClient.STATUS_CANCELLED
-        assert served == [] and not ma._inflight
+        assert served == ["submit"] and not ma._inflight
         acct = fabric.accounting
-        return (acct.messages_sent, acct.bytes_sent, acct.messages_by_op,
-                net.bytes_total, net.bytes_wan)
+        # The submit and its reply, each counted once; only the WAN route
+        # puts them on the network.
+        wire_bytes = 2 * 256 if route == "wan" else 0
+        assert (acct.messages_sent, acct.bytes_sent, acct.messages_by_op,
+                net.bytes_total, net.bytes_wan) == (
+            2, 2 * 256, {"submit": 2}, wire_bytes, wire_bytes)
+        assert acct.dead_letters == acct.replies_suppressed == 0
 
-    def test_cancel_while_marshalling_counts_nothing(self):
-        assert self._cancel(MARSHAL / 2) == (0, 0, {}, 0, 0)
+    def test_an_interrupted_one_way_send_still_delivers(self, stack):
+        """The sender dies with its one-way message on the wire: the
+        message arrives at its wire end and is served all the same."""
+        engine, net, fabric = stack
+        server = fabric.endpoint("server", "beta")
+        client = fabric.endpoint("client", "alpha")
+        served = []
 
-    def test_cancel_on_the_wire_counts_the_message(self):
-        assert self._cancel(MARSHAL + HOP / 2) == (
-            1, 256, {"submit": 1}, 256, 256)
+        def note(msg):
+            served.append((msg.payload, engine.now))
+            yield engine.timeout(0.0)
 
-    def test_cancel_at_the_marshal_end_counts_as_after_it(self):
-        """Whichever of the two is dispatched first at that instant, the
-        message was on the wire."""
-        for cancel_first in (False, True):
-            assert self._cancel(MARSHAL, cancel_first) == (
-                1, 256, {"submit": 1}, 256, 256)
+        server.on("note", note)
+        server.start()
+        outcome = {}
 
-    def test_self_route_cancel_while_marshalling_counts_nothing(self):
-        """The self route has no wire, so the network took back nothing."""
-        assert self._cancel(MARSHAL / 2, ma_host="alpha") == (0, 0, {}, 0, 0)
+        def sender():
+            try:
+                yield from client.send("server", "note", 7)
+            except Interrupt:
+                outcome["interrupted"] = engine.now
 
-    def test_self_route_cancel_at_the_marshal_end_counts_as_after_it(self):
-        """The rule of every route: the message was marshalled, counted in
-        the transport only (no wire), and is not delivered."""
-        assert self._cancel(MARSHAL, cancel_first=True, ma_host="alpha") == (
-            1, 256, {"submit": 1}, 0, 0)
+        proc = engine.process(sender())
+
+        def killer():
+            yield engine.timeout(MARSHAL + HOP / 2)
+            proc.interrupt()
+
+        engine.process(killer())
+        engine.run()
+        assert outcome == {"interrupted": MARSHAL + HOP / 2}
+        assert served == [(7, pytest.approx(XMIT + DISPATCH))]
+        assert fabric.messages_sent == 1 and net.bytes_total == 256
+        assert fabric.accounting.dead_letters == 0
+
+    def test_a_cancelled_rpc_leaves_no_deadline_behind(self, stack):
+        """An RPC with a deadline is interrupted while its request is on the
+        wire: the request still starts its deadline on arrival, and the
+        reply nobody waits for ends it — nothing raises, and the engine
+        drains with every deadline queue empty and no timer armed."""
+        engine, _, fabric = stack
+        echo_server(engine, fabric)
+        client = fabric.endpoint("client", "alpha")
+        client.set_deadline(("echo",), 0.5)
+        outcome = {}
+
+        def call():
+            try:
+                yield from client.rpc("server", "echo", 1)
+            except Interrupt:
+                outcome["interrupted"] = engine.now
+
+        proc = engine.process(call())
+
+        def killer():
+            yield engine.timeout(MARSHAL + HOP / 2)
+            proc.interrupt()
+
+        engine.process(killer())
+        engine.run()
+        assert outcome == {"interrupted": MARSHAL + HOP / 2}
+        assert fabric._deadline_queues
+        for queue in fabric._deadline_queues.values():
+            assert not queue._pending and queue._timer is None
+        assert fabric.messages_sent == 2
+        acct = fabric.accounting
+        assert acct.dead_letters == acct.replies_suppressed == 0
 
 
 class TestDeadlines:

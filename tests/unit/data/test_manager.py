@@ -206,13 +206,48 @@ class TestStickyOnGrid:
         with pytest.raises(DataError, match="sticky|failed"):
             dep.engine.run_process(run())
 
+    def test_a_sticky_sibling_costs_nothing_before_the_net_replica(self):
+        """The nearest replica is a sibling's STICKY copy on this SeD's own
+        volume, the next one a copy on another cluster: the pull neither
+        reads the volume nor asks the sibling, and fetches over the net."""
+        dep = build()
+        owner, sibling = dep.seds[0], dep.seds[1]
+        remote = next(s for s in dep.seds if s.cluster != owner.cluster)
+        handle = put(owner, "pin", "secret", 100, mode=PersistenceMode.STICKY)
+        remote.data_manager.admit_replica(handle.data_id, "secret", 100)
+        # The sibling's LA learns of the remote copy too, so one locate
+        # returns both replicas.
+        (net_copy,) = [r for r in dep.data_grid.root.locate(handle.data_id)
+                       if r.sed_name == remote.name]
+        sibling.data_manager.catalog.register(net_copy)
+        nfs_reads = []
+        read_bytes = sibling.nfs.read_bytes
+
+        def counting_read(host_name, nbytes):
+            nfs_reads.append(nbytes)
+            yield from read_bytes(host_name, nbytes)
+
+        sibling.nfs.read_bytes = counting_read
+
+        def run():
+            value = yield from sibling.data_manager.resolve(handle)
+            return value
+
+        assert dep.engine.run_process(run()) == "secret"
+        assert nfs_reads == []
+        # One dm_fetch to the remote SeD, and its reply.
+        assert dep.fabric.accounting.messages_by_op["dm_fetch"] == 2
+        stats = dep.data_grid.stats
+        assert stats.bytes_nfs == 0 and stats.bytes_moved == 100
+
 
 class TestSchedulingHook:
     def test_transfer_cost_zero_when_resident(self):
         dep = build()
         sed = dep.seds[0]
         handle = put(sed, "d1", "payload", 10**8)
-        costs = dep.data_grid.transfer_cost([handle], dep.sed_names)
+        costs = dep.data_grid.transfer_cost(
+            [handle], [s.name for s in dep.seds])
         assert costs[sed.name] == 0.0
         others = [c for n, c in costs.items() if n != sed.name]
         assert all(c > 0.0 for c in others)
@@ -231,10 +266,11 @@ class TestSchedulingHook:
         owner = dep.seds[0]
         handle = put(owner, "d1", "payload", 10**9)
         ctx = SchedulingContext()
-        ctx.data_transfer_cost = dep.data_grid.transfer_cost([handle], dep.sed_names)
+        sed_names = [s.name for s in dep.seds]
+        ctx.data_transfer_cost = dep.data_grid.transfer_cost([handle], sed_names)
         cands = [
             EstimationVector(n, {"EST_SPEED": 1.0, "EST_TCOMP": 100.0})
-            for n in dep.sed_names
+            for n in sed_names
         ]
         chosen = make_policy("mct").choose(cands, ctx)
         assert chosen.sed_name == owner.name

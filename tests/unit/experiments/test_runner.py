@@ -121,7 +121,7 @@ class TestDetach:
             "overhead": result.overhead_per_request,
             "finding": result.tracer.finding_times("ramsesZoom2"),
             "cluster": result.deployment.cluster_of_sed(
-                result.deployment.sed_names[0]),
+                result.deployment.seds[0].name),
         }
         detached = result.detach()
         assert detached is result

@@ -16,6 +16,12 @@ def platform():
     return build_grid5000(Engine())
 
 
+def sed_hosts(platform):
+    """Every SeD host, cluster by cluster in build order."""
+    return [host for cluster in platform.clusters.values()
+            for host in cluster.sed_hosts]
+
+
 class TestPaperLayout:
     def test_five_sites_six_clusters(self, platform):
         assert len(platform.sites) == 5
@@ -26,14 +32,14 @@ class TestPaperLayout:
 
     def test_eleven_seds(self, platform):
         """2 per cluster except one Lyon cluster with 1 (§5.1)."""
-        assert len(platform.sed_hosts) == 11
+        assert len(sed_hosts(platform)) == 11
 
     def test_sagittaire_single_sed_from_reservation_cap(self, platform):
         sag = platform.clusters["lyon-sagittaire"]
         assert len(sag.sed_hosts) == 1
 
     def test_each_sed_controls_16_machines(self, platform):
-        for host in platform.sed_hosts:
+        for host in sed_hosts(platform):
             assert host.properties["n_nodes"] == NODES_PER_SED
 
     def test_sed_speeds_match_machine_catalogue(self, platform):
@@ -64,7 +70,7 @@ class TestPaperLayout:
 
 class TestConnectivity:
     def test_all_seds_reachable_from_ma(self, platform):
-        for host in platform.sed_hosts:
+        for host in sed_hosts(platform):
             route = platform.network.route(platform.ma_host.name, host.name)
             assert len(route) >= 2
 
@@ -85,7 +91,7 @@ class TestCustomLayouts:
     def test_custom_spec_list(self):
         specs = [ClusterSpec("nowhere", "tiny", "opteron-250", 32, n_seds=2)]
         platform = build_grid5000(Engine(), cluster_specs=specs)
-        assert len(platform.sed_hosts) == 2
+        assert len(sed_hosts(platform)) == 2
         assert len(platform.sites) == 1
 
     def test_insufficient_nodes_limit_seds(self):
