@@ -18,7 +18,7 @@ architecture: pull vs push aggregation"):
     into materialized per-service candidate tables
     (:mod:`repro.core.aggregation`) and forward only table *changes*; the
     MA answers ``submit`` from its table, admitting requests in batches —
-    routing cost no longer depends on hierarchy size.
+    routing cost does not depend on hierarchy size.
 
 In both modes the Master Agent owns the
 :class:`~repro.core.scheduling.SchedulerPolicy` that ranks candidates, the

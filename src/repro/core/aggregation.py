@@ -6,7 +6,7 @@ module is the core of the inverted flow: every agent keeps, per service, a
 **materialized table** of candidate rows fed by :class:`EstimateDelta`
 messages pushed up from its children, incrementally re-ranked on arrival.
 The Master Agent then answers ``submit`` straight from its table — routing
-cost no longer depends on hierarchy size.
+cost does not depend on hierarchy size.
 
 Three invariants:
 

@@ -312,7 +312,8 @@ class _Leg:
         stopped or been unbound while the message was on the wire: that is
         a dead letter, not a message for an endpoint that will never serve
         it.  Otherwise the message gets its handler (one more per injected
-        duplicate), and then an RPC's deadline starts."""
+        duplicate), and then an RPC's deadline starts — only while someone
+        still waits on the reply token: an interrupted caller has left it."""
         msg, dst = self.msg, self.dst
         fabric = dst.fabric
         if fabric._endpoints.get(msg.dst) is not dst or dst._closed:
@@ -323,7 +324,7 @@ class _Leg:
         dst._accept(msg)
         for _ in range(self.copies):
             dst._accept(msg)
-        if self.deadline is not None:
+        if self.deadline is not None and msg.reply_to.callbacks:
             self.deadline.add(msg.reply_to)
 
 
@@ -512,7 +513,11 @@ class Endpoint:
     def request(self, dst: str, op: str, payload: Any = None) -> Event:
         """Post one attempt of an RPC and return its reply token, settled
         with ``("ok", value)``, ``("error", exception)`` or, once the op's
-        deadline (:meth:`set_deadline`) passed, :data:`_EXPIRED`.  Raises
+        deadline (:meth:`set_deadline`) passed, :data:`_EXPIRED`.  The
+        deadline starts when the request arrives, and only if the token is
+        then waited on: wait on it, directly or through a condition such
+        as :meth:`Engine.all_of`, before control returns to the engine, or
+        a lost reply leaves it pending for good.  Raises
         :class:`CommunicationError` at once when ``dst`` is unbound or
         stopped.  No retries: :meth:`rpc` makes those."""
         fabric = self.fabric

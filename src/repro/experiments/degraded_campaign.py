@@ -125,7 +125,6 @@ def render(result: DegradedResult) -> str:
             lines.append(f"  rebalanced: {shifts}")
     lines.append(
         "every zoom completes: lost jobs are resubmitted through the MA and "
-        "absorbed by surviving SeDs; checkpoints cut the redone work when a "
-        "resubmission lands back on the crashed SeD's cluster (§4.1: restart "
-        "dumps do not cross NFS volumes)")
+        "absorbed by surviving SeDs; a restart dump is read only on the NFS "
+        "volume that wrote it (§4.1)")
     return "\n".join(lines)

@@ -8,9 +8,9 @@ reports what a capacity plan needs: achieved throughput (completed
 requests over the makespan — past saturation this flattens at capacity
 while offered load keeps climbing), P50/P99 finding time (submit →
 winning MA reply, inter-MA redirects included) and P50/P99 end-to-end
-latency, per routing mode.  ``peak_heap`` tracks the event-heap
-high-water mark — the regression guard for the park-watchdog leak that
-used to grow the heap by one dead timer per admitted-after-park request.
+latency, per routing mode.  ``peak_heap`` is the event-heap high-water
+mark: a parked submit must leave no timer behind once it is admitted, so
+it stays near the standing process count whatever the arrival count.
 
 With ``memo="on"`` the sweep additionally exercises grid-wide result
 memoization (:mod:`repro.data.memo`): clients key each request on its

@@ -1,10 +1,10 @@
 """QUADPACK's QAGS and Brent's root finder, ported operation for operation.
 
 The background cosmology needs about twenty smooth one-dimensional
-integrals and one root per REAL run.  They used to come from the compiled
-QUADPACK and ``brentq.c`` behind a general-purpose scientific library,
-and loading that library cost more than the run's own start-up (DESIGN
-"Cold start").  This module is what those two calls execute, in Python:
+integrals and one root per REAL run.  This module computes them in
+Python, operation for operation as QUADPACK's ``dqagse`` and scipy's
+``brentq.c``, so no run loads scipy, whose import costs more than the
+run's own start-up (DESIGN "Cold start"):
 
 * :func:`qagse` is ``dqagse`` (Piessens, de Doncker-Kapenga, Überhuber,
   Kahaner: *QUADPACK*, Springer 1983) with its three subroutines — the

@@ -15,12 +15,12 @@ deterministic: two runs with the same seed and the same process creation
 order produce identical event orderings (ties are broken by a monotonically
 increasing sequence number).
 
-Hot-path discipline (PR 3): campaigns dispatch hundreds of thousands of
-events, so the create/schedule/dispatch/resume cycle is written for
-throughput — ``__slots__`` everywhere, scheduling inlined into the
-constructors and trigger paths (no per-push closures or helper frames),
-single-callback dispatch without copying, and a ``run()`` loop that keeps
-the queue and clock in locals.  The determinism suite
+Campaigns dispatch hundreds of thousands of events, so the
+create/schedule/dispatch/resume cycle is written for throughput —
+``__slots__`` everywhere, scheduling inlined into the constructors and
+trigger paths (no per-push closures or helper frames), single-callback
+dispatch without copying, and a ``run()`` loop that keeps the queue and
+clock in locals.  The determinism suite
 (``tests/property/test_kernel_determinism.py``) pins the exact event
 stream these fast paths must preserve.
 

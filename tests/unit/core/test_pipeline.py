@@ -556,11 +556,12 @@ class TestSenderInterrupt:
 
     def test_a_cancelled_rpc_leaves_no_deadline_behind(self, stack):
         """An RPC with a deadline is interrupted while its request is on the
-        wire: the request still starts its deadline on arrival, and the
-        reply nobody waits for ends it — nothing raises, and the engine
-        drains with every deadline queue empty and no timer armed."""
+        wire: the request still arrives, but starts no deadline, since
+        nobody waits on its reply token — every deadline queue is empty
+        with no timer armed just after the arrival, and nothing raises
+        when the reply nobody waits for comes back."""
         engine, _, fabric = stack
-        echo_server(engine, fabric)
+        server = echo_server(engine, fabric)
         client = fabric.endpoint("client", "alpha")
         client.set_deadline(("echo",), 0.5)
         outcome = {}
@@ -578,11 +579,19 @@ class TestSenderInterrupt:
             proc.interrupt()
 
         engine.process(killer())
-        engine.run()
+
+        def no_deadline_pending():
+            assert fabric._deadline_queues
+            for queue in fabric._deadline_queues.values():
+                assert not queue._pending and queue._timer is None
+
+        # Past the request's arrival (XMIT), before its handler boots.
+        engine.run(until=XMIT + DISPATCH / 2)
         assert outcome == {"interrupted": MARSHAL + HOP / 2}
-        assert fabric._deadline_queues
-        for queue in fabric._deadline_queues.values():
-            assert not queue._pending and queue._timer is None
+        assert fabric.messages_sent == 1 and len(server._inflight) == 1
+        no_deadline_pending()
+        engine.run()
+        no_deadline_pending()
         assert fabric.messages_sent == 2
         acct = fabric.accounting
         assert acct.dead_letters == acct.replies_suppressed == 0
