@@ -297,7 +297,14 @@ class LocalAgent:
                 # A stopped or unbound child prunes its subtree from the
                 # candidate set; it must not fail the whole request.
                 pass
-        yield self.engine.all_of(tokens)
+        join = self.engine.all_of(tokens)
+        try:
+            yield join
+        except BaseException:
+            # An interrupted gather stops waiting: an arrival must find no
+            # waiter on its reply token, or it starts a deadline for nobody.
+            join._detach()
+            raise
         ests: List[EstimationVector] = []
         for token in tokens:
             # So does an error reply or an expired deadline.

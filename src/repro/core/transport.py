@@ -517,7 +517,9 @@ class Endpoint:
         deadline starts when the request arrives, and only if the token is
         then waited on: wait on it, directly or through a condition such
         as :meth:`Engine.all_of`, before control returns to the engine, or
-        a lost reply leaves it pending for good.  Raises
+        a lost reply leaves it pending for good; a waiter that is
+        interrupted unsubscribes (a condition's ``_detach``), or the
+        arrival starts a deadline nobody waits for.  Raises
         :class:`CommunicationError` at once when ``dst`` is unbound or
         stopped.  No retries: :meth:`rpc` makes those."""
         fabric = self.fabric

@@ -174,12 +174,6 @@ def _zoom_center(index: int) -> Tuple[float, float, float]:
             float(5 + (41 * index) % 90))
 
 
-def _node_product(result) -> Any:
-    """A node's primary product: its first OUT argument (the last OUT is
-    the GridRPC error integer)."""
-    return result.outputs[min(result.outputs)]
-
-
 def _run_arm(routing: str, policy: str, data_policy: str,
              shape: Tuple[int, int], resolution: int, n_planes: int,
              z_source: float, zooms: int, n_grids: int,
@@ -283,7 +277,7 @@ def _run_arm(routing: str, policy: str, data_policy: str,
     dag0 = executors[0].dag
     products = tuple(
         (node.point or "survey", node.stage, node.node_id,
-         _node_product(executors[0].results[node.node_id]))
+         executors[0].results[node.node_id].product)
         for node in dag0 if node.node_id in executors[0].results)
 
     memo_stats = federation.memo.stats

@@ -27,11 +27,10 @@ Lifecycle discipline:
 * whatever is still open when a run finishes is closed by
   :meth:`SpanStore.close_all` with status ``"lost"``.
 
-Normal ends carry status ``"ok"``; every query that derives a *duration*
-filters on it, while queries that only need a *start* stamp (e.g. the
-latency series, which includes attempts that died mid-solve) accept any
-status — mirroring exactly which :class:`~repro.core.statistics.RequestTrace`
-fields were stamped on the same paths.
+Normal ends carry status ``"ok"``.  :meth:`SpanStore.find` filters on
+status only when asked to; :meth:`SpanStore.gantt` keeps a span that did
+not close ``"ok"`` as a ``(start, None, request_id)`` row — its start is
+a real stamp, its end marks an abort or a crash, not the end of a solve.
 """
 
 from __future__ import annotations

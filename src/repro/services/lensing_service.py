@@ -10,7 +10,12 @@ reduction.  No stage computes a map: each solve charges the
 :class:`~repro.services.perfmodel.SurveyPerfModel` work and NFS staging
 of its stage and returns a product file stamped from its inputs.
 
-Profiles (all IN args first, then OUT result file + OUT error int):
+Each stage is declared once, as a :class:`SurveyStage` in
+:data:`SURVEY_STAGES`: its IN arguments, its product and its cost.  The
+description (all IN args first, then OUT product file + OUT error int),
+the one solve function (:meth:`LensingService.solver`), the predictor
+and the client's profile builder (``repro.survey.pipeline``) all derive
+from that record:
 
 ========================  ==========================================================
  service                   arguments
@@ -23,12 +28,11 @@ Profiles (all IN args first, then OUT result file + OUT error int):
 ========================  ==========================================================
 
 Persistence is chosen by the *client* per campaign data policy
-(``ProfileDesc.matches`` ignores it): the desc factories take the result
-mode and build one shared description per mode (nothing mutates one),
-and :func:`survey_result_modes` maps a policy name to the
-(intermediate, final) modes.  Registration can attach a per-SeD
-performance predictor so the service advertises its own ``EST_TCOMP``
-through CoRI.
+(``ProfileDesc.matches`` ignores it): :meth:`SurveyStage.desc` builds one
+shared description per result mode (nothing mutates one), and
+:func:`survey_result_modes` maps a policy name to the (intermediate,
+final) modes.  Registration can attach a per-SeD performance predictor
+so the service advertises its own ``EST_TCOMP`` through CoRI.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Generator, Iterable, Optional, Tuple
+from typing import Any, Callable, Generator, Iterable, Optional, Tuple
 
 from ..core.data import BaseType, FileRef, PersistenceMode, file_desc, scalar_desc
 from ..core.profile import Profile, ProfileDesc
@@ -45,12 +49,14 @@ from .perfmodel import SurveyPerfModel
 
 __all__ = [
     "Z_SOURCE_SCALE",
+    "SurveyStage",
+    "SURVEY_STAGES",
+    "SURVEY_IC",
+    "SURVEY_RUN",
+    "LENSING_CONVERGENCE",
+    "SURVEY_REDUCE",
     "LensingServiceConfig",
     "LensingService",
-    "survey_ic_desc",
-    "survey_run_desc",
-    "lensing_convergence_desc",
-    "survey_reduce_desc",
     "survey_result_modes",
     "register_survey_services",
 ]
@@ -71,62 +77,77 @@ def _error_mode(result_mode: PersistenceMode) -> PersistenceMode:
     return PersistenceMode.VOLATILE
 
 
-@functools.cache
-def survey_ic_desc(result_mode: PersistenceMode = PersistenceMode.VOLATILE
-                   ) -> ProfileDesc:
-    """surveyIC: (cosmology, resolution, seed) -> (IC file, error)."""
-    desc = ProfileDesc("surveyIC", 2, 2, 4)
-    desc.set_arg(0, file_desc())                       # cosmology parameters
-    desc.set_arg(1, scalar_desc(BaseType.INT))         # resolution
-    desc.set_arg(2, scalar_desc(BaseType.INT))         # realization seed
-    desc.set_arg(3, file_desc(result_mode))            # displacement field
-    desc.set_arg(4, scalar_desc(BaseType.INT, _error_mode(result_mode)))
-    return desc
+@dataclass(frozen=True)
+class SurveyStage:
+    """One survey service: its layout, product and cost, declared once."""
+
+    service: str
+    #: (name, "file" | "int") per IN argument, in argument order; a file
+    #: argument's name is what its validation error calls it.
+    ins: Tuple[Tuple[str, str], ...]
+    #: Product file ``{product}-{stamp}{suffix}``; ``tag`` names the NFS
+    #: staging write ``survey-{tag}-{job}`` and leads the stamp.
+    product: str
+    suffix: str
+    tag: str
+    #: (perf, *IN values) -> (work, product bytes, stamp parts).
+    cost: Callable[..., Tuple[float, int, Tuple[Any, ...]]]
+    #: (perf, resolution, n_planes) -> the work the predictor quotes.
+    quote: Callable[[SurveyPerfModel, int, int], float]
+
+    @functools.cache
+    def desc(self, result_mode: PersistenceMode) -> ProfileDesc:
+        """The INs, then the product file and the error int as OUTs."""
+        n_ins = len(self.ins)
+        desc = ProfileDesc(self.service, n_ins - 1, n_ins - 1, n_ins + 1)
+        for index, (_, kind) in enumerate(self.ins):
+            desc.set_arg(
+                index, file_desc() if kind == "file" else scalar_desc(BaseType.INT)
+            )
+        desc.set_arg(n_ins, file_desc(result_mode))
+        desc.set_arg(n_ins + 1, scalar_desc(BaseType.INT, _error_mode(result_mode)))
+        return desc
 
 
-@functools.cache
-def survey_run_desc(result_mode: PersistenceMode = PersistenceMode.VOLATILE
-                    ) -> ProfileDesc:
-    """surveyRun: (IC file, resolution, n_planes) -> (slab stack, error)."""
-    desc = ProfileDesc("surveyRun", 2, 2, 4)
-    desc.set_arg(0, file_desc())                       # IC displacement field
-    desc.set_arg(1, scalar_desc(BaseType.INT))         # resolution
-    desc.set_arg(2, scalar_desc(BaseType.INT))         # number of lens planes
-    desc.set_arg(3, file_desc(result_mode))            # projected density slabs
-    desc.set_arg(4, scalar_desc(BaseType.INT, _error_mode(result_mode)))
-    return desc
-
-
-@functools.cache
-def lensing_convergence_desc(result_mode: PersistenceMode = PersistenceMode.VOLATILE
-                             ) -> ProfileDesc:
-    """lensingConvergence: (slabs, cosmology, resolution, n_planes,
-    z_source x 1e6) -> (κ map, error)."""
-    desc = ProfileDesc("lensingConvergence", 4, 4, 6)
-    desc.set_arg(0, file_desc())                       # slab stack
-    desc.set_arg(1, file_desc())                       # cosmology parameters
-    desc.set_arg(2, scalar_desc(BaseType.INT))         # resolution
-    desc.set_arg(3, scalar_desc(BaseType.INT))         # number of lens planes
-    desc.set_arg(4, scalar_desc(BaseType.INT))         # z_source fixed point
-    desc.set_arg(5, file_desc(result_mode))            # convergence map
-    desc.set_arg(6, scalar_desc(BaseType.INT, _error_mode(result_mode)))
-    return desc
-
-
-@functools.cache
-def survey_reduce_desc(result_mode: PersistenceMode = PersistenceMode.VOLATILE
-                       ) -> ProfileDesc:
-    """surveyReduce: (map a, map b, weight a, weight b, resolution) ->
-    (stacked map, error)."""
-    desc = ProfileDesc("surveyReduce", 4, 4, 6)
-    desc.set_arg(0, file_desc())                       # map a
-    desc.set_arg(1, file_desc())                       # map b
-    desc.set_arg(2, scalar_desc(BaseType.INT))         # weight a (#maps folded)
-    desc.set_arg(3, scalar_desc(BaseType.INT))         # weight b
-    desc.set_arg(4, scalar_desc(BaseType.INT))         # resolution
-    desc.set_arg(5, file_desc(result_mode))            # stacked map
-    desc.set_arg(6, scalar_desc(BaseType.INT, _error_mode(result_mode)))
-    return desc
+SURVEY_IC = SurveyStage(
+    "surveyIC",
+    (("cosmology", "file"), ("resolution", "int"), ("seed", "int")),
+    product="ic", suffix=".dat", tag="ic",
+    cost=lambda perf, cosmo, res, seed: (
+        perf.ic_work(res), perf.ic_bytes(res),
+        (cosmo.content or cosmo.path, res, seed)),
+    quote=lambda perf, res, planes: perf.ic_work(res),
+)
+SURVEY_RUN = SurveyStage(
+    "surveyRun",
+    (("IC", "file"), ("resolution", "int"), ("n_planes", "int")),
+    product="slabs", suffix=".npy", tag="run",
+    cost=lambda perf, ic, res, planes: (
+        perf.run_work(res), perf.slab_bytes(res, planes), (ic.path, res, planes)),
+    quote=lambda perf, res, planes: perf.run_work(res),
+)
+LENSING_CONVERGENCE = SurveyStage(
+    "lensingConvergence",
+    (("slab stack", "file"), ("cosmology", "file"), ("resolution", "int"),
+     ("n_planes", "int"), ("z_source", "int")),
+    product="kappa", suffix=".npy", tag="lens",
+    cost=lambda perf, slabs, cosmo, res, planes, z_source: (
+        perf.lensing_work(res, planes), perf.map_bytes(res),
+        (slabs.path, cosmo.content or cosmo.path, z_source)),
+    quote=lambda perf, res, planes: perf.lensing_work(res, planes),
+)
+SURVEY_REDUCE = SurveyStage(
+    "surveyReduce",
+    (("map a", "file"), ("map b", "file"), ("weight a", "int"),
+     ("weight b", "int"), ("resolution", "int")),
+    product="stack", suffix=".npy", tag="reduce",
+    cost=lambda perf, map_a, map_b, weight_a, weight_b, res: (
+        perf.reduce_work(res), perf.map_bytes(res),
+        (map_a.path, map_b.path, weight_a, weight_b)),
+    quote=lambda perf, res, planes: perf.reduce_work(res),
+)
+#: Every survey stage, in pipeline order.
+SURVEY_STAGES = (SURVEY_IC, SURVEY_RUN, LENSING_CONVERGENCE, SURVEY_REDUCE)
 
 
 def survey_result_modes(data_policy: str
@@ -167,114 +188,42 @@ class LensingServiceConfig:
 
 
 class LensingService:
-    """Solve functions for the survey pipeline stages."""
+    """Solve functions for the survey pipeline stages; one job counter
+    numbers every stage's NFS staging writes."""
 
     def __init__(self, config: Optional[LensingServiceConfig] = None):
         self.config = config or LensingServiceConfig()
         self._job_counter = 0
 
-    # -- shared plumbing ---------------------------------------------------------------
+    def solver(self, stage: SurveyStage
+               ) -> Callable[[Profile, SolveContext], Generator[Any, Any, int]]:
+        """The solve function of ``stage``: CPU work, then the NFS staging
+        write of its product, then the product file and status 0."""
+        n_ins = len(stage.ins)
 
-    def _next_job(self) -> int:
-        self._job_counter += 1
-        return self._job_counter
+        def solve(profile: Profile, ctx: SolveContext) -> Generator[Any, Any, int]:
+            values = []
+            for index, (name, kind) in enumerate(stage.ins):
+                value = profile.parameter(index).get()
+                if kind == "int":
+                    value = int(value)
+                elif not isinstance(value, FileRef):
+                    raise ValueError(f"{name} argument must resolve to a file, "
+                                     f"got {type(value).__name__}")
+                values.append(value)
+            self._job_counter += 1
+            job_id = self._job_counter
+            work, nbytes, parts = stage.cost(self.config.perf, *values)
+            yield from ctx.execute(work)
+            if ctx.nfs is not None:
+                yield from ctx.nfs.write(ctx.host.name,
+                                         f"survey-{stage.tag}-{job_id}", nbytes)
+            path = f"{stage.product}-{_stamp(stage.tag, *parts)}{stage.suffix}"
+            profile.parameter(n_ins).set(FileRef(path=path, nbytes=nbytes))
+            profile.parameter(n_ins + 1).set(0)
+            return 0
 
-    def _charge(self, ctx: SolveContext, work: float, product_bytes: int,
-                tag: str) -> Generator[Any, Any, None]:
-        """CPU work then the NFS staging write of the stage's product."""
-        yield from ctx.execute(work)
-        if ctx.nfs is not None:
-            yield from ctx.nfs.write(ctx.host.name, tag, product_bytes)
-
-    @staticmethod
-    def _file_arg(profile: Profile, index: int, what: str) -> FileRef:
-        value = profile.parameter(index).get()
-        if not isinstance(value, FileRef):
-            raise ValueError(f"{what} argument must resolve to a file, "
-                             f"got {type(value).__name__}")
-        return value
-
-    # -- surveyIC ----------------------------------------------------------------------
-
-    def solve_ic(self, profile: Profile, ctx: SolveContext
-                 ) -> Generator[Any, Any, int]:
-        """Initial conditions for one cosmology point."""
-        cosmo_ref = self._file_arg(profile, 0, "cosmology")
-        resolution = int(profile.parameter(1).get())
-        seed = int(profile.parameter(2).get())
-        perf = self.config.perf
-        job_id = self._next_job()
-        nbytes = perf.ic_bytes(resolution)
-        stamp = _stamp("ic", cosmo_ref.content or cosmo_ref.path,
-                       resolution, seed)
-        yield from self._charge(ctx, perf.ic_work(resolution), nbytes,
-                                f"survey-ic-{job_id}")
-        profile.parameter(3).set(FileRef(path=f"ic-{stamp}.dat",
-                                         nbytes=nbytes))
-        profile.parameter(4).set(0)
-        return 0
-
-    # -- surveyRun ---------------------------------------------------------------------
-
-    def solve_run(self, profile: Profile, ctx: SolveContext
-                  ) -> Generator[Any, Any, int]:
-        """Full-box survey run -> projected density slab stack."""
-        ic_ref = self._file_arg(profile, 0, "IC")
-        resolution = int(profile.parameter(1).get())
-        n_planes = int(profile.parameter(2).get())
-        perf = self.config.perf
-        job_id = self._next_job()
-        nbytes = perf.slab_bytes(resolution, n_planes)
-        stamp = _stamp("run", ic_ref.path, resolution, n_planes)
-        yield from self._charge(ctx, perf.run_work(resolution), nbytes,
-                                f"survey-run-{job_id}")
-        profile.parameter(3).set(FileRef(path=f"slabs-{stamp}.npy",
-                                         nbytes=nbytes))
-        profile.parameter(4).set(0)
-        return 0
-
-    # -- lensingConvergence ------------------------------------------------------------
-
-    def solve_lensing(self, profile: Profile, ctx: SolveContext
-                      ) -> Generator[Any, Any, int]:
-        """Born-stack the slab stack into one convergence map."""
-        slab_ref = self._file_arg(profile, 0, "slab stack")
-        cosmo_ref = self._file_arg(profile, 1, "cosmology")
-        resolution = int(profile.parameter(2).get())
-        n_planes = int(profile.parameter(3).get())
-        perf = self.config.perf
-        job_id = self._next_job()
-        nbytes = perf.map_bytes(resolution)
-        stamp = _stamp("lens", slab_ref.path,
-                       cosmo_ref.content or cosmo_ref.path,
-                       profile.parameter(4).get())
-        yield from self._charge(ctx, perf.lensing_work(resolution, n_planes),
-                                nbytes, f"survey-lens-{job_id}")
-        profile.parameter(5).set(FileRef(path=f"kappa-{stamp}.npy",
-                                         nbytes=nbytes))
-        profile.parameter(6).set(0)
-        return 0
-
-    # -- surveyReduce ------------------------------------------------------------------
-
-    def solve_reduce(self, profile: Profile, ctx: SolveContext
-                     ) -> Generator[Any, Any, int]:
-        """Weighted pairwise stack of two convergence maps (fan-in)."""
-        ref_a = self._file_arg(profile, 0, "map a")
-        ref_b = self._file_arg(profile, 1, "map b")
-        weight_a = int(profile.parameter(2).get())
-        weight_b = int(profile.parameter(3).get())
-        resolution = int(profile.parameter(4).get())
-        perf = self.config.perf
-        job_id = self._next_job()
-        nbytes = perf.map_bytes(resolution)
-        stamp = _stamp("reduce", ref_a.path, ref_b.path, weight_a, weight_b)
-        yield from self._charge(ctx, perf.reduce_work(resolution), nbytes,
-                                f"survey-reduce-{job_id}")
-        profile.parameter(5).set(FileRef(path=f"stack-{stamp}.npy",
-                                         nbytes=nbytes))
-        profile.parameter(6).set(0)
-        return 0
+        return solve
 
 
 def register_survey_services(seds: Iterable[SeD],
@@ -292,18 +241,13 @@ def register_survey_services(seds: Iterable[SeD],
     service = LensingService(config)
     perf = config.perf
     res, planes = config.predict_resolution, config.predict_n_planes
+    solvers = [(stage, service.solver(stage)) for stage in SURVEY_STAGES]
     for sed in seds:
-        p_ic = p_run = p_lens = p_reduce = None
-        if with_predictor:
-            speed = sed.host.speed
-            p_ic = lambda desc, s=speed: perf.ic_work(res) / s
-            p_run = lambda desc, s=speed: perf.run_work(res) / s
-            p_lens = lambda desc, s=speed: perf.lensing_work(res, planes) / s
-            p_reduce = lambda desc, s=speed: perf.reduce_work(res) / s
-        sed.add_service(survey_ic_desc(), service.solve_ic, predictor=p_ic)
-        sed.add_service(survey_run_desc(), service.solve_run, predictor=p_run)
-        sed.add_service(lensing_convergence_desc(), service.solve_lensing,
-                        predictor=p_lens)
-        sed.add_service(survey_reduce_desc(), service.solve_reduce,
-                        predictor=p_reduce)
+        for stage, solve in solvers:
+            predictor = None
+            if with_predictor:
+                predictor = (lambda desc, s=sed.host.speed, q=stage.quote:
+                             q(perf, res, planes) / s)
+            sed.add_service(stage.desc(PersistenceMode.VOLATILE), solve,
+                            predictor=predictor)
     return service

@@ -10,10 +10,12 @@ requests (ROADMAP item 4, the LensTools pipeline shape).
   with bounded in-flight width, dead-letter retry, and dependency-aware
   upstream refresh when a persistent input died with its SeD;
 * :mod:`~repro.survey.pipeline` — the IC→run→lensing chain per cosmology
-  point plus the pairwise map-reduction fan-in, with inter-node data
-  passed as ``PERSISTENT`` handles under the campaign data policies
-  (every stage is priced by the survey performance model and computes
-  no map);
+  point plus the pairwise map-reduction fan-in; each node's profile is
+  laid out by its stage's
+  :class:`~repro.services.lensing_service.SurveyStage` record and fed its
+  dependencies' :attr:`~repro.survey.dag.NodeResult.product`, passed as
+  ``PERSISTENT`` handles under the campaign data policies (every stage
+  is priced by its record's cost function and computes no map);
 * :mod:`~repro.survey.batch` — the LensTools-style home/storage tree
   (small bookkeeping files to "home", large products to
   catalog-registered storage).

@@ -107,8 +107,11 @@ class NodeResult:
     #: OUT/INOUT argument index -> produced value (FileRef, DataHandle, int).
     outputs: Dict[int, Any] = field(default_factory=dict)
 
-    def output(self, index: int) -> Any:
-        return self.outputs[index]
+    @property
+    def product(self) -> Any:
+        """The primary product: the first OUT argument (the last OUT is
+        the GridRPC error integer)."""
+        return self.outputs[min(self.outputs)]
 
     @property
     def duration(self) -> float:

@@ -10,8 +10,10 @@ Inter-node data follows the campaign data policy
 persisting policies pass PERSISTENT ``DataHandle``\\ s between stages —
 bytes stay on the SeDs and move peer-to-peer through ``repro.data`` —
 while the volatile policy round-trips every product through the client.
-Profiles are built fresh per attempt from the dependency results, so
-retries after an upstream refresh automatically pick up new handles.
+Every node's profile is laid out by its stage's
+:class:`~repro.services.lensing_service.SurveyStage` record; profiles
+are built fresh per attempt from the dependency results, so retries
+after an upstream refresh automatically pick up new handles.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from typing import Iterable, Mapping, Optional, Union
 from ..core.data import FileRef, PersistenceMode
 from ..core.profile import Profile
 from ..services.lensing_service import (
+    LENSING_CONVERGENCE,
+    SURVEY_IC,
+    SURVEY_REDUCE,
+    SURVEY_RUN,
     Z_SOURCE_SCALE,
-    lensing_convergence_desc,
-    survey_ic_desc,
-    survey_reduce_desc,
-    survey_run_desc,
+    SurveyStage,
     survey_result_modes,
 )
 from .dag import NodeResult, SurveyDAG
@@ -36,77 +39,26 @@ __all__ = ["build_survey_dag"]
 Results = Mapping[str, NodeResult]
 
 
-def _cosmology_ref(point: CosmologyPoint) -> FileRef:
-    return FileRef.from_text(f"{point.label}.ini", point.cosmology_text())
+def _builder(stage: SurveyStage, mode: PersistenceMode, *ins):
+    """A profile builder for ``stage`` whose results persist as ``mode``.
 
+    Each IN is a literal int, a :class:`CosmologyPoint` (sent as its
+    cosmology file) or a node id (sent as that dependency's product).
+    """
+    desc = stage.desc(mode)
 
-def _ic_builder(
-    point: CosmologyPoint, resolution: int, seed: int, mode: PersistenceMode
-):
     def build(results: Results) -> Profile:
-        profile = survey_ic_desc(mode).instantiate()
-        profile.parameter(0).set(_cosmology_ref(point))
-        profile.parameter(1).set(int(resolution))
-        profile.parameter(2).set(int(seed))
-        profile.parameter(3).set(None)
-        profile.parameter(4).set(None)
-        return profile
-
-    return build
-
-
-def _run_builder(ic_id: str, resolution: int, n_planes: int, mode: PersistenceMode):
-    def build(results: Results) -> Profile:
-        profile = survey_run_desc(mode).instantiate()
-        profile.parameter(0).set(results[ic_id].output(3))
-        profile.parameter(1).set(int(resolution))
-        profile.parameter(2).set(int(n_planes))
-        profile.parameter(3).set(None)
-        profile.parameter(4).set(None)
-        return profile
-
-    return build
-
-
-def _lensing_builder(
-    run_id: str,
-    point: CosmologyPoint,
-    resolution: int,
-    n_planes: int,
-    z_source: float,
-    mode: PersistenceMode,
-):
-    def build(results: Results) -> Profile:
-        profile = lensing_convergence_desc(mode).instantiate()
-        profile.parameter(0).set(results[run_id].output(3))
-        profile.parameter(1).set(_cosmology_ref(point))
-        profile.parameter(2).set(int(resolution))
-        profile.parameter(3).set(int(n_planes))
-        profile.parameter(4).set(int(round(z_source * Z_SOURCE_SCALE)))
-        profile.parameter(5).set(None)
-        profile.parameter(6).set(None)
-        return profile
-
-    return build
-
-
-def _reduce_builder(
-    a_id: str,
-    b_id: str,
-    weight_a: int,
-    weight_b: int,
-    resolution: int,
-    mode: PersistenceMode,
-):
-    def build(results: Results) -> Profile:
-        profile = survey_reduce_desc(mode).instantiate()
-        profile.parameter(0).set(results[a_id].output(5))
-        profile.parameter(1).set(results[b_id].output(5))
-        profile.parameter(2).set(int(weight_a))
-        profile.parameter(3).set(int(weight_b))
-        profile.parameter(4).set(int(resolution))
-        profile.parameter(5).set(None)
-        profile.parameter(6).set(None)
+        profile = desc.instantiate()
+        for index, value in enumerate(ins):
+            if isinstance(value, CosmologyPoint):
+                value = FileRef.from_text(f"{value.label}.ini", value.cosmology_text())
+            elif isinstance(value, str):
+                value = results[value].product
+            else:
+                value = int(value)
+            profile.parameter(index).set(value)
+        profile.parameter(len(ins)).set(None)
+        profile.parameter(len(ins) + 1).set(None)
         return profile
 
     return build
@@ -137,8 +89,9 @@ def build_survey_dag(
         raise ValueError("survey needs at least one cosmology point")
     dag = dag if dag is not None else SurveyDAG(name=name)
     inter_mode, final_mode = survey_result_modes(data_policy)
+    z_scaled = int(round(z_source * Z_SOURCE_SCALE))
 
-    # (node id producing a map at arg 5, number of maps folded into it)
+    # (node id producing a map, number of maps folded into it)
     maps = []
     for index, point in enumerate(point_list):
         pid = f"{prefix}p{index:03d}"
@@ -147,23 +100,31 @@ def build_survey_dag(
         )
         ic_id = dag.add_node(
             f"{pid}:ic",
-            "surveyIC",
-            _ic_builder(point, resolution, realization_seed, inter_mode),
+            SURVEY_IC.service,
+            _builder(SURVEY_IC, inter_mode, point, resolution, realization_seed),
             stage="ic",
             point=point.label,
         )
         run_id = dag.add_node(
             f"{pid}:run",
-            "surveyRun",
-            _run_builder(ic_id, resolution, n_planes, inter_mode),
+            SURVEY_RUN.service,
+            _builder(SURVEY_RUN, inter_mode, ic_id, resolution, n_planes),
             deps=(ic_id,),
             stage="run",
             point=point.label,
         )
         lens_id = dag.add_node(
             f"{pid}:lens",
-            "lensingConvergence",
-            _lensing_builder(run_id, point, resolution, n_planes, z_source, map_mode),
+            LENSING_CONVERGENCE.service,
+            _builder(
+                LENSING_CONVERGENCE,
+                map_mode,
+                run_id,
+                point,
+                resolution,
+                n_planes,
+                z_scaled,
+            ),
             deps=(run_id,),
             stage="lensing",
             point=point.label,
@@ -179,8 +140,8 @@ def build_survey_dag(
                 mode = final_mode if len(maps) <= 2 else inter_mode
                 rid = dag.add_node(
                     f"{prefix}reduce-L{level}-{pair // 2}",
-                    "surveyReduce",
-                    _reduce_builder(a_id, b_id, wa, wb, resolution, mode),
+                    SURVEY_REDUCE.service,
+                    _builder(SURVEY_REDUCE, mode, a_id, b_id, wa, wb, resolution),
                     deps=(a_id, b_id),
                     stage="reduce",
                 )

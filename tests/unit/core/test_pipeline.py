@@ -596,6 +596,67 @@ class TestSenderInterrupt:
         acct = fabric.accounting
         assert acct.dead_letters == acct.replies_suppressed == 0
 
+    def test_a_cancelled_gather_leaves_no_deadline_behind(self):
+        """An agent's estimate gather is interrupted while its two requests
+        are on the wire: both still arrive, but start no deadline, since
+        the gather's join no longer waits on their reply tokens."""
+        from repro.core import BaseType, ProfileDesc, scalar_desc
+        from repro.core.agent import AgentParams, LocalAgent
+        from repro.core.requests import EstimateRequest
+
+        engine, net, fabric = build_stack()
+        agent = LocalAgent(fabric, net.host("alpha"), "LA",
+                           params=AgentParams(child_timeout=5.0))
+        arrivals = []
+
+        def estimate(msg):
+            arrivals.append(engine.now)
+            yield engine.timeout(0.0)
+            return ([], 128)
+
+        for name in ("sed0", "sed1"):
+            net.add_host(Host(engine, name))
+            net.connect("alpha", name, Link(f"to-{name}", HOP, 1e6))
+            child = fabric.endpoint(name, name)
+            child.on("estimate", estimate)
+            child.start()
+            agent.add_child(name)
+        agent.launch()
+        desc = ProfileDesc("echo", 0, 0, 1)
+        desc.set_arg(0, scalar_desc(BaseType.INT))
+        desc.set_arg(1, scalar_desc(BaseType.INT))
+        outcome = {}
+
+        def gather():
+            try:
+                yield from agent._gather(EstimateRequest(0, desc, "client"))
+            except Interrupt:
+                outcome["interrupted"] = engine.now
+
+        proc = engine.process(gather())
+        on_wire = agent.params.processing_time + MARSHAL
+
+        def killer():
+            yield engine.timeout(on_wire + HOP / 2)
+            proc.interrupt()
+
+        engine.process(killer())
+
+        def no_deadline_pending():
+            assert fabric._deadline_queues
+            for queue in fabric._deadline_queues.values():
+                assert not queue._pending and queue._timer is None
+
+        # Past both arrivals, with both replies still on the wire.
+        engine.run(until=on_wire + 1.5 * HOP)
+        assert outcome == {"interrupted": pytest.approx(on_wire + HOP / 2)}
+        assert len(arrivals) == 2 and fabric.messages_sent == 4
+        no_deadline_pending()
+        engine.run()
+        no_deadline_pending()
+        acct = fabric.accounting
+        assert acct.dead_letters == acct.replies_suppressed == 0
+
 
 class TestDeadlines:
     def test_deadline_exceeded_raises(self, stack):

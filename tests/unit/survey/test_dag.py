@@ -71,7 +71,7 @@ def _builder(service, results_of=(), record=None):
 
     def build(results):
         for dep in results_of:
-            results[dep].output(1)  # raises KeyError if dep missing
+            results[dep].product  # raises KeyError if dep missing
         if record is not None:
             record.append(service)
         profile = _desc(service).instantiate()
