@@ -10,7 +10,8 @@ def test_bench_ablation_scheduler(benchmark, show_report):
     # the MCT plug-in beats the default policy's makespan
     assert result.improvement_over_default() > 0.05
     # and balances per-SeD busy time better
-    assert result.busy_spread("mct") < result.busy_spread("default")
+    assert (result.campaigns["mct"].busy_spread
+            < result.campaigns["default"].busy_spread)
     # the fastest-node-only baseline is catastrophically worse
     spans = result.part2_makespans()
     assert spans["fastest"] > spans["default"]

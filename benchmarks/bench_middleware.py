@@ -88,7 +88,8 @@ def _measure_finding_time(n_seds_per_cluster: int) -> float:
             yield from client.call(profile)
 
     engine.run_process(run())
-    return statistics.mean(dep.tracer.finding_times("probe"))
+    return statistics.mean(t.finding_time
+                           for t in dep.tracer.all_traces("probe"))
 
 
 def test_bench_finding_time_scaling(benchmark, show_report):

@@ -23,11 +23,8 @@ def main() -> None:
     print()
     print("per-cluster request counts under MCT (speed-proportional):")
     campaign = result.campaigns["mct"]
-    by_cluster = {}
-    for sed, n in campaign.requests_per_sed().items():
-        cluster = campaign.deployment.cluster_of_sed(sed)
-        by_cluster.setdefault(cluster, []).append(n)
-    for cluster, counts in sorted(by_cluster.items()):
+    for cluster, counts in campaign.per_cluster(
+            campaign.requests_per_sed()).items():
         print(f"  {cluster:20s} {counts}")
 
     default_span = result.part2_makespans()["default"]

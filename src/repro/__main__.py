@@ -32,13 +32,10 @@ from .experiments import (
     figure1_architecture,
     figure2_density,
     figure3_zoom,
-    figure4,
-    figure5,
     load_federation,
-    overhead,
+    paper_campaign,
     scaling_nodes,
     survey_campaign,
-    table_timings,
 )
 from .experiments.report import hms, mib
 from .experiments.runner import collect_span_stores
@@ -130,15 +127,16 @@ _EXPERIMENTS: Dict[str, Experiment] = {
         figure1_architecture.run, figure1_architecture.render),
     "timings": Experiment(
         "E1: §5.2 campaign timings vs the paper",
-        table_timings.run, table_timings.render, spans=True),
+        run_campaign, paper_campaign.render_timings, spans=True),
     "figure4": Experiment(
         "E2/E3: request distribution + per-SeD execution time",
-        figure4.run, figure4.render, spans=True),
+        run_campaign, paper_campaign.render_figure4, spans=True),
     "figure5": Experiment(
         "E4/E5: finding time + latency",
-        figure5.run, figure5.render, spans=True),
+        run_campaign, paper_campaign.render_figure5, spans=True),
     "overhead": Experiment(
-        "E6: middleware overhead", overhead.run, overhead.render, spans=True),
+        "E6: middleware overhead",
+        run_campaign, paper_campaign.render_overhead, spans=True),
     "ablation": Experiment(
         "E7: plug-in scheduler ablation",
         ablation_scheduler.run, ablation_scheduler.render, spans=True),

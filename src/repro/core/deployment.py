@@ -68,11 +68,6 @@ class Deployment:
         sed = self.sed_by_name(sed_name)
         return str(sed.host.properties.get("cluster", sed.host.name))
 
-    @property
-    def obs(self) -> Observability:
-        """The deployment-wide observability hub (NULL_OBS when disabled)."""
-        return self.tracer.obs
-
 
 def build_hierarchy(spec: "HierarchySpec", platform: Grid5000Platform,
                     fabric: TransportFabric, tracer: Tracer,

@@ -134,10 +134,6 @@ class Tracer:
         return sorted(out, key=lambda t: (t.submitted_at if t.submitted_at is not None
                                           else float("inf"), t.request_id))
 
-    def finding_times(self, service: Optional[str] = None) -> List[float]:
-        return [t.finding_time for t in self.all_traces(service)
-                if t.finding_time is not None]
-
     def gantt(self, service: Optional[str] = None) -> Dict[str, List[tuple]]:
         """Per-SeD list of (start, end, request_id) solve spans, sorted."""
         chart: Dict[str, List[tuple]] = {}

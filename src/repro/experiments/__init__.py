@@ -1,5 +1,6 @@
-"""Experiment reproductions: one module per figure/table of §5 (plus the
-Figure 2/3 scientific analogues).  See DESIGN.md's experiment index."""
+"""Experiment reproductions of §5: E1-E6 share one campaign module, every
+other experiment (and the Figure 1-3 analogues) has its own.  See
+DESIGN.md's experiment index."""
 
 from . import (
     ablation_scheduler,
@@ -8,14 +9,11 @@ from . import (
     figure1_architecture,
     figure2_density,
     figure3_zoom,
-    figure4,
-    figure5,
     load_federation,
-    overhead,
+    paper_campaign,
     runner,
     scaling_nodes,
     survey_campaign,
-    table_timings,
 )
 from .report import ascii_gantt, ascii_series, ascii_table, hms, ms
 
@@ -29,14 +27,11 @@ __all__ = [
     "degraded_campaign",
     "figure2_density",
     "figure3_zoom",
-    "figure4",
-    "figure5",
     "hms",
     "load_federation",
     "ms",
-    "overhead",
+    "paper_campaign",
     "runner",
     "scaling_nodes",
     "survey_campaign",
-    "table_timings",
 ]

@@ -54,10 +54,6 @@ class AblationResult:
         spans = self.part2_makespans()
         return 1.0 - spans["mct"] / spans["default"]
 
-    def busy_spread(self, policy: str) -> float:
-        busy = self.campaigns[policy].busy_time_per_sed()
-        return max(busy.values()) / min(busy.values())
-
 
 def run(base_config: Optional[CampaignConfig] = None,
         policies=DEFAULT_POLICIES,
@@ -75,8 +71,9 @@ def render(result: AblationResult) -> str:
     spans = result.part2_makespans()
     rows = []
     for policy, span in sorted(spans.items(), key=lambda kv: kv[1]):
-        counts = sorted(result.campaigns[policy].requests_per_sed().values())
-        rows.append((policy, hms(span), f"{result.busy_spread(policy):.2f}",
+        campaign = result.campaigns[policy]
+        counts = sorted(campaign.requests_per_sed().values())
+        rows.append((policy, hms(span), f"{campaign.busy_spread:.2f}",
                      f"{min(counts)}..{max(counts)}"))
     gain = result.improvement_over_default() * 100.0
     return ("E7 - scheduler ablation (part-2 makespan; the paper predicts a "
@@ -115,18 +112,15 @@ class RoutingAblationResult:
     def n_seds(self, width: int) -> int:
         return len(self.campaign("pull", width).deployment.sed_names)
 
-    def finding_mean(self, mode: str, width: int) -> float:
-        """Mean client-observed SeD-finding time — the routing cost the
-        pull->push refactor targets (pull grows with width, push must not)."""
-        times = self.campaign(mode, width).finding_times()
-        return sum(times) / len(times)
-
     def part2_makespan(self, mode: str, width: int) -> float:
         return self.campaign(mode, width).part2_makespan
 
     def finding_speedup(self, width: int) -> float:
-        """How much faster push finds a SeD than pull at this width."""
-        return self.finding_mean("pull", width) / self.finding_mean("push", width)
+        """How much faster push finds a SeD than pull at this width: the
+        routing cost the push tables target (pull's finding time grows with
+        width, push's must not)."""
+        return (self.campaign("pull", width).finding_mean
+                / self.campaign("push", width).finding_mean)
 
 
 def run_routing(base_config: Optional[CampaignConfig] = None,
@@ -145,8 +139,8 @@ def render_routing(result: RoutingAblationResult) -> str:
     rows = []
     for width in result.widths:
         rows.append((str(width), str(result.n_seds(width)),
-                     f"{result.finding_mean('pull', width) * 1e3:.1f}ms",
-                     f"{result.finding_mean('push', width) * 1e3:.1f}ms",
+                     f"{result.campaign('pull', width).finding_mean * 1e3:.1f}ms",
+                     f"{result.campaign('push', width).finding_mean * 1e3:.1f}ms",
                      f"{result.finding_speedup(width):.1f}x",
                      hms(result.part2_makespan("pull", width)),
                      hms(result.part2_makespan("push", width))))

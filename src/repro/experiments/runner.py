@@ -108,10 +108,10 @@ class Task:
     args: Tuple = ()
 
 
-#: Where experiment results keep campaigns or sweep points: ``.campaign``
-#: (figure4/5, overhead, timings), ``.baseline`` + ``.runs[].result``
-#: (degraded), ``.campaigns`` (the ablations), ``.runs`` (E13/E14).
-_WRAPPER_ATTRS = ("campaign", "baseline", "campaigns", "runs", "result")
+#: Where experiment results keep campaigns or sweep points: ``.baseline`` +
+#: ``.runs[].result`` (degraded), ``.campaigns`` (the ablations), ``.runs``
+#: (E13/E14).  E1-E6 return the campaign itself.
+_WRAPPER_ATTRS = ("baseline", "campaigns", "runs", "result")
 
 
 def collect_span_stores(result: Any) -> List[Any]:

@@ -325,6 +325,66 @@ class CampaignResult:
             out.append(t.finding_time + init)
         return out
 
+    # -- E2-E6: Figure 4, Figure 5 and the overhead headlines -------------------------
+
+    def per_cluster(self, per_sed: Dict[str, float]) -> Dict[str, List[float]]:
+        """A per-SeD series grouped by cluster: clusters in name order, each
+        cluster's values sorted (Figure 4 right reads busy time this way)."""
+        out: Dict[str, List[float]] = {}
+        for sed, value in per_sed.items():
+            out.setdefault(self.deployment.cluster_of_sed(sed), []).append(value)
+        return {k: sorted(v) for k, v in sorted(out.items())}
+
+    @property
+    def busy_spread(self) -> float:
+        """Max/min per-SeD busy time: the 'schedule is not optimal' signal."""
+        busy = self.busy_time_per_sed().values()
+        return max(busy) / min(busy)
+
+    @property
+    def finding_mean(self) -> float:
+        """Mean SeD-finding time (§5.2: 49.8 ms)."""
+        return float(np.mean(self.finding_times()))
+
+    @property
+    def finding_cv(self) -> float:
+        """Coefficient of variation of the finding time — 'nearly constant'
+        means small."""
+        ft = np.asarray(self.finding_times())
+        return float(ft.std() / ft.mean())
+
+    @property
+    def first_wave_latency(self) -> float:
+        """Mean latency of the zooms served with no queue wait (transfer +
+        initiation), selected by the measured wait rather than by taking the
+        smallest latencies."""
+        return float(np.mean([t.latency for t in self.part2_traces
+                              if t.latency is not None
+                              and t.queue_wait is not None
+                              and t.queue_wait < 1e-3]))
+
+    @property
+    def init_time(self) -> float:
+        """Service-initiation time, measured like the paper: on the first 12
+        executions (part 1 plus the 11-SeD first wave — the runs with no
+        queue wait): the initiated requests with the earliest solve start."""
+        traces = sorted(
+            (t for t in [self.part1_trace] + self.part2_traces
+             if t.initiation_time is not None and t.solve_started_at is not None),
+            key=lambda t: t.solve_started_at)
+        return float(np.mean([t.initiation_time for t in traces[:12]]))
+
+    @property
+    def overhead_mean(self) -> float:
+        """Middleware overhead per simulation (§5.2: 70.6 ms): the mean over
+        the part-2 :attr:`overhead_per_request` values plus part 1's finding
+        + initiation (101 values at the paper's size)."""
+        per = list(self.overhead_per_request)
+        p1 = self.part1_trace
+        if p1.finding_time is not None and p1.initiation_time is not None:
+            per.append(p1.finding_time + p1.initiation_time)
+        return float(np.mean(per))
+
     # -- process-boundary support ------------------------------------------------------
 
     def detach(self) -> "CampaignResult":

@@ -6,12 +6,12 @@ drew the unlucky jobs) and tight where our calibration pins the value
 (part-1 duration, finding time, request distribution).
 """
 
-import math
-import statistics
+import hashlib
 
 import numpy as np
 import pytest
 
+from repro.__main__ import _EXPERIMENTS
 from repro.experiments import ablation_scheduler
 from repro.services import (
     CampaignConfig,
@@ -72,12 +72,9 @@ class TestE2Distribution:
 class TestE3BusyTime:
     def test_toulouse_slowest_nancy_fastest_shape(self, campaign):
         """Paper: 'about 15h for Toulouse and 10h30 for Nancy'."""
-        by_cluster = {}
-        for sed, busy in campaign.busy_time_per_sed().items():
-            cluster = campaign.deployment.cluster_of_sed(sed)
-            by_cluster.setdefault(cluster, []).append(busy / 3600.0)
-        nancy = min(by_cluster["nancy-grillon"])
-        toulouse = max(by_cluster["toulouse-violette"])
+        by_cluster = campaign.per_cluster(campaign.busy_time_per_sed())
+        nancy = min(by_cluster["nancy-grillon"]) / 3600.0
+        toulouse = max(by_cluster["toulouse-violette"]) / 3600.0
         assert nancy == pytest.approx(10.5, rel=0.08)
         assert toulouse == pytest.approx(15.0, rel=0.08)
         # Nancy's SeDs are among the least busy, Toulouse's among the most
@@ -86,20 +83,17 @@ class TestE3BusyTime:
     def test_schedule_not_optimal(self, campaign):
         """The spread demonstrates the paper's point: default scheduling
         ignores machine speed."""
-        busy = list(campaign.busy_time_per_sed().values())
-        assert max(busy) / min(busy) > 1.3
+        assert campaign.busy_spread > 1.3
 
 
 class TestE4FindingTime:
     def test_average_matches_paper(self, campaign):
         """Paper: 49.8 ms average."""
-        ft = campaign.finding_times()
-        assert statistics.mean(ft) * 1e3 == pytest.approx(49.8, rel=0.03)
+        assert campaign.finding_mean * 1e3 == pytest.approx(49.8, rel=0.03)
 
     def test_nearly_constant(self, campaign):
         """Paper: 'low and nearly constant'."""
-        ft = np.asarray(campaign.finding_times())
-        assert ft.std() / ft.mean() < 0.10
+        assert campaign.finding_cv < 0.10
 
 
 class TestE5Latency:
@@ -123,16 +117,15 @@ class TestE5Latency:
 class TestE6Overhead:
     def test_per_request_overhead(self, campaign):
         """Paper: ~70.6 ms per simulation (finding + initiation)."""
-        per = statistics.mean(campaign.overhead_per_request) * 1e3
-        assert per == pytest.approx(70.6, rel=0.05)
+        assert campaign.overhead_mean * 1e3 == pytest.approx(70.6, rel=0.05)
 
     def test_total_overhead_seconds(self, campaign):
         """Paper: ~7 s for the 101 simulations."""
-        total = statistics.mean(campaign.overhead_per_request) * 101
+        total = campaign.overhead_mean * 101
         assert total == pytest.approx(7.0, rel=0.1)
 
     def test_negligible_fraction(self, campaign):
-        total = statistics.mean(campaign.overhead_per_request) * 101
+        total = campaign.overhead_mean * 101
         assert total / campaign.sequential_estimate < 1e-4
 
 
@@ -149,14 +142,28 @@ class TestE7PluginScheduler:
         assert gain > 0.05
 
     def test_mct_balances_busy_time(self, ablation):
-        assert (ablation.busy_spread("mct")
-                < ablation.busy_spread("default"))
+        assert (ablation.campaigns["mct"].busy_spread
+                < ablation.campaigns["default"].busy_spread)
 
     def test_mct_gives_fast_seds_more_work(self, ablation):
-        counts = ablation.campaigns["mct"].requests_per_sed()
-        by_cluster = {}
-        for sed, n in counts.items():
-            cl = ablation.campaigns["mct"].deployment.cluster_of_sed(sed)
-            by_cluster.setdefault(cl, []).append(n)
+        mct = ablation.campaigns["mct"]
+        by_cluster = mct.per_cluster(mct.requests_per_sed())
         assert max(by_cluster["nancy-grillon"]) >= max(
             by_cluster["toulouse-violette"])
+
+
+class TestReportText:
+    """The full stdout of the rows that print this campaign, pinned by
+    sha256 prefix.  ``main`` prints ``row.render(result)`` and a newline;
+    the ``campaign`` row's defaults are this campaign's config."""
+
+    @pytest.mark.parametrize("row, digest", [
+        ("timings", "44cef7bb549283f6"),
+        ("figure4", "622bedcdf5f70f2b"),
+        ("figure5", "17d8304250abb0e4"),
+        ("overhead", "68b70916df5611f8"),
+        ("campaign", "3fd20b78d8202a5f"),
+    ])
+    def test_report_digest(self, campaign, row, digest):
+        stdout = _EXPERIMENTS[row].render(campaign) + "\n"
+        assert hashlib.sha256(stdout.encode()).hexdigest()[:16] == digest

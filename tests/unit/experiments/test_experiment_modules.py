@@ -10,48 +10,44 @@ from repro.experiments import (
     ablation_scheduler,
     figure2_density,
     figure3_zoom,
-    figure4,
-    figure5,
-    overhead,
+    paper_campaign,
     scaling_nodes,
-    table_timings,
 )
-from repro.services import CampaignConfig
+from repro.services import CampaignConfig, run_campaign
 
 
 SMALL = CampaignConfig(n_sub_simulations=12)
 
 
 @pytest.fixture(scope="module")
-def small_campaign_results():
-    result = table_timings.run(SMALL)
-    return result
+def small_campaign():
+    return run_campaign(SMALL)
 
 
 class TestMiddlewareExperiments:
-    def test_table_timings_small(self, small_campaign_results):
-        r = small_campaign_results
-        assert r.part1_seconds > 0
-        assert r.sequential_hours > r.campaign.total_elapsed / 3600
-        text = table_timings.render(r)
+    def test_table_timings_small(self, small_campaign):
+        r = small_campaign
+        assert r.part1_duration > 0
+        assert r.sequential_estimate / 3600 > r.total_elapsed / 3600
+        text = paper_campaign.render_timings(r)
         assert "paper" in text and "1h 15min 11s" in text
 
-    def test_figure4_small(self, small_campaign_results):
-        r = figure4.Figure4Result(small_campaign_results.campaign)
-        assert sum(r.distribution) == 12
-        text = figure4.render(r)
+    def test_figure4_small(self, small_campaign):
+        r = small_campaign
+        assert sum(r.requests_per_sed().values()) == 12
+        text = paper_campaign.render_figure4(r)
         assert "Gantt" in text and "toulouse" in text.lower()
 
-    def test_figure5_small(self, small_campaign_results):
-        r = figure5.Figure5Result(small_campaign_results.campaign)
-        assert r.finding_mean_ms == pytest.approx(49.8, rel=0.05)
-        text = figure5.render(r)
+    def test_figure5_small(self, small_campaign):
+        r = small_campaign
+        assert r.finding_mean * 1e3 == pytest.approx(49.8, rel=0.05)
+        text = paper_campaign.render_figure5(r)
         assert "finding time" in text and "latency" in text
 
-    def test_overhead_small(self, small_campaign_results):
-        r = overhead.OverheadResult(small_campaign_results.campaign)
-        assert r.init_time_ms == pytest.approx(20.8, rel=0.01)
-        assert "overhead" in overhead.render(r)
+    def test_overhead_small(self, small_campaign):
+        r = small_campaign
+        assert r.init_time * 1e3 == pytest.approx(20.8, rel=0.01)
+        assert "overhead" in paper_campaign.render_overhead(r)
 
     def test_ablation_small(self):
         result = ablation_scheduler.run(
@@ -85,10 +81,10 @@ class TestMiddlewareExperiments:
                                          "pull@4", "push@4"}
         assert result.n_seds(4) > result.n_seds(2)
         # pull finding time grows with width; push must not
-        assert (result.finding_mean("pull", 4)
-                > result.finding_mean("pull", 2))
-        assert result.finding_mean("push", 4) == pytest.approx(
-            result.finding_mean("push", 2), rel=0.05)
+        assert (result.campaign("pull", 4).finding_mean
+                > result.campaign("pull", 2).finding_mean)
+        assert result.campaign("push", 4).finding_mean == pytest.approx(
+            result.campaign("push", 2).finding_mean, rel=0.05)
         assert result.finding_speedup(4) > result.finding_speedup(2)
         text = ablation_scheduler.render_routing(result)
         assert "routing ablation" in text and "speedup" in text

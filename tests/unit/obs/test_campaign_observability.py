@@ -21,7 +21,6 @@ from repro.experiments.ablation_scheduler import (
 from repro.experiments.data_locality import DataLocalityResult
 from repro.experiments.degraded_campaign import DegradedResult, DegradedRun
 from repro.experiments import load_federation
-from repro.experiments.figure4 import Figure4Result
 from repro.experiments.load_federation import LoadPoint, LoadResult
 from repro.experiments.runner import collect_span_stores
 from repro.experiments.survey_campaign import SurveyArm, SurveyResult
@@ -178,7 +177,6 @@ def _result_shapes(seen, other, blind):
         "blind": (blind, 0),
         "bare": (seen, 1),
         "list": ([seen, blind, None], 1),
-        "figure4": (Figure4Result(campaign=seen), 1),
         "ablation": (AblationResult({"default": seen, "mct": other, "x": blind}), 2),
         "routing": (RoutingAblationResult([6], {"pull@6": seen, "push@6": other}), 2),
         # ``baseline`` is the volatile arm again: counted once, not twice.
@@ -194,7 +192,6 @@ SHAPES = (
     "blind",
     "bare",
     "list",
-    "figure4",
     "ablation",
     "routing",
     "data-locality",
