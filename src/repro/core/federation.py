@@ -3,7 +3,7 @@
 The paper's follow-up deployments run DIET with *several* Master Agents —
 one hierarchy per grid — because a single MA is both a scalability
 bottleneck and a single point of failure.  This module models that
-platform (ROADMAP item 1):
+platform:
 
 * :func:`federation_cluster_specs` replicates the §5.1 cluster catalogue
   across ``n_grids`` grids (sites prefixed ``g0-``, ``g1-``, ...), all

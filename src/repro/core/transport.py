@@ -42,6 +42,15 @@ a posted message arrives at its wire end even when its sender was
 cancelled meanwhile (an interrupted caller just stops waiting), and a
 spawned handler boots at its dispatch end, where a stopped endpoint
 dead-letters it.  Only a deadline queue's timer is ever removed.
+
+With the compiled kernel loaded, the per-message state machine runs in
+``sim/_simcore.c``: :class:`Message`, the send side
+(:meth:`TransportFabric._post`), the arrival step (:class:`_Leg`) and the
+handler process (:meth:`Endpoint._accept` and :meth:`Endpoint._handle` as
+one ``Process`` subtype that drives the application handler's generator
+itself), so no Python frame of this module runs from the post to the reply
+token.  The code below is their statement-for-statement mirror, bound over
+by the C types at the end of the module; ``REPRO_PURE_PY=1`` runs it.
 """
 
 from __future__ import annotations
@@ -54,13 +63,14 @@ from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tup
 
 from ..sim.engine import Engine, Event, Interrupt, Process
 from ..sim.network import Network
+from ..sim.simcore import _C
 from .exceptions import CommunicationError, DeadlineExceededError
 
 __all__ = ["TransportParams", "Message", "RpcPolicy", "FaultInjector",
            "Accounting", "Endpoint", "TransportFabric"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransportParams:
     """Timing model of the RPC layer.
 
@@ -81,7 +91,7 @@ class TransportParams:
     control_payload: int = 256
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Message:
     """One transported message."""
 
@@ -116,6 +126,9 @@ class Accounting:
     """The full fate of every message: what crossed the wire and what did
     not.  Plain counters, always on, bumped by the transport (the hot path);
     reports read them here."""
+
+    __slots__ = ("messages_sent", "bytes_sent", "messages_by_op",
+                 "messages_dropped", "dead_letters", "replies_suppressed")
 
     def __init__(self):
         self.messages_sent = 0
@@ -328,6 +341,23 @@ class _Leg:
             self.deadline.add(msg.reply_to)
 
 
+class _Handler(Process):
+    """The handler process of one arrived message: :meth:`Endpoint._handle`
+    run from the end of the dispatch charge."""
+
+    __slots__ = ()
+
+    @property
+    def booted(self) -> bool:
+        """False while the dispatch charge runs: an interrupt cannot enter a
+        handler that has not started."""
+        return getgeneratorstate(self.generator) != GEN_CREATED
+
+
+#: A dispatched handler is logged as the kernel's "Process" on both legs.
+_Handler.__name__ = _Handler.__qualname__ = "Process"
+
+
 class Endpoint:
     """A named communication endpoint bound to a host.
 
@@ -337,6 +367,9 @@ class Endpoint:
     generator function ``handler(message) -> (value, nbytes)``; its return
     value is shipped back as the RPC reply, by that same process.
     """
+
+    __slots__ = ("fabric", "name", "host_name", "deadlines", "faults",
+                 "_handlers", "_inflight", "_spawned", "_backlog", "_closed")
 
     def __init__(self, fabric: "TransportFabric", name: str, host_name: str):
         self.fabric = fabric
@@ -351,7 +384,7 @@ class Endpoint:
         #: Running handler processes by spawn number (a duplicated request
         #: has two, under one message id).  :meth:`stop` ends them all: no
         #: computing from beyond the grave.
-        self._inflight: Dict[int, Process] = {}
+        self._inflight: Dict[int, _Handler] = {}
         self._spawned = itertools.count()
         #: Messages that arrived before :meth:`start`; None once serving.
         self._backlog: Optional[List[Message]] = []
@@ -394,7 +427,7 @@ class Endpoint:
         key = next(self._spawned)
         handler = self._handlers.get(msg.op)
         fabric = self.fabric
-        self._inflight[key] = Process(
+        self._inflight[key] = _Handler(
             fabric.engine, self._handle(msg, key, handler),
             f"{self.name}:{msg.op}#{msg.msg_id}",
             None if handler is None else fabric.params.dispatch_fixed)
@@ -504,7 +537,7 @@ class Endpoint:
             self.fabric._dead_letter(msg, f"endpoint {self.name!r} stopped")
         self._backlog = None
         for proc in list(self._inflight.values()):
-            if getgeneratorstate(proc.generator) != GEN_CREATED:
+            if proc.booted:
                 proc.interrupt(CommunicationError(
                     f"endpoint {self.name!r} stopped"))
 
@@ -607,6 +640,10 @@ class Endpoint:
 
 class TransportFabric:
     """Endpoint namespace + message delivery over the simulated network."""
+
+    # ``__dict__``: a test may replace a method of one fabric.
+    __slots__ = ("engine", "network", "params", "accounting", "_endpoints",
+                 "_msg_ids", "_deadline_queues", "_request_ids", "__dict__")
 
     def __init__(self, engine: Engine, network: Network,
                  params: Optional[TransportParams] = None):
@@ -717,3 +754,20 @@ class TransportFabric:
         leg.wire = timer = engine.timeout_at((now + marshal) + wire)
         timer.callbacks.append(leg)
         return leg
+
+
+if _C is not None:
+    # The compiled message path: the same names, attribute surface and
+    # kernel events, with no Python frame of this module from the post to
+    # the reply token.  The code above is its statement-for-statement
+    # mirror, which ``REPRO_PURE_PY=1`` runs.
+    Message = _C.Message  # noqa: F811
+    _Leg = _C.Leg  # noqa: F811
+    _Handler = _C.Handler  # noqa: F811
+    Endpoint._accept = _C.accept
+    TransportFabric._post = _C.post
+    # The classes whose __slots__ the C path reads and bumps in place.
+    _C.configure_transport(
+        Process.interrupt, Interrupt, CommunicationError, _EXPIRED,
+        (TransportFabric, Endpoint, Accounting, TransportParams, Network,
+         Engine))

@@ -4,7 +4,7 @@ At millions of Zipf-distributed clients many requests are byte-identical —
 same IC seed, same zoom target, same cosmology — yet each one walks the
 full schedule-and-solve path.  The stores are already content-addressed
 (sha256); this module adds the missing request→result index in front of
-the solve (ROADMAP item 5):
+the solve:
 
 * :func:`request_descriptor` / :func:`descriptor_digest` canonicalize a
   client profile into a key: the service signature plus every IN/INOUT

@@ -14,6 +14,8 @@ compared against a naive slab decomposition in the ablation benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 
 from .hilbert import check_level, hilbert_decode, positions_to_keys
@@ -66,20 +68,28 @@ def decompose(x: np.ndarray, ncpu: int, level: int = 7) -> DomainDecomposition:
     if ncpu < 1:
         raise ValueError("ncpu must be >= 1")
     check_level(level)
+    # One rank has no interior cut, and needs no keys.
+    sorted_keys = np.sort(positions_to_keys(x, level)) if ncpu > 1 else None
+    return _cut(sorted_keys, ncpu, level)
+
+
+def _cut(sorted_keys: Optional[np.ndarray], ncpu: int,
+         level: int) -> DomainDecomposition:
+    """The decomposition of particles whose keys, ascending, are
+    ``sorted_keys`` (None for one rank, which needs none)."""
     bound = np.empty(ncpu + 1, dtype=np.int64)
     bound[0] = 0
     bound[ncpu] = np.int64(1) << np.int64(3 * level)
     if ncpu > 1:
-        # One rank has no interior cut, so only here are the keys needed.
-        bound[1:ncpu] = _interior_cuts(x, ncpu, level)
+        bound[1:ncpu] = _interior_cuts(sorted_keys, ncpu, level)
     return DomainDecomposition(ncpu=ncpu, level=level, bound_key=bound)
 
 
-def _interior_cuts(x: np.ndarray, ncpu: int, level: int) -> np.ndarray:
+def _interior_cuts(sorted_keys: np.ndarray, ncpu: int,
+                   level: int) -> np.ndarray:
     """The ``ncpu - 1`` keys at which the sorted curve is cut."""
-    sorted_keys = np.sort(positions_to_keys(x, level))
-    cum = np.arange(1.0, len(x) + 1.0)     # particles up to each key
-    total = float(len(x))
+    cum = np.arange(1.0, len(sorted_keys) + 1.0)     # particles up to each key
+    total = float(len(sorted_keys))
     n_keys = np.int64(1) << np.int64(3 * level)
     cuts = np.empty(ncpu - 1, dtype=np.int64)
     for r in range(1, ncpu):

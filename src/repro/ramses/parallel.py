@@ -29,7 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import decompose, exchange_matrix
+from .domain import _cut, exchange_matrix
+from .hilbert import positions_to_keys
 
 __all__ = ["MpiCostModel", "StepBreakdown", "ParallelStepModel"]
 
@@ -93,6 +94,11 @@ class ParallelStepModel:
         self.cost = cost or MpiCostModel()
         self.node_speed = float(node_speed_ghz)
         self.level = decomposition_level
+        # Every rank count cuts and searches the same curve: the particles'
+        # Hilbert keys are encoded once, here, so that fork workers of a
+        # sweep inherit them with the snapshot.
+        self._keys = positions_to_keys(x, decomposition_level)
+        self._sorted_keys = np.sort(self._keys)
 
     def breakdown(self, ncpu: int) -> StepBreakdown:
         if ncpu < 1:
@@ -108,8 +114,8 @@ class ParallelStepModel:
                                  compute=compute_work / self.node_speed,
                                  ghost=0.0, fft=0.0, imbalance=1.0)
 
-        decomp = decompose(self.x, ncpu, level=self.level)
-        ranks = decomp.rank_of_positions(self.x)
+        ranks = _cut(self._sorted_keys, ncpu, self.level).rank_of_keys(
+            self._keys)
         counts = np.bincount(ranks, minlength=ncpu).astype(float)
         imbalance = counts.max() / max(counts.mean(), 1e-300)
 

@@ -46,6 +46,13 @@
  *   ``Process.__call__`` / ``_finish`` line for line; the determinism suite
  *   pins the equivalence.
  *
+ * Message, post, Leg, accept, Handler
+ *   The message path of repro.core.transport, from the post to the reply
+ *   token: the send side, the arrival step and the handler process, a
+ *   Process subtype that drives the application handler's generator and
+ *   then runs the reply leg.  transport.py binds them over its Python,
+ *   their statement-for-statement mirror.
+ *
  * Built on first import by repro.sim.simcore; that module falls back to a
  * pure-Python implementation when no C toolchain is available, and the
  * kernel test suite runs against both.
@@ -1334,119 +1341,169 @@ waiters_slot(PyObject *obj)
     return NULL;
 }
 
+static PyTypeObject HandlerType;                       /* forward */
+static int handler_resume(PyObject *h, PyObject *event); /* forward */
+static PyObject *process_name(ProcessObj *p);            /* forward */
+
+/* Advance p's generator once: throw its first pending interrupt, else send
+ * the value of the wake-up `event` (throw it, for a failed event; send None
+ * when `event` is NULL).  Returns 1 with *out the yielded object, 0 with
+ * *out the return value, -1 when the generator raised and -2 on a kernel
+ * error (both with the exception set, *out NULL). */
+static int
+gen_advance(ProcessObj *p, PyObject *event, PyObject **out)
+{
+    PyObject *gen = p->generator, *intrs = p->interrupts;
+    *out = NULL;
+    if (intrs != NULL && PyList_Check(intrs) && PyList_GET_SIZE(intrs) > 0) {
+        PyObject *intr = Py_NewRef(PyList_GET_ITEM(intrs, 0));
+        if (PyList_SetSlice(intrs, 0, 1, NULL) < 0) {
+            Py_DECREF(intr);
+            return -2;
+        }
+        *out = PyObject_CallMethodOneArg(gen, str_throw, intr);
+        Py_DECREF(intr);
+    } else {
+        int ok;
+        PyObject *value;
+        if (event == NULL) {
+            ok = 1;
+            value = Py_None;
+        } else if (Py_TYPE(event) == &TimeoutType) {
+            ok = 1;
+            value = ((TimeoutObj *)event)->value;
+            value = value ? value : Py_None;
+        } else if (PyObject_TypeCheck(event, &EventType)) {
+            ok = ((EventObj *)event)->ok > 0;
+            value = ((EventObj *)event)->value;
+            value = value ? value : g_pending;
+        } else {
+            PyObject *name = process_name(p);
+            if (name != NULL) {
+                raise_simerror("process %R was resumed by %R, not an Event",
+                               name, event);
+                Py_DECREF(name);
+            }
+            return -2;
+        }
+        if (ok) {
+            /* generator.send(value); a plain return arrives as
+             * PYGEN_RETURN, with no StopIteration object made. */
+            if (PyIter_Send(gen, value, out) == PYGEN_RETURN)
+                return 0;
+        } else {
+            *out = PyObject_CallMethodOneArg(gen, str_throw, value);
+        }
+    }
+    if (*out != NULL)
+        return 1;
+    if (PyErr_ExceptionMatches(PyExc_StopIteration)) {
+        PyObject *etype, *evalue, *etb;
+        PyErr_Fetch(&etype, &evalue, &etb);
+        PyErr_NormalizeException(&etype, &evalue, &etb);
+        *out = evalue ? PyObject_GetAttrString(evalue, "value")
+                      : Py_NewRef(Py_None);
+        Py_XDECREF(etype);
+        Py_XDECREF(evalue);
+        Py_XDECREF(etb);
+        return *out == NULL ? -2 : 0;
+    }
+    return -1;
+}
+
+/* The exception a generator raised, normalized and with its traceback
+ * attached (a new reference; the error indicator is cleared).  NULL, with
+ * the exception left set, for KeyboardInterrupt and SystemExit: those
+ * propagate instead of failing a process. */
+static PyObject *
+fetch_raised(void)
+{
+    if (PyErr_ExceptionMatches(PyExc_KeyboardInterrupt) ||
+        PyErr_ExceptionMatches(PyExc_SystemExit))
+        return NULL;
+    PyObject *etype, *evalue, *etb;
+    PyErr_Fetch(&etype, &evalue, &etb);
+    PyErr_NormalizeException(&etype, &evalue, &etb);
+    if (etb != NULL && evalue != NULL)
+        PyException_SetTraceback(evalue, etb);
+    Py_XDECREF(etype);
+    Py_XDECREF(etb);
+    return evalue;
+}
+
+/* Unhandled in-process exception: fail the process event; escalation
+ * happens at dispatch time if nobody watches. */
+static int
+c_fail_raised(ProcessObj *p)
+{
+    PyObject *exc = fetch_raised();
+    if (exc == NULL)
+        return -1;
+    int rc = c_finish(p, 0, exc);
+    Py_DECREF(exc);
+    return rc;
+}
+
+/* Wait on `next`, which p's generator yielded: 0 once subscribed (p->target
+ * takes the caller's reference), 1 when it already fired (the caller keeps
+ * its reference and loops around synchronously), -1 with SimulationError
+ * for a non-event. */
+static int
+c_subscribe(ProcessObj *p, PyObject *next)
+{
+    PyObject **slot = waiters_slot(next);
+    if (slot == NULL) {
+        PyObject *name = process_name(p);
+        if (name != NULL) {
+            raise_simerror("process %R yielded %R, not an Event", name, next);
+            Py_DECREF(name);
+        }
+        return -1;
+    }
+    if (*slot == Py_None)
+        return 1;
+    PyObject *waiters = Py_TYPE(next) == &TimeoutType
+                            ? timeout_waiters((TimeoutObj *)next)
+                            : event_waiters((EventObj *)next);
+    if (waiters == NULL || PyList_Append(waiters, (PyObject *)p) < 0)
+        return -1;
+    Py_XSETREF(p->target, next);
+    return 0;
+}
+
 /* Mirror of Process.__call__.  Returns 0 on success, -1 with an exception
  * set on failure.  Every branch corresponds to a line of the Python
- * implementation in engine.py — keep them in sync. */
+ * implementation in engine.py — keep them in sync.  A message handler
+ * process runs its own state machine (handler_resume). */
 static int
 c_resume(ProcessObj *p, PyObject *event)
 {
+    if (Py_IS_TYPE(p, &HandlerType))
+        return handler_resume((PyObject *)p, event);
     int result = -1;
-    PyObject *gen = p->generator, *next = NULL, *stopval = NULL;
+    PyObject *out;
     Py_INCREF(event); /* we re-bind `event` while chaining */
-
     for (;;) {
-        /* -- advance the generator ---------------------------------- */
-        PyObject *intrs = p->interrupts;
-        if (intrs != NULL && PyList_Check(intrs) && PyList_GET_SIZE(intrs) > 0) {
-            PyObject *intr = Py_NewRef(PyList_GET_ITEM(intrs, 0));
-            if (PyList_SetSlice(intrs, 0, 1, NULL) < 0) {
-                Py_DECREF(intr);
-                goto done;
+        int rc = gen_advance(p, event, &out);
+        if (rc == 1) {
+            int sub = c_subscribe(p, out);
+            if (sub == 1) {
+                /* Already fired: loop around synchronously. */
+                Py_SETREF(event, out);
+                continue;
             }
-            next = PyObject_CallMethodOneArg(gen, str_throw, intr);
-            Py_DECREF(intr);
-        } else {
-            int ok;
-            PyObject *value;
-            if (Py_TYPE(event) == &TimeoutType) {
-                ok = 1;
-                value = ((TimeoutObj *)event)->value;
-                value = value ? value : Py_None;
-            } else if (PyObject_TypeCheck(event, &EventType)) {
-                ok = ((EventObj *)event)->ok > 0;
-                value = ((EventObj *)event)->value;
-                value = value ? value : g_pending;
-            } else {
-                raise_simerror("process %R was resumed by %R, not an Event",
-                               p->name ? p->name : Py_None, event);
-                goto done;
-            }
-            if (ok) {
-                /* generator.send(value); a plain return arrives as
-                 * PYGEN_RETURN, with no StopIteration object made. */
-                if (PyIter_Send(gen, value, &next) == PYGEN_RETURN) {
-                    stopval = next;
-                    next = NULL;
-                }
-            } else {
-                next = PyObject_CallMethodOneArg(gen, str_throw, value);
-            }
+            if (sub < 0)
+                Py_DECREF(out);
+            else
+                result = 0;
+        } else if (rc == 0) {
+            result = c_finish(p, 1, out);
+            Py_DECREF(out);
+        } else if (rc == -1) {
+            result = c_fail_raised(p);
         }
-
-        if (next == NULL) {
-            /* -- generator finished or raised ------------------------ */
-            if (stopval == NULL && PyErr_ExceptionMatches(PyExc_StopIteration)) {
-                PyObject *etype, *evalue, *etb;
-                PyErr_Fetch(&etype, &evalue, &etb);
-                PyErr_NormalizeException(&etype, &evalue, &etb);
-                stopval = evalue ? PyObject_GetAttrString(evalue, "value")
-                                 : Py_NewRef(Py_None);
-                Py_XDECREF(etype);
-                Py_XDECREF(evalue);
-                Py_XDECREF(etb);
-                if (stopval == NULL)
-                    goto done;
-            }
-            if (stopval != NULL) {
-                result = c_finish(p, 1, stopval);
-                goto done;
-            }
-            if (PyErr_ExceptionMatches(PyExc_KeyboardInterrupt) ||
-                PyErr_ExceptionMatches(PyExc_SystemExit))
-                goto done; /* propagate */
-            /* Unhandled in-process exception: fail the process event;
-             * escalation happens at dispatch time if nobody watches. */
-            PyObject *etype, *evalue, *etb;
-            PyErr_Fetch(&etype, &evalue, &etb);
-            PyErr_NormalizeException(&etype, &evalue, &etb);
-            if (etb != NULL)
-                PyException_SetTraceback(evalue, etb);
-            Py_XDECREF(etype);
-            Py_XDECREF(etb);
-            if (evalue == NULL)
-                goto done;
-            result = c_finish(p, 0, evalue);
-            Py_DECREF(evalue);
-            goto done;
-        }
-
-        /* -- the generator yielded `next` --------------------------- */
-        PyObject **slot = waiters_slot(next);
-        if (slot == NULL) {
-            raise_simerror("process %R yielded %R, not an Event",
-                           p->name ? p->name : Py_None, next);
-            goto done;
-        }
-        if (*slot == Py_None) {
-            /* Already fired: loop around synchronously. */
-            Py_SETREF(event, next);
-            next = NULL;
-            continue;
-        }
-        PyObject *waiters = Py_TYPE(next) == &TimeoutType
-                                ? timeout_waiters((TimeoutObj *)next)
-                                : event_waiters((EventObj *)next);
-        if (waiters == NULL || PyList_Append(waiters, (PyObject *)p) < 0)
-            goto done;
-        Py_XSETREF(p->target, next); /* takes our reference */
-        next = NULL;
-        result = 0;
-        goto done;
+        break;
     }
-
-done:
-    Py_XDECREF(stopval);
-    Py_XDECREF(next);
     Py_DECREF(event);
     return result;
 }
@@ -1561,6 +1618,1489 @@ simcore_drain(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* ------------------------------------------------------------------ */
+/* The message path of repro.core.transport                            */
+/* ------------------------------------------------------------------ */
+
+/* Every message of a run goes through the four steps below; each is the
+ * statement-for-statement mirror of the Python code of the same name in
+ * core/transport.py, which REPRO_PURE_PY=1 runs instead:
+ *
+ *   post(fabric, ...)      TransportFabric._post: the send side;
+ *   Leg                    _Leg: the arrival step, the wire timer's callback;
+ *   accept(endpoint, msg)  Endpoint._accept: spawn the handler process;
+ *   Handler                Endpoint._handle: the handler process itself.
+ *
+ * Endpoints, the fabric, its accounting, network and fault seams stay
+ * Python objects: they are read and bumped through their attributes, so
+ * every reader sees the same Python values on both legs. */
+
+static PyObject *g_interrupt_func; /* the kernel's Process.interrupt */
+static PyObject *g_interrupt_cls;  /* Interrupt */
+static PyObject *g_comm_error;     /* CommunicationError */
+static PyObject *g_expired;        /* _EXPIRED: settled by its deadline */
+static PyObject *g_zero, *g_one, *g_128;
+
+/* An attribute of the Python objects the message path reads and bumps.
+ * Their classes must keep these in __slots__: configure_transport() records
+ * each slot's offset, so the hot path reads and writes it in place, as the
+ * specialised bytecode of the mirror does.  An object of any other type (a
+ * subclass, a stand-in) goes through getattr / setattr. */
+typedef struct {
+    const char *text;
+    int owner;            /* index into configure_transport()'s classes */
+    PyObject *name;       /* interned text */
+    PyTypeObject *type;   /* the owner class, once its slot is found */
+    Py_ssize_t offset;
+} Attr;
+
+enum { FABRIC, ENDPOINT, ACCOUNTING, PARAMS, NETWORK, ENGINE, N_OWNERS };
+
+static Attr A_engine = {"engine", FABRIC};
+static Attr A_network = {"network", FABRIC};
+static Attr A_params = {"params", FABRIC};
+static Attr A_accounting = {"accounting", FABRIC};
+static Attr A__endpoints = {"_endpoints", FABRIC};
+static Attr A__msg_ids = {"_msg_ids", FABRIC};
+static Attr A_fabric = {"fabric", ENDPOINT};
+static Attr A_name = {"name", ENDPOINT};
+static Attr A_host_name = {"host_name", ENDPOINT};
+static Attr A_faults = {"faults", ENDPOINT};
+static Attr A__handlers = {"_handlers", ENDPOINT};
+static Attr A__inflight = {"_inflight", ENDPOINT};
+static Attr A__spawned = {"_spawned", ENDPOINT};
+static Attr A__backlog = {"_backlog", ENDPOINT};
+static Attr A__closed = {"_closed", ENDPOINT};
+static Attr A_messages_sent = {"messages_sent", ACCOUNTING};
+static Attr A_bytes_sent = {"bytes_sent", ACCOUNTING};
+static Attr A_messages_by_op = {"messages_by_op", ACCOUNTING};
+static Attr A_messages_dropped = {"messages_dropped", ACCOUNTING};
+static Attr A_dead_letters = {"dead_letters", ACCOUNTING};
+static Attr A_replies_suppressed = {"replies_suppressed", ACCOUNTING};
+static Attr A_control_payload = {"control_payload", PARAMS};
+static Attr A_marshal_fixed = {"marshal_fixed", PARAMS};
+static Attr A_marshal_per_byte = {"marshal_per_byte", PARAMS};
+static Attr A_dispatch_fixed = {"dispatch_fixed", PARAMS};
+static Attr A__route_info = {"_route_info", NETWORK};
+static Attr A_bytes_total = {"bytes_total", NETWORK};
+static Attr A_bytes_wan = {"bytes_wan", NETWORK};
+static Attr A__queue = {"_queue", ENGINE};
+
+static Attr *g_attrs[] = {
+    &A_engine, &A_network, &A_params, &A_accounting, &A__endpoints,
+    &A__msg_ids, &A_fabric, &A_name, &A_host_name, &A_faults, &A__handlers,
+    &A__inflight, &A__spawned, &A__backlog, &A__closed, &A_messages_sent,
+    &A_bytes_sent, &A_messages_by_op, &A_messages_dropped, &A_dead_letters,
+    &A_replies_suppressed, &A_control_payload, &A_marshal_fixed,
+    &A_marshal_per_byte, &A_dispatch_fixed, &A__route_info, &A_bytes_total,
+    &A_bytes_wan, &A__queue, NULL,
+};
+
+/* Method names and constant strings. */
+static PyObject *S_strike, *S_send, *S_deliver, *S_add, *S__dead_letter,
+    *S_wire_time, *S_ok, *S_error;
+
+/* getattr(obj, a.name), a new reference. */
+static PyObject *
+get(PyObject *obj, const Attr *a)
+{
+    if (Py_TYPE(obj) == a->type) {
+        PyObject *v = *(PyObject **)((char *)obj + a->offset);
+        if (v != NULL)
+            return Py_NewRef(v);
+    }
+    return PyObject_GetAttr(obj, a->name);
+}
+
+/* setattr(obj, a.name, v) */
+static int
+set(PyObject *obj, const Attr *a, PyObject *v)
+{
+    if (Py_TYPE(obj) == a->type) {
+        Py_XSETREF(*(PyObject **)((char *)obj + a->offset), Py_NewRef(v));
+        return 0;
+    }
+    return PyObject_SetAttr(obj, a->name, v);
+}
+
+/* Find the slot of every Attr in its owner class: a TypeError names an
+ * attribute that its class does not keep in __slots__. */
+static int
+find_slots(PyObject *classes)
+{
+    if (!PyTuple_Check(classes) || PyTuple_GET_SIZE(classes) != N_OWNERS) {
+        PyErr_SetString(PyExc_TypeError, "configure_transport() needs the "
+                        "fabric, endpoint, accounting, params, network and "
+                        "engine classes");
+        return -1;
+    }
+    for (Attr **it = g_attrs; *it != NULL; it++) {
+        Attr *a = *it;
+        PyObject *cls = PyTuple_GET_ITEM(classes, a->owner);
+        PyObject *descr = PyType_Check(cls) ? PyObject_GetAttr(cls, a->name)
+                                            : NULL;
+        PyMemberDef *member = NULL;
+        if (descr != NULL && Py_IS_TYPE(descr, &PyMemberDescr_Type))
+            member = ((PyMemberDescrObject *)descr)->d_member;
+        Py_XDECREF(descr);
+        if (member == NULL || member->type != T_OBJECT_EX ||
+            (member->flags & READONLY)) {
+            PyErr_Clear();
+            PyErr_Format(PyExc_TypeError, "%R.%U is not a slot", cls, a->name);
+            return -1;
+        }
+        Py_XSETREF(a->type, (PyTypeObject *)Py_NewRef(cls));
+        a->offset = member->offset;
+    }
+    return 0;
+}
+
+/* getattr(obj, a.name) as a double. */
+static int
+attr_double(PyObject *obj, const Attr *a, double *out)
+{
+    PyObject *v = get(obj, a);
+    if (v == NULL)
+        return -1;
+    *out = PyFloat_AsDouble(v);
+    Py_DECREF(v);
+    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* params.marshal_fixed + params.marshal_per_byte * nbytes, rounded as
+ * Python rounds it: the product on its own, never fused with the sum into
+ * one multiply-add. */
+static int
+marshal_time(PyObject *params, PyObject *nbytes, double *out)
+{
+    double fixed, per_byte, n = PyFloat_AsDouble(nbytes);
+    if ((n == -1.0 && PyErr_Occurred()) ||
+        attr_double(params, &A_marshal_fixed, &fixed) < 0 ||
+        attr_double(params, &A_marshal_per_byte, &per_byte) < 0)
+        return -1;
+    volatile double product = per_byte * n;
+    *out = fixed + product;
+    return 0;
+}
+
+/* bool(getattr(obj, a.name)): 1, 0 or -1. */
+static int
+attr_true(PyObject *obj, const Attr *a)
+{
+    PyObject *v = get(obj, a);
+    if (v == NULL)
+        return -1;
+    int truth = PyObject_IsTrue(v);
+    Py_DECREF(v);
+    return truth;
+}
+
+/* obj.<a.name> += delta */
+static int
+bump(PyObject *obj, const Attr *a, PyObject *delta)
+{
+    PyObject *old = get(obj, a);
+    if (old == NULL)
+        return -1;
+    PyObject *sum = PyNumber_InPlaceAdd(old, delta);
+    Py_DECREF(old);
+    if (sum == NULL)
+        return -1;
+    int rc = set(obj, a, sum);
+    Py_DECREF(sum);
+    return rc;
+}
+
+/* fabric.accounting.<a.name> += 1 */
+static int
+bump_accounting(PyObject *fabric, const Attr *a)
+{
+    PyObject *acct = get(fabric, &A_accounting);
+    if (acct == NULL)
+        return -1;
+    int rc = bump(acct, a, g_one);
+    Py_DECREF(acct);
+    return rc;
+}
+
+/* Mirror of Accounting.count: one marshalled message of `nbytes`. */
+static int
+count_message(PyObject *fabric, PyObject *op, PyObject *nbytes)
+{
+    PyObject *acct = get(fabric, &A_accounting);
+    if (acct == NULL)
+        return -1;
+    int rc = -1;
+    PyObject *by_op = NULL, *n = NULL;
+    if (bump(acct, &A_messages_sent, g_one) < 0 ||
+        bump(acct, &A_bytes_sent, nbytes) < 0 ||
+        (by_op = get(acct, &A_messages_by_op)) == NULL)
+        goto done;
+    if (!PyDict_Check(by_op)) {
+        PyErr_SetString(PyExc_TypeError, "messages_by_op must be a dict");
+        goto done;
+    }
+    PyObject *seen = PyDict_GetItemWithError(by_op, op);
+    if (seen == NULL && PyErr_Occurred())
+        goto done;
+    n = PyNumber_Add(seen ? seen : g_zero, g_one);
+    if (n != NULL)
+        rc = PyDict_SetItem(by_op, op, n);
+done:
+    Py_XDECREF(n);
+    Py_XDECREF(by_op);
+    Py_DECREF(acct);
+    return rc;
+}
+
+/* Mirror of Network.wire_time: count the bytes of a transfer between two
+ * hosts and give its duration.  A route not measured yet is left to the
+ * Python method, which measures it into the same cache. */
+static int
+wire_time(PyObject *fabric, PyObject *src_host, PyObject *dst_host,
+          PyObject *nbytes, double *wire)
+{
+    PyObject *network = get(fabric, &A_network);
+    if (network == NULL)
+        return -1;
+    int rc = -1;
+    PyObject *routes = NULL, *key = NULL;
+    if ((routes = get(network, &A__route_info)) == NULL ||
+        (key = PyTuple_Pack(2, src_host, dst_host)) == NULL)
+        goto done;
+    PyObject *info = PyDict_Check(routes)
+                         ? PyDict_GetItemWithError(routes, key) : NULL;
+    if (info == NULL) {
+        if (PyErr_Occurred())
+            goto done;
+        PyObject *w = PyObject_CallMethodObjArgs(network, S_wire_time, src_host,
+                                                 dst_host, nbytes, NULL);
+        if (w == NULL)
+            goto done;
+        *wire = PyFloat_AsDouble(w);
+        Py_DECREF(w);
+        rc = (*wire == -1.0 && PyErr_Occurred()) ? -1 : 0;
+        goto done;
+    }
+    if (!PyTuple_Check(info) || PyTuple_GET_SIZE(info) != 3) {
+        PyErr_SetString(PyExc_TypeError, "a route's metrics are a 3-tuple");
+        goto done;
+    }
+    double latency = PyFloat_AsDouble(PyTuple_GET_ITEM(info, 0));
+    double bottleneck = PyFloat_AsDouble(PyTuple_GET_ITEM(info, 1));
+    int wan = PyObject_IsTrue(PyTuple_GET_ITEM(info, 2));
+    if (PyErr_Occurred() || wan < 0)
+        goto done;
+    if (bottleneck == 0.0) { /* empty self-route */
+        *wire = 0.0;
+        rc = 0;
+        goto done;
+    }
+    if (bump(network, &A_bytes_total, nbytes) < 0 ||
+        (wan && bump(network, &A_bytes_wan, nbytes) < 0))
+        goto done;
+    double n = PyFloat_AsDouble(nbytes);
+    if (n == -1.0 && PyErr_Occurred())
+        goto done;
+    *wire = latency + n / bottleneck;
+    rc = 0;
+done:
+    Py_XDECREF(key);
+    Py_XDECREF(routes);
+    Py_DECREF(network);
+    return rc;
+}
+
+/* fabric._dead_letter(msg, reason) */
+static int
+dead_letter(PyObject *fabric, PyObject *msg, PyObject *reason)
+{
+    if (reason == NULL)
+        return -1;
+    PyObject *r = PyObject_CallMethodObjArgs(fabric, S__dead_letter, msg,
+                                             reason, NULL);
+    Py_DECREF(reason);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* A reply token's `triggered` and `value`: the fields of a C event. */
+static int
+token_triggered(PyObject *token)
+{
+    if (PyObject_TypeCheck(token, &EventType))
+        return ((EventObj *)token)->scheduled;
+    PyErr_SetString(PyExc_TypeError, "a reply token must be an Event");
+    return -1;
+}
+
+static int
+token_expired(PyObject *token)
+{
+    return ((EventObj *)token)->value == g_expired;
+}
+
+/* ---- Message -------------------------------------------------------- */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *msg_id, *src, *dst, *op, *payload, *nbytes, *reply_to, *sent_at;
+} MessageObj;
+
+static PyTypeObject MessageType;
+
+static PyObject *
+message_create(PyObject *msg_id, PyObject *src, PyObject *dst, PyObject *op,
+               PyObject *payload, PyObject *nbytes, PyObject *reply_to,
+               PyObject *sent_at)
+{
+    MessageObj *m = PyObject_GC_New(MessageObj, &MessageType);
+    if (m == NULL)
+        return NULL;
+    m->msg_id = Py_NewRef(msg_id);
+    m->src = Py_NewRef(src);
+    m->dst = Py_NewRef(dst);
+    m->op = Py_NewRef(op);
+    m->payload = Py_NewRef(payload);
+    m->nbytes = Py_NewRef(nbytes);
+    m->reply_to = Py_NewRef(reply_to);
+    m->sent_at = Py_NewRef(sent_at);
+    PyObject_GC_Track(m);
+    return (PyObject *)m;
+}
+
+static PyObject *
+message_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"msg_id", "src", "dst", "op", "payload",
+                             "nbytes", "reply_to", "sent_at", NULL};
+    PyObject *msg_id, *src, *dst, *op, *payload = Py_None, *reply_to = Py_None;
+    PyObject *nbytes = NULL, *sent_at = NULL, *m = NULL;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOO|OOOO:Message", kwlist,
+                                     &msg_id, &src, &dst, &op, &payload,
+                                     &nbytes, &reply_to, &sent_at))
+        return NULL;
+    PyObject *zero = NULL, *start = NULL;
+    if (nbytes == NULL && (nbytes = zero = PyLong_FromLong(0)) == NULL)
+        return NULL;
+    if (sent_at == NULL && (sent_at = start = PyFloat_FromDouble(0.0)) == NULL)
+        goto done;
+    m = message_create(msg_id, src, dst, op, payload, nbytes, reply_to,
+                       sent_at);
+done:
+    Py_XDECREF(zero);
+    Py_XDECREF(start);
+    return m;
+}
+
+static int
+message_traverse(MessageObj *m, visitproc visit, void *arg)
+{
+    Py_VISIT(m->msg_id);
+    Py_VISIT(m->src);
+    Py_VISIT(m->dst);
+    Py_VISIT(m->op);
+    Py_VISIT(m->payload);
+    Py_VISIT(m->nbytes);
+    Py_VISIT(m->reply_to);
+    Py_VISIT(m->sent_at);
+    return 0;
+}
+
+static int
+message_clear(MessageObj *m)
+{
+    Py_CLEAR(m->msg_id);
+    Py_CLEAR(m->src);
+    Py_CLEAR(m->dst);
+    Py_CLEAR(m->op);
+    Py_CLEAR(m->payload);
+    Py_CLEAR(m->nbytes);
+    Py_CLEAR(m->reply_to);
+    Py_CLEAR(m->sent_at);
+    return 0;
+}
+
+static void
+message_dealloc(MessageObj *m)
+{
+    PyObject_GC_UnTrack(m);
+    message_clear(m);
+    Py_TYPE(m)->tp_free((PyObject *)m);
+}
+
+static PyObject *
+message_repr(MessageObj *m)
+{
+    int busy = Py_ReprEnter((PyObject *)m);
+    if (busy != 0)
+        return busy > 0 ? PyUnicode_FromString("...") : NULL;
+    PyObject *r = PyUnicode_FromFormat(
+        "Message(msg_id=%R, src=%R, dst=%R, op=%R, payload=%R, nbytes=%R, "
+        "reply_to=%R, sent_at=%R)", m->msg_id, m->src, m->dst, m->op,
+        m->payload, m->nbytes, m->reply_to, m->sent_at);
+    Py_ReprLeave((PyObject *)m);
+    return r;
+}
+
+#define MESSAGE_FIELD(field, doc) \
+    {#field, T_OBJECT_EX, offsetof(MessageObj, field), 0, doc}
+
+static PyMemberDef message_members[] = {
+    MESSAGE_FIELD(msg_id, "fabric-scoped message number"),
+    MESSAGE_FIELD(src, "sender endpoint name"),
+    MESSAGE_FIELD(dst, "destination endpoint name"),
+    MESSAGE_FIELD(op, "operation name"),
+    MESSAGE_FIELD(payload, "the operation's argument"),
+    MESSAGE_FIELD(nbytes, "bytes on the wire"),
+    MESSAGE_FIELD(reply_to, "an RPC's reply token; None one-way"),
+    MESSAGE_FIELD(sent_at, "simulated send instant"),
+    {NULL},
+};
+
+static PyTypeObject MessageType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_simcore.Message",
+    .tp_doc = "One transported message (C mirror of transport.Message)",
+    .tp_basicsize = sizeof(MessageObj),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_new = message_new,
+    .tp_dealloc = (destructor)message_dealloc,
+    .tp_traverse = (traverseproc)message_traverse,
+    .tp_clear = (inquiry)message_clear,
+    .tp_repr = (reprfunc)message_repr,
+    .tp_members = message_members,
+};
+
+/* ---- Handler: Endpoint._accept + Endpoint._handle ------------------- */
+
+/* Where the handler process is: paying its dispatch charge, waiting out a
+ * deliver-point delay, running the application handler, then the reply
+ * leg's marshal and wire.  Only H_BOOT is "not booted" (stop() leaves such
+ * a handler to boot and dead-letter on its own). */
+enum { H_BOOT, H_DELAY, H_RUN, H_MARSHAL, H_WIRE, H_DONE };
+
+typedef struct {
+    ProcessObj proc;     /* generator: the application handler's, once run */
+    PyObject *endpoint;
+    PyObject *msg;       /* a MessageObj */
+    PyObject *handler;   /* the op's handler; NULL when it has none */
+    PyObject *key;       /* spawn number: the endpoint's _inflight key */
+    PyObject *heap;      /* the engine's EventHeap */
+    PyObject *status;    /* the reply: "ok" or "error", */
+    PyObject *value;     /* its value */
+    PyObject *nbytes;    /* and its size */
+    int state;
+} HandlerObj;
+
+#define H_MSG(h) ((MessageObj *)(h)->msg)
+
+/* Name "{endpoint}:{op}#{msg_id}", built on first read. */
+static PyObject *
+handler_get_name(HandlerObj *h, void *closure)
+{
+    ProcessObj *p = &h->proc;
+    if (p->name == NULL) {
+        PyObject *ep = get(h->endpoint, &A_name);
+        if (ep == NULL)
+            return NULL;
+        p->name = PyUnicode_FromFormat("%S:%S#%S", ep, H_MSG(h)->op,
+                                       H_MSG(h)->msg_id);
+        Py_DECREF(ep);
+        if (p->name == NULL)
+            return NULL;
+    }
+    return Py_NewRef(p->name);
+}
+
+static int
+handler_set_name(HandlerObj *h, PyObject *v, void *closure)
+{
+    if (v == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "cannot delete a process name");
+        return -1;
+    }
+    Py_XSETREF(h->proc.name, Py_NewRef(v));
+    return 0;
+}
+
+static PyObject *
+process_name(ProcessObj *p)
+{
+    if (Py_IS_TYPE(p, &HandlerType))
+        return handler_get_name((HandlerObj *)p, NULL);
+    return Py_NewRef(p->name ? p->name : Py_None);
+}
+
+/* fabric of the handler's endpoint (a new reference). */
+static PyObject *
+h_fabric(HandlerObj *h)
+{
+    return get(h->endpoint, &A_fabric);
+}
+
+/* fabric.accounting.<a.name> += 1 */
+static int
+h_bump(HandlerObj *h, const Attr *a)
+{
+    PyObject *fabric = h_fabric(h);
+    int rc = fabric ? bump_accounting(fabric, a) : -1;
+    Py_XDECREF(fabric);
+    return rc;
+}
+
+/* Mirror of the `finally:` clause: self._inflight.pop(key, None).  Keeps a
+ * pending exception as it is. */
+static int
+h_pop_inflight(HandlerObj *h)
+{
+    PyObject *etype, *evalue, *etb;
+    PyErr_Fetch(&etype, &evalue, &etb);
+    int rc = -1;
+    PyObject *inflight = get(h->endpoint, &A__inflight);
+    if (inflight != NULL) {
+        if (PyDict_Check(inflight)) {
+            rc = PyDict_DelItem(inflight, h->key);
+            if (rc < 0 && PyErr_ExceptionMatches(PyExc_KeyError)) {
+                PyErr_Clear();
+                rc = 0;
+            }
+        } else {
+            PyErr_SetString(PyExc_TypeError, "_inflight must be a dict");
+        }
+        Py_DECREF(inflight);
+    }
+    if (etype != NULL) {
+        if (rc < 0)
+            PyErr_Clear();
+        PyErr_Restore(etype, evalue, etb);
+        return -1;
+    }
+    return rc;
+}
+
+/* The handler process returned: settle it in place. */
+static int
+h_done(HandlerObj *h)
+{
+    h->state = H_DONE;
+    Py_CLEAR(h->value);
+    Py_CLEAR(h->proc.generator);
+    return c_finish(&h->proc, 1, Py_None);
+}
+
+/* The handler process raised outside any handling: fail it. */
+static int
+h_fail(HandlerObj *h)
+{
+    h->state = H_DONE;
+    Py_CLEAR(h->proc.generator);
+    return c_fail_raised(&h->proc);
+}
+
+/* A pending interrupt thrown where the Python handler has no `try`: at
+ * its boot, or in the reply leg.  It fails the process. */
+static int
+h_fail_interrupt(HandlerObj *h)
+{
+    PyObject *intrs = h->proc.interrupts;
+    PyObject *intr = Py_NewRef(PyList_GET_ITEM(intrs, 0));
+    if (PyList_SetSlice(intrs, 0, 1, NULL) < 0) {
+        Py_DECREF(intr);
+        return -1;
+    }
+    PyErr_SetObject((PyObject *)Py_TYPE(intr), intr);
+    Py_DECREF(intr);
+    return h_fail(h);
+}
+
+/* Push a Timeout(delay) on the handler's heap and wait on it in `state`. */
+static int
+h_wait(HandlerObj *h, double delay, int state)
+{
+    PyObject *t = timeout_create(h->heap, delay, Py_None, 1);
+    if (t == NULL)
+        return -1;
+    PyObject *waiters = timeout_waiters((TimeoutObj *)t);
+    if (waiters == NULL || PyList_Append(waiters, (PyObject *)h) < 0) {
+        Py_DECREF(t);
+        return -1;
+    }
+    Py_XSETREF(h->proc.target, t);
+    h->state = state;
+    return 0;
+}
+
+/* except Interrupt: the endpoint stopped under the handler. */
+static int
+h_stopped(HandlerObj *h)
+{
+    PyObject *fabric = h_fabric(h), *ep = NULL;
+    int rc = -1;
+    if (fabric != NULL && (ep = get(h->endpoint, &A_name)) != NULL)
+        rc = dead_letter(fabric, h->msg, PyUnicode_FromFormat(
+            "endpoint %R stopped while handling %R", ep, H_MSG(h)->op));
+    Py_XDECREF(ep);
+    Py_XDECREF(fabric);
+    if (h_pop_inflight(h) < 0)
+        return rc < 0 ? h_fail(h) : -1;
+    return h_done(h);
+}
+
+static int h_reply(HandlerObj *h); /* forward */
+
+/* The reply is (status, value), of `nbytes` (both references stolen): the
+ * handler leaves _inflight and the reply leg starts. */
+static int
+h_reply_with(HandlerObj *h, PyObject *status, PyObject *value,
+             PyObject *nbytes)
+{
+    Py_XSETREF(h->status, Py_NewRef(status));
+    Py_XSETREF(h->value, value);
+    Py_XSETREF(h->nbytes, nbytes);
+    if (h_pop_inflight(h) < 0)
+        return -1;
+    return h_reply(h);
+}
+
+/* An exception raised inside the Python handler's outer `try` (`shipped`:
+ * inside the inner one, around the application handler).  An Interrupt
+ * dead-letters the message; an application error of an RPC is shipped back
+ * as its reply; anything else fails the process. */
+static int
+h_raised(HandlerObj *h, int shipped)
+{
+    PyObject *exc = fetch_raised();
+    if (exc == NULL) { /* KeyboardInterrupt / SystemExit */
+        h_pop_inflight(h);
+        return -1;
+    }
+    Py_CLEAR(h->proc.generator);
+    if (PyErr_GivenExceptionMatches(exc, g_interrupt_cls)) {
+        Py_DECREF(exc);
+        return h_stopped(h);
+    }
+    if (shipped && H_MSG(h)->reply_to != Py_None &&
+        PyErr_GivenExceptionMatches(exc, PyExc_Exception))
+        return h_reply_with(h, S_error, exc, Py_NewRef(g_128));
+    if (h_pop_inflight(h) < 0) {
+        Py_DECREF(exc);
+        return -1;
+    }
+    h->state = H_DONE;
+    int rc = c_finish(&h->proc, 0, exc);
+    Py_DECREF(exc);
+    return rc;
+}
+
+/* The application handler returned `result`. */
+static int
+h_returned(HandlerObj *h, PyObject *result)
+{
+    PyObject *value = result, *nbytes = Py_None;
+    if (H_MSG(h)->reply_to == Py_None) {
+        if (h_pop_inflight(h) < 0)
+            return -1;
+        return h_done(h);
+    }
+    if (PyTuple_Check(result)) {
+        Py_ssize_t n = PyTuple_GET_SIZE(result);
+        if (n != 2) {
+            if (n > 2)
+                PyErr_SetString(PyExc_ValueError,
+                                "too many values to unpack (expected 2)");
+            else
+                PyErr_Format(PyExc_ValueError, "not enough values to unpack "
+                             "(expected 2, got %zd)", n);
+            return h_raised(h, 0);
+        }
+        value = PyTuple_GET_ITEM(result, 0);
+        nbytes = PyTuple_GET_ITEM(result, 1);
+    }
+    if (nbytes == Py_None) {
+        PyObject *fabric = h_fabric(h), *params = NULL;
+        if (fabric != NULL && (params = get(fabric, &A_params)))
+            nbytes = get(params, &A_control_payload);
+        else
+            nbytes = NULL;
+        Py_XDECREF(params);
+        Py_XDECREF(fabric);
+        if (nbytes == NULL)
+            return h_raised(h, 0);
+    } else {
+        Py_INCREF(nbytes);
+    }
+    return h_reply_with(h, S_ok, Py_NewRef(value), nbytes);
+}
+
+/* Run the application generator from the wake-up `event` (NULL: start it)
+ * to its next wait, its return or its exception. */
+static int
+h_run(HandlerObj *h, PyObject *event)
+{
+    ProcessObj *p = &h->proc;
+    int result = -1;
+    PyObject *out;
+    Py_XINCREF(event);
+    for (;;) {
+        int rc = gen_advance(p, event, &out);
+        if (rc == 1) {
+            int sub = c_subscribe(p, out);
+            if (sub == 1) {
+                Py_XSETREF(event, out);
+                continue;
+            }
+            if (sub < 0)
+                Py_DECREF(out);
+            else
+                result = 0;
+        } else if (rc == 0) {
+            Py_CLEAR(p->generator);
+            result = h_returned(h, out);
+            Py_DECREF(out);
+        } else if (rc == -1) {
+            result = h_raised(h, 1);
+        }
+        break;
+    }
+    Py_XDECREF(event);
+    return result;
+}
+
+/* `yield from handler(msg)`: make the application generator and run it. */
+static int
+h_start(HandlerObj *h)
+{
+    h->state = H_RUN;
+    PyObject *gen = PyObject_CallOneArg(h->handler, h->msg);
+    if (gen != NULL && !PyGen_Check(gen)) {
+        Py_SETREF(gen, PyObject_GetIter(gen));
+    }
+    if (gen == NULL)
+        return h_raised(h, 1);
+    Py_XSETREF(h->proc.generator, gen);
+    return h_run(h, NULL);
+}
+
+/* The end of the dispatch charge. */
+static int
+h_boot(HandlerObj *h)
+{
+    MessageObj *msg = H_MSG(h);
+    int closed = attr_true(h->endpoint, &A__closed);
+    if (closed < 0)
+        return h_raised(h, 0);
+    if (closed)
+        /* The endpoint stopped while this handler paid its dispatch
+         * charge: it boots anyway, and dies mid-request here. */
+        return h_stopped(h);
+    if (h->handler == NULL) {
+        if (msg->reply_to == Py_None) {
+            /* One-way message nobody will ever process. */
+            if (h_bump(h, &A_dead_letters) < 0)
+                return h_raised(h, 0);
+            return h_pop_inflight(h) < 0 ? -1 : h_done(h);
+        }
+        PyObject *ep = get(h->endpoint, &A_name), *error = NULL;
+        if (ep != NULL) {
+            PyObject *text = PyUnicode_FromFormat(
+                "endpoint %R has no handler for %R", ep, msg->op);
+            Py_DECREF(ep);
+            if (text != NULL) {
+                error = PyObject_CallOneArg(g_comm_error, text);
+                Py_DECREF(text);
+            }
+        }
+        if (error == NULL)
+            return h_raised(h, 0);
+        return h_reply_with(h, S_error, error, Py_NewRef(g_128));
+    }
+    PyObject *faults = get(h->endpoint, &A_faults);
+    if (faults == NULL)
+        return h_raised(h, 0);
+    if (faults == Py_None) {
+        Py_DECREF(faults);
+        return h_start(h);
+    }
+    PyObject *fate = PyObject_CallMethodObjArgs(faults, S_strike, S_deliver,
+                                                msg->op, NULL);
+    Py_DECREF(faults);
+    if (fate == NULL)
+        return h_raised(h, 0);
+    if (fate == Py_None) {
+        Py_DECREF(fate);
+        if (h_bump(h, &A_messages_dropped) < 0)
+            return h_raised(h, 0);
+        return h_pop_inflight(h) < 0 ? -1 : h_done(h);
+    }
+    PyObject *delay = PySequence_GetItem(fate, 0);
+    Py_DECREF(fate);
+    int wait = delay ? PyObject_IsTrue(delay) : -1;
+    double d = wait > 0 ? PyFloat_AsDouble(delay) : 0.0;
+    Py_XDECREF(delay);
+    if (wait < 0 || (wait && PyErr_Occurred()) ||
+        (wait && h_wait(h, d, H_DELAY) < 0))
+        return h_raised(h, 0);
+    return wait ? 0 : h_start(h);
+}
+
+/* The reply leg's head, once the handler is no longer in flight: a
+ * duplicate is suppressed, else the marshal charge starts.  (An error
+ * here fails the process: the Python leg runs outside the `try`.) */
+static int
+h_reply(HandlerObj *h)
+{
+    PyObject *reply_to = H_MSG(h)->reply_to;
+    int triggered = token_triggered(reply_to);
+    if (triggered < 0)
+        return h_fail(h);
+    if (triggered && !token_expired(reply_to))
+        return h_bump(h, &A_replies_suppressed) < 0 ? h_fail(h) : h_done(h);
+    /* Liveness is decided at the marshal end, so it stays an event. */
+    PyObject *fabric = h_fabric(h), *params = NULL;
+    double marshal;
+    int rc = -1;
+    if (fabric != NULL && (params = get(fabric, &A_params)) != NULL &&
+        marshal_time(params, h->nbytes, &marshal) == 0)
+        rc = h_wait(h, marshal, H_MARSHAL);
+    Py_XDECREF(params);
+    Py_XDECREF(fabric);
+    return rc < 0 ? h_fail(h) : 0;
+}
+
+/* The token is answered, unless it was settled meanwhile. */
+static int
+h_settle(HandlerObj *h)
+{
+    PyObject *reply_to = H_MSG(h)->reply_to;
+    int triggered = token_triggered(reply_to);
+    if (triggered < 0)
+        return h_fail(h);
+    if (!triggered) {
+        PyObject *pair = PyTuple_Pack(2, h->status, h->value);
+        PyObject *r = pair ? event_trigger((EventObj *)reply_to, 1, pair, 1)
+                           : NULL;
+        Py_XDECREF(pair);
+        if (r == NULL)
+            return h_fail(h);
+        Py_DECREF(r);
+    } else if (!token_expired(reply_to) &&
+               h_bump(h, &A_replies_suppressed) < 0) {
+        return h_fail(h);
+    }
+    return h_done(h);
+}
+
+/* The marshal end: count, liveness of both ends, then the wire. */
+static int
+h_marshal_end(HandlerObj *h)
+{
+    MessageObj *msg = H_MSG(h);
+    PyObject *fabric = h_fabric(h), *endpoints = NULL, *caller = NULL;
+    PyObject *src_host = NULL, *dst_host = NULL;
+    int rc = -1, closed;
+    double wire;
+    if (fabric == NULL || count_message(fabric, msg->op, h->nbytes) < 0 ||
+        (endpoints = get(fabric, &A__endpoints)) == NULL ||
+        !PyDict_Check(endpoints))
+        goto fail;
+    caller = PyDict_GetItemWithError(endpoints, msg->src);
+    if (caller == NULL && PyErr_Occurred())
+        goto fail;
+    Py_XINCREF(caller);
+    if ((closed = attr_true(h->endpoint, &A__closed)) < 0)
+        goto fail;
+    if (!closed) {
+        PyObject *self = PyDict_GetItemWithError(endpoints, msg->dst);
+        if (self == NULL && PyErr_Occurred())
+            goto fail;
+        closed = self != h->endpoint;
+    }
+    if (closed) {
+        if (dead_letter(fabric, h->msg, PyUnicode_FromFormat(
+                "endpoint %R stopped before its %R reply was sent",
+                msg->dst, msg->op)) < 0)
+            goto fail;
+        rc = 1;
+        goto done;
+    }
+    if (caller == NULL || (closed = attr_true(caller, &A__closed)) != 0) {
+        if (closed < 0 || dead_letter(fabric, h->msg, PyUnicode_FromFormat(
+                "caller %R unbound before its %R reply arrived",
+                msg->src, msg->op)) < 0)
+            goto fail;
+        rc = 1;
+        goto done;
+    }
+    if ((src_host = get(h->endpoint, &A_host_name)) == NULL ||
+        (dst_host = get(caller, &A_host_name)) == NULL ||
+        wire_time(fabric, src_host, dst_host, h->nbytes, &wire) < 0)
+        goto fail;
+    if (wire) {
+        if (h_wait(h, wire, H_WIRE) < 0)
+            goto fail;
+        rc = 0;
+    } else {
+        rc = 2;
+    }
+    goto done;
+fail:
+    rc = -1;
+done:
+    Py_XDECREF(dst_host);
+    Py_XDECREF(src_host);
+    Py_XDECREF(caller);
+    Py_XDECREF(endpoints);
+    Py_XDECREF(fabric);
+    if (rc < 0)
+        return h_fail(h);
+    if (rc == 1)
+        return h_done(h);
+    if (rc == 2)
+        return h_settle(h);
+    return 0;
+}
+
+/* The handler process's resume: one step of _handle's state machine. */
+static int
+handler_resume(PyObject *self, PyObject *event)
+{
+    HandlerObj *h = (HandlerObj *)self;
+    PyObject *intrs = h->proc.interrupts;
+    int interrupted = intrs != NULL && PyList_Check(intrs) &&
+                      PyList_GET_SIZE(intrs) > 0;
+    int rc;
+    Py_INCREF(self); /* the _inflight entry may be the last other owner */
+    switch (h->state) {
+    case H_BOOT:
+        /* A generator thrown into before it starts runs none of its body:
+         * no dead letter, and the _inflight entry stays. */
+        rc = interrupted ? h_fail_interrupt(h) : h_boot(h);
+        break;
+    case H_DELAY:
+        /* The Interrupt lands in the `try`: a dead letter. */
+        if (interrupted)
+            rc = PyList_SetSlice(intrs, 0, 1, NULL) < 0 ? -1 : h_stopped(h);
+        else
+            rc = h_start(h);
+        break;
+    case H_RUN:
+        rc = h_run(h, event);
+        break;
+    case H_MARSHAL:
+        rc = interrupted ? h_fail_interrupt(h) : h_marshal_end(h);
+        break;
+    case H_WIRE:
+        rc = interrupted ? h_fail_interrupt(h) : h_settle(h);
+        break;
+    default:
+        raise_simerror("handler process %R resumed after it finished",
+                       self, NULL);
+        rc = -1;
+    }
+    Py_DECREF(self);
+    return rc;
+}
+
+/* Mirror of Endpoint._accept: an arrived message gets its handler process,
+ * booted at the end of the dispatch charge, or joins the backlog of an
+ * endpoint that is bound but not serving yet. */
+static int
+c_accept(PyObject *endpoint, PyObject *msg)
+{
+    PyObject *backlog = get(endpoint, &A__backlog);
+    if (backlog == NULL)
+        return -1;
+    if (backlog != Py_None) {
+        int rc = PyList_Check(backlog) ? PyList_Append(backlog, msg) : -1;
+        if (rc < 0 && !PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "_backlog must be a list");
+        Py_DECREF(backlog);
+        return rc;
+    }
+    Py_DECREF(backlog);
+    PyObject *spawned = NULL, *key = NULL, *handlers = NULL, *handler = NULL,
+             *fabric = NULL, *engine = NULL, *queue = NULL, *inflight = NULL,
+             *params = NULL;
+    HandlerObj *h = NULL;
+    int rc = -1;
+    double delay = 0.0;
+    long prio = 0; /* PRIORITY_URGENT: a message without a handler */
+    if ((spawned = get(endpoint, &A__spawned)) == NULL ||
+        (key = PyIter_Next(spawned)) == NULL ||
+        (handlers = get(endpoint, &A__handlers)) == NULL)
+        goto done;
+    if (!PyDict_Check(handlers)) {
+        PyErr_SetString(PyExc_TypeError, "_handlers must be a dict");
+        goto done;
+    }
+    handler = PyDict_GetItemWithError(handlers, ((MessageObj *)msg)->op);
+    if (handler == NULL && PyErr_Occurred())
+        goto done;
+    Py_XINCREF(handler);
+    if ((fabric = get(endpoint, &A_fabric)) == NULL ||
+        (engine = get(fabric, &A_engine)) == NULL ||
+        (queue = get(engine, &A__queue)) == NULL)
+        goto done;
+    if (Py_TYPE(queue) != &HeapType) {
+        PyErr_SetString(PyExc_TypeError,
+                        "a C handler needs an engine on the C EventHeap");
+        goto done;
+    }
+    if (handler != NULL) {
+        if ((params = get(fabric, &A_params)) == NULL ||
+            attr_double(params, &A_dispatch_fixed, &delay) < 0)
+            goto done;
+        if (delay < 0.0) {
+            PyErr_SetString(PyExc_ValueError, "negative dispatch charge");
+            goto done;
+        }
+        prio = 1;
+    }
+    h = (HandlerObj *)HandlerType.tp_alloc(&HandlerType, 0);
+    if (h == NULL)
+        goto done;
+    h->proc.ev.engine = Py_NewRef(engine);
+    h->proc.ev.ok = -1;
+    h->endpoint = Py_NewRef(endpoint);
+    h->msg = Py_NewRef(msg);
+    h->handler = Py_XNewRef(handler);
+    h->key = Py_NewRef(key);
+    h->heap = Py_NewRef(queue);
+    h->state = H_BOOT;
+    Heap *heap = (Heap *)queue;
+    PyObject *boot = timeout_alloc(delay, Py_None), *waiters;
+    if (boot == NULL)
+        goto done;
+    h->proc.target = boot;
+    if (heap_insert(heap, heap->now + delay, prio, boot) < 0 ||
+        (waiters = timeout_waiters((TimeoutObj *)boot)) == NULL ||
+        PyList_Append(waiters, (PyObject *)h) < 0 ||
+        (inflight = get(endpoint, &A__inflight)) == NULL ||
+        PyObject_SetItem(inflight, key, (PyObject *)h) < 0)
+        goto done;
+    rc = 0;
+done:
+    Py_XDECREF(h);
+    Py_XDECREF(inflight);
+    Py_XDECREF(params);
+    Py_XDECREF(queue);
+    Py_XDECREF(engine);
+    Py_XDECREF(fabric);
+    Py_XDECREF(handler);
+    Py_XDECREF(handlers);
+    Py_XDECREF(key);
+    Py_XDECREF(spawned);
+    return rc;
+}
+
+static PyObject *
+transport_accept(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (g_expired == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "configure_transport() not called");
+        return NULL;
+    }
+    if (nargs != 2 || !Py_IS_TYPE(args[1], &MessageType)) {
+        PyErr_SetString(PyExc_TypeError, "accept(endpoint, message)");
+        return NULL;
+    }
+    if (c_accept(args[0], args[1]) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+handler_get_booted(HandlerObj *h, void *closure)
+{
+    return PyBool_FromLong(h->state != H_BOOT);
+}
+
+/* interrupt(cause=None): the kernel's Process.interrupt. */
+static PyObject *
+handler_interrupt(PyObject *self, PyObject *const *args, size_t nargsf,
+                  PyObject *kwnames)
+{
+    if (g_interrupt_func == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "configure_transport() not called");
+        return NULL;
+    }
+    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
+    Py_ssize_t nkw = kwnames ? PyTuple_GET_SIZE(kwnames) : 0;
+    PyObject *stack[8];
+    if (nargs + nkw + 1 > 8) {
+        PyErr_SetString(PyExc_TypeError, "interrupt(cause=None)");
+        return NULL;
+    }
+    stack[0] = self;
+    for (Py_ssize_t i = 0; i < nargs + nkw; i++)
+        stack[i + 1] = args[i];
+    return PyObject_Vectorcall(g_interrupt_func, stack, nargs + 1, kwnames);
+}
+
+static int
+handler_traverse(HandlerObj *h, visitproc visit, void *arg)
+{
+    Py_VISIT(h->endpoint);
+    Py_VISIT(h->msg);
+    Py_VISIT(h->handler);
+    Py_VISIT(h->key);
+    Py_VISIT(h->heap);
+    Py_VISIT(h->status);
+    Py_VISIT(h->value);
+    Py_VISIT(h->nbytes);
+    return process_traverse(&h->proc, visit, arg);
+}
+
+static int
+handler_clear(HandlerObj *h)
+{
+    Py_CLEAR(h->endpoint);
+    Py_CLEAR(h->msg);
+    Py_CLEAR(h->handler);
+    Py_CLEAR(h->key);
+    Py_CLEAR(h->heap);
+    Py_CLEAR(h->status);
+    Py_CLEAR(h->value);
+    Py_CLEAR(h->nbytes);
+    return process_clear(&h->proc);
+}
+
+static void
+handler_dealloc(HandlerObj *h)
+{
+    PyObject_GC_UnTrack(h);
+    if (h->proc.ev.weakreflist != NULL)
+        PyObject_ClearWeakRefs((PyObject *)h);
+    handler_clear(h);
+    Py_TYPE(h)->tp_free((PyObject *)h);
+}
+
+static PyMethodDef handler_methods[] = {
+    {"interrupt", (PyCFunction)(void (*)(void))handler_interrupt,
+     METH_FASTCALL | METH_KEYWORDS,
+     "interrupt(cause=None): throw Interrupt into the handler"},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyGetSetDef handler_getset[] = {
+    {"name", (getter)handler_get_name, (setter)handler_set_name,
+     "\"{endpoint}:{op}#{msg_id}\"", NULL},
+    {"booted", (getter)handler_get_booted, NULL,
+     "False while the dispatch charge runs", NULL},
+    {NULL},
+};
+
+static PyTypeObject HandlerType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    /* __name__ "Process", like the kernel's: event logs record it. */
+    .tp_name = "_simcore.Process",
+    .tp_doc = "The handler process of one arrived message (C mirror of "
+              "Endpoint._accept and Endpoint._handle)",
+    .tp_basicsize = sizeof(HandlerObj),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
+                Py_TPFLAGS_DISALLOW_INSTANTIATION,
+    .tp_base = &ProcessType,
+    .tp_dealloc = (destructor)handler_dealloc,
+    .tp_traverse = (traverseproc)handler_traverse,
+    .tp_clear = (inquiry)handler_clear,
+    .tp_methods = handler_methods,
+    .tp_getset = handler_getset,
+};
+
+/* ---- Leg: the arrival step ------------------------------------------ */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *src, *dst, *msg, *deadline, *wire, *lost;
+    Py_ssize_t copies;
+} LegObj;
+
+static int
+leg_traverse(LegObj *l, visitproc visit, void *arg)
+{
+    Py_VISIT(l->src);
+    Py_VISIT(l->dst);
+    Py_VISIT(l->msg);
+    Py_VISIT(l->deadline);
+    Py_VISIT(l->wire);
+    Py_VISIT(l->lost);
+    return 0;
+}
+
+static int
+leg_clear(LegObj *l)
+{
+    Py_CLEAR(l->src);
+    Py_CLEAR(l->dst);
+    Py_CLEAR(l->msg);
+    Py_CLEAR(l->deadline);
+    Py_CLEAR(l->wire);
+    Py_CLEAR(l->lost);
+    return 0;
+}
+
+static void
+leg_dealloc(LegObj *l)
+{
+    PyObject_GC_UnTrack(l);
+    leg_clear(l);
+    Py_TYPE(l)->tp_free((PyObject *)l);
+}
+
+/* Mirror of _Leg.__call__: the arrival step, at the wire end. */
+static PyObject *
+leg_call(LegObj *l, PyObject *args, PyObject *kwds)
+{
+    MessageObj *msg = (MessageObj *)l->msg;
+    PyObject *fabric = get(l->dst, &A_fabric), *endpoints = NULL;
+    PyObject *result = NULL;
+    if (fabric == NULL || (endpoints = get(fabric, &A__endpoints))
+                              == NULL)
+        goto done;
+    if (!PyDict_Check(endpoints)) {
+        PyErr_SetString(PyExc_TypeError, "_endpoints must be a dict");
+        goto done;
+    }
+    PyObject *bound = PyDict_GetItemWithError(endpoints, msg->dst);
+    if (bound == NULL && PyErr_Occurred())
+        goto done;
+    int vanished = bound != l->dst;
+    if (!vanished && (vanished = attr_true(l->dst, &A__closed)) < 0)
+        goto done;
+    if (vanished) {
+        PyObject *lost = PyUnicode_FromFormat(
+            "endpoint %R vanished while %R was in flight", msg->dst, msg->op);
+        if (lost == NULL)
+            goto done;
+        Py_XSETREF(l->lost, Py_NewRef(lost));
+        if (dead_letter(fabric, l->msg, lost) < 0)
+            goto done;
+        result = Py_NewRef(Py_None);
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i <= l->copies; i++)
+        if (c_accept(l->dst, l->msg) < 0)
+            goto done;
+    if (l->deadline != NULL && l->deadline != Py_None) {
+        /* Only while someone still waits on the reply token. */
+        PyObject **slot = waiters_slot(msg->reply_to);
+        if (slot == NULL) {
+            PyErr_SetString(PyExc_TypeError, "a reply token must be an Event");
+            goto done;
+        }
+        if (*slot != NULL && *slot != Py_None && PyList_GET_SIZE(*slot) > 0) {
+            PyObject *r = PyObject_CallMethodOneArg(l->deadline, S_add,
+                                                    msg->reply_to);
+            if (r == NULL)
+                goto done;
+            Py_DECREF(r);
+        }
+    }
+    result = Py_NewRef(Py_None);
+done:
+    Py_XDECREF(endpoints);
+    Py_XDECREF(fabric);
+    return result;
+}
+
+static PyMemberDef leg_members[] = {
+    {"src", T_OBJECT, offsetof(LegObj, src), READONLY, "sender endpoint"},
+    {"dst", T_OBJECT, offsetof(LegObj, dst), READONLY, "destination endpoint"},
+    {"msg", T_OBJECT, offsetof(LegObj, msg), READONLY, "the message"},
+    {"copies", T_PYSSIZET, offsetof(LegObj, copies), READONLY,
+     "injected duplicates: each is handed to the destination too"},
+    {"deadline", T_OBJECT, offsetof(LegObj, deadline), READONLY,
+     "the RPC deadline to start on arrival, if the op has one"},
+    {"wire", T_OBJECT, offsetof(LegObj, wire), READONLY,
+     "the timer at the wire end"},
+    {"lost", T_OBJECT, offsetof(LegObj, lost), READONLY,
+     "why a one-way message found nobody to deliver to"},
+    {NULL},
+};
+
+static PyTypeObject LegType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_simcore.Leg",
+    .tp_doc = "One posted message on its way (C mirror of transport._Leg)",
+    .tp_basicsize = sizeof(LegObj),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
+                Py_TPFLAGS_DISALLOW_INSTANTIATION,
+    .tp_call = (ternaryfunc)leg_call,
+    .tp_dealloc = (destructor)leg_dealloc,
+    .tp_traverse = (traverseproc)leg_traverse,
+    .tp_clear = (inquiry)leg_clear,
+    .tp_members = leg_members,
+};
+
+/* ---- post: TransportFabric._post ------------------------------------ */
+
+/* post(fabric, src, dst_name, op, payload, nbytes, reply_to, deadline):
+ * the send side of every message, run synchronously in the sender.
+ * Returns the message's Leg, or None when the send-point seam dropped it. */
+static PyObject *
+transport_post(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (g_expired == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "configure_transport() not called");
+        return NULL;
+    }
+    if (nargs != 8) {
+        PyErr_SetString(PyExc_TypeError, "post(fabric, src, dst_name, op, "
+                        "payload, nbytes, reply_to, deadline)");
+        return NULL;
+    }
+    PyObject *fabric = args[0], *src = args[1], *dst_name = args[2],
+             *op = args[3], *payload = args[4], *nbytes = args[5],
+             *reply_to = args[6], *deadline = args[7];
+    PyObject *endpoints = NULL, *dst = NULL, *engine = NULL, *params = NULL,
+             *size = NULL, *queue = NULL, *ids = NULL, *msg_id = NULL,
+             *src_name = NULL, *sent_at = NULL, *msg = NULL, *faults = NULL,
+             *src_host = NULL, *dst_host = NULL, *timer = NULL;
+    LegObj *leg = NULL;
+    PyObject *result = NULL;
+    int closed;
+    if ((endpoints = get(fabric, &A__endpoints)) == NULL)
+        goto done;
+    if (!PyDict_Check(endpoints)) {
+        PyErr_SetString(PyExc_TypeError, "_endpoints must be a dict");
+        goto done;
+    }
+    dst = PyDict_GetItemWithError(endpoints, dst_name);
+    if (dst == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_Format(g_comm_error, "cannot resolve endpoint %R", dst_name);
+        goto done;
+    }
+    Py_INCREF(dst);
+    if ((closed = attr_true(dst, &A__closed)) != 0) {
+        if (closed > 0)
+            PyErr_Format(g_comm_error, "endpoint %R is stopped", dst_name);
+        goto done;
+    }
+    if ((engine = get(fabric, &A_engine)) == NULL ||
+        (params = get(fabric, &A_params)) == NULL)
+        goto done;
+    size = nbytes == Py_None ? get(params, &A_control_payload)
+                             : PyNumber_Long(nbytes);
+    if (size == NULL || (queue = get(engine, &A__queue)) == NULL)
+        goto done;
+    if (Py_TYPE(queue) != &HeapType) {
+        PyErr_SetString(PyExc_TypeError,
+                        "the C message path needs the C EventHeap");
+        goto done;
+    }
+    Heap *heap = (Heap *)queue;
+    double now = heap->now;
+    if ((ids = get(fabric, &A__msg_ids)) == NULL ||
+        (msg_id = PyIter_Next(ids)) == NULL ||
+        (src_name = get(src, &A_name)) == NULL ||
+        (sent_at = PyFloat_FromDouble(now)) == NULL ||
+        (msg = message_create(msg_id, src_name, dst_name, op, payload, size,
+                              reply_to, sent_at)) == NULL ||
+        (faults = get(src, &A_faults)) == NULL)
+        goto done;
+    Py_ssize_t copies = 0;
+    if (faults != Py_None) {
+        PyObject *fate = PyObject_CallMethodObjArgs(faults, S_strike, S_send,
+                                                    op, NULL);
+        if (fate == NULL)
+            goto done;
+        if (fate == Py_None) {
+            Py_DECREF(fate);
+            if (bump_accounting(fabric, &A_messages_dropped) < 0)
+                goto done;
+            if (deadline != Py_None) {
+                PyObject *r = PyObject_CallMethodOneArg(deadline, S_add,
+                                                        reply_to);
+                if (r == NULL)
+                    goto done;
+                Py_DECREF(r);
+            }
+            result = Py_NewRef(Py_None);
+            goto done;
+        }
+        if (!PyTuple_Check(fate) || PyTuple_GET_SIZE(fate) != 2) {
+            Py_DECREF(fate);
+            PyErr_SetString(PyExc_TypeError, "a fate is (delay, copies)");
+            goto done;
+        }
+        double delay = PyFloat_AsDouble(PyTuple_GET_ITEM(fate, 0));
+        copies = PyLong_AsSsize_t(PyTuple_GET_ITEM(fate, 1));
+        Py_DECREF(fate);
+        if (PyErr_Occurred())
+            goto done;
+        now += delay;
+    }
+    leg = PyObject_GC_New(LegObj, &LegType);
+    if (leg == NULL)
+        goto done;
+    leg->src = Py_NewRef(src);
+    leg->dst = Py_NewRef(dst);
+    leg->msg = Py_NewRef(msg);
+    leg->copies = copies;
+    leg->deadline = Py_NewRef(deadline);
+    leg->wire = Py_NewRef(Py_None);
+    leg->lost = Py_NewRef(Py_None);
+    PyObject_GC_Track(leg);
+    double marshal, wire;
+    if (marshal_time(params, size, &marshal) < 0 ||
+        (src_host = get(src, &A_host_name)) == NULL ||
+        (dst_host = get(dst, &A_host_name)) == NULL ||
+        wire_time(fabric, src_host, dst_host, size, &wire) < 0 ||
+        count_message(fabric, op, size) < 0)
+        goto done;
+    double when = (now + marshal) + wire;
+    if (when < heap->now) {
+        PyErr_SetString(PyExc_ValueError, "timeout_at(): instant is in the past");
+        goto done;
+    }
+    if ((timer = timeout_alloc(when - heap->now, Py_None)) == NULL ||
+        heap_insert(heap, when, 1 /* PRIORITY_NORMAL */, timer) < 0)
+        goto done;
+    Py_SETREF(leg->wire, Py_NewRef(timer));
+    PyObject *waiters = timeout_waiters((TimeoutObj *)timer);
+    if (waiters == NULL || PyList_Append(waiters, (PyObject *)leg) < 0)
+        goto done;
+    result = Py_NewRef(leg);
+done:
+    Py_XDECREF(timer);
+    Py_XDECREF(leg);
+    Py_XDECREF(dst_host);
+    Py_XDECREF(src_host);
+    Py_XDECREF(faults);
+    Py_XDECREF(msg);
+    Py_XDECREF(sent_at);
+    Py_XDECREF(src_name);
+    Py_XDECREF(msg_id);
+    Py_XDECREF(ids);
+    Py_XDECREF(queue);
+    Py_XDECREF(size);
+    Py_XDECREF(params);
+    Py_XDECREF(engine);
+    Py_XDECREF(dst);
+    Py_XDECREF(endpoints);
+    return result;
+}
+
+/* configure_transport(interrupt, Interrupt, CommunicationError, EXPIRED,
+ *                     classes) */
+static PyObject *
+simcore_configure_transport(PyObject *mod, PyObject *args)
+{
+    PyObject *func, *cls, *error, *expired, *classes;
+    if (!PyArg_ParseTuple(args, "OOOOO", &func, &cls, &error, &expired,
+                          &classes) || find_slots(classes) < 0)
+        return NULL;
+    Py_XSETREF(g_interrupt_func, Py_NewRef(func));
+    Py_XSETREF(g_interrupt_cls, Py_NewRef(cls));
+    Py_XSETREF(g_comm_error, Py_NewRef(error));
+    Py_XSETREF(g_expired, Py_NewRef(expired));
+    Py_RETURN_NONE;
+}
+
+/* ------------------------------------------------------------------ */
 /* configure()                                                         */
 /* ------------------------------------------------------------------ */
 
@@ -1580,6 +3120,14 @@ static PyMethodDef simcore_methods[] = {
      "drain(heap, until, clamp, stopproc) -> int stop code"},
     {"configure", simcore_configure, METH_VARARGS,
      "configure(simerror_type, join_func)"},
+    {"configure_transport", simcore_configure_transport, METH_VARARGS,
+     "configure_transport(interrupt, Interrupt, CommunicationError, EXPIRED, "
+     "(fabric, endpoint, accounting, params, network, engine classes))"},
+    {"post", (PyCFunction)(void (*)(void))transport_post, METH_FASTCALL,
+     "post(fabric, src, dst_name, op, payload, nbytes, reply_to, deadline) "
+     "-> Leg or None"},
+    {"accept", (PyCFunction)(void (*)(void))transport_accept, METH_FASTCALL,
+     "accept(endpoint, message) -> None"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1604,6 +3152,16 @@ PyInit__simcore(void)
     INTERN(str__queue, "_queue");
     INTERN(str_throw, "throw");
     INTERN(str___name__, "__name__");
+    INTERN(S_strike, "strike");
+    INTERN(S_send, "send");
+    INTERN(S_deliver, "deliver");
+    INTERN(S_add, "add");
+    INTERN(S__dead_letter, "_dead_letter");
+    INTERN(S_wire_time, "wire_time");
+    INTERN(S_ok, "ok");
+    INTERN(S_error, "error");
+    for (Attr **it = g_attrs; *it != NULL; it++)
+        INTERN((*it)->name, (*it)->text);
 #undef INTERN
     if (g_pending == NULL) {
         /* A plain object(): a pending event's `_value`. */
@@ -1611,8 +3169,14 @@ PyInit__simcore(void)
         if (g_pending == NULL)
             return NULL;
     }
+    if ((g_zero == NULL && (g_zero = PyLong_FromLong(0)) == NULL) ||
+        (g_one == NULL && (g_one = PyLong_FromLong(1)) == NULL) ||
+        (g_128 == NULL && (g_128 = PyLong_FromLong(128)) == NULL))
+        return NULL;
     if (PyType_Ready(&HeapType) < 0 || PyType_Ready(&TimeoutType) < 0 ||
-        PyType_Ready(&EventType) < 0 || PyType_Ready(&ProcessType) < 0)
+        PyType_Ready(&EventType) < 0 || PyType_Ready(&ProcessType) < 0 ||
+        PyType_Ready(&MessageType) < 0 || PyType_Ready(&HandlerType) < 0 ||
+        PyType_Ready(&LegType) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&simcore_module);
     if (m == NULL)
@@ -1621,9 +3185,26 @@ PyInit__simcore(void)
         PyModule_AddObjectRef(m, "Timeout", (PyObject *)&TimeoutType) < 0 ||
         PyModule_AddObjectRef(m, "Event", (PyObject *)&EventType) < 0 ||
         PyModule_AddObjectRef(m, "Process", (PyObject *)&ProcessType) < 0 ||
+        PyModule_AddObjectRef(m, "Message", (PyObject *)&MessageType) < 0 ||
+        PyModule_AddObjectRef(m, "Handler", (PyObject *)&HandlerType) < 0 ||
+        PyModule_AddObjectRef(m, "Leg", (PyObject *)&LegType) < 0 ||
         PyModule_AddObjectRef(m, "PENDING", g_pending) < 0) {
         Py_DECREF(m);
         return NULL;
+    }
+    /* post and accept bind like methods: TransportFabric._post and
+     * Endpoint._accept on the compiled leg. */
+    static const char *bound[] = {"post", "accept", NULL};
+    for (const char **name = bound; *name != NULL; name++) {
+        PyObject *func = PyObject_GetAttrString(m, *name), *method = NULL;
+        if (func != NULL)
+            method = PyInstanceMethod_New(func);
+        Py_XDECREF(func);
+        if (method == NULL || PyModule_AddObject(m, *name, method) < 0) {
+            Py_XDECREF(method);
+            Py_DECREF(m);
+            return NULL;
+        }
     }
     return m;
 }

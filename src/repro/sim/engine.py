@@ -326,6 +326,10 @@ class Process(Event):
             self.engine._queue.pushnow(PRIORITY_NORMAL, self)
 
 
+#: What the dispatch loops escalate an unwatched failure of: every process,
+#: a message handler (``transport._Handler``) included.
+_PROCESS = Process
+
 if _C is not None:
     # The C fast path: the same constructor signatures, attribute surface
     # and type ``__name__``s (so determinism event logs match), with every
@@ -335,6 +339,7 @@ if _C is not None:
     Event = _C.Event  # noqa: F811
     Timeout = _C.Timeout  # noqa: F811
     _PyProcess = Process
+    _PROCESS = _C.Process
 
     class Process(_C.Process):  # noqa: F811
         __doc__ = _PyProcess.__doc__
@@ -537,7 +542,7 @@ class Engine:
             else:
                 for cb in callbacks:
                     cb(event)
-        elif (event._ok is False and isinstance(event, Process)
+        elif (event._ok is False and isinstance(event, _PROCESS)
                 and not event._defused):
             # A failed process with nobody watching it would otherwise
             # vanish silently; escalate unless explicitly defused.
@@ -694,7 +699,7 @@ def _py_drain(queue, until: float, clamp: bool,
                     cb(event)
         elif callbacks is None:
             raise SimulationError(f"{event!r} dispatched twice")
-        elif (event._ok is False and isinstance(event, Process)
+        elif (event._ok is False and isinstance(event, _PROCESS)
                 and not event._defused):
             # A failed process with nobody watching it would otherwise
             # vanish silently; escalate unless explicitly defused.

@@ -91,6 +91,9 @@ class Link:
 class Network:
     """A static topology of hosts and links with cached shortest-path routes."""
 
+    __slots__ = ("engine", "_hosts", "_adj", "_route_cache", "_route_info",
+                 "bytes_total", "bytes_wan")
+
     def __init__(self, engine: Engine):
         self.engine = engine
         self._hosts: Dict[str, Host] = {}

@@ -7,7 +7,10 @@ of Python tuple comparisons) and implements the event family as C types:
 ``Event`` (``Request``, ``AnyOf`` and ``AllOf`` subclass it in Python),
 ``Process`` — its own resume callback, resumed by the C dispatch loop
 through struct fields — and ``Timeout``, whose constructor schedules itself
-into that heap in a single call.  The heap owns the sequence counter:
+into that heap in a single call.  It also carries the message path of
+``core/transport.py``: ``Message``, ``post``, ``Leg``, ``accept`` and the
+handler process ``Handler``, which that module binds over its Python
+mirror.  The heap owns the sequence counter:
 ``push(when, prio, obj)`` stamps the next seq itself, so pop order is
 bit-identical to ``heapq`` over ``(when, prio, seq, obj)`` tuples.
 
@@ -173,6 +176,11 @@ def _smoke(mod) -> bool:
             "a Process wakes with its Event's value")
     _expect((type(event).__name__, type(proc).__name__, type(t).__name__)
             == ("Event", "Process", "Timeout"), "type names")
+
+    # The message path's record type; its steps need a transport fabric.
+    msg = mod.Message(1, "a", "b", "op", nbytes=8)
+    _expect((msg.msg_id, msg.dst, msg.payload, msg.nbytes, msg.reply_to,
+             msg.sent_at) == (1, "b", None, 8, None, 0.0), "Message fields")
     return True
 
 

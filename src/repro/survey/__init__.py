@@ -1,5 +1,5 @@
 """Parameter-survey campaigns: grids of cosmologies run as DAGs of DIET
-requests (ROADMAP item 4, the LensTools pipeline shape).
+requests, in the LensTools pipeline shape.
 
 * :mod:`~repro.survey.grid` — :class:`~repro.survey.grid.CosmologyPoint`
   and :class:`~repro.survey.grid.ParameterGrid` (cartesian + explicit

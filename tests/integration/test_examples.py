@@ -1,18 +1,21 @@
 """Smoke tests: every shipped example runs green from a fresh process."""
 
+import glob
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
 
 
-def run_example(name: str, timeout: float = 300.0) -> str:
+def run_example(name: str, timeout: float = 300.0, env=None) -> str:
     path = os.path.abspath(os.path.join(EXAMPLES_DIR, name))
     result = subprocess.run([sys.executable, path], capture_output=True,
-                            text=True, timeout=timeout)
+                            text=True, timeout=timeout,
+                            env=None if env is None else {**os.environ, **env})
     assert result.returncode == 0, result.stderr[-2000:]
     return result.stdout
 
@@ -51,8 +54,15 @@ class TestExamples:
         assert "density profile" in out
         assert "rarefaction" in out
 
-    def test_zoom_campaign_real(self):
-        out = run_example("zoom_campaign_real.py")
+    def test_zoom_campaign_real(self, tmp_path):
+        # The example keeps its work directory for the reader: give it
+        # pytest's, so a suite run leaves nothing in the real temp dir.
+        pattern = os.path.join(tempfile.gettempdir(), "zoom-campaign-*")
+        before = set(glob.glob(pattern))
+        out = run_example("zoom_campaign_real.py",
+                          env={"TMPDIR": str(tmp_path)})
+        assert set(glob.glob(pattern)) <= before
+        assert len(list(tmp_path.glob("zoom-campaign-*"))) == 1
         assert "dark-matter halos" in out
         assert "result tarball" in out
         assert "status 0" in out

@@ -1,4 +1,4 @@
-"""Push-mode candidate tables against brute-force oracles (ROADMAP item 2(b)).
+"""Push-mode candidate tables against brute-force oracles.
 
 Three properties of :mod:`repro.core.aggregation`:
 

@@ -1,4 +1,4 @@
-"""The data grid's catalog and memo agree with the stores (ROADMAP item 4(a)).
+"""The data grid's catalog and memo agree with the stores.
 
 One §5.1 stack (11 SeDs under their LAs, one ``DataGrid``) is driven by an
 arbitrary sequence of PERSISTENT / STICKY puts, cross-SeD resolves, SeD

@@ -110,7 +110,8 @@ def test_single_rank_decomposition_equals_general_path(seed, n, level):
     x = rng.random((n, 3))
     dd = decompose(x, 1, level=level)
     # the general cut, asked for one rank, has no interior boundary ...
-    assert len(_interior_cuts(x, 1, level)) == 0
+    keys = np.sort(positions_to_keys(x, level))
+    assert len(_interior_cuts(keys, 1, level)) == 0
     assert dd.bound_key.tolist() == [0, 8 ** level]
     # ... and the key search puts every particle on rank 0
     general = dd.rank_of_keys(positions_to_keys(x, level))

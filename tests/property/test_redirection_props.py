@@ -1,4 +1,4 @@
-"""Inter-MA redirection terminates under any refusal pattern (ROADMAP item 3).
+"""Inter-MA redirection terminates under any refusal pattern.
 
 One :class:`~repro.core.client.DietClient` against 1-4 scripted MAs that
 refuse (``ServerNotFoundError``), are unbound (``CommunicationError``) or

@@ -1,0 +1,332 @@
+"""The compiled message path and its pure-Python mirror, branch by branch.
+
+Each scenario runs twice in one session: on the session's
+``repro.core.transport`` and on the ``pure_transport`` fixture's.  Both runs
+must give the caller the same outcome, leave the same ``Accounting``
+counters and network byte counts, and dispatch the same kernel events
+(``Engine.event_log``: instant, priority, sequence number, kind and name).
+"""
+
+import pytest
+
+from repro.core import CommunicationError, DeadlineExceededError
+from repro.sim import Host, Link, Network
+
+MARSHAL = 1e-3
+DISPATCH = 1e-3
+
+
+class Harness:
+    """One two-host stack on one transport module."""
+
+    def __init__(self, transport):
+        self.t = transport
+        self.engine = engine = transport.Engine()
+        engine.event_log = []
+        self.net = Network(engine)
+        for name in ("alpha", "beta"):
+            self.net.add_host(Host(engine, name))
+        self.net.connect("alpha", "beta", Link("wire", 0.010, 1e6, wan=True))
+        self.fabric = transport.TransportFabric(
+            engine, self.net, transport.TransportParams(
+                marshal_fixed=MARSHAL, marshal_per_byte=1e-7,
+                dispatch_fixed=DISPATCH))
+        self.server = self.fabric.endpoint("server", "beta")
+        self.client = self.fabric.endpoint("client", "alpha")
+        self.outcome = []
+
+    def at(self, delay, action):
+        """Run ``action()`` ``delay`` seconds from now."""
+        def later():
+            yield self.engine.timeout(delay)
+            action()
+        self.engine.process(later())
+
+    def call(self, op, payload=None):
+        """An RPC whose outcome is recorded with its instant."""
+        def caller():
+            try:
+                value = yield from self.client.rpc("server", op, payload)
+            except Exception as exc:
+                self.outcome.append((type(exc).__name__, str(exc),
+                                     self.engine.now))
+            else:
+                self.outcome.append(("ok", value, self.engine.now))
+        self.engine.process(caller())
+
+    def send(self, op, payload=None):
+        def sender():
+            try:
+                yield from self.client.send("server", op, payload)
+            except CommunicationError as exc:
+                self.outcome.append(("lost", str(exc), self.engine.now))
+            else:
+                self.outcome.append(("sent", self.engine.now))
+        self.engine.process(sender())
+
+    def run(self):
+        try:
+            self.engine.run()
+        except Exception as exc:
+            self.outcome.append(("escalated", type(exc).__name__, str(exc)))
+        acct = self.fabric.accounting
+        counts = {key: getattr(acct, key) for key in (
+            "messages_sent", "bytes_sent", "messages_by_op",
+            "messages_dropped", "dead_letters", "replies_suppressed")}
+        counts.update(bytes_total=self.net.bytes_total,
+                      bytes_wan=self.net.bytes_wan,
+                      inflight=len(self.server._inflight))
+        return self.outcome, counts, self.engine.event_log
+
+
+def both(pure_transport, scenario):
+    """Run ``scenario(harness)`` on both legs; return the session leg's
+    (outcome, counters, event log) once it is shown equal to the mirror's."""
+    import repro.core.transport as session_transport
+
+    results = []
+    for transport in (session_transport, pure_transport):
+        harness = Harness(transport)
+        scenario(harness)
+        results.append(harness.run())
+    assert results[0][0] == results[1][0]
+    assert results[0][1] == results[1][1]
+    assert results[0][2] == results[1][2]
+    assert results[0][2], "the scenario dispatched no events"
+    return results[0]
+
+
+def echo(h, delay=0.2, nbytes=64):
+    def handler(msg):
+        yield h.engine.timeout(delay)
+        return msg.payload, nbytes
+    return handler
+
+
+def test_the_session_leg_is_the_compiled_one_unless_forced_pure():
+    import repro.core.transport as transport
+    from repro.sim.simcore import HEAP_IMPL
+
+    compiled = HEAP_IMPL == "c"
+    assert (transport.Message.__module__ == "_simcore") == compiled
+    assert (transport._Leg.__module__ == "_simcore") == compiled
+
+
+def test_a_reply(pure_transport):
+    def scenario(h):
+        h.server.on("echo", echo(h))
+        h.server.start()
+        h.call("echo", 7)
+
+    outcome, counts, log = both(pure_transport, scenario)
+    assert outcome == [("ok", 7, pytest.approx(0.2 + 0.022, abs=2e-3))]
+    assert counts["messages_by_op"] == {"echo": 2}
+    assert counts["bytes_sent"] == 256 + 64 == counts["bytes_wan"]
+    assert ("Process" not in {kind for _, _, _, kind, _ in log})
+
+
+def test_no_handler_for_an_rpc(pure_transport):
+    def scenario(h):
+        h.server.start()
+        h.call("nothing")
+
+    outcome, counts, _ = both(pure_transport, scenario)
+    assert outcome[0][:2] == (
+        "CommunicationError",
+        "endpoint 'server' has no handler for 'nothing'")
+    assert counts["bytes_sent"] == 256 + 128
+
+
+def test_no_handler_for_a_one_way_message(pure_transport):
+    def scenario(h):
+        h.server.start()
+        h.send("nothing")
+
+    outcome, counts, _ = both(pure_transport, scenario)
+    assert [kind for kind, *_ in outcome] == ["sent"]
+    assert counts["dead_letters"] == 1 and counts["messages_sent"] == 1
+
+
+def test_deliver_point_drop(pure_transport):
+    def scenario(h):
+        h.server.faults = h.t.FaultInjector(points=("deliver",))
+        h.server.faults.drop_next(1)
+        h.client.set_deadline(["echo"], 0.5)
+        h.server.on("echo", echo(h))
+        h.server.start()
+        h.call("echo", 1)
+
+    outcome, counts, _ = both(pure_transport, scenario)
+    assert outcome[0][0] == "DeadlineExceededError"
+    assert counts["messages_dropped"] == 1 and counts["messages_sent"] == 1
+
+
+def test_stop_during_a_deliver_point_delay(pure_transport):
+    def scenario(h):
+        h.server.faults = h.t.FaultInjector(delay=0.5, points=("deliver",))
+        h.server.on("echo", echo(h))
+        h.server.start()
+        h.call("echo", 1)
+
+        def stop():
+            h.outcome.append(("booted", [proc.booted for proc in
+                                         h.server._inflight.values()]))
+            h.server.stop()
+        h.at(0.2, stop)
+
+    outcome, counts, _ = both(pure_transport, scenario)
+    assert outcome[0] == ("booted", [True])
+    assert outcome[1][:2] == ("CommunicationError",
+                              "endpoint 'server' stopped while handling 'echo'")
+    assert outcome[1][2] == pytest.approx(0.2)
+    assert counts["dead_letters"] == 1 and counts["inflight"] == 0
+
+
+def test_stop_during_the_dispatch_charge(pure_transport):
+    def scenario(h):
+        h.server.on("echo", echo(h))
+        h.server.start()
+        h.call("echo", 1)
+
+        def stop():
+            h.outcome.append(("booted", [proc.booted for proc in
+                                         h.server._inflight.values()]))
+            h.server.stop()
+        h.at(0.0115, stop)   # wire end 0.011256, dispatch end 0.012256
+
+    outcome, counts, _ = both(pure_transport, scenario)
+    assert outcome[0] == ("booted", [False])
+    assert outcome[1][1] == "endpoint 'server' stopped while handling 'echo'"
+    assert counts["dead_letters"] == 1 and counts["inflight"] == 0
+
+
+def test_handler_raises(pure_transport):
+    def scenario(h):
+        def boom(msg):
+            yield h.engine.timeout(0.1)
+            raise ValueError(f"bad {msg.payload}")
+        h.server.on("boom", boom)
+        h.server.start()
+        h.call("boom", 3)
+
+    outcome, counts, _ = both(pure_transport, scenario)
+    assert outcome[0][:2] == ("ValueError", "bad 3")
+    assert counts["bytes_sent"] == 256 + 128
+
+
+def test_one_way_handler_raises_and_escalates(pure_transport):
+    def scenario(h):
+        def boom(msg):
+            yield h.engine.timeout(0.1)
+            raise ValueError("one-way")
+        h.server.on("boom", boom)
+        h.server.start()
+        h.send("boom")
+
+    outcome, counts, log = both(pure_transport, scenario)
+    assert outcome[-1] == ("escalated", "ValueError", "one-way")
+    assert log[-1][3:] == ("Process", "server:boom#1")
+    assert counts["inflight"] == 0
+
+
+def test_interrupt_in_the_middle_of_a_handler(pure_transport):
+    def scenario(h):
+        journal = []
+
+        def slow(msg):
+            try:
+                yield h.engine.timeout(1.0)
+            except h.t.Interrupt as exc:
+                journal.append(str(exc.cause))
+                raise
+            return "done"
+        h.server.on("slow", slow)
+        h.server.start()
+        h.call("slow")
+        h.at(0.5, h.server.stop)
+        h.at(0.6, lambda: h.outcome.append(("journal", journal)))
+
+    outcome, counts, _ = both(pure_transport, scenario)
+    assert outcome[0][:2] == ("CommunicationError",
+                              "endpoint 'server' stopped while handling 'slow'")
+    assert outcome[1] == ("journal", ["endpoint 'server' stopped"])
+    assert counts["dead_letters"] == 1 and counts["inflight"] == 0
+
+
+class AlwaysDuplicate:
+    def random(self):
+        return 0.0
+
+
+def test_send_point_duplicate(pure_transport):
+    def scenario(h):
+        h.client.faults = h.t.FaultInjector(
+            rng=AlwaysDuplicate(), duplicate=1.0, points=("send",))
+        h.server.on("echo", echo(h))
+        h.server.start()
+        h.call("echo", 5)
+
+    outcome, counts, _ = both(pure_transport, scenario)
+    assert [kind for kind, *_ in outcome] == ["ok"]
+    # Both replies cross the wire; the second finds the token answered.
+    assert counts["messages_by_op"] == {"echo": 3}
+    assert counts["replies_suppressed"] == 1
+
+
+def test_duplicate_reply_suppressed_before_its_marshal(pure_transport):
+    def scenario(h):
+        h.client.faults = h.t.FaultInjector(
+            rng=AlwaysDuplicate(), duplicate=1.0, points=("send",))
+        runs = []
+
+        def once_slow(msg):
+            runs.append(msg.msg_id)
+            yield h.engine.timeout(0.1 if len(runs) == 1 else 1.0)
+            return msg.payload
+        h.server.on("echo", once_slow)
+        h.server.start()
+        h.call("echo", 5)
+
+    outcome, counts, _ = both(pure_transport, scenario)
+    assert [kind for kind, *_ in outcome] == ["ok"]
+    assert counts["messages_by_op"] == {"echo": 2}
+    assert counts["replies_suppressed"] == 1
+
+
+def test_replier_stopped_before_its_marshal_end(pure_transport):
+    def scenario(h):
+        h.server.on("echo", echo(h, delay=0.1))
+        h.server.start()
+        h.call("echo", 1)
+        h.at(0.1 + 0.0123 + MARSHAL / 2, h.server.stop)
+
+    outcome, counts, _ = both(pure_transport, scenario)
+    assert outcome[0][1] == ("endpoint 'server' stopped before its 'echo' "
+                             "reply was sent")
+    assert counts["dead_letters"] == 1 and counts["messages_sent"] == 2
+
+
+def test_caller_unbound_before_the_reply(pure_transport):
+    def scenario(h):
+        h.server.on("echo", echo(h, delay=0.1))
+        h.server.start()
+        h.call("echo", 1)
+        h.at(0.05, lambda: h.fabric.unbind("client"))
+
+    outcome, counts, _ = both(pure_transport, scenario)
+    assert outcome[0][1] == "caller 'client' unbound before its 'echo' " \
+                            "reply arrived"
+    assert counts["dead_letters"] == 1
+
+
+def test_late_reply_after_the_deadline_expired(pure_transport):
+    def scenario(h):
+        h.client.set_deadline(["echo"], 0.05)
+        h.server.on("echo", echo(h, delay=0.5))
+        h.server.start()
+        h.call("echo", 1)
+
+    outcome, counts, _ = both(pure_transport, scenario)
+    assert outcome[0][0] == DeadlineExceededError.__name__
+    # The late reply crosses the wire and finds nobody: no duplicate.
+    assert counts["messages_sent"] == 2 and counts["replies_suppressed"] == 0

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.ramses import hilbert
+from repro.ramses.domain import decompose
 from repro.ramses.parallel import MpiCostModel, ParallelStepModel
 
 
@@ -34,6 +36,28 @@ class TestBreakdown:
 
     def test_imbalance_grows_with_ranks(self, model):
         assert model.breakdown(64).imbalance >= model.breakdown(4).imbalance
+
+    def test_one_model_encodes_its_keys_once(self, cloud, monkeypatch):
+        calls = []
+        encode = hilbert.hilbert_encode
+
+        def counted(*args):
+            calls.append(args[-1])
+            return encode(*args)
+
+        monkeypatch.setattr(hilbert, "hilbert_encode", counted)
+        fresh = ParallelStepModel(cloud, n_grid=32)
+        for ncpu in (1, 2, 4, 8, 16):
+            fresh.breakdown(ncpu)
+        assert calls == [fresh.level]
+
+    def test_ranks_are_the_decomposition_of_the_positions(self, model, cloud):
+        for ncpu in (2, 8, 64):
+            expected = decompose(cloud, ncpu, level=model.level)
+            assert (np.bincount(expected.rank_of_positions(cloud),
+                                minlength=ncpu).max()
+                    / (len(cloud) / ncpu)
+                    == model.breakdown(ncpu).imbalance)
 
     def test_total_is_sum(self, model):
         bd = model.breakdown(4)

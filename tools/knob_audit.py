@@ -90,6 +90,9 @@ _KEPT: Dict[str, str] = {
         "repro.core.agent:AgentParams.processing_time "
         "repro.core.agent:AgentParams.child_timeout "
         "repro.core.cori:CoRI(collect_time=)",
+    "the boot delay of a handler process: the pure-Python transport's "
+    "_Handler, a Process subclass, passes the dispatch charge":
+        "repro.sim.engine:Process(delay=)",
     "liveness protocol constants (E11's failure plan passes its own; tests "
     "shorten them to provoke deregistration)":
         "repro.core.agent:AgentParams.heartbeat_timeout "
@@ -129,9 +132,11 @@ _KEPT: Dict[str, str] = {
         "repro.ramses.zoom:run_zoom(seed=)",
     "a reference the tests compare the program against (power spectrum, "
     "Press-Schechter counts, cosmic-energy equation and the integrator "
-    "callback that samples it, Hilbert inverse, conserved totals, 2LPT "
-    "start; ROADMAP item 3 needs a_of_t and f_growth)":
+    "callback that samples it, Hilbert inverse, the Hilbert decomposition "
+    "at a parallel model's level, conserved totals, 2LPT start; ROADMAP "
+    "item 3 needs a_of_t and f_growth)":
         "repro.galics.press_schechter:expected_halo_counts "
+        "repro.ramses.domain:decompose(level=) "
         "repro.galics.catalogs:HaloCatalog.mass_function "
         "repro.grafic.gaussian_field:measure_power_spectrum "
         "repro.grafic.power_spectrum:PowerSpectrum.sigma8_check "
@@ -762,8 +767,11 @@ def reach(root: str) -> Set[Tuple[str, str]]:
     tracer = trace.Trace(count=0, trace=0, countfuncs=1)
     workloads, experiments, main = tracer.runfunc(load)
     with tempfile.TemporaryDirectory() as tmp:
-        cwd = os.getcwd()
+        cwd, tempdir = os.getcwd(), tempfile.tempdir
         os.chdir(tmp)
+        # An example keeps its REAL run's directory for the reader: here it
+        # goes with the scratch directory.
+        tempfile.tempdir = tmp
         try:
             for name in experiments:
                 argv = [name] + QUICK_ARGS.get(name, [])
@@ -784,6 +792,7 @@ def reach(root: str) -> Set[Tuple[str, str]]:
                     tracer.runfunc(runpy.run_path, path, run_name="__main__")
         finally:
             os.chdir(cwd)
+            tempfile.tempdir = tempdir
     package = os.path.join(src, "repro") + os.sep
     return {(os.path.relpath(filename, src), funcname.rsplit(".", 1)[-1])
             for filename, _module, funcname in tracer.results().calledfuncs
