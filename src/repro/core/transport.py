@@ -49,8 +49,11 @@ With the compiled kernel loaded, the per-message state machine runs in
 handler process (:meth:`Endpoint._accept` and :meth:`Endpoint._handle` as
 one ``Process`` subtype that drives the application handler's generator
 itself), so no Python frame of this module runs from the post to the reply
-token.  The code below is their statement-for-statement mirror, bound over
-by the C types at the end of the module; ``REPRO_PURE_PY=1`` runs it.
+token.  So do :meth:`Endpoint.request` and the :class:`_DeadlineQueue` of
+every deadlined attempt: a fan-out leg runs no Python of this module at
+all, and :meth:`Endpoint.rpc` is the one generator left.  The code below
+is their statement-for-statement mirror, bound over by the C types at the
+end of the module; ``REPRO_PURE_PY=1`` runs it.
 """
 
 from __future__ import annotations
@@ -762,9 +765,11 @@ if _C is not None:
     # the reply token.  The code above is its statement-for-statement
     # mirror, which ``REPRO_PURE_PY=1`` runs.
     Message = _C.Message  # noqa: F811
+    _DeadlineQueue = _C.DeadlineQueue  # noqa: F811
     _Leg = _C.Leg  # noqa: F811
     _Handler = _C.Handler  # noqa: F811
     Endpoint._accept = _C.accept
+    Endpoint.request = _C.request
     TransportFabric._post = _C.post
     # The classes whose __slots__ the C path reads and bumps in place.
     _C.configure_transport(

@@ -19,11 +19,11 @@
  *   ``remove(obj)`` unschedules an entry without dispatching it (a
  *   disarmed deadline timer).
  *
- * Event, Process, Timeout
+ * Event, Process, Timeout, AnyOf, AllOf
  *   The event family as C structs, so a wake-up reads and writes fields
  *   instead of attributes.  ``Event`` holds engine, callbacks, value, ok
  *   and scheduled (plus a weakref slot) and has ``succeed`` / ``fail``;
- *   ``Request``, ``AnyOf`` and ``AllOf`` stay Python subclasses of it.
+ *   the resources' ``Request`` stays a Python subclass of it.
  *   ``Process`` extends it with generator, name, ``_target``,
  *   ``_interrupts`` and ``_defused``: its constructor pushes the boot
  *   Timeout (now, urgently, or after a ``delay``: a message handler boots
@@ -34,24 +34,29 @@
  *   All three keep ``callbacks`` unallocated until a waiter subscribes: a
  *   watcherless timeout or a process nobody waits on never allocates a
  *   waiter list (and a watcherless timeout stays invisible to the cyclic
- *   GC).  Their type ``__name__``s are "Event", "Process" and "Timeout",
- *   so determinism event logs match the pure-Python kernel's exactly.
+ *   GC).  ``AnyOf`` and ``AllOf`` extend ``Event`` with their children:
+ *   each is its own callback on every child it subscribed to, and takes
+ *   that callback back once it settles.  Their type ``__name__``s are
+ *   "Event", "Process", "Timeout", "AnyOf" and "AllOf", so determinism
+ *   event logs match the pure-Python kernel's exactly.
  *
  * drain(heap, until, clamp, stopproc)
  *   The non-logging dispatch loop: pop, advance the clock, run callbacks.
  *   A callback that is a Process resumes in C (``c_resume``): interrupt
  *   check, generator send/throw, the finish (``c_finish``: settle in
  *   place, count a fan-out join down, or schedule), subscribe to the
- *   yielded event.  Every branch mirrors the pure-Python
- *   ``Process.__call__`` / ``_finish`` line for line; the determinism suite
- *   pins the equivalence.
+ *   yielded event.  A condition or a deadline queue runs in C too.  Every
+ *   branch mirrors the pure-Python ``Process.__call__`` / ``_finish`` line
+ *   for line; the determinism suite pins the equivalence.
  *
- * Message, post, Leg, accept, Handler
+ * Message, post, Leg, accept, Handler, request, DeadlineQueue
  *   The message path of repro.core.transport, from the post to the reply
  *   token: the send side, the arrival step and the handler process, a
  *   Process subtype that drives the application handler's generator and
- *   then runs the reply leg.  transport.py binds them over its Python,
- *   their statement-for-statement mirror.
+ *   then runs the reply leg; an RPC attempt's post and the queue that
+ *   expires its deadline.  transport.py binds them over its Python, their
+ *   statement-for-statement mirror, and engine.py binds the conditions
+ *   over its own.
  *
  * Built on first import by repro.sim.simcore; that module falls back to a
  * pure-Python implementation when no C toolchain is available, and the
@@ -69,7 +74,6 @@
 /* ------------------------------------------------------------------ */
 
 static PyObject *g_simerror;      /* SimulationError class */
-static PyObject *g_join_func;     /* AllOf._on_fire (plain function) */
 static PyObject *g_pending;       /* PENDING: a pending event's _value */
 
 static PyObject *str__queue, *str_throw, *str___name__;
@@ -320,20 +324,20 @@ heap_pop2(Heap *self, PyObject *Py_UNUSED(ignored))
     return ret;
 }
 
-static PyObject *
-heap_remove(Heap *self, PyObject *obj)
+/* Take a scheduled entry out without dispatching it (a disarmed timer).
+ * A linear scan: the callers keep at most one such entry per queue of
+ * theirs, and pop order is the total (when, prio, seq) order whatever the
+ * layout, so the heap replays exactly as if it had never held it. */
+static int
+heap_remove_item(Heap *self, PyObject *obj)
 {
-    /* Take a scheduled entry out without dispatching it (a disarmed timer).
-     * A linear scan: the callers keep at most one such entry per queue of
-     * theirs, and pop order is the total (when, prio, seq) order whatever
-     * the layout, so the heap replays exactly as if it had never held it. */
     Entry *arr = self->arr;
     Py_ssize_t i = 0;
     while (i < self->size && arr[i].item != obj)
         i++;
     if (i == self->size) {
         PyErr_SetString(PyExc_ValueError, "remove(): object is not scheduled");
-        return NULL;
+        return -1;
     }
     PyObject *item = arr[i].item;
     Entry last = arr[--self->size];
@@ -352,20 +356,24 @@ heap_remove(Heap *self, PyObject *obj)
             arr[pos] = last;
     }
     Py_DECREF(item);
+    return 0;
+}
+
+static PyObject *
+heap_remove(Heap *self, PyObject *obj)
+{
+    if (heap_remove_item(self, obj) < 0)
+        return NULL;
     Py_RETURN_NONE;
 }
 
 static PyObject *timeout_alloc(double delay, PyObject *value); /* forward */
 
+/* A Timeout at the absolute instant `when`: the float a chain of relative
+ * charges reached, pushed without re-rounding it through `when - now`. */
 static PyObject *
-heap_timeout_at(Heap *self, PyObject *arg)
+timeout_at(Heap *self, double when)
 {
-    /* A Timeout at the absolute instant `when`: the float a chain of
-     * relative charges reached, pushed without re-rounding it through
-     * `when - now`. */
-    double when = PyFloat_AsDouble(arg);
-    if (when == -1.0 && PyErr_Occurred())
-        return NULL;
     if (when < self->now) {
         PyErr_SetString(PyExc_ValueError, "timeout_at(): instant is in the past");
         return NULL;
@@ -378,6 +386,15 @@ heap_timeout_at(Heap *self, PyObject *arg)
         return NULL;
     }
     return t;
+}
+
+static PyObject *
+heap_timeout_at(Heap *self, PyObject *arg)
+{
+    double when = PyFloat_AsDouble(arg);
+    if (when == -1.0 && PyErr_Occurred())
+        return NULL;
+    return timeout_at(self, when);
 }
 
 static PyObject *
@@ -817,6 +834,8 @@ event_init(EventObj *self, PyObject *args, PyObject *kwds)
     return 0;
 }
 
+static PyObject *event_alloc(PyObject *engine); /* forward */
+
 /* Fast instantiation path: Event(engine). */
 static PyObject *
 event_type_vectorcall(PyObject *type, PyObject *const *args,
@@ -830,10 +849,17 @@ event_type_vectorcall(PyObject *type, PyObject *const *args,
         PyErr_SetString(PyExc_TypeError, "Event(engine)");
         return NULL;
     }
+    return event_alloc(args[0]);
+}
+
+/* A pending Event on `engine`. */
+static PyObject *
+event_alloc(PyObject *engine)
+{
     EventObj *self = PyObject_GC_New(EventObj, &EventType);
     if (self == NULL)
         return NULL;
-    self->engine = Py_NewRef(args[0]);
+    self->engine = Py_NewRef(engine);
     self->callbacks = NULL;
     self->value = NULL;
     self->weakreflist = NULL;
@@ -1295,6 +1321,10 @@ static PyTypeObject ProcessType = {
 /* C resume: the mirror's Process.__call__ / _finish                   */
 /* ------------------------------------------------------------------ */
 
+static PyTypeObject AnyOfType, AllOfType;               /* forward */
+typedef struct CondObj CondObj;                          /* forward */
+static int cond_fire(CondObj *c, PyObject *event);      /* forward */
+
 /* Mirror of Process._finish: the generator ended with `value`.  A success
  * with no waiter, or with one AllOf join as its only waiter, settles in
  * place (the join counted down here, no heap event); anything else — a
@@ -1312,8 +1342,7 @@ c_finish(ProcessObj *p, int ok, PyObject *value)
     PyObject *join = NULL;
     if (ok && n == 1) {
         PyObject *cb = PyList_GET_ITEM(cbs, 0);
-        if (g_join_func != NULL && PyMethod_Check(cb) &&
-            PyMethod_GET_FUNCTION(cb) == g_join_func)
+        if (Py_IS_TYPE(cb, &AllOfType))
             join = Py_NewRef(cb);
     }
     if (!ok || (n > 0 && join == NULL))
@@ -1322,12 +1351,9 @@ c_finish(ProcessObj *p, int ok, PyObject *value)
     Py_XSETREF(p->ev.callbacks, Py_NewRef(Py_None));
     if (join == NULL)
         return 0;
-    PyObject *r = PyObject_CallOneArg(join, (PyObject *)p);
+    int rc = cond_fire((CondObj *)join, (PyObject *)p);
     Py_DECREF(join);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
+    return rc;
 }
 
 /* Where an event keeps its waiter list, or NULL for a non-event. */
@@ -1508,6 +1534,10 @@ c_resume(ProcessObj *p, PyObject *event)
     return result;
 }
 
+static PyTypeObject DeadlineType;                        /* forward */
+typedef struct DeadlineObj DeadlineObj;                  /* forward */
+static int dq_discard(DeadlineObj *q, PyObject *reply);  /* forward */
+
 /* Invoke one dispatched event's callback list (already detached). */
 static int
 run_callbacks(PyObject *cbs, PyObject *event)
@@ -1517,6 +1547,10 @@ run_callbacks(PyObject *cbs, PyObject *event)
         int rc;
         if (PyObject_TypeCheck(cb, &ProcessType)) {
             rc = c_resume((ProcessObj *)cb, event);
+        } else if (Py_IS_TYPE(cb, &AllOfType) || Py_IS_TYPE(cb, &AnyOfType)) {
+            rc = cond_fire((CondObj *)cb, event);
+        } else if (Py_IS_TYPE(cb, &DeadlineType)) {
+            rc = dq_discard((DeadlineObj *)cb, event);
         } else {
             PyObject *r = PyObject_CallOneArg(cb, event);
             rc = r == NULL ? -1 : 0;
@@ -1528,6 +1562,310 @@ run_callbacks(PyObject *cbs, PyObject *event)
     }
     return 0;
 }
+
+/* ------------------------------------------------------------------ */
+/* AnyOf, AllOf: the mirror's _ConditionEvent                          */
+/* ------------------------------------------------------------------ */
+
+/* A composite event over `events`: AnyOf settles when one child fires,
+ * AllOf when all have.  The condition is its own callback on each child
+ * it subscribed to (the first `n_sub` of `events`), as a process is its
+ * own resume callback, and takes that callback back from every child still
+ * pending once it settles (`_detach`).  The value is a dict, child ->
+ * value: of every child for AllOf, of the children processed by then for
+ * AnyOf.  A failing child fails both with its exception. */
+struct CondObj {
+    EventObj ev;
+    PyObject *events;   /* list of the children */
+    Py_ssize_t n_fired; /* AllOf: children fired so far */
+    Py_ssize_t n_sub;   /* children subscribed to (a prefix of events) */
+};
+
+/* A child's outcome: *ok and *value (borrowed; PENDING while it has none),
+ * and whether it is scheduled and processed.  -1 with AttributeError for
+ * an object that is no event. */
+static int
+child_state(PyObject *ev, int *scheduled, int *processed, int *ok,
+            PyObject **value)
+{
+    if (Py_TYPE(ev) == &TimeoutType) {
+        TimeoutObj *t = (TimeoutObj *)ev;
+        *scheduled = *ok = 1;
+        *processed = t->callbacks == Py_None;
+        *value = t->value ? t->value : Py_None;
+        return 0;
+    }
+    if (PyObject_TypeCheck(ev, &EventType)) {
+        EventObj *e = (EventObj *)ev;
+        *scheduled = e->scheduled;
+        *processed = e->callbacks == Py_None;
+        *ok = e->ok > 0;
+        *value = e->value ? e->value : g_pending;
+        return 0;
+    }
+    PyErr_Format(PyExc_AttributeError, "%R is not an event", ev);
+    return -1;
+}
+
+/* _detach: drop our callback from every still-pending subscribed child. */
+static void
+cond_detach(CondObj *c)
+{
+    Py_ssize_t n = Py_MIN(c->n_sub, PyList_GET_SIZE(c->events));
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject **slot = waiters_slot(PyList_GET_ITEM(c->events, i));
+        PyObject *cbs = slot ? *slot : NULL;
+        if (cbs == NULL || !PyList_Check(cbs))
+            continue;
+        for (Py_ssize_t j = 0; j < PyList_GET_SIZE(cbs); j++) {
+            if (PyList_GET_ITEM(cbs, j) == (PyObject *)c) {
+                PyList_SetSlice(cbs, j, j + 1, NULL);
+                break;
+            }
+        }
+    }
+}
+
+/* The value dict: every child (AllOf), or the processed ones (AnyOf). */
+static PyObject *
+cond_collect(CondObj *c, int all)
+{
+    PyObject *values = PyDict_New();
+    if (values == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(c->events); i++) {
+        PyObject *ev = PyList_GET_ITEM(c->events, i), *value;
+        int scheduled, processed, ok;
+        if (child_state(ev, &scheduled, &processed, &ok, &value) < 0 ||
+            ((all || (scheduled && processed)) &&
+             PyDict_SetItem(values, ev, value) < 0)) {
+            Py_DECREF(values);
+            return NULL;
+        }
+    }
+    return values;
+}
+
+/* Settle the condition with (ok, value), stealing `value`, and detach. */
+static int
+cond_settle(CondObj *c, int ok, PyObject *value)
+{
+    if (value == NULL)
+        return -1;
+    PyObject *r = event_trigger(&c->ev, ok, value, 1 /* PRIORITY_NORMAL */);
+    Py_DECREF(value);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    cond_detach(c);
+    return 0;
+}
+
+/* Mirror of AnyOf._on_fire / AllOf._on_fire: the child `event` fired. */
+static int
+cond_fire(CondObj *c, PyObject *event)
+{
+    if (c->ev.scheduled)
+        return 0;
+    int scheduled, processed, ok;
+    PyObject *value;
+    if (child_state(event, &scheduled, &processed, &ok, &value) < 0)
+        return -1;
+    if (!ok) {
+        if (!PyExceptionInstance_Check(value)) {
+            PyErr_Format(PyExc_TypeError, "fail() needs an exception, got %R",
+                         value);
+            return -1;
+        }
+        return cond_settle(c, 0, Py_NewRef(value));
+    }
+    if (Py_IS_TYPE(c, &AnyOfType))
+        return cond_settle(c, 1, cond_collect(c, 0));
+    if (++c->n_fired == PyList_GET_SIZE(c->events))
+        return cond_settle(c, 1, cond_collect(c, 1));
+    return 0;
+}
+
+/* AnyOf(engine, events) / AllOf(engine, events): subscribe to each child in
+ * order; one already processed fires at once, and a condition settled that
+ * way subscribes to no later child.  No children: true at once. */
+static PyObject *
+cond_create(PyTypeObject *type, PyObject *engine, PyObject *events)
+{
+    CondObj *c = (CondObj *)type->tp_alloc(type, 0);
+    if (c == NULL)
+        return NULL;
+    c->ev.engine = Py_NewRef(engine);
+    c->ev.ok = -1;
+    if ((c->events = PySequence_List(events)) == NULL)
+        goto fail;
+    if (PyList_GET_SIZE(c->events) == 0) {
+        if (cond_settle(c, 1, PyDict_New()) < 0)
+            goto fail;
+        return (PyObject *)c;
+    }
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(c->events); i++) {
+        PyObject *ev = PyList_GET_ITEM(c->events, i);
+        PyObject **slot = waiters_slot(ev);
+        if (slot == NULL) {
+            PyErr_Format(PyExc_AttributeError, "%R is not an event", ev);
+            goto fail;
+        }
+        if (*slot == Py_None) {
+            /* Already fired and processed: settle synchronously. */
+            if (cond_fire(c, ev) < 0)
+                goto fail;
+            if (c->ev.scheduled)
+                break;
+            continue;
+        }
+        PyObject *waiters = Py_TYPE(ev) == &TimeoutType
+                                ? timeout_waiters((TimeoutObj *)ev)
+                                : event_waiters((EventObj *)ev);
+        if (waiters == NULL || PyList_Append(waiters, (PyObject *)c) < 0)
+            goto fail;
+        c->n_sub++;
+    }
+    return (PyObject *)c;
+fail:
+    Py_DECREF(c);
+    return NULL;
+}
+
+static PyObject *
+cond_type_vectorcall(PyObject *type, PyObject *const *args, size_t nargsf,
+                     PyObject *kwnames)
+{
+    if (PyVectorcall_NARGS(nargsf) != 2 || kwnames != NULL) {
+        PyErr_Format(PyExc_TypeError, "%s(engine, events)",
+                     ((PyTypeObject *)type)->tp_name + strlen("_simcore."));
+        return NULL;
+    }
+    return cond_create((PyTypeObject *)type, args[0], args[1]);
+}
+
+static PyObject *
+cond_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"engine", "events", NULL};
+    PyObject *engine, *events;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO", kwlist, &engine,
+                                     &events))
+        return NULL;
+    return cond_create(type, engine, events);
+}
+
+/* Everything happened in cond_new. */
+static int
+cond_init(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    return 0;
+}
+
+/* A condition is its own callback: cond(event). */
+static PyObject *
+cond_call(CondObj *c, PyObject *args, PyObject *kwds)
+{
+    PyObject *event;
+    if ((kwds != NULL && PyDict_GET_SIZE(kwds) > 0) ||
+        !PyArg_UnpackTuple(args, "condition", 1, 1, &event)) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "a condition takes no keywords");
+        return NULL;
+    }
+    if (cond_fire(c, event) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+cond_py_detach(CondObj *c, PyObject *Py_UNUSED(ignored))
+{
+    cond_detach(c);
+    Py_RETURN_NONE;
+}
+
+static int
+cond_traverse(CondObj *c, visitproc visit, void *arg)
+{
+    Py_VISIT(c->events);
+    return event_traverse(&c->ev, visit, arg);
+}
+
+static int
+cond_clear(CondObj *c)
+{
+    Py_CLEAR(c->events);
+    return event_clear(&c->ev);
+}
+
+static void
+cond_dealloc(CondObj *c)
+{
+    PyObject_GC_UnTrack(c);
+    if (c->ev.weakreflist != NULL)
+        PyObject_ClearWeakRefs((PyObject *)c);
+    cond_clear(c);
+    Py_TYPE(c)->tp_free((PyObject *)c);
+}
+
+static PyMethodDef cond_methods[] = {
+    {"_detach", (PyCFunction)cond_py_detach, METH_NOARGS,
+     "drop the condition's callback from every still-pending child"},
+    {NULL, NULL, 0, NULL},
+};
+
+/* _on_fire: the callback the condition subscribes to its children, which
+ * is the condition itself. */
+static PyObject *
+cond_get_on_fire(CondObj *c, void *closure)
+{
+    return Py_NewRef(c);
+}
+
+static PyGetSetDef cond_getset[] = {
+    {"_on_fire", (getter)cond_get_on_fire, NULL,
+     "the callback on each child: the condition itself", NULL},
+    {NULL},
+};
+
+static PyMemberDef cond_members[] = {
+    {"events", T_OBJECT, offsetof(CondObj, events), READONLY,
+     "the child events"},
+    {"_n_fired", T_PYSSIZET, offsetof(CondObj, n_fired), READONLY,
+     "AllOf: children fired so far"},
+    {"_n_sub", T_PYSSIZET, offsetof(CondObj, n_sub), READONLY,
+     "children subscribed to (the first _n_sub of events)"},
+    {NULL},
+};
+
+/* __name__s "AnyOf" and "AllOf", like the pure-Python kernel's classes. */
+#define COND_TYPE(var, name, doc)                                           \
+    static PyTypeObject var = {                                             \
+        PyVarObject_HEAD_INIT(NULL, 0)                                      \
+        .tp_name = "_simcore." name,                                        \
+        .tp_doc = doc,                                                      \
+        .tp_basicsize = sizeof(CondObj),                                    \
+        .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,                \
+        .tp_base = &EventType,                                              \
+        .tp_new = cond_new,                                                 \
+        .tp_init = cond_init,                                               \
+        .tp_vectorcall = cond_type_vectorcall,                              \
+        .tp_call = (ternaryfunc)cond_call,                                  \
+        .tp_dealloc = (destructor)cond_dealloc,                             \
+        .tp_traverse = (traverseproc)cond_traverse,                         \
+        .tp_clear = (inquiry)cond_clear,                                    \
+        .tp_methods = cond_methods,                                         \
+        .tp_members = cond_members,                                         \
+        .tp_getset = cond_getset,                                           \
+    }
+
+COND_TYPE(AnyOfType, "AnyOf",
+          "Fires as soon as any child event fires (value: dict of fired "
+          "events)");
+COND_TYPE(AllOfType, "AllOf",
+          "Fires once all child events have fired (value: dict of all "
+          "values)");
 
 /* ------------------------------------------------------------------ */
 /* drain(): the non-logging dispatch loop                              */
@@ -1630,6 +1968,9 @@ simcore_drain(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
  *   accept(endpoint, msg)  Endpoint._accept: spawn the handler process;
  *   Handler                Endpoint._handle: the handler process itself.
  *
+ * An RPC attempt is posted by request(endpoint, ...) (Endpoint.request);
+ * its deadline waits in a DeadlineQueue (_DeadlineQueue).
+ *
  * Endpoints, the fabric, its accounting, network and fault seams stay
  * Python objects: they are read and bumped through their attributes, so
  * every reader sees the same Python values on both legs. */
@@ -1661,10 +2002,12 @@ static Attr A_params = {"params", FABRIC};
 static Attr A_accounting = {"accounting", FABRIC};
 static Attr A__endpoints = {"_endpoints", FABRIC};
 static Attr A__msg_ids = {"_msg_ids", FABRIC};
+static Attr A__deadline_queues = {"_deadline_queues", FABRIC};
 static Attr A_fabric = {"fabric", ENDPOINT};
 static Attr A_name = {"name", ENDPOINT};
 static Attr A_host_name = {"host_name", ENDPOINT};
 static Attr A_faults = {"faults", ENDPOINT};
+static Attr A_deadlines = {"deadlines", ENDPOINT};
 static Attr A__handlers = {"_handlers", ENDPOINT};
 static Attr A__inflight = {"_inflight", ENDPOINT};
 static Attr A__spawned = {"_spawned", ENDPOINT};
@@ -1687,7 +2030,8 @@ static Attr A__queue = {"_queue", ENGINE};
 
 static Attr *g_attrs[] = {
     &A_engine, &A_network, &A_params, &A_accounting, &A__endpoints,
-    &A__msg_ids, &A_fabric, &A_name, &A_host_name, &A_faults, &A__handlers,
+    &A__msg_ids, &A__deadline_queues, &A_fabric, &A_name, &A_host_name,
+    &A_faults, &A_deadlines, &A__handlers,
     &A__inflight, &A__spawned, &A__backlog, &A__closed, &A_messages_sent,
     &A_bytes_sent, &A_messages_by_op, &A_messages_dropped, &A_dead_letters,
     &A_replies_suppressed, &A_control_payload, &A_marshal_fixed,
@@ -1697,7 +2041,7 @@ static Attr *g_attrs[] = {
 
 /* Method names and constant strings. */
 static PyObject *S_strike, *S_send, *S_deliver, *S_add, *S__dead_letter,
-    *S_wire_time, *S_ok, *S_error;
+    *S_wire_time, *S_ok, *S_error, *S_get, *S_deadline, *S__deadline_queue;
 
 /* getattr(obj, a.name), a new reference. */
 static PyObject *
@@ -1939,6 +2283,279 @@ static int
 token_expired(PyObject *token)
 {
     return ((EventObj *)token)->value == g_expired;
+}
+
+/* ---- DeadlineQueue: transport._DeadlineQueue ------------------------ */
+
+/* The pending deadlines of a fabric's RPCs that share one deadline length,
+ * expired by one armed timer.  Attempts join in send order, which is expiry
+ * order, so the head of `pending` (a dict: reply token -> expiry instant,
+ * in insertion order) is always the next to expire.  The timer is armed at
+ * the head's expiry while anything is pending, re-armed at the new head
+ * when it fires for one answered meanwhile, and taken off the heap when the
+ * queue empties.  The queue is a callback of every token it holds: the
+ * token's dispatch discards its attempt. */
+struct DeadlineObj {
+    PyObject_HEAD
+    PyObject *engine;
+    Heap *heap;        /* engine._queue */
+    PyObject *pending; /* dict: reply token -> expiry instant */
+    PyObject *timer;   /* the armed timer, or NULL */
+    double deadline;
+};
+
+static PyObject *S__expire_due;
+
+/* Mirror of _DeadlineQueue._arm: a timer at `when`, expiring the due. */
+static int
+dq_arm(DeadlineObj *q, double when)
+{
+    PyObject *timer = timeout_at(q->heap, when), *waiters, *expire = NULL;
+    if (timer == NULL)
+        return -1;
+    Py_XSETREF(q->timer, timer);
+    if ((waiters = timeout_waiters((TimeoutObj *)timer)) == NULL ||
+        (expire = PyObject_GetAttr((PyObject *)q, S__expire_due)) == NULL ||
+        PyList_Append(waiters, expire) < 0) {
+        Py_XDECREF(expire);
+        return -1;
+    }
+    Py_DECREF(expire);
+    return 0;
+}
+
+/* Mirror of _DeadlineQueue.add: the deadline of the attempt `reply`
+ * answers starts now. */
+static int
+dq_add(DeadlineObj *q, PyObject *reply)
+{
+    double expires = q->heap->now + q->deadline;
+    PyObject *at = PyFloat_FromDouble(expires);
+    int rc = at == NULL ? -1 : PyDict_SetItem(q->pending, reply, at);
+    Py_XDECREF(at);
+    if (rc < 0)
+        return -1;
+    PyObject **slot = waiters_slot(reply), *waiters;
+    if (slot == NULL || *slot == Py_None) {
+        PyErr_Format(PyExc_TypeError, "a deadline needs a pending reply "
+                     "token, not %R", reply);
+        return -1;
+    }
+    waiters = Py_TYPE(reply) == &TimeoutType
+                  ? timeout_waiters((TimeoutObj *)reply)
+                  : event_waiters((EventObj *)reply);
+    if (waiters == NULL || PyList_Append(waiters, (PyObject *)q) < 0)
+        return -1;
+    return q->timer == NULL ? dq_arm(q, expires) : 0;
+}
+
+/* Mirror of _DeadlineQueue.discard: the attempt is over. */
+static int
+dq_discard(DeadlineObj *q, PyObject *reply)
+{
+    PyObject *at = PyDict_GetItemWithError(q->pending, reply);
+    if (at == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    if (PyDict_DelItem(q->pending, reply) < 0)
+        return -1;
+    if (PyDict_GET_SIZE(q->pending) == 0 && q->timer != NULL) {
+        if (heap_remove_item(q->heap, q->timer) < 0)
+            return -1;
+        Py_CLEAR(q->timer);
+    }
+    return 0;
+}
+
+/* Mirror of _DeadlineQueue._expire_due: the timer fired.  Every attempt
+ * due by now is expired, in send order; the timer re-arms at the first
+ * one that is not. */
+static int
+dq_expire_due(DeadlineObj *q)
+{
+    Py_CLEAR(q->timer);
+    double now = q->heap->now;
+    Py_ssize_t pos = 0;
+    PyObject *reply, *at;
+    /* Deleting the entry just visited leaves the positions of the rest as
+     * they are, and settling a C event runs no Python code. */
+    while (PyDict_Next(q->pending, &pos, &reply, &at)) {
+        double expires = PyFloat_AsDouble(at);
+        if (expires == -1.0 && PyErr_Occurred())
+            return -1;
+        if (expires > now)
+            return dq_arm(q, expires);
+        Py_INCREF(reply);
+        int rc = PyDict_DelItem(q->pending, reply);
+        if (rc == 0 && !PyObject_TypeCheck(reply, &EventType)) {
+            PyErr_Format(PyExc_TypeError, "a reply token must be an Event, "
+                         "not %R", reply);
+            rc = -1;
+        }
+        if (rc == 0 && !((EventObj *)reply)->scheduled) {
+            PyObject *r = event_trigger((EventObj *)reply, 1, g_expired, 1);
+            rc = r == NULL ? -1 : 0;
+            Py_XDECREF(r);
+        }
+        Py_DECREF(reply);
+        if (rc < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* add(reply) / discard(reply) / _expire_due(timer) from Python, and the
+ * queue called as a token's callback: discard. */
+static PyObject *
+dq_py_add(DeadlineObj *q, PyObject *reply)
+{
+    return dq_add(q, reply) < 0 ? NULL : Py_NewRef(Py_None);
+}
+
+static PyObject *
+dq_py_discard(DeadlineObj *q, PyObject *reply)
+{
+    return dq_discard(q, reply) < 0 ? NULL : Py_NewRef(Py_None);
+}
+
+static PyObject *
+dq_py_expire_due(DeadlineObj *q, PyObject *timer)
+{
+    return dq_expire_due(q) < 0 ? NULL : Py_NewRef(Py_None);
+}
+
+static PyObject *
+dq_call(DeadlineObj *q, PyObject *args, PyObject *kwds)
+{
+    PyObject *reply;
+    if ((kwds != NULL && PyDict_GET_SIZE(kwds) > 0) ||
+        !PyArg_UnpackTuple(args, "DeadlineQueue", 1, 1, &reply)) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "a deadline queue takes no "
+                            "keywords");
+        return NULL;
+    }
+    return dq_py_discard(q, reply);
+}
+
+/* _DeadlineQueue(engine, deadline) */
+static PyObject *
+dq_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"engine", "deadline", NULL};
+    PyObject *engine;
+    double deadline;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "Od:DeadlineQueue", kwlist,
+                                     &engine, &deadline))
+        return NULL;
+    PyObject *queue = Py_TYPE(engine) == &HeapType
+                          ? Py_NewRef(engine)
+                          : PyObject_GetAttr(engine, str__queue);
+    if (queue == NULL)
+        return NULL;
+    if (Py_TYPE(queue) != &HeapType) {
+        Py_DECREF(queue);
+        PyErr_SetString(PyExc_TypeError,
+                        "a C deadline queue needs the C EventHeap");
+        return NULL;
+    }
+    DeadlineObj *q = (DeadlineObj *)type->tp_alloc(type, 0);
+    if (q == NULL || (q->pending = PyDict_New()) == NULL) {
+        Py_XDECREF(q);
+        Py_DECREF(queue);
+        return NULL;
+    }
+    q->engine = Py_NewRef(engine);
+    q->heap = (Heap *)queue;
+    q->deadline = deadline;
+    return (PyObject *)q;
+}
+
+static PyObject *
+dq_get_timer(DeadlineObj *q, void *closure)
+{
+    return Py_NewRef(q->timer ? q->timer : Py_None);
+}
+
+static int
+dq_traverse(DeadlineObj *q, visitproc visit, void *arg)
+{
+    Py_VISIT(q->engine);
+    Py_VISIT(q->heap);
+    Py_VISIT(q->pending);
+    Py_VISIT(q->timer);
+    return 0;
+}
+
+static int
+dq_clear(DeadlineObj *q)
+{
+    Py_CLEAR(q->engine);
+    Py_CLEAR(q->heap);
+    Py_CLEAR(q->pending);
+    Py_CLEAR(q->timer);
+    return 0;
+}
+
+static void
+dq_dealloc(DeadlineObj *q)
+{
+    PyObject_GC_UnTrack(q);
+    dq_clear(q);
+    Py_TYPE(q)->tp_free((PyObject *)q);
+}
+
+static PyMethodDef dq_methods[] = {
+    {"add", (PyCFunction)dq_py_add, METH_O,
+     "add(reply): start the deadline of the attempt reply answers"},
+    {"discard", (PyCFunction)dq_py_discard, METH_O,
+     "discard(reply): the attempt is over (answered, expired or abandoned)"},
+    {"_expire_due", (PyCFunction)dq_py_expire_due, METH_O,
+     "_expire_due(timer): the timer fired; expire every attempt due"},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef dq_members[] = {
+    {"engine", T_OBJECT, offsetof(DeadlineObj, engine), READONLY,
+     "the Engine"},
+    {"deadline", T_DOUBLE, offsetof(DeadlineObj, deadline), READONLY,
+     "the deadline length, s"},
+    {"_pending", T_OBJECT, offsetof(DeadlineObj, pending), READONLY,
+     "reply token -> its expiry instant, in send (== expiry) order"},
+    {NULL},
+};
+
+static PyGetSetDef dq_getset[] = {
+    {"_timer", (getter)dq_get_timer, NULL, "the armed timer, or None", NULL},
+    {NULL},
+};
+
+static PyTypeObject DeadlineType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_simcore.DeadlineQueue",
+    .tp_doc = "The pending RPC deadlines of one length (C mirror of "
+              "transport._DeadlineQueue)",
+    .tp_basicsize = sizeof(DeadlineObj),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_new = dq_new,
+    .tp_call = (ternaryfunc)dq_call,
+    .tp_dealloc = (destructor)dq_dealloc,
+    .tp_traverse = (traverseproc)dq_traverse,
+    .tp_clear = (inquiry)dq_clear,
+    .tp_methods = dq_methods,
+    .tp_members = dq_members,
+    .tp_getset = dq_getset,
+};
+
+/* deadline.add(reply): the C queue directly, any other through its method
+ * (a test's stand-in). */
+static int
+deadline_add(PyObject *deadline, PyObject *reply)
+{
+    if (Py_IS_TYPE(deadline, &DeadlineType))
+        return dq_add((DeadlineObj *)deadline, reply);
+    PyObject *r = PyObject_CallMethodOneArg(deadline, S_add, reply);
+    Py_XDECREF(r);
+    return r == NULL ? -1 : 0;
 }
 
 /* ---- Message -------------------------------------------------------- */
@@ -2890,13 +3507,9 @@ leg_call(LegObj *l, PyObject *args, PyObject *kwds)
             PyErr_SetString(PyExc_TypeError, "a reply token must be an Event");
             goto done;
         }
-        if (*slot != NULL && *slot != Py_None && PyList_GET_SIZE(*slot) > 0) {
-            PyObject *r = PyObject_CallMethodOneArg(l->deadline, S_add,
-                                                    msg->reply_to);
-            if (r == NULL)
-                goto done;
-            Py_DECREF(r);
-        }
+        if (*slot != NULL && *slot != Py_None && PyList_GET_SIZE(*slot) > 0 &&
+            deadline_add(l->deadline, msg->reply_to) < 0)
+            goto done;
     }
     result = Py_NewRef(Py_None);
 done:
@@ -2936,24 +3549,14 @@ static PyTypeObject LegType = {
 
 /* ---- post: TransportFabric._post ------------------------------------ */
 
-/* post(fabric, src, dst_name, op, payload, nbytes, reply_to, deadline):
- * the send side of every message, run synchronously in the sender.
- * Returns the message's Leg, or None when the send-point seam dropped it. */
+/* Mirror of TransportFabric._post: the send side of every message, run
+ * synchronously in the sender.  Returns the message's Leg, or None when the
+ * send-point seam dropped it. */
 static PyObject *
-transport_post(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
+c_post(PyObject *fabric, PyObject *src, PyObject *dst_name, PyObject *op,
+       PyObject *payload, PyObject *nbytes, PyObject *reply_to,
+       PyObject *deadline)
 {
-    if (g_expired == NULL) {
-        PyErr_SetString(PyExc_RuntimeError, "configure_transport() not called");
-        return NULL;
-    }
-    if (nargs != 8) {
-        PyErr_SetString(PyExc_TypeError, "post(fabric, src, dst_name, op, "
-                        "payload, nbytes, reply_to, deadline)");
-        return NULL;
-    }
-    PyObject *fabric = args[0], *src = args[1], *dst_name = args[2],
-             *op = args[3], *payload = args[4], *nbytes = args[5],
-             *reply_to = args[6], *deadline = args[7];
     PyObject *endpoints = NULL, *dst = NULL, *engine = NULL, *params = NULL,
              *size = NULL, *queue = NULL, *ids = NULL, *msg_id = NULL,
              *src_name = NULL, *sent_at = NULL, *msg = NULL, *faults = NULL,
@@ -3011,13 +3614,8 @@ transport_post(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
             Py_DECREF(fate);
             if (bump_accounting(fabric, &A_messages_dropped) < 0)
                 goto done;
-            if (deadline != Py_None) {
-                PyObject *r = PyObject_CallMethodOneArg(deadline, S_add,
-                                                        reply_to);
-                if (r == NULL)
-                    goto done;
-                Py_DECREF(r);
-            }
+            if (deadline != Py_None && deadline_add(deadline, reply_to) < 0)
+                goto done;
             result = Py_NewRef(Py_None);
             goto done;
         }
@@ -3051,13 +3649,7 @@ transport_post(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
         wire_time(fabric, src_host, dst_host, size, &wire) < 0 ||
         count_message(fabric, op, size) < 0)
         goto done;
-    double when = (now + marshal) + wire;
-    if (when < heap->now) {
-        PyErr_SetString(PyExc_ValueError, "timeout_at(): instant is in the past");
-        goto done;
-    }
-    if ((timer = timeout_alloc(when - heap->now, Py_None)) == NULL ||
-        heap_insert(heap, when, 1 /* PRIORITY_NORMAL */, timer) < 0)
+    if ((timer = timeout_at(heap, (now + marshal) + wire)) == NULL)
         goto done;
     Py_SETREF(leg->wire, Py_NewRef(timer));
     PyObject *waiters = timeout_waiters((TimeoutObj *)timer);
@@ -3084,6 +3676,116 @@ done:
     return result;
 }
 
+/* post(fabric, src, dst_name, op, payload, nbytes, reply_to, deadline) */
+static PyObject *
+transport_post(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (g_expired == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "configure_transport() not called");
+        return NULL;
+    }
+    if (nargs != 8) {
+        PyErr_SetString(PyExc_TypeError, "post(fabric, src, dst_name, op, "
+                        "payload, nbytes, reply_to, deadline)");
+        return NULL;
+    }
+    return c_post(args[0], args[1], args[2], args[3], args[4], args[5],
+                  args[6], args[7]);
+}
+
+/* ---- request: Endpoint.request -------------------------------------- */
+
+/* Mirror of TransportFabric._deadline_queue(policy.deadline): the fabric's
+ * queue for the length, read from its _deadline_queues; a queue not made
+ * yet, a fabric of another type or one whose method a test replaced goes
+ * through the method. */
+static PyObject *
+deadline_queue(PyObject *fabric, PyObject *policy)
+{
+    PyObject *length = PyObject_GetAttr(policy, S_deadline), *queue = NULL;
+    if (length == NULL)
+        return NULL;
+    if (Py_TYPE(fabric) == A__deadline_queues.type) {
+        PyObject *own = PyObject_GenericGetDict(fabric, NULL), *queues = NULL;
+        int replaced = own ? PyDict_Contains(own, S__deadline_queue) : -1;
+        Py_XDECREF(own);
+        if (replaced == 0 && (queues = get(fabric, &A__deadline_queues)) &&
+            PyDict_Check(queues))
+            queue = Py_XNewRef(PyDict_GetItemWithError(queues, length));
+        Py_XDECREF(queues);
+        if (PyErr_Occurred()) {
+            Py_XDECREF(queue);
+            Py_DECREF(length);
+            return NULL;
+        }
+    }
+    if (queue == NULL)
+        queue = PyObject_CallMethodOneArg(fabric, S__deadline_queue, length);
+    Py_DECREF(length);
+    return queue;
+}
+
+/* request(endpoint, dst, op, payload=None): post one attempt of an RPC and
+ * return its reply token.  Bound over Endpoint.request, its mirror. */
+static PyObject *
+transport_request(PyObject *mod, PyObject *const *args, size_t nargsf,
+                  PyObject *kwnames)
+{
+    static const char *const names[] = {"self", "dst", "op", "payload"};
+    PyObject *argv[4] = {NULL, NULL, NULL, Py_None};
+    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
+    Py_ssize_t nkw = kwnames ? PyTuple_GET_SIZE(kwnames) : 0;
+    if (g_expired == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "configure_transport() not called");
+        return NULL;
+    }
+    if (nargs > 4)
+        goto usage;
+    for (Py_ssize_t i = 0; i < nargs; i++)
+        argv[i] = args[i];
+    for (Py_ssize_t k = 0; k < nkw; k++) {
+        Py_ssize_t i = 1;
+        while (i < 4 && PyUnicode_CompareWithASCIIString(
+                            PyTuple_GET_ITEM(kwnames, k), names[i]) != 0)
+            i++;
+        if (i == 4 || i < nargs)
+            goto usage;
+        argv[i] = args[nargs + k];
+    }
+    if (argv[0] == NULL || argv[1] == NULL || argv[2] == NULL)
+        goto usage;
+    PyObject *endpoint = argv[0], *op = argv[2];
+    PyObject *fabric = NULL, *deadlines = NULL, *deadline = NULL,
+             *engine = NULL, *reply = NULL, *leg = NULL;
+    if ((fabric = get(endpoint, &A_fabric)) == NULL ||
+        (deadlines = get(endpoint, &A_deadlines)) == NULL)
+        goto done;
+    PyObject *policy = PyDict_Check(deadlines)
+                           ? Py_XNewRef(PyDict_GetItemWithError(deadlines, op))
+                           : PyObject_CallMethodObjArgs(deadlines, S_get, op,
+                                                        NULL);
+    if (policy == NULL && PyErr_Occurred())
+        goto done;
+    deadline = policy == NULL || policy == Py_None
+                   ? Py_NewRef(Py_None) : deadline_queue(fabric, policy);
+    Py_XDECREF(policy);
+    if (deadline == NULL || (engine = get(fabric, &A_engine)) == NULL ||
+        (reply = event_alloc(engine)) == NULL ||
+        (leg = c_post(fabric, endpoint, argv[1], op, argv[3], Py_None, reply,
+                      deadline)) == NULL)
+        Py_CLEAR(reply);
+done:
+    Py_XDECREF(leg);
+    Py_XDECREF(engine);
+    Py_XDECREF(deadline);
+    Py_XDECREF(deadlines);
+    Py_XDECREF(fabric);
+    return reply;
+usage:
+    PyErr_SetString(PyExc_TypeError, "request(dst, op, payload=None)");
+    return NULL;
+}
+
 /* configure_transport(interrupt, Interrupt, CommunicationError, EXPIRED,
  *                     classes) */
 static PyObject *
@@ -3105,21 +3807,17 @@ simcore_configure_transport(PyObject *mod, PyObject *args)
 /* ------------------------------------------------------------------ */
 
 static PyObject *
-simcore_configure(PyObject *mod, PyObject *args)
+simcore_configure(PyObject *mod, PyObject *simerror)
 {
-    PyObject *simerror, *join;
-    if (!PyArg_ParseTuple(args, "OO", &simerror, &join))
-        return NULL;
     Py_XSETREF(g_simerror, Py_NewRef(simerror));
-    Py_XSETREF(g_join_func, Py_NewRef(join));
     Py_RETURN_NONE;
 }
 
 static PyMethodDef simcore_methods[] = {
     {"drain", (PyCFunction)(void (*)(void))simcore_drain, METH_FASTCALL,
      "drain(heap, until, clamp, stopproc) -> int stop code"},
-    {"configure", simcore_configure, METH_VARARGS,
-     "configure(simerror_type, join_func)"},
+    {"configure", simcore_configure, METH_O,
+     "configure(simerror_type)"},
     {"configure_transport", simcore_configure_transport, METH_VARARGS,
      "configure_transport(interrupt, Interrupt, CommunicationError, EXPIRED, "
      "(fabric, endpoint, accounting, params, network, engine classes))"},
@@ -3128,6 +3826,9 @@ static PyMethodDef simcore_methods[] = {
      "-> Leg or None"},
     {"accept", (PyCFunction)(void (*)(void))transport_accept, METH_FASTCALL,
      "accept(endpoint, message) -> None"},
+    {"request", (PyCFunction)(void (*)(void))transport_request,
+     METH_FASTCALL | METH_KEYWORDS,
+     "request(endpoint, dst, op, payload=None) -> the reply token"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -3160,6 +3861,10 @@ PyInit__simcore(void)
     INTERN(S_wire_time, "wire_time");
     INTERN(S_ok, "ok");
     INTERN(S_error, "error");
+    INTERN(S_get, "get");
+    INTERN(S_deadline, "deadline");
+    INTERN(S__deadline_queue, "_deadline_queue");
+    INTERN(S__expire_due, "_expire_due");
     for (Attr **it = g_attrs; *it != NULL; it++)
         INTERN((*it)->name, (*it)->text);
 #undef INTERN
@@ -3175,8 +3880,9 @@ PyInit__simcore(void)
         return NULL;
     if (PyType_Ready(&HeapType) < 0 || PyType_Ready(&TimeoutType) < 0 ||
         PyType_Ready(&EventType) < 0 || PyType_Ready(&ProcessType) < 0 ||
+        PyType_Ready(&AnyOfType) < 0 || PyType_Ready(&AllOfType) < 0 ||
         PyType_Ready(&MessageType) < 0 || PyType_Ready(&HandlerType) < 0 ||
-        PyType_Ready(&LegType) < 0)
+        PyType_Ready(&LegType) < 0 || PyType_Ready(&DeadlineType) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&simcore_module);
     if (m == NULL)
@@ -3188,19 +3894,27 @@ PyInit__simcore(void)
         PyModule_AddObjectRef(m, "Message", (PyObject *)&MessageType) < 0 ||
         PyModule_AddObjectRef(m, "Handler", (PyObject *)&HandlerType) < 0 ||
         PyModule_AddObjectRef(m, "Leg", (PyObject *)&LegType) < 0 ||
+        PyModule_AddObjectRef(m, "AnyOf", (PyObject *)&AnyOfType) < 0 ||
+        PyModule_AddObjectRef(m, "AllOf", (PyObject *)&AllOfType) < 0 ||
+        PyModule_AddObjectRef(m, "DeadlineQueue", (PyObject *)&DeadlineType)
+            < 0 ||
         PyModule_AddObjectRef(m, "PENDING", g_pending) < 0) {
         Py_DECREF(m);
         return NULL;
     }
-    /* post and accept bind like methods: TransportFabric._post and
-     * Endpoint._accept on the compiled leg. */
-    static const char *bound[] = {"post", "accept", NULL};
-    for (const char **name = bound; *name != NULL; name++) {
-        PyObject *func = PyObject_GetAttrString(m, *name), *method = NULL;
+    /* These bind like methods: TransportFabric._post, Endpoint._accept,
+     * Endpoint.request, Engine.any_of and Engine.all_of on the compiled
+     * leg (the last two are the condition types, called with the engine). */
+    static const char *bound[][2] = {
+        {"post", "post"}, {"accept", "accept"}, {"request", "request"},
+        {"any_of", "AnyOf"}, {"all_of", "AllOf"}, {NULL, NULL}};
+    for (int i = 0; bound[i][0] != NULL; i++) {
+        const char *const *name = bound[i];
+        PyObject *func = PyObject_GetAttrString(m, name[1]), *method = NULL;
         if (func != NULL)
             method = PyInstanceMethod_New(func);
         Py_XDECREF(func);
-        if (method == NULL || PyModule_AddObject(m, *name, method) < 0) {
+        if (method == NULL || PyModule_AddObject(m, name[0], method) < 0) {
             Py_XDECREF(method);
             Py_DECREF(m);
             return NULL;

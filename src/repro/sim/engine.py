@@ -24,16 +24,19 @@ clock in locals.  The determinism suite
 (``tests/property/test_kernel_determinism.py``) pins the exact event
 stream these fast paths must preserve.
 
-With the compiled core loaded, :class:`Event`, :class:`Timeout` and
-:class:`Process` are the C types of ``_simcore.c`` (a process there is its
-own resume callback, woken by the C dispatch loop through struct fields);
-the classes of the same names defined first below are their line-for-line
-pure-Python mirror, which ``REPRO_PURE_PY=1`` selects.
+With the compiled core loaded, :class:`Event`, :class:`Timeout`,
+:class:`Process`, :class:`AnyOf` and :class:`AllOf` are the C types of
+``_simcore.c`` (a process and a condition there are their own callbacks,
+run by the C dispatch loop through struct fields), and
+:meth:`Engine.any_of` / :meth:`Engine.all_of` are those condition types
+bound as methods; the classes of the same names defined first below are
+their line-for-line pure-Python mirror, which ``REPRO_PURE_PY=1`` selects.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from operator import attrgetter
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from .simcore import EventHeap, _C
@@ -440,7 +443,8 @@ class AllOf(_ConditionEvent):
 
 
 #: ``AllOf._on_fire``: a process whose only waiter is this join counts it
-#: down when it finishes (:meth:`Process._finish`, ``c_finish``).
+#: down when it finishes (:meth:`Process._finish`; ``c_finish`` checks for
+#: the C ``AllOf`` itself).
 _JOIN = AllOf._on_fire
 
 
@@ -483,10 +487,9 @@ class Engine:
 
     # -- clock ----------------------------------------------------------------
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds (owned by the event queue)."""
-        return self._queue.now
+    #: Current simulated time in seconds (owned by the event queue), read
+    #: by a C getter: every handler reads it, with no Python frame.
+    now = property(attrgetter("_queue.now"))
 
     @property
     def events_scheduled(self) -> int:
@@ -707,9 +710,15 @@ def _py_drain(queue, until: float, clamp: bool,
 
 
 if _C is not None:
-    # Let the C kernel raise the kernel's own error type and recognise a
-    # fan-out join (by its __func__).
-    _C.configure(SimulationError, _JOIN)
+    # The compiled conditions (the same constructor, ``events``, ``_detach``
+    # and value dict, each its own callback on its children) and their
+    # factories, with no Python frame; the C kernel raises the kernel's own
+    # error type.
+    AnyOf = _C.AnyOf  # noqa: F811
+    AllOf = _C.AllOf  # noqa: F811
+    Engine.any_of = _C.any_of
+    Engine.all_of = _C.all_of
+    _C.configure(SimulationError)
     _drain = _C.drain
 else:
     _drain = _py_drain

@@ -1,16 +1,18 @@
-"""The kernel's C hot core: event heap, Event, Process and Timeout, with a
-pure-Python fallback.
+"""The kernel's C hot core: event heap, the event family and the message
+path, with a pure-Python fallback.
 
 ``_simcore.c`` keeps the event queue's three ordering keys unboxed beside
 each event pointer (sift comparisons become C double/long compares instead
 of Python tuple comparisons) and implements the event family as C types:
-``Event`` (``Request``, ``AnyOf`` and ``AllOf`` subclass it in Python),
+``Event`` (the resources' ``Request`` subclasses it in Python),
 ``Process`` — its own resume callback, resumed by the C dispatch loop
-through struct fields — and ``Timeout``, whose constructor schedules itself
-into that heap in a single call.  It also carries the message path of
-``core/transport.py``: ``Message``, ``post``, ``Leg``, ``accept`` and the
-handler process ``Handler``, which that module binds over its Python
-mirror.  The heap owns the sequence counter:
+through struct fields — ``Timeout``, whose constructor schedules itself
+into that heap in a single call, and the conditions ``AnyOf`` and
+``AllOf``, each its own callback on its children.  It also carries the
+message path of ``core/transport.py``: ``Message``, ``post``, ``Leg``,
+``accept``, the handler process ``Handler``, ``request`` and the RPC
+``DeadlineQueue``, which that module binds over its Python mirror.  The
+heap owns the sequence counter:
 ``push(when, prio, obj)`` stamps the next seq itself, so pop order is
 bit-identical to ``heapq`` over ``(when, prio, seq, obj)`` tuples.
 
@@ -176,6 +178,16 @@ def _smoke(mod) -> bool:
             "a Process wakes with its Event's value")
     _expect((type(event).__name__, type(proc).__name__, type(t).__name__)
             == ("Event", "Process", "Timeout"), "type names")
+
+    # A join over a finished process and a pending event settles when the
+    # event does, with every child's value.
+    event = mod.Event(queue)
+    join = mod.AllOf(queue, [proc, event])
+    _expect(join._n_fired == 1 and event.callbacks == [join],
+            "AllOf subscribes to its pending child")
+    event.succeed("x")
+    _expect(mod.drain(queue, _INF, False, None) == 0
+            and join.value == {proc: 42, event: "x"}, "AllOf settles")
 
     # The message path's record type; its steps need a transport fabric.
     msg = mod.Message(1, "a", "b", "op", nbytes=8)

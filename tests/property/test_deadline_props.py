@@ -157,33 +157,24 @@ def run(calls, policies, oracle):
     if oracle:
         engine.run()
     else:
-        add = transport._DeadlineQueue.add
-        expire_due = transport._DeadlineQueue._expire_due
-
-        def spy_add(queue, reply):
-            started[reply] = (engine.now, queue.deadline)
-            add(queue, reply)
-
-        def spy_expire(queue, timer):
-            due = [r for r in queue._pending if not r.triggered]
-            expire_due(queue, timer)
-            for reply in due:
-                if reply.triggered and reply._value is transport._EXPIRED:
+        # Watched from outside, step by step, so that the compiled queue is
+        # held to the same record: an attempt starts its deadline in the
+        # step that queues it, and expires in the step that settles its
+        # token with _EXPIRED.
+        while engine._queue:
+            engine.step()
+            for queue in fabric._deadline_queues.values():
+                for reply in queue._pending:
+                    started.setdefault(reply, (engine.now, queue.deadline))
+            for reply in started:
+                if (reply not in expired and reply.triggered
+                        and reply._value is transport._EXPIRED):
                     expired[reply] = engine.now
-
-        transport._DeadlineQueue.add = spy_add
-        transport._DeadlineQueue._expire_due = spy_expire
-        try:
-            while engine._queue:
-                engine.step()
-                owners = deadline_timers(engine._queue)
-                assert len(owners) == len(set(map(id, owners))) <= len(LENGTHS)
-                # An attempt leaves its queue when its reply is dispatched.
-                for queue in fabric._deadline_queues.values():
-                    assert not any(r.processed for r in queue._pending)
-        finally:
-            transport._DeadlineQueue.add = add
-            transport._DeadlineQueue._expire_due = expire_due
+            owners = deadline_timers(engine._queue)
+            assert len(owners) == len(set(map(id, owners))) <= len(LENGTHS)
+            # An attempt leaves its queue when its reply is dispatched.
+            for queue in fabric._deadline_queues.values():
+                assert not any(r.processed for r in queue._pending)
         for queue in fabric._deadline_queues.values():
             assert not queue._pending and queue._timer is None
         # Each deadline started when its request arrived, as the seam saw

@@ -3,8 +3,9 @@
 Each scenario runs twice in one session: on the session's
 ``repro.core.transport`` and on the ``pure_transport`` fixture's.  Both runs
 must give the caller the same outcome, leave the same ``Accounting``
-counters and network byte counts, and dispatch the same kernel events
-(``Engine.event_log``: instant, priority, sequence number, kind and name).
+counters, network byte counts and deadline queues, and dispatch the same
+kernel events (``Engine.event_log``: instant, priority, sequence number,
+kind and name).
 """
 
 import pytest
@@ -54,6 +55,29 @@ class Harness:
                 self.outcome.append(("ok", value, self.engine.now))
         self.engine.process(caller())
 
+    def gather(self, ops):
+        """A fan-out over ``ops``: one ``request`` each, joined, as an
+        agent's gather; an interrupt detaches the join."""
+        def gatherer():
+            tokens = [self.client.request("server", op) for op in ops]
+            join = self.engine.all_of(tokens)
+            try:
+                yield join
+            except self.t.Interrupt as intr:
+                join._detach()
+                self.outcome.append(("interrupted", intr.cause,
+                                     self.engine.now))
+                return
+            self.outcome.append(("joined", [token.value for token in tokens],
+                                 self.engine.now))
+        return self.engine.process(gatherer())
+
+    def queues(self):
+        """Attempts pending and timers armed, over the deadline queues."""
+        queues = self.fabric._deadline_queues.values()
+        return (sum(len(queue._pending) for queue in queues),
+                sum(queue._timer is not None for queue in queues))
+
     def send(self, op, payload=None):
         def sender():
             try:
@@ -75,7 +99,8 @@ class Harness:
             "messages_dropped", "dead_letters", "replies_suppressed")}
         counts.update(bytes_total=self.net.bytes_total,
                       bytes_wan=self.net.bytes_wan,
-                      inflight=len(self.server._inflight))
+                      inflight=len(self.server._inflight),
+                      queues=self.queues())
         return self.outcome, counts, self.engine.event_log
 
 
@@ -330,3 +355,147 @@ def test_late_reply_after_the_deadline_expired(pure_transport):
     assert outcome[0][0] == DeadlineExceededError.__name__
     # The late reply crosses the wire and finds nobody: no duplicate.
     assert counts["messages_sent"] == 2 and counts["replies_suppressed"] == 0
+
+
+#: A request's arrival: its marshal, then its wire, for a 256-byte message.
+ARRIVAL = (MARSHAL + 256e-7) + (0.010 + 256 / 1e6)
+#: An echo reply's marshal and wire, for 64 bytes.
+REPLY = (MARSHAL + 64e-7) + (0.010 + 64 / 1e6)
+
+
+def test_expiry_at_arrival_plus_the_deadline(pure_transport):
+    def scenario(h):
+        h.server.faults = h.t.FaultInjector(points=("deliver",))
+        h.server.faults.drop_next(1)
+        h.client.set_deadline(["echo"], 0.05)
+        h.server.on("echo", echo(h))
+        h.server.start()
+        h.call("echo", 1)
+
+    outcome, counts, log = both(pure_transport, scenario)
+    assert outcome == [("DeadlineExceededError",
+                        "rpc 'echo' to 'server' exceeded 0.05s deadline "
+                        "after 1 attempt(s)", ARRIVAL + 0.05)]
+    assert counts["queues"] == (0, 0) and counts["messages_dropped"] == 1
+    # Request, dispatch charge, the deadline's one timer, the token.
+    assert [kind for *_, kind, _ in log] == [
+        "Timeout", "Timeout", "Timeout", "Timeout", "Event"]
+
+
+def test_a_retry_with_backoff(pure_transport):
+    def scenario(h):
+        h.server.faults = h.t.FaultInjector(points=("deliver",))
+        h.server.faults.drop_next(2)
+        h.client.set_deadline(["echo"], 0.05, retries=2, backoff=0.1)
+        h.server.on("echo", echo(h, delay=0.01))
+        h.server.start()
+        h.call("echo", 9)
+
+    outcome, counts, _ = both(pure_transport, scenario)
+    # Two attempts lost, a backoff of 0.1 then 0.2 after their expiries.
+    resent = ((ARRIVAL + 0.05) + 0.1 + ARRIVAL + 0.05) + 0.2
+    assert outcome[0][:2] == ("ok", 9)
+    assert outcome[0][2] == pytest.approx(resent + ARRIVAL + DISPATCH
+                                          + 0.01 + REPLY)
+    assert counts["messages_dropped"] == 2 and counts["messages_sent"] == 4
+    assert counts["queues"] == (0, 0)
+
+
+def test_a_late_reply_to_an_expired_attempt_leaves_the_retry_alone(
+        pure_transport):
+    def scenario(h):
+        runs = []
+
+        def slow_then_fast(msg):
+            runs.append(msg.msg_id)
+            yield h.engine.timeout(0.08 if len(runs) == 1 else 0.001)
+            return f"reply {len(runs)}", 64
+        h.client.set_deadline(["echo"], 0.05, retries=1, backoff=0.02)
+        h.server.on("echo", slow_then_fast)
+        h.server.start()
+        h.call("echo")
+
+    outcome, counts, _ = both(pure_transport, scenario)
+    assert [value for _, value, _ in outcome] == ["reply 2"]
+    # The first reply crossed the wire after its attempt expired: late,
+    # not a duplicate, and it settled nothing.
+    assert counts["messages_sent"] == 4 and counts["replies_suppressed"] == 0
+    assert counts["queues"] == (0, 0)
+
+
+def test_two_expiries_at_one_instant_in_send_order(pure_transport):
+    def scenario(h):
+        h.server.faults = h.t.FaultInjector(points=("deliver",))
+        h.server.faults.drop_next(2)
+        h.client.set_deadline(["b", "a"], 0.05)
+        for op in ("b", "a"):
+            h.server.on(op, echo(h))
+        h.server.start()
+        h.call("b")
+        h.call("a")
+
+    outcome, counts, log = both(pure_transport, scenario)
+    assert [(text.split()[1], at) for _, text, at in outcome] == [
+        ("'b'", ARRIVAL + 0.05), ("'a'", ARRIVAL + 0.05)]
+    # One timer expires both attempts.
+    assert [row[3] for row in log if row[0] == ARRIVAL + 0.05] == [
+        "Timeout", "Event", "Event"]
+    assert counts["queues"] == (0, 0)
+
+
+def test_the_timer_re_arms_after_its_head_was_answered(pure_transport):
+    def scenario(h):
+        h.server.faults = h.t.FaultInjector(points=("deliver",), ops=["lost"])
+        h.server.faults.drop_next(1)
+        h.client.set_deadline(["quick", "lost"], 0.05)
+        h.server.on("quick", echo(h, delay=0.001))
+        h.server.on("lost", echo(h))
+        h.server.start()
+        h.call("quick")
+        h.at(0.005, lambda: h.call("lost"))
+        h.at(0.02, lambda: h.outcome.append(("queues", h.queues())))
+        h.at(0.03, lambda: h.outcome.append(("queues", h.queues())))
+
+    outcome, counts, log = both(pure_transport, scenario)
+    # The head was answered; the timer still waits at its expiry, for the
+    # one attempt left.
+    answered = ARRIVAL + DISPATCH + 0.001 + REPLY
+    assert outcome[:3] == [("queues", (2, 1)),
+                           ("ok", None, pytest.approx(answered)),
+                           ("queues", (1, 1))]
+    assert outcome[3][0] == "DeadlineExceededError"
+    assert outcome[3][2] == pytest.approx(0.005 + ARRIVAL + 0.05)
+    # It fired at the head's expiry and re-armed at the new head's.
+    timers = [row[0] for row in log if row[3] == "Timeout"]
+    assert ARRIVAL + 0.05 in timers and outcome[3][2] in timers
+    assert counts["queues"] == (0, 0)
+
+
+def test_an_interrupted_gather_leaves_every_queue_empty(pure_transport):
+    def scenario(h):
+        h.client.set_deadline(["echo"], 0.05)
+        h.server.on("echo", echo(h, delay=0.01))
+        h.server.start()
+        proc = h.gather(["echo", "echo", "echo"])
+        h.at(ARRIVAL / 2, lambda: proc.interrupt("cancelled"))
+        # Just after the three requests arrived, to nobody waiting.
+        h.at(ARRIVAL + 1e-4, lambda: h.outcome.append(("queues", h.queues())))
+
+    outcome, counts, _ = both(pure_transport, scenario)
+    assert outcome == [("interrupted", "cancelled", ARRIVAL / 2),
+                       ("queues", (0, 0))]
+    # The requests went on and their replies found nobody waiting.
+    assert counts["messages_sent"] == 6 and counts["replies_suppressed"] == 0
+    assert counts["queues"] == (0, 0) and counts["inflight"] == 0
+
+
+def test_a_gather_joins_every_reply(pure_transport):
+    def scenario(h):
+        h.client.set_deadline(["echo"], 0.05)
+        h.server.on("echo", echo(h, delay=0.01))
+        h.server.start()
+        h.gather(["echo", "echo"])
+
+    outcome, counts, log = both(pure_transport, scenario)
+    assert outcome[0][:2] == ("joined", [("ok", None), ("ok", None)])
+    assert log[-1][3] == "AllOf" and counts["queues"] == (0, 0)

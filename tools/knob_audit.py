@@ -29,8 +29,10 @@ Reach pass
     Runs every registry experiment with small options, the five
     ``benchmarks/e2e`` workloads at their quick sizes and every
     ``examples/*.py`` under the stdlib ``trace`` module, then lists the
-    functions of ``src/repro`` none of them calls.  It informs; it gates
-    nothing.
+    functions of ``src/repro`` none of them calls.  The e2e workloads run
+    a second time in a child interpreter under ``REPRO_PURE_PY=1``, so the
+    pure-Python mirrors of the compiled cores count as reached.  It
+    informs; it gates nothing.
 
 A hit is deleted, given a workload that turns it on, or named in
 :data:`KEEP` with the reason it stays.  ``--check`` fails on a hit not in
@@ -48,6 +50,7 @@ import argparse
 import ast
 import contextlib
 import io
+import json
 import os
 import runpy
 import subprocess
@@ -749,9 +752,59 @@ QUICK_ARGS: Dict[str, List[str]] = {
 }
 
 
+def _trace_e2e(tracer, workloads, tmp: str) -> None:
+    for name, workload in workloads.items():
+        print(f"reach: e2e {name} (quick)", file=sys.stderr, flush=True)
+        workdir = tempfile.mkdtemp(dir=tmp)
+        tracer.runfunc(workload.run, 2007, workload.quick, False, workdir)
+
+
+def _called(tracer, src: str) -> Set[Tuple[str, str]]:
+    package = os.path.join(src, "repro") + os.sep
+    return {(os.path.relpath(filename, src), funcname.rsplit(".", 1)[-1])
+            for filename, _module, funcname in tracer.results().calledfuncs
+            if filename.startswith(package)}
+
+
+def reach_e2e(root: str) -> Set[Tuple[str, str]]:
+    """What the quick e2e workloads alone call, on the cores this
+    interpreter loaded."""
+    import trace
+
+    src = os.path.join(root, "src")
+    sys.path[:0] = [src, os.path.join(root, "benchmarks", "e2e")]
+    def load():
+        from workloads import WORKLOADS
+        return WORKLOADS
+
+    tracer = trace.Trace(count=0, trace=0, countfuncs=1)
+    workloads = tracer.runfunc(load)
+    with tempfile.TemporaryDirectory() as tmp:
+        _trace_e2e(tracer, workloads, tmp)
+    return _called(tracer, src)
+
+
+def _reach_pure(root: str) -> Set[Tuple[str, str]]:
+    """:func:`reach_e2e` in a child interpreter on the pure-Python
+    mirrors (the cores are chosen once, at import)."""
+    print("reach: e2e workloads under REPRO_PURE_PY=1", file=sys.stderr,
+          flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "reach.json")
+        code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+                "import knob_audit; json.dump(sorted("
+                "knob_audit.reach_e2e(sys.argv[2])), open(sys.argv[3], 'w'))")
+        subprocess.run([sys.executable, "-c", code,
+                        os.path.dirname(os.path.abspath(__file__)), root, out],
+                       check=True, stdout=subprocess.DEVNULL,
+                       env=dict(os.environ, REPRO_PURE_PY="1"))
+        with open(out, encoding="utf-8") as fh:
+            return {tuple(pair) for pair in json.load(fh)}
+
+
 def reach(root: str) -> Set[Tuple[str, str]]:
     """(module path, function name) of every ``src/repro`` function the
-    quick runs and the examples call."""
+    quick runs and the examples call, on either leg."""
     import trace
 
     src = os.path.join(root, "src")
@@ -779,12 +832,7 @@ def reach(root: str) -> Set[Tuple[str, str]]:
                       file=sys.stderr, flush=True)
                 with contextlib.redirect_stdout(io.StringIO()):
                     tracer.runfunc(main, argv)
-            for name, workload in workloads.items():
-                print(f"reach: e2e {name} (quick)", file=sys.stderr,
-                      flush=True)
-                workdir = tempfile.mkdtemp(dir=tmp)
-                tracer.runfunc(workload.run, 2007, workload.quick, False,
-                               workdir)
+            _trace_e2e(tracer, workloads, tmp)
             for path in _python_files(os.path.join(root, "examples")):
                 print(f"reach: python {os.path.relpath(path, root)}",
                       file=sys.stderr, flush=True)
@@ -793,10 +841,7 @@ def reach(root: str) -> Set[Tuple[str, str]]:
         finally:
             os.chdir(cwd)
             tempfile.tempdir = tempdir
-    package = os.path.join(src, "repro") + os.sep
-    return {(os.path.relpath(filename, src), funcname.rsplit(".", 1)[-1])
-            for filename, _module, funcname in tracer.results().calledfuncs
-            if filename.startswith(package)}
+    return _called(tracer, src) | _reach_pure(root)
 
 
 def unreached(root: str, reached: Set[Tuple[str, str]]) -> List[str]:
@@ -851,9 +896,9 @@ def report(root: str, before: Optional[str], with_reach: bool) -> str:
                       f"calls (informational)",
                   "# runs: python -m repro <row> with QUICK_ARGS, the five "
                   "e2e workloads at",
-                  "# quick sizes and examples/*.py, on the compiled cores (so "
-                  "the pure-Python",
-                  "# mirrors show here)"]
+                  "# quick sizes and examples/*.py on the compiled cores, and "
+                  "the e2e workloads",
+                  "# again under REPRO_PURE_PY=1 (the pure-Python mirrors)"]
         lines += missed
     return "\n".join(lines) + "\n"
 
