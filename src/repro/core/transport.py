@@ -644,9 +644,8 @@ class Endpoint:
 class TransportFabric:
     """Endpoint namespace + message delivery over the simulated network."""
 
-    # ``__dict__``: a test may replace a method of one fabric.
     __slots__ = ("engine", "network", "params", "accounting", "_endpoints",
-                 "_msg_ids", "_deadline_queues", "_request_ids", "__dict__")
+                 "_msg_ids", "_deadline_queues", "_request_ids")
 
     def __init__(self, engine: Engine, network: Network,
                  params: Optional[TransportParams] = None):

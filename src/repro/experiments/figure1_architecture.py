@@ -12,7 +12,7 @@ component on a real host, services registered where the paper puts them).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ..core.deployment import Deployment, deploy_paper_hierarchy
 from ..platform.grid5000 import build_grid5000
@@ -33,9 +33,6 @@ class ArchitectureResult:
     @property
     def n_seds(self) -> int:
         return len(self.deployment.seds)
-
-    def services_per_sed(self) -> Dict[str, List[str]]:
-        return {sed.name: sed.table.paths() for sed in self.deployment.seds}
 
     def validate(self) -> None:
         dep = self.deployment

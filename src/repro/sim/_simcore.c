@@ -3697,8 +3697,7 @@ transport_post(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 
 /* Mirror of TransportFabric._deadline_queue(policy.deadline): the fabric's
  * queue for the length, read from its _deadline_queues; a queue not made
- * yet, a fabric of another type or one whose method a test replaced goes
- * through the method. */
+ * yet or a fabric of another type goes through the method. */
 static PyObject *
 deadline_queue(PyObject *fabric, PyObject *policy)
 {
@@ -3706,11 +3705,8 @@ deadline_queue(PyObject *fabric, PyObject *policy)
     if (length == NULL)
         return NULL;
     if (Py_TYPE(fabric) == A__deadline_queues.type) {
-        PyObject *own = PyObject_GenericGetDict(fabric, NULL), *queues = NULL;
-        int replaced = own ? PyDict_Contains(own, S__deadline_queue) : -1;
-        Py_XDECREF(own);
-        if (replaced == 0 && (queues = get(fabric, &A__deadline_queues)) &&
-            PyDict_Check(queues))
+        PyObject *queues = get(fabric, &A__deadline_queues);
+        if (queues != NULL && PyDict_Check(queues))
             queue = Py_XNewRef(PyDict_GetItemWithError(queues, length));
         Py_XDECREF(queues);
         if (PyErr_Occurred()) {

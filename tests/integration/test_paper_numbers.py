@@ -1,18 +1,26 @@
-"""E1-E7 acceptance: the MODELED campaign reproduces §5 of the paper.
+"""Every ``python -m repro`` row at default arguments: its stdout pinned, and
+the paper's claims about it asserted on the same result.
 
-These are the headline reproduction checks.  Tolerances are generous where
-the paper's number is itself noisy (total makespan depends on which SeD
-drew the unlucky jobs) and tight where our calibration pins the value
-(part-1 duration, finding time, request distribution).
+E1-E6 check the MODELED campaign against §5 of the paper.  Tolerances are
+generous where the paper's number is itself noisy (total makespan depends
+on which SeD drew the unlucky jobs) and tight where our calibration pins
+the value (part-1 duration, finding time, request distribution).  E7-E10
+and Figure 1 are shapes, asserted on each row's default-size result.
+
+Each row's stdout is pinned by the 16-hex sha256 prefix in
+``tests/data/ref_reports.json``.  A prefix moves only in a change that
+declares a report change and names the row; the failure message prints
+the new prefix to pin.
 """
 
 import hashlib
+import json
+import os
 
 import numpy as np
 import pytest
 
-from repro.__main__ import _EXPERIMENTS
-from repro.experiments import ablation_scheduler
+from repro.__main__ import _EXPERIMENTS, main
 from repro.services import (
     CampaignConfig,
     PAPER_PART1_SECONDS,
@@ -20,6 +28,15 @@ from repro.services import (
     PAPER_TOTAL_SECONDS,
     run_campaign,
 )
+
+
+REF_REPORTS = os.path.join(os.path.dirname(__file__), os.pardir, "data",
+                           "ref_reports.json")
+with open(REF_REPORTS, encoding="utf-8") as _fh:
+    PINS = json.load(_fh)
+
+#: The rows that print the seed-2007 campaign.
+CAMPAIGN_ROWS = ("timings", "figure4", "figure5", "overhead", "campaign")
 
 
 @pytest.fixture(scope="module")
@@ -129,12 +146,39 @@ class TestE6Overhead:
         assert total / campaign.sequential_estimate < 1e-4
 
 
-class TestE7PluginScheduler:
-    @pytest.fixture(scope="class")
-    def ablation(self):
-        return ablation_scheduler.run(
-            policies=(("default", False), ("mct", True)))
+@pytest.fixture(scope="module")
+def default_run(campaign):
+    """``default_run(row)``: the result bare ``main([row])`` renders, once
+    per row.  Bare ``main`` hands ``run`` its signature's defaults (where
+    ``run`` takes ``observe``, its default is ``main``'s False); the rows
+    that print the seed-2007 campaign share the module's (``campaign``'s
+    defaults are its config)."""
+    results = dict.fromkeys(CAMPAIGN_ROWS, campaign)
 
+    def get(row):
+        if row not in results:
+            results[row] = _EXPERIMENTS[row].run()
+        return results[row]
+
+    return get
+
+
+def _row(name):
+    """A module fixture named ``name``: that row's default result."""
+    @pytest.fixture(scope="module", name=name)
+    def result(default_run):
+        return default_run(name)
+    return result
+
+
+architecture = _row("architecture")
+ablation = _row("ablation")
+figure2 = _row("figure2")
+figure3 = _row("figure3")
+scaling = _row("scaling")
+
+
+class TestE7PluginScheduler:
     def test_mct_improves_makespan(self, ablation):
         """The paper's prediction: 'a better makespan could be attained by
         writing a plug-in scheduler'."""
@@ -151,19 +195,69 @@ class TestE7PluginScheduler:
         assert max(by_cluster["nancy-grillon"]) >= max(
             by_cluster["toulouse-violette"])
 
+    def test_fastest_node_baseline_is_worse(self, ablation):
+        spans = ablation.part2_makespans()
+        assert spans["fastest"] > spans["default"]
 
-class TestReportText:
-    """The full stdout of the rows that print this campaign, pinned by
-    sha256 prefix.  ``main`` prints ``row.render(result)`` and a newline;
-    the ``campaign`` row's defaults are this campaign's config."""
 
-    @pytest.mark.parametrize("row, digest", [
-        ("timings", "44cef7bb549283f6"),
-        ("figure4", "622bedcdf5f70f2b"),
-        ("figure5", "17d8304250abb0e4"),
-        ("overhead", "68b70916df5611f8"),
-        ("campaign", "3fd20b78d8202a5f"),
-    ])
-    def test_report_digest(self, campaign, row, digest):
-        stdout = _EXPERIMENTS[row].render(campaign) + "\n"
-        assert hashlib.sha256(stdout.encode()).hexdigest()[:16] == digest
+class TestE8Figure2Density:
+    """A real PM run: fluctuations grow left-to-right and high-density
+    peaks (halos) exist in the final panel."""
+
+    def test_structure_forms(self, figure2):
+        assert figure2.monotone_growth
+        assert figure2.max_delta[-1] > 50.0      # collapsed structures by a=1
+        assert figure2.n_halos_final >= 5
+
+
+class TestE9Figure3Zoom:
+    """A real two-step zoom: the region around the chosen halo gains
+    resolution, and the halo re-forms there."""
+
+    def test_mass_resolution_gain_is_8_per_level(self, figure3):
+        assert figure3.mass_resolution_gain == figure3.expected_gain
+
+    def test_halo_reforms_where_the_parent_put_it(self, figure3):
+        # within ~one coarse cell: a one-level PM zoom, not full AMR
+        assert figure3.particle_boost > 1.5
+        assert figure3.center_offset < 1.5 / 16
+
+
+class TestE10ScalingNodes:
+    def test_knee(self, scaling):
+        # near-linear at small rank counts
+        assert scaling.efficiency(2) > 0.85
+        # the paper's 16-machines choice sits on the efficient plateau
+        assert scaling.efficiency(16) > 0.6
+        # communication eventually kills scaling
+        assert scaling.efficiency(128) < scaling.efficiency(16)
+        assert 16 <= scaling.knee() <= 64
+
+
+class TestFigure1Architecture:
+    """``run`` validates the hierarchy; each SeD's services are on its line
+    of the pinned report."""
+
+    def test_paper_hierarchy(self, architecture):
+        assert architecture.n_agents == 7        # 1 MA + 6 LAs (§5.1)
+        assert architecture.n_seds == 11
+
+
+@pytest.mark.parametrize("row", [*_EXPERIMENTS, "list"])
+def test_report_digest(row, default_run, capsys):
+    """The row's full stdout at default arguments against its pin.  A
+    row's stdout is ``render(result)`` and a newline (no flag asks for an
+    export or observability line); ``list`` runs through ``main``, which
+    prints the same for no command at all."""
+    if row == "list":
+        assert main(["list"]) == 0
+        stdout = capsys.readouterr().out
+        assert main([]) == 0
+        assert capsys.readouterr().out == stdout
+        assert set(PINS) == {*_EXPERIMENTS, "list"}, "one pin per row + list"
+    else:
+        stdout = _EXPERIMENTS[row].render(default_run(row)) + "\n"
+    got = hashlib.sha256(stdout.encode()).hexdigest()[:16]
+    assert PINS.get(row) == got, (
+        f"{row!r}: stdout sha256 prefix is {got!r}, pinned "
+        f"{PINS.get(row)!r} in tests/data/ref_reports.json")

@@ -116,9 +116,11 @@ def run(calls, policies, oracle):
     server = fabric.endpoint("server", "beta")
     client = fabric.endpoint("client", "alpha")
     if oracle:
-        # The oracle's requests start their deadlines as timers of their own.
-        fabric._deadline_queue = lambda deadline: OneTimeoutPerAttempt(
-            engine, deadline)
+        # The oracle's requests start their deadlines as timers of their own:
+        # both legs take a length's queue from the fabric's table first.
+        fabric._deadline_queues.update(
+            (length, OneTimeoutPerAttempt(engine, length))
+            for length in LENGTHS)
     fates = {f"c{i}": call[2] for i, call in enumerate(calls)}
     server.faults = _ScriptedLoss(engine, fates)
     arrivals = {}
@@ -156,6 +158,9 @@ def run(calls, policies, oracle):
     started, expired = {}, {}
     if oracle:
         engine.run()
+        # No request made a queue of its own: every deadline was a stand-in.
+        assert all(type(queue) is OneTimeoutPerAttempt
+                   for queue in fabric._deadline_queues.values())
     else:
         # Watched from outside, step by step, so that the compiled queue is
         # held to the same record: an attempt starts its deadline in the
