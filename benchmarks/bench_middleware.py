@@ -24,7 +24,6 @@ import os
 import statistics
 
 import numpy as np
-import pytest
 
 from repro.core import (
     ProfileDesc,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from .data import HANDLE_WIRE_BYTES, ArgDesc, DietArg, Direction
 from .exceptions import ProfileError, ServiceNotFoundError

@@ -11,7 +11,7 @@ sequence, and by a=1 the box contains collapsed high-density peaks (the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 

@@ -12,7 +12,7 @@ tarball.  Catalogs serialize to Fortran unformatted records (like GALICS'
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
 import numpy as np
 

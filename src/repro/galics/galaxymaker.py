@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from .catalogs import Galaxy, GalaxyCatalog
 from .treemaker import MergerTree, TreeNode
 from ..ramses.cosmology import Cosmology

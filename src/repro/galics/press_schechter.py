@@ -16,8 +16,6 @@ matching :class:`repro.ramses.units.Units`.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from ..grafic.power_spectrum import PowerSpectrum

@@ -19,7 +19,7 @@ generated field against the input P(k).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

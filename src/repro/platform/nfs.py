@@ -79,15 +79,6 @@ class NfsVolume:
     def exists(self, path: str) -> bool:
         return path in self._files
 
-    def size_of(self, path: str) -> int:
-        try:
-            return self._files[path]
-        except KeyError:
-            raise NfsError(f"no such file on {self.name!r}: {path!r}") from None
-
-    def unlink(self, path: str) -> None:
-        self._files.pop(path, None)
-
     # -- timed access -------------------------------------------------------------
 
     def write(self, host_name: str, path: str,
@@ -127,13 +118,6 @@ class NfsVolume:
         for token in stale:
             del self._reservations[token]
         return len(stale)
-
-    def read(self, host_name: str, path: str) -> Generator[Event, Any, int]:
-        """Process helper: read ``path``; returns its size in bytes."""
-        self._check_mount(host_name)
-        nbytes = self.size_of(path)
-        yield from self.read_bytes(host_name, nbytes)
-        return nbytes
 
     def read_bytes(self, host_name: str,
                    nbytes: int) -> Generator[Event, Any, None]:

@@ -11,9 +11,8 @@ reduces to D(a) = a, which property tests verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 

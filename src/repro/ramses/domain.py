@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import check_level, hilbert_decode, positions_to_keys
+from .hilbert import check_level, positions_to_keys
 
 __all__ = ["DomainDecomposition", "decompose", "slab_ranks", "exchange_matrix"]
 

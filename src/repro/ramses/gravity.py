@@ -13,7 +13,6 @@ initial conditions placed small-mass particles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

@@ -15,7 +15,7 @@ Riemann solver on Sod shock tubes along each axis.  Everything is numpy
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np

@@ -11,7 +11,6 @@ Fortran-style binary.
 
 from __future__ import annotations
 
-import io
 import os
 import struct
 from dataclasses import dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from collections import OrderedDict
-from typing import Any, Dict, List, TextIO, Union
+from typing import Any, Dict, List, Union
 
 __all__ = ["Namelist", "parse_namelist", "format_namelist"]
 

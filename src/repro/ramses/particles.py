@@ -14,7 +14,7 @@ kernels are vectorized over these arrays).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -34,18 +34,16 @@ from __future__ import annotations
 
 import enum
 import gzip
-import math
 import os
 import tarfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, Optional
+from typing import Any, Generator, Optional
 
 from ..core.data import BaseType, FileRef, file_desc, scalar_desc
 from ..core.deployment import Deployment
 from ..core.profile import Profile, ProfileDesc
 from ..core.sed import SolveContext
 from ..galics.catalogs import write_halo_catalog
-from ..platform.nfs import NfsVolume
 from ..galics.halomaker import find_halos
 from ..grafic.ic import make_multi_level_ic, make_single_level_ic
 from ..ramses.cosmology import LCDM_WMAP, Cosmology
@@ -54,7 +52,7 @@ from ..ramses.simulation import RamsesRun, RunConfig
 from .perfmodel import RamsesPerfModel
 
 __all__ = ["ExecutionMode", "RamsesServiceConfig", "RamsesService",
-           "FaultStats", "zoom1_profile_desc", "zoom2_profile_desc",
+           "zoom1_profile_desc", "zoom2_profile_desc",
            "COORD_SCALE", "register_ramses_services"]
 
 #: Fixed-point scale for the DIET_INT centre coordinates (box units x 1e6).
@@ -102,55 +100,10 @@ class RamsesServiceConfig:
     real_a_end: float = 1.0
     real_zoom_half_size: float = 0.2
     seed: int = 42
-    #: Checkpoint the ramsesZoom2 main phase every this many normalized work
-    #: units (RAMSES's own restart dumps: amr/hydro state written to the NFS
-    #: working directory).  None — the default — disables checkpointing
-    #: entirely and the solve path is byte-for-byte the happy-path one.
-    checkpoint_interval_work: Optional[float] = None
 
     def __post_init__(self):
         if self.mode is ExecutionMode.REAL and not self.workdir:
             raise ValueError("REAL mode needs a workdir for output files")
-        if (self.checkpoint_interval_work is not None
-                and self.checkpoint_interval_work <= 0):
-            raise ValueError("checkpoint_interval_work must be positive")
-
-
-@dataclass
-class FaultStats:
-    """What fault tolerance did (and cost) across a service's lifetime."""
-
-    checkpoints_written: int = 0
-    restarts_from_checkpoint: int = 0
-    restarts_from_scratch: int = 0
-    #: Normalized work executed by dead attempts and never recovered
-    #: (counted at segment granularity — a partially executed segment
-    #: counts as entirely lost).
-    work_lost: float = 0.0
-    #: Normalized work a resumed attempt did NOT redo thanks to a checkpoint.
-    work_recovered: float = 0.0
-
-
-@dataclass
-class _JobProgress:
-    """Durable identity of one zoom2 job across solve attempts.
-
-    ``total_work`` pins the job's noise draw at first attempt: a resubmitted
-    job must cost the same work wherever it lands, not redraw from the
-    shared job counter.  ``volume``/``path`` locate the newest checkpoint;
-    §4.1 makes it readable only from hosts mounting that same volume.
-    """
-
-    key: str
-    total_work: float
-    path: str
-    volume: Optional[NfsVolume] = None
-    #: Main-phase segments durably checkpointed so far.
-    segments_done: int = 0
-    #: Work executed since the last durable checkpoint (the amount a crash
-    #: right now would lose).
-    unsaved: float = 0.0
-    attempts: int = 0
 
 
 class RamsesService:
@@ -159,10 +112,6 @@ class RamsesService:
     def __init__(self, config: RamsesServiceConfig):
         self.config = config
         self._job_counter = 0
-        #: Shared across every SeD the service is registered on, so a
-        #: resubmitted job finds its record wherever it lands.
-        self._progress: Dict[str, _JobProgress] = {}
-        self.fault_stats = FaultStats()
 
     def _run_config_from_profile(self, profile: Profile) -> RunConfig:
         """REAL mode: honour the shipped namelist (the paper's "file
@@ -201,77 +150,6 @@ class RamsesService:
             yield from ctx.nfs.write(ctx.host.name, f"snapshots-{job_id}",
                                      perf.snapshot_bytes(resolution))
         yield from ctx.execute(solve_work * perf.postproc_fraction)  # GALICS
-
-    def _charge_phases_checkpointed(self, ctx: SolveContext,
-                                    progress: _JobProgress, resolution: int,
-                                    job_id: int) -> Generator[Any, Any, None]:
-        """Fault-tolerant variant of :meth:`_charge_phases` for zoom2.
-
-        The RAMSES main phase runs in segments of
-        ``checkpoint_interval_work``; after each one a restart dump goes to
-        the cluster's NFS volume.  A later attempt resumes from the dump —
-        but only when it runs on a host mounting the *same* volume (§4.1:
-        the working directory does not cross clusters); otherwise it starts
-        from scratch and the checkpointed work is lost with the cluster.
-        """
-        perf = self.config.perf
-        stats = self.fault_stats
-        denom = 1.0 + perf.ic_fraction + perf.postproc_fraction
-        solve_work = progress.total_work / denom
-        ic_work = solve_work * perf.ic_fraction
-        interval = self.config.checkpoint_interval_work
-        assert interval is not None
-        n_segments = max(1, math.ceil(solve_work / interval))
-        seg_work = solve_work / n_segments
-        ckpt_bytes = perf.snapshot_bytes(resolution, 1)
-
-        resumable = (progress.segments_done > 0 and ctx.nfs is not None
-                     and progress.volume is ctx.nfs
-                     and ctx.nfs.exists(progress.path))
-        if progress.attempts > 1:
-            # The previous attempt died: everything it ran past the last
-            # durable checkpoint is gone.
-            stats.work_lost += progress.unsaved
-            progress.unsaved = 0.0
-            durable = ic_work + progress.segments_done * seg_work
-            if resumable:
-                stats.restarts_from_checkpoint += 1
-                stats.work_recovered += durable
-            else:
-                stats.restarts_from_scratch += 1
-                if progress.segments_done > 0:
-                    # Checkpoints exist but on a volume this host does not
-                    # mount: unreachable, so that work is lost too.
-                    stats.work_lost += durable
-                progress.segments_done = 0
-                progress.volume = None
-
-        if resumable:
-            # Load the restart dump instead of regenerating ICs.
-            yield from ctx.nfs.read(ctx.host.name, progress.path)
-        else:
-            yield from ctx.execute(ic_work)                         # GRAFIC
-            progress.unsaved += ic_work
-            if ctx.nfs is not None:
-                yield from ctx.nfs.write(ctx.host.name, f"ic-{job_id}",
-                                         ckpt_bytes)
-
-        for _seg in range(progress.segments_done, n_segments):      # RAMSES
-            yield from ctx.execute(seg_work)
-            progress.unsaved += seg_work
-            if ctx.nfs is not None:
-                yield from ctx.nfs.write(ctx.host.name, progress.path,
-                                         ckpt_bytes)
-                progress.volume = ctx.nfs
-                progress.segments_done = _seg + 1
-                progress.unsaved = 0.0
-                stats.checkpoints_written += 1
-
-        if ctx.nfs is not None:
-            yield from ctx.nfs.write(ctx.host.name, f"snapshots-{job_id}",
-                                     perf.snapshot_bytes(resolution))
-        yield from ctx.execute(solve_work * perf.postproc_fraction)  # GALICS
-        progress.unsaved += solve_work * perf.postproc_fraction
 
     def _job_dir(self, service: str, job_id: int) -> str:
         assert self.config.workdir is not None
@@ -332,31 +210,12 @@ class RamsesService:
         n_levels = int(profile.parameter(6).get())
         self._job_counter += 1
         job_id = self._job_counter
-        if self.config.checkpoint_interval_work is None:
-            # Deterministic per-job work scatter: the job counter is shared
-            # across the deployment, so the canonical campaign always consumes
-            # the same multiset of draws (indices 2..101) whatever the policy —
-            # keeping scheduler ablations workload-identical.
-            work = self.config.perf.part2_work(resolution, n_levels, job_id)
-            yield from self._charge_phases(ctx, work, resolution, job_id)
-        else:
-            # Job identity, not attempt identity: a resubmission of the same
-            # zoom (same centre/resolution/depth) reuses the first attempt's
-            # work draw and may resume from its checkpoint.
-            job_key = f"zoom2/{resolution}/{cx}-{cy}-{cz}/{n_levels}"
-            progress = self._progress.get(job_key)
-            if progress is None:
-                work = self.config.perf.part2_work(resolution, n_levels, job_id)
-                progress = _JobProgress(key=job_key, total_work=work,
-                                        path=f"ckpt/{job_key}")
-                self._progress[job_key] = progress
-            progress.attempts += 1
-            yield from self._charge_phases_checkpointed(
-                ctx, progress, resolution, job_id)
-            # Completed: retire the record and the restart dump.
-            self._progress.pop(job_key, None)
-            if progress.volume is not None:
-                progress.volume.unlink(progress.path)
+        # Deterministic per-job work scatter: the job counter is shared
+        # across the deployment, so the canonical campaign always consumes
+        # the same multiset of draws (indices 2..101) whatever the policy —
+        # keeping scheduler ablations workload-identical.
+        work = self.config.perf.part2_work(resolution, n_levels, job_id)
+        yield from self._charge_phases(ctx, work, resolution, job_id)
 
         if self.config.mode is ExecutionMode.REAL:
             tar_path = self._run_real_zoom2(

@@ -60,8 +60,7 @@ class FailurePlan:
     Victims, crash times and downtimes are drawn from the campaign seed's
     ``"outages"`` stream, so a degraded run is as bit-deterministic as the
     happy-path one.  The remaining knobs size the recovery machinery the
-    plan switches on: LA->SeD heartbeats, zoom2 checkpointing, client-side
-    resubmission.
+    plan switches on: LA->SeD heartbeats and client-side resubmission.
     """
 
     #: Distinct SeDs to crash (capped at the deployment size).
@@ -74,9 +73,6 @@ class FailurePlan:
     heartbeat_interval: float = 60.0
     heartbeat_timeout: float = 5.0
     heartbeat_miss_threshold: int = 2
-    #: Checkpoint the zoom2 main phase every this many work units
-    #: (~5000 work units per zoom at the paper's parameters).
-    checkpoint_interval_work: float = 600.0
     #: Client-side resubmission budget per zoom job.
     max_solve_attempts: int = 8
     #: Seconds between resubmissions (multiplied by the attempt number).
@@ -96,15 +92,11 @@ class FailureReport:
     #: Completed crash/restart cycles (a victim whose restart falls beyond
     #: the campaign's end never reaches the history).
     outages: List[OutageRecord]
+    #: SeD -> the instant the plan crashes it (one crash per victim),
+    #: including a victim still down when the campaign ends.
+    crashes: Dict[str, float]
     #: Jobs the client re-pushed through the MA finding path.
     resubmissions: int
-    #: Normalized work executed by dead attempts and never recovered.
-    work_lost: float
-    #: Normalized work skipped on resume thanks to checkpoints.
-    work_recovered: float
-    checkpoints_written: int
-    restarts_from_checkpoint: int
-    restarts_from_scratch: int
     #: SeDs deregistered by LA heartbeat monitors, in event order.
     deregistrations: List[str]
     #: SeDs that re-registered after a restart, in event order.
@@ -255,6 +247,25 @@ class CampaignResult:
         ends = [t.completed_at for t in self.part2_traces if t.completed_at]
         starts = [t.submitted_at for t in self.part2_traces if t.submitted_at]
         return max(ends) - min(starts)
+
+    @property
+    def solve_time_lost(self) -> float:
+        """Solve seconds that SeD crashes threw away (0 on the happy path).
+
+        An attempt whose solve started and never ended died with its SeD:
+        it loses its SeD's crash instant minus its solve start.  The sum
+        runs over every attempt of either service.  Crash instants are the
+        plan's draw (``FailureReport.crashes``), not the injector's history,
+        which holds completed crash/restart cycles only and so misses a
+        victim still down when the campaign ends.
+        """
+        if self.failure_report is None:
+            return 0.0
+        crashes = self.failure_report.crashes
+        return sum((crashes[t.sed_name] - t.solve_started_at
+                    for t in self.tracer.all_traces()
+                    if t.solve_started_at is not None
+                    and t.solve_ended_at is None), 0.0)
 
     @property
     def sequential_estimate(self) -> float:
@@ -456,14 +467,13 @@ def run_campaign(config: Optional[CampaignConfig] = None) -> CampaignResult:
     service_config = RamsesServiceConfig(
         mode=config.mode, perf=RamsesPerfModel(seed=config.seed),
         workdir=workdir, real_n_steps=config.real_n_steps,
-        real_a_end=config.real_a_end, seed=config.seed,
-        checkpoint_interval_work=(
-            plan.checkpoint_interval_work if plan is not None else None))
-    service = register_ramses_services(deployment, service_config,
-                                       with_predictor=config.with_predictor)
+        real_a_end=config.real_a_end, seed=config.seed)
+    register_ramses_services(deployment, service_config,
+                             with_predictor=config.with_predictor)
     deployment.launch_all()
 
     injector: Optional[FailureInjector] = None
+    crashes: Dict[str, float] = {}
     if plan is not None and plan.n_crashes > 0:
         rng = RandomStreams(config.seed).get("outages")
         injector = FailureInjector(engine)
@@ -473,8 +483,9 @@ def run_campaign(config: Optional[CampaignConfig] = None) -> CampaignResult:
         for idx in victims:
             at = float(rng.uniform(lo, hi))
             downtime = max(60.0, float(rng.exponential(plan.mean_downtime)))
-            injector.schedule(deployment.seds[int(idx)],
-                              [Outage(at=at, duration=downtime)])
+            victim = deployment.seds[int(idx)]
+            crashes[victim.name] = at
+            injector.schedule(victim, [Outage(at=at, duration=downtime)])
 
     client = deployment.client
     assert client is not None
@@ -582,7 +593,6 @@ def run_campaign(config: Optional[CampaignConfig] = None) -> CampaignResult:
 
     failure_report = None
     if plan is not None:
-        stats = service.fault_stats
         deregs = [name for la in deployment.local_agents
                   for name in la.deregistrations]
         recoveries = [child for la in deployment.local_agents
@@ -590,12 +600,8 @@ def run_campaign(config: Optional[CampaignConfig] = None) -> CampaignResult:
                       for child, _t in la.heartbeat.recoveries]
         failure_report = FailureReport(
             outages=list(injector.history) if injector is not None else [],
+            crashes=crashes,
             resubmissions=client.resubmissions,
-            work_lost=stats.work_lost,
-            work_recovered=stats.work_recovered,
-            checkpoints_written=stats.checkpoints_written,
-            restarts_from_checkpoint=stats.restarts_from_checkpoint,
-            restarts_from_scratch=stats.restarts_from_scratch,
             deregistrations=deregs,
             recoveries=recoveries)
     return CampaignResult(config=config, deployment=deployment,

@@ -18,7 +18,6 @@ from repro.ramses import read_snapshot
 from repro.services import (
     CampaignConfig,
     ExecutionMode,
-    decode_zoom2,
     run_campaign,
 )
 

@@ -66,9 +66,8 @@ class TestDataLocalityAblation:
 
 class TestDegradedCampaignAcrossDataPolicies:
     def test_fault_stats_do_not_depend_on_data_policy(self):
-        """Restart dumps stay on the NFS volume that wrote them (§4.1)
-        whatever the data policy: keeping results SeD-side changes neither
-        where a resubmitted zoom may resume nor what the crashes cost."""
+        """Keeping results SeD-side changes nothing about what the crashes
+        cost: a resubmitted zoom starts over wherever it lands."""
 
         def faults(policy):
             result = run_campaign(CampaignConfig(
@@ -76,11 +75,9 @@ class TestDegradedCampaignAcrossDataPolicies:
                 failures=FailurePlan(n_crashes=2)))
             assert all(s == 0 for s in result.statuses)
             report = result.failure_report
-            return (report.restarts_from_checkpoint,
-                    report.restarts_from_scratch, report.work_lost,
-                    report.work_recovered, report.checkpoints_written,
-                    report.resubmissions)
+            return (report.resubmissions, result.solve_time_lost,
+                    report.outages)
 
         persistent = faults("persistent")
-        assert persistent[4] > 0  # checkpoints were written
+        assert persistent[1] > 0.0  # a crash killed a running solve
         assert persistent == faults("volatile")

@@ -1,9 +1,9 @@
 """The full 100-zoom campaign under injected SeD failures.
 
 End-to-end acceptance for the fault-tolerance stack: seeded crashes +
-heartbeat deregistration + checkpointing + client resubmission must
-complete every zoom, deterministically, at a makespan strictly above the
-zero-failure baseline.
+heartbeat deregistration + client resubmission must complete every zoom,
+deterministically, at a makespan strictly above the zero-failure baseline
+and with the killed solves' time counted as lost.
 """
 
 import pytest
@@ -26,9 +26,7 @@ def fingerprint(result):
         tuple(t.completed_at for t in result.part2_traces),
         tuple(sorted(result.requests_per_sed().items())),
         report.resubmissions,
-        report.work_lost,
-        report.work_recovered,
-        report.checkpoints_written,
+        result.solve_time_lost,
         tuple((o.name, o.down_at, o.up_at) for o in report.outages),
         tuple(report.deregistrations),
         tuple(report.recoveries),
@@ -55,8 +53,7 @@ class TestDegradedCampaign:
         assert result.total_elapsed > baseline.total_elapsed
         report = result.failure_report
         assert report.resubmissions > 0
-        assert report.work_lost > 0.0
-        assert report.checkpoints_written > 0
+        assert result.solve_time_lost > 0.0
 
     def test_heartbeat_deregistered_the_victims(self, result):
         report = result.failure_report

@@ -6,8 +6,6 @@ import subprocess
 import sys
 import tempfile
 
-import pytest
-
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
 
 

@@ -11,7 +11,6 @@ import pytest
 
 from repro.galics import find_halos
 from repro.galics.press_schechter import (
-    DELTA_C,
     expected_halo_counts,
     lagrangian_radius,
     press_schechter_dndlnm,

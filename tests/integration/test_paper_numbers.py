@@ -1,7 +1,8 @@
 """Every ``python -m repro`` row at default arguments: its stdout pinned, and
 the paper's claims about it asserted on the same result.
 
-E1-E6 check the MODELED campaign against §5 of the paper.  Tolerances are
+E1-E6 check the MODELED campaign against §5 of the paper, and the
+campaign-scaling staircase checks it at 11-100 zooms.  Tolerances are
 generous where the paper's number is itself noisy (total makespan depends
 on which SeD drew the unlucky jobs) and tight where our calibration pins
 the value (part-1 duration, finding time, request distribution).  E7-E10
@@ -15,6 +16,7 @@ the new prefix to pin.
 
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -117,6 +119,7 @@ class TestE5Latency:
     def test_first_wave_is_milliseconds(self, campaign):
         lat = sorted(campaign.latencies())
         assert lat[0] < 0.5   # transfer + initiation only
+        assert campaign.first_wave_latency < 0.5
 
     def test_grows_by_orders_of_magnitude(self, campaign):
         """Paper: latency 'grows rapidly' (log-scale plot): queueing."""
@@ -132,9 +135,13 @@ class TestE5Latency:
 
 
 class TestE6Overhead:
+    def test_initiation_time(self, campaign):
+        """Paper: about 20.8 ms, on the first 12 executions."""
+        assert campaign.init_time * 1e3 == pytest.approx(20.8, abs=1.0)
+
     def test_per_request_overhead(self, campaign):
         """Paper: ~70.6 ms per simulation (finding + initiation)."""
-        assert campaign.overhead_mean * 1e3 == pytest.approx(70.6, rel=0.05)
+        assert campaign.overhead_mean * 1e3 == pytest.approx(70.6, abs=3.0)
 
     def test_total_overhead_seconds(self, campaign):
         """Paper: ~7 s for the 101 simulations."""
@@ -144,6 +151,33 @@ class TestE6Overhead:
     def test_negligible_fraction(self, campaign):
         total = campaign.overhead_mean * 101
         assert total / campaign.sequential_estimate < 1e-4
+
+
+class TestCampaignScaling:
+    """§5.1: "we won't be able to have more than 11 parallel computations
+    at the same time" — the part-2 makespan grows in ceil(n / 11) waves of
+    the mean zoom duration."""
+
+    @pytest.fixture(scope="class")
+    def by_size(self, campaign):
+        runs = {n: run_campaign(CampaignConfig(n_sub_simulations=n))
+                for n in (11, 22, 55)}
+        runs[100] = campaign
+        return runs
+
+    def test_makespan_is_a_staircase_of_waves(self, by_size):
+        for n, result in by_size.items():
+            waves = math.ceil(n / 11)
+            assert result.part2_makespan == pytest.approx(
+                waves * result.part2_mean_duration, rel=0.35), n
+
+    def test_one_wave_runs_every_zoom_in_parallel(self, by_size):
+        one = by_size[11]
+        assert one.part2_makespan < 2.2 * one.part2_mean_duration
+
+    def test_sequential_estimate_is_linear_in_n(self, by_size):
+        assert by_size[100].sequential_estimate > \
+            8.0 * by_size[11].sequential_estimate
 
 
 @pytest.fixture(scope="module")

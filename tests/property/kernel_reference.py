@@ -23,6 +23,10 @@ current kernel and diffs the digests.  Regenerate the references ONLY
 from a commit whose kernel behaviour is known-good — they are the
 contract an optimization has to honour, not a snapshot of whatever the
 tree currently does.
+
+``ref_events_degraded.json`` was derived at commit 61ac162 with
+``FailurePlan(checkpoint_interval_work=None)``: the degraded run that is
+left once zoom2 writes no restart dumps.
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
 """Property-based tests for the discrete-event kernel."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -2,7 +2,6 @@
 
 import networkx as nx
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

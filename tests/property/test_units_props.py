@@ -1,6 +1,5 @@
 """Property-based tests for units and cosmology invariants."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

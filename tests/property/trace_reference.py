@@ -13,6 +13,9 @@ were recorded from commit 884740d, where an interceptor on every endpoint
 took the client- and arrival-side stamps from message shapes; they are the
 contract for moving a stamp, not a snapshot of the current tree: re-record
 ONLY for a change that means to alter a stamp, and say which in DESIGN.md.
+The ``degraded`` entry was derived at commit 61ac162 with
+``FailurePlan(checkpoint_interval_work=None)``: the degraded run that is
+left once zoom2 writes no restart dumps.
 """
 
 from __future__ import annotations

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import (
     BaseType,
-    DietClient,
     NotCompletedError,
     NotInitializedError,
     ProfileDesc,

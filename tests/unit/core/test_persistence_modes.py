@@ -6,7 +6,6 @@ pinned, DIET_VOLATILE leaves no server copy after the reply.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import (
     BaseType,

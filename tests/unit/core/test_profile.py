@@ -11,7 +11,6 @@ from repro.core import (
     Direction,
     FileRef,
     PersistenceMode,
-    Profile,
     ProfileDesc,
     ProfileError,
     ServiceNotFoundError,

@@ -1,7 +1,5 @@
 """Unit tests for SeD concurrency settings beyond the paper's one-job rule."""
 
-import pytest
-
 from repro.core import (
     BaseType,
     ProfileDesc,

@@ -1,7 +1,8 @@
 """Unit tests for the experiment modules at reduced scale (fast paths).
 
-The full-size experiments live in benchmarks/; these tests exercise the
-same code paths in seconds so coverage does not depend on the bench run.
+The default-size results are checked in
+``tests/integration/test_paper_numbers.py``; these tests exercise the same
+code paths in seconds.
 """
 
 import pytest

@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from repro.core import RequestTrace, Tracer
+from repro.core import Tracer
 from repro.experiments.report import ascii_gantt, ascii_series, ascii_table, hms, ms
 
 

@@ -8,7 +8,6 @@ from repro.galics import (
     HaloCatalog,
     GalaxyMaker,
     SamParams,
-    TreeNode,
     build_merger_tree,
 )
 from repro.ramses import LCDM_WMAP

@@ -5,7 +5,6 @@ import pytest
 from repro.platform import (
     ClusterSpec,
     NODES_PER_SED,
-    PAPER_CLUSTERS,
     build_grid5000,
 )
 from repro.sim import Engine

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.platform import OPTERON_CATALOGUE, MachineSpec, machine
+from repro.platform import OPTERON_CATALOGUE, machine
 
 
 class TestCatalogue:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ramses.hydro import HydroSolver, HydroState, hllc_flux
+from repro.ramses.hydro import HydroSolver, HydroState
 from repro.ramses.riemann import (
     PrimitiveState,
     exact_riemann,

@@ -5,7 +5,7 @@ import tarfile
 
 import pytest
 
-from repro.core import DietError, Direction, FileRef
+from repro.core import DietError, Direction
 from repro.platform import build_grid5000
 from repro.core.deployment import deploy_paper_hierarchy
 from repro.services import (

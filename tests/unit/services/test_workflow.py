@@ -2,12 +2,23 @@
 
 import pytest
 
+from repro.core import BaseType, ProfileDesc, scalar_desc
+from repro.core.deployment import deploy_paper_hierarchy
 from repro.platform import ClusterSpec, build_grid5000
 from repro.services import (
     CampaignConfig,
+    CampaignResult,
+    FailurePlan,
+    FailureReport,
+    RamsesService,
+    RamsesServiceConfig,
+    build_zoom2_profile,
+    default_namelist_text,
     run_campaign,
     synthetic_zoom_centers,
+    zoom2_profile_desc,
 )
+from repro.sim import Engine, FailureInjector, Outage
 
 
 class TestSyntheticCenters:
@@ -121,3 +132,108 @@ class TestResultAccessors:
 
     def test_finding_times_include_part1(self, result):
         assert len(result.finding_times()) == 13
+
+
+def _dummy_desc():
+    desc = ProfileDesc("dummy", 0, 0, 1)
+    desc.set_arg(0, scalar_desc(BaseType.INT))
+    desc.set_arg(1, scalar_desc(BaseType.INT))
+    return desc
+
+
+def _dummy_solve(profile, ctx):
+    yield from ctx.execute(1.0)
+    profile.parameter(1).set(1)
+    return 0
+
+
+class TestSolveTimeLost:
+    """An attempt whose SeD dies mid-solve loses the crash instant minus
+    its solve start; the resubmission starts the zoom over."""
+
+    CRASH_AT = 2000.0
+
+    def _run_with_crash(self, n_capable, downtime):
+        """One zoom on the paper platform, zoom2 registered on
+        ``n_capable`` SeDs of distinct clusters (the rest get a dummy
+        service: a SeD refuses to launch with an empty table).  The SeD
+        serving the first attempt crashes at ``CRASH_AT``, mid-solve;
+        ``call_retry`` resubmits until a capable SeD finishes the job."""
+        dep = deploy_paper_hierarchy(build_grid5000(Engine()))
+        capable = {}
+        for sed in dep.seds:
+            capable.setdefault(dep.cluster_of_sed(sed.name), sed)
+        capable = list(capable.values())[:n_capable]
+        service = RamsesService(RamsesServiceConfig())
+        for sed in dep.seds:
+            if sed in capable:
+                sed.add_service(zoom2_profile_desc(), service.solve_zoom2)
+            else:
+                sed.add_service(_dummy_desc(), _dummy_solve)
+        dep.launch_all()
+        engine, client = dep.engine, dep.client
+        injector = FailureInjector(engine)
+        profile = build_zoom2_profile(default_namelist_text(), 128, 100,
+                                      (0.4, 0.5, 0.6), 2)
+
+        def crash_server(handle):
+            yield engine.timeout(self.CRASH_AT)
+            injector.schedule(dep.sed_by_name(handle.server),
+                              [Outage(at=0.0, duration=downtime)])
+
+        def run():
+            client.initialize({"MA_name": "MA"})
+            handle = client.function_handle("ramsesZoom2")
+            engine.process(crash_server(handle))
+            return (yield from client.call_retry(
+                profile, handle, max_attempts=10, backoff=100.0))
+
+        status = engine.run_until_complete(run())
+        traces = dep.tracer.all_traces()
+        report = FailureReport(
+            outages=list(injector.history),
+            crashes={traces[0].sed_name: self.CRASH_AT},
+            resubmissions=client.resubmissions, deregistrations=[],
+            recoveries=[])
+        return CampaignResult(
+            config=CampaignConfig(n_sub_simulations=1), deployment=dep,
+            part1_trace=traces[0], part2_traces=traces, statuses=[status],
+            zoom_centers=[], failure_report=report)
+
+    def _assert_one_killed_solve(self, result):
+        killed, *retries = result.part2_traces
+        assert killed.solve_started_at < self.CRASH_AT
+        assert killed.solve_ended_at is None
+        assert result.statuses == [0]
+        assert retries[-1].status == 0
+        assert all(t.solve_ended_at is not None for t in retries
+                   if t.solve_started_at is not None)
+        assert result.solve_time_lost == self.CRASH_AT - killed.solve_started_at
+
+    def test_a_crash_mid_solve_loses_its_solve(self):
+        # One capable SeD: the resubmission waits for its restart.
+        result = self._run_with_crash(n_capable=1, downtime=300.0)
+        self._assert_one_killed_solve(result)
+        outage, = result.failure_report.outages
+        assert outage.down_at == self.CRASH_AT
+        assert {t.sed_name for t in result.part2_traces
+                if t.sed_name} == {outage.name}
+
+    def test_a_victim_still_down_at_the_end_counts(self):
+        # The downtime outlasts the run: the retry lands on the other
+        # cluster's SeD and the crash never completes an outage cycle.
+        result = self._run_with_crash(n_capable=2, downtime=50_000.0)
+        self._assert_one_killed_solve(result)
+        assert result.failure_report.outages == []
+        victim = result.part2_traces[0].sed_name
+        assert result.part2_traces[-1].sed_name != victim
+
+    def test_a_plan_without_crashes_costs_nothing(self):
+        """Heartbeats and the resubmission budget alone move no solve."""
+        plain = run_campaign(CampaignConfig(n_sub_simulations=20))
+        planned = run_campaign(CampaignConfig(
+            n_sub_simulations=20, failures=FailurePlan(n_crashes=0)))
+        assert planned.total_elapsed == plain.total_elapsed
+        assert planned.solve_time_lost == 0.0
+        assert planned.failure_report.resubmissions == 0
+        assert plain.solve_time_lost == 0.0

@@ -3,14 +3,9 @@
 import pytest
 
 from repro.sim import (
-    AllOf,
-    AnyOf,
     Engine,
-    Event,
     Interrupt,
-    Process,
     SimulationError,
-    Timeout,
 )
 
 
