@@ -25,6 +25,7 @@ import inspect
 import sys
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from .data import DATA_POLICIES
 from .experiments import (
     ablation_scheduler,
     data_locality,
@@ -80,9 +81,8 @@ def _custom_campaign(n_sub_simulations: int = 100, policy: str = "default",
                      seed: int = 2007, routing: str = "pull",
                      data_policy: str = "volatile") -> CampaignResult:
     return run_campaign(CampaignConfig(
-        n_sub_simulations=n_sub_simulations, policy=policy,
-        with_predictor=policy == "mct", seed=seed, routing=routing,
-        data_policy=data_policy))
+        n_sub_simulations=n_sub_simulations, policy=policy, seed=seed,
+        routing=routing, data_policy=data_policy))
 
 
 def _render_campaign(result: CampaignResult) -> str:
@@ -229,8 +229,7 @@ _EXPERIMENTS: Dict[str, Experiment] = {
             Opt("--data-policy", "data_policy", str,
                 "DAGDA-style data management policy: what persists on the "
                 "SeDs and whether replicas are pushed",
-                choices=("volatile", "persistent", "replicated",
-                         "broadcast"))),
+                choices=tuple(DATA_POLICIES))),
         export=("--trace-csv", "dump the request trace table as CSV",
                 _write_trace_csv)),
 }

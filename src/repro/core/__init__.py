@@ -64,7 +64,6 @@ from .scheduling import (
     FastestNodePolicy,
     MCTPolicy,
     MinQueuePolicy,
-    RandomPolicy,
     SchedulerPolicy,
     SchedulingContext,
     make_policy,
@@ -124,7 +123,6 @@ __all__ = [
     "ProfileDesc",
     "ProfileError",
     "ROUTING_MODES",
-    "RandomPolicy",
     "RequestTrace",
     "RpcPolicy",
     "SchedulerPolicy",

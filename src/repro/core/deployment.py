@@ -27,7 +27,7 @@ from .statistics import Tracer
 from .transport import TransportFabric
 
 if TYPE_CHECKING:  # pragma: no cover - import cycles (data needs core; godiet needs this)
-    from ..data.manager import DataGrid, DataManagerConfig
+    from ..data.manager import DataGrid
     from .godiet import AgentSpec, HierarchySpec
 
 __all__ = ["Deployment", "build_hierarchy", "deploy_paper_hierarchy"]
@@ -131,7 +131,7 @@ def deploy_paper_hierarchy(platform: Grid5000Platform,
                            policy: Optional[SchedulerPolicy] = None,
                            agent_params: Optional[AgentParams] = None,
                            obs: Optional[Observability] = None,
-                           data: Optional["DataManagerConfig"] = None,
+                           data_policy: str = "volatile",
                            routing: str = "pull") -> Deployment:
     """Deploy the exact §5.1 hierarchy on a built Grid'5000 platform.
 
@@ -140,10 +140,9 @@ def deploy_paper_hierarchy(platform: Grid5000Platform,
     frontend, one SeD per reserved 16-node block (11 in the paper layout) —
     and :func:`build_hierarchy` instantiates it.
 
-    ``data`` is the per-SeD data-manager configuration of the stack's
-    data grid (its replication policy); None is the default
-    :class:`~repro.data.manager.DataManagerConfig` — no proactive
-    replication.
+    ``data_policy`` names the stack's data grid policy
+    (:data:`~repro.data.policy.DATA_POLICIES`); the default ``"volatile"``
+    pushes no replicas.
 
     ``routing`` selects the estimate flow: ``"pull"`` (the default, the
     paper's per-request fan-out — kept byte-identical for every figure) or
@@ -162,6 +161,6 @@ def deploy_paper_hierarchy(platform: Grid5000Platform,
     from ..data.manager import DataGrid
 
     return build_hierarchy(paper_hierarchy_spec(platform), platform, fabric,
-                           tracer, DataGrid(platform.network, data),
+                           tracer, DataGrid(platform.network, data_policy),
                            policy=policy, agent_params=agent_params,
                            routing=routing)

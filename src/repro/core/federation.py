@@ -56,7 +56,7 @@ from .statistics import Tracer
 from .transport import TransportFabric
 
 if TYPE_CHECKING:  # pragma: no cover - repro.data imports repro.core
-    from ..data.manager import DataGrid, DataManagerConfig
+    from ..data.manager import DataGrid
     from ..data.memo import MemoIndex
 
 __all__ = ["FederationConfig", "Federation", "ChurnPlan",
@@ -80,10 +80,9 @@ class FederationConfig:
     #: Scheduling policy name (:data:`repro.core.scheduling.POLICIES`) each
     #: MA runs; None keeps the DefaultPolicy (the paper's baseline).
     policy: Optional[str] = None
-    #: Per-SeD :class:`~repro.data.manager.DataManagerConfig` of the
-    #: federation-wide data grid (None = defaults: no proactive
-    #: replication).
-    data: Optional["DataManagerConfig"] = None
+    #: Policy of the federation-wide data grid
+    #: (:data:`~repro.data.policy.DATA_POLICIES`).
+    data_policy: str = "volatile"
     #: Where the federation's clients run.  ``"per-grid"`` attaches one
     #: client host per grid to that grid's first site router, so client→MA
     #: latency is priced by the network model; ``"core"`` is the legacy
@@ -204,7 +203,7 @@ def build_federation(engine: Engine, config: FederationConfig,
     # Lazy: repro.data depends on repro.core at module level.
     from ..data.manager import DataGrid
 
-    data_grid = DataGrid(platform.network, config.data)
+    data_grid = DataGrid(platform.network, config.data_policy)
     federation = Federation(engine=engine, fabric=fabric, tracer=tracer,
                             platform=platform, config=config,
                             data_grid=data_grid)

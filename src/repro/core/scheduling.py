@@ -28,7 +28,6 @@ __all__ = [
     "SchedulerPolicy",
     "DataLocalityPolicy",
     "DefaultPolicy",
-    "RandomPolicy",
     "MinQueuePolicy",
     "MCTPolicy",
     "FastestNodePolicy",
@@ -205,20 +204,6 @@ class DefaultPolicy(SchedulerPolicy):
                 sorted(enumerate(candidates), key=key)]
 
 
-class RandomPolicy(SchedulerPolicy):
-    """Uniform random choice (a DIET built-in aggregator)."""
-
-    name = "random"
-
-    def __init__(self, rng):
-        self._rng = rng
-
-    def sort(self, candidates, ctx):
-        order = list(candidates)
-        self._rng.shuffle(order)
-        return order
-
-
 class MinQueuePolicy(SchedulerPolicy):
     """Pick the SeD reporting the fewest queued+running jobs.
 
@@ -326,7 +311,6 @@ class DataLocalityPolicy(SchedulerPolicy):
 #: Registry of constructible policies (used by experiment configs).
 POLICIES: Dict[str, Callable[..., SchedulerPolicy]] = {
     "default": DefaultPolicy,
-    "random": RandomPolicy,
     "min-queue": MinQueuePolicy,
     "mct": MCTPolicy,
     "fastest": FastestNodePolicy,

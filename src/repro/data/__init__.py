@@ -13,8 +13,10 @@ federation, or per component built on its own), one
   through the MA/LA tree;
 * :mod:`~repro.data.transfer` — coalescing peer-to-peer pulls with
   cluster-local NFS fast paths;
-* :mod:`~repro.data.policy` — replication policies (none, per-cluster,
-  eager-broadcast);
+* :mod:`~repro.data.policy` — :data:`~repro.data.policy.DATA_POLICIES`,
+  the campaign data policies (volatile, persistent, replicated,
+  broadcast): whether results persist and where replicas go, one
+  :class:`~repro.data.policy.DataPolicy` record each;
 * :mod:`~repro.data.manager` — the per-SeD manager + the stack-wide
   :class:`~repro.data.manager.DataGrid`, including the transfer-cost
   estimate MCT scheduling uses for data locality;
@@ -26,59 +28,27 @@ federation, or per component built on its own), one
 from __future__ import annotations
 
 from .catalog import CatalogNode, Replica
-from .manager import DataGrid, DataGridStats, DataManager, DataManagerConfig
+from .manager import DataGrid, DataGridStats, DataManager
 from .memo import MemoIndex, MemoStats, descriptor_digest, request_descriptor
-from .policy import (
-    EagerBroadcast,
-    NoReplication,
-    PerClusterReplication,
-    ReplicationPolicy,
-    make_replication_policy,
-)
+from .policy import DATA_POLICIES, DataPolicy, lookup_data_policy
 from .store import DataStore, StoreEntry, content_digest
 from .transfer import TransferManager
 
 __all__ = [
     "CatalogNode",
+    "DATA_POLICIES",
     "DataGrid",
     "DataGridStats",
     "DataManager",
-    "DataManagerConfig",
+    "DataPolicy",
     "DataStore",
-    "EagerBroadcast",
     "MemoIndex",
     "MemoStats",
-    "NoReplication",
-    "PerClusterReplication",
     "Replica",
-    "ReplicationPolicy",
     "StoreEntry",
     "TransferManager",
-    "campaign_data_config",
     "content_digest",
     "descriptor_digest",
-    "make_replication_policy",
-    "policy_keeps_results",
+    "lookup_data_policy",
     "request_descriptor",
 ]
-
-#: Campaign-level ``--data-policy`` values and the manager configuration
-#: each one deploys.  ``"volatile"`` is the default: every argument
-#: travels by value and nothing persists.
-DATA_POLICIES = ("volatile", "persistent", "replicated", "broadcast")
-
-
-def campaign_data_config(policy: str) -> DataManagerConfig:
-    """Map a campaign ``--data-policy`` name to a manager config."""
-    if policy in ("volatile", "persistent"):
-        return DataManagerConfig()
-    if policy == "replicated":
-        return DataManagerConfig(replication="per-cluster")
-    if policy == "broadcast":
-        return DataManagerConfig(replication="eager-broadcast")
-    raise ValueError(f"unknown data policy {policy!r}; known: {DATA_POLICIES}")
-
-
-def policy_keeps_results(policy: str) -> bool:
-    """Does this campaign policy persist zoom2 result tarballs on SeDs?"""
-    return policy in ("persistent", "replicated", "broadcast")

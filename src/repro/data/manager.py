@@ -1,13 +1,12 @@
 """Per-SeD data managers and the grid-wide DataGrid that connects them.
 
 This is the DTM/DAGDA substitute.  Every stack has exactly one
-:class:`DataGrid` — the replica catalog, the result memo, the per-SeD
-configuration and the traffic counters — and every SeD owns a
-:class:`DataManager` built on it: a content-addressed store, its LA's
-catalog node, pull transfers and a replication policy.  A SeD or agent
-constructed on its own gets a private grid, so "standalone" is a grid of
-one: a handle it cannot find in any catalog is fetched from the SeD the
-handle names.
+:class:`DataGrid` — the replica catalog, the result memo, the data policy
+and the traffic counters — and every SeD owns a :class:`DataManager`
+built on it: a content-addressed store, its LA's catalog node and pull
+transfers.  A SeD or agent constructed on its own gets a private grid, so
+"standalone" is a grid of one: a handle it cannot find in any catalog is
+fetched from the SeD the handle names.
 
 Everything here that is not an explicit transfer is synchronous
 bookkeeping: registering replicas and counting stats schedule **zero**
@@ -17,15 +16,15 @@ kernel event streams (``tests/data/ref_events_*.json``) unchanged.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Any, Dict, Generator, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, Generator, Iterable, Optional
 
 from ..core.data import DataHandle, HANDLE_WIRE_BYTES, PersistenceMode
 from ..core.exceptions import CommunicationError, DataError
 from ..sim.engine import Event
 from .catalog import CatalogNode, Replica
 from .memo import MemoIndex
-from .policy import make_replication_policy
+from .policy import DataPolicy, lookup_data_policy
 from .store import DataStore, content_digest
 from .transfer import TransferManager
 
@@ -33,17 +32,9 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
     from ..core.sed import SeD
     from ..sim.network import Network
 
-__all__ = ["DataManagerConfig", "DataGridStats", "DataManager", "DataGrid"]
+__all__ = ["DataGridStats", "DataManager", "DataGrid"]
 
 _PINNED_MODES = (PersistenceMode.STICKY, PersistenceMode.STICKY_RETURN)
-
-
-@dataclass(frozen=True)
-class DataManagerConfig:
-    """Per-SeD data-manager knobs, one set per :class:`DataGrid`."""
-
-    #: Replication policy name ("none", "per-cluster", "eager-broadcast").
-    replication: str = "none"
 
 
 @dataclass
@@ -63,9 +54,6 @@ class DataGridStats:
     #: coalesced pulls, and content dedup.
     bytes_saved: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return asdict(self)
-
 
 class DataManager:
     """The DAGDA agent of one SeD, built complete on its stack's grid."""
@@ -77,7 +65,6 @@ class DataManager:
         #: The parent LA's catalog node (the root for a parentless SeD).
         self.catalog = grid.node(sed.parent)
         self.store = DataStore()
-        self.replication = make_replication_policy(grid.config.replication)
         self.stats = grid.stats
         self.transfers = TransferManager(self)
         grid.managers[sed.name] = self
@@ -104,7 +91,11 @@ class DataManager:
             return existing
         self.store.put(data_id, value, nbytes, pinned=pinned, digest=digest)
         self._register(data_id, nbytes)
-        self.replication.on_store(self, data_id, nbytes)
+        grid = self.grid
+        targets = grid.policy.replica_targets
+        if targets is not None:
+            for target in targets(grid.managers, self):
+                grid.spawn_replication(self, target, data_id, nbytes)
         return data_id
 
     def admit_replica(self, data_id: str, value: Any, nbytes: int) -> None:
@@ -175,21 +166,19 @@ class DataManager:
 
 
 class DataGrid:
-    """One stack's data fabric: catalog tree, result memo, per-SeD manager
-    configuration, traffic counters — and the managers built on it.
+    """One stack's data fabric: catalog tree, result memo, data policy,
+    traffic counters — and the managers built on it.
 
     A federation shares one grid across its hierarchies, so handles and
     memo hits resolve across grids.
     """
 
-    def __init__(
-        self,
-        network: "Network",
-        config: Optional[DataManagerConfig] = None,
-    ):
+    def __init__(self, network: "Network", policy: str = "volatile"):
         self.network = network
         self.engine = network.engine
-        self.config = config or DataManagerConfig()
+        #: The campaign data policy (:data:`~repro.data.policy.DATA_POLICIES`)
+        #: every manager on this grid stores and replicates under.
+        self.policy: DataPolicy = lookup_data_policy(policy)
         self.root = CatalogNode("MA")
         self._nodes: Dict[str, CatalogNode] = {}
         #: Request→result index consulted by every MA, populated by every
@@ -249,26 +238,6 @@ class DataGrid:
 
     # -- replication mechanics ----------------------------------------------------
 
-    def sibling_targets(self, owner: DataManager) -> List[DataManager]:
-        """The first (by name) other SeD in the owner's own cluster, if any
-        — the per-cluster policy's intra-cluster redundancy target."""
-        for name in sorted(self.managers):
-            mgr = self.managers[name]
-            if mgr is not owner and mgr.sed.cluster == owner.sed.cluster:
-                return [mgr]
-        return []
-
-    def broadcast_targets(self, owner: DataManager) -> List[DataManager]:
-        """One SeD (first by name) per cluster other than the owner's."""
-        by_cluster: Dict[str, DataManager] = {}
-        for name in sorted(self.managers):
-            mgr = self.managers[name]
-            cluster = mgr.sed.cluster
-            if cluster == owner.sed.cluster:
-                continue
-            by_cluster.setdefault(cluster, mgr)
-        return [by_cluster[c] for c in sorted(by_cluster)]
-
     def spawn_replication(
         self, owner: DataManager, target: DataManager, data_id: str, nbytes: int
     ) -> None:
@@ -281,6 +250,8 @@ class DataGrid:
                 )
             except (DataError, CommunicationError):
                 return  # owner gone or restarted meanwhile: never fatal
+            if target.sed.is_down:
+                return  # the copy died with the target's volatile store
             self.stats.bytes_moved += nbytes
             target.admit_replica(data_id, value, nbytes)
 

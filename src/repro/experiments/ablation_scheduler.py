@@ -32,13 +32,9 @@ __all__ = [
     "DEFAULT_WIDTHS",
 ]
 
-#: (policy name, register predictors?) pairs compared by the ablation.
-DEFAULT_POLICIES = (
-    ("default", False),
-    ("mct", True),
-    ("min-queue", False),
-    ("fastest", False),
-)
+#: Scheduler policies compared by the ablation ("mct" registers its
+#: predictors).
+DEFAULT_POLICIES = ("default", "mct", "min-queue", "fastest")
 
 
 @dataclass
@@ -59,12 +55,11 @@ def run(base_config: Optional[CampaignConfig] = None,
         policies=DEFAULT_POLICIES,
         jobs: Optional[int] = None) -> AblationResult:
     """One campaign per policy, each ``base_config`` with only ``policy``
-    and ``with_predictor`` replaced.  ``jobs`` runs the policies in worker
-    processes; serial or not, the campaigns come back detached."""
+    replaced.  ``jobs`` runs the policies in worker processes; serial or
+    not, the campaigns come back detached."""
     base = base_config or CampaignConfig()
     return AblationResult(campaigns=run_campaigns(
-        {policy: replace(base, policy=policy, with_predictor=with_predictor)
-         for policy, with_predictor in policies}, jobs))
+        {policy: replace(base, policy=policy) for policy in policies}, jobs))
 
 
 def render(result: AblationResult) -> str:

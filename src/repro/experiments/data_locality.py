@@ -95,9 +95,9 @@ def render(result: DataLocalityResult) -> str:
                      _mib(campaign.net_bytes_total),
                      _mib(campaign.net_bytes_wan),
                      _mib(result.wan_saved(policy)),
-                     _mib(report.get("bytes_moved", 0)),
-                     report.get("hits", 0),
-                     report.get("replicas", 0)))
+                     _mib(report.bytes_moved),
+                     report.hits,
+                     report.replicas))
     lines = [
         "E12 - data-locality ablation (DTM/DAGDA-style persistence)",
         ascii_table(("policy", "makespan", "net bytes", "WAN bytes",

@@ -21,7 +21,8 @@ Three ablations cross to form the arms:
   predictors registered by the lensing and RAMSES services;
 * data policy: ``volatile`` (every product round-trips through the
   client) vs ``persistent`` (PERSISTENT handles, bytes move SeD-to-SeD)
-  vs ``replicated`` (persistent + per-cluster replicas).
+  vs ``replicated`` (persistent + a replica on a sibling SeD of the
+  producer's cluster).
 
 Each arm reports makespan, per-stage P50/P99 durations, WAN bytes (the
 quantity the data policies exist to minimize), memo hits and DAG
@@ -37,7 +38,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..core.client import DietClient
 from ..core.exceptions import CommunicationError, ServerNotFoundError
 from ..core.federation import FederationConfig, build_federation
-from ..data import campaign_data_config
+from ..data import lookup_data_policy
 from ..obs import Observability
 from ..services.lensing_service import LensingServiceConfig, register_survey_services
 from ..services.ramses_client import build_zoom2_profile, default_namelist_text
@@ -188,7 +189,7 @@ def _run_arm(routing: str, policy: str, data_policy: str,
                          clusters_per_grid=clusters_per_grid,
                          routing=routing,
                          policy=None if policy == "default" else policy,
-                         data=campaign_data_config(data_policy),
+                         data_policy=data_policy,
                          client_placement="per-grid"),
         obs=obs)
     with_predictor = policy == "mct"
@@ -324,7 +325,7 @@ def run(routings: Sequence[str] = DEFAULT_ROUTINGS,
     """
     for data_policy in data_policies:
         # Fail fast on typos before any worker spins up.
-        campaign_data_config(data_policy)
+        lookup_data_policy(data_policy)
     # Every arm gets the same seed on purpose: the ablations are compared
     # on common random numbers.
     arms = run_tasks(

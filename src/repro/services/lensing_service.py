@@ -159,9 +159,9 @@ def survey_result_modes(data_policy: str
     DAG passes handles between stages) and return the final map while
     also keeping a copy (PERSISTENT_RETURN — required for memoization).
     """
-    from ..data import policy_keeps_results
+    from ..data import lookup_data_policy
 
-    if policy_keeps_results(data_policy):
+    if lookup_data_policy(data_policy).keeps_results:
         return PersistenceMode.PERSISTENT, PersistenceMode.PERSISTENT_RETURN
     return PersistenceMode.VOLATILE, PersistenceMode.VOLATILE
 

@@ -26,9 +26,9 @@ from ..core.agent import AgentParams
 from ..core.client import AsyncRequest, FunctionHandle
 from ..core.data import PersistenceMode
 from ..core.deployment import Deployment, deploy_paper_hierarchy
-from ..core.scheduling import SchedulerPolicy, make_policy
+from ..core.scheduling import make_policy
 from ..core.statistics import RequestTrace
-from ..data import campaign_data_config, policy_keeps_results
+from ..data import DataGridStats
 from ..obs import Observability, SpanStore
 from ..platform.grid5000 import ClusterSpec, build_grid5000
 from ..sim.engine import Engine
@@ -112,10 +112,9 @@ class CampaignConfig:
     boxsize_mpc_h: int = 100
     n_zoom_levels: int = 2
     mode: ExecutionMode = ExecutionMode.MODELED
-    #: scheduler policy name (see repro.core.scheduling.POLICIES).
+    #: scheduler policy name (see repro.core.scheduling.POLICIES); "mct"
+    #: also registers its SeD-side performance predictors.
     policy: str = "default"
-    #: register SeD-side performance predictors (plug-in scheduler half).
-    with_predictor: bool = False
     seed: int = 2007
     #: REAL mode knobs (toy scales).
     workdir: Optional[str] = None
@@ -132,11 +131,8 @@ class CampaignConfig:
     #: bit-identical either way (the determinism suite pins both settings);
     #: False skips even that bookkeeping for benchmark runs.
     observe: bool = True
-    #: DAGDA-style data management policy (see repro.data.DATA_POLICIES):
-    #: "volatile" — every argument travels by value, nothing persists;
-    #: "persistent" keeps zoom2 tarballs on the producing SeD (the client
-    #: gets a handle); "replicated"/"broadcast" add replica creation on top
-    #: of persistence.
+    #: DAGDA-style data management policy, a key of
+    #: repro.data.DATA_POLICIES ("volatile": nothing persists).
     data_policy: str = "volatile"
     #: Estimate flow: "pull" (the paper's per-request MA→LA→SeD fan-out,
     #: kept byte-identical for every figure) or "push" (SeDs push deltas,
@@ -201,10 +197,9 @@ class CampaignResult:
     #: that crossed a WAN (site-uplink) link — the e12 ablation's currency.
     net_bytes_total: int = 0
     net_bytes_wan: int = 0
-    #: Snapshot of the data grid's counters (hits, misses, bytes moved /
-    #: saved, replicas, ...).  A plain dict so detached results stay
-    #: picklable.
-    data_report: Dict[str, int] = field(default_factory=dict)
+    #: The data grid's counters (hits, misses, bytes moved / saved,
+    #: replicas, ...): plain ints, so detached results stay picklable.
+    data_report: DataGridStats = field(default_factory=DataGridStats)
 
     # -- §5.2 headline numbers ---------------------------------------------------------
 
@@ -437,13 +432,7 @@ def run_campaign(config: Optional[CampaignConfig] = None) -> CampaignResult:
         engine,
         cluster_specs=list(config.cluster_specs) if config.cluster_specs else None)
 
-    policy: SchedulerPolicy
-    if config.policy == "random":
-        policy = make_policy("random",
-                             rng=RandomStreams(config.seed).get("policy"))
-    else:
-        policy = make_policy(config.policy)
-
+    policy = make_policy(config.policy)
     plan = config.failures
     agent_params = None
     if plan is not None:
@@ -452,12 +441,11 @@ def run_campaign(config: Optional[CampaignConfig] = None) -> CampaignResult:
             heartbeat_timeout=plan.heartbeat_timeout,
             heartbeat_miss_threshold=plan.heartbeat_miss_threshold)
     obs = Observability(enabled=config.observe)
-    data_config = campaign_data_config(config.data_policy)
-    keep_results = policy_keeps_results(config.data_policy)
     deployment = deploy_paper_hierarchy(platform, policy=policy,
                                         agent_params=agent_params, obs=obs,
-                                        data=data_config,
+                                        data_policy=config.data_policy,
                                         routing=config.routing)
+    keep_results = deployment.data_grid.policy.keeps_results
 
     workdir = config.workdir
     cleanup_dir = None
@@ -469,7 +457,7 @@ def run_campaign(config: Optional[CampaignConfig] = None) -> CampaignResult:
         workdir=workdir, real_n_steps=config.real_n_steps,
         real_a_end=config.real_a_end, seed=config.seed)
     register_ramses_services(deployment, service_config,
-                             with_predictor=config.with_predictor)
+                             with_predictor=config.policy == "mct")
     deployment.launch_all()
 
     injector: Optional[FailureInjector] = None
@@ -611,7 +599,7 @@ def run_campaign(config: Optional[CampaignConfig] = None) -> CampaignResult:
                           failure_report=failure_report,
                           net_bytes_total=platform.network.bytes_total,
                           net_bytes_wan=platform.network.bytes_wan,
-                          data_report=deployment.data_grid.stats.as_dict())
+                          data_report=deployment.data_grid.stats)
 
 
 def run_campaign_detached(config: Optional[CampaignConfig] = None) -> CampaignResult:

@@ -7,6 +7,7 @@ runner must reproduce the serial results byte for byte.
 
 import pytest
 
+from repro.data import DATA_POLICIES
 from repro.experiments import data_locality
 from repro.services import CampaignConfig, FailurePlan, run_campaign
 
@@ -20,8 +21,7 @@ def fingerprint(result):
         tuple(result.statuses),
         result.net_bytes_total,
         result.net_bytes_wan,
-        tuple(sorted(result.data_report.items())) if result.data_report
-        else None,
+        result.data_report,
         tuple(sorted(result.requests_per_sed().items())),
         tuple(result.finding_times()),
         tuple(sorted(result.busy_time_per_sed().items())),
@@ -47,9 +47,7 @@ class TestDataLocalityAblation:
             result.figure_series("volatile")
 
     def test_persistent_arm_reports_data_savings(self, result):
-        report = result.campaigns["persistent"].data_report
-        assert report is not None
-        assert report["bytes_saved"] > 0
+        assert result.campaigns["persistent"].data_report.bytes_saved > 0
 
     def test_parallel_run_is_byte_identical_to_serial(self, result):
         again = data_locality.run(policies=("volatile", "persistent"),
@@ -62,6 +60,17 @@ class TestDataLocalityAblation:
         text = data_locality.render(result)
         assert "volatile" in text and "persistent" in text
         assert "WAN" in text
+
+
+class TestEveryDataPolicy:
+    def test_keeps_the_volatile_figure_series(self):
+        result = data_locality.run(policies=tuple(DATA_POLICIES),
+                                   n_sub_simulations=4)
+        assert list(result.campaigns) == list(DATA_POLICIES)
+        assert result.figures_identical
+        for name, campaign in result.campaigns.items():
+            pushes = DATA_POLICIES[name].replica_targets is not None
+            assert (campaign.data_report.replicas > 0) == pushes, name
 
 
 class TestDegradedCampaignAcrossDataPolicies:

@@ -42,7 +42,7 @@ class TestPushCampaign:
         assert result.deployment.routing == "push"
 
     def test_push_campaign_with_mct_policy(self):
-        result = run_campaign(push_cfg(policy="mct", with_predictor=True))
+        result = run_campaign(push_cfg(policy="mct"))
         assert all(status == 0 for status in result.statuses)
         assert sum(result.requests_per_sed().values()) == N_SUB
 

@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.client import DietClient
 from repro.core.federation import FederationConfig, build_federation
-from repro.data import campaign_data_config
 from repro.experiments import survey_campaign
 from repro.experiments.runner import canonical_pickle
 from repro.services.lensing_service import LensingServiceConfig, register_survey_services
@@ -109,7 +108,7 @@ def _one_point_executor(data_policy, memo, n_points=1, prefix="",
         federation = build_federation(
             engine,
             FederationConfig(n_grids=1, clusters_per_grid=1,
-                             data=campaign_data_config(data_policy)))
+                             data_policy=data_policy))
         register_survey_services(federation.seds, LensingServiceConfig())
         federation.launch_all()
     grid = ParameterGrid.cartesian({"omega_m": tuple(

@@ -1,8 +1,10 @@
 """The data grid's catalog and memo agree with the stores.
 
-One §5.1 stack (11 SeDs under their LAs, one ``DataGrid``) is driven by an
-arbitrary sequence of PERSISTENT / STICKY puts, cross-SeD resolves, SeD
-crashes and restarts, and memo populations.  After every step:
+One §5.1 stack (11 SeDs under their LAs, one ``DataGrid``), under each
+data policy in turn, is driven by an arbitrary sequence of PERSISTENT /
+STICKY puts, cross-SeD resolves, SeD crashes and restarts, and memo
+populations; the replicating policies push a replica on every put.  After
+every step:
 
 * the root catalog's replicas are exactly the union of the live SeDs'
   store contents, each listed under its holder;
@@ -15,6 +17,7 @@ these are equalities, not inclusions.
 
 import itertools
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -23,6 +26,7 @@ from hypothesis.stateful import (
     invariant,
     precondition,
     rule,
+    run_state_machine_as_test,
 )
 
 from repro.core import (
@@ -35,6 +39,7 @@ from repro.core import (
     scalar_desc,
 )
 from repro.core.requests import MemoHit
+from repro.data import DATA_POLICIES
 from repro.platform import build_grid5000
 from repro.sim import Engine
 
@@ -57,9 +62,10 @@ def _solve_noop(profile, ctx):
 
 
 class DataGridMachine(RuleBasedStateMachine):
-    def __init__(self):
+    def __init__(self, data_policy):
         super().__init__()
-        self.dep = deploy_paper_hierarchy(build_grid5000(Engine()))
+        self.dep = deploy_paper_hierarchy(build_grid5000(Engine()),
+                                          data_policy=data_policy)
         for sed in self.dep.seds:
             sed.add_service(_noop_desc(), _solve_noop)
         self.dep.launch_all()
@@ -163,6 +169,9 @@ class DataGridMachine(RuleBasedStateMachine):
                 assert handle.data_id in owner.data_manager.store
 
 
-DataGridMachine.TestCase.settings = settings(
-    max_examples=200, stateful_step_count=40, deadline=None)
-TestDataGrid = DataGridMachine.TestCase
+@pytest.mark.parametrize("data_policy", DATA_POLICIES)
+def test_catalog_and_memo_agree_with_the_stores(data_policy):
+    run_state_machine_as_test(
+        lambda: DataGridMachine(data_policy),
+        settings=settings(max_examples=200, stateful_step_count=40,
+                          deadline=None))

@@ -16,7 +16,6 @@ from repro.core import (
     scalar_desc,
 )
 from repro.core.data import ArgDesc, CompositeType, HANDLE_WIRE_BYTES
-from repro.data import DataManagerConfig
 from repro.platform import build_grid5000
 from repro.sim import Engine
 
@@ -64,9 +63,8 @@ def _solve_noop(profile, ctx):
     return 0
 
 
-def build(config=None):
-    dep = deploy_paper_hierarchy(build_grid5000(Engine()),
-                                 data=config or DataManagerConfig())
+def build():
+    dep = deploy_paper_hierarchy(build_grid5000(Engine()))
     for sed in dep.seds:
         sed.add_service(_noop_desc(), _solve_noop)
     return dep

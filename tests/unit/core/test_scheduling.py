@@ -1,6 +1,5 @@
 """Unit tests for estimation vectors and scheduler policies."""
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -9,7 +8,6 @@ from repro.core import (
     FastestNodePolicy,
     MCTPolicy,
     MinQueuePolicy,
-    RandomPolicy,
     SchedulingContext,
     make_policy,
 )
@@ -167,14 +165,6 @@ class TestOtherPolicies:
         policy = FastestNodePolicy()
         cands = vectors(a=2.0, b=2.6, c=1.8)
         assert policy.choose(cands, SchedulingContext()).sed_name == "b"
-
-    def test_random_is_deterministic_with_seed(self):
-        cands = vectors(**{f"s{i}": 1.0 for i in range(10)})
-        picks1 = RandomPolicy(np.random.default_rng(5)).sort(
-            cands, SchedulingContext())
-        picks2 = RandomPolicy(np.random.default_rng(5)).sort(
-            cands, SchedulingContext())
-        assert [e.sed_name for e in picks1] == [e.sed_name for e in picks2]
 
 
 class TestRegistry:

@@ -13,7 +13,6 @@ from repro.core import (
     scalar_desc,
 )
 from repro.core.exceptions import DataError
-from repro.data import DataManagerConfig
 from repro.platform import build_grid5000
 from repro.sim import Engine
 
@@ -29,10 +28,8 @@ def _solve_noop(profile, ctx):
     return 0
 
 
-def build(config=None, **kwargs):
-    dep = deploy_paper_hierarchy(
-        build_grid5000(Engine()), data=config or DataManagerConfig(**kwargs)
-    )
+def build(data_policy="volatile"):
+    dep = deploy_paper_hierarchy(build_grid5000(Engine()), data_policy=data_policy)
     for sed in dep.seds:
         sed.add_service(_noop_desc(), _solve_noop)
     dep.launch_all()
@@ -150,7 +147,7 @@ class TestResolve:
 
 class TestReplication:
     def test_eager_broadcast_replicates_to_every_other_cluster(self):
-        dep = build(replication="eager-broadcast")
+        dep = build("broadcast")
         owner = dep.seds[0]
         put(owner, "d1", "payload", 5000)
         dep.engine.run()  # drain the replication pushes
@@ -164,7 +161,7 @@ class TestReplication:
     def test_pulled_copies_stay_put_under_any_policy(self):
         """DTM semantics: a pulled PERSISTENT datum remains on the pulling
         SeD even with replication disabled."""
-        dep = build()  # replication="none"
+        dep = build()  # volatile: no replica pushes
         owner = dep.seds[0]
         remote = next(s for s in dep.seds if s.cluster != owner.cluster)
         handle = put(owner, "d1", "payload", 5000)
@@ -180,7 +177,7 @@ class TestReplication:
         assert dep.data_grid.stats.bytes_moved == 5000  # one transfer only
 
     def test_per_cluster_policy_pushes_a_sibling_replica(self):
-        dep = build(replication="per-cluster")
+        dep = build("replicated")
         owner = dep.seds[0]
         sibling = dep.seds[1]
         assert owner.cluster == sibling.cluster
@@ -191,6 +188,25 @@ class TestReplication:
         # The owner crashing no longer loses the dataset.
         owner.crash()
         assert [r.sed_name for r in dep.data_grid.root.locate("d1")] == [sibling.name]
+
+    def test_crashed_seds_hold_no_replica(self):
+        """A target down at put time is passed over for a live SeD of its
+        cluster; a target that dies mid-push keeps nothing."""
+        dep = build("broadcast")
+        owner = dep.sed_by_name("SeD-lyon-capricorne-sed0")
+        dep.sed_by_name("SeD-lille-chti-sed0").crash()
+        mid_push = dep.sed_by_name("SeD-nancy-grillon-sed0")
+        put(owner, "d1", "payload", 10**8)
+        push = dep.data_grid.network.transfer_time(
+            owner.host.name, mid_push.host.name, 10**8
+        )
+        dep.engine.run(until=dep.engine.now + push / 2)
+        mid_push.crash()
+        dep.engine.run()  # drain the other replication pushes
+        holders = {r.sed_name for r in dep.data_grid.root.locate("d1")}
+        assert "SeD-lille-chti-sed1" in holders
+        assert not holders & {"SeD-lille-chti-sed0", mid_push.name}
+        assert "d1" not in mid_push.data_manager.store
 
 
 class TestStickyOnGrid:

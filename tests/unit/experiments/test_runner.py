@@ -168,7 +168,7 @@ class TestParallelExperiments:
 
     def test_ablation_parallel_matches_serial(self):
         cfg = CampaignConfig(n_sub_simulations=self.N_SUB, seed=5)
-        pols = (("default", False), ("fastest", False))
+        pols = ("default", "fastest")
         serial = ablation_scheduler.run(cfg, policies=pols)
         parallel = ablation_scheduler.run(cfg, policies=pols, jobs=2)
         assert list(serial.campaigns) == list(parallel.campaigns)

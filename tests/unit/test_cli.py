@@ -7,6 +7,7 @@ import pytest
 
 from repro import __main__ as cli
 from repro.__main__ import build_parser, main
+from repro.data import DATA_POLICIES
 
 
 class TestParser:
@@ -28,6 +29,16 @@ class TestParser:
     def test_bad_policy_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign", "--policy", "quantum"])
+
+    def test_data_policy_choices_are_the_table(self, capsys):
+        parser = build_parser()
+        for name in DATA_POLICIES:
+            args = parser.parse_args(["campaign", "--data-policy", name])
+            assert args.data_policy == name
+        with pytest.raises(SystemExit):
+            parser.parse_args(["campaign", "--data-policy", "bogus"])
+        listed = ", ".join(repr(name) for name in DATA_POLICIES)
+        assert f"(choose from {listed})" in capsys.readouterr().err
 
     def test_load_options(self):
         args = build_parser().parse_args(

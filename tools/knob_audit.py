@@ -29,7 +29,8 @@ Reach pass
     Runs every registry experiment with small options, the five
     ``benchmarks/e2e`` workloads at their quick sizes and every
     ``examples/*.py`` under the stdlib ``trace`` module, then lists the
-    functions of ``src/repro`` none of them calls.  The e2e workloads run
+    functions of ``src/repro`` none of them calls; a method counts as
+    called under its own class only.  The e2e workloads run
     a second time in a child interpreter under ``REPRO_PURE_PY=1``, so the
     pure-Python mirrors of the compiled cores count as reached.  It
     informs; it gates nothing.
@@ -152,9 +153,9 @@ _KEPT: Dict[str, str] = {
         "repro.ramses.cosmology:Cosmology.f_growth "
         "repro.ramses.gravity:GravitySolver.density",
     "a read of run state that tests assert invariants through (no span "
-    "left open, crash state, memo contents, queue head, pending outages)":
-        "repro.obs.spans:SpanStore repro.core.sed:SeD.is_down "
-        "repro.data.memo:MemoIndex.peek repro.sim.engine:Engine "
+    "left open, memo contents, queue head, pending outages)":
+        "repro.obs.spans:SpanStore repro.data.memo:MemoIndex.peek "
+        "repro.sim.engine:Engine "
         "repro.sim.engine:Event repro.sim.failures:FailureInjector.pending "
         "repro.sim.network:Network.hosts repro.sim.rng:RandomStreams "
         "repro.survey.dag:SurveyDAG",
@@ -760,8 +761,11 @@ def _trace_e2e(tracer, workloads, tmp: str) -> None:
 
 
 def _called(tracer, src: str) -> Set[Tuple[str, str]]:
+    """(module path, ``Class.method`` or bare function name) of every
+    traced call into ``src/repro``.  ``trace`` qualifies a method when it
+    can find its one class, else it records the bare name."""
     package = os.path.join(src, "repro") + os.sep
-    return {(os.path.relpath(filename, src), funcname.rsplit(".", 1)[-1])
+    return {(os.path.relpath(filename, src), funcname)
             for filename, _module, funcname in tracer.results().calledfuncs
             if filename.startswith(package)}
 
@@ -851,7 +855,11 @@ def unreached(root: str, reached: Set[Tuple[str, str]]) -> List[str]:
     for d in inv.definitions:
         if _is_dunder(d.name) or d.name[:1].isupper():
             continue  # classes are not called; their methods are listed
-        if (os.path.relpath(d.path, src), d.name) not in reached:
+        path = os.path.relpath(d.path, src)
+        # A call of one class's method reaches no same-named method of
+        # another; a bare name (trace found no single class) reaches all.
+        qualname = d.key.split(":", 1)[1]
+        if (path, qualname) not in reached and (path, d.name) not in reached:
             out.append(d.key)
     return sorted(out)
 
