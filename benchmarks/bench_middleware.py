@@ -197,7 +197,7 @@ def _run_gathers() -> int:
     desc = ProfileDesc("echo", 0, 0, 1)
     desc.set_arg(0, scalar_desc(BaseType.INT))
     desc.set_arg(1, scalar_desc(BaseType.INT))
-    req = EstimateRequest(0, desc, "agent")
+    req = EstimateRequest(0, desc)
 
     def caller():
         for _ in range(N_GATHER):

@@ -11,7 +11,6 @@ builder) and :mod:`statistics` (LogService-like tracing behind Figures 4-5).
 from .agent import ROUTING_MODES, AgentParams, LocalAgent, MasterAgent
 from .aggregation import AggregationTable, CandidateRow
 from .client import AsyncRequest, DietClient, FunctionHandle
-from .cori import CoRI
 from .data import (
     ArgDesc,
     DataHandle,
@@ -89,7 +88,6 @@ __all__ = [
     "ChurnPlan",
     "CommunicationError",
     "CompositeType",
-    "CoRI",
     "DataError",
     "DataHandle",
     "DataLocalityPolicy",

@@ -29,7 +29,7 @@ consumed by history-based plug-in schedulers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Generator, List, Optional
 
 from ..sim.engine import Engine, Event, Interrupt
 from ..sim.network import Host
@@ -392,8 +392,7 @@ class MasterAgent(LocalAgent):
             yield self.engine.timeout(self.params.processing_time)
             chosen, n_candidates = hit, 0
         else:
-            req = EstimateRequest(sub.request_id, sub.service_desc,
-                                  sub.client_host, sub.request_nbytes)
+            req = EstimateRequest(sub.request_id, sub.service_desc)
             candidates = yield from self._gather(req)
             n_candidates = len(candidates)
             chosen = self._admit(sub, candidates) if candidates else None
@@ -422,15 +421,15 @@ class MasterAgent(LocalAgent):
             return None
         return self.memo.lookup(sub.memo_key)
 
-    def _admit(self, sub: SubmitRequest, candidates: List[EstimationVector],
-               hosts: Optional[Dict[str, str]] = None) -> EstimationVector:
+    def _admit(self, sub: SubmitRequest,
+               candidates: List[EstimationVector]) -> EstimationVector:
         """Rank candidates for one request and record the dispatch.
 
         Pure bookkeeping, no yields: in pull mode the vectors just arrived
-        from the gather; in push mode they are the table rows' vectors and
-        ``hosts`` lets the MA price the client->SeD transfer for policies
-        that read comm time (a pushed row predates the client, so the
-        vector cannot carry it).
+        from the gather; in push mode they are the table rows' vectors.
+        Either way the MA prices the client->SeD transfer to each
+        candidate's host for policies that read comm time (a vector never
+        carries it: a pushed row predates the client).
         """
         ctx = self.ctx
         ctx.now = self.engine.now
@@ -443,12 +442,12 @@ class MasterAgent(LocalAgent):
                 sub.data_handles, [c.sed_name for c in candidates])
         else:
             ctx.data_transfer_cost = {}
-        if hosts is not None and self.policy.uses_commtime:
+        if self.policy.uses_commtime:
             net = self.fabric.network
             ctx.comm_time = {
-                sed: net.transfer_time(sub.client_host, host,
-                                       sub.request_nbytes)
-                for sed, host in hosts.items()}
+                c.sed_name: net.transfer_time(sub.client_host, c.host,
+                                              sub.request_nbytes)
+                for c in candidates}
         else:
             ctx.comm_time = {}
         chosen = self.policy.choose(candidates, ctx)
@@ -494,9 +493,7 @@ class MasterAgent(LocalAgent):
                     else:
                         self._park(item)
                     continue
-                hosts = {row.sed_name: row.host for row in rows}
-                chosen = self._admit(sub, [row.vector for row in rows],
-                                     hosts)
+                chosen = self._admit(sub, [row.vector for row in rows])
                 done.succeed((chosen, len(rows)))
 
     def _park(self, item: list) -> None:

@@ -39,7 +39,7 @@ from operator import attrgetter
 from typing import Dict, Hashable, List, Tuple
 
 from .requests import EstimateDelta
-from .scheduling import EST_NBJOBS, EST_SPEED, EstimationVector
+from .scheduling import EstimationVector
 
 __all__ = ["CandidateRow", "DeltaOutcome", "CandidateTable", "AggregationTable",
            "rank_key"]
@@ -47,20 +47,18 @@ __all__ = ["CandidateRow", "DeltaOutcome", "CandidateTable", "AggregationTable",
 
 def rank_key(vector: EstimationVector, sed_name: str) -> Tuple:
     """Stateless table order: fewest queued jobs, fastest host, name."""
-    values = vector.values
-    return (values.get(EST_NBJOBS, 0.0), -values.get(EST_SPEED, 0.0), sed_name)
+    return (vector.n_jobs, -vector.speed, sed_name)
 
 
 class CandidateRow:
     """One materialized candidate: a SeD's latest estimate and rank key."""
 
-    __slots__ = ("sed_name", "vector", "host", "via", "seq", "key")
+    __slots__ = ("sed_name", "vector", "via", "seq", "key")
 
-    def __init__(self, sed_name: str, vector: EstimationVector, host: str,
-                 via: str, seq: int):
+    def __init__(self, sed_name: str, vector: EstimationVector, via: str,
+                 seq: int):
         self.sed_name = sed_name
         self.vector = vector
-        self.host = host
         self.via = via
         self.seq = seq
         self.key = rank_key(vector, sed_name)
@@ -118,19 +116,19 @@ class CandidateTable:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def update(self, sed_name: str, vector: EstimationVector, host: str,
-               via: str, seq: int) -> bool:
+    def update(self, sed_name: str, vector: EstimationVector, via: str,
+               seq: int) -> bool:
         """Insert or refresh a row; False if ``seq`` is stale."""
         row = self.rows.get(sed_name)
         if row is not None and seq <= row.seq:
             return False
         if row is None:
-            row = self.rows[sed_name] = CandidateRow(sed_name, vector, host,
-                                                     via, seq)
+            row = self.rows[sed_name] = CandidateRow(sed_name, vector, via,
+                                                     seq)
         else:
             # Keys end with the unique sed_name: bisect finds this row's.
             del self._order[bisect_left(self._order, row.key)]
-            row.vector, row.host, row.via, row.seq = vector, host, via, seq
+            row.vector, row.via, row.seq = vector, via, seq
             row.key = rank_key(vector, sed_name)
         insort(self._order, row.key)
         self.touched[sed_name] = None
@@ -175,11 +173,11 @@ class AggregationTable:
         """
         changed = False
         gained = set()
-        for service, vector, host, seq in delta.updates:
+        for service, vector, seq in delta.updates:
             tbl = self.services.get(service)
             if tbl is None:
                 tbl = self.services[service] = CandidateTable(service)
-            if tbl.update(vector.sed_name, vector, host, delta.source, seq):
+            if tbl.update(vector.sed_name, vector, delta.source, seq):
                 changed = True
                 gained.add(service)
         for service, sed_name in delta.removals:
@@ -239,6 +237,6 @@ class AggregationTable:
                     exported[sed_name] = row.seq
                     fresh.append(row)
             tbl.touched.clear()
-            updates += [(service, row.vector, row.host, row.seq)
+            updates += [(service, row.vector, row.seq)
                         for row in sorted(fresh, key=attrgetter("key"))]
         return updates, removals

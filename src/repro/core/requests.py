@@ -18,8 +18,6 @@ class EstimateRequest:
 
     request_id: int
     service_desc: ProfileDesc
-    client_host: str
-    request_nbytes: int = 0
 
 
 @dataclass
@@ -38,7 +36,7 @@ class EstimateDelta:
     #: Endpoint that sent this delta — the immediate child, which is the
     #: SeD itself at a leaf LA and the forwarding LA above that.
     source: str
-    #: ``(ProfileDesc.key, EstimationVector, origin_host_name, seq)`` rows.
+    #: ``(ProfileDesc.key, EstimationVector, seq)`` rows.
     updates: List[Tuple] = field(default_factory=list)
     #: ``(ProfileDesc.key, sed_name)`` rows whose candidate disappeared
     #: (the SeD was deregistered).

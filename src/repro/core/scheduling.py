@@ -5,7 +5,8 @@ Chis et al. [2], which the paper cites as the fix for its non-optimal
 makespan):
 
 1. every SeD answers an *estimation request* with an **estimation vector**
-   (standard tags filled by CoRI plus service-specific custom tags);
+   (its queue length, host speed and, when the service registered a
+   performance predictor, the predicted solve time);
 2. agents **aggregate** the responses coming from their subtree — i.e. sort
    them according to an aggregation policy;
 3. the Master Agent picks the head of the sorted list.
@@ -33,47 +34,30 @@ __all__ = [
     "FastestNodePolicy",
     "POLICIES",
     "make_policy",
-    # standard estimation tags
-    "EST_TCOMP",
-    "EST_NBJOBS",
-    "EST_FREECPU",
-    "EST_FREEMEM",
-    "EST_SPEED",
-    "EST_TIMESINCELASTSOLVE",
-    "EST_COMMTIME",
 ]
-
-# Standard estimation tags (mirroring DIET's EST_* constants).
-EST_TCOMP = "EST_TCOMP"                       # predicted solve time (s); inf if unknown
-EST_NBJOBS = "EST_NBJOBS"                     # jobs running + waiting at the SeD
-EST_FREECPU = "EST_FREECPU"                   # fraction of CPU free [0, 1]
-EST_FREEMEM = "EST_FREEMEM"                   # free memory (GiB)
-EST_SPEED = "EST_SPEED"                       # normalized host speed
-EST_TIMESINCELASTSOLVE = "EST_TIMESINCELASTSOLVE"
-EST_COMMTIME = "EST_COMMTIME"                 # predicted client->SeD transfer (s)
 
 
 @dataclass(slots=True)
 class EstimationVector:
-    """One SeD's answer to an estimation request.
+    """One SeD's answer to an estimation request: the facts a policy or the
+    push tables' order reads (DIET's standard queue-length, speed and
+    predicted-solve-time tags).  The client->SeD comm time is not one of
+    them: it depends on the request, so the MA prices it at admission.
 
     Slotted because it matters at scale: push-mode tables materialize one
     vector per (service, SeD) and the gather/aggregate hot path churns
-    through them — at 10^4 SeDs the per-instance ``__dict__`` is measurable.
+    through them.
     """
 
     sed_name: str
-    values: Dict[str, float] = field(default_factory=dict)
-
-    def get(self, tag: str, default: float = float("inf")) -> float:
-        return self.values.get(tag, default)
-
-    def set(self, tag: str, value: float) -> None:
-        self.values[tag] = float(value)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v:.4g}" for k, v in sorted(self.values.items()))
-        return f"EstimationVector({self.sed_name}: {inner})"
+    #: Name of the SeD's host (the MA prices client->SeD transfers to it).
+    host: str
+    #: Jobs running + waiting at the SeD.
+    n_jobs: int
+    #: Normalized host speed.
+    speed: float
+    #: Predicted solve time (s); inf when the service has no predictor.
+    tcomp: float
 
 
 @dataclass
@@ -107,10 +91,8 @@ class SchedulingContext:
     #: replica catalog; empty for requests without persistent inputs).
     data_transfer_cost: Dict[str, float] = field(default_factory=dict)
     #: Predicted client->SeD transfer seconds per candidate for the request
-    #: being scheduled.  Pull mode leaves this empty (CoRI stamps
-    #: ``EST_COMMTIME`` into each fresh vector); push mode fills it at the
-    #: MA, because pushed table rows predate the client and cannot carry a
-    #: per-client comm time.  Only computed when ``policy.uses_commtime``.
+    #: being scheduled, priced by the MA from each vector's ``host`` in both
+    #: routing modes.  Only computed when ``policy.uses_commtime``.
     comm_time: Dict[str, float] = field(default_factory=dict)
 
     def note_dispatch(self, sed_name: str) -> None:
@@ -138,19 +120,11 @@ class SchedulingContext:
         """Transfer seconds this SeD would pay for non-resident inputs."""
         return self.data_transfer_cost.get(sed_name, 0.0)
 
-    def comm_cost(self, est: EstimationVector) -> float:
-        """Predicted client->SeD transfer time for the current request.
-
-        Prefers the per-request value the MA computed (push mode), falling
-        back to the vector's own ``EST_COMMTIME`` (pull mode); unknown
-        means free, matching the historical MCT behaviour.
-        """
-        comm = self.comm_time.get(est.sed_name)
-        if comm is None:
-            comm = est.get(EST_COMMTIME, 0.0)
-        if comm == float("inf"):
-            comm = 0.0
-        return comm
+    def comm_cost(self, sed_name: str) -> float:
+        """Predicted client->SeD transfer time for the current request;
+        unknown means free, matching the historical MCT behaviour."""
+        comm = self.comm_time.get(sed_name, 0.0)
+        return 0.0 if comm == float("inf") else comm
 
 
 class SchedulerPolicy:
@@ -164,8 +138,8 @@ class SchedulerPolicy:
     """
 
     name = "base"
-    #: True when the policy reads client->SeD comm time; lets push mode
-    #: skip computing it per candidate for policies that ignore it.
+    #: True when the policy reads client->SeD comm time; lets the MA skip
+    #: pricing it per candidate for policies that ignore it.
     uses_commtime = False
 
     def sort(self, candidates: Sequence[EstimationVector],
@@ -217,7 +191,7 @@ class MinQueuePolicy(SchedulerPolicy):
 
     def sort(self, candidates, ctx):
         return sorted(candidates,
-                      key=lambda e: (e.get(EST_NBJOBS) + ctx.in_flight(e.sed_name),
+                      key=lambda e: (e.n_jobs + ctx.in_flight(e.sed_name),
                                      e.sed_name))
 
 
@@ -227,7 +201,7 @@ class FastestNodePolicy(SchedulerPolicy):
     name = "fastest"
 
     def sort(self, candidates, ctx):
-        return sorted(candidates, key=lambda e: (-e.get(EST_SPEED, 0.0), e.sed_name))
+        return sorted(candidates, key=lambda e: (-e.speed, e.sed_name))
 
 
 class MCTPolicy(SchedulerPolicy):
@@ -238,8 +212,8 @@ class MCTPolicy(SchedulerPolicy):
         (jobs in flight on s) * t(s) + t(s) + commtime(s)
 
     where ``t(s)`` is the observed mean solve time on *s* when history
-    exists (FAST-like), else the SeD's own prediction ``EST_TCOMP`` (from a
-    service-provided cost model), else ``1 / EST_SPEED`` as a last resort.
+    exists (FAST-like), else the SeD's own prediction ``tcomp`` (from a
+    service-provided cost model), else ``1 / speed`` as a last resort.
     This is the plug-in scheduler the paper says "a better makespan could
     be attained by writing" (§5.2, citing MGC'06).
 
@@ -256,17 +230,15 @@ class MCTPolicy(SchedulerPolicy):
         hist = ctx.service_history(est.sed_name)
         if hist is not None:
             return hist
-        tcomp = est.get(EST_TCOMP)
-        if tcomp != float("inf"):
-            return tcomp
-        speed = est.get(EST_SPEED, 0.0)
-        return 1.0 / speed if speed > 0 else float("inf")
+        if est.tcomp != float("inf"):
+            return est.tcomp
+        return 1.0 / est.speed if est.speed > 0 else float("inf")
 
     def sort(self, candidates, ctx):
         def completion(est: EstimationVector) -> float:
             t = self.per_job_time(est, ctx)
-            backlog = max(ctx.in_flight(est.sed_name), est.get(EST_NBJOBS, 0.0))
-            return ((backlog + 1.0) * t + ctx.comm_cost(est)
+            backlog = max(ctx.in_flight(est.sed_name), est.n_jobs)
+            return ((backlog + 1.0) * t + ctx.comm_cost(est.sed_name)
                     + ctx.data_cost(est.sed_name))
 
         return sorted(candidates, key=lambda e: (completion(e), e.sed_name))

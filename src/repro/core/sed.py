@@ -27,12 +27,12 @@ from ..sim.network import Host
 from ..sim.resources import Resource
 from ..platform.nfs import NfsVolume
 from .agent import ROUTING_MODES
-from .cori import CoRI
 from .data import DataHandle, Direction
 from .exceptions import DataError, DietError
 from .profile import Profile, ProfileDesc, ServiceTable, SolveFunc
 from .requests import (EstimateDelta, EstimateRequest, MemoHit, SolveReply,
                        SolveRequest)
+from .scheduling import EstimationVector
 from .statistics import Tracer
 from .transport import Endpoint, TransportFabric
 
@@ -52,7 +52,8 @@ class SeDParams:
     #: Simultaneous solves ("each server cannot compute more than one
     #: simulation at the same time", §5.1).
     max_concurrent_solves: int = 1
-    #: CoRI probe duration, part of the finding time.
+    #: Duration of one estimate probe of the host (DIET's CoRI), part of
+    #: the finding time.
     estimate_collect_time: float = 11.3e-3
 
 
@@ -109,8 +110,6 @@ class SeD:
         self.table = ServiceTable()
         self._registrations: Dict[str, _Registration] = {}
         self.job_slots = Resource(self.engine, capacity=self.params.max_concurrent_solves)
-        self.cori = CoRI(self.engine, host, fabric.network,
-                         collect_time=self.params.estimate_collect_time)
         self.endpoint: Endpoint = fabric.endpoint(name, host.name)
         self._bind_handlers()
         #: DTM/DAGDA data agent on the stack's data grid; a SeD built on its
@@ -161,7 +160,7 @@ class SeD:
 
     @property
     def n_jobs(self) -> int:
-        """Running + queued solves (the EST_NBJOBS probe)."""
+        """Running + queued solves (an estimate's ``n_jobs``)."""
         return self.job_slots.count + self.job_slots.queue_length
 
     @property
@@ -270,7 +269,7 @@ class SeD:
                             name=f"push:{self.name}")
 
     def _push_pump(self, endpoint: Endpoint) -> Generator[Event, Any, None]:
-        """Pay one CoRI probe, then push fresh vectors for every service.
+        """Pay one estimate probe, then push fresh vectors for every service.
 
         Runs as a standalone process (not an endpoint handler), so it
         guards its own liveness: a crash while the probe was sleeping ends
@@ -293,12 +292,11 @@ class SeD:
         shared = None  # one snapshot serves every service without a predictor
         for reg in self._registrations.values():
             if reg.predictor is None:
-                est = shared = shared or self.cori.build(self.name, n_jobs)
+                est = shared = shared or self._estimate(n_jobs)
             else:
-                est = self.cori.build(self.name, n_jobs,
-                                      predicted_tcomp=reg.predictor(reg.desc))
+                est = self._estimate(n_jobs, reg.predictor(reg.desc))
             self._push_seq += 1
-            updates.append((reg.desc.key, est, self.host.name, self._push_seq))
+            updates.append((reg.desc.key, est, self._push_seq))
         delta = EstimateDelta(self.name, updates)
         yield from self.endpoint.try_send(self.parent, "est_delta", delta,
                                           nbytes=delta.wire_bytes())
@@ -308,13 +306,19 @@ class SeD:
         if not self.table.can_solve(req.service_desc):
             return ([], 64)
         reg = self._registrations[req.service_desc.path]
+        # Pull mode reads the queue and the predictor before the probe
+        # delay (the push pump reads them after its own).
+        n_jobs = self.n_jobs
         predicted = reg.predictor(req.service_desc) if reg.predictor else None
-        est = yield from self.cori.collect(
-            self.name, self.n_jobs,
-            client_host=req.client_host,
-            request_nbytes=req.request_nbytes,
-            predicted_tcomp=predicted)
-        return ([est], 512)
+        yield self.engine.timeout(self.params.estimate_collect_time)
+        return ([self._estimate(n_jobs, predicted)], 512)
+
+    def _estimate(self, n_jobs: int,
+                  tcomp: Optional[float] = None) -> EstimationVector:
+        """This SeD's estimation vector; ``tcomp`` None means no predictor."""
+        return EstimationVector(
+            self.name, self.host.name, n_jobs, float(self.host.speed),
+            float("inf") if tcomp is None else float(tcomp))
 
     # -- persistent data (DTM) ---------------------------------------------------------
 
@@ -496,7 +500,6 @@ class SeD:
         duration = ended - started
         self.solve_count += 1
         self.solve_durations.append(duration)
-        self.cori.note_solve_end()
         # Queue shrank (slot released above): push the new state upward.
         self._schedule_push()
 

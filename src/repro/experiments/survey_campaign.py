@@ -17,7 +17,7 @@ is an acceptance criterion, not an accident.
 Three ablations cross to form the arms:
 
 * routing: ``pull`` vs ``push`` (E12's protocol choice, now under DAGs);
-* scheduler: ``default`` herd vs ``mct`` with per-service CoRI
+* scheduler: ``default`` herd vs ``mct`` with per-service performance
   predictors registered by the lensing and RAMSES services;
 * data policy: ``volatile`` (every product round-trips through the
   client) vs ``persistent`` (PERSISTENT handles, bytes move SeD-to-SeD)
@@ -64,8 +64,8 @@ __all__ = [
 ]
 
 DEFAULT_ROUTINGS: Tuple[str, ...] = ("pull", "push")
-#: ``default`` is the paper's herd scheduler; ``mct`` consumes the CoRI
-#: ``EST_TCOMP`` predictors the survey services register.
+#: ``default`` is the paper's herd scheduler; ``mct`` consumes the
+#: ``tcomp`` predictions the survey services register.
 DEFAULT_POLICIES: Tuple[str, ...] = ("default", "mct")
 DEFAULT_DATA_POLICIES: Tuple[str, ...] = ("volatile", "persistent",
                                           "replicated")

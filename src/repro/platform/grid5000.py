@@ -172,7 +172,6 @@ def build_grid5000(engine: Engine,
                     "cluster": spec.full_name,
                     "n_nodes": NODES_PER_SED,
                     "node_model": node_spec.model,
-                    "memory_gib": node_spec.memory_gib * NODES_PER_SED,
                 }))
             network.connect(sed.name, frontend.name,
                             Link(f"lan-{sed.name}", _LAN_LATENCY, _LAN_BW))

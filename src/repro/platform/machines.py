@@ -27,7 +27,6 @@ class MachineSpec:
     model: str
     clock_ghz: float
     cores: int
-    memory_gib: float
 
     @property
     def speed(self) -> float:
@@ -36,11 +35,11 @@ class MachineSpec:
 
 #: The Opteron parts named in §5.1.
 OPTERON_CATALOGUE: Dict[str, MachineSpec] = {
-    "opteron-246": MachineSpec("AMD Opteron 246", 2.0, 1, 2.0),
-    "opteron-248": MachineSpec("AMD Opteron 248", 2.2, 1, 2.0),
-    "opteron-250": MachineSpec("AMD Opteron 250", 2.4, 1, 4.0),
-    "opteron-252": MachineSpec("AMD Opteron 252", 2.6, 1, 4.0),
-    "opteron-275": MachineSpec("AMD Opteron 275", 2.2, 2, 4.0),
+    "opteron-246": MachineSpec("AMD Opteron 246", 2.0, 1),
+    "opteron-248": MachineSpec("AMD Opteron 248", 2.2, 1),
+    "opteron-250": MachineSpec("AMD Opteron 250", 2.4, 1),
+    "opteron-252": MachineSpec("AMD Opteron 252", 2.6, 1),
+    "opteron-275": MachineSpec("AMD Opteron 275", 2.2, 2),
 }
 
 

@@ -32,7 +32,8 @@ Persistence is chosen by the *client* per campaign data policy
 shared description per result mode (nothing mutates one), and
 :func:`survey_result_modes` maps a policy name to the (intermediate,
 final) modes.  Registration can attach a per-SeD performance predictor
-so the service advertises its own ``EST_TCOMP`` through CoRI.
+so the service advertises its own predicted solve time (``tcomp``) in the
+SeD's estimates.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ class LensingServiceConfig:
     """Configuration shared by every SeD's survey services."""
 
     perf: SurveyPerfModel = field(default_factory=SurveyPerfModel)
-    #: Parameters the performance predictor quotes EST_TCOMP at.
+    #: Parameters the performance predictor quotes ``tcomp`` at.
     predict_resolution: int = 64
     predict_n_planes: int = 8
 
@@ -234,8 +235,8 @@ def register_survey_services(seds: Iterable[SeD],
     Takes the SeD iterable directly so it works for both a
     ``Deployment`` and a ``Federation`` (pass ``deployment.seds`` /
     ``federation.seds``).  With ``with_predictor=True`` each service
-    also registers a per-SeD performance predictor, so CoRI stamps
-    ``EST_TCOMP`` into the estimates MCT-style policies consume.
+    also registers a per-SeD performance predictor, so the SeD fills
+    ``tcomp`` in the estimates MCT-style policies consume.
     """
     config = config or LensingServiceConfig()
     service = LensingService(config)

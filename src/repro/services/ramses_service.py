@@ -291,7 +291,7 @@ def register_ramses_services(deployment: Deployment,
 
     ``with_predictor=True`` also registers a performance predictor (the
     SeD-side half of a plug-in scheduler): the SeD then advertises its
-    predicted solve time in ``EST_TCOMP``, which MCT-style policies consume.
+    predicted solve time in ``tcomp``, which MCT-style policies consume.
     The paper's deployment had none — that is why its schedule was
     suboptimal.
     """

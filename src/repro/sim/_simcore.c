@@ -239,41 +239,6 @@ heap_push(Heap *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 static PyObject *
-heap_pushnow(Heap *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    /* Schedule at the current clock — the succeed()/fail() hot path. */
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "pushnow() needs (prio, obj)");
-        return NULL;
-    }
-    long prio = PyLong_AsLong(args[0]);
-    if (prio == -1 && PyErr_Occurred())
-        return NULL;
-    if (heap_insert(self, self->now, prio, args[1]) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-heap_pushdelay(Heap *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    /* Schedule at now + delay without boxing the clock. */
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError, "pushdelay() needs (delay, prio, obj)");
-        return NULL;
-    }
-    double delay = PyFloat_AsDouble(args[0]);
-    if (delay == -1.0 && PyErr_Occurred())
-        return NULL;
-    long prio = PyLong_AsLong(args[1]);
-    if (prio == -1 && PyErr_Occurred())
-        return NULL;
-    if (heap_insert(self, self->now + delay, prio, args[2]) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
 heap_pop(Heap *self, PyObject *Py_UNUSED(ignored))
 {
     if (self->size == 0) {
@@ -418,10 +383,6 @@ heap_bool(Heap *self)
 static PyMethodDef heap_methods[] = {
     {"push", (PyCFunction)(void (*)(void))heap_push, METH_FASTCALL,
      "push(when, prio, obj) -> None  (seq is stamped by the heap)"},
-    {"pushnow", (PyCFunction)(void (*)(void))heap_pushnow, METH_FASTCALL,
-     "pushnow(prio, obj) -> None  (schedule at the current clock)"},
-    {"pushdelay", (PyCFunction)(void (*)(void))heap_pushdelay, METH_FASTCALL,
-     "pushdelay(delay, prio, obj) -> None  (schedule at now + delay)"},
     {"pop", (PyCFunction)heap_pop, METH_NOARGS,
      "pop() -> smallest (when, prio, seq, obj) tuple; advances the clock"},
     {"pop2", (PyCFunction)heap_pop2, METH_NOARGS,

@@ -45,7 +45,9 @@ class PyEventHeap:
 
     Entries are ``(when, prio, seq, obj)`` tuples; ``seq`` is stamped at
     push from :attr:`count`, exactly like the C heap, so the two pop in the
-    same total order.
+    same total order.  :meth:`pushnow` and :meth:`pushdelay` are its own:
+    only the pure-Python ``Event`` / ``Timeout`` / ``Process`` call them,
+    and those run on this heap.
     """
 
     __slots__ = ("_entries", "count", "now")

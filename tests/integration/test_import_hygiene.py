@@ -15,12 +15,17 @@ fresh interpreter so this suite's own imports cannot mask a regression:
 * no module under ``src/repro`` imports a third-party package other than
   numpy at module level (a source scan: the rule is enforced, not
   remembered).
+
+A fourth scan is the unused-import lint (pyflakes' F401) in stdlib form:
+no module-level import in ``src``, ``tests``, ``benchmarks``, ``tools`` or
+``examples`` binds a name its file never mentions again.
 """
 
 import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +34,8 @@ import pytest
 
 import repro.galics.halomaker as halomaker
 
-SRC = Path(__file__).resolve().parents[2] / "src"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src"
 HEAVY = ("scipy", "networkx", "matplotlib", "pandas")
 
 #: Prepended to every child: ``heavy()`` names the heavyweight top-level
@@ -207,3 +213,49 @@ def test_no_module_level_third_party_import_but_numpy():
     assert not offenders, (
         "third-party imports other than numpy belong inside the function "
         "that uses them (DESIGN 'Cold start'):\n" + "\n".join(offenders))
+
+
+def _dunder_all(tree: ast.Module) -> set:
+    """The string entries of a module-level ``__all__`` list or tuple."""
+    names = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)
+                and isinstance(node.value, (ast.List, ast.Tuple))):
+            names |= {elt.value for elt in node.value.elts
+                      if isinstance(elt, ast.Constant)}
+    return names
+
+
+def _unused_imports(path: Path):
+    """``path:line: name`` for every module-level import whose bound name
+    never recurs in the file outside the import statement.  Exempt:
+    ``from __future__``, names listed in ``__all__`` (re-exports) and
+    statements marked ``# noqa``."""
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    exported = _dunder_all(tree)
+    for node in _module_level_imports(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        span = range(node.lineno - 1, node.end_lineno)
+        if any("# noqa" in lines[i] for i in span):
+            continue
+        rest = "\n".join(line for i, line in enumerate(lines) if i not in span)
+        for alias in node.names:
+            name = alias.asname or alias.name.partition(".")[0]
+            if name == "*" or name in exported:
+                continue
+            if not re.search(rf"\b{re.escape(name)}\b", rest):
+                yield f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+
+
+def test_no_unused_module_level_import():
+    hits = []
+    for top in ("src", "tests", "benchmarks", "tools", "examples"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if "_build" not in path.parts:
+                hits += _unused_imports(path)
+    assert not hits, "unused imports (remove them):\n" + "\n".join(hits)

@@ -24,7 +24,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.aggregation import AggregationTable, rank_key
 from repro.core.requests import EstimateDelta
-from repro.core.scheduling import EST_NBJOBS, EST_SPEED, EstimationVector
+from repro.core.scheduling import EstimationVector
 
 _SEDS = ("S0", "S1", "S2", "S3", "S4")
 _SERVICES = ("svcA", "svcB")
@@ -32,13 +32,13 @@ _CHILDREN = ("LA0", "LA1")
 
 
 def _vec(sed, n_jobs, speed):
-    return EstimationVector(sed, {EST_NBJOBS: float(n_jobs),
-                                  EST_SPEED: float(speed)})
+    return EstimationVector(sed, f"{sed}-host", n_jobs, float(speed),
+                            float("inf"))
 
 
 def _view(agg):
-    """service -> ranked [(sed, seq, vector values)] of every non-empty table."""
-    return {service: [(r.sed_name, r.seq, r.vector.values)
+    """service -> ranked [(sed, seq, vector)] of every non-empty table."""
+    return {service: [(r.sed_name, r.seq, r.vector)
                       for r in agg.candidates(service)]
             for service in agg.services if agg.candidates(service)}
 
@@ -50,7 +50,7 @@ def _full_view_diff(agg, exported):
     for service in agg.services:
         for row in agg.candidates(service):
             view[(service, row.sed_name)] = row
-    updates = [(service, row.vector, row.host, row.seq)
+    updates = [(service, row.vector, row.seq)
                for (service, _sed), row in view.items()
                if exported.get((service, row.sed_name)) != row.seq]
     removals = [key for key in exported if key not in view]
@@ -77,8 +77,7 @@ def _histories(draw):
             for service in services:
                 seq += 1
                 n_jobs, speed = draw(_state)
-                rows.append((service, _vec(sed, n_jobs, speed),
-                             f"{sed}-host", seq))
+                rows.append((service, _vec(sed, n_jobs, speed), seq))
             pushes.append(EstimateDelta(sed, rows))
     return pushes
 
@@ -89,16 +88,16 @@ def _final_rows(pushes):
     for delta in pushes:
         for row in delta.updates:
             key = (row[0], row[1].sed_name)
-            if key not in final or row[3] > final[key][3]:
+            if key not in final or row[2] > final[key][2]:
                 final[key] = row
     return final
 
 
 def _oracle(final):
     tables = {}
-    for (service, sed), (_, vector, _host, seq) in final.items():
+    for (service, sed), (_, vector, seq) in final.items():
         tables.setdefault(service, []).append(
-            (rank_key(vector, sed), (sed, seq, vector.values)))
+            (rank_key(vector, sed), (sed, seq, vector)))
     return {service: [entry for _, entry in sorted(rows)]
             for service, rows in tables.items()}
 
@@ -148,7 +147,7 @@ class CandidateTableMachine(RuleBasedStateMachine):
           via=st.sampled_from(_CHILDREN), state=_state)
     def push(self, sed, service, via, state):
         self.seq[sed] += 1
-        row = (service, _vec(sed, *state), f"{sed}-host", self.seq[sed])
+        row = (service, _vec(sed, *state), self.seq[sed])
         self.last[(service, sed)] = (via, row)
         self.agg.apply_delta(EstimateDelta(via, [row]))
 
@@ -169,8 +168,7 @@ class CandidateTableMachine(RuleBasedStateMachine):
             return
         before = _view(self.agg)
         outcome = self.agg.apply_delta(EstimateDelta(
-            "LA0", [(service, _vec(sed, *state), f"{sed}-host",
-                     row.seq - back)]))
+            "LA0", [(service, _vec(sed, *state), row.seq - back)]))
         assert not outcome and _view(self.agg) == before
 
     @rule(sed=st.sampled_from(_SEDS), service=st.sampled_from(_SERVICES))
@@ -194,11 +192,11 @@ class CandidateTableMachine(RuleBasedStateMachine):
                 for service in self.parent.services
                 for row in self.parent.candidates(service)}
         keys = [(service, vector.sed_name)
-                for service, vector, _host, _seq in updates]
+                for service, vector, _seq in updates]
         assert len(set(keys)) == len(keys)
         assert len(set(removals)) == len(removals)
         assert all(held.get(key) != seq
-                   for key, (_, _, _, seq) in zip(keys, updates))
+                   for key, (_, _, seq) in zip(keys, updates))
         assert all(key in held for key in removals)
         self.parent.apply_delta(EstimateDelta("LA", updates, removals))
         assert _view(self.parent) == _view(self.agg)

@@ -15,7 +15,6 @@ from repro.core import (
     TransportFabric,
     TransportParams,
 )
-from repro.core.scheduling import EST_NBJOBS, EST_SPEED, EST_TCOMP
 from repro.ramses import format_namelist, parse_namelist
 from repro.ramses.namelist import Namelist
 from repro.sim import Engine, Host, Link, Network
@@ -47,7 +46,7 @@ def test_default_policy_work_conservation(n_seds, n_requests):
     """Every request is placed, and counts differ by at most one."""
     policy = DefaultPolicy()
     ctx = SchedulingContext()
-    cands = [EstimationVector(f"s{i:02d}", {EST_SPEED: 1.0})
+    cands = [EstimationVector(f"s{i:02d}", "h", 0, 1.0, float("inf"))
              for i in range(n_seds)]
     for _ in range(n_requests):
         chosen = policy.choose(cands, ctx)
@@ -66,7 +65,7 @@ def test_mct_distributes_inversely_to_job_time(times, n_requests):
     """MCT gives each SeD a share ~ proportional to its speed."""
     policy = MCTPolicy()
     ctx = SchedulingContext()
-    cands = [EstimationVector(f"s{i:02d}", {EST_TCOMP: t, EST_NBJOBS: 0.0})
+    cands = [EstimationVector(f"s{i:02d}", "h", 0, 1.0, t)
              for i, t in enumerate(times)]
     for _ in range(n_requests):
         chosen = policy.choose(cands, ctx)

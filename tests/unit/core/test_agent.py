@@ -216,7 +216,7 @@ class TestFanOutCost:
         def drive():
             before = engine.events_scheduled
             ests = yield from agent._gather(
-                EstimateRequest(0, toy_desc(), "agent"))
+                EstimateRequest(0, toy_desc()))
             return ests, engine.events_scheduled - before
 
         # The gather's own three: its processing charge, the one timer of

@@ -2,45 +2,44 @@
 
 from repro.core.aggregation import AggregationTable, CandidateTable, rank_key
 from repro.core.requests import EstimateDelta
-from repro.core.scheduling import EST_NBJOBS, EST_SPEED, EstimationVector
+from repro.core.scheduling import EstimationVector
 
 
-def vec(sed, n_jobs=0.0, speed=1.0):
-    return EstimationVector(sed_name=sed,
-                            values={EST_NBJOBS: n_jobs, EST_SPEED: speed})
+def vec(sed, n_jobs=0, speed=1.0):
+    return EstimationVector(sed, f"{sed}-host", n_jobs, speed, float("inf"))
 
 
-def upd(sed, n_jobs=0.0, speed=1.0, seq=1, service="toy", host=None):
-    return (service, vec(sed, n_jobs, speed), host or f"{sed}-host", seq)
+def upd(sed, n_jobs=0, speed=1.0, seq=1, service="toy"):
+    return (service, vec(sed, n_jobs, speed), seq)
 
 
 class TestCandidateTable:
     def test_update_inserts_ranked(self):
         tbl = CandidateTable("toy")
-        tbl.update("B", vec("B", n_jobs=1.0), "hB", "LA0", 1)
-        tbl.update("A", vec("A", n_jobs=0.0), "hA", "LA0", 1)
-        tbl.update("C", vec("C", n_jobs=0.0, speed=2.0), "hC", "LA0", 1)
+        tbl.update("B", vec("B", n_jobs=1.0), "LA0", 1)
+        tbl.update("A", vec("A", n_jobs=0.0), "LA0", 1)
+        tbl.update("C", vec("C", n_jobs=0.0, speed=2.0), "LA0", 1)
         # fewest jobs first, faster first among ties
         assert [r.sed_name for r in tbl.top()] == ["C", "A", "B"]
 
     def test_refresh_rerank(self):
         tbl = CandidateTable("toy")
-        tbl.update("A", vec("A", n_jobs=0.0), "hA", "LA0", 1)
-        tbl.update("B", vec("B", n_jobs=1.0), "hB", "LA0", 1)
-        assert tbl.update("A", vec("A", n_jobs=5.0), "hA", "LA0", 2)
+        tbl.update("A", vec("A", n_jobs=0.0), "LA0", 1)
+        tbl.update("B", vec("B", n_jobs=1.0), "LA0", 1)
+        assert tbl.update("A", vec("A", n_jobs=5.0), "LA0", 2)
         assert [r.sed_name for r in tbl.top()] == ["B", "A"]
         assert len(tbl) == 2
 
     def test_stale_seq_discarded(self):
         tbl = CandidateTable("toy")
-        tbl.update("A", vec("A", n_jobs=2.0), "hA", "LA0", seq=5)
-        assert not tbl.update("A", vec("A", n_jobs=0.0), "hA", "LA0", seq=5)
-        assert not tbl.update("A", vec("A", n_jobs=0.0), "hA", "LA0", seq=4)
-        assert tbl.top()[0].vector.get(EST_NBJOBS) == 2.0
+        tbl.update("A", vec("A", n_jobs=2.0), "LA0", seq=5)
+        assert not tbl.update("A", vec("A", n_jobs=0.0), "LA0", seq=5)
+        assert not tbl.update("A", vec("A", n_jobs=0.0), "LA0", seq=4)
+        assert tbl.top()[0].vector.n_jobs == 2.0
 
     def test_remove(self):
         tbl = CandidateTable("toy")
-        tbl.update("A", vec("A"), "hA", "LA0", 1)
+        tbl.update("A", vec("A"), "LA0", 1)
         assert tbl.remove("A")
         assert not tbl.remove("A")
         assert tbl.top() == []
@@ -112,3 +111,4 @@ class TestAggregationTable:
         big = EstimateDelta("LA0", [upd("A"), upd("B")],
                             removals=[("toy", "C")])
         assert big.wire_bytes() > small.wire_bytes() > 0
+        assert small.wire_bytes() == 128 + 384

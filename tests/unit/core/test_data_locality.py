@@ -21,7 +21,7 @@ from repro.sim import Engine
 
 class TestPolicyUnit:
     def cands(self, names):
-        return [EstimationVector(n, {"EST_SPEED": 1.0}) for n in names]
+        return [EstimationVector(n, "h", 0, 1.0, float("inf")) for n in names]
 
     def test_prefers_data_owner(self):
         policy = DataLocalityPolicy()

@@ -629,7 +629,7 @@ class TestSenderInterrupt:
 
         def gather():
             try:
-                yield from agent._gather(EstimateRequest(0, desc, "client"))
+                yield from agent._gather(EstimateRequest(0, desc))
             except Interrupt:
                 outcome["interrupted"] = engine.now
 

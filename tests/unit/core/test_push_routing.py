@@ -4,8 +4,10 @@ import pytest
 
 from repro.core import (
     BaseType,
+    DefaultPolicy,
     EstimateDelta,
     LocalAgent,
+    MCTPolicy,
     MasterAgent,
     ProfileDesc,
     SeD,
@@ -143,6 +145,39 @@ class TestTableMaterialization:
         assert after[sed_name] > before[sed_name]
 
 
+class TestCommTimePricing:
+    """The MA prices client->SeD comm time at admission in both modes."""
+
+    NBYTES = 10**6
+
+    def admitted_comm_time(self, routing, policy):
+        engine, fabric, ma, _, seds, cli = build(routing)
+        ma.policy = policy
+
+        def call():
+            yield engine.timeout(1.0)  # push tables fill first
+            sub = SubmitRequest(cli.fabric.new_request_id(), toy_desc(),
+                                "hub", "cli", request_nbytes=self.NBYTES)
+            yield from cli.rpc("MA", "submit", sub)
+
+        engine.run_process(call())
+        return dict(ma.ctx.comm_time), fabric.network, seds
+
+    def test_mct_prices_every_candidate_alike_in_both_modes(self):
+        pull, net, seds = self.admitted_comm_time("pull", MCTPolicy())
+        push, _, _ = self.admitted_comm_time("push", MCTPolicy())
+        expected = {sed.name: net.transfer_time("hub", sed.host.name,
+                                                self.NBYTES)
+                    for sed in seds}
+        assert pull == push == expected
+        assert all(t > 0 for t in expected.values())
+
+    @pytest.mark.parametrize("routing", ["pull", "push"])
+    def test_default_policy_prices_nothing(self, routing):
+        comm, _, _ = self.admitted_comm_time(routing, DefaultPolicy())
+        assert comm == {}
+
+
 class TestPushAdmission:
     def test_submits_answered_from_table(self):
         engine, _, ma, _, seds, cli = build()
@@ -252,8 +287,8 @@ class TestInvalidation:
         n_before = len(ma.table.candidates(TOY))
         # a straggler delta arrives after deregistration
         from repro.core.scheduling import EstimationVector
-        ghost = EstimateDelta("LA0", [(TOY, EstimationVector("SeD00"),
-                                       "sed00-host", 99)])
+        ghost = EstimateDelta("LA0", [(TOY, EstimationVector(
+            "SeD00", "sed00-host", 0, 1.0, float("inf")), 99)])
         # handlers are generators; drive it to completion directly
         list(ma._handle_est_delta(type("M", (), {"payload": ghost})))
         assert len(ma.table.candidates(TOY)) == n_before
@@ -392,8 +427,9 @@ class TestParkedRescueFilter:
             from repro.core.scheduling import EstimationVector
             delta = EstimateDelta(
                 "LA1", [(ProfileDesc("ghost", 0, 0, 0).key,
-                         EstimationVector("SeD10"),
-                         "sed10-host", 999)])
+                         EstimationVector("SeD10", "sed10-host", 0, 1.0,
+                                          float("inf")),
+                         999)])
             list(ma._handle_est_delta(type("M", (), {"payload": delta})))
             state["parked_now"] = len(ma._parked)
             yield engine.timeout(1.0)  # admission batch runs

@@ -11,32 +11,21 @@ from repro.core import (
     SchedulingContext,
     make_policy,
 )
-from repro.core.scheduling import (
-    EST_COMMTIME,
-    EST_NBJOBS,
-    EST_SPEED,
-    EST_TCOMP,
-)
+
+
+def vec(name, n_jobs=0, speed=1.0, tcomp=float("inf")):
+    return EstimationVector(name, f"{name}-host", n_jobs, speed, tcomp)
 
 
 def vectors(**speeds):
-    return [EstimationVector(name, {EST_SPEED: s, EST_NBJOBS: 0.0})
-            for name, s in speeds.items()]
+    return [vec(name, speed=s) for name, s in speeds.items()]
 
 
 class TestEstimationVector:
-    def test_get_default_inf(self):
-        est = EstimationVector("s")
-        assert est.get("MISSING") == float("inf")
-
-    def test_set_get(self):
-        est = EstimationVector("s")
-        est.set(EST_SPEED, 2.4)
-        assert est.get(EST_SPEED) == 2.4
-
-    def test_repr_sorted(self):
-        est = EstimationVector("s", {"B": 2.0, "A": 1.0})
-        assert repr(est).index("A=1") < repr(est).index("B=2")
+    def test_fields(self):
+        est = EstimationVector("s", "h", 2, 2.4, 7.0)
+        assert (est.sed_name, est.host, est.n_jobs, est.speed, est.tcomp) \
+            == ("s", "h", 2, 2.4, 7.0)
 
 
 class TestContext:
@@ -110,8 +99,8 @@ class TestMCT:
         policy = MCTPolicy()
         ctx = SchedulingContext()
         cands = [
-            EstimationVector("slow", {EST_TCOMP: 100.0, EST_NBJOBS: 0}),
-            EstimationVector("fast", {EST_TCOMP: 50.0, EST_NBJOBS: 0}),
+            vec("slow", tcomp=100.0),
+            vec("fast", tcomp=50.0),
         ]
         assert policy.choose(cands, ctx).sed_name == "fast"
 
@@ -119,8 +108,8 @@ class TestMCT:
         policy = MCTPolicy()
         ctx = SchedulingContext()
         cands = [
-            EstimationVector("fast", {EST_TCOMP: 50.0, EST_NBJOBS: 0}),
-            EstimationVector("slow", {EST_TCOMP: 80.0, EST_NBJOBS: 0}),
+            vec("fast", tcomp=50.0),
+            vec("slow", tcomp=80.0),
         ]
         ctx.note_dispatch("fast")  # fast now has one in flight
         # fast: (1+1)*50 = 100 > slow: 80
@@ -130,21 +119,32 @@ class TestMCT:
         policy = MCTPolicy()
         ctx = SchedulingContext()
         ctx.note_completion("a", 10.0)   # measured much faster than predicted
-        est = EstimationVector("a", {EST_TCOMP: 1000.0})
+        est = vec("a", tcomp=1000.0)
         assert policy.per_job_time(est, ctx) == 10.0
 
     def test_falls_back_to_speed(self):
         policy = MCTPolicy()
-        est = EstimationVector("a", {EST_SPEED: 4.0})
+        est = vec("a", speed=4.0)
         assert policy.per_job_time(est, SchedulingContext()) == pytest.approx(0.25)
+
+    def test_comm_time_is_read_from_the_context(self):
+        policy = MCTPolicy()
+        ctx = SchedulingContext()
+        cands = [vec("near", tcomp=50.0), vec("far", tcomp=40.0)]
+        ctx.comm_time = {"near": 1.0, "far": 20.0}
+        assert policy.choose(cands, ctx).sed_name == "near"
+        # unknown or unreachable means free
+        ctx.comm_time = {"far": float("inf")}
+        assert ctx.comm_cost("far") == 0.0 and ctx.comm_cost("near") == 0.0
+        assert policy.choose(cands, ctx).sed_name == "far"
 
     def test_balances_by_speed_over_campaign(self):
         """MCT gives faster SeDs proportionally more jobs."""
         policy = MCTPolicy()
         ctx = SchedulingContext()
         cands = [
-            EstimationVector("fast", {EST_TCOMP: 50.0, EST_NBJOBS: 0, EST_COMMTIME: 0}),
-            EstimationVector("slow", {EST_TCOMP: 100.0, EST_NBJOBS: 0, EST_COMMTIME: 0}),
+            vec("fast", tcomp=50.0),
+            vec("slow", tcomp=100.0),
         ]
         for _ in range(30):
             chosen = policy.choose(cands, ctx)
@@ -156,8 +156,8 @@ class TestOtherPolicies:
     def test_min_queue(self):
         policy = MinQueuePolicy()
         cands = [
-            EstimationVector("busy", {EST_NBJOBS: 3}),
-            EstimationVector("idle", {EST_NBJOBS: 0}),
+            vec("busy", n_jobs=3),
+            vec("idle", n_jobs=0),
         ]
         assert policy.choose(cands, SchedulingContext()).sed_name == "idle"
 

@@ -1,5 +1,7 @@
 """Unit tests for the Server Daemon."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import (
@@ -76,8 +78,7 @@ class TestEstimate:
         cli = client_endpoint(stack)
 
         def call():
-            req = EstimateRequest(cli.fabric.new_request_id(), toy_desc(),
-                                  "client-host", 100)
+            req = EstimateRequest(cli.fabric.new_request_id(), toy_desc())
             result = yield from cli.rpc("sed1", "estimate", req)
             return result
 
@@ -85,9 +86,23 @@ class TestEstimate:
         assert len(vectors) == 1
         est = vectors[0]
         assert est.sed_name == "sed1"
-        assert est.get("EST_SPEED") == 2.0
-        assert est.get("EST_NBJOBS") == 0.0
-        assert est.get("EST_COMMTIME") < 1.0
+        assert est.host == "sed-host"
+        assert est.speed == 2.0
+        assert est.n_jobs == 0
+
+    def test_vector_reads_the_host(self, stack):
+        est = make_sed(stack)._estimate(3)
+        assert (est.sed_name, est.host, est.n_jobs, est.speed) == (
+            "sed1", "sed-host", 3, 2.0)
+        assert not hasattr(est, "__dict__")  # a slotted record, no tag table
+        with pytest.raises(AttributeError):
+            est.comm_time = 1.0
+
+    def test_tcomp_is_inf_without_predictor(self, stack):
+        assert make_sed(stack)._estimate(0).tcomp == float("inf")
+
+    def test_tcomp_present_with_prediction(self, stack):
+        assert make_sed(stack)._estimate(0, 77.0).tcomp == 77.0
 
     def test_unsolvable_service_returns_empty(self, stack):
         engine, _, fabric = stack
@@ -96,7 +111,7 @@ class TestEstimate:
 
         def call():
             other = ProfileDesc("unknown-service", 0, 0, 0)
-            req = EstimateRequest(cli.fabric.new_request_id(), other, "client-host", 0)
+            req = EstimateRequest(cli.fabric.new_request_id(), other)
             result = yield from cli.rpc("sed1", "estimate", req)
             return result
 
@@ -111,12 +126,37 @@ class TestEstimate:
         cli = client_endpoint(stack)
 
         def call():
-            req = EstimateRequest(cli.fabric.new_request_id(), toy_desc(),
-                                  "client-host", 0)
+            req = EstimateRequest(cli.fabric.new_request_id(), toy_desc())
             result = yield from cli.rpc("sed-pred", "estimate", req)
             return result[0]
 
-        assert engine.run_process(call()).get("EST_TCOMP") == 123.0
+        assert engine.run_process(call()).tcomp == 123.0
+
+    def test_probe_costs_estimate_collect_time(self, stack):
+        engine = stack[0]
+        sed = make_sed(stack, estimate_collect_time=0.02)
+        msg = SimpleNamespace(payload=EstimateRequest(0, toy_desc()))
+        vectors, nbytes = engine.run_process(sed._handle_estimate(msg))
+        assert engine.now == pytest.approx(0.02)
+        assert len(vectors) == 1 and nbytes == 512
+
+    def test_pull_snapshots_n_jobs_before_the_probe(self, stack):
+        # A job that lands during the probe delay is not in the answer:
+        # pull mode reads the queue when the request arrives.
+        engine = stack[0]
+        sed = make_sed(stack)
+        msg = SimpleNamespace(payload=EstimateRequest(0, toy_desc()))
+        answer = engine.process(sed._handle_estimate(msg))
+
+        def occupy():
+            yield engine.timeout(sed.params.estimate_collect_time / 2)
+            sed.job_slots.request()
+
+        engine.process(occupy())
+        engine.run()
+        (est,), _ = answer.value
+        assert est.n_jobs == 0
+        assert sed.n_jobs == 1
 
 
 class TestSolve:

@@ -285,7 +285,7 @@ class TestSchedulingHook:
         sed_names = [s.name for s in dep.seds]
         ctx.data_transfer_cost = dep.data_grid.transfer_cost([handle], sed_names)
         cands = [
-            EstimationVector(n, {"EST_SPEED": 1.0, "EST_TCOMP": 100.0})
+            EstimationVector(n, "h", 0, 1.0, 100.0)
             for n in sed_names
         ]
         chosen = make_policy("mct").choose(cands, ctx)

@@ -92,8 +92,7 @@ _KEPT: Dict[str, str] = {
         "repro.core.transport:TransportFabric(params=) "
         "repro.core.sed:SeDParams repro.core.sed:SeD(params=) "
         "repro.core.agent:AgentParams.processing_time "
-        "repro.core.agent:AgentParams.child_timeout "
-        "repro.core.cori:CoRI(collect_time=)",
+        "repro.core.agent:AgentParams.child_timeout",
     "the boot delay of a handler process: the pure-Python transport's "
     "_Handler, a Process subclass, passes the dispatch charge":
         "repro.sim.engine:Process(delay=)",
