@@ -141,7 +141,6 @@ def _run_rpc_roundtrips(deadline: bool = False) -> int:
         return (msg.payload, 64)
 
     server.on("echo", echo)
-    server.start()
     client = fabric.endpoint("client", "alpha")
     if deadline:
         client.set_deadline(("echo",), RPC_DEADLINE)
@@ -191,7 +190,6 @@ def _run_gathers() -> int:
         net.connect("agent", name, Link(f"link{leg}", 0.001, 1e8))
         child = fabric.endpoint(name, name)
         child.on("estimate", no_candidate)
-        child.start()
         agent.add_child(name)
     agent.launch()
     desc = ProfileDesc("echo", 0, 0, 1)

@@ -83,7 +83,6 @@ def _build(n_las, n_seds_per_la, routing):
             la.add_child(sed.name)
     ma.launch()
     cli = fabric.endpoint("cli", "hub")
-    cli.start()
     # Drain launch-time events (push mode: the initial estimate deltas
     # propagate and the MA table materializes before the clock starts).
     engine.run()

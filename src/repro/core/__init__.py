@@ -73,7 +73,6 @@ from .transport import (
     Endpoint,
     FaultInjector,
     Message,
-    RpcPolicy,
     TransportFabric,
     TransportParams,
 )
@@ -122,7 +121,6 @@ __all__ = [
     "ProfileError",
     "ROUTING_MODES",
     "RequestTrace",
-    "RpcPolicy",
     "SchedulerPolicy",
     "SchedulingContext",
     "SeD",

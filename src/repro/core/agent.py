@@ -29,7 +29,7 @@ consumed by history-based plug-in schedulers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
 
 from ..sim.engine import Engine, Event, Interrupt
 from ..sim.network import Host
@@ -186,7 +186,6 @@ class LocalAgent:
         return True
 
     def launch(self) -> None:
-        self.endpoint.start()
         if self.heartbeat is not None:
             self.heartbeat.launch()
 
@@ -434,13 +433,19 @@ class MasterAgent(LocalAgent):
         ctx = self.ctx
         ctx.now = self.engine.now
         ctx.service = sub.service_desc.path
-        ctx.resident_bytes = sub.resident_bytes
         if sub.data_handles:
-            # Data-locality pricing: seconds each candidate would spend
-            # pulling the non-resident handles.
+            # Data-locality pricing: bytes of the handles resident per SeD
+            # (the Data Location Manager's view), and seconds each
+            # candidate would spend pulling the non-resident ones.
+            resident: Dict[str, int] = {}
+            for data in sub.data_handles:
+                resident[data.sed_name] = (resident.get(data.sed_name, 0)
+                                           + data.nbytes)
+            ctx.resident_bytes = resident
             ctx.data_transfer_cost = self.data_grid.transfer_cost(
                 sub.data_handles, [c.sed_name for c in candidates])
         else:
+            ctx.resident_bytes = {}
             ctx.data_transfer_cost = {}
         if self.policy.uses_commtime:
             net = self.fabric.network

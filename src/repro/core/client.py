@@ -188,7 +188,6 @@ class DietClient:
             self.fabric.resolve(name)
         self.ma_names = names
         self._initialized = True
-        self.endpoint.start()
 
     def finalize(self) -> None:
         """diet_finalize(): frees session state.
@@ -240,12 +239,9 @@ class DietClient:
         endpoint = self.endpoint
         if handle is None:
             handle = FunctionHandle(profile.path)
-        # Data Location Manager view: persistent inputs already on SeDs.
+        # Persistent inputs already on SeDs: the MA prices their locality.
         handles = tuple(arg.value for arg in profile.arguments
                         if isinstance(arg.value, DataHandle))
-        resident: Dict[str, int] = {}
-        for data in handles:
-            resident[data.sed_name] = resident.get(data.sed_name, 0) + data.nbytes
         memo_key = None
         if self.memo_enabled:
             # Lazy: repro.data depends on repro.core at module level.
@@ -266,7 +262,6 @@ class DietClient:
                                         client_host=self.host.name,
                                         client_endpoint=endpoint.name,
                                         request_nbytes=nbytes,
-                                        resident_bytes=resident,
                                         data_handles=handles,
                                         memo_key=memo_key)
                     try:

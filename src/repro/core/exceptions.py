@@ -82,8 +82,8 @@ class CommunicationError(DietError):
 
 
 class DeadlineExceededError(CommunicationError):
-    """An RPC outlived its :class:`~repro.core.transport.RpcPolicy`
-    (deadline expired on every attempt, retries exhausted)."""
+    """An RPC's reply missed the deadline its endpoint set for the op
+    (:meth:`~repro.core.transport.Endpoint.set_deadline`)."""
 
 
 class NotCompletedError(DietError):

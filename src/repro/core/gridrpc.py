@@ -91,15 +91,15 @@ def grpc_wait_any(client: DietClient) -> Generator[Any, Any, int]:
     return sid
 
 
-def grpc_set_deadline(client: DietClient, deadline: float, retries: int = 0,
-                      backoff: float = 0.0,
+def grpc_set_deadline(client: DietClient, deadline: float,
                       ops: Sequence[str] = ("submit", "solve")) -> None:
-    """Give the client's calls a deadline (with optional retry/backoff).
+    """Give the client's calls a deadline.
 
     Sets it on the client's endpoint — the same mechanism that bounds the
     agents' estimate fan-out; calling again replaces it.  A call whose reply
-    misses every deadline raises
-    :class:`~repro.core.exceptions.DeadlineExceededError`.
+    misses it raises :class:`~repro.core.exceptions.DeadlineExceededError`,
+    a :class:`~repro.core.exceptions.CommunicationError`: the job is lost,
+    and :meth:`DietClient.call_retry` (or ``call_async(max_attempts=)``)
+    resubmits it under a fresh request id.
     """
-    client.endpoint.set_deadline(ops, deadline, retries=retries,
-                                 backoff=backoff)
+    client.endpoint.set_deadline(ops, deadline)

@@ -56,13 +56,10 @@ class SubmitRequest:
     client_host: str
     client_endpoint: str
     request_nbytes: int = 0
-    #: Bytes of this request's persistent input data already resident per
-    #: SeD (from DataHandle arguments) — the Data Location Manager's view,
-    #: consumed by locality-aware schedulers.
-    resident_bytes: Dict[str, int] = field(default_factory=dict)
-    #: The persistent-input handles themselves, so the MA can price each
-    #: candidate's transfer cost through the replica catalog (DataHandle is
-    #: frozen/hashable; empty for requests without persistent inputs).
+    #: The persistent-input handles (DataHandle arguments), so the MA can
+    #: sum the bytes resident per SeD and price each candidate's transfer
+    #: cost through the replica catalog (DataHandle is frozen/hashable;
+    #: empty for requests without persistent inputs).
     data_handles: Tuple = ()
     #: Canonical request-descriptor digest
     #: (:func:`repro.data.memo.descriptor_digest`); None when the client

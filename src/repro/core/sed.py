@@ -148,11 +148,12 @@ class SeD:
         self._registrations[desc.path] = _Registration(desc, solve_func, predictor)
 
     def launch(self) -> None:
-        """diet_SeD(): start serving.  (Unlike the C API this returns — the
-        serving loop lives as a simulation process.)"""
+        """diet_SeD(): the SeD is up.  Its endpoint serves from the moment
+        it is bound; launching announces the initial estimates and makes a
+        restart re-register.  (Unlike the C API this returns — the serving
+        loop lives as a simulation process.)"""
         if not self.table.paths():
             raise DietError("refusing to launch a SeD with an empty service table")
-        self.endpoint.start()
         self._launched = True
         # Push routing: announce the initial (idle) estimates so the agent
         # tables know this SeD before the first request arrives.
@@ -228,11 +229,9 @@ class SeD:
         self._push_dirty = False
         self.endpoint = self.fabric.endpoint(self.name, self.host.name)
         self._bind_handlers()
-        if self._launched:
-            self.endpoint.start()
-            if self.parent is not None:
-                self.engine.process(self._announce(),
-                                    name=f"register:{self.name}")
+        if self._launched and self.parent is not None:
+            self.engine.process(self._announce(),
+                                name=f"register:{self.name}")
 
     def _announce(self) -> Generator[Event, Any, None]:
         """Re-register with the parent LA, retrying a few times: the LA may

@@ -22,10 +22,12 @@ fan-out leg is the same five, with no process of its own.
 
 An RPC is a request message carrying a reply-to token; :meth:`Endpoint.rpc`
 suspends the calling process until the reply arrives — or, when
-:meth:`Endpoint.set_deadline` gave the operation an :class:`RpcPolicy`, until
-the deadline expires (one timer per deadline length serves the whole
-fabric), with optional retries before :class:`DeadlineExceededError` is
-raised.  Tests lose, stall and duplicate
+:meth:`Endpoint.set_deadline` gave the operation a deadline, until it
+expires (one timer per deadline length serves the whole fabric) and
+:class:`DeadlineExceededError` is raised.  An RPC is one attempt: a lost
+request is recovered as a lost job, by the client resubmitting it under a
+fresh request id (:meth:`DietClient.call_retry`).  An endpoint serves from
+the moment it is bound.  Tests lose, stall and duplicate
 messages through one seam, :attr:`Endpoint.faults` (a :class:`FaultInjector`,
 None in every deployment): consulted in the sender before marshalling, so a
 message dropped there is neither charged nor counted, and in the receiver
@@ -50,7 +52,7 @@ handler process (:meth:`Endpoint._accept` and :meth:`Endpoint._handle` as
 one ``Process`` subtype that drives the application handler's generator
 itself), so no Python frame of this module runs from the post to the reply
 token.  So do :meth:`Endpoint.request` and the :class:`_DeadlineQueue` of
-every deadlined attempt: a fan-out leg runs no Python of this module at
+every deadlined RPC: a fan-out leg runs no Python of this module at
 all, and :meth:`Endpoint.rpc` is the one generator left.  The code below
 is their statement-for-statement mirror, bound over by the C types at the
 end of the module; ``REPRO_PURE_PY=1`` runs it.
@@ -62,14 +64,14 @@ import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
 from inspect import GEN_CREATED, getgeneratorstate
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Iterable, Optional, Tuple
 
 from ..sim.engine import Engine, Event, Interrupt, Process
 from ..sim.network import Network
 from ..sim.simcore import _C
 from .exceptions import CommunicationError, DeadlineExceededError
 
-__all__ = ["TransportParams", "Message", "RpcPolicy", "FaultInjector",
+__all__ = ["TransportParams", "Message", "FaultInjector",
            "Accounting", "Endpoint", "TransportFabric"]
 
 
@@ -106,23 +108,6 @@ class Message:
     nbytes: int = 0
     reply_to: Optional[Event] = None
     sent_at: float = 0.0
-
-
-@dataclass(frozen=True)
-class RpcPolicy:
-    """Deadline/retry budget of one operation's RPCs: the reply is awaited
-    ``deadline`` seconds per attempt, the request re-sent up to ``retries``
-    times, ``backoff * attempt`` seconds apart."""
-
-    deadline: float
-    retries: int = 0
-    backoff: float = 0.0
-
-    def __post_init__(self):
-        if self.deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {self.deadline}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
 
 
 class Accounting:
@@ -165,8 +150,8 @@ class FaultInjector:
     deterministic drops for targeted tests.
 
     Dropping a request silently loses it — give the caller a deadline
-    (:meth:`Endpoint.set_deadline`) so the loss is recovered (retry) or
-    surfaced (DeadlineExceededError) instead of hanging.
+    (:meth:`Endpoint.set_deadline`) so the loss surfaces as
+    DeadlineExceededError instead of hanging.
     """
 
     POINTS = ("send", "deliver")
@@ -229,7 +214,7 @@ class FaultInjector:
         return delay, copies
 
 
-#: A reply token whose attempt's deadline passed first is settled with this:
+#: A reply token whose deadline passed first is settled with this:
 #: over for the caller but never *answered*, so a late reply is no duplicate.
 _EXPIRED = ("expired", None)
 
@@ -238,12 +223,12 @@ class _DeadlineQueue:
     """The pending deadlines of a fabric's RPCs that share one deadline
     length, expired by one armed timer.
 
-    Attempts join in send order, which is expiry order (same length, a
+    RPCs join in send order, which is expiry order (same length, a
     clock that never goes back), so the head is always the next to expire
-    and attempts due at one instant expire in send order, as their own
+    and RPCs due at one instant expire in send order, as their own
     timers would have.  The timer is armed at the head's expiry while
     anything is pending and taken off the heap when the queue empties: an
-    answered attempt leaves nothing behind — no dead ``Timeout`` per RPC —
+    answered RPC leaves nothing behind — no dead ``Timeout`` per RPC —
     and an unanswered one expires at exactly ``t_send + deadline``.  When
     the timer fires for a head that was answered meanwhile it re-arms at
     the new head (the MA's ``_expiry_sweep`` pattern), so at most one timer
@@ -262,8 +247,8 @@ class _DeadlineQueue:
         self._timer: Optional[Event] = None
 
     def add(self, reply: Event) -> None:
-        """Start the deadline of the attempt ``reply`` answers: now.  The
-        attempt leaves the queue when ``reply`` is dispatched: the queue is
+        """Start the deadline of the RPC ``reply`` answers: now.  The
+        RPC leaves the queue when ``reply`` is dispatched: the queue is
         a callback of every token it holds."""
         expires = self.engine._queue.now + self.deadline
         self._pending[reply] = expires
@@ -272,7 +257,7 @@ class _DeadlineQueue:
             self._arm(expires)
 
     def discard(self, reply: Event) -> None:
-        """The attempt is over (answered, expired or abandoned)."""
+        """The RPC is over (answered, expired or abandoned)."""
         if (self._pending.pop(reply, None) is not None and not self._pending
                 and self._timer is not None):
             self.engine._queue.remove(self._timer)
@@ -372,15 +357,15 @@ class Endpoint:
     """
 
     __slots__ = ("fabric", "name", "host_name", "deadlines", "faults",
-                 "_handlers", "_inflight", "_spawned", "_backlog", "_closed")
+                 "_handlers", "_inflight", "_spawned", "_closed")
 
     def __init__(self, fabric: "TransportFabric", name: str, host_name: str):
         self.fabric = fabric
         self.name = name
         self.host_name = host_name
-        #: Deadline/retry budget per operation of the RPCs this endpoint
+        #: Deadline in seconds per operation of the RPCs this endpoint
         #: *makes*; an op without an entry waits for its reply forever.
-        self.deadlines: Dict[str, RpcPolicy] = {}
+        self.deadlines: Dict[str, float] = {}
         #: The fault-injection seam: None outside the failure-injection tests.
         self.faults: Optional[FaultInjector] = None
         self._handlers: Dict[str, Callable] = {}
@@ -389,8 +374,6 @@ class Endpoint:
         #: computing from beyond the grave.
         self._inflight: Dict[int, _Handler] = {}
         self._spawned = itertools.count()
-        #: Messages that arrived before :meth:`start`; None once serving.
-        self._backlog: Optional[List[Message]] = []
         self._closed = False
 
     @property
@@ -398,13 +381,14 @@ class Endpoint:
         """True once :meth:`stop` (or :meth:`TransportFabric.unbind`) ran."""
         return self._closed
 
-    def set_deadline(self, ops: Iterable[str], deadline: float,
-                     retries: int = 0, backoff: float = 0.0) -> None:
-        """Give this endpoint's RPCs of ``ops`` a deadline (see
-        :class:`RpcPolicy`); a later call for the same op replaces it."""
-        policy = RpcPolicy(float(deadline), int(retries), float(backoff))
+    def set_deadline(self, ops: Iterable[str], deadline: float) -> None:
+        """Give this endpoint's RPCs of ``ops`` a reply deadline of
+        ``deadline`` seconds; a later call for the same op replaces it."""
+        deadline = float(deadline)
+        if deadline <= 0:
+            raise ValueError(f"deadline must be positive, got {deadline}")
         for op in ops:
-            self.deadlines[op] = policy
+            self.deadlines[op] = deadline
 
     # -- handler registration --------------------------------------------------
 
@@ -412,21 +396,9 @@ class Endpoint:
         """Register a generator handler for operation ``op``."""
         self._handlers[op] = handler
 
-    def start(self) -> None:
-        """Start serving (idempotent); the backlog first, in arrival order."""
-        if self._closed:
-            raise CommunicationError(f"endpoint {self.name!r} is stopped")
-        backlog, self._backlog = self._backlog, None
-        for msg in backlog or ():
-            self._accept(msg)
-
     def _accept(self, msg: Message) -> None:
         """An arrived message gets its handler process, booted at the end of
-        the dispatch charge, or joins the backlog of an endpoint that is
-        bound but not serving yet."""
-        if self._backlog is not None:
-            self._backlog.append(msg)
-            return
+        the dispatch charge."""
         key = next(self._spawned)
         handler = self._handlers.get(msg.op)
         fabric = self.fabric
@@ -439,12 +411,12 @@ class Endpoint:
                 ) -> Generator[Event, Any, None]:
         """One arrived message, from the end of its dispatch charge (a
         message without a handler pays none): handler and, for an RPC, the
-        reply leg.  Replies are at-most-once: a duplicate
-        (fault injection, or a retry racing a late original) is suppressed
-        with an accounting mark; if the replier or the caller disappeared
-        mid-flight the caller resumes with :class:`CommunicationError`, and
-        a handler that boots on a stopped endpoint dead-letters at once.  A
-        reply to an attempt whose deadline expired, or whose caller was
+        reply leg.  Replies are at-most-once: a duplicate (only the fault
+        seam makes one) is suppressed with an accounting mark; if the
+        replier or the caller disappeared mid-flight the caller resumes
+        with :class:`CommunicationError`, and a handler that boots on a
+        stopped endpoint dead-letters at once.  A
+        reply to an RPC whose deadline expired, or whose caller was
         interrupted, is late, not a duplicate: it still crosses the wire,
         and finds nobody waiting."""
         fabric = self.fabric
@@ -525,7 +497,7 @@ class Endpoint:
             acct.replies_suppressed += 1
 
     def stop(self) -> None:
-        """Stop serving; backlogged and in-flight requests are dead-lettered
+        """Stop serving; in-flight requests are dead-lettered
         (their callers resume with :class:`CommunicationError` instead of
         suspending forever).  Every running handler process is interrupted:
         the Interrupt unwinds it (releasing CPU/slot claims along the way)
@@ -536,9 +508,6 @@ class Endpoint:
         if self._closed:
             return
         self._closed = True
-        for msg in self._backlog or ():
-            self.fabric._dead_letter(msg, f"endpoint {self.name!r} stopped")
-        self._backlog = None
         for proc in list(self._inflight.values()):
             if proc.booted:
                 proc.interrupt(CommunicationError(
@@ -546,8 +515,9 @@ class Endpoint:
 
     # -- sending ---------------------------------------------------------------
 
-    def request(self, dst: str, op: str, payload: Any = None) -> Event:
-        """Post one attempt of an RPC and return its reply token, settled
+    def request(self, dst: str, op: str, payload: Any = None,
+                nbytes: Optional[int] = None) -> Event:
+        """Post an RPC's request and return its reply token, settled
         with ``("ok", value)``, ``("error", exception)`` or, once the op's
         deadline (:meth:`set_deadline`) passed, :data:`_EXPIRED`.  The
         deadline starts when the request arrives, and only if the token is
@@ -557,13 +527,12 @@ class Endpoint:
         interrupted unsubscribes (a condition's ``_detach``), or the
         arrival starts a deadline nobody waits for.  Raises
         :class:`CommunicationError` at once when ``dst`` is unbound or
-        stopped.  No retries: :meth:`rpc` makes those."""
+        stopped."""
         fabric = self.fabric
-        policy = self.deadlines.get(op)
-        deadline = (None if policy is None
-                    else fabric._deadline_queue(policy.deadline))
+        deadline = self.deadlines.get(op)
+        queue = None if deadline is None else fabric._deadline_queue(deadline)
         reply = Event(fabric.engine)
-        fabric._post(self, dst, op, payload, None, reply, deadline)
+        fabric._post(self, dst, op, payload, nbytes, reply, queue)
         return reply
 
     def send(self, dst: str, op: str, payload: Any = None,
@@ -596,49 +565,34 @@ class Endpoint:
             nbytes: Optional[int] = None) -> Generator[Event, Any, Any]:
         """Remote invocation; suspends until the reply arrives.
 
-        Returns the handler's value; re-raises the handler's exception.  When
-        :meth:`set_deadline` gave ``op`` a policy, the reply token expires at
-        the deadline and the request is re-sent up to ``retries`` times
-        (waiting ``backoff * attempt`` between tries) before
-        :class:`DeadlineExceededError`.  Each attempt is posted as by
-        :meth:`request`.  An interrupted caller stops waiting and its
-        attempt leaves the deadline queue; the request itself goes on, and
-        its reply finds nobody waiting.
+        Returns the handler's value; re-raises the handler's exception.  The
+        request is posted by :meth:`request`, once: when :meth:`set_deadline`
+        gave ``op`` a deadline and it passes first, the call raises
+        :class:`DeadlineExceededError`.  An interrupted caller stops waiting
+        and its reply token leaves the deadline queue; the request itself
+        goes on, and its reply finds nobody waiting.
         """
-        fabric = self.fabric
-        engine = fabric.engine
-        policy = self.deadlines.get(op)
-        deadline = (None if policy is None
-                    else fabric._deadline_queue(policy.deadline))
-        attempt = 0
-        while True:
-            reply = Event(engine)
-            fabric._post(self, dst, op, payload, nbytes, reply, deadline)
+        deadline = self.deadlines.get(op)
+        reply = self.request(dst, op, payload, nbytes)
+        try:
+            result = yield reply
+        except BaseException:
+            if deadline is not None:
+                self.fabric._deadline_queue(deadline).discard(reply)
+            raise
+        if result is _EXPIRED:
+            raise DeadlineExceededError(
+                f"rpc {op!r} to {dst!r} exceeded {deadline}s deadline")
+        status, value = result
+        if status == "error":
+            # ``value`` leaves with this frame in its traceback: keep
+            # nothing here that leads back to it.
+            del reply, result
             try:
-                result = yield reply
-            except BaseException:
-                if deadline is not None:
-                    deadline.discard(reply)
-                raise
-            if result is _EXPIRED:
-                if attempt < policy.retries:
-                    attempt += 1
-                    if policy.backoff > 0:
-                        yield engine.timeout(policy.backoff * attempt)
-                    continue
-                raise DeadlineExceededError(
-                    f"rpc {op!r} to {dst!r} exceeded {policy.deadline}s "
-                    f"deadline after {attempt + 1} attempt(s)")
-            status, value = result
-            if status == "error":
-                # ``value`` leaves with this frame in its traceback: keep
-                # nothing here that leads back to it.
-                del reply, result
-                try:
-                    raise value
-                finally:
-                    del value
-            return value
+                raise value
+            finally:
+                del value
+        return value
 
 
 class TransportFabric:
@@ -712,7 +666,7 @@ class TransportFabric:
             msg.reply_to.succeed(("error", CommunicationError(reason)))
 
     def _deadline_queue(self, deadline: float) -> _DeadlineQueue:
-        """The queue that expires attempts with this deadline length."""
+        """The queue that expires RPCs with this deadline length."""
         queue = self._deadline_queues.get(deadline)
         if queue is None:
             queue = self._deadline_queues[deadline] = \

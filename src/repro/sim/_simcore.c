@@ -1972,7 +1972,6 @@ static Attr A_deadlines = {"deadlines", ENDPOINT};
 static Attr A__handlers = {"_handlers", ENDPOINT};
 static Attr A__inflight = {"_inflight", ENDPOINT};
 static Attr A__spawned = {"_spawned", ENDPOINT};
-static Attr A__backlog = {"_backlog", ENDPOINT};
 static Attr A__closed = {"_closed", ENDPOINT};
 static Attr A_messages_sent = {"messages_sent", ACCOUNTING};
 static Attr A_bytes_sent = {"bytes_sent", ACCOUNTING};
@@ -1993,7 +1992,7 @@ static Attr *g_attrs[] = {
     &A_engine, &A_network, &A_params, &A_accounting, &A__endpoints,
     &A__msg_ids, &A__deadline_queues, &A_fabric, &A_name, &A_host_name,
     &A_faults, &A_deadlines, &A__handlers,
-    &A__inflight, &A__spawned, &A__backlog, &A__closed, &A_messages_sent,
+    &A__inflight, &A__spawned, &A__closed, &A_messages_sent,
     &A_bytes_sent, &A_messages_by_op, &A_messages_dropped, &A_dead_letters,
     &A_replies_suppressed, &A_control_payload, &A_marshal_fixed,
     &A_marshal_per_byte, &A_dispatch_fixed, &A__route_info, &A_bytes_total,
@@ -2002,7 +2001,7 @@ static Attr *g_attrs[] = {
 
 /* Method names and constant strings. */
 static PyObject *S_strike, *S_send, *S_deliver, *S_add, *S__dead_letter,
-    *S_wire_time, *S_ok, *S_error, *S_get, *S_deadline, *S__deadline_queue;
+    *S_wire_time, *S_ok, *S_error, *S_get, *S__deadline_queue;
 
 /* getattr(obj, a.name), a new reference. */
 static PyObject *
@@ -3182,22 +3181,10 @@ handler_resume(PyObject *self, PyObject *event)
 }
 
 /* Mirror of Endpoint._accept: an arrived message gets its handler process,
- * booted at the end of the dispatch charge, or joins the backlog of an
- * endpoint that is bound but not serving yet. */
+ * booted at the end of the dispatch charge. */
 static int
 c_accept(PyObject *endpoint, PyObject *msg)
 {
-    PyObject *backlog = get(endpoint, &A__backlog);
-    if (backlog == NULL)
-        return -1;
-    if (backlog != Py_None) {
-        int rc = PyList_Check(backlog) ? PyList_Append(backlog, msg) : -1;
-        if (rc < 0 && !PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError, "_backlog must be a list");
-        Py_DECREF(backlog);
-        return rc;
-    }
-    Py_DECREF(backlog);
     PyObject *spawned = NULL, *key = NULL, *handlers = NULL, *handler = NULL,
              *fabric = NULL, *engine = NULL, *queue = NULL, *inflight = NULL,
              *params = NULL;
@@ -3656,15 +3643,13 @@ transport_post(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 
 /* ---- request: Endpoint.request -------------------------------------- */
 
-/* Mirror of TransportFabric._deadline_queue(policy.deadline): the fabric's
- * queue for the length, read from its _deadline_queues; a queue not made
- * yet or a fabric of another type goes through the method. */
+/* Mirror of TransportFabric._deadline_queue(length): the fabric's queue
+ * for the length, read from its _deadline_queues; a queue not made yet or
+ * a fabric of another type goes through the method. */
 static PyObject *
-deadline_queue(PyObject *fabric, PyObject *policy)
+deadline_queue(PyObject *fabric, PyObject *length)
 {
-    PyObject *length = PyObject_GetAttr(policy, S_deadline), *queue = NULL;
-    if (length == NULL)
-        return NULL;
+    PyObject *queue = NULL;
     if (Py_TYPE(fabric) == A__deadline_queues.type) {
         PyObject *queues = get(fabric, &A__deadline_queues);
         if (queues != NULL && PyDict_Check(queues))
@@ -3672,40 +3657,40 @@ deadline_queue(PyObject *fabric, PyObject *policy)
         Py_XDECREF(queues);
         if (PyErr_Occurred()) {
             Py_XDECREF(queue);
-            Py_DECREF(length);
             return NULL;
         }
     }
     if (queue == NULL)
         queue = PyObject_CallMethodOneArg(fabric, S__deadline_queue, length);
-    Py_DECREF(length);
     return queue;
 }
 
-/* request(endpoint, dst, op, payload=None): post one attempt of an RPC and
- * return its reply token.  Bound over Endpoint.request, its mirror. */
+/* request(endpoint, dst, op, payload=None, nbytes=None): post an RPC's
+ * request and return its reply token.  Bound over Endpoint.request, its
+ * mirror. */
 static PyObject *
 transport_request(PyObject *mod, PyObject *const *args, size_t nargsf,
                   PyObject *kwnames)
 {
-    static const char *const names[] = {"self", "dst", "op", "payload"};
-    PyObject *argv[4] = {NULL, NULL, NULL, Py_None};
+    static const char *const names[] = {"self", "dst", "op", "payload",
+                                        "nbytes"};
+    PyObject *argv[5] = {NULL, NULL, NULL, Py_None, Py_None};
     Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
     Py_ssize_t nkw = kwnames ? PyTuple_GET_SIZE(kwnames) : 0;
     if (g_expired == NULL) {
         PyErr_SetString(PyExc_RuntimeError, "configure_transport() not called");
         return NULL;
     }
-    if (nargs > 4)
+    if (nargs > 5)
         goto usage;
     for (Py_ssize_t i = 0; i < nargs; i++)
         argv[i] = args[i];
     for (Py_ssize_t k = 0; k < nkw; k++) {
         Py_ssize_t i = 1;
-        while (i < 4 && PyUnicode_CompareWithASCIIString(
+        while (i < 5 && PyUnicode_CompareWithASCIIString(
                             PyTuple_GET_ITEM(kwnames, k), names[i]) != 0)
             i++;
-        if (i == 4 || i < nargs)
+        if (i == 5 || i < nargs)
             goto usage;
         argv[i] = args[nargs + k];
     }
@@ -3717,18 +3702,18 @@ transport_request(PyObject *mod, PyObject *const *args, size_t nargsf,
     if ((fabric = get(endpoint, &A_fabric)) == NULL ||
         (deadlines = get(endpoint, &A_deadlines)) == NULL)
         goto done;
-    PyObject *policy = PyDict_Check(deadlines)
+    PyObject *length = PyDict_Check(deadlines)
                            ? Py_XNewRef(PyDict_GetItemWithError(deadlines, op))
                            : PyObject_CallMethodObjArgs(deadlines, S_get, op,
                                                         NULL);
-    if (policy == NULL && PyErr_Occurred())
+    if (length == NULL && PyErr_Occurred())
         goto done;
-    deadline = policy == NULL || policy == Py_None
-                   ? Py_NewRef(Py_None) : deadline_queue(fabric, policy);
-    Py_XDECREF(policy);
+    deadline = length == NULL || length == Py_None
+                   ? Py_NewRef(Py_None) : deadline_queue(fabric, length);
+    Py_XDECREF(length);
     if (deadline == NULL || (engine = get(fabric, &A_engine)) == NULL ||
         (reply = event_alloc(engine)) == NULL ||
-        (leg = c_post(fabric, endpoint, argv[1], op, argv[3], Py_None, reply,
+        (leg = c_post(fabric, endpoint, argv[1], op, argv[3], argv[4], reply,
                       deadline)) == NULL)
         Py_CLEAR(reply);
 done:
@@ -3739,7 +3724,8 @@ done:
     Py_XDECREF(fabric);
     return reply;
 usage:
-    PyErr_SetString(PyExc_TypeError, "request(dst, op, payload=None)");
+    PyErr_SetString(PyExc_TypeError,
+                    "request(dst, op, payload=None, nbytes=None)");
     return NULL;
 }
 
@@ -3785,7 +3771,8 @@ static PyMethodDef simcore_methods[] = {
      "accept(endpoint, message) -> None"},
     {"request", (PyCFunction)(void (*)(void))transport_request,
      METH_FASTCALL | METH_KEYWORDS,
-     "request(endpoint, dst, op, payload=None) -> the reply token"},
+     "request(endpoint, dst, op, payload=None, nbytes=None) -> the reply "
+     "token"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -3819,7 +3806,6 @@ PyInit__simcore(void)
     INTERN(S_ok, "ok");
     INTERN(S_error, "error");
     INTERN(S_get, "get");
-    INTERN(S_deadline, "deadline");
     INTERN(S__deadline_queue, "_deadline_queue");
     INTERN(S__expire_due, "_expire_due");
     for (Attr **it = g_attrs; *it != NULL; it++)

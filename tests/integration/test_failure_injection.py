@@ -237,9 +237,10 @@ class TestLostEstimates:
 
 
 class TestLostSubmit:
-    """A dropped submit against the client's deadline/retry policy."""
+    """A dropped submit against the client's deadline: the RPC is one
+    attempt, and the job it carried is resubmitted as a job."""
 
-    def test_rpc_retry_keeps_one_record_stamped_at_the_first_send(self):
+    def test_call_retry_resubmits_a_lost_submit(self):
         from repro.core import FaultInjector
         from repro.core.gridrpc import grpc_set_deadline
         from repro.obs import Observability
@@ -254,26 +255,29 @@ class TestLostSubmit:
             ops=("submit",), points=("deliver",))
         fault.drop_next(1)
         client = dep.client
-        grpc_set_deadline(client, 5.0, retries=1)
+        grpc_set_deadline(client, 5.0)
 
         def run():
             client.initialize({"MA_name": "MA"})
             yield engine.timeout(3.0)
             handle = client.function_handle("toy")
-            status = yield from client.call(fresh_profile(desc), handle)
+            status = yield from client.call_retry(
+                fresh_profile(desc), handle, max_attempts=2)
             return status, handle
 
         status, handle = engine.run_process(run(), until=1e8)
         assert status == 0 and fault.dropped == 1
-        # The RPC layer re-sent the same request id: its one record covers
-        # both attempts, from the first send to the second one's reply.
-        (trace,) = dep.tracer.all_traces("toy")
-        assert trace.request_id == handle.request_id
-        assert trace.submitted_at == 3.0
-        assert trace.found_at == handle.found_at > 3.0 + 5.0
-        assert trace.status == 0
-        (request,) = obs.spans.find(name="request")
-        (finding,) = obs.spans.find(name="finding")
-        assert request.ok and finding.ok and finding.start == 3.0
+        assert client.resubmissions == 1
+        # The missed deadline lost the first request id; the job came back
+        # under a second one, submitted once the first one gave up.
+        lost, served = sorted(dep.tracer.all_traces("toy"),
+                              key=lambda trace: trace.request_id)
+        assert served.request_id == handle.request_id > lost.request_id
+        assert lost.submitted_at == 3.0
+        assert lost.completed_at is None and lost.status is None
+        assert served.submitted_at > 3.0 + 5.0 and served.status == 0
+        for name in ("request", "finding"):
+            first, second = obs.spans.find(name=name)
+            assert first.attrs["request_id"] == lost.request_id
+            assert first.status == "error" and second.ok
         assert obs.spans.open_count == 0
-        assert not list(obs.spans.find(status="interrupted"))

@@ -43,12 +43,10 @@ class ScriptedMAs:
             self._bind(name)
         sed = self.fabric.endpoint("sed", "hub")
         sed.on("solve", self._solve)
-        sed.start()
 
     def _bind(self, name):
         endpoint = self.fabric.endpoint(name, "hub")
         endpoint.on("submit", lambda msg, name=name: self._submit(name))
-        endpoint.start()
         self._bound.add(name)
 
     def script(self, behaviour):

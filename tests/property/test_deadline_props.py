@@ -1,18 +1,18 @@
-"""RPC deadlines as one queue per length, against one ``Timeout`` per attempt.
+"""RPC deadlines as one queue per length, against one ``Timeout`` per RPC.
 
 ``Endpoint.rpc`` keeps the pending deadlines of a fabric's RPCs in a FIFO per
 deadline length, expired by one armed timer.  The oracle is the semantics it
-replaced, written out here: every attempt arms its own ``Timeout`` at
+replaced, written out here: every RPC arms its own ``Timeout`` at
 ``t_send + deadline`` that settles the reply token unless the reply came
 first.  One client endpoint with two deadline lengths calls a server at
-random send times; every attempt is answered in time, lost, or answered
-late, under random ``retries`` / ``backoff``.  Both runs must see the same
-outcomes at the same instants, and the queue run must hold:
+random send times; every RPC is answered in time, lost, or answered late.
+Both runs must see the same outcomes at the same instants, and the queue
+run must hold:
 
-* every unanswered attempt expires at exactly ``t_send + deadline``;
-* an answered attempt never expires;
+* every unanswered RPC expires at exactly ``t_send + deadline``;
+* an answered RPC never expires;
 * at most one deadline timer per (fabric, length) is on the heap, and no
-  attempt stays queued once its reply was dispatched, after every event;
+  RPC stays queued once its reply was dispatched, after every event;
 * at quiescence the queues are empty with no timer armed, and no handler is
   in flight.
 """
@@ -32,8 +32,8 @@ LENGTHS = (0.5, 0.8)
 ANSWER, LOST, LATE = "answer", "lost", "late"
 
 
-class OneTimeoutPerAttempt:
-    """An attempt's deadline as it was: its own ``Timeout``, armed where
+class OneTimeoutPerRpc:
+    """An RPC's deadline as it was: its own ``Timeout``, armed where
     ``Endpoint.rpc`` starts the deadline (when the request arrives), that
     settles the reply token unless the reply came first."""
 
@@ -50,26 +50,17 @@ class OneTimeoutPerAttempt:
 
 
 def oracle_rpc(endpoint, dst, op):
-    """``Endpoint.rpc`` as it was: each attempt one :meth:`Endpoint.request`
-    whose deadline is a :class:`OneTimeoutPerAttempt` (see :func:`run`)."""
-    policy = endpoint.deadlines[op]
-    engine = endpoint.fabric.engine
-    attempt = 0
-    while True:
-        result = yield endpoint.request(dst, op)
-        if result is transport._EXPIRED:
-            if attempt < policy.retries:
-                attempt += 1
-                if policy.backoff > 0:
-                    yield engine.timeout(policy.backoff * attempt)
-                continue
-            raise DeadlineExceededError(op)
-        return result[1]
+    """``Endpoint.rpc`` as it was: one :meth:`Endpoint.request` whose
+    deadline is a :class:`OneTimeoutPerRpc` (see :func:`run`)."""
+    result = yield endpoint.request(dst, op)
+    if result is transport._EXPIRED:
+        raise DeadlineExceededError(op)
+    return result[1]
 
 
 class _ScriptedLoss:
-    """The server's fault seam: loses the attempts the script says to, and
-    records when each attempt reached it (its arrival + the dispatch
+    """The server's fault seam: loses the requests the script says to, and
+    records when each request reached it (its arrival + the dispatch
     charge)."""
 
     points = ("deliver",)
@@ -77,13 +68,11 @@ class _ScriptedLoss:
     def __init__(self, engine, fates):
         self.engine = engine
         self.fates = fates
-        self.seen = {}
         self.struck = []
 
     def strike(self, point, op):
         self.struck.append(self.engine.now)
-        attempt = self.seen[op] = self.seen.get(op, -1) + 1
-        return None if self.fates[op][attempt][0] == LOST else (0.0, 0)
+        return None if self.fates[op][0] == LOST else (0.0, 0)
 
 
 def heap_items(queue):
@@ -103,9 +92,9 @@ def deadline_timers(queue):
     return owners
 
 
-def run(calls, policies, oracle):
+def run(calls, oracle):
     """One simulation of ``calls``; returns what the client and the server
-    saw, plus (for the queue run) the per-attempt deadline record."""
+    saw, plus (for the queue run) the per-RPC deadline record."""
     engine = Engine()
     net = Network(engine)
     for name in ("alpha", "beta"):
@@ -119,27 +108,23 @@ def run(calls, policies, oracle):
         # The oracle's requests start their deadlines as timers of their own:
         # both legs take a length's queue from the fabric's table first.
         fabric._deadline_queues.update(
-            (length, OneTimeoutPerAttempt(engine, length))
+            (length, OneTimeoutPerRpc(engine, length))
             for length in LENGTHS)
     fates = {f"c{i}": call[2] for i, call in enumerate(calls)}
     server.faults = _ScriptedLoss(engine, fates)
     arrivals = {}
 
     def handler(msg):
-        # The seam counted this attempt just before (lost ones included).
-        attempt = server.faults.seen[msg.op]
-        arrivals[msg.op, attempt] = engine.now
-        fate, extra = fates[msg.op][attempt]
-        deadline = client.deadlines[msg.op].deadline
+        arrivals[msg.op] = engine.now
+        fate, extra = fates[msg.op]
+        deadline = client.deadlines[msg.op]
         yield engine.timeout(extra if fate == ANSWER else deadline + extra)
-        return (f"{msg.op}/{attempt}", 8)
+        return (msg.op, 8)
 
     for i, (_, length, _) in enumerate(calls):
         op = f"c{i}"
         server.on(op, handler)
-        retries, backoff = policies[length]
-        client.set_deadline((op,), LENGTHS[length], retries, backoff)
-    server.start()
+        client.set_deadline((op,), LENGTHS[length])
     outcomes = {}
 
     def call(i, at):
@@ -159,11 +144,11 @@ def run(calls, policies, oracle):
     if oracle:
         engine.run()
         # No request made a queue of its own: every deadline was a stand-in.
-        assert all(type(queue) is OneTimeoutPerAttempt
+        assert all(type(queue) is OneTimeoutPerRpc
                    for queue in fabric._deadline_queues.values())
     else:
         # Watched from outside, step by step, so that the compiled queue is
-        # held to the same record: an attempt starts its deadline in the
+        # held to the same record: an RPC starts its deadline in the
         # step that queues it, and expires in the step that settles its
         # token with _EXPIRED.
         while engine._queue:
@@ -177,7 +162,7 @@ def run(calls, policies, oracle):
                     expired[reply] = engine.now
             owners = deadline_timers(engine._queue)
             assert len(owners) == len(set(map(id, owners))) <= len(LENGTHS)
-            # An attempt leaves its queue when its reply is dispatched.
+            # An RPC leaves its queue when its reply is dispatched.
             for queue in fabric._deadline_queues.values():
                 assert not any(r.processed for r in queue._pending)
         for queue in fabric._deadline_queues.values():
@@ -197,24 +182,19 @@ def run(calls, policies, oracle):
 _fate = st.tuples(st.sampled_from((ANSWER, LOST, LATE)),
                   st.sampled_from((0.0, 0.05, 0.2, 0.45)))
 _call = st.tuples(st.sampled_from((0.0, 0.01, 0.1, 0.3, 0.5, 0.9)),
-                  st.sampled_from((0, 1)),
-                  st.lists(_fate, min_size=3, max_size=3))
-_policy = st.tuples(st.integers(0, 2), st.sampled_from((0.0, 0.1)))
+                  st.sampled_from((0, 1)), _fate)
 
 
 @settings(max_examples=60, deadline=None)
-@given(calls=st.lists(_call, min_size=1, max_size=8),
-       policies=st.tuples(_policy, _policy))
-def test_deadline_queue_matches_one_timeout_per_attempt(calls, policies):
-    outcomes, arrivals, counts, started, expired = run(calls, policies,
-                                                       oracle=False)
-    assert (outcomes, arrivals, counts) == run(calls, policies,
-                                               oracle=True)[:3]
+@given(calls=st.lists(_call, min_size=1, max_size=8))
+def test_deadline_queue_matches_one_timeout_per_attempt(calls):
+    outcomes, arrivals, counts, started, expired = run(calls, oracle=False)
+    assert (outcomes, arrivals, counts) == run(calls, oracle=True)[:3]
     assert len(outcomes) == len(calls)
     for reply, at in expired.items():
         t_send, deadline = started[reply]
         assert at == t_send + deadline
     for reply in started:
         assert reply.triggered
-        # One outcome per token: an answered attempt never expired.
+        # One outcome per token: an answered RPC never expired.
         assert (reply in expired) == (reply._value is transport._EXPIRED)

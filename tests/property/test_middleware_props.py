@@ -114,7 +114,6 @@ def test_accounting_counts_every_wire_crossing(calls):
 
     for op in ("ping", "pong", "poke"):
         server.on(op, ack)
-    server.start()
     client = fabric.endpoint("client", "alpha")
 
     def session():

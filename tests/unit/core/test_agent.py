@@ -61,7 +61,6 @@ def hierarchy():
     ma.launch()
 
     cli = fabric.endpoint("cli", "hub")
-    cli.start()
     return engine, fabric, ma, seds, cli
 
 
@@ -201,7 +200,6 @@ class TestFanOutCost:
             net.connect("agent", name, Link(f"l{i}", 0.001, 1e8))
             child = fabric.endpoint(name, name)
             child.on("estimate", trivial)
-            child.start()
             agent.add_child(name)
         agent.launch()
         joined = []

@@ -1,6 +1,6 @@
 """Unit tests for the message path of :mod:`repro.core.transport` and the
 semantics it guarantees: error propagation, shutdown/unbind dead-lettering,
-counter invariants, deadlines/retries and fault injection."""
+counter invariants, deadlines and fault injection."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.core import (
     CommunicationError,
     DeadlineExceededError,
     FaultInjector,
-    RpcPolicy,
     TransportFabric,
     TransportParams,
 )
@@ -48,7 +47,6 @@ def echo_server(engine, fabric, name="server", host="beta"):
         return (msg.payload, 64)
 
     server.on("echo", echo)
-    server.start()
     return server
 
 
@@ -63,7 +61,6 @@ class TestErrorPropagation:
             raise ValueError("kaboom")
 
         server.on("boom", boom)
-        server.start()
 
         def call():
             with pytest.raises(ValueError, match="kaboom"):
@@ -102,62 +99,6 @@ class TestErrorPropagation:
 
 
 class TestShutdownSemantics:
-    def test_stop_dead_letters_queued_requests(self, stack):
-        """A request that reached a never-started endpoint must fail its
-        caller on stop(), not strand it forever."""
-        engine, _, fabric = stack
-        server = fabric.endpoint("server", "beta")   # never started
-        server.on("echo", lambda msg: iter(()))
-        client = fabric.endpoint("client", "alpha")
-        outcome = {}
-
-        def call():
-            try:
-                outcome["value"] = yield from client.rpc("server", "echo", 1)
-            except CommunicationError as exc:
-                outcome["error"] = str(exc)
-
-        caller = engine.process(call())
-        engine.run()                      # request delivered, caller parked
-        assert outcome == {} and caller.is_alive
-        assert fabric.messages_sent == 1 and engine.peek() == float("inf")
-        server.stop()
-        engine.run()
-        assert "stopped" in outcome["error"]
-        assert fabric.accounting.dead_letters == 1
-
-    def test_start_serves_the_backlog_in_arrival_order(self, stack):
-        """Same parked callers, but the endpoint starts instead of stopping:
-        every request that arrived early is handled, first come first."""
-        engine, _, fabric = stack
-        server = fabric.endpoint("server", "beta")   # not started yet
-        handled = []
-
-        def echo(msg):
-            handled.append((engine.now, msg.payload))
-            yield engine.timeout(0.0)
-            return (msg.payload, 64)
-
-        server.on("echo", echo)
-        client = fabric.endpoint("client", "alpha")
-        values = []
-
-        def call(i):
-            yield engine.timeout(0.1 * i)
-            values.append((yield from client.rpc("server", "echo", i)))
-
-        for i in (2, 0, 1):
-            engine.process(call(i))
-        engine.run()
-        assert handled == [] and values == []
-        assert engine.now == pytest.approx(0.2 + XMIT)
-        server.start()
-        engine.run()
-        at = engine.now - XMIT + 256 / 1e6 - 64 / 1e6   # reply is 64 B
-        assert handled == [(pytest.approx(at), i) for i in (0, 1, 2)]
-        assert sorted(values) == [0, 1, 2]
-        assert fabric.accounting.dead_letters == 0
-
     def test_duplicated_request_both_handlers_die_with_the_endpoint(self, stack):
         """A duplicated request runs two handlers under one message id;
         stop() must interrupt both, and each must clear only its own entry
@@ -186,7 +127,6 @@ class TestShutdownSemantics:
             return ("done", 8)
 
         server.on("slow", slow)
-        server.start()
         errors = []
 
         def call():
@@ -306,7 +246,6 @@ class TestShutdownSemantics:
             return ("done", 8)
 
         server.on("slow", slow)
-        server.start()
         outcome = {}
 
         def call():
@@ -360,7 +299,6 @@ class TestShutdownSemantics:
             return ("done", 8)
 
         server.on("slow", slow)
-        server.start()
         outcome = {}
 
         def call():
@@ -405,7 +343,6 @@ class TestCounters:
 
         server.on("op", ack)
         server.on("other", ack)
-        server.start()
 
         def call():
             for _ in range(3):
@@ -486,7 +423,6 @@ class TestSenderInterrupt:
             yield engine.timeout(0.0)
 
         ma.on("submit", submit)
-        ma.start()
         client = DietClient(fabric, net.host("alpha"))
         client.initialize({"MA_name": "MA"})
         desc = ProfileDesc("echo", 0, 0, 1)
@@ -532,7 +468,6 @@ class TestSenderInterrupt:
             yield engine.timeout(0.0)
 
         server.on("note", note)
-        server.start()
         outcome = {}
 
         def sender():
@@ -619,7 +554,6 @@ class TestSenderInterrupt:
             net.connect("alpha", name, Link(f"to-{name}", HOP, 1e6))
             child = fabric.endpoint(name, name)
             child.on("estimate", estimate)
-            child.start()
             agent.add_child(name)
         agent.launch()
         desc = ProfileDesc("echo", 0, 0, 1)
@@ -670,7 +604,6 @@ class TestDeadlines:
             return ("late", 8)
 
         server.on("stall", stall)
-        server.start()
 
         def call():
             with pytest.raises(DeadlineExceededError):
@@ -686,7 +619,7 @@ class TestDeadlines:
         client = fabric.endpoint("client", "alpha")
         client.set_deadline(("other",), 0.5)
 
-        assert client.deadlines == {"other": RpcPolicy(0.5)}
+        assert client.deadlines == {"other": 0.5}
 
         def call():
             return (yield from client.rpc("server", "echo", 42))
@@ -706,12 +639,10 @@ class TestDeadlines:
             yield engine.timeout(1e9)
 
         server.on("submit", silent)
-        server.start()
         client = DietClient(fabric, net.host("alpha"))
         assert grpc_set_deadline(client, 5.0) is None
         grpc_set_deadline(client, 0.5, ops=("submit",))
-        assert client.endpoint.deadlines == {
-            "submit": RpcPolicy(0.5), "solve": RpcPolicy(5.0)}
+        assert client.endpoint.deadlines == {"submit": 0.5, "solve": 5.0}
 
         def call():
             with pytest.raises(DeadlineExceededError):
@@ -720,28 +651,8 @@ class TestDeadlines:
 
         assert engine.run_process(call(), until=1e8) == pytest.approx(0.5 + XMIT)
 
-    def test_retry_recovers_dropped_request(self, stack):
-        """Fault injection drops the first request; the deadline's retry
-        re-sends it and the RPC still succeeds."""
-        engine, _, fabric = stack
-        server = echo_server(engine, fabric)
-        fault = server.faults = FaultInjector(ops=("echo",),
-                                              points=("deliver",))
-        fault.drop_next(1)
-        client = fabric.endpoint("client", "alpha")
-        client.set_deadline(("echo",), 0.5, retries=1)
-
-        def call():
-            value = yield from client.rpc("server", "echo", 42)
-            return value, engine.now
-
-        value, elapsed = engine.run_process(call(), until=1e8)
-        assert value == 42
-        assert fault.dropped == 1
-        assert elapsed > 0.5              # one full deadline was spent
-
     def test_late_reply_crosses_the_wire_and_is_not_a_duplicate(self):
-        """The handler answers after the attempt's deadline: the reply is
+        """The handler answers after the RPC's deadline: the reply is
         marshalled, accounted and carried over the link like any other,
         finds nobody waiting and is *not* counted as a suppressed
         duplicate."""
@@ -755,7 +666,6 @@ class TestDeadlines:
             return ("late", 4000)
 
         server.on("slow", slow)
-        server.start()
 
         def call():
             with pytest.raises(DeadlineExceededError):
@@ -772,57 +682,6 @@ class TestDeadlines:
         assert fabric.accounting.replies_suppressed == 0
         assert fabric.accounting.dead_letters == 0
 
-    def test_retry_reply_settles_only_its_own_attempt(self, stack):
-        """Attempt 0 is answered too late, attempt 1 in time: the caller gets
-        attempt 1's value, and attempt 0's late reply — which arrives while
-        the caller is still waiting for attempt 1 — neither completes the RPC
-        nor counts as a duplicate."""
-        engine, _, fabric = stack
-        server = fabric.endpoint("server", "beta")
-        client = fabric.endpoint("client", "alpha")
-        client.set_deadline(("uneven",), 0.5, retries=1)
-        served = []
-
-        def uneven(msg):
-            served.append(msg.msg_id)
-            # first copy: 0.7 s (late for attempt 0, lands mid attempt 1)
-            yield engine.timeout(0.7 if len(served) == 1 else 0.4)
-            return (f"attempt-{len(served) - 1}-of-{msg.msg_id}", 8)
-
-        server.on("uneven", uneven)
-        server.start()
-
-        def call():
-            value = yield from client.rpc("server", "uneven")
-            return value, engine.now
-
-        value, at = engine.run_process(call())
-        assert len(served) == 2 and served[0] != served[1]
-        assert value == f"attempt-1-of-{served[1]}"
-        reply = MARSHAL + HOP + 8 / 1e6
-        assert at == pytest.approx(
-            (0.5 + XMIT) + XMIT + DISPATCH + 0.4 + reply)
-        assert fabric.messages_sent == 4           # 2 requests, 2 replies
-        assert fabric.accounting.replies_suppressed == 0
-
-    def test_retries_exhausted_raises(self, stack):
-        engine, _, fabric = stack
-        server = echo_server(engine, fabric)
-        fault = server.faults = FaultInjector(points=("deliver",))
-        fault.drop_next(10)
-        client = fabric.endpoint("client", "alpha")
-        client.set_deadline(("echo",), 0.25, retries=2, backoff=0.1)
-
-        def call():
-            with pytest.raises(DeadlineExceededError, match="3 attempt"):
-                yield from client.rpc("server", "echo", 1)
-            return engine.now
-
-        # 3 (transmit + deadline) rounds + backoff 0.1 * 1 + 0.1 * 2
-        elapsed = engine.run_process(call(), until=1e8)
-        assert elapsed == pytest.approx(3 * (0.25 + XMIT) + 0.1 + 0.2)
-        assert fault.dropped == 3
-
 
 class TestFaultInjection:
     def test_validates_arguments(self):
@@ -838,13 +697,11 @@ class TestFaultInjection:
             FaultInjector(drop=0.5)
         with pytest.raises(ValueError, match="'send'"):
             FaultInjector(rng, duplicate=0.5, points=("deliver",))
-        with pytest.raises(ValueError):
-            RpcPolicy(0.0)
-        with pytest.raises(ValueError):
-            RpcPolicy(1.0, retries=-1)
-        engine, _, fabric = build_stack()
-        with pytest.raises(ValueError):
-            fabric.endpoint("client", "alpha").set_deadline(("echo",), 0.0)
+        client = build_stack()[2].endpoint("client", "alpha")
+        for deadline in (0.0, -1.0):
+            with pytest.raises(ValueError, match="positive"):
+                client.set_deadline(("echo",), deadline)
+        assert client.deadlines == {}
 
     def test_delay_slows_delivery(self, stack):
         engine, _, fabric = stack
@@ -926,17 +783,18 @@ class TestFaultInjection:
         fault = server.faults = FaultInjector(
             rng=RandomStreams(7).get("faults"), drop=0.5, points=("deliver",))
         client = fabric.endpoint("client", "alpha")
-        client.set_deadline(("echo",), 0.1, retries=5)
-        ok = []
+        client.set_deadline(("echo",), 0.1)
+        ok, missed = [], []
 
         def call(i):
             try:
                 ok.append((yield from client.rpc("server", "echo", i)))
             except DeadlineExceededError:
-                pass
+                missed.append(i)
 
         for i in range(20):
             engine.process(call(i))
         engine.run()
-        assert fault.dropped > 0
-        assert len(ok) == 20          # retries recovered every drop
+        assert 0 < fault.dropped < 20
+        # Every dropped request is one missed deadline, and nothing else is.
+        assert len(missed) == fault.dropped and len(ok) + len(missed) == 20

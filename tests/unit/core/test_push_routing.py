@@ -72,7 +72,6 @@ def build(routing="push", agent_params=None, obs=None):
             seds.append(sed)
     ma.launch()
     cli = fabric.endpoint("cli", "hub")
-    cli.start()
     return engine, fabric, ma, las, seds, cli
 
 

@@ -59,7 +59,6 @@ def make_sed(stack, **params):
 def client_endpoint(stack):
     _, _, fabric = stack
     ep = fabric.endpoint("cli", "client-host")
-    ep.start()
     return ep
 
 

@@ -38,7 +38,6 @@ def build(max_concurrent, cores=4):
     sed.add_service(toy_desc(), solve_toy)
     sed.launch()
     cli = fabric.endpoint("cli", "cli-host")
-    cli.start()
     return engine, sed, cli
 
 

@@ -61,7 +61,6 @@ class TestRpc:
             return (msg.payload * 2, 64)
 
         server.on("double", double)
-        server.start()
 
         def call():
             result = yield from client.rpc("server", "double", 21)
@@ -82,7 +81,6 @@ class TestRpc:
             raise ValueError("server-side failure")
 
         server.on("boom", boom)
-        server.start()
 
         def call():
             try:
@@ -96,7 +94,6 @@ class TestRpc:
         engine, _, fabric = stack
         server = fabric.endpoint("server", "beta")
         client = fabric.endpoint("client", "alpha")
-        server.start()
 
         def call():
             try:
@@ -117,7 +114,6 @@ class TestRpc:
             seen.append(msg.payload)
 
         server.on("note", note)
-        server.start()
 
         def send():
             yield from client.send("server", "note", "fire-and-forget")
@@ -130,7 +126,6 @@ class TestRpc:
         """Nobody can be told, so the loss is at least counted."""
         engine, _, fabric = stack
         server = fabric.endpoint("server", "beta")
-        server.start()
         client = fabric.endpoint("client", "alpha")
 
         def caller():
@@ -151,7 +146,6 @@ class TestRpc:
             return ("ok", 64)
 
         server.on("op", ack)
-        server.start()
 
         def call(nbytes):
             t0 = engine.now
@@ -176,7 +170,6 @@ class TestRpc:
             return ("ok", 10)
 
         server.on("op", ack)
-        server.start()
 
         def call():
             yield from client.rpc("server", "op", None, nbytes=500)
@@ -201,7 +194,6 @@ class TestRpc:
 
         server.on("slow", slow)
         server.on("fast", fast)
-        server.start()
 
         results = []
 

@@ -213,7 +213,6 @@ class TestTransfers:
             seen.append(msg.src)
 
         server.on("note", note)
-        server.start()
         ends = []
 
         def sender(name):

@@ -71,10 +71,8 @@ OUTPUT = os.path.join(ROOT, "tools", "knob_audit.txt")
 _KEPT: Dict[str, str] = {
     "the GridRPC API surface, the paper's client interface: "
     "examples/gridrpc_api_tour.py drives its synchronous half, tests the "
-    "asynchronous half; deadline retries are grpc_set_deadline's budget":
-        "repro.core.gridrpc "
-        "repro.core.transport:Endpoint.set_deadline(retries=) "
-        "repro.core.transport:Endpoint.set_deadline(backoff=)",
+    "asynchronous half":
+        "repro.core.gridrpc",
     "DIET's data / profile description API: argument descriptors, direction "
     "filters, diet_service_table_init's size and diet_service_table_add's "
     "(ignored) convertor":
