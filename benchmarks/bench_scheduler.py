@@ -95,7 +95,7 @@ def _route(built, n_submits):
 
     def driver():
         for _ in range(n_submits):
-            sub = SubmitRequest(cli.fabric.new_request_id(), desc, "hub", "cli")
+            sub = SubmitRequest(cli.fabric.new_request_id(), desc, "hub")
             yield from cli.rpc("MA", "submit", sub)
 
     engine.run_process(driver())

@@ -260,7 +260,6 @@ class DietClient:
                     sub = SubmitRequest(request_id=request_id,
                                         service_desc=profile.desc,
                                         client_host=self.host.name,
-                                        client_endpoint=endpoint.name,
                                         request_nbytes=nbytes,
                                         data_handles=handles,
                                         memo_key=memo_key)
@@ -295,17 +294,9 @@ class DietClient:
                     reply = yield from endpoint.rpc(
                         sed_name, "solve",
                         SolveRequest(request_id=request_id, profile=profile,
-                                     client_endpoint=endpoint.name,
                                      memo_key=memo_key),
                         nbytes=nbytes)
                     self._stamp_completed(trace, reply.status)
-                    # The tracer is usually shared with the SeD in-process;
-                    # when it is not (separate tracers in tests) the reply's
-                    # solve window fills the server-side gaps.
-                    if trace.solve_started_at is None:
-                        trace.solve_started_at = reply.solve_started_at
-                    if trace.solve_ended_at is None:
-                        trace.solve_ended_at = reply.solve_ended_at
                     for index, value in reply.out_values.items():
                         profile.parameter(index).set(value)
                     handle.error = reply.error

@@ -202,11 +202,16 @@ class ServiceTable:
         self._services: Dict[str, tuple] = {}
 
     def add(self, profile_desc: ProfileDesc, convertor: Optional[Any],
-            solve_func: SolveFunc) -> None:
+            solve_func: SolveFunc,
+            predictor: Optional[Callable[..., Optional[float]]] = None) -> None:
         """diet_service_table_add(profile, convertor, solve_func).
 
         ``convertor`` is accepted for API fidelity and ignored — "this is
         out of scope of this paper and never used for this application".
+        ``predictor`` is the service's optional performance model,
+        ``(profile_desc) -> predicted seconds``, quoted in its estimates; the
+        paper's deployment has none (which is exactly why its schedule is
+        suboptimal).
         """
         if len(self._services) >= self.max_size:
             raise ProfileError(f"service table full (max_size={self.max_size})")
@@ -214,9 +219,11 @@ class ServiceTable:
             raise ProfileError(f"service {profile_desc.path!r} already registered")
         if not callable(solve_func):
             raise ProfileError("solve_func must be callable")
-        self._services[profile_desc.path] = (profile_desc, solve_func)
+        self._services[profile_desc.path] = (profile_desc, solve_func,
+                                             predictor)
 
     def lookup(self, path: str) -> tuple:
+        """The ``(desc, solve_func, predictor)`` row registered for ``path``."""
         try:
             return self._services[path]
         except KeyError:
@@ -232,10 +239,14 @@ class ServiceTable:
     def __len__(self) -> int:
         return len(self._services)
 
+    def __iter__(self) -> Iterator[tuple]:
+        """The rows in registration order."""
+        return iter(self._services.values())
+
     def print_table(self) -> str:
         """diet_print_service_table(): human-readable dump."""
         lines = [f"Service table ({len(self._services)}/{self.max_size}):"]
         for path in self.paths():
-            desc, _ = self._services[path]
+            desc = self._services[path][0]
             lines.append(f"  {desc.signature()}")
         return "\n".join(lines)

@@ -54,7 +54,6 @@ class SubmitRequest:
     request_id: int
     service_desc: ProfileDesc
     client_host: str
-    client_endpoint: str
     request_nbytes: int = 0
     #: The persistent-input handles (DataHandle arguments), so the MA can
     #: sum the bytes resident per SeD and price each candidate's transfer
@@ -74,7 +73,6 @@ class SolveRequest:
 
     request_id: int
     profile: Profile
-    client_endpoint: str
     #: Same digest as the submit carried; the SeD uses it to populate the
     #: memo on solve completion (None when the client sent no key).
     memo_key: Optional[str] = None
@@ -96,11 +94,6 @@ class MemoHit:
     owner: str
     out_values: Dict[int, DataHandle] = field(default_factory=dict)
 
-    @property
-    def sed_name(self) -> str:
-        """Uniform accessor: scheduling traces label the chosen SeD."""
-        return self.owner
-
     def wire_bytes(self) -> int:
         """Reply size: envelope plus one reference per result handle."""
         return 128 + HANDLE_WIRE_BYTES * len(self.out_values)
@@ -108,12 +101,10 @@ class MemoHit:
 
 @dataclass
 class SolveReply:
-    """SeD -> client: status + OUT/INOUT values + timing metadata."""
+    """SeD -> client: status, OUT/INOUT values and the error string.  The
+    solve window is the SeD's side of the shared :class:`RequestTrace`."""
 
     request_id: int
     status: int
     out_values: Dict[int, object] = field(default_factory=dict)
-    solve_started_at: float = 0.0
-    solve_ended_at: float = 0.0
-    sed_name: str = ""
     error: Optional[str] = None

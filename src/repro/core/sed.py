@@ -71,16 +71,6 @@ class SolveContext:
         yield from self.host.execute(work)
 
 
-@dataclass
-class _Registration:
-    desc: ProfileDesc
-    solve_func: SolveFunc
-    #: Optional performance model: (profile_desc_or_profile) -> predicted
-    #: seconds.  Used by plug-in schedulers; the default deployment has none
-    #: (which is exactly why the paper's schedule is suboptimal).
-    predictor: Optional[Callable[..., Optional[float]]] = None
-
-
 class SeD:
     """A DIET Server Daemon bound to one simulated host."""
 
@@ -108,7 +98,6 @@ class SeD:
         self.tracer = tracer or Tracer()
         self.nfs = nfs
         self.table = ServiceTable()
-        self._registrations: Dict[str, _Registration] = {}
         self.job_slots = Resource(self.engine, capacity=self.params.max_concurrent_solves)
         self.endpoint: Endpoint = fabric.endpoint(name, host.name)
         self._bind_handlers()
@@ -144,8 +133,7 @@ class SeD:
     def add_service(self, desc: ProfileDesc, solve_func: SolveFunc,
                     convertor: Any = None,
                     predictor: Optional[Callable] = None) -> None:
-        self.table.add(desc, convertor, solve_func)
-        self._registrations[desc.path] = _Registration(desc, solve_func, predictor)
+        self.table.add(desc, convertor, solve_func, predictor)
 
     def launch(self) -> None:
         """diet_SeD(): the SeD is up.  Its endpoint serves from the moment
@@ -179,8 +167,8 @@ class SeD:
         """The node hosting this SeD dies abruptly.
 
         Unbinding the endpoint dead-letters queued requests and interrupts
-        every in-flight handler (the Interrupt unwinds ``execute()`` claims
-        and job slots on its way out) — callers see
+        every in-flight handler (the Interrupt releases its job slot on its
+        way out) — callers see
         :class:`~repro.core.exceptions.CommunicationError`, exactly as if
         the TCP connection to a real SeD had been torn down.  Volatile state
         (DTM data store) is lost with the process; anything on NFS survives.
@@ -234,19 +222,17 @@ class SeD:
                                 name=f"register:{self.name}")
 
     def _announce(self) -> Generator[Event, Any, None]:
-        """Re-register with the parent LA, retrying a few times: the LA may
-        itself be briefly unreachable right after our restart."""
-        for attempt in range(3):
-            try:
-                yield from self.endpoint.rpc(self.parent, "register", self.name)
-                # Rejoined: re-push our estimates — the LA invalidated (or
-                # holds stale rows for) this SeD while it was down.
-                self._schedule_push()
+        """Re-register with the parent LA: one ``register`` RPC (it carries
+        no deadline, and only SeDs crash)."""
+        try:
+            yield from self.endpoint.rpc(self.parent, "register", self.name)
+        except Exception:
+            if self.endpoint.closed:   # crashed again mid-announce
                 return
-            except Exception:
-                if self.endpoint.closed:   # crashed again mid-announce
-                    return
-                yield self.engine.timeout(1.0 * (attempt + 1))
+            raise
+        # Rejoined: re-push our estimates — the LA invalidated (or holds
+        # stale rows for) this SeD while it was down.
+        self._schedule_push()
 
     def _handle_ping(self, msg) -> Generator[Event, Any, tuple]:
         """Liveness probe from the parent LA's heartbeat monitor."""
@@ -289,13 +275,13 @@ class SeD:
         n_jobs = self.n_jobs
         updates = []
         shared = None  # one snapshot serves every service without a predictor
-        for reg in self._registrations.values():
-            if reg.predictor is None:
+        for desc, _, predictor in self.table:
+            if predictor is None:
                 est = shared = shared or self._estimate(n_jobs)
             else:
-                est = self._estimate(n_jobs, reg.predictor(reg.desc))
+                est = self._estimate(n_jobs, predictor(desc))
             self._push_seq += 1
-            updates.append((reg.desc.key, est, self._push_seq))
+            updates.append((desc.key, est, self._push_seq))
         delta = EstimateDelta(self.name, updates)
         yield from self.endpoint.try_send(self.parent, "est_delta", delta,
                                           nbytes=delta.wire_bytes())
@@ -304,11 +290,11 @@ class SeD:
         req: EstimateRequest = msg.payload
         if not self.table.can_solve(req.service_desc):
             return ([], 64)
-        reg = self._registrations[req.service_desc.path]
+        predictor = self.table.lookup(req.service_desc.path)[2]
         # Pull mode reads the queue and the predictor before the probe
         # delay (the push pump reads them after its own).
         n_jobs = self.n_jobs
-        predicted = reg.predictor(req.service_desc) if reg.predictor else None
+        predicted = predictor(req.service_desc) if predictor else None
         yield self.engine.timeout(self.params.estimate_collect_time)
         return ([self._estimate(n_jobs, predicted)], 512)
 
@@ -441,7 +427,6 @@ class SeD:
             # a stale/unfetchable handle is a per-request data failure, not
             # a middleware crash: report it through the status channel
             return (SolveReply(request_id=req.request_id, status=1,
-                               sed_name=self.name,
                                error=f"DataError: {exc}"), 256)
 
         # Queue is about to grow: push the new backlog up the tree.
@@ -470,7 +455,7 @@ class SeD:
                     track, "solve", started, "solve",
                     request_id=req.request_id, service=profile.path,
                     sed=self.name, cluster=self.cluster)
-            desc, solve_func = self.table.lookup(profile.path)
+            solve_func = self.table.lookup(profile.path)[1]
             ctx = SolveContext(self.engine, self.host, self, self.nfs)
             try:
                 status = yield from solve_func(profile, ctx)
@@ -518,6 +503,5 @@ class SeD:
         if req.memo_key is not None and status == 0:
             self._memo_populate(req.memo_key, profile, handles)
         reply = SolveReply(request_id=req.request_id, status=status,
-                           out_values=out_values, solve_started_at=started,
-                           solve_ended_at=ended, sed_name=self.name, error=error)
+                           out_values=out_values, error=error)
         return (reply, max(profile.response_nbytes(), 256))

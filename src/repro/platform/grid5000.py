@@ -167,7 +167,6 @@ def build_grid5000(engine: Engine,
             sed = network.add_host(Host(
                 engine, f"{spec.full_name}-sed{i}",
                 speed=node_spec.speed * spec.efficiency,
-                cores=1,
                 properties={
                     "cluster": spec.full_name,
                     "n_nodes": NODES_PER_SED,

@@ -17,7 +17,6 @@ import itertools
 from typing import Any, Dict, Generator, Set, Tuple
 
 from ..sim.engine import Engine, Event
-from ..sim.resources import Resource
 
 __all__ = ["NfsVolume", "NfsError"]
 
@@ -29,14 +28,15 @@ class NfsError(RuntimeError):
 class NfsVolume:
     """A shared filesystem exported to a fixed set of hosts.
 
-    ``throughput`` is effective bytes/second for sequential access;
-    ``max_concurrent`` models NFS daemon threads — beyond it, accesses
-    queue, which is the mechanism behind per-cluster I/O efficiency
-    differences in the timing reproduction.
+    ``throughput`` is effective bytes/second for sequential access; each
+    access takes ``nbytes / throughput`` whatever else is in flight.  A
+    volume serves at most two SeDs, each running one solve at a time, and
+    no experiment, example or benchmark workload has an access wait on
+    another, so the server is not modelled as a queue.
     """
 
     def __init__(self, engine: Engine, name: str, capacity_bytes: float = 1e12,
-                 throughput: float = 60e6, max_concurrent: int = 4):
+                 throughput: float = 60e6):
         if capacity_bytes <= 0 or throughput <= 0:
             raise ValueError("capacity and throughput must be positive")
         self.engine = engine
@@ -45,7 +45,6 @@ class NfsVolume:
         self.throughput = float(throughput)
         self._mounts: Set[str] = set()
         self._files: Dict[str, int] = {}
-        self._daemons = Resource(engine, capacity=max_concurrent)
         #: In-progress write reservations: token -> (host, nbytes).  Counted
         #: against capacity so two concurrent writes cannot jointly
         #: oversubscribe the volume; released when the write lands — or via
@@ -95,11 +94,7 @@ class NfsVolume:
         token = next(self._resv_tokens)
         self._reservations[token] = (host_name, nbytes)
         try:
-            req = yield from self._daemons.acquire()
-            try:
-                yield self.engine.timeout(nbytes / self.throughput)
-            finally:
-                self._daemons.release(req)
+            yield self.engine.timeout(nbytes / self.throughput)
             if token in self._reservations:
                 # Reservation still live (the host did not crash under us):
                 # the write lands.
@@ -127,11 +122,7 @@ class NfsVolume:
         self._check_mount(host_name)
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        req = yield from self._daemons.acquire()
-        try:
-            yield self.engine.timeout(nbytes / self.throughput)
-        finally:
-            self._daemons.release(req)
+        yield self.engine.timeout(nbytes / self.throughput)
 
     def __repr__(self) -> str:
         return f"NfsVolume({self.name!r}, mounts={len(self._mounts)}, files={len(self._files)})"

@@ -5,8 +5,8 @@ testbeds) is that nodes *disappear* — they do not drain gracefully.  This
 module models that as timed outages driven against any *victim* object
 exposing ``crash()`` and ``restart()`` (the SeD implements both): at the
 scheduled instant the injector calls ``crash()``, which is expected to
-interrupt every in-flight activity (``execute()`` claims, transfers, RPC
-handlers), and after the outage duration it calls ``restart()``, after
+interrupt every in-flight activity (solves in ``execute()``, transfers,
+RPC handlers), and after the outage duration it calls ``restart()``, after
 which the victim is expected to re-join the system on its own (the SeD
 re-registers with its LA).
 

@@ -21,7 +21,6 @@ import math
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from .engine import Engine, Event
-from .resources import Resource
 
 __all__ = ["Host", "Link", "Network", "NetworkError"]
 
@@ -35,18 +34,17 @@ class Host:
 
     ``speed`` is the relative compute speed used by cost models: a workload
     of ``w`` normalized operations takes ``w / speed`` seconds of CPU time.
-    ``cores`` bounds concurrent compute tasks via the ``cpu`` resource.
+    A host does not bound concurrent compute: the SeD's job slot
+    (``SeDParams.max_concurrent_solves``) is the one limit a solve waits on.
     """
 
     def __init__(self, engine: Engine, name: str, speed: float = 1.0,
-                 cores: int = 1, properties: Optional[Dict[str, Any]] = None):
+                 properties: Optional[Dict[str, Any]] = None):
         if speed <= 0:
             raise ValueError(f"speed must be positive, got {speed}")
         self.engine = engine
         self.name = name
         self.speed = float(speed)
-        self.cores = cores
-        self.cpu = Resource(engine, capacity=cores)
         self.properties: Dict[str, Any] = dict(properties or {})
 
     def compute_time(self, work: float) -> float:
@@ -56,12 +54,8 @@ class Host:
         return work / self.speed
 
     def execute(self, work: float) -> Generator[Event, Any, None]:
-        """Process helper: occupy one core for the duration of ``work``."""
-        req = yield from self.cpu.acquire()
-        try:
-            yield self.engine.timeout(self.compute_time(work))
-        finally:
-            self.cpu.release(req)
+        """Process helper: charge the duration of ``work``."""
+        yield self.engine.timeout(self.compute_time(work))
 
     def __repr__(self) -> str:
         return f"Host({self.name!r}, speed={self.speed})"

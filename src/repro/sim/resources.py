@@ -2,8 +2,8 @@
 
 Two primitives cover everything the middleware and platform layers need:
 
-* :class:`Resource` — a counted semaphore with a FIFO wait queue (used for
-  CPU slots on compute nodes and the one-job-at-a-time constraint of a SeD);
+* :class:`Resource` — a counted semaphore with a FIFO wait queue (a SeD's
+  job slots, the one-job-at-a-time constraint of §5.1);
 * :class:`Store` — an unbounded FIFO of Python objects with blocking ``get``
   (used for the master agent's batched-admission queue).
 """
@@ -48,7 +48,7 @@ class Resource:
     ``capacity`` claims may be outstanding at once; further requests queue.
     """
 
-    def __init__(self, engine: Engine, capacity: int = 1):
+    def __init__(self, engine: Engine, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.engine = engine

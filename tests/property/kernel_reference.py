@@ -27,6 +27,15 @@ tree currently does.
 ``ref_events_degraded.json`` was derived at commit 61ac162 with
 ``FailurePlan(checkpoint_interval_work=None)``: the degraded run that is
 left once zoom2 writes no restart dumps.
+
+The event-count fields of both files were re-recorded on top of 8c2ef63
+when ``Host.execute`` and the NFS accesses stopped taking a semaphore (one
+zero-delay request event fewer per compute charge and per NFS access):
+``n_events`` 13 535 -> 13 030 (campaign) and 145 422 -> 144 911
+(degraded), with ``final_time`` / ``n_instants`` / ``instants_sha256``
+unchanged.  Recipe for such an event cut: run this module on the change,
+then ``git diff tests/data/ref_events_*.json`` must touch only
+``n_events``, ``sha256``, ``head`` and ``tail``.
 """
 
 from __future__ import annotations

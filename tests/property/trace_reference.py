@@ -16,6 +16,16 @@ ONLY for a change that means to alter a stamp, and say which in DESIGN.md.
 The ``degraded`` entry was derived at commit 61ac162 with
 ``FailurePlan(checkpoint_interval_work=None)``: the degraded run that is
 left once zoom2 writes no restart dumps.
+
+An event cut moves ``chrome_trace_sha256`` through one value only: the
+engine ``run`` span's ``args.events``.  The current hashes were derived
+from 8c2ef63's traces that way, when solves and NFS accesses stopped
+taking a semaphore (campaign 2 817 -> 2 712 events, degraded 148 817 ->
+148 306, load_pull 4 560 -> 4 475, load_push_memo_churn 8 659 -> 8 535,
+survey_arm 1 044 -> 1 007).  Recipe: dump ``chrome_trace`` of each run on
+the parent and on the change; the two must differ in that one argument
+alone, and the parent's trace with it patched must hash to the change's
+value; ``records_sha256`` may not move.
 """
 
 from __future__ import annotations

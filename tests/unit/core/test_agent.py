@@ -69,7 +69,7 @@ class TestSubmit:
         engine, _, ma, seds, cli = hierarchy
 
         def call():
-            sub = SubmitRequest(cli.fabric.new_request_id(), toy_desc(), "hub", "cli")
+            sub = SubmitRequest(cli.fabric.new_request_id(), toy_desc(), "hub")
             sed_name, est = yield from cli.rpc("MA", "submit", sub)
             return sed_name, est
 
@@ -83,7 +83,7 @@ class TestSubmit:
 
         def call():
             for _ in range(4):
-                sub = SubmitRequest(cli.fabric.new_request_id(), toy_desc(), "hub", "cli")
+                sub = SubmitRequest(cli.fabric.new_request_id(), toy_desc(), "hub")
                 sed_name, _ = yield from cli.rpc("MA", "submit", sub)
                 chosen.append(sed_name)
 
@@ -96,7 +96,7 @@ class TestSubmit:
         def call():
             sub = SubmitRequest(cli.fabric.new_request_id(),
                                 ProfileDesc("nonexistent", 0, 0, 0),
-                                "hub", "cli")
+                                "hub")
             try:
                 yield from cli.rpc("MA", "submit", sub)
             except ServerNotFoundError:
@@ -109,7 +109,7 @@ class TestSubmit:
 
         def call():
             for _ in range(3):
-                sub = SubmitRequest(cli.fabric.new_request_id(), toy_desc(), "hub", "cli")
+                sub = SubmitRequest(cli.fabric.new_request_id(), toy_desc(), "hub")
                 yield from cli.rpc("MA", "submit", sub)
 
         engine.run_process(call())
@@ -119,7 +119,7 @@ class TestSubmit:
         engine, _, ma, _, cli = hierarchy
 
         def call():
-            sub = SubmitRequest(cli.fabric.new_request_id(), toy_desc(), "hub", "cli")
+            sub = SubmitRequest(cli.fabric.new_request_id(), toy_desc(), "hub")
             yield from cli.rpc("MA", "submit", sub)
 
         engine.run_process(call())
@@ -134,7 +134,7 @@ class TestFaultTolerance:
         fabric.unbind(seds[0].name)
 
         def call():
-            sub = SubmitRequest(cli.fabric.new_request_id(), toy_desc(), "hub", "cli")
+            sub = SubmitRequest(cli.fabric.new_request_id(), toy_desc(), "hub")
             sed_name, _ = yield from cli.rpc("MA", "submit", sub)
             return sed_name
 
@@ -146,7 +146,7 @@ class TestFaultTolerance:
         fabric.unbind("LA0")
 
         def call():
-            sub = SubmitRequest(cli.fabric.new_request_id(), toy_desc(), "hub", "cli")
+            sub = SubmitRequest(cli.fabric.new_request_id(), toy_desc(), "hub")
             sed_name, _ = yield from cli.rpc("MA", "submit", sub)
             return sed_name
 

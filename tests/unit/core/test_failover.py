@@ -136,6 +136,44 @@ class TestCrash:
         assert only.crash_count == 1 and not only.is_down
 
 
+class TestAnnounce:
+    """A restarted SeD rejoins with one ``register`` RPC, never retried."""
+
+    def _crash_victim(self):
+        dep = deploy()
+        desc = toy_desc()
+        for sed in dep.seds:
+            sed.add_service(desc, slow_solve)
+        dep.launch_all()
+        victim = dep.seds[0]
+        la = next(a for a in dep.local_agents if victim.name in a.children)
+        victim.crash()
+        return dep, victim, la
+
+    def test_restart_sends_one_register_rpc(self):
+        dep, victim, la = self._crash_victim()
+        handle_register = la._handle_register
+        registers = []
+
+        def counting(msg):
+            registers.append(msg.payload)
+            return (yield from handle_register(msg))
+
+        la.endpoint.on("register", counting)
+        victim.restart()
+        dep.engine.run(until=60.0)
+        assert registers == [victim.name]
+        assert victim.name in la.children
+
+    def test_a_failed_register_is_not_retried(self):
+        dep, victim, la = self._crash_victim()
+        la.endpoint.stop()
+        victim.restart()
+        with pytest.raises(CommunicationError, match="is stopped"):
+            dep.engine.run(until=60.0)
+        assert dep.engine.now == 0.0   # no backoff sleep before the raise
+
+
 class TestHeartbeat:
     def test_dead_sed_deregistered_then_readded_on_restart(self):
         dep = deploy(heartbeat_interval=5.0)

@@ -357,7 +357,8 @@ class TestOneCallRoutine:
         # The stream itself (449 events until the zero-time events of the
         # message path went, 307 until an RPC became six events, 237 until
         # a fan-out leg became its reply token and a handler booted at its
-        # dispatch end).
-        assert digest["n_events"] == 187
-        assert digest["sha256"] == ("5631a246d021f479d929158c59acc08a"
-                                    "4d84ed2886bd511a62ee9e8b5e304867")
+        # dispatch end, 187 until a solve stopped taking a host-CPU
+        # semaphore under its job slot).
+        assert digest["n_events"] == 184
+        assert digest["sha256"] == ("a942f5917477f5d24ff5d64cc8d0ae7b"
+                                    "989f4d5c015461e6d88f0439ee434306")

@@ -219,8 +219,9 @@ class TestServiceTable:
         table = ServiceTable()
         desc = ramses_zoom2_desc()
         table.add(desc, None, self.solve)
-        found_desc, func = table.lookup("ramsesZoom2")
+        found_desc, func, predictor = table.lookup("ramsesZoom2")
         assert found_desc is desc and func == self.solve
+        assert predictor is None
 
     def test_lookup_missing_raises(self):
         with pytest.raises(ServiceNotFoundError):
@@ -249,6 +250,13 @@ class TestServiceTable:
     def test_non_callable_solve_rejected(self):
         with pytest.raises(ProfileError):
             ServiceTable().add(ramses_zoom2_desc(), None, "not-callable")
+
+    def test_rows_iterate_in_registration_order(self):
+        table = ServiceTable()
+        for path in ("zeta", "alpha", "mid"):
+            table.add(ProfileDesc(path, 0, 0, 0), None, self.solve)
+        assert [desc.path for desc, _, _ in table] == ["zeta", "alpha", "mid"]
+        assert table.paths() == ["alpha", "mid", "zeta"]
 
     def test_print_table(self):
         table = ServiceTable()

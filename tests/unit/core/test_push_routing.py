@@ -76,7 +76,7 @@ def build(routing="push", agent_params=None, obs=None):
 
 
 def submit(cli, service=None):
-    sub = SubmitRequest(cli.fabric.new_request_id(), service or toy_desc(), "hub", "cli")
+    sub = SubmitRequest(cli.fabric.new_request_id(), service or toy_desc(), "hub")
     sed_name, est = yield from cli.rpc("MA", "submit", sub)
     return sed_name
 
@@ -127,7 +127,7 @@ class TestTableMaterialization:
         before = {r.sed_name: r.seq for r in ma.table.candidates(TOY)}
 
         def call():
-            sub = SubmitRequest(cli.fabric.new_request_id(), toy_desc(), "hub", "cli")
+            sub = SubmitRequest(cli.fabric.new_request_id(), toy_desc(), "hub")
             sed_name, est = yield from cli.rpc("MA", "submit", sub)
             # drive the solve so the SeD's queue changes
             from repro.core.requests import SolveRequest
@@ -135,7 +135,7 @@ class TestTableMaterialization:
             profile.parameter(0).set(1)
             profile.parameter(1).set(None)
             yield from cli.rpc(sed_name, "solve",
-                               SolveRequest(sub.request_id, profile, "cli"))
+                               SolveRequest(sub.request_id, profile))
             return sed_name
 
         sed_name = engine.run_process(call())
@@ -156,7 +156,7 @@ class TestCommTimePricing:
         def call():
             yield engine.timeout(1.0)  # push tables fill first
             sub = SubmitRequest(cli.fabric.new_request_id(), toy_desc(),
-                                "hub", "cli", request_nbytes=self.NBYTES)
+                                "hub", request_nbytes=self.NBYTES)
             yield from cli.rpc("MA", "submit", sub)
 
         engine.run_process(call())

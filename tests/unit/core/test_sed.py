@@ -166,7 +166,7 @@ class TestSolve:
         profile.parameter(1).set(None)
 
         def call():
-            req = SolveRequest(cli.fabric.new_request_id(), profile, "cli")
+            req = SolveRequest(cli.fabric.new_request_id(), profile)
             reply = yield from cli.rpc(sed.name, "solve", req,
                                        nbytes=profile.request_nbytes())
             return reply
@@ -179,8 +179,8 @@ class TestSolve:
         reply = self._solve_once(stack, sed, cli, value=6)
         assert reply.status == 0
         assert reply.out_values[1] == 36
-        assert reply.sed_name == "sed1"
-        assert reply.solve_ended_at - reply.solve_started_at == pytest.approx(2.0)
+        trace = sed.tracer.trace(reply.request_id)
+        assert trace.solve_duration == pytest.approx(2.0)
 
     def test_solve_counts_and_history(self, stack):
         sed = make_sed(stack)
@@ -195,7 +195,9 @@ class TestSolve:
         cli = client_endpoint(stack)
         reply = self._solve_once(stack, sed, cli)
         # solve_started is after data arrival + init; duration excludes init
-        assert reply.solve_ended_at - reply.solve_started_at == pytest.approx(2.0)
+        trace = sed.tracer.trace(reply.request_id)
+        assert trace.solve_duration == pytest.approx(2.0)
+        assert trace.initiation_time == pytest.approx(0.5)
 
     def test_application_error_becomes_status(self, stack):
         engine, net, fabric = stack
@@ -215,7 +217,7 @@ class TestSolve:
         profile.parameter(1).set(None)
 
         def call():
-            req = SolveRequest(cli.fabric.new_request_id(), profile, "cli")
+            req = SolveRequest(cli.fabric.new_request_id(), profile)
             return (yield from cli.rpc("sed-crash", "solve", req))
 
         reply = engine.run_process(call())
@@ -233,14 +235,16 @@ class TestSolve:
             profile = toy_desc().instantiate()
             profile.parameter(0).set(v)
             profile.parameter(1).set(None)
-            req = SolveRequest(cli.fabric.new_request_id(), profile, "cli")
+            req = SolveRequest(cli.fabric.new_request_id(), profile)
             reply = yield from cli.rpc("sed1", "solve", req)
             replies.append(reply)
 
         engine.process(call(1))
         engine.process(call(2))
         engine.run()
-        spans = sorted((r.solve_started_at, r.solve_ended_at) for r in replies)
+        spans = sorted((t.solve_started_at, t.solve_ended_at)
+                       for t in sed.tracer.all_traces())
+        assert len(spans) == len(replies) == 2
         assert spans[1][0] >= spans[0][1]   # no overlap
 
     def test_n_jobs_probe(self, stack):
@@ -253,7 +257,7 @@ class TestSolve:
             profile = toy_desc().instantiate()
             profile.parameter(0).set(v)
             profile.parameter(1).set(None)
-            req = SolveRequest(cli.fabric.new_request_id(), profile, "cli")
+            req = SolveRequest(cli.fabric.new_request_id(), profile)
             yield from cli.rpc("sed1", "solve", req)
 
         def probe():
@@ -316,7 +320,7 @@ class TestBarePairPersistentData:
         profile.parameter(1).set(None)
 
         def call():
-            req = SolveRequest(cli.fabric.new_request_id(), profile, "cli")
+            req = SolveRequest(cli.fabric.new_request_id(), profile)
             return (yield from cli.rpc(sed.name, "solve", req))
 
         return stack[0].run_process(call())

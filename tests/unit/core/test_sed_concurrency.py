@@ -1,4 +1,8 @@
-"""Unit tests for SeD concurrency settings beyond the paper's one-job rule."""
+"""Unit tests for SeD concurrency settings beyond the paper's one-job rule.
+
+``SeDParams.max_concurrent_solves`` is the one concurrency setting: the
+host does not bound concurrent compute, so the slots alone decide how many
+solves overlap.  Solve windows are read from the SeD's request traces."""
 
 from repro.core import (
     BaseType,
@@ -26,11 +30,11 @@ def solve_toy(profile, ctx):
     return 0
 
 
-def build(max_concurrent, cores=4):
+def build(max_concurrent):
     engine = Engine()
     net = Network(engine)
     net.add_host(Host(engine, "cli-host"))
-    sed_host = net.add_host(Host(engine, "sed-host", speed=1.0, cores=cores))
+    sed_host = net.add_host(Host(engine, "sed-host", speed=1.0))
     net.connect("cli-host", "sed-host", Link("l", 1e-4, 1e9))
     fabric = TransportFabric(engine, net)
     sed = SeD(fabric, sed_host, "sed", tracer=Tracer(),
@@ -41,6 +45,12 @@ def build(max_concurrent, cores=4):
     return engine, sed, cli
 
 
+def windows(sed):
+    """``(solve_started_at, solve_ended_at)`` of every solve, sorted."""
+    return sorted((t.solve_started_at, t.solve_ended_at)
+                  for t in sed.tracer.all_traces())
+
+
 def fire(engine, cli, n):
     replies = []
 
@@ -48,7 +58,7 @@ def fire(engine, cli, n):
         profile = toy_desc().instantiate()
         profile.parameter(0).set(i)
         profile.parameter(1).set(None)
-        req = SolveRequest(cli.fabric.new_request_id(), profile, "cli")
+        req = SolveRequest(cli.fabric.new_request_id(), profile)
         reply = yield from cli.rpc("sed", "solve", req)
         replies.append(reply)
 
@@ -61,18 +71,17 @@ def fire(engine, cli, n):
 class TestConcurrentSolves:
     def test_capacity_two_overlaps_jobs(self):
         engine, sed, cli = build(max_concurrent=2)
-        replies = fire(engine, cli, 4)
-        spans = sorted((r.solve_started_at, r.solve_ended_at)
-                       for r in replies)
+        assert len(fire(engine, cli, 4)) == 4
+        spans = windows(sed)
         # first two overlap; third starts only after a slot frees
         assert spans[1][0] < spans[0][1]
         assert spans[2][0] >= min(spans[0][1], spans[1][1]) - 1e-9
 
     def test_throughput_scales_with_slots(self):
         def makespan(slots):
-            engine, _, cli = build(max_concurrent=slots)
-            replies = fire(engine, cli, 8)
-            return max(r.solve_ended_at for r in replies)
+            engine, sed, cli = build(max_concurrent=slots)
+            assert len(fire(engine, cli, 8)) == 8
+            return max(end for _, end in windows(sed))
 
         assert makespan(4) < makespan(1) / 2.5
 
@@ -88,7 +97,7 @@ class TestConcurrentSolves:
             profile = toy_desc().instantiate()
             profile.parameter(0).set(i)
             profile.parameter(1).set(None)
-            req = SolveRequest(cli.fabric.new_request_id(), profile, "cli")
+            req = SolveRequest(cli.fabric.new_request_id(), profile)
             yield from cli.rpc("sed", "solve", req)
 
         for i in range(5):

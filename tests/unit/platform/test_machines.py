@@ -17,11 +17,6 @@ class TestCatalogue:
         assert clocks == sorted(clocks)
         assert clocks[0] == 2.0 and clocks[-1] == 2.6
 
-    def test_275_is_dual_core(self):
-        spec = machine("opteron-275")
-        assert spec.cores == 2
-        assert spec.clock_ghz * spec.cores == pytest.approx(4.4)
-
     def test_speed_equals_clock(self):
         for key, spec in OPTERON_CATALOGUE.items():
             assert spec.speed == spec.clock_ghz

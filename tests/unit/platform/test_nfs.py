@@ -14,7 +14,7 @@ def engine():
 @pytest.fixture
 def volume(engine):
     vol = NfsVolume(engine, "nfs-test", capacity_bytes=1000,
-                    throughput=100.0, max_concurrent=2)
+                    throughput=100.0)
     vol.export_to("node0")
     vol.export_to("node1")
     return vol
@@ -66,19 +66,23 @@ class TestTiming:
 
         assert engine.run_process(proc()) == pytest.approx(5.0)
 
-    def test_daemon_contention(self, engine, volume):
-        """max_concurrent=2: a third concurrent access queues."""
+    def test_concurrent_accesses_do_not_queue(self, engine, volume):
+        """Each access takes nbytes / throughput whatever else is in flight."""
         ends = []
 
         def writer(i):
             yield from volume.write("node0", f"f{i}", 200)
             ends.append(engine.now)
 
+        def reader():
+            yield from volume.read_bytes("node1", 300)
+            ends.append(engine.now)
+
         for i in range(3):
             engine.process(writer(i))
+        engine.process(reader())
         engine.run()
-        assert ends == [pytest.approx(2.0), pytest.approx(2.0),
-                        pytest.approx(4.0)]
+        assert ends == [pytest.approx(2.0)] * 3 + [pytest.approx(3.0)]
 
 
 class TestWriteReservations:

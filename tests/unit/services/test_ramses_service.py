@@ -141,9 +141,9 @@ class TestModeledService:
     def test_predictor_registration(self, deployment):
         register_ramses_services(deployment, with_predictor=True)
         for sed in deployment.seds:
-            reg = sed._registrations["ramsesZoom2"]
-            assert reg.predictor is not None
-            assert reg.predictor(None) > 0
+            predictor = sed.table.lookup("ramsesZoom2")[2]
+            assert predictor is not None
+            assert predictor(None) > 0
 
 
 class TestRealService:

@@ -36,31 +36,20 @@ class TestHost:
         with pytest.raises(ValueError):
             Host(engine, "h").compute_time(-1)
 
-    def test_execute_serializes_on_one_core(self, engine):
-        host = Host(engine, "h", speed=1.0, cores=1)
+    def test_concurrent_executes_do_not_queue(self, engine):
+        """The host bounds no compute: the SeD's job slot is the one limit."""
+        host = Host(engine, "h", speed=2.0)
         done = []
 
-        def job(tag):
-            yield from host.execute(2.0)
+        def job(tag, work):
+            yield from host.execute(work)
             done.append((tag, engine.now))
 
-        engine.process(job("a"))
-        engine.process(job("b"))
+        engine.process(job("a", 4.0))
+        engine.process(job("b", 4.0))
+        engine.process(job("c", 6.0))
         engine.run()
-        assert done == [("a", 2.0), ("b", 4.0)]
-
-    def test_execute_parallel_on_two_cores(self, engine):
-        host = Host(engine, "h", speed=1.0, cores=2)
-        done = []
-
-        def job(tag):
-            yield from host.execute(2.0)
-            done.append((tag, engine.now))
-
-        engine.process(job("a"))
-        engine.process(job("b"))
-        engine.run()
-        assert [t for _, t in done] == [2.0, 2.0]
+        assert done == [("a", 2.0), ("b", 2.0), ("c", 3.0)]
 
 
 class TestTopology:

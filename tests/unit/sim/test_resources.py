@@ -40,8 +40,8 @@ class TestResource:
         assert res.count == 0
 
     def test_release_unknown_raises(self, engine):
-        res = Resource(engine)
-        other = Resource(engine)
+        res = Resource(engine, 1)
+        other = Resource(engine, 1)
         req = other.request()
         with pytest.raises(RuntimeError):
             res.release(req)
